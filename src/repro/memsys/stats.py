@@ -22,6 +22,12 @@ class CacheStats:
         else:
             self.misses += 1
 
+    def record_counts(self, hits: int, misses: int) -> None:
+        """Record many accesses at once (``hits`` + ``misses`` of them)."""
+        self.accesses += hits + misses
+        self.hits += hits
+        self.misses += misses
+
     def merge(self, other: "CacheStats") -> "CacheStats":
         """Return the element-wise sum of two counters."""
         return CacheStats(

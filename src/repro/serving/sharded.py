@@ -62,7 +62,7 @@ from repro.serving.replica import (
     StreamOutcome,
     drive_stream,
 )
-from repro.sharding.cache import CacheConfig, EmbeddingCache
+from repro.sharding.cache import CacheConfig, EmbeddingCache, check_key_space
 from repro.sharding.plan import ShardingPlan, ShardingStrategy, make_plan
 from repro.sim.engine import QueueSpec, Simulator
 from repro.sim.profile import SimProfile
@@ -401,57 +401,94 @@ class ShardedReplicaServer(ReplicaServer):
             return base
         return self._priced_sharded(base, batch_size, model)
 
+    def _route_batch(
+        self, batch_size: int, model: DLRMConfig
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]:
+        """Draw one batch's lookups and route them through the cache tiers.
+
+        Returns per-shard ``(owned, gathered, contributed_tables,
+        shared_lines)``: lookups owned, lookups host-gathered, tables with
+        any owned lookup, and shared-tier hits (``None`` when no lookup
+        reached a shared tier).
+        """
+        plan = self.plan
+        num_shards = plan.num_shards
+        caches = self.caches
+        shared = self.shared_cache
+        # Draw every table in table order (the RNG stream is consumed
+        # exactly as one draw per table), then route the whole batch at
+        # once: rows stay in (table, draw) order, tagged with their table.
+        counts = [batch_size * table.gathers for table in model.tables]
+        drawn = [
+            self.trace_model.draw(self.trace_rng, table.num_rows, count, table_index)
+            for table_index, (table, count) in enumerate(zip(model.tables, counts))
+            if count
+        ]
+        rows = np.concatenate(drawn) if drawn else np.empty(0, dtype=np.int64)
+        tables = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+        owners = plan.owner_of(tables, rows)
+        if self._lost_shards:
+            owners = self._remap_owners(owners, rows)
+        owned = np.bincount(owners, minlength=num_shards)
+        num_tables = model.num_tables
+        # A shard ships one partial sum per table it gathered any row of.
+        contributed_tables = np.count_nonzero(
+            np.bincount(owners * num_tables + tables, minlength=num_shards * num_tables)
+            .reshape(num_shards, num_tables),
+            axis=1,
+        )
+        shared_lines = None
+        if caches is None and shared is None:
+            gathered = owned.copy()
+        else:
+            # One stable argsort groups each shard's rows contiguously in
+            # (table, draw) order: exactly the reference stream the shard's
+            # cache would see from per-table probes, in one call per shard.
+            # (The narrowest dtype holding every shard lets numpy radix-sort.)
+            order = np.argsort(
+                owners.astype(np.min_scalar_type(num_shards)), kind="stable"
+            )
+            sorted_rows = rows[order]
+            sorted_tables = tables[order]
+            if caches is not None:
+                hits = np.empty(rows.size, dtype=bool)
+                ends = np.cumsum(owned)
+                for shard in np.nonzero(owned)[0]:
+                    part = slice(ends[shard] - owned[shard], ends[shard])
+                    hits[part] = caches[shard].lookup(
+                        sorted_tables[part], sorted_rows[part]
+                    )
+                missed = ~hits
+            else:
+                missed = np.ones(rows.size, dtype=bool)
+            miss_owners = owners[order][missed]
+            gathered = np.bincount(miss_owners, minlength=num_shards)
+            if shared is not None and miss_owners.size:
+                # Local misses probe the shared tier next, in (table,
+                # shard, draw) order -- the order per-table fan-out would
+                # produce.  Its hits are fetched over the link instead of
+                # host-gathered.
+                miss_tables = sorted_tables[missed]
+                shared_order = np.argsort(
+                    miss_tables * num_shards + miss_owners, kind="stable"
+                )
+                shared_hits = shared.lookup(
+                    miss_tables[shared_order], sorted_rows[missed][shared_order]
+                )
+                shared_lines = np.bincount(
+                    miss_owners[shared_order][shared_hits], minlength=num_shards
+                )
+                gathered -= shared_lines
+        return owned, gathered, contributed_tables, shared_lines
+
     def _priced_sharded(
         self, base: InferenceResult, batch_size: int, model: DLRMConfig
     ) -> InferenceResult:
-        plan = self.plan
-        num_shards = plan.num_shards
+        num_shards = self.plan.num_shards
         accounting = self.accounting
-        owned = np.zeros(num_shards, dtype=np.int64)
-        gathered = np.zeros(num_shards, dtype=np.int64)
-        contributed_tables = np.zeros(num_shards, dtype=np.int64)
-        shared = self.shared_cache
-        shared_lines = np.zeros(num_shards, dtype=np.int64) if shared is not None else None
-        for table_index, table in enumerate(model.tables):
-            count = batch_size * table.gathers
-            if count == 0:
-                continue
-            rows = self.trace_model.draw(
-                self.trace_rng, table.num_rows, count, table_index
-            )
-            owners = plan.owner_of(table_index, rows)
-            if self._lost_shards:
-                owners = self._remap_owners(owners, rows)
-            counts = np.bincount(owners, minlength=num_shards)
-            owned += counts
-            contributed_tables += counts > 0
-            if self.caches is None and shared is None:
-                gathered += counts
-                continue
-            # One stable argsort groups each shard's rows contiguously in
-            # their original draw order, so every cache sees the identical
-            # reference stream the per-shard masking loop produced.
-            order = np.argsort(owners, kind="stable")
-            sorted_rows = rows[order]
-            ends = np.cumsum(counts)
-            for shard in np.nonzero(counts)[0]:
-                shard_rows = sorted_rows[ends[shard] - counts[shard] : ends[shard]]
-                if self.caches is not None:
-                    hits = self.caches[shard].lookup(table_index, shard_rows)
-                    if shared is None:
-                        gathered[shard] += len(shard_rows) - int(hits.sum())
-                        continue
-                    miss_rows = shard_rows[~hits]
-                else:
-                    miss_rows = shard_rows
-                if miss_rows.size:
-                    # Local misses probe the shared tier next; its hits
-                    # are fetched over the link instead of host-gathered.
-                    shared_hits = shared.lookup(table_index, miss_rows)
-                    absorbed = int(shared_hits.sum())
-                    shared_lines[shard] += absorbed
-                    gathered[shard] += miss_rows.size - absorbed
-
+        owned, gathered, contributed_tables, shared_lines = self._route_batch(
+            batch_size, model
+        )
         total_lookups = int(owned.sum())
         emb_s = base.breakdown.get("EMB")
         row_bytes = model.embedding_dim * DTYPE_BYTES
@@ -701,6 +738,8 @@ class ShardedReplicaGroup:
             runner = resolve_backend(runner, system)
         self.runner = runner
         self.model = model
+        # Hot-row caches key rows by packed ints; reject models that overflow them.
+        check_key_space(model)
         if plan is None:
             plan = make_plan(model, num_shards, strategy)
         elif plan.model != model:

@@ -14,6 +14,11 @@ randomness), so two runs over the same lookup stream produce bit-identical
 the cache identity (it namespaces nothing today but keeps the constructor
 stable if a randomized policy is ever added) and two caches built with the
 same arguments always agree.
+
+Internally a row is keyed by one packed int, ``(table << 40) | row``.  The
+packing is private to this module; :func:`check_key_space` rejects models
+whose tables or table count would not fit it, and every probe range-checks
+its rows, so two rows can never alias one key.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from __future__ import annotations
 import heapq
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -29,8 +34,43 @@ from repro.config.models import DLRMConfig
 from repro.errors import ConfigurationError
 from repro.memsys.stats import CacheStats
 
-#: Cache key: one embedding row of one table.
-_RowKey = Tuple[int, int]
+#: Low bits of a packed key that hold the row id; the table index sits above.
+ROW_BITS = 40
+#: Bits left for the table index in a non-negative int64 key.
+_TABLE_BITS = 63 - ROW_BITS
+#: Tables a packed key can address.
+MAX_TABLES = 1 << _TABLE_BITS
+
+#: One table index for every row, or one per row (aligned with the rows).
+TableIndex = Union[int, np.ndarray]
+
+
+def check_key_space(model: DLRMConfig) -> None:
+    """Raise unless every ``(table, row)`` of ``model`` packs into one key."""
+    if model.num_tables > MAX_TABLES:
+        raise ConfigurationError(
+            f"model {model.name!r} has {model.num_tables} tables; the hot-row "
+            f"cache key addresses at most {MAX_TABLES}"
+        )
+    for index, table in enumerate(model.tables):
+        if table.num_rows > 1 << ROW_BITS:
+            raise ConfigurationError(
+                f"table {index} of model {model.name!r} has {table.num_rows} rows; "
+                f"the hot-row cache key addresses at most 2**{ROW_BITS}"
+            )
+
+
+def _pack(table_index: TableIndex, rows: np.ndarray) -> List[int]:
+    """Packed keys of ``rows``, range-checked once for the whole call."""
+    rows = np.asarray(rows, dtype=np.int64)
+    tables = np.asarray(table_index, dtype=np.int64)
+    if rows.size and ((rows >> ROW_BITS).any() or (tables >> _TABLE_BITS).any()):
+        raise ConfigurationError(
+            f"cache keys need rows in [0, 2**{ROW_BITS}) and tables in "
+            f"[0, {MAX_TABLES}); got rows [{rows.min()}, {rows.max()}], "
+            f"tables [{tables.min()}, {tables.max()}]"
+        )
+    return ((tables << ROW_BITS) | rows).tolist()
 
 
 @dataclass(frozen=True)
@@ -101,7 +141,7 @@ class CacheConfig:
 
 
 class EmbeddingCache:
-    """A deterministic hot-row cache over ``(table, row)`` keys.
+    """A deterministic hot-row cache over ``(table, row)`` embedding rows.
 
     Args:
         capacity_rows: Maximum resident rows (> 0).
@@ -137,88 +177,111 @@ class EmbeddingCache:
         #: Hits served from rows a push updated behind the cache
         #: (``mode="ignore"`` staleness accounting).
         self.stale_hits = 0
+        # Every structure below holds packed keys (see _pack).
         self._stale: set = set()
         self._tick = 0
         # LRU state: insertion/recency-ordered keys.
-        self._lru: "OrderedDict[_RowKey, None]" = OrderedDict()
+        self._lru: "OrderedDict[int, None]" = OrderedDict()
         # LFU state: key -> (frequency, last tick) plus a lazy min-heap of
         # (frequency, tick, key) snapshots; stale snapshots are skipped at
         # eviction time, keeping every operation O(log n).
-        self._lfu: Dict[_RowKey, Tuple[int, int]] = {}
+        self._lfu: Dict[int, Tuple[int, int]] = {}
         self._heap: list = []
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._lru) if self.policy == "lru" else len(self._lfu)
+        return len(self._resident())
 
-    def __contains__(self, key: _RowKey) -> bool:
-        return key in self._lru if self.policy == "lru" else key in self._lfu
+    def __contains__(self, key: Tuple[int, int]) -> bool:
+        """Whether the ``(table, row)`` pair is resident."""
+        table_index, row = key
+        if not (0 <= table_index < MAX_TABLES and 0 <= row < 1 << ROW_BITS):
+            return False
+        return (table_index << ROW_BITS | row) in self._resident()
+
+    def _resident(self) -> dict:
+        return self._lru if self.policy == "lru" else self._lfu
 
     @property
     def hit_rate(self) -> float:
         return self.stats.hit_rate
 
     # ------------------------------------------------------------------
-    def lookup(self, table_index: int, rows: np.ndarray) -> np.ndarray:
+    def lookup(self, table_index: TableIndex, rows: np.ndarray) -> np.ndarray:
         """Probe (and fill) the cache for a gather's row IDs.
 
+        ``table_index`` is one table for every row, or an int array with
+        one table per row, so a whole batch's rows probe in one call.
         Returns a boolean hit mask aligned with ``rows``.  Hits refresh
         recency/frequency; misses are inserted, evicting per policy once
         the capacity is reached.  Repeated rows within one call behave as
         consecutive accesses (the second occurrence of a missed row hits).
         """
-        rows = np.asarray(rows, dtype=np.int64)
-        hits = np.empty(rows.shape, dtype=bool)
+        keys = _pack(table_index, rows)
+        # One byte per access, set on a hit; read back as the bool mask.
+        hits = bytearray(len(keys))
         if self.policy == "lru":
-            self._lookup_lru(table_index, rows, hits)
+            self._lookup_lru(keys, hits)
         else:
-            self._lookup_lfu(table_index, rows, hits)
-        return hits
+            self._lookup_lfu(keys, hits)
+        hit_count = hits.count(1)
+        self.stats.record_counts(hits=hit_count, misses=len(keys) - hit_count)
+        return np.frombuffer(hits, dtype=bool)
 
-    def _lookup_lru(self, table_index: int, rows: np.ndarray, hits: np.ndarray) -> None:
+    def _lookup_lru(self, keys: List[int], hits: bytearray) -> None:
         cache = self._lru
         capacity = self.capacity_rows
-        for position, row in enumerate(rows.tolist()):
-            key = (table_index, row)
-            hit = key in cache
-            hits[position] = hit
-            self.stats.record(hit)
-            if hit:
-                cache.move_to_end(key)
-                if self._stale and key in self._stale:
+        stale = self._stale
+        move_to_end = cache.move_to_end
+        popitem = cache.popitem
+        # Inside one call the cache only grows until full, then every miss
+        # evicts exactly one row, so its size is tracked locally.
+        size = len(cache)
+        evictions = 0
+        for position, key in enumerate(keys):
+            if key in cache:
+                hits[position] = 1
+                move_to_end(key)
+                if stale and key in stale:
                     self.stale_hits += 1
                 continue
-            if len(cache) >= capacity:
-                evicted, _ = cache.popitem(last=False)
-                self.evictions += 1
-                if self._stale:
-                    self._stale.discard(evicted)
+            if size < capacity:
+                size += 1
+            else:
+                evicted = popitem(False)[0]
+                evictions += 1
+                if stale:
+                    stale.discard(evicted)
             cache[key] = None
+        self.evictions += evictions
 
-    def _lookup_lfu(self, table_index: int, rows: np.ndarray, hits: np.ndarray) -> None:
+    def _lookup_lfu(self, keys: List[int], hits: bytearray) -> None:
         cache = self._lfu
         capacity = self.capacity_rows
-        for position, row in enumerate(rows.tolist()):
-            key = (table_index, row)
-            entry = cache.get(key)
-            hit = entry is not None
-            hits[position] = hit
-            self.stats.record(hit)
-            self._tick += 1
-            if hit:
+        stale = self._stale
+        heap = self._heap
+        get = cache.get
+        push = heapq.heappush
+        tick = self._tick
+        for position, key in enumerate(keys):
+            entry = get(key)
+            tick += 1
+            if entry is not None:
+                hits[position] = 1
                 frequency = entry[0] + 1
-                if self._stale and key in self._stale:
+                if stale and key in stale:
                     self.stale_hits += 1
             else:
                 if len(cache) >= capacity:
                     self._evict_lfu()
                 frequency = 1
-            cache[key] = (frequency, self._tick)
-            heapq.heappush(self._heap, (frequency, self._tick, key))
+            cache[key] = (frequency, tick)
+            push(heap, (frequency, tick, key))
+        self._tick = tick
         # Lazy deletion leaves one stale snapshot per superseded access;
         # compact once they dominate so heap memory stays O(resident rows)
         # over arbitrarily long streams, not O(total lookups).
-        if len(self._heap) > 2 * len(cache) + 16:
+        if len(heap) > 2 * len(cache) + 16:
             self._heap = [
                 (frequency, tick, key)
                 for key, (frequency, tick) in cache.items()
@@ -247,10 +310,9 @@ class EmbeddingCache:
         capacity ``evictions`` counter — the per-cause split freshness
         reports rely on.  Absent rows are a no-op.
         """
-        cache = self._lru if self.policy == "lru" else self._lfu
+        cache = self._resident()
         removed = 0
-        for row in np.asarray(rows, dtype=np.int64).tolist():
-            key = (table_index, row)
+        for key in _pack(table_index, rows):
             if key in cache:
                 # LFU heap snapshots of the key go stale; _evict_lfu
                 # already skips snapshots whose entry disagrees.
@@ -269,10 +331,9 @@ class EmbeddingCache:
         Absent rows are not allocated — write-no-allocate keeps one-shot
         pushes from polluting the hot set.
         """
-        cache = self._lru if self.policy == "lru" else self._lfu
+        cache = self._resident()
         refreshed = 0
-        for row in np.asarray(rows, dtype=np.int64).tolist():
-            key = (table_index, row)
+        for key in _pack(table_index, rows):
             if key in cache:
                 refreshed += 1
                 if self._stale:
@@ -286,10 +347,9 @@ class EmbeddingCache:
         Later hits on marked rows increment ``stale_hits`` — the run's
         correctness/staleness exposure when pushes are not applied.
         """
-        cache = self._lru if self.policy == "lru" else self._lfu
+        cache = self._resident()
         marked = 0
-        for row in np.asarray(rows, dtype=np.int64).tolist():
-            key = (table_index, row)
+        for key in _pack(table_index, rows):
             if key in cache and key not in self._stale:
                 self._stale.add(key)
                 marked += 1

@@ -37,16 +37,18 @@ _MIX_B = np.uint64(0x94D049BB133111EB)
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 
 
-def _splitmix64(values: np.ndarray) -> np.ndarray:
-    """Vectorized splitmix64 finalizer over a uint64 array."""
+def _splitmix64_inplace(values: np.ndarray, scratch: np.ndarray) -> None:
+    """splitmix64 finalizer over a uint64 array, in place.
+
+    ``scratch`` is a uint64 buffer of the same length that the shifts are
+    written into, so no temporary is allocated.
+    """
     with np.errstate(over="ignore"):
-        values = values.copy()
-        values ^= values >> np.uint64(30)
+        values ^= np.right_shift(values, np.uint64(30), out=scratch)
         values *= _MIX_A
-        values ^= values >> np.uint64(27)
+        values ^= np.right_shift(values, np.uint64(27), out=scratch)
         values *= _MIX_B
-        values ^= values >> np.uint64(31)
-    return values
+        values ^= np.right_shift(values, np.uint64(31), out=scratch)
 
 
 @dataclass(frozen=True)
@@ -112,43 +114,76 @@ class ShardingPlan:
         """True when ownership is decided per row, not per table."""
         return self.table_owner is None
 
-    def owner_of(self, table_index: int, rows: np.ndarray) -> np.ndarray:
+    @cached_property
+    def _owner_array(self) -> np.ndarray:
+        """``table_owner`` as an int64 array (table-granular plans)."""
+        return np.asarray(self.table_owner, dtype=np.int64)
+
+    def owner_of(
+        self,
+        table_index: Union[int, np.ndarray],
+        rows: np.ndarray,
+        out: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
         """Owning shard of each row ID (vectorized, int64).
 
         Every ``(table, row)`` maps to exactly one shard — table-granular
         plans broadcast the table's owner, row-wise plans hash the row.
+        ``table_index`` is one table for every row or an int array with one
+        table per row.  ``out``, when given, is an int64 array shaped like
+        ``rows`` that receives the owners (and the hash's working state).
         """
-        if not 0 <= table_index < self.model.num_tables:
-            raise ConfigurationError(
-                f"table index {table_index} outside [0, {self.model.num_tables})"
-            )
         rows = np.asarray(rows, dtype=np.int64)
-        if self.table_owner is not None:
-            return np.full(rows.shape, self.table_owner[table_index], dtype=np.int64)
-        if self.num_shards == 1:
-            return np.zeros(rows.shape, dtype=np.int64)
-        with np.errstate(over="ignore"):
-            keyed = (
-                rows.astype(np.uint64)
-                + np.uint64(table_index + 1) * _GOLDEN
-                + np.uint64(self.hash_seed) * _MIX_B
+        tables = np.asarray(table_index, dtype=np.int64)
+        num_tables = self.model.num_tables
+        if tables.size and (tables.min() < 0 or tables.max() >= num_tables):
+            bad = tables[(tables < 0) | (tables >= num_tables)].flat[0]
+            raise ConfigurationError(
+                f"table index {bad} outside [0, {num_tables})"
             )
-        mixed = _splitmix64(keyed)
-        return (mixed % np.uint64(self.num_shards)).astype(np.int64)
+        if out is None:
+            out = np.empty(rows.shape, dtype=np.int64)
+        if self.table_owner is not None:
+            out[...] = self._owner_array[tables]
+            return out
+        if self.num_shards == 1:
+            out.fill(0)
+            return out
+        # Hash (row + (table + 1) * golden + seed * mix_b) mod 2**64 in
+        # place.  Rows are reinterpreted as uint64, which equals casting.
+        keyed = out.view(np.uint64)
+        scratch = np.empty_like(keyed)
+        with np.errstate(over="ignore"):
+            offsets = (tables.astype(np.uint64) + np.uint64(1)) * _GOLDEN
+            offsets += np.uint64(self.hash_seed) * _MIX_B
+            np.add(rows.view(np.uint64), offsets, out=keyed)
+        _splitmix64_inplace(keyed, scratch)
+        # keyed % num_shards via floor division, which numpy runs several
+        # times faster than remainder for a scalar divisor.
+        shards = np.uint64(self.num_shards)
+        np.floor_divide(keyed, shards, out=scratch)
+        scratch *= shards
+        keyed -= scratch
+        return out
 
     @cached_property
     def shard_bytes(self) -> Tuple[float, ...]:
         """Embedding bytes resident on each shard (exact, not estimated)."""
         totals = np.zeros(self.num_shards, dtype=np.float64)
+        if self.table_owner is not None:
+            for owner, table in zip(self.table_owner, self.model.tables):
+                totals[owner] += table.table_bytes
+            return tuple(float(value) for value in totals)
+        # Hash table by table through one row-id range and one owner buffer
+        # sized for the largest table, instead of fresh arrays per table.
+        largest = max(table.num_rows for table in self.model.tables)
+        row_ids = np.arange(largest, dtype=np.int64)
+        owners = np.empty(largest, dtype=np.int64)
         for table_index, table in enumerate(self.model.tables):
-            if self.table_owner is not None:
-                totals[self.table_owner[table_index]] += table.table_bytes
-            else:
-                owners = self.owner_of(
-                    table_index, np.arange(table.num_rows, dtype=np.int64)
-                )
-                counts = np.bincount(owners, minlength=self.num_shards)
-                totals += counts * float(table.row_bytes)
+            count = table.num_rows
+            self.owner_of(table_index, row_ids[:count], out=owners[:count])
+            counts = np.bincount(owners[:count], minlength=self.num_shards)
+            totals += counts * float(table.row_bytes)
         return tuple(float(value) for value in totals)
 
     @property

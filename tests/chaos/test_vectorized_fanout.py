@@ -1,18 +1,29 @@
-"""The vectorized shard fan-out is elementwise-identical to the scalar path.
+"""The batch-fused shard fan-out is identical to per-table fan-out.
 
-``ShardedReplicaServer._priced_sharded`` replaced its per-shard boolean
-masking loop with one ``bincount`` + stable ``argsort`` + ``cumsum``
-slicing pass.  These tests pin the refactor to the scalar reference: for
-arbitrary owner assignments the vectorized grouping must hand every shard
-*exactly* the rows the masking loop produced, in the same order (caches
-are reference-stream sensitive), and the failover remap must equal its
-scalar definition element by element.
+``ShardedReplicaServer._route_batch`` draws every table, hashes the whole
+batch once and probes each shard's cache once per batch, grouping rows by
+owner with one ``bincount`` + stable ``argsort`` + ``cumsum`` slicing pass.
+These tests pin it to scalar references: the grouping must hand every shard
+*exactly* the rows the masking loop produced, in the same order (caches are
+reference-stream sensitive); the failover remap must equal its scalar
+definition element by element; and a whole priced batch must match the
+per-(table, shard) loop driving tuple-keyed reference caches.
 """
 
 import numpy as np
 import pytest
 
+from repro.backends import get_backend
+from repro.config import HARPV2_SYSTEM
+from repro.config.models import homogeneous_dlrm
+from repro.core.link import ChipletLink
+from repro.serving.batching import default_batching
+from repro.serving.replica import ServiceModel
 from repro.serving.sharded import ShardedReplicaServer
+from repro.sharding import EmbeddingCache, make_plan
+from repro.sim.engine import Simulator
+from repro.workloads.traces import ZipfianTrace
+from tests.sharding.reference_cache import TupleKeyCache
 
 
 def scalar_group(owners, rows, num_shards):
@@ -133,3 +144,147 @@ class TestFailoverRemap:
         assert remapped[1] == 1
         assert remapped[2] == survivors[7 % 2]
         assert remapped[3] == 3
+
+
+# ----------------------------------------------------------------------
+# Whole batches: fused routing vs the per-(table, shard) reference.
+# ----------------------------------------------------------------------
+FANOUT_MODEL = homogeneous_dlrm(
+    name="fanout",
+    num_tables=6,
+    rows_per_table=3_000,
+    gathers_per_table=4,
+    embedding_dim=32,
+)
+BATCH_SIZES = (1, 9, 32, 4, 64, 17)
+
+
+class ProbeLog:
+    """A cache tier that records every ``(table, row)`` probe, in order."""
+
+    def __init__(self, cache):
+        self.cache = cache
+        self.probes = []
+
+    def lookup(self, table_index, rows):
+        rows = np.asarray(rows, dtype=np.int64)
+        tables = np.broadcast_to(np.asarray(table_index, dtype=np.int64), rows.shape)
+        self.probes.extend(zip(tables.tolist(), rows.tolist()))
+        return self.cache.lookup(table_index, rows)
+
+    @property
+    def stats(self):
+        return self.cache.stats
+
+
+class PerTableServer(ShardedReplicaServer):
+    """Reference routing: one ``owner_of`` per table, one probe per
+    (table, shard), local tier before the shared tier."""
+
+    def _route_batch(self, batch_size, model):
+        num_shards = self.plan.num_shards
+        owned = np.zeros(num_shards, dtype=np.int64)
+        gathered = np.zeros(num_shards, dtype=np.int64)
+        contributed = np.zeros(num_shards, dtype=np.int64)
+        shared_lines = np.zeros(num_shards, dtype=np.int64)
+        for table_index, table in enumerate(model.tables):
+            count = batch_size * table.gathers
+            rows = self.trace_model.draw(
+                self.trace_rng, table.num_rows, count, table_index
+            )
+            owners = self.plan.owner_of(table_index, rows)
+            if self._lost_shards:
+                owners = self._remap_owners(owners, rows)
+            for shard in range(num_shards):
+                shard_rows = rows[owners == shard]
+                if not shard_rows.size:
+                    continue
+                owned[shard] += shard_rows.size
+                contributed[shard] += 1
+                if self.caches is not None:
+                    hits = self.caches[shard].lookup(table_index, shard_rows)
+                    shard_rows = shard_rows[~hits]
+                if self.shared_cache is not None and shard_rows.size:
+                    absorbed = int(self.shared_cache.lookup(table_index, shard_rows).sum())
+                    shared_lines[shard] += absorbed
+                    gathered[shard] -= absorbed
+                gathered[shard] += shard_rows.size
+        return owned, gathered, contributed, shared_lines
+
+
+def build_server(server_cls, cache_cls, strategy, policy, shared_policy, lost):
+    caches = None
+    if policy is not None:
+        caches = [cache_cls(48, policy) for _ in range(4)]
+    shared = ProbeLog(cache_cls(96, shared_policy)) if shared_policy else None
+    server = server_cls(
+        Simulator(),
+        ServiceModel(get_backend("centaur", HARPV2_SYSTEM), FANOUT_MODEL, {}),
+        default_batching(),
+        plan=make_plan(FANOUT_MODEL, 4, strategy),
+        link=ChipletLink(HARPV2_SYSTEM.link),
+        trace_model=ZipfianTrace(alpha=1.05),
+        trace_rng=np.random.default_rng(11),
+        caches=caches,
+        shared_cache=shared,
+    )
+    for shard, failover in lost:
+        server.lose_shard(shard, failover)
+    return server
+
+
+def accounting_of(server):
+    accounting = server.accounting
+    return {
+        "owned": accounting.owned.tolist(),
+        "gathered": accounting.gathered.tolist(),
+        "cross_shard_bytes": accounting.cross_shard_bytes,
+        "cross_shard_transfer_s": accounting.cross_shard_transfer_s,
+        "gather_s_total": accounting.gather_s_total,
+        "shared_hits": accounting.shared_hits,
+        "shared_transfer_s": accounting.shared_transfer_s,
+        "promoted": server.promoted_lookups,
+        "degraded": server.degraded_lookups,
+    }
+
+
+@pytest.mark.parametrize("strategy", ["row", "table", "greedy"])
+@pytest.mark.parametrize(
+    "lost",
+    [(), ((1, "promote"),), ((2, "rehash"),), ((0, "rehash"), (3, "promote"))],
+    ids=["healthy", "promote", "rehash", "two-lost"],
+)
+@pytest.mark.parametrize(
+    "policy, shared_policy",
+    [(None, None), ("lru", None), ("lfu", "lru"), (None, "lfu")],
+    ids=["cache-off", "lru", "lfu+shared", "shared-only"],
+)
+def test_fused_batches_match_the_per_table_reference(
+    strategy, lost, policy, shared_policy
+):
+    fused = build_server(
+        ShardedReplicaServer, EmbeddingCache, strategy, policy, shared_policy, lost
+    )
+    reference = build_server(
+        PerTableServer, TupleKeyCache, strategy, policy, shared_policy, lost
+    )
+    for batch_size in BATCH_SIZES:
+        results = [
+            server._priced_sharded(
+                server.service.result(batch_size), batch_size, FANOUT_MODEL
+            )
+            for server in (fused, reference)
+        ]
+        assert results[0].breakdown.stages == results[1].breakdown.stages
+        assert accounting_of(fused) == accounting_of(reference)
+    if lost:
+        assert fused.promoted_lookups + fused.degraded_lookups > 0
+    if policy is not None:
+        for mine, theirs in zip(fused.caches, reference.caches):
+            assert mine.stats == theirs.stats
+            assert mine.evictions == theirs.evictions
+        assert sum(cache.stats.hits for cache in fused.caches) > 0
+    if shared_policy is not None:
+        assert fused.shared_cache.probes == reference.shared_cache.probes
+        assert fused.shared_cache.stats == reference.shared_cache.stats
+        assert fused.accounting.shared_hits > 0

@@ -91,6 +91,49 @@ class TestRowWise:
         plan = make_plan(model, 4, "row")
         assert sum(plan.shard_bytes) == pytest.approx(model.embedding_table_bytes)
 
+    def test_placement_is_pinned(self, model):
+        """The hash is part of every sharded artifact; it must never drift."""
+        plan = make_plan(model, 4, "row")
+        assert plan.owner_of(0, np.arange(12)).tolist() == [3, 1, 2, 1, 2, 2, 0, 3, 2, 0, 2, 1]
+        assert plan.owner_of(5, np.arange(12)).tolist() == [2, 0, 3, 3, 1, 0, 0, 1, 0, 2, 2, 2]
+        seeded = RowWiseHashSharding(hash_seed=7).build(model, 3)
+        rows = np.array([0, 1, 1_999, 1_234, 77])
+        assert seeded.owner_of(2, rows).tolist() == [0, 0, 0, 0, 2]
+        assert plan.shard_bytes == (199552.0, 189184.0, 189632.0, 189632.0)
+        assert seeded.shard_bytes == (258880.0, 256064.0, 253056.0)
+
+
+class TestPerRowTables:
+    """``owner_of`` with one table per row equals per-table calls."""
+
+    @pytest.mark.parametrize("strategy", ["row", "table", "greedy"])
+    @pytest.mark.parametrize("num_shards", [1, 3, 4])
+    def test_table_array_matches_per_table_calls(self, model, strategy, num_shards):
+        plan = make_plan(model, num_shards, strategy)
+        rng = np.random.default_rng(num_shards)
+        tables = rng.integers(0, model.num_tables, size=3_000)
+        rows = rng.integers(0, 2_000, size=tables.size)
+        expected = np.empty_like(rows)
+        for table_index in range(model.num_tables):
+            mask = tables == table_index
+            expected[mask] = plan.owner_of(table_index, rows[mask])
+        np.testing.assert_array_equal(plan.owner_of(tables, rows), expected)
+
+    @pytest.mark.parametrize("strategy", ["row", "table"])
+    def test_out_buffer_receives_the_owners(self, model, strategy):
+        plan = make_plan(model, 4, strategy)
+        rows = np.arange(500)
+        out = np.full(rows.size, -1, dtype=np.int64)
+        assert plan.owner_of(3, rows, out=out) is out
+        np.testing.assert_array_equal(out, plan.owner_of(3, rows))
+
+    def test_out_of_range_table_in_an_array_rejected(self, model):
+        plan = make_plan(model, 4, "row")
+        with pytest.raises(ConfigurationError, match="table index 6"):
+            plan.owner_of(np.array([0, 6, 1]), np.arange(3))
+        with pytest.raises(ConfigurationError, match="table index -1"):
+            plan.owner_of(np.array([-1]), np.arange(1))
+
 
 class TestGreedy:
     def test_greedy_beats_round_robin_on_lopsided_tables(self):
