@@ -41,6 +41,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.utils.specs import parse_kv, pop_number, reject_unknown
 
 #: In-flight handling choices of a crashed replica.
 _INFLIGHT_MODES = ("redispatch", "shed")
@@ -381,53 +382,16 @@ class FaultSchedule:
 # ----------------------------------------------------------------------
 # Compact text specs (CLI)
 # ----------------------------------------------------------------------
-def _parse_kv_items(body: str, kind: str) -> dict:
-    values: dict = {}
-    if not body:
-        return values
-    for item in body.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        if "=" not in item:
-            raise ConfigurationError(
-                f"fault spec parameters must be key=value, got {item!r} in {kind!r}"
-            )
-        key, _, raw = item.partition("=")
-        values[key.strip()] = raw.strip()
-    return values
-
-
-def _number(values: dict, key: str, kind: str) -> Optional[float]:
-    raw = values.pop(key, None)
-    if raw is None:
-        return None
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigurationError(
-            f"{kind} parameter {key!r} is not a number: {raw!r}"
-        )
-
-
-def _reject_unknown(values: dict, kind: str, known: Sequence[str]) -> None:
-    if values:
-        raise ConfigurationError(
-            f"unknown {kind} parameter(s) {sorted(values)}; known: "
-            f"{', '.join(known)}"
-        )
-
-
 def _parse_one_fault(kind: str, values: dict) -> FaultSpec:
     if kind in ("crash", "replica-crash"):
-        at_s = _number(values, "at", kind)
+        at_s = pop_number(values, "at", kind)
         if at_s is None:
             raise ConfigurationError("crash spec needs at=<seconds>")
-        replica = _number(values, "replica", kind)
-        restart = _number(values, "restart", kind)
-        warmup = _number(values, "warmup", kind)
+        replica = pop_number(values, "replica", kind)
+        restart = pop_number(values, "restart", kind)
+        warmup = pop_number(values, "warmup", kind)
         inflight = values.pop("inflight", "redispatch")
-        _reject_unknown(values, kind, ("at", "replica", "restart", "warmup", "inflight"))
+        reject_unknown(values, kind, ("at", "replica", "restart", "warmup", "inflight"))
         return ReplicaCrash(
             at_s=at_s,
             replica=int(replica) if replica is not None else None,
@@ -436,13 +400,13 @@ def _parse_one_fault(kind: str, values: dict) -> FaultSpec:
             on_inflight=inflight,
         )
     if kind in ("shard-loss", "shard"):
-        at_s = _number(values, "at", kind)
+        at_s = pop_number(values, "at", kind)
         if at_s is None:
             raise ConfigurationError("shard-loss spec needs at=<seconds>")
-        shard = _number(values, "shard", kind)
-        restore = _number(values, "restore", kind)
+        shard = pop_number(values, "shard", kind)
+        restore = pop_number(values, "restore", kind)
         failover = values.pop("failover", "promote")
-        _reject_unknown(values, kind, ("at", "shard", "restore", "failover"))
+        reject_unknown(values, kind, ("at", "shard", "restore", "failover"))
         return ShardLoss(
             at_s=at_s,
             shard=int(shard) if shard is not None else 0,
@@ -450,13 +414,13 @@ def _parse_one_fault(kind: str, values: dict) -> FaultSpec:
             failover=failover,
         )
     if kind in ("link", "link-degradation"):
-        at_s = _number(values, "at", kind)
-        duration = _number(values, "for", kind)
+        at_s = pop_number(values, "at", kind)
+        duration = pop_number(values, "for", kind)
         if at_s is None or duration is None:
             raise ConfigurationError("link spec needs at=<seconds>,for=<seconds>")
-        bandwidth = _number(values, "bw", kind)
-        latency = _number(values, "lat", kind)
-        _reject_unknown(values, kind, ("at", "for", "bw", "lat"))
+        bandwidth = pop_number(values, "bw", kind)
+        latency = pop_number(values, "lat", kind)
+        reject_unknown(values, kind, ("at", "for", "bw", "lat"))
         return LinkDegradation(
             at_s=at_s,
             duration_s=duration,
@@ -464,17 +428,17 @@ def _parse_one_fault(kind: str, values: dict) -> FaultSpec:
             latency_factor=latency if latency is not None else 1.0,
         )
     if kind == "brownout":
-        at_s = _number(values, "at", kind)
-        duration = _number(values, "for", kind)
+        at_s = pop_number(values, "at", kind)
+        duration = pop_number(values, "for", kind)
         if at_s is None or duration is None:
             raise ConfigurationError("brownout spec needs at=<seconds>,for=<seconds>")
-        replica = _number(values, "replica", kind)
-        slow = _number(values, "slow", kind)
+        replica = pop_number(values, "replica", kind)
+        slow = pop_number(values, "slow", kind)
         if slow is None:
             # ``lat=`` is the describe() spelling (shared latency_factor
             # alias); accept it so specs round-trip.
-            slow = _number(values, "lat", kind)
-        _reject_unknown(values, kind, ("at", "for", "replica", "slow"))
+            slow = pop_number(values, "lat", kind)
+        reject_unknown(values, kind, ("at", "for", "replica", "slow"))
         return Brownout(
             at_s=at_s,
             duration_s=duration,
@@ -515,11 +479,11 @@ def parse_fault_schedule(spec: Optional[str]) -> Optional[FaultSchedule]:
             continue
         kind, _, body = segment.partition(":")
         kind = kind.strip().lower()
-        values = _parse_kv_items(body.strip(), kind)
+        values = parse_kv(body, kind)
         if kind == "report":
-            sla = _number(values, "sla", kind)
-            window = _number(values, "window", kind)
-            _reject_unknown(values, kind, ("sla", "window"))
+            sla = pop_number(values, "sla", kind)
+            window = pop_number(values, "window", kind)
+            reject_unknown(values, kind, ("sla", "window"))
             if sla is not None:
                 sla_s = sla
             if window is not None:
@@ -531,14 +495,14 @@ def parse_fault_schedule(spec: Optional[str]) -> Optional[FaultSchedule]:
                 raise ConfigurationError(
                     "poisson spec needs kind=<crash|shard-loss|link|brownout>"
                 )
-            rate = _number(values, "rate", kind)
-            until = _number(values, "until", kind)
+            rate = pop_number(values, "rate", kind)
+            until = pop_number(values, "until", kind)
             if rate is None or until is None:
                 raise ConfigurationError(
                     "poisson spec needs rate=<hz> and until=<seconds>"
                 )
-            start = _number(values, "start", kind) or 0.0
-            seed = _number(values, "seed", kind)
+            start = pop_number(values, "start", kind) or 0.0
+            seed = pop_number(values, "seed", kind)
             # Remaining keys parameterize the template (its time is stamped
             # per materialized event).
             values["at"] = "0"

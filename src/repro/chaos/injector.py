@@ -24,6 +24,7 @@ conservation identity ``arrivals == completed + shed``.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.chaos.faults import (
@@ -36,6 +37,7 @@ from repro.chaos.faults import (
 )
 from repro.chaos.report import Incident, IncidentReport, build_incident_report
 from repro.errors import ConfigurationError
+from repro.serving.fleet import Controller
 
 
 class _ShedSink:
@@ -53,8 +55,13 @@ class _ShedSink:
         self._injector._note_outage_shed()
 
 
-class FaultInjector:
-    """Schedules one materialized fault schedule onto a running simulation."""
+class FaultInjector(Controller):
+    """Schedules one materialized fault schedule onto a running simulation.
+
+    A fleet controller: the fleet arms it after the host it drives, takes
+    its :meth:`shed_count` as the stream's ``lost`` hook, and lets it attach
+    the run's :class:`~repro.chaos.report.IncidentReport` in :meth:`finish`.
+    """
 
     def __init__(
         self,
@@ -373,6 +380,12 @@ class FaultInjector:
         )
 
     # ------------------------------------------------------------------
+    def finish(self, report, horizon_s: float):
+        """Attach the incident report to the run's cluster report."""
+        return replace(
+            report, incidents=self.finalize(report.per_replica, horizon_s=horizon_s)
+        )
+
     def finalize(self, per_replica_reports, horizon_s: float) -> IncidentReport:
         """Close open incidents at the horizon and measure the SLA view."""
         samples: List[Tuple[float, float]] = []

@@ -27,7 +27,9 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import reprlib
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -70,6 +72,30 @@ def _pool_context(start_method: Optional[str]):
 #: parallel mode, submission order in serial mode.
 OnResult = Callable[[int, object], None]
 
+#: Per-payload progress flags a pool's workers share with the parent.
+_RUNNING, _DONE = 1, 2
+_progress = None
+
+
+def _track_progress(flags) -> None:
+    """Worker initializer: keep the shared progress flags."""
+    global _progress
+    _progress = flags
+
+
+def _run_tracked(fn, index: int, payload):
+    """Worker entry: run one payload, flagging it running, then done."""
+    _progress[index] = _RUNNING
+    result = fn(payload)
+    _progress[index] = _DONE
+    return result
+
+
+def _describe_payload(payload) -> str:
+    """A payload's grid point, for error messages."""
+    describe = getattr(payload, "describe", None)
+    return describe() if callable(describe) else reprlib.repr(payload)
+
 
 class GridExecutor:
     """Maps a worker function over picklable payloads, jobs at a time.
@@ -107,21 +133,55 @@ class GridExecutor:
             return results
         slots: List[object] = [None] * len(payloads)
         context = _pool_context(self.start_method)
-        with ProcessPoolExecutor(
-            max_workers=min(self.jobs, len(payloads)), mp_context=context
-        ) as pool:
-            pending = {
-                pool.submit(fn, payload): index
-                for index, payload in enumerate(payloads)
-            }
-            while pending:
-                done, _ = wait(pending, return_when=FIRST_COMPLETED)
-                for future in done:
-                    index = pending.pop(future)
-                    slots[index] = future.result()
-                    if on_result is not None:
-                        on_result(index, slots[index])
+        progress = context.RawArray("b", len(payloads))
+        try:
+            with ProcessPoolExecutor(
+                max_workers=min(self.jobs, len(payloads)),
+                mp_context=context,
+                initializer=_track_progress,
+                initargs=(progress,),
+            ) as pool:
+                pending = {
+                    pool.submit(_run_tracked, fn, index, payload): index
+                    for index, payload in enumerate(payloads)
+                }
+                while pending:
+                    done, _ = wait(pending, return_when=FIRST_COMPLETED)
+                    for future in done:
+                        index = pending.pop(future)
+                        slots[index] = future.result()
+                        if on_result is not None:
+                            on_result(index, slots[index])
+        except BrokenProcessPool as error:
+            raise self._dead_worker(fn, payloads, progress) from error
         return slots
+
+    @staticmethod
+    def _dead_worker(fn, payloads, progress) -> SimulationError:
+        """Name the payload whose worker process died.
+
+        A dying worker breaks the whole pool, and the pool stops every
+        other worker mid-payload.  With one payload in flight that is the
+        culprit; otherwise each in-flight payload is re-run alone, in a
+        fresh spawned worker, until one kills its worker again.
+        """
+        running = [index for index, flag in enumerate(progress) if flag == _RUNNING]
+        culprits = running
+        if len(running) > 1:
+            spawn = multiprocessing.get_context("spawn")
+            for index in running:
+                with ProcessPoolExecutor(max_workers=1, mp_context=spawn) as probe:
+                    future = probe.submit(fn, payloads[index])
+                    if isinstance(future.exception(), BrokenProcessPool):
+                        culprits = [index]
+                        break
+        points = "; ".join(
+            f"payload {index} ({_describe_payload(payloads[index])})" for index in culprits
+        )
+        return SimulationError(
+            "a grid worker process exited abruptly while running "
+            f"{points or 'an unidentified payload'} of {len(payloads)}"
+        )
 
 
 # ----------------------------------------------------------------------
@@ -141,6 +201,10 @@ class BatchChunk:
     system: SystemConfig
     points: Tuple[Tuple[str, DLRMConfig, int], ...]  # (backend, model, batch)
     memoize: bool = True
+
+    def describe(self) -> str:
+        (name, model, first), (_, _, last) = self.points[0], self.points[-1]
+        return f"{len(self.points)} batch points from {name} {model.name} batch {first} to batch {last}"
 
 
 def _run_batch_chunk(chunk: BatchChunk):
@@ -241,6 +305,10 @@ class ServeGroup:
     seed: int
     serve_kwargs: Dict[str, object] = field(default_factory=dict)
 
+    def describe(self) -> str:
+        workloads = ", ".join(workload.name for workload in self.workloads)
+        return f"{self.spec.kind} {self.backend_name} {self.default_model.name} [{workloads}]"
+
 
 def _run_serve_group(group: ServeGroup) -> List[Tuple[str, str, object]]:
     backend = get_backend(group.backend_name, group.system)
@@ -279,6 +347,12 @@ class ShardPoint:
     num_requests: Optional[int]
     seed: int
     updates: object = None  # Optional[UpdateProcess]
+
+    def describe(self) -> str:
+        return (
+            f"{self.backend_name} {self.model.name} {self.workload.name} "
+            f"{self.plan.num_shards} shards"
+        )
 
 
 def _run_shard_point(point: ShardPoint):
@@ -322,6 +396,9 @@ class PlanBackendTask:
     workload: Workload
     duration_s: Optional[float]
     num_requests: Optional[int]
+
+    def describe(self) -> str:
+        return f"plan {self.backend_name} {self.model.name} {self.workload.name}"
 
 
 def _run_plan_backend(task: PlanBackendTask):

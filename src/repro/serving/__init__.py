@@ -24,7 +24,6 @@ from repro.serving.batching import (
 from repro.serving.metrics import ExecutedBatch, LatencyDistribution, ServingReport
 from repro.serving.replica import ReplicaServer, ServiceModel
 from repro.serving.simulator import ServingSimulator
-from repro.serving.legacy import LegacyServingSimulator
 from repro.serving.dispatch import (
     Dispatcher,
     JoinShortestQueueDispatcher,
@@ -72,7 +71,6 @@ __all__ = [
     "ReplicaServer",
     "ServiceModel",
     "ServingSimulator",
-    "LegacyServingSimulator",
     "Dispatcher",
     "RoundRobinDispatcher",
     "JoinShortestQueueDispatcher",

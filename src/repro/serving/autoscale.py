@@ -35,33 +35,32 @@ Policies:
 * :class:`EWMAPolicy` — predictive: an exponentially weighted moving
   average of the observed arrival rate, divided by per-replica capacity.
 
-A policy disabled run (``policy=None``) takes the static
-:class:`~repro.serving.cluster.HeterogeneousCluster` path verbatim and is
-bit-identical to it — autoscaling is strictly opt-in.
+The cluster is a :class:`~repro.serving.fleet.Fleet` whose replica pool is
+managed by an armed lifecycle controller.  A policy-disabled run
+(``policy=None``) without faults arms no controller: it is the static fleet
+of ``initial_replicas`` replicas, bit-identical to a
+:class:`~repro.serving.cluster.HeterogeneousCluster` of that size —
+autoscaling is strictly opt-in.
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
-
-if TYPE_CHECKING:  # pragma: no cover - annotation only
-    from repro.chaos.faults import FaultSchedule
+from typing import List, Optional, Sequence, Tuple
 
 from repro.config.models import DLRMConfig
 from repro.config.system import SystemConfig
 from repro.errors import ConfigurationError, SimulationError
 from repro.serving.batching import BatchingPolicy
-from repro.serving.cluster import (
-    AutoscaleReport,
-    ClusterReport,
-    HeterogeneousCluster,
-    ReplicaSpec,
-)
+from repro.serving.cluster import AutoscaleReport, ClusterReport, ClusterSimulator
 from repro.serving.dispatch import Dispatcher
-from repro.serving.replica import ReplicaServer, drive_stream
+from repro.serving.fleet import Controller
+from repro.serving.replica import ReplicaServer, ServiceModel
 from repro.sim.engine import QueueSpec, Simulator
+from repro.utils.specs import parse_kv, parse_kv_numbers
 from repro.workloads.arrivals import InferenceRequest
 
 
@@ -363,10 +362,9 @@ class _ReplicaLifecycle:
     def commission(self, now: float) -> None:
         self.intervals.append((now, None))
 
-    def stop(self, now: float) -> None:
+    def close(self, at_s: float) -> None:
         start, _ = self.intervals[-1]
-        self.intervals[-1] = (start, max(now, start))
-        self.state = _STOPPED
+        self.intervals[-1] = (start, max(at_s, start))
 
     def commissioned_seconds(self, horizon_s: float) -> float:
         total = 0.0
@@ -375,36 +373,17 @@ class _ReplicaLifecycle:
         return total
 
 
-class _CountingStream:
-    """Wraps the request iterator to expose arrival counts and exhaustion."""
-
-    def __init__(self, iterator):
-        self._iterator = iterator
-        self.count = 0
-        self.exhausted = False
-
-    def __iter__(self):
-        return self
-
-    def __next__(self) -> InferenceRequest:
-        try:
-            request = next(self._iterator)
-        except StopIteration:
-            self.exhausted = True
-            raise
-        self.count += 1
-        return request
-
-
-class AutoscalingCluster(HeterogeneousCluster):
+class AutoscalingCluster(ClusterSimulator):
     """An elastic fleet of identical replicas behind a dispatcher.
 
     The pool holds ``max_replicas`` slots of one template replica;
     ``initial_replicas`` of them are active when the stream starts and an
     :class:`AutoscalerPolicy` adjusts the active subset at every control
-    tick.  With ``policy=None`` the run takes the static
-    :class:`HeterogeneousCluster` path with ``initial_replicas`` replicas,
-    bit-identically.
+    tick.  With ``policy=None`` and no fault schedule no controller is
+    armed: the run is the static fleet of ``initial_replicas`` replicas.
+    ``serve``/``serve_workload`` take ``faults=`` (a
+    :class:`~repro.chaos.faults.FaultSchedule`) to inject crashes and
+    brownouts.
 
     Args:
         runner: Template device — a design-point runner or a backend
@@ -468,10 +447,11 @@ class AutoscalingCluster(HeterogeneousCluster):
                 f"policy must be an AutoscalerPolicy or None, got {policy!r}"
             )
         super().__init__(
-            [ReplicaSpec(runner=runner) for _ in range(max_replicas)],
+            runner,
             model,
-            dispatcher=dispatcher,
+            max_replicas,
             batching=batching,
+            dispatcher=dispatcher,
             system=system,
             queue=queue,
             profile=profile,
@@ -483,121 +463,43 @@ class AutoscalingCluster(HeterogeneousCluster):
         self.control_interval_s = control_interval_s
         self.warmup_s = warmup_s
         self.idle_power_w = idle_power_w
-        self.runner = self.specs[0].runner
-        self._capacity_qps: Optional[float] = None
 
     # ------------------------------------------------------------------
+    @functools.cached_property
     def _replica_capacity_qps(self) -> float:
         """Saturation throughput of one template replica, priced once.
 
-        The batch-size sweep behind it runs on the first serve of this
-        cluster and is memoized — grids and search loops that serve many
-        streams through one cluster pay it a single time.
+        The batch-size sweep behind it runs on the first policy-driven serve
+        of this cluster and is memoized — grids and search loops that serve
+        many streams through one cluster pay it a single time.
         """
-        if self._capacity_qps is None:
-            from repro.serving.simulator import ServingSimulator
+        service = ServiceModel(self.runner, self.model, self._caches[id(self.runner)])
+        return service.saturation_throughput()
 
-            simulator = ServingSimulator(
-                self.runner, self.model, batching=self.specs[0].batching
-            )
-            simulator._service._cache = self._caches[id(self.runner)]
-            self._capacity_qps = simulator.saturation_throughput()
-        return self._capacity_qps
+    def _elastic(self, faults) -> bool:
+        return self.policy is not None or faults is not None
 
-    # ------------------------------------------------------------------
-    def serve(
-        self,
-        requests,
-        extra_models: Sequence[DLRMConfig] = (),
-        report_label: Optional[str] = None,
-        faults: Optional["FaultSchedule"] = None,
-    ) -> ClusterReport:
-        """Serve a stream; elastic when a policy is set, static otherwise.
+    def _pool_size(self, faults) -> int:
+        # A static run (no policy, no faults) serves the initial replicas
+        # only, exactly like a HeterogeneousCluster of that size.
+        return self.max_replicas if self._elastic(faults) else self.initial_replicas
 
-        ``faults`` injects a :class:`~repro.chaos.faults.FaultSchedule`
-        into the run; an empty (or ``None``) schedule takes the fault-free
-        code paths verbatim, bit-identically.
-        """
-        chaos = faults is not None and not faults.empty
-        if self.policy is None and not chaos:
-            static = HeterogeneousCluster(
-                self.specs[: self.initial_replicas],
-                self.model,
-                dispatcher=self.dispatcher,
-                batching=None,
-                system=None,
-                queue=self.queue,
-                profile=self.profile,
-            )
-            # Share the template's prediction cache so disabled and static
-            # runs price device points identically (and only once).
-            static._caches = self._caches
-            report = static.serve(
-                requests, extra_models=extra_models, report_label=report_label
-            )
-            self.last_outcome = static.last_outcome
-            self.last_profile = static.last_profile
-            return report
-        if isinstance(requests, Sequence):
-            iterator = iter(
-                sorted(requests, key=lambda request: request.arrival_time_s)
-            )
-        else:
-            iterator = iter(requests)
-        sim = Simulator(queue=self.queue, profile=self.profile)
-        replicas = self._build_replicas(sim, extra_models=extra_models)
-        self.dispatcher.reset()
-        if self.policy is not None:
-            self.policy.reset()
-        controller = _AutoscaleController(self, sim, replicas)
-        stream = _CountingStream(iterator)
-        controller.stream = stream
+    def _controllers(self, sim, replicas, faults, **options):
+        if not self._elastic(faults):
+            return []
+        return [_AutoscaleController(self, sim, replicas)]
 
-        injector = None
-        if chaos:
-            # Imported lazily: repro.chaos depends on this module's report
-            # types, so the top-level import would be circular.
-            from repro.chaos.injector import FaultInjector
-
-            injector = FaultInjector(sim, faults, controller=controller)
-            injector.arm()
-            outcome = drive_stream(
-                sim, replicas, stream, controller.route, lost=injector.shed_count
-            )
-        else:
-            outcome = drive_stream(sim, replicas, stream, controller.route)
-        if outcome.scheduled == 0:
-            raise SimulationError("cannot serve an empty request stream")
-        self.last_profile = sim.profile
-        self.last_outcome = outcome
-        report = controller.build_report(report_label or self.model.name)
-        if injector is not None:
-            incidents = injector.finalize(report.per_replica, horizon_s=sim.now)
-            report = replace(report, incidents=incidents)
-        return report
-
-    def serve_workload(
-        self,
-        workload,
-        duration_s: Optional[float] = None,
-        num_requests: Optional[int] = None,
-        seed: int = 0,
-        faults: Optional["FaultSchedule"] = None,
-    ) -> ClusterReport:
-        """Serve a workload stream, optionally under a fault schedule."""
-        label = workload.mix.label if workload.mix is not None else None
-        return self.serve(
-            workload.requests(
-                duration_s=duration_s, num_requests=num_requests, seed=seed
-            ),
-            extra_models=workload.models,
-            report_label=label,
-            faults=faults,
-        )
+    def _fault_host(self, replicas, controllers):
+        return {"controller": controllers[0]}
 
 
-class _AutoscaleController:
-    """Owns replica lifecycle state and the periodic control events."""
+class _AutoscaleController(Controller):
+    """Owns replica lifecycle state, routing and the periodic control events.
+
+    ``active`` is the dispatcher's candidate list: the replicas of the
+    :data:`_ACTIVE` pool slots, in slot order.  It is updated on every
+    lifecycle transition instead of being rebuilt per arrival.
+    """
 
     def __init__(
         self,
@@ -608,12 +510,15 @@ class _AutoscaleController:
         self.cluster = cluster
         self.sim = sim
         self.replicas = list(replicas)
-        self.stream: Optional[_CountingStream] = None
+        # Without a policy there are no control ticks, so nothing reads the
+        # stream (a static fleet under chaos only needs lifecycle state).
+        self.reads_stream = cluster.policy is not None
         self.lifecycles = [_ReplicaLifecycle() for _ in replicas]
+        self.active_slots: List[int] = []
+        self.active: List[ReplicaServer] = []
         for index in range(cluster.initial_replicas):
-            lifecycle = self.lifecycles[index]
-            lifecycle.state = _ACTIVE
-            lifecycle.commission(0.0)
+            self._set_state(index, _ACTIVE)
+            self.lifecycles[index].commission(0.0)
         self.timeline: List[Tuple[float, int]] = [(0.0, cluster.initial_replicas)]
         self.scale_up_events = 0
         self.scale_down_events = 0
@@ -622,37 +527,67 @@ class _AutoscaleController:
         self._shed_sink = None
         self._arrivals_at_last_tick = 0
         self._busy_at_last_tick = 0.0
-        if cluster.policy is not None:
-            self._capacity_qps = cluster._replica_capacity_qps()
-            sim.schedule_at(
-                cluster.control_interval_s, self._on_tick, label="autoscale:tick"
+        self._capacity_qps = 0.0
+
+    def arm(self) -> None:
+        policy = self.cluster.policy
+        if policy is not None:
+            policy.reset()
+            self._capacity_qps = self.cluster._replica_capacity_qps
+            self.sim.schedule_at(
+                self.cluster.control_interval_s, self._on_tick, label="autoscale:tick"
             )
+
+    # -- lifecycle -----------------------------------------------------
+    def _set_state(self, index: int, state: str) -> None:
+        """Move one pool slot to ``state``, keeping ``active`` in step."""
+        lifecycle = self.lifecycles[index]
+        if (lifecycle.state == _ACTIVE) != (state == _ACTIVE):
+            position = bisect.bisect_left(self.active_slots, index)
+            if state == _ACTIVE:
+                self.active_slots.insert(position, index)
+                self.active.insert(position, self.replicas[index])
+            else:
+                del self.active_slots[position]
+                del self.active[position]
+        lifecycle.state = state
+
+    def _stop(self, index: int, at_s: float) -> None:
+        """Decommission a slot (cancelling any warm-up), closing its billing
+        interval at ``at_s``."""
+        lifecycle = self.lifecycles[index]
+        if lifecycle.activation_event is not None:
+            lifecycle.activation_event.cancel()
+            lifecycle.activation_event = None
+        lifecycle.close(at_s)
+        self._set_state(index, _STOPPED)
+
+    def _commission(self, index: int, now: float, warmup_s: float) -> None:
+        """Start paying for a stopped slot; it serves after ``warmup_s``."""
+        lifecycle = self.lifecycles[index]
+        lifecycle.commission(now)
+        if warmup_s <= 0.0:
+            self._set_state(index, _ACTIVE)
         else:
-            # Chaos on a static fleet: the controller only tracks lifecycle
-            # state for crash/restore hooks — no policy, no control ticks,
-            # and no capacity sweep to pay for.
-            self._capacity_qps = 0.0
+            self._set_state(index, _STARTING)
+            lifecycle.activation_event = self.sim.schedule_at(
+                now + warmup_s,
+                lambda i=index: self._on_warm(i),
+                label="autoscale:warm",
+            )
 
     # -- routing -------------------------------------------------------
-    def _active_indices(self) -> List[int]:
-        return [
-            index
-            for index, lifecycle in enumerate(self.lifecycles)
-            if lifecycle.state == _ACTIVE
-        ]
-
     def route(self, request: InferenceRequest) -> ReplicaServer:
-        active = self._active_indices()
-        if not active:
-            if self._shed_sink is not None:
-                # Total outage under fault injection: arrivals are shed
-                # (counted, never completed) instead of crashing the run.
-                return self._shed_sink
-            raise SimulationError(
-                "autoscaling left no active replica to route to (controller bug)"
-            )
-        routable = [self.replicas[index] for index in active]
-        return self.cluster._dispatch(routable, request, self.sim.now)
+        active = self.active
+        if active:
+            return self.cluster._dispatch(active, request, self.sim.now)
+        if self._shed_sink is not None:
+            # Total outage under fault injection: arrivals are shed
+            # (counted, never completed) instead of crashing the run.
+            return self._shed_sink
+        raise SimulationError(
+            "autoscaling left no active replica to route to (controller bug)"
+        )
 
     # -- fault-injection hooks -----------------------------------------
     def install_shed_sink(self, sink) -> None:
@@ -661,8 +596,7 @@ class _AutoscaleController:
 
     def highest_active_index(self) -> Optional[int]:
         """Default crash/brownout target: mirrors the scale-down order."""
-        active = self._active_indices()
-        return active[-1] if active else None
+        return self.active_slots[-1] if self.active_slots else None
 
     def commissioned_seconds(self, now: float) -> float:
         """Replica-seconds billed up to ``now`` (incident cost snapshots)."""
@@ -682,55 +616,35 @@ class _AutoscaleController:
         to the surviving fleet or shed, per ``on_inflight``.
         """
         now = self.sim.now
-        lifecycle = self.lifecycles[index]
-        state = lifecycle.state
+        state = self.lifecycles[index].state
         if state == _STOPPED:
             return None, 0, 0
-        if state == _STARTING:
-            if lifecycle.activation_event is not None:
-                lifecycle.activation_event.cancel()
-                lifecycle.activation_event = None
-            lifecycle.stop(now)
-            self.crash_events += 1
-            self._record_timeline(now)
-            return state, 0, 0
-        replica = self.replicas[index]
-        queued, executing = replica.crash()
-        lifecycle.stop(now)
+        # A warming slot's replica was emptied before it stopped (drained or
+        # crashed), so it salvages nothing.
+        queued, executing = self.replicas[index].crash()
+        self._stop(index, now)
         self.crash_events += 1
         salvaged = executing + queued
-        redispatched = 0
-        shed = 0
-        if salvaged:
-            if on_inflight == "redispatch" and self._active_indices():
-                # Original arrival times are preserved, so the crash delay
-                # shows up in the re-dispatched requests' latencies.
-                for request in salvaged:
-                    self.route(request).submit(request)
-                redispatched = len(salvaged)
-            else:
-                shed = len(salvaged)
+        redispatched = shed = 0
+        if salvaged and on_inflight == "redispatch" and self.active:
+            # Original arrival times are preserved, so the crash delay
+            # shows up in the re-dispatched requests' latencies.
+            for request in salvaged:
+                self.route(request).submit(request)
+            redispatched = len(salvaged)
+        else:
+            shed = len(salvaged)
         self._record_timeline(now)
         return state, redispatched, shed
 
     def restore_replica(self, index: int, warmup_s: float) -> bool:
         """Recommission a crashed slot; False when the autoscaler already
         reclaimed it (service was restored through the scaling path)."""
-        lifecycle = self.lifecycles[index]
-        if lifecycle.state != _STOPPED:
+        if self.lifecycles[index].state != _STOPPED:
             return False
         now = self.sim.now
-        lifecycle.commission(now)
         self.restart_events += 1
-        if warmup_s <= 0.0:
-            lifecycle.state = _ACTIVE
-        else:
-            lifecycle.state = _STARTING
-            lifecycle.activation_event = self.sim.schedule_at(
-                now + warmup_s,
-                lambda i=index: self._on_warm(i),
-                label="autoscale:warm",
-            )
+        self._commission(index, now, warmup_s)
         self._record_timeline(now)
         return True
 
@@ -739,12 +653,8 @@ class _AutoscaleController:
         now = self.sim.now
         interval = self.cluster.control_interval_s
         states = [lifecycle.state for lifecycle in self.lifecycles]
-        active = states.count(_ACTIVE)
-        starting = states.count(_STARTING)
-        draining = states.count(_DRAINING)
-        outstanding = sum(
-            self.replicas[index].outstanding for index in self._active_indices()
-        )
+        active = len(self.active)
+        outstanding = sum(replica.outstanding for replica in self.active)
         arrivals = self.stream.count if self.stream is not None else 0
         arrival_rate = (arrivals - self._arrivals_at_last_tick) / interval
         self._arrivals_at_last_tick = arrivals
@@ -759,8 +669,8 @@ class _AutoscaleController:
             time_s=now,
             interval_s=interval,
             active_replicas=active,
-            starting_replicas=starting,
-            draining_replicas=draining,
+            starting_replicas=states.count(_STARTING),
+            draining_replicas=states.count(_DRAINING),
             total_outstanding=outstanding,
             queue_depth_per_replica=outstanding / max(active, 1),
             utilization=utilization,
@@ -820,7 +730,7 @@ class _AutoscaleController:
                 continue
             replica = self.replicas[index]
             if replica.outstanding == 0 and not replica.has_pending:
-                lifecycle.stop(max(lifecycle.drain_marked_s, replica.last_finish_s))
+                self._stop(index, max(lifecycle.drain_marked_s, replica.last_finish_s))
 
     def _scale_up(self, count: int, now: float) -> None:
         # Reclaim draining replicas first: they are still warm, so
@@ -829,31 +739,22 @@ class _AutoscaleController:
             if count == 0:
                 return
             if lifecycle.state == _DRAINING:
-                lifecycle.state = _ACTIVE
+                self._set_state(index, _ACTIVE)
                 self.scale_up_events += 1
                 count -= 1
         for index, lifecycle in enumerate(self.lifecycles):
             if count == 0:
                 return
             if lifecycle.state == _STOPPED:
-                lifecycle.commission(now)
+                self._commission(index, now, self.cluster.warmup_s)
                 self.scale_up_events += 1
                 count -= 1
-                if self.cluster.warmup_s == 0.0:
-                    lifecycle.state = _ACTIVE
-                else:
-                    lifecycle.state = _STARTING
-                    lifecycle.activation_event = self.sim.schedule_at(
-                        now + self.cluster.warmup_s,
-                        lambda i=index: self._on_warm(i),
-                        label="autoscale:warm",
-                    )
 
     def _on_warm(self, index: int) -> None:
         lifecycle = self.lifecycles[index]
         lifecycle.activation_event = None
         if lifecycle.state == _STARTING:
-            lifecycle.state = _ACTIVE
+            self._set_state(index, _ACTIVE)
             self._record_timeline(self.sim.now)
 
     def _scale_down(self, count: int, now: float) -> None:
@@ -863,40 +764,30 @@ class _AutoscaleController:
         for index in range(len(self.lifecycles) - 1, -1, -1):
             if count == 0:
                 return
-            lifecycle = self.lifecycles[index]
-            if lifecycle.state == _STARTING:
-                if lifecycle.activation_event is not None:
-                    lifecycle.activation_event.cancel()
-                    lifecycle.activation_event = None
-                lifecycle.stop(now)
+            if self.lifecycles[index].state == _STARTING:
+                self._stop(index, now)
                 self.scale_down_events += 1
                 count -= 1
-        for index in reversed(self._active_indices()):
-            if count == 0:
-                return
+        for index in self.active_slots[::-1]:
             # Never drain below one active replica, whatever the policy asked.
-            if sum(
-                1 for lifecycle in self.lifecycles if lifecycle.state == _ACTIVE
-            ) <= 1:
+            if count == 0 or len(self.active) <= 1:
                 return
-            lifecycle = self.lifecycles[index]
-            lifecycle.state = _DRAINING
-            lifecycle.drain_marked_s = now
+            self._set_state(index, _DRAINING)
+            self.lifecycles[index].drain_marked_s = now
             self.scale_down_events += 1
             count -= 1
 
     def _record_timeline(self, now: float) -> None:
         commissioned = sum(
-            1
-            for lifecycle in self.lifecycles
-            if lifecycle.state in (_ACTIVE, _STARTING, _DRAINING)
+            1 for lifecycle in self.lifecycles if lifecycle.state != _STOPPED
         )
         if self.timeline[-1][1] != commissioned:
             self.timeline.append((now, commissioned))
 
     # -- reporting -----------------------------------------------------
-    def build_report(self, label: str) -> ClusterReport:
-        now = self.sim.now
+    def finish(self, report: ClusterReport, horizon_s: float) -> ClusterReport:
+        """Close the billing intervals and attach the elastic accounting."""
+        now = horizon_s
         self._reap_drained(now)
         # The tick chain may have stopped before observing the last drains;
         # the timeline must agree with the billing intervals just closed.
@@ -907,23 +798,13 @@ class _AutoscaleController:
         )
         horizon = max(now, makespan)
         for lifecycle in self.lifecycles:
-            if lifecycle.state in (_ACTIVE, _STARTING, _DRAINING):
+            if lifecycle.state != _STOPPED:
                 # Still-commissioned replicas are paid through end of run.
-                start, _ = lifecycle.intervals[-1]
-                lifecycle.intervals[-1] = (start, max(horizon, start))
+                lifecycle.close(horizon)
         replica_seconds = sum(
             lifecycle.commissioned_seconds(horizon) for lifecycle in self.lifecycles
         )
         busy_seconds = sum(replica.busy_time_s for replica in self.replicas)
-        busy_energy = sum(replica.energy_joules for replica in self.replicas)
-        idle_energy = self.cluster.idle_power_w * max(
-            replica_seconds - busy_seconds, 0.0
-        )
-        # A chaos run (shed sink armed) may have crashed the whole fleet
-        # before anything completed; the report must still build.
-        reports, latency = self.cluster._collect_reports(
-            self.replicas, label, allow_empty=self._shed_sink is not None
-        )
         policy = self.cluster.policy
         autoscale = AutoscaleReport(
             policy=policy.name if policy is not None else "static",
@@ -934,51 +815,33 @@ class _AutoscaleController:
             peak_replicas=max(count for _, count in self.timeline),
             scale_up_events=self.scale_up_events,
             scale_down_events=self.scale_down_events,
-            busy_energy_joules=busy_energy,
-            idle_energy_joules=idle_energy,
+            busy_energy_joules=sum(replica.energy_joules for replica in self.replicas),
+            idle_energy_joules=self.cluster.idle_power_w
+            * max(replica_seconds - busy_seconds, 0.0),
             crashes=self.crash_events,
             restarts=self.restart_events,
         )
-        return ClusterReport(
-            design_point=self.cluster.design_point,
-            model_name=label,
-            num_replicas=len(reports),
-            per_replica=reports,
-            latency=latency,
-            dispatcher=self.cluster.dispatcher.name,
-            autoscale=autoscale,
-        )
+        return replace(report, num_replicas=len(report.per_replica), autoscale=autoscale)
 
 
 # ----------------------------------------------------------------------
 # Compact text specs (CLI)
 # ----------------------------------------------------------------------
-def _parse_policy_kv(body: str, defaults: Dict[str, float], kind: str) -> Dict[str, float]:
-    values = dict(defaults)
-    if not body:
-        return values
-    for item in body.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        if "=" not in item:
-            raise ConfigurationError(
-                f"autoscaler spec parameters must be key=value, got {item!r} "
-                f"(known keys for {kind}: {', '.join(defaults)})"
-            )
-        key, _, raw = item.partition("=")
-        key = key.strip()
-        if key not in defaults:
-            raise ConfigurationError(
-                f"unknown {kind} parameter {key!r} (known: {', '.join(defaults)})"
-            )
-        try:
-            values[key] = float(raw)
-        except ValueError:
-            raise ConfigurationError(
-                f"{kind} parameter {key!r} is not a number: {raw!r}"
-            )
-    return values
+#: Spec kinds (with aliases) -> numeric parameter defaults and the builder.
+_POLICY_SPECS = {
+    ("queue", "queue-depth"): (
+        {"high": 8.0, "low": 1.0, "step": 1.0, "cooldown": 0.0},
+        lambda v: QueueDepthPolicy(v["high"], v["low"], int(v["step"]), v["cooldown"]),
+    ),
+    ("util", "utilization", "target-utilization"): (
+        {"target": 0.6, "deadband": 0.1, "cooldown": 0.0},
+        lambda v: TargetUtilizationPolicy(v["target"], v["deadband"], v["cooldown"]),
+    ),
+    ("ewma", "predictive"): (
+        {"alpha": 0.3, "headroom": 1.2, "rate": 0.0},
+        lambda v: EWMAPolicy(v["alpha"], v["headroom"], v["rate"] if v["rate"] > 0 else None),
+    ),
+}
 
 
 def parse_autoscaler_spec(spec: str) -> AutoscalerPolicy:
@@ -996,57 +859,19 @@ def parse_autoscaler_spec(spec: str) -> AutoscalerPolicy:
         raise ConfigurationError("autoscaler spec must be non-empty")
     kind, _, body = text.partition(":")
     kind = kind.strip().lower()
-    body = body.strip()
-    if kind in ("queue", "queue-depth"):
-        values = _parse_policy_kv(
-            body, {"high": 8.0, "low": 1.0, "step": 1.0, "cooldown": 0.0}, kind
+    for kinds, (defaults, build) in _POLICY_SPECS.items():
+        if kind in kinds:
+            return build(parse_kv_numbers(body, defaults, kind))
+    if kind != "schedule":
+        raise ConfigurationError(
+            f"unknown autoscaler kind {kind!r}; known kinds: queue, util, ewma, schedule"
         )
-        return QueueDepthPolicy(
-            high_watermark=values["high"],
-            low_watermark=values["low"],
-            step=int(values["step"]),
-            cooldown_s=values["cooldown"],
+    if not body.strip():
+        raise ConfigurationError(
+            "schedule spec needs time=replicas pairs, e.g. schedule:0=1,0.5=4"
         )
-    if kind in ("util", "utilization", "target-utilization"):
-        values = _parse_policy_kv(
-            body, {"target": 0.6, "deadband": 0.1, "cooldown": 0.0}, kind
-        )
-        return TargetUtilizationPolicy(
-            target=values["target"],
-            deadband=values["deadband"],
-            cooldown_s=values["cooldown"],
-        )
-    if kind in ("ewma", "predictive"):
-        values = _parse_policy_kv(
-            body, {"alpha": 0.3, "headroom": 1.2, "rate": 0.0}, kind
-        )
-        return EWMAPolicy(
-            alpha=values["alpha"],
-            headroom=values["headroom"],
-            replica_capacity_qps=values["rate"] if values["rate"] > 0 else None,
-        )
-    if kind == "schedule":
-        if not body:
-            raise ConfigurationError(
-                "schedule spec needs time=replicas pairs, e.g. schedule:0=1,0.5=4"
-            )
-        entries: List[Tuple[float, int]] = []
-        for item in body.split(","):
-            item = item.strip()
-            if not item:
-                continue
-            if "=" not in item:
-                raise ConfigurationError(
-                    f"schedule entries must be time=replicas, got {item!r}"
-                )
-            time_text, _, count_text = item.partition("=")
-            try:
-                entries.append((float(time_text), int(count_text)))
-            except ValueError:
-                raise ConfigurationError(
-                    f"schedule entry {item!r} is not time=replicas numbers"
-                )
-        return ScheduledPolicy(entries)
-    raise ConfigurationError(
-        f"unknown autoscaler kind {kind!r}; known kinds: queue, util, ewma, schedule"
-    )
+    try:
+        entries = [(float(time_s), int(count)) for time_s, count in parse_kv(body, kind).items()]
+    except ValueError:
+        raise ConfigurationError(f"schedule entries must be time=replicas numbers, got {body!r}")
+    return ScheduledPolicy(entries)

@@ -7,7 +7,7 @@ complementary interfaces:
 * The *offline* interface (:meth:`BatchingPolicy.form_batches`) groups a
   complete, pre-sorted arrival stream into batches ahead of time.  It exists
   for policies whose decisions depend only on arrival times, and it is what
-  the legacy replay simulator (:mod:`repro.serving.legacy`) consumes.
+  the legacy replay oracle (``tests/serving/legacy_oracle.py``) consumes.
 * The *online* interface (:meth:`BatchingPolicy.on_enqueue` /
   :meth:`BatchingPolicy.on_timer` / :meth:`BatchingPolicy.on_device_idle`)
   is driven by the event-driven serving core (:mod:`repro.serving.replica`).

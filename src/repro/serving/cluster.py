@@ -1,49 +1,39 @@
-"""Multi-replica serving: load balancing a request stream over several devices.
+"""Multi-replica serving: a request stream load balanced over several devices.
 
 Capacity planning (examples/datacenter_provisioning.py) asks "how many
 sockets do I need for a target load?".  This module answers the follow-up
-question — what the tail latency actually looks like when that many replicas
-share the load.  The fleet lives on one shared event simulator: every
-arrival is an event, the dispatcher picks a replica with live visibility
-into queue depths, and each replica batches and executes independently.
+question — the tail latency when that many replicas share the load.  Both
+front-ends are a :class:`~repro.serving.fleet.Fleet` without controllers:
+one :class:`~repro.serving.replica.ReplicaServer` per :class:`ReplicaSpec`
+on the fleet's simulator, behind a dispatcher with live visibility into
+queue depths.
 
-Two front-ends share the same core:
-
-* :class:`ClusterSimulator` — ``num_replicas`` identical devices behind a
-  dispatcher (round-robin by default, matching the legacy behaviour).
-* :class:`HeterogeneousCluster` — an arbitrary mix of CPU-only / CPU-GPU /
-  Centaur replicas, each with its own batching policy, behind any
-  :class:`~repro.serving.dispatch.Dispatcher`.
+* :class:`HeterogeneousCluster` — any mix of CPU-only / CPU-GPU / Centaur
+  replicas, each with its own batching policy, behind any dispatcher.
+* :class:`ClusterSimulator` — ``num_replicas`` identical devices
+  (round-robin by default).  The elastic
+  :class:`~repro.serving.autoscale.AutoscalingCluster` is one with a
+  lifecycle controller armed.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only
     from repro.chaos.report import IncidentReport
     from repro.serving.sharded import ShardingStats
 
-from repro.backends.registry import resolve_backend
 from repro.config.models import DLRMConfig
 from repro.config.system import SystemConfig
 from repro.errors import SimulationError
 from repro.serving.batching import BatchingPolicy, default_batching
 from repro.serving.dispatch import Dispatcher, RoundRobinDispatcher
+from repro.serving.fleet import Fleet, resolve_runner
 from repro.serving.metrics import LatencyDistribution, ServingReport
-from repro.serving.replica import (
-    DesignPointRunner,
-    ReplicaServer,
-    ServiceModel,
-    StreamOutcome,
-    drive_stream,
-)
+from repro.serving.replica import DesignPointRunner, ReplicaServer, ServiceModel
 from repro.sim.engine import QueueSpec, Simulator
-from repro.sim.profile import SimProfile
-from repro.workloads.arrivals import InferenceRequest, PoissonArrivals
-from repro.workloads.workload import Workload
 
 
 @dataclass(frozen=True)
@@ -169,7 +159,7 @@ class ClusterReport:
         return self.mean_utilization
 
 
-class HeterogeneousCluster:
+class HeterogeneousCluster(Fleet):
     """A mixed fleet of serving replicas behind a pluggable dispatcher.
 
     Args:
@@ -207,32 +197,24 @@ class HeterogeneousCluster:
         for spec in specs:
             if not isinstance(spec, ReplicaSpec):
                 spec = ReplicaSpec(runner=spec)
-            if isinstance(spec.runner, str):
-                if system is None:
-                    raise SimulationError(
-                        f"replica names backend {spec.runner!r} but the cluster "
-                        "was built without a system configuration"
-                    )
-                name = spec.runner
-                if name not in resolved:
-                    resolved[name] = resolve_backend(name, system)
-                spec = ReplicaSpec(runner=resolved[name], batching=spec.batching)
-            if spec.batching is None:
-                spec = ReplicaSpec(runner=spec.runner, batching=fallback)
-            self.specs.append(spec)
-        self.model = model
-        self.dispatcher = dispatcher if dispatcher is not None else RoundRobinDispatcher()
+            runner = spec.runner
+            if isinstance(runner, str):
+                if runner not in resolved:
+                    resolved[runner] = resolve_runner(runner, system)
+                runner = resolved[runner]
+            self.specs.append(
+                ReplicaSpec(runner, fallback if spec.batching is None else spec.batching)
+            )
+        super().__init__(
+            model,
+            dispatcher if dispatcher is not None else RoundRobinDispatcher(),
+            queue=queue,
+            profile=profile,
+        )
         # One prediction cache per runner instance, shared across streams.
         self._caches = {}
         for spec in self.specs:
             self._caches.setdefault(id(spec.runner), {})
-        self.queue = queue
-        self.profile = profile
-        #: Engine profile of the most recent :meth:`serve` call (``None``
-        #: until the first profiled run).
-        self.last_profile: Optional[SimProfile] = None
-        #: Conservation counters of the most recent :meth:`serve` call.
-        self.last_outcome: Optional[StreamOutcome] = None
 
     @classmethod
     def from_backends(
@@ -274,23 +256,29 @@ class HeterogeneousCluster:
         return "+".join(seen)
 
     # ------------------------------------------------------------------
-    def _dispatch(self, replicas: Sequence[ReplicaServer], request, now: float) -> ReplicaServer:
-        """Ask the dispatcher for a replica, validating its choice."""
-        index = self.dispatcher.select(replicas, request, now)
-        if not 0 <= index < len(replicas):
-            raise SimulationError(
-                f"{self.dispatcher.name} selected invalid replica {index} "
-                f"of {len(replicas)}"
-            )
-        return replicas[index]
+    def _pool_size(self, faults) -> int:
+        """Replicas a stream runs on (every spec, for a static fleet)."""
+        return len(self.specs)
 
-    def _collect_reports(
-        self,
-        replicas: Sequence[ReplicaServer],
-        label: str,
-        *,
-        allow_empty: bool = False,
-    ) -> Tuple[List[ServingReport], LatencyDistribution]:
+    def _replicas(
+        self, sim: Simulator, faults, extra_models: Sequence[DLRMConfig] = ()
+    ) -> List[ReplicaServer]:
+        return [
+            ReplicaServer(
+                sim,
+                ServiceModel(
+                    spec.runner,
+                    self.model,
+                    self._caches[id(spec.runner)],
+                    extra_models=extra_models,
+                ),
+                spec.batching,
+                name=f"{spec.runner.design_point}:{index}",
+            )
+            for index, spec in enumerate(self.specs[: self._pool_size(faults)])
+        ]
+
+    def _report(self, replicas, label: str, allow_empty: bool) -> ClusterReport:
         """Per-replica reports (replicas that served) + pooled latencies.
 
         ``allow_empty`` covers chaos runs where the fault schedule killed
@@ -298,110 +286,22 @@ class HeterogeneousCluster:
         the whole stream): the report is then built over zero replicas
         instead of treating the outage as a configuration error.
         """
-        reports: List[ServingReport] = []
-        latencies: List[float] = []
-        for replica in replicas:
-            if not replica.arrival_count:
-                continue
-            report = replica.build_report(label)
-            reports.append(report)
-            latencies.extend(report.latency.samples_s.tolist())
+        reports = [
+            replica.build_report(label) for replica in replicas if replica.arrival_count
+        ]
         if not reports and not allow_empty:
             raise SimulationError("no replica received any requests")
-        return reports, LatencyDistribution(latencies, allow_empty=allow_empty)
-
-    def _build_replicas(
-        self, sim: Simulator, extra_models: Sequence[DLRMConfig] = ()
-    ) -> List[ReplicaServer]:
-        replicas = []
-        for index, spec in enumerate(self.specs):
-            service = ServiceModel(
-                spec.runner,
-                self.model,
-                self._caches[id(spec.runner)],
-                extra_models=extra_models,
-            )
-            replicas.append(
-                ReplicaServer(
-                    sim,
-                    service,
-                    spec.batching,
-                    name=f"{spec.runner.design_point}:{index}",
-                )
-            )
-        return replicas
-
-    def serve(
-        self,
-        requests: Union[Sequence[InferenceRequest], Iterable[InferenceRequest]],
-        extra_models: Sequence[DLRMConfig] = (),
-        report_label: Optional[str] = None,
-    ) -> ClusterReport:
-        """Serve a request stream across the fleet.
-
-        ``requests`` may be an eager sequence (sorted internally) or a lazy
-        time-ordered iterator, pulled one arrival at a time so stream length
-        does not bound memory.
-        """
-        if isinstance(requests, Sequence) and not requests:
-            raise SimulationError("cannot serve an empty request stream")
-        sim = Simulator(queue=self.queue, profile=self.profile)
-        replicas = self._build_replicas(sim, extra_models=extra_models)
-        self.dispatcher.reset()
-
-        def route(request):
-            return self._dispatch(replicas, request, sim.now)
-
-        outcome = drive_stream(sim, replicas, requests, route)
-        if outcome.scheduled == 0:
-            raise SimulationError("cannot serve an empty request stream")
-        self.last_profile = sim.profile
-        self.last_outcome = outcome
-
-        label = report_label or self.model.name
-        reports, latency = self._collect_reports(replicas, label)
+        latencies: List[float] = []
+        for report in reports:
+            latencies.extend(report.latency.samples_s.tolist())
         return ClusterReport(
             design_point=self.design_point,
             model_name=label,
-            num_replicas=self.num_replicas,
+            num_replicas=len(replicas),
             per_replica=reports,
-            latency=latency,
+            latency=LatencyDistribution(latencies, allow_empty=allow_empty),
             dispatcher=self.dispatcher.name,
         )
-
-    def serve_workload(
-        self,
-        workload: Workload,
-        duration_s: Optional[float] = None,
-        num_requests: Optional[int] = None,
-        seed: int = 0,
-    ) -> ClusterReport:
-        """Serve a :class:`~repro.workloads.Workload` stream across the fleet.
-
-        The workload's arrival process streams lazily through the dispatcher;
-        a multi-model traffic mix prices every mix model on every replica,
-        and batches execute one per-model segment at a time.
-        """
-        label = workload.mix.label if workload.mix is not None else None
-        return self.serve(
-            workload.requests(duration_s=duration_s, num_requests=num_requests, seed=seed),
-            extra_models=workload.models,
-            report_label=label,
-        )
-
-    def serve_poisson(
-        self, rate_qps: float, duration_s: float, seed: int = 0
-    ) -> ClusterReport:
-        """Serve a Poisson stream of aggregate rate ``rate_qps``."""
-        stream = PoissonArrivals(rate_qps=rate_qps).arrivals(
-            duration_s=duration_s, seed=seed
-        )
-        first = next(stream, None)
-        if first is None:
-            raise SimulationError(
-                f"no requests arrived in {duration_s}s at {rate_qps} QPS"
-            )
-        return self.serve(itertools.chain([first], stream))
 
 
 class ClusterSimulator(HeterogeneousCluster):
@@ -433,20 +333,14 @@ class ClusterSimulator(HeterogeneousCluster):
     ):
         if num_replicas <= 0:
             raise SimulationError(f"num_replicas must be positive, got {num_replicas}")
-        if isinstance(runner, str):
-            if system is None:
-                raise SimulationError(
-                    f"runner names backend {runner!r} but the cluster was built "
-                    "without a system configuration"
-                )
-            runner = resolve_backend(runner, system)
         super().__init__(
             [ReplicaSpec(runner=runner) for _ in range(num_replicas)],
             model,
             dispatcher=dispatcher,
             batching=batching,
+            system=system,
             queue=queue,
             profile=profile,
         )
-        self.runner = runner
+        self.runner = self.specs[0].runner
         self.batching = batching

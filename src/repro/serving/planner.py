@@ -133,29 +133,6 @@ class CapacityPlanner:
         self.jobs = int(jobs)
 
     # ------------------------------------------------------------------
-    def _evaluate(
-        self,
-        backend,
-        model: DLRMConfig,
-        workload: Workload,
-        replicas: int,
-        duration_s: Optional[float],
-        num_requests: Optional[int],
-    ) -> ClusterReport:
-        cluster = ClusterSimulator(
-            backend,
-            model,
-            num_replicas=replicas,
-            batching=self.batching,
-            dispatcher=self.dispatcher,
-        )
-        return cluster.serve_workload(
-            workload,
-            duration_s=duration_s,
-            num_requests=num_requests,
-            seed=self.seed,
-        )
-
     def plan_backend(
         self,
         backend_name: str,
@@ -181,25 +158,35 @@ class CapacityPlanner:
         def meets(count: int) -> bool:
             if count not in reports:
                 evaluated.append(count)
-                reports[count] = self._evaluate(
-                    backend, model, workload, count, duration_s, num_requests
+                cluster = ClusterSimulator(
+                    backend,
+                    model,
+                    num_replicas=count,
+                    batching=self.batching,
+                    dispatcher=self.dispatcher,
+                )
+                reports[count] = cluster.serve_workload(
+                    workload, duration_s=duration_s, num_requests=num_requests, seed=self.seed
                 )
             attainment = reports[count].latency.sla_attainment(self.sla_s)
             return attainment >= self.target_attainment
 
+        def point(replicas: Optional[int], count: int) -> CapacityPoint:
+            report = reports[count]
+            return CapacityPoint(
+                backend=backend_name,
+                replicas=replicas,
+                attainment=report.latency.sla_attainment(self.sla_s),
+                p99_s=report.latency.p99_s,
+                replica_seconds=report.replica_seconds,
+                energy_per_request_joules=report.energy_per_request_joules,
+                evaluated=tuple(evaluated),
+            )
+
         probe = 1
         while not meets(probe):
             if probe >= self.max_replicas:
-                report = reports[probe]
-                return CapacityPoint(
-                    backend=backend_name,
-                    replicas=None,
-                    attainment=report.latency.sla_attainment(self.sla_s),
-                    p99_s=report.latency.p99_s,
-                    replica_seconds=report.replica_seconds,
-                    energy_per_request_joules=report.energy_per_request_joules,
-                    evaluated=tuple(evaluated),
-                )
+                return point(None, probe)
             probe = min(probe * 2, self.max_replicas)
         low, high = (probe // 2 + 1, probe) if probe > 1 else (1, 1)
         while low < high:
@@ -208,16 +195,7 @@ class CapacityPlanner:
                 high = middle
             else:
                 low = middle + 1
-        report = reports[high]
-        return CapacityPoint(
-            backend=backend_name,
-            replicas=high,
-            attainment=report.latency.sla_attainment(self.sla_s),
-            p99_s=report.latency.p99_s,
-            replica_seconds=report.replica_seconds,
-            energy_per_request_joules=report.energy_per_request_joules,
-            evaluated=tuple(evaluated),
-        )
+        return point(high, high)
 
     def plan(
         self,
@@ -237,43 +215,30 @@ class CapacityPlanner:
             GridExecutor,
             PlanBackendTask,
             _run_plan_backend,
-            resolve_jobs,
         )
 
         if (duration_s is None) == (num_requests is None):
             raise SimulationError("provide exactly one of duration_s or num_requests")
         names = tuple(backends) if backends else available_backends()
-        if resolve_jobs(self.jobs) == 1 or len(names) == 1:
-            points = tuple(
-                self.plan_backend(
-                    name,
-                    model,
-                    workload,
-                    duration_s=duration_s,
-                    num_requests=num_requests,
-                )
-                for name in names
+        tasks = [
+            PlanBackendTask(
+                system=self.system,
+                sla_s=self.sla_s,
+                target_attainment=self.target_attainment,
+                max_replicas=self.max_replicas,
+                batching=self.batching,
+                dispatcher=self.dispatcher,
+                seed=self.seed,
+                backend_name=name,
+                model=model,
+                workload=workload,
+                duration_s=duration_s,
+                num_requests=num_requests,
             )
-        else:
-            tasks = [
-                PlanBackendTask(
-                    system=self.system,
-                    sla_s=self.sla_s,
-                    target_attainment=self.target_attainment,
-                    max_replicas=self.max_replicas,
-                    batching=self.batching,
-                    dispatcher=self.dispatcher,
-                    seed=self.seed,
-                    backend_name=name,
-                    model=model,
-                    workload=workload,
-                    duration_s=duration_s,
-                    num_requests=num_requests,
-                )
-                for name in names
-            ]
-            executor = GridExecutor(self.jobs)
-            points = tuple(executor.map(_run_plan_backend, tasks))
+            for name in names
+        ]
+        # jobs=1 (or one backend) runs the searches serially in-process.
+        points = tuple(GridExecutor(self.jobs).map(_run_plan_backend, tasks))
         return CapacityPlan(
             workload_name=workload.name,
             model_name=model.name,

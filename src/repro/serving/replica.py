@@ -118,6 +118,17 @@ class ServiceModel:
             self._cache[key] = cached
         return cached
 
+    def saturation_throughput(self, max_batch_size: int = 128) -> float:
+        """Upper bound on sustainable QPS: best power-of-two batch throughput."""
+        if max_batch_size <= 0:
+            raise SimulationError(f"max_batch_size must be positive, got {max_batch_size}")
+        best = 0.0
+        batch_size = 1
+        while batch_size <= max_batch_size:
+            best = max(best, self.result(batch_size).throughput_samples_per_second)
+            batch_size *= 2
+        return best
+
 
 #: One device occupancy: when it starts, when it ends, and the arrival
 #: times of the requests it serves.  Completion accounting only needs the
@@ -588,7 +599,7 @@ class _StreamDriver:
     stream length.
 
     Streams that expose live arrival accounting (an ``exhausted``
-    attribute, e.g. the autoscaler's counting wrapper) are pulled one
+    attribute, e.g. the fleet's counting wrapper) are pulled one
     request per event instead: controllers observe their counters between
     events, so draining them a chunk ahead of simulated time would make
     exhaustion and arrival-rate observations run ahead of the clock.

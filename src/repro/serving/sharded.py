@@ -18,17 +18,18 @@ paper's gather pipeline at fleet scale:
    over a :class:`~repro.core.link.ChipletLink`; the straggler shard
    (gather + transfer) gates the embedding stage of the whole batch.
 
-Everything rides the existing event core: arrivals, batch closes and batch
-completions are :class:`repro.sim.engine.Simulator` events, and the group
-reuses :class:`~repro.serving.replica.ReplicaServer` verbatim except for
-the per-batch pricing hook.  With one shard and no cache the pricing hook
+The group is a one-replica :class:`~repro.serving.fleet.Fleet`: its replica
+factory builds one :class:`ShardedReplicaServer` (a
+:class:`~repro.serving.replica.ReplicaServer` with its own per-batch pricing
+hook), and an update stream or a fault schedule arms a controller on the
+same event engine that carries arrivals, batch closes and completions.  With one shard and no cache the pricing hook
 returns the runner's result object untouched, so the run is bit-identical
 to the unsharded cluster path — the property the equivalence tests pin.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Dict,
@@ -45,7 +46,6 @@ if TYPE_CHECKING:  # pragma: no cover - annotation only
 
 import numpy as np
 
-from repro.backends.registry import resolve_backend
 from repro.config.models import DTYPE_BYTES, DLRMConfig
 from repro.config.system import SystemConfig
 from repro.core.link import ChipletLink
@@ -54,18 +54,12 @@ from repro.memsys.stats import CacheStats
 from repro.results import InferenceResult, LatencyBreakdown
 from repro.serving.batching import BatchingPolicy, default_batching
 from repro.serving.cluster import ClusterReport
+from repro.serving.fleet import Controller, Fleet, resolve_runner
 from repro.serving.metrics import LatencyDistribution
-from repro.serving.replica import (
-    DesignPointRunner,
-    ReplicaServer,
-    ServiceModel,
-    StreamOutcome,
-    drive_stream,
-)
+from repro.serving.replica import DesignPointRunner, ReplicaServer, ServiceModel
 from repro.sharding.cache import CacheConfig, EmbeddingCache, check_key_space
 from repro.sharding.plan import ShardingPlan, ShardingStrategy, make_plan
 from repro.sim.engine import QueueSpec, Simulator
-from repro.sim.profile import SimProfile
 from repro.workloads.arrivals import InferenceRequest
 from repro.workloads.traces import TraceModel, UniformTrace
 from repro.workloads.updates import EmbeddingUpdate, UpdateProcess
@@ -294,19 +288,8 @@ class ShardedReplicaServer(ReplicaServer):
         """
         if resident_rows <= 0:
             return 0.0, 0.0
-        model = self.service.model_for(None)
-        lookups = sum(table.gathers for table in model.tables)
-        if lookups <= 0:
-            return 0.0, 0.0
-        base = self.service.result(1, None)
-        # Duck-typed runners may hand back a plain-dict breakdown whose
-        # .get("EMB") is None; dense-only breakdowns price a refill at
-        # zero rather than crashing on the division below.
-        emb_s = base.breakdown.get("EMB") or 0.0
-        if emb_s <= 0.0:
-            return 0.0, 0.0
-        refill_s = (emb_s / lookups) * resident_rows
-        return refill_s, refill_s * base.power_watts
+        refill_s = self._row_gather_s() * resident_rows
+        return refill_s, refill_s * self.service.result(1, None).power_watts
 
     def _remap_owners(self, owners: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """Re-route lookups owned by lost shards to survivors."""
@@ -336,7 +319,11 @@ class ShardedReplicaServer(ReplicaServer):
     # Freshness hooks (driven by the update-stream event driver)
     # ------------------------------------------------------------------
     def _row_gather_s(self) -> float:
-        """Per-lookup host-gather seconds of the backend's EMB cost model."""
+        """Per-lookup host-gather seconds of the backend's EMB cost model.
+
+        Duck-typed runners may hand back a plain-dict breakdown whose
+        ``.get("EMB")`` is None; dense-only breakdowns cost zero per row.
+        """
         if self._row_cost_s is None:
             model = self.service.model_for(None)
             lookups = sum(table.gathers for table in model.tables)
@@ -541,21 +528,12 @@ class ShardedReplicaServer(ReplicaServer):
         accounting.gathered += gathered
         accounting.gather_s_total += straggler_s
 
-        breakdown = LatencyBreakdown()
-        replaced = False
-        for stage, seconds in base.breakdown.stages.items():
-            if stage == "EMB":
-                breakdown.add(stage, straggler_s)
-                replaced = True
-            else:
-                breakdown.add(stage, seconds)
-        if not replaced:
-            breakdown.add("EMB", straggler_s)
+        # The straggler replaces the EMB stage in place (or is appended).
         return InferenceResult(
             design_point=base.design_point,
             model_name=base.model_name,
             batch_size=batch_size,
-            breakdown=breakdown,
+            breakdown=LatencyBreakdown({**base.breakdown.stages, "EMB": straggler_s}),
             embedding_traffic=base.embedding_traffic,
             mlp_traffic=base.mlp_traffic,
             power_watts=base.power_watts,
@@ -616,31 +594,7 @@ class ShardedReplicaServer(ReplicaServer):
         )
 
 
-class _TrackedRequests:
-    """Iterator wrapper exposing ``exhausted`` (True once the source ends).
-
-    Exposing the attribute deliberately flips the stream driver into its
-    unbuffered one-pull-per-event mode, so ``exhausted`` becomes True at
-    the moment the *last arrival fires* in simulated time — the signal the
-    update driver uses to stop pulling pushes from its infinite stream.
-    """
-
-    def __init__(self, requests: Iterable[InferenceRequest]):
-        self._iterator = iter(requests)
-        self.exhausted = False
-
-    def __iter__(self) -> "_TrackedRequests":
-        return self
-
-    def __next__(self) -> InferenceRequest:
-        try:
-            return next(self._iterator)
-        except StopIteration:
-            self.exhausted = True
-            raise
-
-
-class _UpdateDriver:
+class _UpdateDriver(Controller):
     """Feeds an update stream into the engine, one event outstanding.
 
     Mirrors the request-side stream driver: exactly one ``update:push``
@@ -652,17 +606,19 @@ class _UpdateDriver:
     schedules nothing further).
     """
 
+    #: Reads ``stream.exhausted``, which the fleet's counting wrapper turns
+    #: True the moment the last arrival fires in simulated time.
+    reads_stream = True
+
     def __init__(
         self,
         sim: Simulator,
         replica: ShardedReplicaServer,
         updates: Iterable[EmbeddingUpdate],
-        requests: _TrackedRequests,
     ):
         self.sim = sim
         self.replica = replica
         self.updates = iter(updates)
-        self.requests = requests
 
     def arm(self) -> None:
         self._pump()
@@ -677,11 +633,11 @@ class _UpdateDriver:
 
     def _fire(self, update: EmbeddingUpdate) -> None:
         self.replica.apply_update(update)
-        if not self.requests.exhausted or self.replica.outstanding > 0:
+        if not self.stream.exhausted or self.replica.outstanding > 0:
             self._pump()
 
 
-class ShardedReplicaGroup:
+class ShardedReplicaGroup(Fleet):
     """A model served by ``num_shards`` embedding shards behind one queue.
 
     The group is one *logical* replica: requests join a single batching
@@ -729,15 +685,8 @@ class ShardedReplicaGroup:
         updates: Optional[UpdateProcess] = None,
         shared_cache: Optional[CacheConfig] = None,
     ):
-        if isinstance(runner, str):
-            if system is None:
-                raise SimulationError(
-                    f"group names backend {runner!r} but was built without a "
-                    "system configuration"
-                )
-            runner = resolve_backend(runner, system)
-        self.runner = runner
-        self.model = model
+        super().__init__(model, queue=queue, profile=profile)
+        self.runner = runner = resolve_runner(runner, system)
         # Hot-row caches key rows by packed ints; reject models that overflow them.
         check_key_space(model)
         if plan is None:
@@ -748,18 +697,15 @@ class ShardedReplicaGroup:
                 f"serves {model.name!r}"
             )
         self.plan = plan
-        if cache is not None and not isinstance(cache, CacheConfig):
-            raise SimulationError(f"cache must be a CacheConfig or None, got {cache!r}")
+        for name, value, kind in (
+            ("cache", cache, CacheConfig),
+            ("shared_cache", shared_cache, CacheConfig),
+            ("updates", updates, UpdateProcess),
+        ):
+            if value is not None and not isinstance(value, kind):
+                raise SimulationError(f"{name} must be {kind.__name__} or None, got {value!r}")
         self.cache_config = cache
-        if shared_cache is not None and not isinstance(shared_cache, CacheConfig):
-            raise SimulationError(
-                f"shared_cache must be a CacheConfig or None, got {shared_cache!r}"
-            )
         self.shared_cache_config = shared_cache
-        if updates is not None and not isinstance(updates, UpdateProcess):
-            raise SimulationError(
-                f"updates must be an UpdateProcess or None, got {updates!r}"
-            )
         self.updates = updates
         self.batching = batching if batching is not None else default_batching()
         self.system = system if system is not None else getattr(runner, "system", None)
@@ -773,15 +719,8 @@ class ShardedReplicaGroup:
                 "a shared cache tier needs a system configuration to price "
                 "its link fetches"
             )
-        self.queue = queue
-        self.profile = profile
-        #: Engine profile of the most recent serve (``None`` until the
-        #: first profiled run).
-        self.last_profile: Optional[SimProfile] = None
         # Shared runner-prediction cache, one per group (mirrors clusters).
         self._service_cache: Dict = {}
-        #: Conservation counters of the most recent serve call.
-        self.last_outcome: Optional[StreamOutcome] = None
 
     # ------------------------------------------------------------------
     @property
@@ -809,15 +748,38 @@ class ShardedReplicaGroup:
         :meth:`serve_workload`, which wires both from the workload.
         ``faults`` injects a :class:`~repro.chaos.faults.FaultSchedule`
         (shard loss, link degradation, brownout); an empty or ``None``
-        schedule takes the fault-free path verbatim.  ``update_seed``
-        seeds the group's :class:`~repro.workloads.updates.UpdateProcess`
-        push stream (unused when the group has no update stream).
+        schedule arms no injector.  ``update_seed`` seeds the group's
+        :class:`~repro.workloads.updates.UpdateProcess` push stream (unused
+        when the group has no update stream).
         """
-        if isinstance(requests, Sequence) and not requests:
-            raise SimulationError("cannot serve an empty request stream")
-        chaos = faults is not None and not faults.empty
-        sim = Simulator(queue=self.queue, profile=self.profile)
-        service = ServiceModel(self.runner, self.model, self._service_cache)
+        options = dict(trace=trace, trace_seed=trace_seed, update_seed=update_seed)
+        return self._serve(requests, report_label, faults, **options)
+
+    def _workload_options(self, workload: Workload, seed: int) -> Dict[str, object]:
+        """The workload's trace model shapes every batch's gathered rows
+        (the path where zipf / hot-cold skew actually changes cache hit
+        rates and shard traffic)."""
+        if workload.mix is not None and tuple(workload.models) != (self.model,):
+            # Checked up front: a mix naming any other model would otherwise
+            # fail mid-run at batch pricing.
+            names = ", ".join(repr(model.name) for model in workload.models)
+            raise SimulationError(
+                f"sharded groups serve a single model: the workload mix targets "
+                f"model(s) {names} but the group shards {self.model.name!r}"
+            )
+        if self.updates is not None:
+            # SeedSequence children are keyed by spawn index, so the first
+            # three of spawn(4) equal spawn(3)'s — the trace stream is
+            # untouched and the update stream gets its own child.
+            _, _, trace_seed, update_seed = np.random.SeedSequence(seed).spawn(4)
+        else:
+            _, _, trace_seed = np.random.SeedSequence(seed).spawn(3)
+            update_seed = 0
+        return {"trace": workload.trace, "trace_seed": trace_seed, "update_seed": update_seed}
+
+    def _replicas(
+        self, sim: Simulator, faults, trace=None, trace_seed=0, update_seed=0
+    ) -> List[ShardedReplicaServer]:
         caches = None
         if self.cache_config is not None:
             caches = [
@@ -829,68 +791,39 @@ class ShardedReplicaGroup:
             if self.shared_cache_config is not None
             else None
         )
-        updates = self.updates
-        link = ChipletLink(self.system.link) if self.system is not None else None
-        trace_model = trace if trace is not None else UniformTrace()
-        replica = ShardedReplicaServer(
-            sim,
-            service,
-            self.batching,
-            plan=self.plan,
-            link=link,
-            trace_model=trace_model,
-            trace_rng=np.random.default_rng(trace_seed),
-            caches=caches,
-            shared_cache=shared_cache,
-            update_mode=updates.mode if updates is not None else None,
-            name=f"{self.runner.design_point}:0",
+        return [
+            ShardedReplicaServer(
+                sim,
+                ServiceModel(self.runner, self.model, self._service_cache),
+                self.batching,
+                plan=self.plan,
+                link=ChipletLink(self.system.link) if self.system is not None else None,
+                trace_model=trace if trace is not None else UniformTrace(),
+                trace_rng=np.random.default_rng(trace_seed),
+                caches=caches,
+                shared_cache=shared_cache,
+                update_mode=self.updates.mode if self.updates is not None else None,
+                name=f"{self.runner.design_point}:0",
+            )
+        ]
+
+    def _controllers(self, sim: Simulator, replicas, faults, update_seed=0, **options):
+        if self.updates is None:
+            return []
+        # Pushes and arrivals interleave on one event clock.
+        (replica,) = replicas
+        events = self.updates.events(
+            self.model, seed=update_seed, default_trace=replica.trace_model
         )
-        if updates is not None:
-            # Pushes and arrivals interleave on one event clock.  The
-            # request stream is wrapped so the update driver can observe
-            # its exhaustion and stop pulling from the infinite push
-            # stream; ``updates is None`` skips all of this, keeping the
-            # read-only path bit-identical.
-            if isinstance(requests, Sequence):
-                requests = sorted(requests, key=lambda request: request.arrival_time_s)
-            requests = _TrackedRequests(requests)
-            _UpdateDriver(
-                sim,
-                replica,
-                updates.events(self.model, seed=update_seed, default_trace=trace_model),
-                requests,
-            ).arm()
-        injector = None
-        if chaos:
-            # Imported lazily: repro.chaos depends on this module's report
-            # types, so the top-level import would be circular.
-            from repro.chaos.injector import FaultInjector
+        return [_UpdateDriver(sim, replica, events)]
 
-            injector = FaultInjector(
-                sim,
-                faults,
-                sharded=replica,
-                cache_config=self.cache_config,
-                model=self.model,
-            )
-            injector.arm()
-            outcome = drive_stream(
-                sim,
-                [replica],
-                requests,
-                lambda request: replica,
-                lost=injector.shed_count,
-            )
-        else:
-            outcome = drive_stream(sim, [replica], requests, lambda request: replica)
-        if outcome.scheduled == 0:
-            raise SimulationError("cannot serve an empty request stream")
-        self.last_profile = sim.profile
-        self.last_outcome = outcome
+    def _fault_host(self, replicas, controllers):
+        return {"sharded": replicas[0], "cache_config": self.cache_config, "model": self.model}
 
-        label = report_label or self.model.name
+    def _report(self, replicas, label: str, allow_empty: bool) -> ClusterReport:
+        (replica,) = replicas
         report = replica.build_report(label)
-        cluster_report = ClusterReport(
+        return ClusterReport(
             design_point=self.design_point,
             model_name=label,
             num_replicas=self.plan.num_shards,
@@ -898,51 +831,4 @@ class ShardedReplicaGroup:
             latency=LatencyDistribution(report.latency.samples_s.tolist()),
             dispatcher="shard-fan-out",
             sharding=replica.sharding_stats(),
-        )
-        if injector is not None:
-            incidents = injector.finalize([report], horizon_s=sim.now)
-            cluster_report = replace(cluster_report, incidents=incidents)
-        return cluster_report
-
-    def serve_workload(
-        self,
-        workload: Workload,
-        duration_s: Optional[float] = None,
-        num_requests: Optional[int] = None,
-        seed: int = 0,
-        faults: Optional["FaultSchedule"] = None,
-    ) -> ClusterReport:
-        """Serve a workload: its arrivals drive the queue, its trace model
-        shapes every batch's gathered rows (the path where zipf / hot-cold
-        skew actually changes cache hit rates and shard traffic)."""
-        if workload.mix is not None:
-            if workload.mix.is_multi_model:
-                raise SimulationError(
-                    "sharded groups serve a single model; multi-model traffic "
-                    "mixes are not supported"
-                )
-            # A single-model mix must name the sharded model — anything else
-            # would pass the gate and fail mid-run at batch pricing.
-            mixed = workload.models[0]
-            if mixed != self.model:
-                raise SimulationError(
-                    f"workload mix targets model {mixed.name!r} but the group "
-                    f"shards {self.model.name!r}"
-                )
-        if self.updates is not None:
-            # SeedSequence children are keyed by spawn index, so the first
-            # three of spawn(4) equal spawn(3)'s — the trace stream is
-            # untouched and the update stream gets its own child.
-            _, _, trace_seed, update_seed = np.random.SeedSequence(seed).spawn(4)
-        else:
-            _, _, trace_seed = np.random.SeedSequence(seed).spawn(3)
-            update_seed = 0
-        return self.serve(
-            workload.requests(
-                duration_s=duration_s, num_requests=num_requests, seed=seed
-            ),
-            trace=workload.trace,
-            trace_seed=trace_seed,
-            faults=faults,
-            update_seed=update_seed,
         )

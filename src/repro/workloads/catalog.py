@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Tuple
 
 from repro.errors import ConfigurationError
+from repro.utils.specs import parse_kv, parse_kv_numbers, pop_number
 from repro.workloads.arrivals import (
     ArrivalProcess,
     ConstantRateArrivals,
@@ -48,33 +49,6 @@ class CatalogEntry:
     build: Callable[[str], object]
 
 
-def _parse_kv(body: str, defaults: Dict[str, float], kind: str) -> Dict[str, float]:
-    """Parse a ``a=1,b=2`` parameter body against a dict of defaults."""
-    values = dict(defaults)
-    if not body:
-        return values
-    for item in body.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        if "=" not in item:
-            raise ConfigurationError(
-                f"{kind} spec parameters must be key=value, got {item!r} "
-                f"(known keys: {', '.join(defaults)})"
-            )
-        key, _, raw = item.partition("=")
-        key = key.strip()
-        if key not in defaults:
-            raise ConfigurationError(
-                f"unknown {kind} parameter {key!r} (known: {', '.join(defaults)})"
-            )
-        try:
-            values[key] = float(raw)
-        except ValueError:
-            raise ConfigurationError(f"{kind} parameter {key!r} is not a number: {raw!r}")
-    return values
-
-
 def _require_number(body: str, kind: str, what: str) -> float:
     try:
         return float(body)
@@ -91,7 +65,7 @@ def _build_constant(body: str) -> ArrivalProcess:
 
 
 def _build_bursty(body: str) -> ArrivalProcess:
-    values = _parse_kv(
+    values = parse_kv_numbers(
         body,
         {"on": 40_000.0, "off": 0.0, "mean_on": 0.05, "mean_off": 0.1},
         "bursty",
@@ -105,7 +79,7 @@ def _build_bursty(body: str) -> ArrivalProcess:
 
 
 def _build_diurnal(body: str) -> ArrivalProcess:
-    values = _parse_kv(
+    values = parse_kv_numbers(
         body,
         {"trough": 5_000.0, "peak": 30_000.0, "period": 1.0},
         "diurnal",
@@ -173,7 +147,7 @@ def _build_zipf_trace(body: str) -> TraceModel:
 
 
 def _build_hotcold_trace(body: str) -> TraceModel:
-    values = _parse_kv(body, {"frac": 0.05, "weight": 0.9}, "hotcold")
+    values = parse_kv_numbers(body, {"frac": 0.05, "weight": 0.9}, "hotcold")
     return WorkingSetTrace(hot_fraction=values["frac"], hot_weight=values["weight"])
 
 
@@ -327,32 +301,10 @@ def parse_update_spec(spec) -> "UpdateProcess | None":
             f"unknown update mode {mode_text.strip()!r}; use one of "
             f"{', '.join(UPDATE_MODES)} (or 'off')"
         )
-    rate = 1000.0
-    rows = 1
-    trace: TraceModel | None = None
-    body = body.strip()
-    if body:
-        for item in body.split(","):
-            item = item.strip()
-            if not item:
-                continue
-            key, sep, raw = item.partition("=")
-            key = key.strip().lower()
-            raw = raw.strip()
-            if not sep:
-                rate = _require_number(item, "update", "push rate in pushes/s")
-                continue
-            if key == "rate":
-                rate = _require_number(raw, "update", "push rate in pushes/s")
-            elif key == "rows":
-                rate_rows = _require_number(raw, "update", "rows per push")
-                rows = int(rate_rows)
-            elif key == "trace":
-                trace = parse_trace_spec(raw)
-            else:
-                raise ConfigurationError(
-                    f"unknown update parameter {key!r} (known: rate, rows, trace)"
-                )
+    values = parse_kv(body, "update", known=("rate", "rows", "trace"), positional="rate")
+    rate = pop_number(values, "rate", "update", 1000.0)
+    rows = int(pop_number(values, "rows", "update", 1))
+    trace = parse_trace_spec(values["trace"]) if "trace" in values else None
     if rate < 0:
         raise ConfigurationError(f"update rate must be >= 0, got {rate:g}")
     if rate == 0:

@@ -13,7 +13,13 @@ from repro.chaos import (
 )
 from repro.config import DLRM1, HARPV2_SYSTEM
 from repro.errors import ConfigurationError
-from repro.serving import AutoscalingCluster, QueueDepthPolicy, TimeoutBatching
+from repro.serving import (
+    AutoscalingCluster,
+    ClusterSimulator,
+    QueueDepthPolicy,
+    ServingSimulator,
+    TimeoutBatching,
+)
 from repro.workloads import PoissonArrivals, Workload
 
 BATCHING = TimeoutBatching(window_s=1e-3, max_batch_size=32)
@@ -228,6 +234,24 @@ class TestFleetValidation:
     def test_crash_target_outside_the_pool_rejected(self):
         with pytest.raises(ConfigurationError):
             serve(FaultSchedule([ReplicaCrash(at_s=0.01, replica=7)]))
+
+    @pytest.mark.parametrize("replicas", [1, 2])
+    def test_static_front_ends_reject_fault_schedules(self, replicas):
+        # Crash/restart needs the autoscaler's lifecycle controller, so only
+        # AutoscalingCluster (and ShardedReplicaGroup) host an injector.
+        backend = get_backend("cpu", HARPV2_SYSTEM)
+        front = (
+            ServingSimulator(backend, DLRM1, batching=BATCHING)
+            if replicas == 1
+            else ClusterSimulator(backend, DLRM1, num_replicas=replicas, batching=BATCHING)
+        )
+        with pytest.raises(ConfigurationError, match="takes no fault schedule"):
+            front.serve_workload(
+                WORKLOAD,
+                num_requests=10,
+                seed=SEED,
+                faults=FaultSchedule([ReplicaCrash(at_s=0.01)]),
+            )
 
 
 def incidents_total(report):

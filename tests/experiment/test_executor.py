@@ -7,8 +7,10 @@ CSV matching byte for byte.  The equivalence matrix runs each grid twice
 from fresh objects so nothing leaks between settings through shared state.
 """
 
+import os
 import pickle
 import threading
+import time
 
 import pytest
 
@@ -64,6 +66,15 @@ def _square(value):
     return value * value
 
 
+def _exit_on_negative(value):
+    """Square ``value``; a negative one kills the worker, a float sleeps first."""
+    if value < 0:
+        os._exit(1)
+    if isinstance(value, float):
+        time.sleep(value)
+    return value * value
+
+
 class TestResolveJobs:
     def test_one_is_serial(self):
         assert resolve_jobs(1) == 1
@@ -105,6 +116,21 @@ class TestGridExecutorMap:
         )
         assert out == [_square(p) for p in payloads]
         assert sorted(seen) == list(range(7))
+
+    @pytest.mark.parametrize(
+        "payloads, culprit",
+        [
+            ([1, 2, -3, 4], r"running payload 2 \(-3\) of 4"),
+            # Payload 0 is still running when its pool breaks, so both are
+            # in flight; re-running each alone singles out payload 1.
+            ([0.5, -1], r"running payload 1 \(-1\) of 2"),
+        ],
+    )
+    def test_dead_worker_names_its_payload(self, payloads, culprit):
+        # A worker exiting abruptly breaks the whole pool; the error names
+        # the payload that killed it, not the bare pool error.
+        with pytest.raises(SimulationError, match=culprit):
+            GridExecutor(2).map(_exit_on_negative, payloads)
 
 
 class TestBatchEquivalence:

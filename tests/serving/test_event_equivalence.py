@@ -3,8 +3,8 @@
 The serving stack was rebuilt on the discrete-event engine; for open-loop
 batching policies the two implementations must agree *bit for bit* — same
 batch boundaries, same per-request latencies, same energy — on any seeded
-arrival stream.  The legacy replay is kept (repro.serving.legacy) purely as
-this oracle.
+arrival stream.  The legacy replay is kept (tests/serving/legacy_oracle.py)
+purely as this oracle.
 """
 
 import pytest
@@ -15,11 +15,11 @@ from repro.cpu import CPUOnlyRunner
 from repro.serving import (
     ClusterSimulator,
     FixedSizeBatching,
-    LegacyServingSimulator,
     PoissonRequestGenerator,
     ServingSimulator,
     TimeoutBatching,
 )
+from tests.serving.legacy_oracle import LegacyServingSimulator
 
 
 def poisson_stream(rate_qps, n, seed):

@@ -338,17 +338,29 @@ class TestServe:
         ) == 2
         assert "--shards/--cache" in capsys.readouterr().err
 
-    def test_autoscale_rejects_bad_spec(self, capsys):
-        assert main(
-            [
-                "serve",
-                "--backend", "cpu",
-                "--model", "DLRM2",
-                "--requests", "500",
-                "--autoscale", "warp-speed",
-            ]
-        ) == 2
-        assert "unknown autoscaler kind" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "flag, spec, message",
+        [
+            ("--autoscale", "warp-speed", "unknown autoscaler kind 'warp-speed'"),
+            # One key=value grammar, one error style, across all four flags.
+            ("--autoscale", "queue:high", "queue spec parameters must be key=value, got 'high'"),
+            ("--autoscale", "util:tgt=0.5", "unknown util parameter 'tgt'"),
+            ("--autoscale", "ewma:alpha=big", "ewma parameter 'alpha' is not a number: 'big'"),
+            ("--autoscale", "schedule:0=1,0=2", "duplicate schedule parameter '0'"),
+            ("--faults", "crash:at", "crash spec parameters must be key=value, got 'at'"),
+            ("--faults", "brownout:at=0.1,for=0.1,heat=3", "unknown brownout parameter 'heat'"),
+            ("--faults", "crash:at=soon", "crash parameter 'at' is not a number: 'soon'"),
+            ("--updates", "invalidate:speed=3", "unknown update parameter 'speed'"),
+            ("--updates", "invalidate:rows=many", "update parameter 'rows' is not a number: 'many'"),
+            ("--workload", "bursty:40000", "bursty spec parameters must be key=value, got '40000'"),
+            ("--workload", "diurnal:peek=3", "unknown diurnal parameter 'peek'"),
+            ("--workload", "diurnal:peak=tall", "diurnal parameter 'peak' is not a number: 'tall'"),
+        ],
+    )
+    def test_malformed_spec_fails_cleanly(self, capsys, flag, spec, message):
+        argv = ["serve", "--backend", "cpu", "--model", "DLRM2", "--requests", "500"]
+        assert main([*argv, flag, spec]) == 2
+        assert message in capsys.readouterr().err
 
 
 class TestPlan:
