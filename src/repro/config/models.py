@@ -8,12 +8,16 @@ dot-product feature-interaction stage, and a top MLP ending in a sigmoid.
 The paper's Table I characterizes models by four aggregate quantities
 (number of tables, gathers per table, total embedding-table bytes and MLP
 bytes); :class:`DLRMConfig` exposes all of them as derived properties so the
-Table I reproduction can print them directly.
+Table I reproduction can print them directly.  The aggregates the performance
+models read on every priced batch are computed once per (frozen) instance
+and stored on it: :func:`functools.cached_property` for properties,
+:func:`_once` for per-sample methods.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property, wraps
 from typing import Sequence, Tuple
 
 from repro.errors import ConfigurationError
@@ -21,6 +25,24 @@ from repro.utils.units import bytes_to_human
 
 #: Bytes per embedding element / MLP weight (fp32 throughout the paper).
 DTYPE_BYTES = 4
+
+
+def _once(method):
+    """Memoize a zero-argument method of a frozen config on its instance.
+
+    The method-call counterpart of :func:`functools.cached_property`: the
+    first call computes the value, later calls read it back.
+    """
+    slot = f"_{method.__name__}"
+
+    @wraps(method)
+    def memoized(self):
+        memo = vars(self)
+        if slot not in memo:
+            memo[slot] = method(self)
+        return memo[slot]
+
+    return memoized
 
 
 @dataclass(frozen=True)
@@ -95,7 +117,7 @@ class MLPConfig:
     def output_dim(self) -> int:
         return self.layer_dims[-1]
 
-    @property
+    @cached_property
     def num_parameters(self) -> int:
         """Weights plus biases across every layer."""
         total = 0
@@ -103,10 +125,11 @@ class MLPConfig:
             total += in_dim * out_dim + out_dim
         return total
 
-    @property
+    @cached_property
     def parameter_bytes(self) -> int:
         return self.num_parameters * DTYPE_BYTES
 
+    @_once
     def flops_per_sample(self) -> int:
         """Multiply-accumulate FLOPs (2 per MAC) for one input sample."""
         flops = 0
@@ -189,16 +212,21 @@ class DLRMConfig:
         """Average number of lookups per table per sample."""
         return sum(table.gathers for table in self.tables) / len(self.tables)
 
-    @property
+    @cached_property
     def total_gathers_per_sample(self) -> int:
         return sum(table.gathers for table in self.tables)
 
-    @property
+    @cached_property
     def embedding_table_bytes(self) -> int:
         """Aggregate embedding-table footprint ("Table size" in Table I)."""
         return sum(table.table_bytes for table in self.tables)
 
-    @property
+    @cached_property
+    def largest_table_bytes(self) -> int:
+        """Footprint of the largest embedding table."""
+        return max(table.table_bytes for table in self.tables)
+
+    @cached_property
     def mlp_parameter_bytes(self) -> int:
         """Aggregate MLP model size ("MLP size" in Table I)."""
         return self.bottom_mlp.parameter_bytes + self.top_mlp.parameter_bytes
@@ -225,6 +253,7 @@ class DLRMConfig:
     # ------------------------------------------------------------------
     # Per-sample work estimates used throughout the performance models
     # ------------------------------------------------------------------
+    @_once
     def embedding_bytes_per_sample(self) -> int:
         """Useful bytes gathered from embedding tables for one sample."""
         return sum(table.gathers * table.row_bytes for table in self.tables)
@@ -253,6 +282,7 @@ class DLRMConfig:
         """FLOPs of bottom + top MLP for one sample."""
         return self.bottom_mlp.flops_per_sample() + self.top_mlp.flops_per_sample()
 
+    @_once
     def total_dense_flops_per_sample(self) -> int:
         """All GEMM-like FLOPs handled by the dense accelerator per sample."""
         return self.mlp_flops_per_sample() + self.interaction_flops_per_sample()

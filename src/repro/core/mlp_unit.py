@@ -71,15 +71,11 @@ class MLPUnit:
             ]
             for _ in range(pe_rows)
         ]
-
-    # ------------------------------------------------------------------
-    @property
-    def num_pes(self) -> int:
-        return self.pe_rows * self.pe_cols
-
-    @property
-    def cycles_per_tile_op(self) -> int:
-        return self.pes[0][0].cycles_per_tile_op
+        # Every PE is built alike, so the array's timing constants are fixed
+        # here rather than re-derived for each GEMM priced.
+        self.num_pes = pe_rows * pe_cols
+        self.cycles_per_tile_op = self.pes[0][0].cycles_per_tile_op
+        self._flops_per_tile_op = self.pes[0][0].flops_per_tile_op
 
     def _pe(self, output_row_tile: int, output_col_tile: int) -> ProcessingEngine:
         """PE owning a given output tile (round-robin over the array)."""
@@ -170,7 +166,7 @@ class MLPUnit:
         merge_cycles = t * k_tiles if m_tiles * n_tiles < self.num_pes else 0
         cycles = waves * self.cycles_per_tile_op + merge_cycles + self.fill_cycles
         useful_flops = 2 * m * n * k
-        padded_flops = tile_ops * 2 * t ** 3
+        padded_flops = tile_ops * self._flops_per_tile_op
         return GemmTiming(
             m=m,
             n=n,

@@ -18,6 +18,7 @@ gathered bytes divided by this stage latency.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 from repro.config.models import DLRMConfig
@@ -80,13 +81,18 @@ class EmbeddingExecutionModel:
         if self.access_profile is None:
             object.__setattr__(self, "access_profile", EmbeddingAccessProfile(self.cpu))
 
+    @cached_property
+    def _dram(self) -> DRAMModel:
+        """The DRAM timing model, built once per execution model."""
+        return DRAMModel(self.memory, line_bytes=self.cpu.cache_line_bytes)
+
     # ------------------------------------------------------------------
     def estimate(self, model: DLRMConfig, batch_size: int) -> EmbeddingExecutionEstimate:
         """Estimate the embedding-stage latency of one inference batch."""
         if batch_size <= 0:
             raise SimulationError(f"batch_size must be positive, got {batch_size}")
         traffic = self.access_profile.compute(model, batch_size)
-        dram = DRAMModel(self.memory, line_bytes=self.cpu.cache_line_bytes)
+        dram = self._dram
 
         # Software gather/reduce loop, parallel over the batch dimension.
         total_lookups = model.total_gathers_per_sample * batch_size
@@ -103,7 +109,7 @@ class EmbeddingExecutionModel:
         outstanding = self.threads.outstanding_misses(batch_size)
         row_hit_rate = dram.row_hit_rate_for_gathers(
             vector_bytes=model.embedding_dim * 4,
-            table_bytes=max(table.table_bytes for table in model.tables),
+            table_bytes=model.largest_table_bytes,
         )
         burst = dram.service_burst(
             num_lines=traffic.llc.misses,

@@ -10,6 +10,7 @@ unless a caller supplies (or disables) its own.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import pathlib
@@ -22,25 +23,29 @@ from repro.config.models import DLRMConfig
 from repro.config.system import SystemConfig
 from repro.errors import SimulationError
 from repro.results import InferenceResult
+from repro.version import __version__
 
 #: One memoized design point: (backend name, model fingerprint, batch, system fingerprint).
 CacheKey = Tuple[str, str, int, str]
 
-_FINGERPRINT_MEMO: Dict[object, str] = {}
+#: Instance attribute a configuration's digest is stored under.
+_FINGERPRINT_ATTR = "_repro_fingerprint"
 
 
 def _fingerprint_dataclass(value) -> str:
     """Stable short hash of a (nested) frozen configuration dataclass.
 
-    Memoized by value (frozen dataclasses hash on their fields), so equal
-    configurations share one digest computation.
+    Computed once per instance and stored on it, the way
+    :func:`functools.cached_property` stores its value, so every later key
+    is one dict lookup instead of a deep hash of a 50-table model.  Equal
+    instances compute equal digests; a :func:`dataclasses.replace` variant
+    is a new instance and computes its own; a pickled copy carries it.
     """
-    cached = _FINGERPRINT_MEMO.get(value)
-    if cached is not None:
-        return cached
-    payload = repr(dataclasses.asdict(value)).encode("utf-8")
-    digest = hashlib.sha256(payload).hexdigest()[:16]
-    _FINGERPRINT_MEMO[value] = digest
+    memo = vars(value)
+    digest = memo.get(_FINGERPRINT_ATTR)
+    if digest is None:
+        payload = repr(dataclasses.asdict(value)).encode("utf-8")
+        digest = memo[_FINGERPRINT_ATTR] = hashlib.sha256(payload).hexdigest()[:16]
     return digest
 
 
@@ -189,20 +194,42 @@ class ResultCache:
 
     # ------------------------------------------------------------------
     def save(self, path: Union[str, pathlib.Path]) -> None:
-        """Persist all entries as JSON (keys + serialized results)."""
+        """Persist all entries as JSON, stamped with the code that priced them.
+
+        The file is ``{"version", "cost_model", "entries"}``: the package
+        version, the :func:`cost_model_stamp` of the registered backends,
+        and the keys with their serialized results.
+        """
         with self._lock:
-            payload = [
+            entries = [
                 {"key": list(key), "result": result.to_dict()}
                 for key, result in self._entries.items()
             ]
+        payload = {**_stamp(), "entries": entries}
         pathlib.Path(path).write_text(json.dumps(payload), encoding="utf-8")
 
     @classmethod
     def load(cls, path: Union[str, pathlib.Path]) -> "ResultCache":
-        """Rebuild a cache persisted by :meth:`save` (counters start fresh)."""
+        """Rebuild a cache persisted by :meth:`save` (counters start fresh).
+
+        Raises :class:`SimulationError` when the file was written by another
+        package version or cost model, or predates the stamp: its results
+        would silently outlive the code that priced them.
+        """
         raw = json.loads(pathlib.Path(path).read_text(encoding="utf-8"))
+        expected = _stamp()
+        found = (
+            {field: raw.get(field) for field in expected}
+            if isinstance(raw, dict)
+            else "none (unstamped legacy format)"
+        )
+        if found != expected:
+            raise SimulationError(
+                f"result cache {str(path)!r} was written with stamp {found}, but "
+                f"this code has stamp {expected}; delete it and re-price"
+            )
         cache = cls()
-        for entry in raw:
+        for entry in raw["entries"]:
             key = entry["key"]
             if len(key) != 4:
                 raise SimulationError(f"malformed cache key {key!r}")
@@ -210,6 +237,46 @@ class ResultCache:
                 InferenceResult.from_dict(entry["result"])
             )
         return cache
+
+
+#: The sources that price a design point: the backend registry, the device
+#: and memory models, the configurations they read (with their units), and
+#: the result record a cache file stores.
+_PRICING_SOURCES = (
+    "backends", "config", "core", "cpu", "gpu", "memsys", "utils", "results.py"
+)
+
+
+def _source_digest(root: pathlib.Path) -> str:
+    """Digest of every pricing source file under package root ``root``.
+
+    Files are hashed by package-relative path and content, in sorted
+    order, so any edit to a calibration constant or to model logic, and any
+    added, removed or renamed module, changes the digest.
+    """
+    digest = hashlib.sha256()
+    for source in _PRICING_SOURCES:
+        path = root / source
+        for file in sorted(path.rglob("*.py")) if path.is_dir() else [path]:
+            digest.update(file.relative_to(root).as_posix().encode("utf-8"))
+            digest.update(file.read_bytes())
+    return digest.hexdigest()[:16]
+
+
+@functools.lru_cache(maxsize=1)
+def cost_model_stamp() -> str:
+    """Digest of the source code that prices the built-in backends.
+
+    Changes whenever a runner's calibrated default (e.g. a fixed overhead
+    or an efficiency curve) or its pricing logic changes, so persisted
+    results priced by older code are refused rather than reused.  Read once
+    per process: the running code is the code imported at start-up.
+    """
+    return _source_digest(pathlib.Path(__file__).resolve().parents[1])
+
+
+def _stamp() -> Dict[str, str]:
+    return {"version": __version__, "cost_model": cost_model_stamp()}
 
 
 #: Process-wide cache shared by every Experiment that does not override it.

@@ -415,15 +415,19 @@ class Experiment:
         points = self._grid_points()
         if resolve_jobs(self._jobs) > 1:
             return self._run_parallel(points, cache)
-        backends = {name: get_backend(name, self.system) for name, _, _ in points}
+        backends = {
+            name: get_backend(name, self.system)
+            for name in dict.fromkeys(name for name, _, _ in points)
+        }
         outcome = ExperimentResult(self.system)
         total = len(points)
         for done, (name, model, batch_size) in enumerate(points, start=1):
             if cache is not None:
-                was_cached = cache.key(name, model, batch_size, self.system) in cache
+                hits = cache.hits
                 result = cache.get_or_compute(
                     backends[name], model, batch_size, self.system, backend_name=name
                 )
+                was_cached = cache.hits > hits
             else:
                 was_cached = False
                 result = backends[name].run(model, batch_size)
@@ -487,8 +491,11 @@ class Experiment:
         shipped = set()
         pending: List[Tuple[str, DLRMConfig, int]] = []
         statuses: List[str] = []
-        for name, model, batch_size in points:
-            key = cache.key(name, model, batch_size, self.system)
+        keys = [
+            cache.key(name, model, batch_size, self.system)
+            for name, model, batch_size in points
+        ]
+        for (name, model, batch_size), key in zip(points, keys):
             if key in cache or key in shipped:
                 with cache._lock:
                     cache.hits += 1
@@ -508,8 +515,8 @@ class Experiment:
 
         for worker_cache in executor.map(_run_batch_chunk, payloads, on_result=on_cache):
             cache.merge(worker_cache)
-        for (name, model, batch_size), status in zip(points, statuses):
-            result = cache.peek(cache.key(name, model, batch_size, self.system))
+        for (name, model, batch_size), key, status in zip(points, keys, statuses):
+            result = cache.peek(key)
             outcome.add(name, result)
             if status == "cached":
                 emit(name, model, batch_size, "cached")

@@ -64,6 +64,7 @@ class CPUGPURunner:
             self.gpu_device = GPUDevice(gpu=self.system.gpu)
         if self.pcie is None:
             self.pcie = PCIeLink(gpu=self.system.gpu)
+        self._mlp_profile = MLPAccessProfile(cpu=self.system.cpu)
 
     # ------------------------------------------------------------------
     @property
@@ -109,14 +110,13 @@ class CPUGPURunner:
         breakdown.add("MLP", dense.latency_s)
         breakdown.add("Other", other_s)
 
-        mlp_profile = MLPAccessProfile(cpu=self.system.cpu)
         return InferenceResult(
             design_point=self.design_point,
             model_name=model.name,
             batch_size=batch_size,
             breakdown=breakdown,
             embedding_traffic=embedding.traffic,
-            mlp_traffic=mlp_profile.compute(model, batch_size),
+            mlp_traffic=self._mlp_profile.compute(model, batch_size),
             power_watts=self.system.power.cpu_gpu_total_watts,
             extra={
                 "pcie_bytes": reduced_bytes + dense_bytes + result_bytes,

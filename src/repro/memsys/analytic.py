@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 from repro.config.models import DLRMConfig
 from repro.config.system import CPUConfig
@@ -38,6 +39,7 @@ def memory_level_parallelism_bandwidth(
     return outstanding_lines * line_bytes / average_latency_s
 
 
+@lru_cache(maxsize=4096)
 def expected_unique_fraction(population: int, draws: int) -> float:
     """Expected fraction of draws that touch a not-yet-seen item.
 
@@ -46,6 +48,7 @@ def expected_unique_fraction(population: int, draws: int) -> float:
     dividing by ``draws`` gives the fraction of draws that are "first
     touches".  Embedding gathers within one batch reuse a row only when the
     same row ID is drawn twice, so this factor scales the miss count.
+    Memoized (bounded): a model's identical tables repeat the same call.
     """
     if population <= 0:
         raise SimulationError(f"population must be positive, got {population}")
@@ -127,13 +130,18 @@ class EmbeddingAccessProfile:
     fixed_instructions: float = 2.0e6
     instructions_per_lookup: float = 300.0
 
+    @cached_property
+    def _llc(self) -> AnalyticCacheModel:
+        """The LLC miss model, built once per profile."""
+        return AnalyticCacheModel(
+            llc_bytes=self.cpu.llc_bytes, line_bytes=self.cpu.cache_line_bytes
+        )
+
     def compute(self, model: DLRMConfig, batch_size: int) -> MemoryTrafficStats:
         """Profile the embedding layer of ``model`` for one batch."""
         if batch_size <= 0:
             raise SimulationError(f"batch_size must be positive, got {batch_size}")
-        cache = AnalyticCacheModel(
-            llc_bytes=self.cpu.llc_bytes, line_bytes=self.cpu.cache_line_bytes
-        )
+        cache = self._llc
         lines_per_vector = cache_lines_for_vector(
             model.embedding_dim * 4, self.cpu.cache_line_bytes
         )

@@ -142,3 +142,62 @@ class TestDLRMConfig:
         n = num_tables + 1
         assert config.num_interaction_pairs == n * (n - 1) // 2
         assert config.total_gathers_per_sample == num_tables * gathers
+
+
+def _variants():
+    from repro.config import PAPER_MODELS
+
+    for model in PAPER_MODELS:
+        yield model
+        yield model.with_num_tables(7)
+        yield model.with_gathers_per_table(3)
+
+
+class TestCachedAggregates:
+    """The per-instance cached aggregates equal the plain recomputed sums."""
+
+    @pytest.mark.parametrize(
+        "model",
+        list(_variants()),
+        ids=lambda m: f"{m.name}-{m.num_tables}x{m.tables[0].gathers}",
+    )
+    def test_cached_values_equal_the_recomputed_sums(self, model):
+        tables = model.tables
+        expected = {
+            "total_gathers_per_sample": sum(t.gathers for t in tables),
+            "embedding_table_bytes": sum(t.num_rows * t.embedding_dim * 4 for t in tables),
+            "largest_table_bytes": max(t.num_rows * t.embedding_dim * 4 for t in tables),
+        }
+        for _ in range(2):  # the cold computation, then the memoized value
+            for name, value in expected.items():
+                assert getattr(model, name) == value, name
+        for table in tables:
+            assert table.row_bytes == table.embedding_dim * 4
+            assert table.table_bytes == table.num_rows * table.embedding_dim * 4
+        for mlp in (model.bottom_mlp, model.top_mlp):
+            dims = mlp.layer_dims
+            assert mlp.num_parameters == sum(
+                i * o + o for i, o in zip(dims[:-1], dims[1:])
+            )
+
+    def test_variants_do_not_inherit_the_originals_aggregates(self):
+        from repro.config import DLRM1
+
+        DLRM1.total_gathers_per_sample  # warm the original's memo
+        wider = DLRM1.with_num_tables(DLRM1.num_tables + 5)
+        assert wider.total_gathers_per_sample == DLRM1.total_gathers_per_sample + 5 * (
+            DLRM1.tables[0].gathers
+        )
+        heavier = DLRM1.with_gathers_per_table(DLRM1.tables[0].gathers + 1)
+        assert heavier.total_gathers_per_sample == (
+            DLRM1.total_gathers_per_sample + DLRM1.num_tables
+        )
+
+    def test_cached_aggregates_are_not_fields(self):
+        from dataclasses import asdict, fields
+
+        from repro.config import DLRM1
+
+        DLRM1.embedding_table_bytes
+        assert "embedding_table_bytes" not in {f.name for f in fields(DLRM1)}
+        assert "embedding_table_bytes" not in asdict(DLRM1)

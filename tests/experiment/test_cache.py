@@ -1,6 +1,13 @@
 """Tests for the memoizing ResultCache and its cache-effectiveness guarantee."""
 
+import dataclasses
+import json
+import pathlib
+import pickle
+
 import pytest
+
+import repro
 
 from repro.analysis import (
     ablation_link_bandwidth,
@@ -14,13 +21,16 @@ from repro.analysis import (
 )
 from repro.backends import get_backend
 from repro.config import DLRM1, DLRM2, HARPV2_SYSTEM
+from repro.errors import SimulationError
 from repro.experiment import (
     Experiment,
     ResultCache,
     default_cache,
+    model_fingerprint,
     override_default_cache,
     system_fingerprint,
 )
+from repro.experiment.cache import cost_model_stamp
 
 
 class CountingBackend:
@@ -110,6 +120,123 @@ class TestResultCache:
         assert result.latency_seconds == original.latency_seconds
         assert result.breakdown.stages == original.breakdown.stages
         assert result.extra == original.extra
+
+        # The file is stamped with the code that priced it ...
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        assert set(payload) == {"version", "cost_model", "entries"}
+        assert payload["version"] == repro.__version__
+        assert payload["cost_model"] == cost_model_stamp()
+
+        # ... so a file from another version is refused, naming both stamps.
+        tampered = tmp_path / "tampered.json"
+        tampered.write_text(
+            json.dumps({**payload, "version": "0.0.1"}), encoding="utf-8"
+        )
+        with pytest.raises(SimulationError, match="0.0.1") as refused:
+            ResultCache.load(tampered)
+        assert repro.__version__ in str(refused.value)
+
+        # An unstamped legacy list predates the stamp and is refused too.
+        legacy = tmp_path / "legacy.json"
+        legacy.write_text(json.dumps(payload["entries"]), encoding="utf-8")
+        with pytest.raises(SimulationError, match="legacy") as refused:
+            ResultCache.load(legacy)
+        assert payload["cost_model"] in str(refused.value)
+
+    @pytest.mark.parametrize(
+        "module, old, new",
+        [
+            # Constants the runners build internally, not dataclass fields.
+            ("core/link.py", "gather_efficiency: float = 0.68", "gather_efficiency: float = 0.69"),
+            ("core/mlp_unit.py", "per_cycle: float = 78.25", "per_cycle: float = 78.5"),
+            # A logic edit that leaves every constant alone.
+            ("memsys/analytic.py", "gather_accesses += lines", "gather_accesses += lines + 0"),
+        ],
+    )
+    def test_cost_model_stamp_tracks_pricing_source(self, tmp_path, module, old, new):
+        import shutil
+
+        from repro.experiment.cache import _source_digest
+
+        package = pathlib.Path(repro.__file__).parent
+        copy = tmp_path / "repro"
+        shutil.copytree(package, copy, ignore=shutil.ignore_patterns("__pycache__"))
+        assert _source_digest(copy) == cost_model_stamp()
+
+        # Code outside the pricing path does not invalidate saved results.
+        serving = copy / "serving" / "autoscale.py"
+        serving.write_text(serving.read_text(encoding="utf-8") + "# note\n", encoding="utf-8")
+        assert _source_digest(copy) == cost_model_stamp()
+
+        edited = copy / module
+        source = edited.read_text(encoding="utf-8")
+        assert old in source
+        edited.write_text(source.replace(old, new, 1), encoding="utf-8")
+        assert _source_digest(copy) != cost_model_stamp()
+
+
+class TestFingerprints:
+    def test_equal_instances_share_a_fingerprint(self):
+        copy_model = dataclasses.replace(DLRM1)
+        copy_system = dataclasses.replace(HARPV2_SYSTEM)
+        assert copy_model is not DLRM1 and copy_system is not HARPV2_SYSTEM
+        assert model_fingerprint(copy_model) == model_fingerprint(DLRM1)
+        assert system_fingerprint(copy_system) == system_fingerprint(HARPV2_SYSTEM)
+
+    def test_a_replaced_variant_gets_a_new_fingerprint(self):
+        assert model_fingerprint(DLRM1.with_gathers_per_table(7)) != model_fingerprint(
+            DLRM1
+        )
+        assert model_fingerprint(dataclasses.replace(DLRM1, name="x")) != (
+            model_fingerprint(DLRM1)
+        )
+        scaled = dataclasses.replace(
+            HARPV2_SYSTEM,
+            link=dataclasses.replace(HARPV2_SYSTEM.link, latency_s=1e-6),
+        )
+        assert system_fingerprint(scaled) != system_fingerprint(HARPV2_SYSTEM)
+
+    def test_a_pickle_round_trip_keeps_the_fingerprint(self):
+        for value, fingerprint in (
+            (DLRM2, model_fingerprint),
+            (HARPV2_SYSTEM, system_fingerprint),
+        ):
+            expected = fingerprint(value)
+            restored = pickle.loads(pickle.dumps(value))
+            assert restored == value
+            assert fingerprint(restored) == expected
+            # A cold copy (nothing memoized before pickling) agrees too.
+            cold = pickle.loads(pickle.dumps(dataclasses.replace(value)))
+            assert fingerprint(cold) == expected
+
+    def test_recycled_ids_never_return_a_stale_digest(self):
+        # Build and drop one-off configs: CPython reuses a freed object's id
+        # at once, so an id-keyed memo would hand the next config the last
+        # one's digest.
+        seen_ids = set()
+        recycled = 0
+        previous = None
+        for gathers in range(1, 201):
+            variant = DLRM1.with_gathers_per_table(gathers)
+            recycled += id(variant) in seen_ids
+            seen_ids.add(id(variant))
+            digest = model_fingerprint(variant)
+            assert digest != previous, f"gathers={gathers} got a stale digest"
+            previous = digest
+            del variant
+        assert recycled, "the loop must actually recycle ids to test anything"
+        digests = {
+            model_fingerprint(DLRM1.with_gathers_per_table(gathers))
+            for gathers in range(1, 201)
+        }
+        assert len(digests) == 200
+
+    def test_fingerprints_are_not_part_of_the_config_value(self):
+        model = dataclasses.replace(DLRM1)
+        before = (repr(model), dataclasses.asdict(model), hash(model))
+        model_fingerprint(model)
+        assert (repr(model), dataclasses.asdict(model), hash(model)) == before
+        assert model == DLRM1
 
 
 class TestDefaultCacheOverride:

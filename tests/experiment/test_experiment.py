@@ -191,3 +191,72 @@ class TestSweepCompatibility:
         # Lookups accept the registry name the sweep was built with, too.
         assert sweep.get("cpu", "DLRM(1)", 4) is sweep.get("CPU-only", "DLRM(1)", 4)
         assert sweep.get("centaur", "DLRM(1)", 4).design_point == "Centaur"
+
+
+class TestPerRunHoisting:
+    """The serial grid builds each backend once and keys each point once."""
+
+    @pytest.fixture
+    def spies(self, monkeypatch):
+        import collections
+        import dataclasses
+
+        from repro.backends import registry
+
+        builds = collections.Counter()
+        keys = []
+        for name in ("cpu", "cpu-gpu", "centaur"):
+            registration = registry.backend_registration(name)
+
+            def factory(system, _inner=registration.factory, _name=name):
+                builds[_name] += 1
+                return _inner(system)
+
+            monkeypatch.setitem(
+                registry._REGISTRY, name, dataclasses.replace(registration, factory=factory)
+            )
+        real_key = ResultCache.key
+
+        def key(*args):
+            keys.append(args)
+            return real_key(*args)
+
+        monkeypatch.setattr(ResultCache, "key", staticmethod(key))
+        return builds, keys
+
+    @pytest.mark.parametrize("progress", [False, True])
+    def test_one_build_per_backend_and_one_key_per_point(self, spies, progress):
+        builds, keys = spies
+        lines = []
+        experiment = (
+            Experiment(HARPV2_SYSTEM, cache=ResultCache())
+            .backends("cpu", "cpu-gpu", "centaur", "cpu")
+            .models(DLRM1, DLRM3)
+            .batch_sizes(1, 4, 64)
+        )
+        if progress:
+            experiment.progress(lines.append)
+        grid = experiment.run()
+        points = 3 * 2 * 3
+        assert len(grid) == points
+        assert builds == {"cpu": 1, "cpu-gpu": 1, "centaur": 1}
+        assert len(keys) == points
+        if progress:
+            assert len(lines) == points
+            assert all(line.endswith(" computed") for line in lines)
+
+    def test_cached_points_are_reported_with_one_key_each(self, spies):
+        builds, keys = spies
+        cache = ResultCache()
+        lines = []
+        Experiment(HARPV2_SYSTEM, cache=cache).backends("cpu").models(DLRM1).batch_sizes(
+            1, 4
+        ).run()
+        keys.clear()
+        Experiment(HARPV2_SYSTEM, cache=cache).backends("cpu").models(DLRM1).batch_sizes(
+            1, 4, 8
+        ).progress(lines.append).run()
+        assert len(keys) == 3
+        assert [line.rsplit(" ", 1)[1] for line in lines] == ["cached", "cached", "computed"]
+        assert cache.hits == 2 and cache.misses == 3
+        assert builds["cpu"] == 2  # once per run
