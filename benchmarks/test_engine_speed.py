@@ -174,6 +174,7 @@ def test_gate_still_fails_a_real_regression():
         _gate([faster_box])
 
 
+@pytest.mark.perf
 def test_engine_speed_trajectory(rss_probe):
     """Queue/pooling grid at 100k + the gated 1M trajectory point."""
     points = [_measure(*plan) for plan in DEFAULT_PLAN]
@@ -183,6 +184,7 @@ def test_engine_speed_trajectory(rss_probe):
     _gate(points)
 
 
+@pytest.mark.perf
 @pytest.mark.slow
 @pytest.mark.skipif(
     os.environ.get("REPRO_BENCH_5M") != "1",

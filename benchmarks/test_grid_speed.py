@@ -30,6 +30,8 @@ import os
 import pathlib
 import time
 
+import pytest
+
 from repro.config import DLRM2, PAPER_BATCH_SIZES, PAPER_MODELS, HARPV2_SYSTEM
 from repro.experiment import Experiment
 from repro.sharding import CacheConfig
@@ -253,6 +255,7 @@ def _gate_speedup(rows: list) -> None:
     # Single-CPU runners: nothing to assert — the pool cannot win.
 
 
+@pytest.mark.perf
 def test_grid_speed_trajectory():
     rows = []
     for grid in GRIDS:

@@ -22,10 +22,11 @@ from repro import (
     CentaurDevice,
     DLRM,
     Experiment,
-    UniformTraceGenerator,
+    UniformTrace,
 )
 from repro.config import DLRM1, HARPV2_SYSTEM
 from repro.config.models import homogeneous_dlrm
+from repro.workloads import model_batch
 from repro.utils import TextTable, seconds_to_human
 
 
@@ -44,8 +45,7 @@ def functional_demo() -> None:
     model = DLRM.from_config(config, seed=0)
     print(model.model_summary())
 
-    generator = UniformTraceGenerator(seed=1)
-    batch = generator.model_batch(config, batch_size=16)
+    batch = model_batch(UniformTrace(), np.random.default_rng(1), config, batch_size=16)
 
     software_probabilities = model.predict(batch)
     device = CentaurDevice(model, HARPV2_SYSTEM)

@@ -10,16 +10,18 @@ evaluation.
 
 Quickstart::
 
-    from repro import DLRM, UniformTraceGenerator, CentaurDevice
-    from repro import CPUOnlyRunner, CentaurRunner
+    import numpy as np
+
+    from repro import DLRM, CentaurDevice, UniformTrace, get_backend
     from repro.config import DLRM1, HARPV2_SYSTEM
+    from repro.workloads import model_batch
 
     model = DLRM.from_config(DLRM1, seed=0)
-    batch = UniformTraceGenerator(seed=1).model_batch(DLRM1, batch_size=16)
+    batch = model_batch(UniformTrace(), np.random.default_rng(1), DLRM1, batch_size=16)
     probabilities = CentaurDevice(model, HARPV2_SYSTEM).predict(batch)
 
-    cpu = CPUOnlyRunner(HARPV2_SYSTEM).run(DLRM1, 16)
-    fpga = CentaurRunner(HARPV2_SYSTEM).run(DLRM1, 16)
+    cpu = get_backend("cpu", HARPV2_SYSTEM).run(DLRM1, 16)
+    fpga = get_backend("centaur", HARPV2_SYSTEM).run(DLRM1, 16)
     print(f"speedup: {fpga.speedup_over(cpu):.2f}x")
 
 Backends are addressed by registry name, and experiment grids replace
@@ -76,8 +78,6 @@ from repro.dlrm import (
     DLRMOutput,
     DLRMBatch,
     SparseTrace,
-    UniformTraceGenerator,
-    ZipfianTraceGenerator,
     EmbeddingBagCollection,
     DenseEmbeddingTable,
     VirtualEmbeddingTable,
@@ -117,7 +117,6 @@ from repro.serving import (
     HeterogeneousCluster,
     JoinShortestQueueDispatcher,
     LeastLoadedDispatcher,
-    PoissonRequestGenerator,
     PowerOfTwoChoicesDispatcher,
     ReplicaSpec,
     RoundRobinDispatcher,
@@ -142,7 +141,7 @@ from repro.workloads import (
     ZipfianTrace,
     poisson_workload,
 )
-from repro.analysis import DesignPointSweep, headline_summary
+from repro.analysis import headline_summary
 
 __all__ = [
     "__version__",
@@ -182,8 +181,6 @@ __all__ = [
     "DLRMOutput",
     "DLRMBatch",
     "SparseTrace",
-    "UniformTraceGenerator",
-    "ZipfianTraceGenerator",
     "EmbeddingBagCollection",
     "DenseEmbeddingTable",
     "VirtualEmbeddingTable",
@@ -212,7 +209,6 @@ __all__ = [
     "CloseOnFullBatching",
     "AdaptiveWindowBatching",
     "SizeBucketedBatching",
-    "PoissonRequestGenerator",
     "ServingSimulator",
     "ClusterSimulator",
     "ClusterReport",
@@ -237,6 +233,5 @@ __all__ = [
     "TrafficMix",
     "Workload",
     "poisson_workload",
-    "DesignPointSweep",
     "headline_summary",
 ]

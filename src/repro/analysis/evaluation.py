@@ -9,9 +9,8 @@ from repro.config.models import DLRMConfig
 from repro.config.presets import PAPER_BATCH_SIZES, PAPER_MODELS
 from repro.config.system import SystemConfig
 from repro.analysis.characterization import single_table_model
-from repro.analysis.sweep import SweepResult
 from repro.errors import SimulationError
-from repro.experiment.experiment import Experiment, VariantSweep
+from repro.experiment.experiment import Experiment, ExperimentResult, VariantSweep
 from repro.results import InferenceResult
 from repro.utils.stats_utils import geometric_mean
 
@@ -144,13 +143,12 @@ def figure14_centaur_breakdown(
     system: SystemConfig,
     models: Optional[Sequence[DLRMConfig]] = None,
     batch_sizes: Optional[Iterable[int]] = None,
-    sweep: Optional[SweepResult] = None,
+    sweep: Optional[ExperimentResult] = None,
 ) -> List[Figure14Row]:
     """Reproduce Figure 14: Centaur's latency breakdown and end-to-end speedup.
 
-    ``sweep`` may be a legacy :class:`SweepResult` or an
-    :class:`~repro.experiment.ExperimentResult`; both answer
-    ``get(design_point, model_name, batch_size)``.
+    ``sweep`` is a precomputed grid covering ``cpu`` and ``centaur``; it is
+    run here when omitted.
     """
     models = tuple(models) if models is not None else PAPER_MODELS
     batch_sizes = tuple(batch_sizes) if batch_sizes is not None else PAPER_BATCH_SIZES
@@ -213,12 +211,12 @@ def figure15_comparison(
     system: SystemConfig,
     models: Optional[Sequence[DLRMConfig]] = None,
     batch_sizes: Optional[Iterable[int]] = None,
-    sweep: Optional[SweepResult] = None,
+    sweep: Optional[ExperimentResult] = None,
 ) -> List[Figure15Row]:
     """Reproduce Figure 15: performance and energy-efficiency vs CPU-GPU.
 
-    ``sweep`` may be a legacy :class:`SweepResult` or an
-    :class:`~repro.experiment.ExperimentResult`.
+    ``sweep`` is a precomputed grid covering all three design points; it is
+    run here when omitted.
     """
     models = tuple(models) if models is not None else PAPER_MODELS
     batch_sizes = tuple(batch_sizes) if batch_sizes is not None else PAPER_BATCH_SIZES

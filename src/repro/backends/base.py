@@ -66,8 +66,8 @@ class BackendCapabilities:
             traffic at that calibration is an upper bound on latency — the
             trace model itself shapes functional batches and cache studies
             (:meth:`repro.workloads.Workload.batch`,
-            :class:`repro.workloads.ModelTraceGenerator`), not the serving
-            latency estimate.  A backend whose model would be *wrong* (not
+            :func:`repro.workloads.model_batch`), not the serving latency
+            estimate.  A backend whose model would be *wrong* (not
             merely conservative) under skew should clear this so skewed
             workloads fail loudly instead of silently mispricing.
     """

@@ -162,9 +162,9 @@ def backend_registration(name: str) -> BackendRegistration:
 def get_backend(name: str, system: SystemConfig) -> Backend:
     """Build a backend instance for one hardware platform.
 
-    This is the canonical way to obtain a runner; the concrete constructors
-    (``CPUOnlyRunner(system)`` and friends) are kept as deprecated shims for
-    existing code.
+    This is the name-based way to obtain a runner; the registry factories
+    build the concrete runner classes (``CPUOnlyRunner(system)`` and
+    friends), which can also be constructed directly.
     """
     return backend_registration(name).factory(system)
 

@@ -168,9 +168,9 @@ CENTAUR_CAPABILITIES = BackendCapabilities(
 class CentaurRunner:
     """Performance model of Centaur producing :class:`InferenceResult`.
 
-    Deprecated as a direct entry point: prefer
-    ``repro.backends.get_backend("centaur", system)``, which resolves this
-    class through the backend registry.
+    The backend registry builds this class for ``"centaur"``;
+    ``repro.backends.get_backend("centaur", system)`` is the name-based way
+    to obtain one.
 
     Attributes:
         system: Hardware configuration bundle.

@@ -30,9 +30,9 @@ CPU_CAPABILITIES = BackendCapabilities(
 class CPUOnlyRunner:
     """Produces :class:`~repro.results.InferenceResult` for the CPU-only system.
 
-    Deprecated as a direct entry point: prefer
-    ``repro.backends.get_backend("cpu", system)``, which resolves this class
-    through the backend registry.
+    The backend registry builds this class for ``"cpu"``;
+    ``repro.backends.get_backend("cpu", system)`` is the name-based way to
+    obtain one.
 
     Attributes:
         system: Hardware configuration bundle (only the CPU, memory and power

@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.config.models import DLRMConfig
 from repro.config.system import CPUConfig
-from repro.workloads.traces import DLRMBatch, TraceGenerator, UniformTraceGenerator
+from repro.workloads.traces import DLRMBatch, TraceModel, UniformTrace, model_batch
 from repro.errors import SimulationError
 from repro.memsys.address import cache_lines_for_vector
 from repro.memsys.analytic import AnalyticCacheModel, expected_unique_fraction
@@ -102,7 +102,7 @@ class TraceDrivenEmbeddingSimulator:
         self,
         model: DLRMConfig,
         batch_size: int,
-        generator: Optional[TraceGenerator] = None,
+        trace: TraceModel = UniformTrace(),
         warmup_batches: int = 1,
         warm_tables: bool = True,
         max_warm_lines: int = 2_000_000,
@@ -114,7 +114,8 @@ class TraceDrivenEmbeddingSimulator:
                 table footprint under a few hundred MB so the replay stays
                 fast.
             batch_size: Inference batch size.
-            generator: Sparse-index generator (uniform by default).
+            trace: Sparse-index distribution (uniform by default); warm-up
+                and measured batches draw from one ``default_rng(0)`` stream.
             warmup_batches: Batches replayed before measurement to warm the
                 private levels, mirroring the paper's warmed-cache methodology.
             warm_tables: Pre-populate the LLC with one sweep over the table
@@ -129,7 +130,7 @@ class TraceDrivenEmbeddingSimulator:
             raise SimulationError(f"warmup_batches must be non-negative, got {warmup_batches}")
         if max_warm_lines < 0:
             raise SimulationError(f"max_warm_lines must be non-negative, got {max_warm_lines}")
-        generator = generator if generator is not None else UniformTraceGenerator(seed=0)
+        rng = np.random.default_rng(0)
         hierarchy = self._build_hierarchy()
 
         if warm_tables:
@@ -143,11 +144,11 @@ class TraceDrivenEmbeddingSimulator:
             hierarchy.llc.warm(range(total_lines - warm_count, total_lines))
 
         for _ in range(warmup_batches):
-            warm_batch = generator.model_batch(model, batch_size)
+            warm_batch = model_batch(trace, rng, model, batch_size)
             for line in self._gather_lines(model, warm_batch):
                 hierarchy.access(int(line))
 
-        measured_batch = generator.model_batch(model, batch_size)
+        measured_batch = model_batch(trace, rng, model, batch_size)
         lines = self._gather_lines(model, measured_batch)
         before = hierarchy.llc.stats
         start = CacheStats(accesses=before.accesses, hits=before.hits, misses=before.misses)

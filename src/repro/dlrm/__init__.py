@@ -7,7 +7,8 @@ the paper), bottom/top MLPs, the dot-product feature-interaction stage
 
 The performance models in :mod:`repro.cpu`, :mod:`repro.gpu` and
 :mod:`repro.core` consume the *shapes* of these computations (via
-:class:`~repro.config.models.DLRMConfig` and the trace generators here),
+:class:`~repro.config.models.DLRMConfig` and the trace models in
+:mod:`repro.workloads`),
 while tests and examples exercise the numerics end to end.
 """
 
@@ -20,13 +21,7 @@ from repro.dlrm.embedding import (
 from repro.dlrm.mlp import LinearLayer, MLP, relu, sigmoid
 from repro.dlrm.interaction import dot_feature_interaction
 from repro.dlrm.model import DLRM, DLRMOutput
-from repro.workloads.traces import (
-    DLRMBatch,
-    SparseTrace,
-    TraceGenerator,
-    UniformTraceGenerator,
-    ZipfianTraceGenerator,
-)
+from repro.workloads.traces import DLRMBatch, SparseTrace
 
 __all__ = [
     "DenseEmbeddingTable",
@@ -42,7 +37,4 @@ __all__ = [
     "DLRMOutput",
     "DLRMBatch",
     "SparseTrace",
-    "TraceGenerator",
-    "UniformTraceGenerator",
-    "ZipfianTraceGenerator",
 ]

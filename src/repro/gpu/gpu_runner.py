@@ -38,9 +38,9 @@ CPU_GPU_CAPABILITIES = BackendCapabilities(
 class CPUGPURunner:
     """Produces :class:`~repro.results.InferenceResult` for the CPU-GPU system.
 
-    Deprecated as a direct entry point: prefer
-    ``repro.backends.get_backend("cpu-gpu", system)``, which resolves this
-    class through the backend registry.
+    The backend registry builds this class for ``"cpu-gpu"``;
+    ``repro.backends.get_backend("cpu-gpu", system)`` is the name-based way
+    to obtain one.
     """
 
     system: SystemConfig

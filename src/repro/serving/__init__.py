@@ -11,7 +11,7 @@ CPU-only, CPU-GPU and Centaur replicas — reporting the throughput /
 tail-latency trade-off under identical load.
 """
 
-from repro.workloads.arrivals import InferenceRequest, PoissonRequestGenerator
+from repro.workloads.arrivals import InferenceRequest
 from repro.serving.batching import (
     AdaptiveWindowBatching,
     BatchingPolicy,
@@ -57,7 +57,6 @@ from repro.serving.sharded import (
 
 __all__ = [
     "InferenceRequest",
-    "PoissonRequestGenerator",
     "BatchingPolicy",
     "BatchSignal",
     "FixedSizeBatching",

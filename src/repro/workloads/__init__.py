@@ -13,9 +13,6 @@ first-class, composable object:
   blends served by one cluster).
 * :class:`Workload` — the three composed, with explicit seed-splitting; the
   unit that serving simulators, experiment grids and the CLI consume.
-
-The legacy entry points (``repro.dlrm.trace``, ``repro.serving.requests``)
-remain as deprecated shims re-exporting from here.
 """
 
 from repro.workloads.arrivals import (
@@ -26,23 +23,18 @@ from repro.workloads.arrivals import (
     InferenceRequest,
     OnOffArrivals,
     PoissonArrivals,
-    PoissonRequestGenerator,
     ReplayArrivals,
     as_arrival_process,
     merge_streams,
 )
 from repro.workloads.traces import (
     DLRMBatch,
-    ModelTraceGenerator,
     PerTableTrace,
     SparseTrace,
-    TraceGenerator,
     TraceModel,
     UniformTrace,
-    UniformTraceGenerator,
     WorkingSetTrace,
     ZipfianTrace,
-    ZipfianTraceGenerator,
     concatenate_traces,
     model_batch,
     table_trace,
@@ -84,7 +76,6 @@ __all__ = [
     "DiurnalArrivals",
     "ReplayArrivals",
     "InferenceRequest",
-    "PoissonRequestGenerator",
     "as_arrival_process",
     "merge_streams",
     "TraceModel",
@@ -92,10 +83,6 @@ __all__ = [
     "ZipfianTrace",
     "WorkingSetTrace",
     "PerTableTrace",
-    "TraceGenerator",
-    "UniformTraceGenerator",
-    "ZipfianTraceGenerator",
-    "ModelTraceGenerator",
     "SparseTrace",
     "DLRMBatch",
     "concatenate_traces",

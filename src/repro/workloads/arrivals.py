@@ -22,10 +22,9 @@ Provided processes:
 * :class:`ReplayArrivals` — replay an explicit array of arrival timestamps
   (production traces, hand-built worst cases).
 
-:class:`PoissonRequestGenerator` is the legacy eager API, kept working (and
-re-exported through the deprecated :mod:`repro.serving.requests` shim); new
-code should compose an :class:`ArrivalProcess` into a
-:class:`repro.workloads.Workload`.
+Serving code composes an :class:`ArrivalProcess` into a
+:class:`repro.workloads.Workload`; :meth:`ArrivalProcess.generate` returns
+an eager list where one is wanted.
 """
 
 from __future__ import annotations
@@ -374,52 +373,6 @@ class ReplayArrivals(ArrivalProcess):
 
     def describe(self) -> str:
         return f"replay of {len(self.arrival_times_s)} recorded arrivals"
-
-
-class PoissonRequestGenerator:
-    """Legacy eager Poisson generator (prefer :class:`PoissonArrivals`).
-
-    Every :meth:`generate` call restarts from the stored seed, so two calls
-    with the same arguments return identical arrivals — "same seed" always
-    means "same stream", whether or not the instance is fresh.
-
-    Args:
-        rate_qps: Average arrival rate in queries (samples) per second.
-        seed: RNG seed; arrivals are fully deterministic given the seed.
-    """
-
-    def __init__(self, rate_qps: float, seed: int = 0):
-        _check_rate(rate_qps)
-        self.rate_qps = rate_qps
-        self._seed = seed
-        self._process = PoissonArrivals(rate_qps=rate_qps)
-
-    @property
-    def seed(self) -> int:
-        return self._seed
-
-    def generate(
-        self,
-        duration_s: Optional[float] = None,
-        num_requests: Optional[int] = None,
-    ) -> List[InferenceRequest]:
-        """Generate arrivals for a time window or a fixed request count.
-
-        Exactly one of ``duration_s`` / ``num_requests`` must be provided.
-        """
-        return self._process.generate(
-            duration_s=duration_s, num_requests=num_requests, seed=self._seed
-        )
-
-    def stream(
-        self,
-        duration_s: Optional[float] = None,
-        num_requests: Optional[int] = None,
-    ) -> Iterator[InferenceRequest]:
-        """Lazy counterpart of :meth:`generate` (same stream, no list)."""
-        return self._process.arrivals(
-            duration_s=duration_s, num_requests=num_requests, seed=self._seed
-        )
 
 
 def as_arrival_process(spec: Union[ArrivalProcess, float, int]) -> ArrivalProcess:

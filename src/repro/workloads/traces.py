@@ -5,23 +5,18 @@ from each embedding table, expressed exactly like Caffe2's
 ``SparseLengthsSum`` operator in the paper's Fig. 2: a flat index array plus
 a per-sample offset array.
 
-Two layers live here:
-
-* The **legacy generators** (:class:`TraceGenerator`,
-  :class:`UniformTraceGenerator`, :class:`ZipfianTraceGenerator`) — stateful
-  objects moved unchanged from ``repro.dlrm.trace``; the shim there still
-  re-exports them.
-* The **trace models** (:class:`TraceModel` and friends) — stateless
-  index-distribution descriptions used by :class:`repro.workloads.Workload`.
-  A model only knows how to draw row IDs given an RNG, which is what lets a
-  workload split seeds explicitly and lets per-table overrides compose
-  (:class:`PerTableTrace`).
+The **trace models** (:class:`TraceModel` and friends) are stateless
+index-distribution descriptions used by :class:`repro.workloads.Workload`.
+A model only knows how to draw row IDs given an RNG, which is what lets a
+workload split seeds explicitly and lets per-table overrides compose
+(:class:`PerTableTrace`).  :func:`model_batch` draws a whole
+:class:`DLRMBatch` from one model and one RNG.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -361,151 +356,6 @@ def model_batch(
         for index, table in enumerate(model.tables)
     )
     return DLRMBatch(dense_features=dense, sparse_traces=traces)
-
-
-# ----------------------------------------------------------------------
-# Legacy stateful generators (moved verbatim from repro.dlrm.trace).
-# ----------------------------------------------------------------------
-class TraceGenerator:
-    """Base class for sparse-index trace generators.
-
-    Subclasses implement :meth:`_draw_indices`, producing row IDs for a given
-    number of lookups over a table; the base class handles offsets, batching
-    and whole-model batch generation.
-    """
-
-    def __init__(self, seed: int = 0):
-        self._seed = seed
-        self._rng = np.random.default_rng(seed)
-
-    @property
-    def seed(self) -> int:
-        return self._seed
-
-    def reseed(self, seed: int) -> None:
-        """Reset the generator to a fresh deterministic state."""
-        self._seed = seed
-        self._rng = np.random.default_rng(seed)
-
-    # ------------------------------------------------------------------
-    def _draw_indices(self, num_rows: int, count: int) -> np.ndarray:
-        raise NotImplementedError
-
-    # ------------------------------------------------------------------
-    def table_trace(
-        self,
-        table: EmbeddingTableConfig,
-        batch_size: int,
-        lookups_per_sample: Optional[int] = None,
-    ) -> SparseTrace:
-        """Generate a trace for one table over a batch.
-
-        Args:
-            table: The table configuration (row count, default lookup count).
-            batch_size: Number of samples in the batch.
-            lookups_per_sample: Override of the per-sample lookup count; the
-                table's configured ``gathers`` value is used when omitted.
-        """
-        if batch_size <= 0:
-            raise TraceError(f"batch_size must be positive, got {batch_size}")
-        lookups = table.gathers if lookups_per_sample is None else lookups_per_sample
-        if lookups < 0:
-            raise TraceError(f"lookups_per_sample must be non-negative, got {lookups}")
-        total = batch_size * lookups
-        indices = self._draw_indices(table.num_rows, total).astype(np.int64)
-        if lookups == 0:
-            offsets = np.zeros(batch_size + 1, dtype=np.int64)
-        else:
-            offsets = np.arange(0, total + 1, lookups, dtype=np.int64)
-        return SparseTrace(indices=indices, offsets=offsets, num_rows=table.num_rows)
-
-    def model_batch(self, model: DLRMConfig, batch_size: int) -> DLRMBatch:
-        """Generate dense features and per-table traces for a whole model."""
-        dense = self._rng.standard_normal(
-            (batch_size, model.num_dense_features)
-        ).astype(np.float32)
-        traces = tuple(
-            self.table_trace(table, batch_size) for table in model.tables
-        )
-        return DLRMBatch(dense_features=dense, sparse_traces=traces)
-
-    def batches(
-        self, model: DLRMConfig, batch_size: int, count: int
-    ) -> Iterable[DLRMBatch]:
-        """Yield ``count`` independent batches."""
-        for _ in range(count):
-            yield self.model_batch(model, batch_size)
-
-
-class UniformTraceGenerator(TraceGenerator):
-    """Indices drawn uniformly at random — the paper's low-locality regime."""
-
-    def _draw_indices(self, num_rows: int, count: int) -> np.ndarray:
-        return self._rng.integers(0, num_rows, size=count, dtype=np.int64)
-
-
-class ZipfianTraceGenerator(TraceGenerator):
-    """Indices drawn from a (truncated) Zipf distribution over table rows.
-
-    Args:
-        alpha: Skew parameter; ``alpha -> 0`` approaches uniform and larger
-            values concentrate traffic on a few hot rows.
-        seed: RNG seed.
-    """
-
-    def __init__(self, alpha: float = 1.05, seed: int = 0):
-        if alpha <= 0:
-            raise TraceError(f"alpha must be positive, got {alpha}")
-        super().__init__(seed=seed)
-        self.alpha = alpha
-        self._cdf_cache: dict = {}
-
-    def _cdf(self, num_rows: int) -> np.ndarray:
-        cached = self._cdf_cache.get(num_rows)
-        if cached is not None:
-            return cached
-        ranks = np.arange(1, num_rows + 1, dtype=np.float64)
-        weights = ranks ** (-self.alpha)
-        cdf = np.cumsum(weights)
-        cdf /= cdf[-1]
-        self._cdf_cache[num_rows] = cdf
-        return cdf
-
-    def _draw_indices(self, num_rows: int, count: int) -> np.ndarray:
-        cdf = self._cdf(num_rows)
-        uniform = self._rng.random(count)
-        # Hot rows get low ranks; scatter them over the table with a fixed
-        # permutation derived from the seed so that "popular" rows are not
-        # physically adjacent (which would overstate spatial locality).
-        ranks = np.searchsorted(cdf, uniform, side="left")
-        permutation = np.random.default_rng(self._seed ^ 0x5EED).permutation(num_rows)
-        return permutation[np.clip(ranks, 0, num_rows - 1)]
-
-
-class ModelTraceGenerator(TraceGenerator):
-    """Adapter: drive the legacy generator interface from a trace model.
-
-    Lets code written against :class:`TraceGenerator` (e.g.
-    ``repro.cpu.trace_exec``) consume any :class:`TraceModel`, including
-    hot/cold and per-table mixes the legacy classes cannot express.
-    """
-
-    def __init__(self, trace_model: TraceModel, seed: int = 0):
-        super().__init__(seed=seed)
-        self.trace_model = trace_model
-
-    def _draw_indices(self, num_rows: int, count: int) -> np.ndarray:
-        return self.trace_model.draw(self._rng, num_rows, count)
-
-    def model_batch(self, model: DLRMConfig, batch_size: int) -> DLRMBatch:
-        dense = self._rng.standard_normal(
-            (batch_size, model.num_dense_features)
-        ).astype(np.float32)
-        traces = tuple(
-            table_trace(self.trace_model, self._rng, table, batch_size, table_index=index)
-            for index, table in enumerate(model.tables)
-        )
-        return DLRMBatch(dense_features=dense, sparse_traces=traces)
 
 
 def concatenate_traces(traces: Sequence[SparseTrace]) -> SparseTrace:

@@ -13,7 +13,8 @@ import pytest
 
 from repro.config import HARPV2_SYSTEM, SystemConfig
 from repro.config.models import DLRMConfig, homogeneous_dlrm
-from repro.dlrm import DLRM, DLRMBatch, UniformTraceGenerator
+from repro.dlrm import DLRM, DLRMBatch
+from repro.workloads import UniformTrace, model_batch
 
 
 @pytest.fixture(scope="session")
@@ -54,8 +55,9 @@ def rng() -> np.random.Generator:
 
 
 @pytest.fixture()
-def trace_generator() -> UniformTraceGenerator:
-    return UniformTraceGenerator(seed=42)
+def trace_rng() -> np.random.Generator:
+    """One uniform-trace RNG stream per test; successive batches continue it."""
+    return np.random.default_rng(42)
 
 
 @pytest.fixture()
@@ -64,5 +66,5 @@ def tiny_model(tiny_config) -> DLRM:
 
 
 @pytest.fixture()
-def tiny_batch(tiny_config, trace_generator) -> DLRMBatch:
-    return trace_generator.model_batch(tiny_config, batch_size=6)
+def tiny_batch(tiny_config, trace_rng) -> DLRMBatch:
+    return model_batch(UniformTrace(), trace_rng, tiny_config, batch_size=6)

@@ -6,8 +6,9 @@ import pytest
 from repro.config import HARPV2_SYSTEM
 from repro.config.models import homogeneous_dlrm
 from repro.core import CentaurDevice
-from repro.dlrm import DLRM, UniformTraceGenerator
+from repro.dlrm import DLRM
 from repro.errors import SimulationError
+from repro.workloads import UniformTrace, model_batch
 
 
 @pytest.fixture(scope="module")
@@ -46,9 +47,9 @@ class TestDeviceSetup:
 
 
 class TestFunctionalEquivalence:
-    def test_probabilities_match_software_model(self, device_and_model, trace_generator):
+    def test_probabilities_match_software_model(self, device_and_model, trace_rng):
         device, model, config = device_and_model
-        batch = trace_generator.model_batch(config, 8)
+        batch = model_batch(UniformTrace(), trace_rng, config, 8)
         hardware = device.infer(batch)
         software = model.forward(batch)
         np.testing.assert_allclose(
@@ -59,42 +60,42 @@ class TestFunctionalEquivalence:
             hardware.reduced_embeddings, software.reduced_embeddings, rtol=1e-4, atol=1e-5
         )
 
-    def test_predict_writes_result_back_to_host_memory(self, device_and_model, trace_generator):
+    def test_predict_writes_result_back_to_host_memory(self, device_and_model, trace_rng):
         device, _, config = device_and_model
-        batch = trace_generator.model_batch(config, 4)
+        batch = model_batch(UniformTrace(), trace_rng, config, 4)
         probabilities = device.predict(batch)
         output_region = device.host_memory.region("output")
         np.testing.assert_allclose(
             output_region.backing[: batch.batch_size], probabilities, rtol=1e-6
         )
 
-    def test_repeated_inference_is_deterministic(self, device_and_model, trace_generator):
+    def test_repeated_inference_is_deterministic(self, device_and_model, trace_rng):
         device, _, config = device_and_model
-        batch = trace_generator.model_batch(config, 4)
+        batch = model_batch(UniformTrace(), trace_rng, config, 4)
         first = device.predict(batch)
         second = device.predict(batch)
         np.testing.assert_array_equal(first, second)
 
-    def test_piecewise_sigmoid_mode_is_close(self, trace_generator):
+    def test_piecewise_sigmoid_mode_is_close(self, trace_rng):
         config = homogeneous_dlrm(
             name="pwl", num_tables=2, rows_per_table=500, gathers_per_table=3,
             bottom_hidden=(16,), top_hidden=(16,),
         )
         model = DLRM.from_config(config, seed=5)
         device = CentaurDevice(model, HARPV2_SYSTEM, sigmoid_mode="piecewise")
-        batch = trace_generator.model_batch(config, 6)
+        batch = model_batch(UniformTrace(), trace_rng, config, 6)
         hardware = device.predict(batch)
         software = model.predict(batch)
         assert np.max(np.abs(hardware - software)) < 0.02
 
 
 class TestInputValidation:
-    def test_wrong_table_count_rejected(self, device_and_model, trace_generator):
+    def test_wrong_table_count_rejected(self, device_and_model, trace_rng):
         device, _, config = device_and_model
         other = homogeneous_dlrm(
             name="other", num_tables=2, rows_per_table=2_000, gathers_per_table=6
         )
-        batch = trace_generator.model_batch(other, 2)
+        batch = model_batch(UniformTrace(), trace_rng, other, 2)
         with pytest.raises(SimulationError):
             device.infer(batch)
 
@@ -112,7 +113,7 @@ class TestInputValidation:
         model = DLRM.from_config(config, seed=3)
         device = CentaurDevice(model, HARPV2_SYSTEM)
         setup_before = device.setup_latency_s
-        batch = UniformTraceGenerator(seed=0).model_batch(config, 8192)
+        batch = model_batch(UniformTrace(), np.random.default_rng(0), config, 8192)
 
         output = device.infer(batch)
 
@@ -136,9 +137,9 @@ class TestInputValidation:
             top_hidden=(8,),
         )
         device = CentaurDevice(DLRM.from_config(config, seed=3), HARPV2_SYSTEM)
-        generator = UniformTraceGenerator(seed=1)
-        device.infer(generator.model_batch(config, 5000))
+        rng = np.random.default_rng(1)
+        device.infer(model_batch(UniformTrace(), rng, config, 5000))
         capacity = device.output_capacity
-        device.infer(generator.model_batch(config, 5000))
+        device.infer(model_batch(UniformTrace(), rng, config, 5000))
         assert device.output_capacity == capacity
         assert device.output_regrows == 1

@@ -6,8 +6,9 @@ import pytest
 from repro.config import DLRM1, DLRM6
 from repro.config.system import FPGAConfig
 from repro.core.dense_complex import DenseAcceleratorComplex
-from repro.dlrm import DLRM, UniformTraceGenerator
+from repro.dlrm import DLRM
 from repro.errors import CapacityError, SimulationError
+from repro.workloads import UniformTrace, model_batch
 
 
 @pytest.fixture()
@@ -47,9 +48,9 @@ class TestWeightManagement:
 
 
 class TestFunctionalForward:
-    def test_matches_software_dense_path(self, complex_, trace_generator, tiny_config):
+    def test_matches_software_dense_path(self, complex_, trace_rng, tiny_config):
         dense, model = complex_
-        batch = trace_generator.model_batch(tiny_config, 5)
+        batch = model_batch(UniformTrace(), trace_rng, tiny_config, 5)
         software = model.forward(batch)
         probabilities, logits = dense.forward(
             batch.dense_features, software.reduced_embeddings
@@ -57,9 +58,9 @@ class TestFunctionalForward:
         np.testing.assert_allclose(logits, software.logits, rtol=1e-4, atol=1e-4)
         np.testing.assert_allclose(probabilities, software.probabilities, rtol=1e-4, atol=1e-4)
 
-    def test_transient_inputs_are_discarded(self, complex_, trace_generator, tiny_config):
+    def test_transient_inputs_are_discarded(self, complex_, trace_rng, tiny_config):
         dense, model = complex_
-        batch = trace_generator.model_batch(tiny_config, 3)
+        batch = model_batch(UniformTrace(), trace_rng, tiny_config, 3)
         reduced = model.embeddings.forward(batch.sparse_traces)
         dense.forward(batch.dense_features, reduced)
         assert "dense_features" not in dense.dense_feature_sram

@@ -9,9 +9,10 @@ from repro.config.system import FPGAConfig, LinkConfig
 from repro.core.eb_streamer import EBStreamer
 from repro.core.mmio import HostMemory
 from repro.core.registers import BasePointerRegisters
-from repro.dlrm import DLRM, UniformTraceGenerator
+from repro.dlrm import DLRM
 from repro.dlrm.embedding import sparse_lengths_sum
 from repro.errors import CapacityError, SimulationError
+from repro.workloads import UniformTrace, model_batch
 
 
 def build_functional_streamer(config, seed=0):
@@ -36,43 +37,43 @@ def build_functional_streamer(config, seed=0):
 
 
 class TestFunctionalGatherReduce:
-    def test_matches_sparse_lengths_sum(self, tiny_config, trace_generator):
+    def test_matches_sparse_lengths_sum(self, tiny_config, trace_rng):
         streamer, model, names = build_functional_streamer(tiny_config)
-        batch = trace_generator.model_batch(tiny_config, 6)
+        batch = model_batch(UniformTrace(), trace_rng, tiny_config, 6)
         hardware = streamer.gather_and_reduce(names, batch.sparse_traces)
         software = model.embeddings.forward(batch.sparse_traces)
         np.testing.assert_allclose(hardware, software, rtol=1e-5, atol=1e-5)
 
-    def test_translation_goes_through_iommu(self, tiny_config, trace_generator):
+    def test_translation_goes_through_iommu(self, tiny_config, trace_rng):
         streamer, _, names = build_functional_streamer(tiny_config)
-        batch = trace_generator.model_batch(tiny_config, 2)
+        batch = model_batch(UniformTrace(), trace_rng, tiny_config, 2)
         streamer.gather_and_reduce(names, batch.sparse_traces)
         assert streamer.iommu.hits + streamer.iommu.misses == batch.total_lookups
 
-    def test_requires_host_memory(self, tiny_config, trace_generator):
+    def test_requires_host_memory(self, tiny_config, trace_rng):
         streamer = EBStreamer(fpga=FPGAConfig(), link_config=LinkConfig())
-        batch = trace_generator.model_batch(tiny_config, 2)
+        batch = model_batch(UniformTrace(), trace_rng, tiny_config, 2)
         with pytest.raises(SimulationError):
             streamer.gather_and_reduce(["t0"] * tiny_config.num_tables, batch.sparse_traces)
 
-    def test_mismatched_names_and_traces(self, tiny_config, trace_generator):
+    def test_mismatched_names_and_traces(self, tiny_config, trace_rng):
         streamer, _, names = build_functional_streamer(tiny_config)
-        batch = trace_generator.model_batch(tiny_config, 2)
+        batch = model_batch(UniformTrace(), trace_rng, tiny_config, 2)
         with pytest.raises(SimulationError):
             streamer.gather_and_reduce(names[:-1], batch.sparse_traces)
 
-    def test_index_sram_capacity_enforced(self, trace_generator):
+    def test_index_sram_capacity_enforced(self, trace_rng):
         config = homogeneous_dlrm("big-batch", num_tables=1, rows_per_table=100, gathers_per_table=10)
         streamer, _, names = build_functional_streamer(config)
         # Shrink the index SRAM to force a capacity error.
         streamer.index_sram.capacity_bytes = 16
-        batch = trace_generator.model_batch(config, 2)
+        batch = model_batch(UniformTrace(), trace_rng, config, 2)
         with pytest.raises(CapacityError):
             streamer.gather_and_reduce(names, batch.sparse_traces)
 
-    def test_index_sram_is_transient(self, tiny_config, trace_generator):
+    def test_index_sram_is_transient(self, tiny_config, trace_rng):
         streamer, _, names = build_functional_streamer(tiny_config)
-        batch = trace_generator.model_batch(tiny_config, 2)
+        batch = model_batch(UniformTrace(), trace_rng, tiny_config, 2)
         streamer.gather_and_reduce(names, batch.sparse_traces)
         assert streamer.index_sram.used_bytes == 0
 

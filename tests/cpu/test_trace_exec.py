@@ -5,8 +5,9 @@ import pytest
 from repro.config.models import homogeneous_dlrm
 from repro.config.system import CPUConfig
 from repro.cpu.trace_exec import TraceDrivenEmbeddingSimulator
-from repro.dlrm import UniformTraceGenerator
 from repro.errors import SimulationError
+from repro.memsys.stats import CacheStats
+from repro.workloads import ZipfianTrace
 
 
 def scaled_model(rows_per_table, num_tables=4, gathers=16, name=None):
@@ -75,14 +76,25 @@ class TestTraceDrivenProfile:
         tight = one_core.profile(model, batch_size=8, warmup_batches=2)
         assert generous.measured_miss_rate < tight.measured_miss_rate
 
-    def test_custom_generator_supported(self):
-        simulator = TraceDrivenEmbeddingSimulator(CPUConfig())
-        profile = simulator.profile(
-            scaled_model(10_000),
-            batch_size=4,
-            generator=UniformTraceGenerator(seed=99),
+    def test_profile_is_pinned(self):
+        """The default uniform replay draws one ``default_rng(0)`` stream."""
+        model = homogeneous_dlrm(
+            name="pin", num_tables=4, rows_per_table=20_000, gathers_per_table=16
         )
-        assert profile.measured_llc.accesses > 0
+        profile = TraceDrivenEmbeddingSimulator(CPUConfig()).profile(
+            model, batch_size=8, warmup_batches=1
+        )
+        assert profile.measured_llc == CacheStats(accesses=1008, hits=252, misses=756)
+        assert profile.predicted_miss_probability == 0.7926805337218998
+
+    def test_skewed_trace_misses_less(self):
+        simulator = TraceDrivenEmbeddingSimulator(CPUConfig())
+        model = scaled_model(20_000)
+        uniform = simulator.profile(model, batch_size=8, warmup_batches=1)
+        skewed = simulator.profile(
+            model, batch_size=8, warmup_batches=1, trace=ZipfianTrace(1.2)
+        )
+        assert skewed.measured_llc.misses < uniform.measured_llc.misses
 
     def test_validation(self):
         with pytest.raises(SimulationError):

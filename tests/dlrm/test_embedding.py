@@ -12,7 +12,7 @@ from repro.dlrm.embedding import (
     sparse_lengths_sum,
 )
 from repro.dlrm.reference import reference_sparse_lengths_sum
-from repro.dlrm.trace import SparseTrace, UniformTraceGenerator
+from repro.workloads import UniformTrace, model_batch, table_trace
 from repro.errors import ModelShapeError, TraceError
 
 
@@ -96,8 +96,9 @@ class TestSparseLengthsSum:
 
     def test_matches_reference_on_virtual_table(self):
         table = VirtualEmbeddingTable(num_rows=200, embedding_dim=32, seed=5)
-        generator = UniformTraceGenerator(seed=8)
-        trace = generator.table_trace(EmbeddingTableConfig(num_rows=200, gathers=6), 5)
+        rng = np.random.default_rng(8)
+        table_config = EmbeddingTableConfig(num_rows=200, gathers=6)
+        trace = table_trace(UniformTrace(), rng, table_config, 5)
         fast = sparse_lengths_sum(table, trace.indices, trace.offsets)
         reference = reference_sparse_lengths_sum(table, trace.indices, trace.offsets)
         np.testing.assert_allclose(fast, reference, rtol=1e-5, atol=1e-6)
@@ -110,10 +111,9 @@ class TestSparseLengthsSum:
     @settings(max_examples=25, deadline=None)
     def test_property_matches_reference(self, batch, gathers, seed):
         table = VirtualEmbeddingTable(num_rows=64, embedding_dim=8, seed=seed)
-        generator = UniformTraceGenerator(seed=seed)
-        trace = generator.table_trace(
-            EmbeddingTableConfig(num_rows=64, embedding_dim=8, gathers=gathers), batch
-        )
+        rng = np.random.default_rng(seed)
+        table_config = EmbeddingTableConfig(num_rows=64, embedding_dim=8, gathers=gathers)
+        trace = table_trace(UniformTrace(), rng, table_config, batch)
         fast = sparse_lengths_sum(table, trace.indices, trace.offsets)
         reference = reference_sparse_lengths_sum(table, trace.indices, trace.offsets)
         np.testing.assert_allclose(fast, reference, rtol=1e-4, atol=1e-5)
@@ -139,22 +139,22 @@ class TestEmbeddingBagCollection:
         with pytest.raises(ModelShapeError):
             EmbeddingBagCollection.from_configs(tiny_config.tables, storage="disk")
 
-    def test_forward_shape(self, tiny_config, trace_generator):
+    def test_forward_shape(self, tiny_config, trace_rng):
         collection = EmbeddingBagCollection.from_configs(tiny_config.tables)
-        batch = trace_generator.model_batch(tiny_config, 3)
+        batch = model_batch(UniformTrace(), trace_rng, tiny_config, 3)
         reduced = collection.forward(batch.sparse_traces)
         assert reduced.shape == (3, tiny_config.num_tables, tiny_config.embedding_dim)
 
-    def test_forward_rejects_wrong_trace_count(self, tiny_config, trace_generator):
+    def test_forward_rejects_wrong_trace_count(self, tiny_config, trace_rng):
         collection = EmbeddingBagCollection.from_configs(tiny_config.tables)
-        batch = trace_generator.model_batch(tiny_config, 3)
+        batch = model_batch(UniformTrace(), trace_rng, tiny_config, 3)
         with pytest.raises(ModelShapeError):
             collection.forward(batch.sparse_traces[:-1])
 
-    def test_forward_rejects_mismatched_batches(self, tiny_config, trace_generator):
+    def test_forward_rejects_mismatched_batches(self, tiny_config, trace_rng):
         collection = EmbeddingBagCollection.from_configs(tiny_config.tables)
-        batch_a = trace_generator.model_batch(tiny_config, 3)
-        batch_b = trace_generator.model_batch(tiny_config, 4)
+        batch_a = model_batch(UniformTrace(), trace_rng, tiny_config, 3)
+        batch_b = model_batch(UniformTrace(), trace_rng, tiny_config, 4)
         mixed = batch_a.sparse_traces[:-1] + (batch_b.sparse_traces[-1],)
         with pytest.raises(ModelShapeError):
             collection.forward(mixed)

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from repro.config.models import homogeneous_dlrm
-from repro.dlrm import DLRM, UniformTraceGenerator
+from repro.dlrm import DLRM
 from repro.dlrm.embedding import EmbeddingBagCollection
 from repro.dlrm.interaction import dot_feature_interaction
 from repro.dlrm.mlp import MLP, sigmoid
 from repro.errors import ModelShapeError
+from repro.workloads import UniformTrace, model_batch
 
 
 class TestDLRMConstruction:
@@ -73,15 +74,15 @@ class TestDLRMForward:
             tiny_model.predict(tiny_batch), tiny_model.forward(tiny_batch).probabilities
         )
 
-    def test_deterministic_inference(self, tiny_config, trace_generator):
+    def test_deterministic_inference(self, tiny_config, trace_rng):
         model = DLRM.from_config(tiny_config, seed=11)
-        batch = trace_generator.model_batch(tiny_config, 4)
+        batch = model_batch(UniformTrace(), trace_rng, tiny_config, 4)
         first = model.forward(batch).probabilities
         second = model.forward(batch).probabilities
         np.testing.assert_array_equal(first, second)
 
     def test_wrong_table_count_rejected(self, tiny_model, tiny_batch):
-        from repro.dlrm.trace import DLRMBatch
+        from repro.workloads import DLRMBatch
 
         truncated = DLRMBatch(
             dense_features=tiny_batch.dense_features,
@@ -91,7 +92,7 @@ class TestDLRMForward:
             tiny_model.forward(truncated)
 
     def test_wrong_dense_width_rejected(self, tiny_model, tiny_batch):
-        from repro.dlrm.trace import DLRMBatch
+        from repro.workloads import DLRMBatch
 
         bad = DLRMBatch(
             dense_features=tiny_batch.dense_features[:, :-1],
@@ -102,11 +103,11 @@ class TestDLRMForward:
 
     def test_batch_independence(self, tiny_model, tiny_config):
         """Each sample's output is independent of the other samples in the batch."""
-        generator = UniformTraceGenerator(seed=21)
-        batch = generator.model_batch(tiny_config, 8)
+        rng = np.random.default_rng(21)
+        batch = model_batch(UniformTrace(), rng, tiny_config, 8)
         full = tiny_model.forward(batch).probabilities
 
-        from repro.dlrm.trace import DLRMBatch, SparseTrace
+        from repro.workloads import DLRMBatch, SparseTrace
 
         single_traces = []
         for trace in batch.sparse_traces:
@@ -146,7 +147,7 @@ class TestLargerConfiguration:
             "wide", num_tables=50, rows_per_table=500, gathers_per_table=2
         )
         model = DLRM.from_config(config, seed=1)
-        batch = UniformTraceGenerator(seed=2).model_batch(config, 3)
+        batch = model_batch(UniformTrace(), np.random.default_rng(2), config, 3)
         out = model.forward(batch)
         assert out.interaction_output.shape == (3, config.interaction_output_dim)
         assert np.isfinite(out.probabilities).all()

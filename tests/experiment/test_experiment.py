@@ -2,8 +2,14 @@
 
 import pytest
 
-from repro.analysis.sweep import DesignPointSweep
-from repro.config import DLRM1, DLRM3, HARPV2_SYSTEM, PAPER_BATCH_SIZES, PAPER_MODELS
+from repro.config import (
+    DLRM1,
+    DLRM3,
+    DLRM6,
+    HARPV2_SYSTEM,
+    PAPER_BATCH_SIZES,
+    PAPER_MODELS,
+)
 from repro.errors import ConfigurationError, SimulationError
 from repro.experiment import Experiment, ResultCache, run_grid
 
@@ -47,6 +53,33 @@ class TestExperimentBuilder:
             Experiment(HARPV2_SYSTEM).batch_sizes(0)
         with pytest.raises(ConfigurationError):
             Experiment(HARPV2_SYSTEM).backends("tpu")
+
+    def test_empty_iterable_axes_rejected(self):
+        with pytest.raises(SimulationError):
+            Experiment(HARPV2_SYSTEM).models([])
+        with pytest.raises(SimulationError):
+            Experiment(HARPV2_SYSTEM).batch_sizes([])
+
+    def test_default_backends_run_every_paper_design_point(self):
+        grid = (
+            Experiment(HARPV2_SYSTEM, cache=None)
+            .models(DLRM1, DLRM6)
+            .batch_sizes(1, 16)
+            .run()
+        )
+        assert len(grid) == 3 * 2 * 2
+        assert grid.backends() == ["centaur", "cpu", "cpu-gpu"]
+        assert grid.model_names() == ["DLRM(1)", "DLRM(6)"]
+        assert grid.batch_sizes() == [1, 16]
+        labels = {grid.get(backend, "DLRM(6)", 16).design_point for backend in grid.backends()}
+        assert labels == {"CPU-only", "CPU-GPU", "Centaur"}
+
+    def test_backends_accept_design_point_labels(self):
+        experiment = Experiment(HARPV2_SYSTEM).backends("CPU-only", "Centaur")
+        assert experiment.backend_names == ("cpu", "centaur")
+        grid = experiment.models(DLRM1).batch_sizes(4).run()
+        assert grid.get("cpu", "DLRM(1)", 4).design_point == "CPU-only"
+        assert grid.get("Centaur", "DLRM(1)", 4).design_point == "Centaur"
 
     def test_conflicting_models_with_one_name_rejected(self):
         from repro.analysis.characterization import single_table_model
@@ -124,11 +157,6 @@ class TestExperimentResultQueries:
         assert lines[0].startswith("backend,design_point,model,batch_size,latency_s")
         assert any(line.startswith("centaur,Centaur,DLRM(3),64") for line in lines)
 
-    def test_to_sweep_result_round_trip(self):
-        sweep = small_grid().to_sweep_result()
-        assert sweep.design_points() == ["CPU-only", "Centaur"]
-        assert sweep.get("Centaur", "DLRM(1)", 64).batch_size == 64
-
 
 class TestVariantSweep:
     def test_addresses_results_by_sweep_value(self):
@@ -155,42 +183,6 @@ class TestVariantSweep:
 
         with pytest.raises(SimulationError):
             VariantSweep(HARPV2_SYSTEM, ("cpu",), {}, (1,))
-
-
-class TestSweepCompatibility:
-    def test_design_point_sweep_matches_experiment(self):
-        sweep = DesignPointSweep(
-            HARPV2_SYSTEM, models=[DLRM1], batch_sizes=[1, 16]
-        ).run()
-        grid = (
-            Experiment(HARPV2_SYSTEM)
-            .backends("cpu", "cpu-gpu", "centaur")
-            .models(DLRM1)
-            .batch_sizes(1, 16)
-            .run()
-        )
-        for design_point, backend in (
-            ("CPU-only", "cpu"),
-            ("CPU-GPU", "cpu-gpu"),
-            ("Centaur", "centaur"),
-        ):
-            for batch in (1, 16):
-                legacy = sweep.get(design_point, "DLRM(1)", batch)
-                modern = grid.get(backend, "DLRM(1)", batch)
-                assert legacy.latency_seconds == modern.latency_seconds
-                assert legacy.energy_joules == modern.energy_joules
-
-    def test_design_point_sweep_accepts_registry_names(self):
-        sweep = DesignPointSweep(
-            HARPV2_SYSTEM,
-            models=[DLRM1],
-            batch_sizes=[4],
-            design_points=("cpu", "centaur"),
-        ).run()
-        assert sweep.design_points() == ["CPU-only", "Centaur"]
-        # Lookups accept the registry name the sweep was built with, too.
-        assert sweep.get("cpu", "DLRM(1)", 4) is sweep.get("CPU-only", "DLRM(1)", 4)
-        assert sweep.get("centaur", "DLRM(1)", 4).design_point == "Centaur"
 
 
 class TestPerRunHoisting:

@@ -7,7 +7,8 @@ from repro.config import DLRM1, HARPV2_SYSTEM
 from repro.config.models import homogeneous_dlrm
 from repro.core import CentaurDevice, CentaurRunner
 from repro.cpu import CPUOnlyRunner
-from repro.dlrm import DLRM, UniformTraceGenerator
+from repro.dlrm import DLRM
+from repro.workloads import UniformTrace, model_batch
 
 
 class TestPerformanceModelDeterminism:
@@ -37,7 +38,7 @@ class TestFunctionalDeterminism:
         for _ in range(2):
             model = DLRM.from_config(config, seed=123)
             device = CentaurDevice(model, HARPV2_SYSTEM)
-            batch = UniformTraceGenerator(seed=456).model_batch(config, 8)
+            batch = model_batch(UniformTrace(), np.random.default_rng(456), config, 8)
             outputs.append(device.predict(batch))
         np.testing.assert_array_equal(outputs[0], outputs[1])
 
@@ -47,5 +48,5 @@ class TestFunctionalDeterminism:
         )
         model_a = DLRM.from_config(config, seed=1)
         model_b = DLRM.from_config(config, seed=2)
-        batch = UniformTraceGenerator(seed=0).model_batch(config, 8)
+        batch = model_batch(UniformTrace(), np.random.default_rng(0), config, 8)
         assert not np.allclose(model_a.predict(batch), model_b.predict(batch))

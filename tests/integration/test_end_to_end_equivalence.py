@@ -13,7 +13,8 @@ from hypothesis import given, settings, strategies as st
 from repro.config import HARPV2_SYSTEM
 from repro.config.models import homogeneous_dlrm
 from repro.core import CentaurDevice
-from repro.dlrm import DLRM, UniformTraceGenerator, ZipfianTraceGenerator
+from repro.dlrm import DLRM
+from repro.workloads import UniformTrace, ZipfianTrace, model_batch
 
 
 def build(num_tables, rows, gathers, seed, dim=32):
@@ -44,7 +45,7 @@ class TestEquivalenceAcrossShapes:
     )
     def test_probabilities_match(self, num_tables, rows, gathers, batch):
         config, model, device = build(num_tables, rows, gathers, seed=num_tables)
-        batch_data = UniformTraceGenerator(seed=batch).model_batch(config, batch)
+        batch_data = model_batch(UniformTrace(), np.random.default_rng(batch), config, batch)
         np.testing.assert_allclose(
             device.predict(batch_data),
             model.predict(batch_data),
@@ -54,14 +55,14 @@ class TestEquivalenceAcrossShapes:
 
     def test_zipfian_traffic_also_matches(self):
         config, model, device = build(4, 5_000, 10, seed=9)
-        batch = ZipfianTraceGenerator(alpha=1.1, seed=3).model_batch(config, 8)
+        batch = model_batch(ZipfianTrace(1.1), np.random.default_rng(3), config, 8)
         np.testing.assert_allclose(
             device.predict(batch), model.predict(batch), rtol=1e-4, atol=1e-5
         )
 
     def test_every_intermediate_matches(self):
         config, model, device = build(4, 1_000, 6, seed=2)
-        batch = UniformTraceGenerator(seed=5).model_batch(config, 6)
+        batch = model_batch(UniformTrace(), np.random.default_rng(5), config, 6)
         hardware = device.infer(batch)
         software = model.forward(batch)
         np.testing.assert_allclose(
@@ -84,7 +85,7 @@ class TestEquivalenceAcrossShapes:
     @settings(max_examples=10, deadline=None)
     def test_property_equivalence(self, num_tables, gathers, batch, seed):
         config, model, device = build(num_tables, 400, gathers, seed=seed)
-        batch_data = UniformTraceGenerator(seed=seed).model_batch(config, batch)
+        batch_data = model_batch(UniformTrace(), np.random.default_rng(seed), config, batch)
         np.testing.assert_allclose(
             device.predict(batch_data), model.predict(batch_data), rtol=1e-3, atol=1e-4
         )
@@ -93,8 +94,8 @@ class TestEquivalenceAcrossShapes:
 class TestMultipleRequests:
     def test_back_to_back_inferences_do_not_interfere(self):
         config, model, device = build(3, 800, 4, seed=1)
-        generator = UniformTraceGenerator(seed=0)
-        batches = [generator.model_batch(config, 4) for _ in range(5)]
+        rng = np.random.default_rng(0)
+        batches = [model_batch(UniformTrace(), rng, config, 4) for _ in range(5)]
         expected = [model.predict(batch) for batch in batches]
         actual = [device.predict(batch) for batch in batches]
         for want, got in zip(expected, actual):
@@ -102,9 +103,9 @@ class TestMultipleRequests:
 
     def test_varying_batch_sizes_on_one_device(self):
         config, model, device = build(3, 800, 4, seed=4)
-        generator = UniformTraceGenerator(seed=6)
+        rng = np.random.default_rng(6)
         for batch_size in (1, 7, 16, 3):
-            batch = generator.model_batch(config, batch_size)
+            batch = model_batch(UniformTrace(), rng, config, batch_size)
             np.testing.assert_allclose(
                 device.predict(batch), model.predict(batch), rtol=1e-4, atol=1e-5
             )

@@ -8,14 +8,15 @@ claims EXPERIMENTS.md records.
 
 import pytest
 
-from repro.analysis import DesignPointSweep, headline_summary
+from repro.analysis import headline_summary
 from repro.config import DLRM4, DLRM5, DLRM6, HARPV2_SYSTEM, PAPER_BATCH_SIZES, PAPER_MODELS
+from repro.experiment import Experiment
 from repro.utils.stats_utils import geometric_mean
 
 
 @pytest.fixture(scope="module")
 def sweep():
-    return DesignPointSweep(HARPV2_SYSTEM).run()
+    return Experiment(HARPV2_SYSTEM).run()
 
 
 @pytest.fixture(scope="module")

@@ -18,7 +18,7 @@ from repro.errors import SimulationError
 from repro.serving.batching import BatchingPolicy, default_batching
 from repro.serving.metrics import ExecutedBatch, LatencyDistribution, ServingReport
 from repro.serving.replica import DesignPointRunner, ServiceModel
-from repro.workloads.arrivals import InferenceRequest, PoissonRequestGenerator
+from repro.workloads.arrivals import InferenceRequest, PoissonArrivals
 
 
 class LegacyServingSimulator:
@@ -98,8 +98,9 @@ class LegacyServingSimulator:
         seed: int = 0,
     ) -> ServingReport:
         """Serve a Poisson arrival stream of the given rate and duration."""
-        generator = PoissonRequestGenerator(rate_qps=rate_qps, seed=seed)
-        requests = generator.generate(duration_s=duration_s)
+        requests = PoissonArrivals(rate_qps=rate_qps).generate(
+            duration_s=duration_s, seed=seed
+        )
         if not requests:
             raise SimulationError(
                 f"no requests arrived in {duration_s}s at {rate_qps} QPS; "

@@ -13,7 +13,7 @@ from repro.serving.batching import (
     SizeBucketedBatching,
     TimeoutBatching,
 )
-from repro.serving.requests import InferenceRequest
+from repro.workloads import InferenceRequest
 
 
 def arrivals(times):

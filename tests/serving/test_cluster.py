@@ -7,7 +7,7 @@ from repro.core import CentaurRunner
 from repro.cpu import CPUOnlyRunner
 from repro.errors import SimulationError
 from repro.serving import ClusterSimulator, TimeoutBatching
-from repro.serving.requests import InferenceRequest, PoissonRequestGenerator
+from repro.workloads import PoissonArrivals
 
 
 BATCHING = TimeoutBatching(window_s=1e-3, max_batch_size=32)
@@ -18,7 +18,7 @@ class TestDispatch:
         cluster = ClusterSimulator(
             CentaurRunner(HARPV2_SYSTEM), DLRM2, num_replicas=3, batching=BATCHING
         )
-        stream = PoissonRequestGenerator(rate_qps=10_000, seed=2).generate(num_requests=120)
+        stream = PoissonArrivals(rate_qps=10_000).generate(num_requests=120, seed=2)
         report = cluster.serve(stream)
         assert report.completed_requests == 120
         assert len(report.latency) == 120
@@ -28,7 +28,7 @@ class TestDispatch:
         from repro.serving import ServingSimulator
 
         runner = CentaurRunner(HARPV2_SYSTEM)
-        stream = PoissonRequestGenerator(rate_qps=5_000, seed=3).generate(num_requests=60)
+        stream = PoissonArrivals(rate_qps=5_000).generate(num_requests=60, seed=3)
         single = ServingSimulator(runner, DLRM2, batching=BATCHING).serve(stream)
         cluster = ClusterSimulator(runner, DLRM2, num_replicas=1, batching=BATCHING).serve(
             stream
@@ -71,6 +71,6 @@ class TestScaling:
 
     def test_energy_per_request_independent_of_replica_count_at_fixed_batching(self):
         runner = CentaurRunner(HARPV2_SYSTEM)
-        stream = PoissonRequestGenerator(rate_qps=20_000, seed=5).generate(num_requests=200)
+        stream = PoissonArrivals(rate_qps=20_000).generate(num_requests=200, seed=5)
         two = ClusterSimulator(runner, DLRM2, num_replicas=2, batching=BATCHING).serve(stream)
         assert two.energy_per_request_joules > 0

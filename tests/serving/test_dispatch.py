@@ -12,12 +12,12 @@ from repro.serving import (
     HeterogeneousCluster,
     JoinShortestQueueDispatcher,
     LeastLoadedDispatcher,
-    PoissonRequestGenerator,
     PowerOfTwoChoicesDispatcher,
     ReplicaSpec,
     RoundRobinDispatcher,
     TimeoutBatching,
 )
+from repro.workloads import PoissonArrivals
 
 BATCHING = TimeoutBatching(window_s=1e-3, max_batch_size=32)
 
@@ -30,7 +30,7 @@ ALL_DISPATCHERS = [
 
 
 def stream(rate_qps=40_000, n=400, seed=2):
-    return PoissonRequestGenerator(rate_qps=rate_qps, seed=seed).generate(num_requests=n)
+    return PoissonArrivals(rate_qps=rate_qps).generate(num_requests=n, seed=seed)
 
 
 class TestConservation:

@@ -15,15 +15,15 @@ from repro.cpu import CPUOnlyRunner
 from repro.serving import (
     ClusterSimulator,
     FixedSizeBatching,
-    PoissonRequestGenerator,
     ServingSimulator,
     TimeoutBatching,
 )
+from repro.workloads import PoissonArrivals
 from tests.serving.legacy_oracle import LegacyServingSimulator
 
 
 def poisson_stream(rate_qps, n, seed):
-    return PoissonRequestGenerator(rate_qps=rate_qps, seed=seed).generate(num_requests=n)
+    return PoissonArrivals(rate_qps=rate_qps).generate(num_requests=n, seed=seed)
 
 
 def assert_reports_identical(event_report, legacy_report, compare_ready=True):

@@ -8,11 +8,10 @@ from repro.cpu import CPUOnlyRunner
 from repro.errors import SimulationError
 from repro.serving import (
     FixedSizeBatching,
-    PoissonRequestGenerator,
     ServingSimulator,
     TimeoutBatching,
 )
-from repro.serving.requests import InferenceRequest
+from repro.workloads import InferenceRequest, PoissonArrivals
 
 
 def arrivals(times):
@@ -43,7 +42,7 @@ class TestServeExplicitStream:
         simulator = ServingSimulator(
             runner, DLRM1, batching=TimeoutBatching(window_s=1e-3, max_batch_size=8)
         )
-        stream = PoissonRequestGenerator(rate_qps=20_000, seed=1).generate(num_requests=200)
+        stream = PoissonArrivals(rate_qps=20_000).generate(num_requests=200, seed=1)
         report = simulator.serve(stream)
         assert report.completed_requests == 200
         assert len(report.latency) == 200

@@ -1,8 +1,39 @@
 """Tests for the top-level public API surface."""
 
-import pytest
+import pathlib
+import re
+import subprocess
+import sys
 
 import repro
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _readme_quickstart_blocks():
+    """The ```python blocks of the README's Quickstart section, in order."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Quickstart", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```python\n(.*?)```", section, flags=re.DOTALL)
+    assert len(blocks) == 2, "the README Quickstart should hold two python blocks"
+    return blocks
+
+
+def test_package_imports_are_warning_free():
+    """`import repro` and its subpackages emit no DeprecationWarning."""
+    subprocess.run(
+        [
+            sys.executable,
+            "-W",
+            "error::DeprecationWarning",
+            "-c",
+            "import repro, repro.serving, repro.dlrm, repro.workloads, "
+            "repro.experiment, repro.cli",
+        ],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
 
 
 class TestPublicAPI:
@@ -18,23 +49,12 @@ class TestPublicAPI:
 
     def test_quickstart_flow(self):
         """The README quickstart must work exactly as written."""
-        from repro import DLRM, UniformTraceGenerator, CentaurDevice
-        from repro import CPUOnlyRunner, CentaurRunner
-        from repro.config import DLRM1, HARPV2_SYSTEM
-        from repro.config.models import homogeneous_dlrm
-
-        # A scaled-down model keeps the functional path fast in CI.
-        config = homogeneous_dlrm(
-            "quickstart", num_tables=4, rows_per_table=1_000, gathers_per_table=5
-        )
-        model = DLRM.from_config(config, seed=0)
-        batch = UniformTraceGenerator(seed=1).model_batch(config, batch_size=4)
-        probabilities = CentaurDevice(model, HARPV2_SYSTEM).predict(batch)
-        assert probabilities.shape == (4,)
-
-        cpu = CPUOnlyRunner(HARPV2_SYSTEM).run(DLRM1, 16)
-        fpga = CentaurRunner(HARPV2_SYSTEM).run(DLRM1, 16)
-        assert fpga.speedup_over(cpu) > 1.0
+        namespace = {}
+        for block in _readme_quickstart_blocks():
+            exec(compile(block, "README.md", "exec"), namespace)
+        assert namespace["probabilities"].shape == (16,)
+        assert namespace["fpga"].speedup_over(namespace["cpu"]) > 1.0
+        assert namespace["report"].latency.p99_s > 0.0
 
     def test_paper_models_accessible_from_top_level(self):
         assert len(repro.PAPER_MODELS) == 6

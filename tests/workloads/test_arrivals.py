@@ -100,6 +100,25 @@ class TestPoisson:
         ]
         assert vectorized == pytest.approx(legacy, abs=0.0)
 
+    def test_interarrival_times_are_exponential_like(self):
+        requests = PoissonArrivals(1_000.0).generate(num_requests=4_000, seed=5)
+        gaps = np.diff([0.0] + [r.arrival_time_s for r in requests])
+        # Mean ~1ms and coefficient of variation ~1 for an exponential.
+        assert np.mean(gaps) == pytest.approx(1e-3, rel=0.1)
+        assert np.std(gaps) / np.mean(gaps) == pytest.approx(1.0, abs=0.15)
+
+    def test_rejects_non_positive_rate(self):
+        with pytest.raises(SimulationError):
+            PoissonArrivals(0.0)
+
+
+class TestInferenceRequest:
+    def test_validation(self):
+        with pytest.raises(SimulationError):
+            InferenceRequest(request_id=-1, arrival_time_s=0.0)
+        with pytest.raises(SimulationError):
+            InferenceRequest(request_id=0, arrival_time_s=-1.0)
+
 
 class TestConstantRate:
     def test_evenly_spaced(self):

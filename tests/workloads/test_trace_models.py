@@ -2,11 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.config.models import EmbeddingTableConfig, homogeneous_dlrm
 from repro.errors import TraceError
 from repro.workloads import (
-    ModelTraceGenerator,
     PerTableTrace,
     UniformTrace,
     WorkingSetTrace,
@@ -29,6 +29,20 @@ class TestUniformTrace:
         assert np.array_equal(a, b)
         assert a.min() >= 0 and a.max() < 10_000
 
+    def test_model_batch_is_seeded(self):
+        config = homogeneous_dlrm(
+            "wl-uniform", num_tables=3, rows_per_table=5_000, gathers_per_table=8
+        )
+        batch_a = model_batch(UniformTrace(), np.random.default_rng(5), config, 8)
+        batch_b = model_batch(UniformTrace(), np.random.default_rng(5), config, 8)
+        for trace_a, trace_b in zip(batch_a.sparse_traces, batch_b.sparse_traces):
+            np.testing.assert_array_equal(trace_a.indices, trace_b.indices)
+        np.testing.assert_array_equal(batch_a.dense_features, batch_b.dense_features)
+        batch_c = model_batch(UniformTrace(), np.random.default_rng(6), config, 8)
+        assert not np.array_equal(
+            batch_a.sparse_traces[0].indices, batch_c.sparse_traces[0].indices
+        )
+
     def test_roughly_uniform(self):
         indices = draws(UniformTrace(), count=100_000)
         hot_share = np.mean(indices < 1_000)
@@ -42,6 +56,18 @@ class TestZipfianTrace:
         _, counts = np.unique(indices, return_counts=True)
         top_share = np.sort(counts)[::-1][:100].sum() / len(indices)
         assert top_share > 0.4  # top-100 rows take a large share
+
+    def test_touches_fewer_rows_than_uniform(self):
+        table = EmbeddingTableConfig(num_rows=10_000, gathers=50)
+        uniform = table_trace(UniformTrace(), np.random.default_rng(11), table, 64)
+        zipfian = table_trace(ZipfianTrace(alpha=1.2), np.random.default_rng(11), table, 64)
+        assert zipfian.unique_rows() < uniform.unique_rows() * 0.7
+
+    def test_indices_in_range(self):
+        table = EmbeddingTableConfig(num_rows=500, gathers=20)
+        trace = table_trace(ZipfianTrace(alpha=1.05), np.random.default_rng(2), table, 16)
+        assert trace.indices.min() >= 0
+        assert trace.indices.max() < 500
 
     def test_alpha_zero_rejected(self):
         with pytest.raises(TraceError):
@@ -124,15 +150,45 @@ class TestTraceHelpers:
         assert batch.batch_size == 6
         assert batch.num_tables == 3
 
-    def test_model_trace_generator_adapter(self):
-        """Legacy TraceGenerator consumers can drive any TraceModel."""
+    def test_model_batch_is_one_seeded_stream(self):
+        """Same seed, same batch; another seed or the next batch differs."""
         config = homogeneous_dlrm(
-            "wl-adapter", num_tables=2, rows_per_table=2_000, gathers_per_table=5
+            "wl-stream", num_tables=2, rows_per_table=2_000, gathers_per_table=5
         )
-        generator = ModelTraceGenerator(WorkingSetTrace(0.05, 0.9), seed=3)
-        batch = generator.model_batch(config, batch_size=4)
-        assert batch.num_tables == 2
+        trace = WorkingSetTrace(0.05, 0.9)
+        rng = np.random.default_rng(3)
+        batch = model_batch(trace, rng, config, batch_size=4)
         assert batch.total_lookups == 4 * 5 * 2
-        repeat = ModelTraceGenerator(WorkingSetTrace(0.05, 0.9), seed=3)
-        again = repeat.model_batch(config, batch_size=4)
+        again = model_batch(trace, np.random.default_rng(3), config, batch_size=4)
         assert np.array_equal(batch.sparse_traces[0].indices, again.sparse_traces[0].indices)
+        np.testing.assert_array_equal(batch.dense_features, again.dense_features)
+        following = model_batch(trace, rng, config, batch_size=4)
+        other_seed = model_batch(trace, np.random.default_rng(4), config, batch_size=4)
+        for differing in (following, other_seed):
+            assert not np.array_equal(
+                batch.sparse_traces[0].indices, differing.sparse_traces[0].indices
+            )
+
+    def test_lookup_override(self):
+        table = EmbeddingTableConfig(num_rows=50, gathers=7)
+        rng = np.random.default_rng(0)
+        trace = table_trace(UniformTrace(), rng, table, 3, lookups_per_sample=2)
+        assert trace.total_lookups == 6
+        assert trace.batch_size == 3
+
+    def test_zero_lookup_override(self):
+        table = EmbeddingTableConfig(num_rows=50, gathers=7)
+        rng = np.random.default_rng(0)
+        trace = table_trace(UniformTrace(), rng, table, 3, lookups_per_sample=0)
+        assert trace.total_lookups == 0
+        assert trace.batch_size == 3
+
+    @given(batch_size=st.integers(min_value=1, max_value=64))
+    @settings(max_examples=20, deadline=None)
+    def test_offsets_are_regular(self, batch_size):
+        table = EmbeddingTableConfig(num_rows=1000, gathers=4)
+        trace = table_trace(UniformTrace(), np.random.default_rng(3), table, batch_size)
+        assert trace.batch_size == batch_size
+        assert np.all(np.diff(trace.offsets) == 4)
+        assert trace.indices.min() >= 0
+        assert trace.indices.max() < 1000
