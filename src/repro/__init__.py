@@ -96,7 +96,6 @@ from repro.experiment import (
     ExperimentResult,
     ResultCache,
     default_cache,
-    run_grid,
 )
 from repro.cpu import CPUOnlyRunner
 from repro.gpu import CPUGPURunner
@@ -195,7 +194,6 @@ __all__ = [
     "ExperimentResult",
     "ResultCache",
     "default_cache",
-    "run_grid",
     "CPUOnlyRunner",
     "CPUGPURunner",
     "CentaurDevice",

@@ -402,7 +402,7 @@ def render_sharding_report(
     """Render sharded serving outcomes with the scale-out columns.
 
     Args:
-        reports: A :class:`~repro.experiment.sharding.ShardingExperimentResult`
+        reports: A sharding-grid :class:`~repro.experiment.ExperimentResult`
             or a ``{row label: ClusterReport}`` mapping whose reports carry
             :class:`~repro.serving.sharded.ShardingStats`.
         sla_s: Latency budget used for the SLA-attainment column.
@@ -456,7 +456,7 @@ def render_freshness_report(
     """Render freshness outcomes: pushes, per-cause evictions, staleness.
 
     Args:
-        reports: A :class:`~repro.experiment.sharding.ShardingExperimentResult`
+        reports: A sharding-grid :class:`~repro.experiment.ExperimentResult`
             or a ``{row label: ClusterReport}`` mapping whose reports carry
             :class:`~repro.serving.sharded.ShardingStats`.
         sla_s: Latency budget used for the SLA-attainment column.
@@ -732,7 +732,7 @@ def render_capacity_plan(plan, title: str = "Capacity plan") -> str:
 
 
 def render_serving_grid(grid, sla_s: float = 5e-3, title: str = "Serving grid") -> str:
-    """Render a :class:`~repro.experiment.serving.ServingExperimentResult`.
+    """Render a serving-grid :class:`~repro.experiment.ExperimentResult`.
 
     One row per (backend, workload, model) point with the tail-latency and
     efficiency columns capacity planners compare.

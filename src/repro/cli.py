@@ -83,9 +83,6 @@ def _cmd_list_backends(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    from repro.experiment.executor import resolve_jobs
-
-    resolve_jobs(args.jobs)  # validate; a single design point prices serially
     model = parse_model(args.model)
     backend = get_backend(args.backend, HARPV2_SYSTEM)
     result = backend.run(model, args.batch)
@@ -175,15 +172,17 @@ def _cmd_list_workloads(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.analysis.report import (
         render_autoscale_timeline,
+        render_freshness_report,
         render_incident_timeline,
+        render_profile,
         render_serving_comparison,
+        render_sharding_report,
     )
-    from repro.backends import backend_registration
-    from repro.experiment.serving import check_elastic_support, check_workload_support
-    from repro.serving.autoscale import AutoscalingCluster, parse_autoscaler_spec
+    from repro.experiment.executor import resolve_jobs
+    from repro.serving.autoscale import parse_autoscaler_spec
     from repro.serving.batching import TimeoutBatching
-    from repro.serving.cluster import ClusterSimulator
-    from repro.serving.simulator import ServingSimulator
+    from repro.serving.fleet import FleetSpec
+    from repro.sharding import parse_cache_spec, parse_sharding_spec
     from repro.workloads.catalog import (
         SCENARIO_CATALOG,
         UPDATE_SCENARIO_CATALOG,
@@ -197,8 +196,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if (args.duration is None) == (args.requests is None):
         print("error: provide exactly one of --duration / --requests", file=sys.stderr)
         return 2
-    from repro.experiment.executor import resolve_jobs
-
     if resolve_jobs(args.jobs) > 1:
         print(
             "note: serve evaluates one (backend, workload) point; --jobs "
@@ -207,226 +204,117 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
     progress = _progress_printer(args.progress)
     faults = resolve_fault_spec(args.faults)
-    scenario = (
-        SCENARIO_CATALOG.get(args.faults.strip().lower())
-        if args.faults is not None
-        else None
-    )
-    if scenario is not None:
-        print(f"chaos scenario '{scenario.name}': {scenario.summary}")
+    for catalog, spec, kind in (
+        (SCENARIO_CATALOG, args.faults, "chaos"),
+        (UPDATE_SCENARIO_CATALOG, args.updates, "update"),
+    ):
+        scenario = catalog.get(spec.strip().lower()) if spec is not None else None
+        if scenario is not None:
+            print(f"{kind} scenario '{scenario.name}': {scenario.summary}")
     workload = Workload(
         arrivals=parse_arrival_spec(args.workload),
         trace=parse_trace_spec(args.trace),
     )
-    check_workload_support(args.backend, workload)
     model = parse_model(args.model)
-    backend = get_backend(args.backend, HARPV2_SYSTEM)
-    batching = TimeoutBatching(window_s=args.window, max_batch_size=args.max_batch)
-    timeline = None
-    from repro.sharding import parse_cache_spec, parse_sharding_spec
-
-    num_shards, shard_strategy = parse_sharding_spec(args.shards)
-    if args.shard_strategy is not None:
-        shard_strategy = args.shard_strategy
-    cache_config = parse_cache_spec(args.cache)
-    updates = resolve_update_spec(args.updates)
-    update_scenario = (
-        UPDATE_SCENARIO_CATALOG.get(args.updates.strip().lower())
-        if args.updates is not None
-        else None
+    num_shards, strategy = parse_sharding_spec(args.shards)
+    if args.autoscale is not None:
+        policy = parse_autoscaler_spec(args.autoscale)
+        # --replicas sizes the fleet at time zero; left at its default of 1
+        # the elastic fleet starts at the --min-replicas floor.
+        sizing = dict(
+            min_replicas=args.min_replicas,
+            max_replicas=args.max_replicas,
+            initial_replicas=args.replicas if args.replicas > 1 else None,
+            control_interval_s=args.control_interval,
+        )
+    else:
+        # Under faults a static fleet is a policy-less elastic one of
+        # exactly --replicas (bit-identical to the static path when the
+        # schedule is empty).
+        policy = None
+        sizing = dict(max_replicas=max(args.replicas, 1), initial_replicas=args.replicas)
+    fleet = FleetSpec(
+        replicas=args.replicas,
+        batching=TimeoutBatching(window_s=args.window, max_batch_size=args.max_batch),
+        policy=policy,
+        warmup_s=args.warmup,
+        shards=num_shards if num_shards > 1 else None,
+        strategy=strategy,
+        cache=parse_cache_spec(args.cache),
+        shared_cache=parse_cache_spec(args.shared_cache),
+        updates=resolve_update_spec(args.updates),
+        queue=args.queue,
+        profile=args.profile,
+        **sizing,
     )
-    if update_scenario is not None:
-        print(f"update scenario '{update_scenario.name}': {update_scenario.summary}")
-    shared_cache_config = parse_cache_spec(args.shared_cache)
-    sharded = (
-        num_shards > 1
-        or cache_config is not None
-        or updates is not None
-        or shared_cache_config is not None
-    )
-    if sharded and (args.autoscale is not None or args.replicas > 1):
+    if fleet.sharded and (policy is not None or args.replicas > 1):
         print(
             "error: --shards/--cache/--updates/--shared-cache serve one "
             "sharded group; drop --autoscale/--replicas",
             file=sys.stderr,
         )
         return 2
-    if sharded:
-        from repro.analysis.report import render_sharding_report
-        from repro.experiment.serving import check_sharding_support
-        from repro.serving.sharded import ShardedReplicaGroup
-
-        check_sharding_support(args.backend)
-        group = ShardedReplicaGroup(
-            backend,
-            model,
-            num_shards=num_shards,
-            strategy=shard_strategy,
-            cache=cache_config,
-            batching=batching,
-            system=HARPV2_SYSTEM,
-            queue=args.queue,
-            profile=args.profile,
-            updates=updates,
-            shared_cache=shared_cache_config,
-        )
-        report = group.serve_workload(
-            workload,
-            duration_s=args.duration,
-            num_requests=args.requests,
-            seed=args.seed,
-            faults=faults,
-        )
-        if progress is not None:
-            progress(f"[1/1] {args.backend} {workload.name} {model.name} served")
-        cache_label = cache_config.describe() if cache_config is not None else "off"
-        label = (
-            f"{backend.design_point} x{num_shards} {shard_strategy} "
-            f"shards, cache {cache_label}"
-        )
-        print(f"workload: {workload.describe()}")
+    fleet.check(args.backend, [workload], faults)
+    simulator = fleet.build(args.backend, model, HARPV2_SYSTEM, faults)
+    report = simulator.serve_workload(
+        workload,
+        duration_s=args.duration,
+        num_requests=args.requests,
+        seed=args.seed,
+        faults=faults,
+    )
+    if progress is not None:
+        progress(f"[1/1] {args.backend} {workload.name} {model.name} served")
+    print(f"workload: {workload.describe()}")
+    design_point = simulator.runner.design_point
+    if fleet.sharded:
+        cache = fleet.cache.describe() if fleet.cache is not None else "off"
+        reports = {f"{design_point} x{num_shards} {strategy} shards, cache {cache}": report}
         print(
             render_sharding_report(
-                {label: report},
+                reports,
                 sla_s=args.sla,
                 title=f"Sharded serving of {model.name} under {workload.name}",
             )
         )
-        if updates is not None or shared_cache_config is not None:
-            from repro.analysis.report import render_freshness_report
-
+        if fleet.updates is not None or fleet.shared_cache is not None:
             print()
             print(
                 render_freshness_report(
-                    {label: report},
+                    reports,
                     sla_s=args.sla,
                     title=f"Cache freshness of {model.name} under {workload.name}",
                 )
             )
-        if report.incidents is not None:
-            print()
-            print(render_incident_timeline(report))
-        if group.last_profile is not None:
-            from repro.analysis.report import render_profile
-
-            print()
-            print(render_profile(group.last_profile))
-        return 0
-    if args.autoscale is not None:
-        check_elastic_support(args.backend)
-        policy = parse_autoscaler_spec(args.autoscale)
-        warmup = (
-            args.warmup
-            if args.warmup is not None
-            else backend_registration(args.backend).capabilities.provision_warmup_s
-        )
-        cluster = AutoscalingCluster(
-            backend,
-            model,
-            policy=policy,
-            min_replicas=args.min_replicas,
-            max_replicas=args.max_replicas,
-            # --replicas sizes the fleet at time zero; left at its default
-            # of 1 the elastic fleet starts at the --min-replicas floor.
-            initial_replicas=args.replicas if args.replicas > 1 else None,
-            control_interval_s=args.control_interval,
-            warmup_s=warmup,
-            batching=batching,
-            queue=args.queue,
-            profile=args.profile,
-        )
-        report = cluster.serve_workload(
-            workload,
-            duration_s=args.duration,
-            num_requests=args.requests,
-            seed=args.seed,
-            faults=faults,
-        )
-        label = f"{backend.design_point} autoscaled ({policy.name})"
-        timeline = render_autoscale_timeline(report, sla_s=args.sla)
-        profiled = cluster
-    elif faults is not None:
-        # A static fleet under chaos still needs elastic plumbing: restarting
-        # a crashed replica is a provisioning act, so the run is served on a
-        # policy-less AutoscalingCluster (bit-identical to the static path
-        # when the schedule is empty).
-        check_elastic_support(args.backend)
-        warmup = (
-            args.warmup
-            if args.warmup is not None
-            else backend_registration(args.backend).capabilities.provision_warmup_s
-        )
-        cluster = AutoscalingCluster(
-            backend,
-            model,
-            policy=None,
-            min_replicas=1,
-            max_replicas=max(args.replicas, 1),
-            initial_replicas=args.replicas,
-            warmup_s=warmup,
-            batching=batching,
-            queue=args.queue,
-            profile=args.profile,
-        )
-        report = cluster.serve_workload(
-            workload,
-            duration_s=args.duration,
-            num_requests=args.requests,
-            seed=args.seed,
-            faults=faults,
-        )
-        label = f"{backend.design_point} x{args.replicas} (chaos)"
-        profiled = cluster
-    elif args.replicas == 1:
-        simulator = ServingSimulator(
-            backend, model, batching=batching, queue=args.queue, profile=args.profile
-        )
-        report = simulator.serve_workload(
-            workload, duration_s=args.duration, num_requests=args.requests, seed=args.seed
-        )
-        label = f"{backend.design_point} x1"
-        profiled = simulator
     else:
-        cluster = ClusterSimulator(
-            backend,
-            model,
-            num_replicas=args.replicas,
-            batching=batching,
-            queue=args.queue,
-            profile=args.profile,
-        )
-        report = cluster.serve_workload(
-            workload, duration_s=args.duration, num_requests=args.requests, seed=args.seed
-        )
-        label = f"{backend.design_point} x{args.replicas}"
-        profiled = cluster
-    if progress is not None:
-        progress(f"[1/1] {args.backend} {workload.name} {model.name} served")
-    print(f"workload: {workload.describe()}")
-    if workload.trace.kind != "uniform":
+        if workload.trace.kind != "uniform":
+            print(
+                "note: the trace model shapes functional batches and cache studies; "
+                "serving latency is priced at the device model's uniform "
+                "(pessimal-locality) calibration, an upper bound under skew."
+            )
+        if policy is not None:
+            label = f"{design_point} autoscaled ({policy.name})"
+        elif faults is not None:
+            label = f"{design_point} x{args.replicas} (chaos)"
+        else:
+            label = f"{design_point} x{args.replicas}"
         print(
-            "note: the trace model shapes functional batches and cache studies; "
-            "serving latency is priced at the device model's uniform "
-            "(pessimal-locality) calibration, an upper bound under skew."
+            render_serving_comparison(
+                {label: report},
+                sla_s=args.sla,
+                title=f"Serving {model.name} under {workload.name}",
+            )
         )
-    print(
-        render_serving_comparison(
-            {label: report},
-            sla_s=args.sla,
-            title=f"Serving {model.name} under {workload.name}",
-        )
-    )
-    if timeline is not None:
-        print()
-        print(timeline)
+        if policy is not None:
+            print()
+            print(render_autoscale_timeline(report, sla_s=args.sla))
     if getattr(report, "incidents", None) is not None:
         print()
         print(render_incident_timeline(report))
-    if profiled.last_profile is not None:
-        from repro.analysis.report import render_profile
-
+    if simulator.last_profile is not None:
         print()
-        print(render_profile(profiled.last_profile))
+        print(render_profile(simulator.last_profile))
     return 0
 
 
@@ -489,15 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--baseline",
         default="cpu",
         help="backend to compare against (default cpu; empty string disables)",
-    )
-    run_parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help=(
-            "worker processes for grid evaluation (0 = all CPUs); a single "
-            "design point always prices serially"
-        ),
     )
     run_parser.set_defaults(handler=_cmd_run)
 
@@ -570,15 +449,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "partition the model's embedding tables: a shard count or a "
             "'<count>:<strategy>' spec, e.g. 4 or 4:row (default 1)"
-        ),
-    )
-    serve_parser.add_argument(
-        "--shard-strategy",
-        default=None,
-        choices=("table", "row", "greedy"),
-        help=(
-            "shard placement strategy; overrides the --shards spec "
-            "(default table-wise round robin)"
         ),
     )
     serve_parser.add_argument(

@@ -1,8 +1,9 @@
 """Declarative experiment layer: grids, result queries and memoization.
 
 The public surface is :class:`Experiment` (fluent grid builder),
-:class:`ExperimentResult` (queryable grid), and :class:`ResultCache` (the
-memoization layer keyed on backend/model/batch/system fingerprints).
+:class:`ExperimentResult` (the queryable keyed-axis result every grid
+flavour returns), and :class:`ResultCache` (the memoization layer keyed on
+backend/model/batch/system fingerprints).
 """
 
 from repro.experiment.cache import (
@@ -19,22 +20,6 @@ from repro.experiment.experiment import (
     ExperimentKey,
     ExperimentResult,
     VariantSweep,
-    run_grid,
-)
-from repro.experiment.serving import (
-    ServingExperimentResult,
-    ServingKey,
-    autoscale_grid,
-    chaos_grid,
-    check_elastic_support,
-    check_sharding_support,
-    check_workload_support,
-    serve_grid,
-)
-from repro.experiment.sharding import (
-    ShardingExperimentResult,
-    ShardingKey,
-    shard_grid,
 )
 
 __all__ = [
@@ -43,23 +28,11 @@ __all__ = [
     "ExperimentResult",
     "GridExecutor",
     "ResultCache",
-    "ServingExperimentResult",
-    "ServingKey",
-    "ShardingExperimentResult",
-    "ShardingKey",
     "VariantSweep",
-    "autoscale_grid",
-    "chaos_grid",
-    "check_elastic_support",
-    "check_sharding_support",
-    "check_workload_support",
     "default_cache",
     "model_fingerprint",
     "override_default_cache",
     "resolve_jobs",
-    "run_grid",
-    "serve_grid",
-    "shard_grid",
     "set_default_cache",
     "system_fingerprint",
 ]

@@ -16,11 +16,12 @@ resolved by a worker, which is why ``jobs`` defaults to 1 (the serial
 path) everywhere.
 
 Determinism contract (asserted by the equivalence-matrix tests): for each
-grid flavour the parallel path partitions points exactly the way the
-serial path shares state — batch points are pure per-point functions;
-serving points share a simulator per (backend, default model) group, so a
-whole group is one task replayed in serial order inside one worker; shard
-points build a fresh group each, so they ship one per task.
+grid flavour the tasks partition points exactly the way fleets share
+state — batch points are pure per-point functions; serving points share a
+fleet per (backend, default model) group, so a whole group is one
+:class:`FleetTask` replayed in serial order; shard points build a fresh
+group each, so they ship one per task.  ``jobs=1`` runs the same tasks
+in-process.
 """
 
 from __future__ import annotations
@@ -30,15 +31,15 @@ import os
 import reprlib
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.backends.registry import backend_registration, get_backend
+from repro.backends.registry import get_backend
 from repro.config.models import DLRMConfig
 from repro.config.system import SystemConfig
 from repro.errors import SimulationError
 from repro.experiment.cache import ResultCache
-from repro.results import InferenceResult
+from repro.serving.fleet import FleetSpec
 from repro.workloads.workload import Workload
 
 
@@ -226,154 +227,46 @@ def _run_batch_chunk(chunk: BatchChunk):
 
 
 # ----------------------------------------------------------------------
-# Serving grids (serve / autoscale / chaos)
+# Serving grids (Experiment.serve / Experiment.shard)
 
 
-@dataclass
-class SimulatorSpec:
-    """Declarative recipe for one serving front-end.
+@dataclass(frozen=True)
+class FleetTask:
+    """One fleet, built once, replaying its grid points' workloads in order.
 
-    The serial grids used to capture this in a closure; a spec is the
-    picklable equivalent, built once per grid and instantiated per
-    (backend, default model) group — in the parent at ``jobs=1``, in the
-    worker otherwise.
-    """
-
-    kind: str  # "serve" | "autoscale" | "chaos"
-    params: Dict[str, object] = field(default_factory=dict)
-
-
-def build_simulator(
-    spec: SimulatorSpec, backend_name: str, backend, model: DLRMConfig
-):
-    """Instantiate the serving front-end a spec describes."""
-    params = spec.params
-    if spec.kind == "serve":
-        from repro.serving.cluster import ClusterSimulator
-        from repro.serving.simulator import ServingSimulator
-
-        if params["replicas"] == 1:
-            return ServingSimulator(backend, model, batching=params["batching"])
-        return ClusterSimulator(
-            backend,
-            model,
-            num_replicas=params["replicas"],
-            batching=params["batching"],
-            dispatcher=params["dispatcher"],
-        )
-    if spec.kind in ("autoscale", "chaos"):
-        from repro.serving.autoscale import AutoscalingCluster
-
-        warmup_s = params["warmup_s"]
-        if warmup_s is None:
-            warmup_s = backend_registration(
-                backend_name
-            ).capabilities.provision_warmup_s
-        kwargs = dict(
-            policy=params["policy"],
-            min_replicas=params["min_replicas"],
-            max_replicas=params["max_replicas"],
-            control_interval_s=params["control_interval_s"],
-            warmup_s=warmup_s,
-            idle_power_w=params["idle_power_w"],
-            batching=params["batching"],
-            dispatcher=params["dispatcher"],
-        )
-        if spec.kind == "chaos":
-            kwargs["initial_replicas"] = params["initial_replicas"]
-        return AutoscalingCluster(backend, model, **kwargs)
-    raise SimulationError(f"unknown simulator spec kind {spec.kind!r}")
-
-
-@dataclass
-class ServeGroup:
-    """All serving points sharing one simulator, replayed in serial order.
-
-    The serial grid reuses one simulator per (backend, default model) and
-    serves its workloads in encounter order; shipping the whole group as
-    one task reproduces that reuse pattern exactly, which is what keeps
-    ``jobs=N`` reports byte-identical to ``jobs=1``.
+    The serving grid shares one fleet per (backend, default model) across
+    workloads; shipping the whole group as one task reproduces that reuse
+    exactly, which is what keeps ``jobs=N`` reports byte-identical to
+    ``jobs=1``.  The sharding grid ships one task per point.
     """
 
     system: SystemConfig
-    spec: SimulatorSpec
+    fleet: FleetSpec
     backend_name: str
-    default_model: DLRMConfig
+    model: DLRMConfig
     workloads: Tuple[Workload, ...]
     duration_s: Optional[float]
     num_requests: Optional[int]
     seed: int
-    serve_kwargs: Dict[str, object] = field(default_factory=dict)
+    faults: object = None  # Optional[FaultSchedule]
 
     def describe(self) -> str:
         workloads = ", ".join(workload.name for workload in self.workloads)
-        return f"{self.spec.kind} {self.backend_name} {self.default_model.name} [{workloads}]"
+        return f"{self.backend_name} {self.model.name} [{workloads}]"
 
 
-def _run_serve_group(group: ServeGroup) -> List[Tuple[str, str, object]]:
-    backend = get_backend(group.backend_name, group.system)
-    simulator = build_simulator(
-        group.spec, group.backend_name, backend, group.default_model
-    )
-    reports: List[Tuple[str, str, object]] = []
-    for workload in group.workloads:
-        report = simulator.serve_workload(
+def _run_fleet_task(task: FleetTask) -> list:
+    simulator = task.fleet.build(task.backend_name, task.model, task.system, task.faults)
+    return [
+        simulator.serve_workload(
             workload,
-            duration_s=group.duration_s,
-            num_requests=group.num_requests,
-            seed=group.seed,
-            **group.serve_kwargs,
+            duration_s=task.duration_s,
+            num_requests=task.num_requests,
+            seed=task.seed,
+            faults=task.faults,
         )
-        reports.append((workload.name, report.model_name, report))
-    return reports
-
-
-# ----------------------------------------------------------------------
-# Sharding grids
-
-
-@dataclass
-class ShardPoint:
-    """One sharded-serving grid point (a fresh group per point)."""
-
-    system: SystemConfig
-    backend_name: str
-    workload: Workload
-    model: DLRMConfig
-    plan: object  # ShardingPlan
-    cache: object  # Optional[CacheConfig]
-    batching: object  # Optional[BatchingPolicy]
-    duration_s: Optional[float]
-    num_requests: Optional[int]
-    seed: int
-    updates: object = None  # Optional[UpdateProcess]
-
-    def describe(self) -> str:
-        return (
-            f"{self.backend_name} {self.model.name} {self.workload.name} "
-            f"{self.plan.num_shards} shards"
-        )
-
-
-def _run_shard_point(point: ShardPoint):
-    from repro.serving.sharded import ShardedReplicaGroup
-
-    backend = get_backend(point.backend_name, point.system)
-    group = ShardedReplicaGroup(
-        backend,
-        point.model,
-        plan=point.plan,
-        cache=point.cache,
-        batching=point.batching,
-        system=point.system,
-        updates=point.updates,
-    )
-    return group.serve_workload(
-        point.workload,
-        duration_s=point.duration_s,
-        num_requests=point.num_requests,
-        seed=point.seed,
-    )
+        for workload in task.workloads
+    ]
 
 
 # ----------------------------------------------------------------------

@@ -9,6 +9,10 @@ instead of constructing runners by hand.  Results come back as a queryable
 figures computes each ``(backend, model, batch, system)`` point exactly
 once.
 
+The serving grids (:meth:`Experiment.serve`, :meth:`Experiment.shard`)
+return the same keyed-axis result, each point served by the front-end a
+:class:`~repro.serving.fleet.FleetSpec` describes.
+
 Usage::
 
     from repro.experiment import Experiment
@@ -41,15 +45,22 @@ from repro.config.system import SystemConfig
 from repro.errors import ConfigurationError, SimulationError
 from repro.experiment.cache import ResultCache, default_cache, system_fingerprint
 from repro.results import InferenceResult
+from repro.serving.fleet import FleetSpec
 
-#: Key identifying one experiment point: (backend name, model name, batch size).
-ExperimentKey = Tuple[str, str, int]
+#: Key of one grid point: one coordinate per axis of its result.
+ExperimentKey = Tuple[object, ...]
+
+#: One CSV column: its header and a cell getter over ``(key, value)``.
+Column = Tuple[str, Callable[[ExperimentKey, object], object]]
 
 #: A value extractor for pivots: attribute/property name or callable.
 ValueSpec = Union[str, Callable[[InferenceResult], float]]
 
 #: Sentinel distinguishing "use the process default cache" from "no cache".
 _USE_DEFAULT_CACHE = object()
+
+#: Axes whose coordinates are integers; lookups coerce them.
+_INT_AXES = frozenset({"batch_size", "shards"})
 
 
 def _extract(result: InferenceResult, value: ValueSpec) -> float:
@@ -60,22 +71,42 @@ def _extract(result: InferenceResult, value: ValueSpec) -> float:
 
 
 class ExperimentResult:
-    """All inference results of one experiment grid, queryable by key.
+    """All points of one experiment grid, queryable by key.
 
-    Lookups accept canonical backend names, their aliases, *and* the paper's
-    design-point labels, so ``get("centaur", ...)`` and
+    Every grid flavour returns one.  :meth:`Experiment.run` keys
+    ``(backend, model_name, batch_size)`` to
+    :class:`~repro.results.InferenceResult` values; :meth:`Experiment.serve`
+    keys ``(backend, workload, model)`` and :meth:`Experiment.shard` keys
+    ``(backend, workload, shards, strategy, cache, updates)`` to serving
+    reports.  Backend coordinates accept canonical names, their aliases
+    *and* the paper's design-point labels, so ``get("centaur", ...)`` and
     ``get("Centaur", ...)`` address the same point.
+
+    Args:
+        system: Hardware platform the grid ran on.
+        axes: Axis names, one per key coordinate.
+        columns: The CSV columns, or a callable building them from the
+            grid's values (for columns that depend on the data).
+        defaults: Coordinates :meth:`get` fills in for omitted axes.
     """
 
-    def __init__(self, system: SystemConfig):
+    def __init__(
+        self,
+        system: SystemConfig,
+        axes: Sequence[str],
+        columns: Union[Sequence[Column], Callable[[List[object]], Sequence[Column]]],
+        defaults: Optional[Dict[str, object]] = None,
+    ):
         self.system = system
-        self._results: Dict[ExperimentKey, InferenceResult] = {}
+        self.axes = tuple(axes)
+        self._columns = columns
+        self._defaults = dict(defaults or {})
+        self._points: Dict[ExperimentKey, object] = {}
 
     # ------------------------------------------------------------------
-    def add(self, backend_name: str, result: InferenceResult) -> None:
-        """Record one design point under its canonical backend name."""
-        key = (backend_name, result.model_name, result.batch_size)
-        self._results[key] = result
+    def add(self, key: ExperimentKey, value) -> None:
+        """Record one point; insertion order is the grid's order."""
+        self._points[key] = value
 
     def _backend_key(self, backend: str) -> str:
         try:
@@ -84,7 +115,7 @@ class ExperimentResult:
             # Results from since-unregistered (ad-hoc) backends stay
             # addressable by their stored key; anything else is a typo and
             # must fail loudly rather than match nothing.
-            stored = {key for key, _, _ in self._results}
+            stored = {key[0] for key in self._points}
             if backend in stored:
                 return backend
             raise ConfigurationError(
@@ -92,58 +123,68 @@ class ExperimentResult:
                 f"{', '.join(sorted(stored)) or '(empty)'}"
             )
 
-    def get(self, backend: str, model_name: str, batch_size: int) -> InferenceResult:
-        """The result of one (backend, model, batch) point."""
-        key = (self._backend_key(backend), model_name, int(batch_size))
-        if key not in self._results:
-            raise KeyError(f"no experiment result for {key}")
-        return self._results[key]
-
-    def filter(
-        self,
-        backend: Optional[str] = None,
-        model_name: Optional[str] = None,
-        batch_size: Optional[int] = None,
-    ) -> List[InferenceResult]:
-        """All results matching the given coordinates, in insertion order."""
-        backend_key = self._backend_key(backend) if backend is not None else None
-        matches = []
-        for (b, m, s), result in self._results.items():
-            if backend_key is not None and b != backend_key:
+    def _coordinates(self, coords: Dict[str, object]) -> Dict[int, object]:
+        """``{axis position: coordinate}``, normalized; ``None`` matches any."""
+        unknown = sorted(set(coords) - set(self.axes))
+        if unknown:
+            raise TypeError(f"unknown axes {unknown}; this grid's axes: {self.axes}")
+        positions: Dict[int, object] = {}
+        for axis, value in coords.items():
+            if value is None:
                 continue
-            if model_name is not None and m != model_name:
-                continue
-            if batch_size is not None and s != int(batch_size):
-                continue
-            matches.append(result)
-        return matches
+            if axis == "backend":
+                value = self._backend_key(value)
+            elif axis in _INT_AXES:
+                value = int(value)
+            positions[self.axes.index(axis)] = value
+        return positions
 
-    # ------------------------------------------------------------------
-    def backends(self) -> List[str]:
-        """Canonical backend names present, in insertion order."""
-        seen: List[str] = []
-        for backend, _, _ in self._results:
-            if backend not in seen:
-                seen.append(backend)
-        return seen
+    def _matching(self, positions: Dict[int, object]) -> List[object]:
+        return [
+            value
+            for key, value in self._points.items()
+            if all(key[index] == coordinate for index, coordinate in positions.items())
+        ]
 
-    def model_names(self) -> List[str]:
-        """Model names present, in insertion order."""
-        seen: List[str] = []
-        for _, model_name, _ in self._results:
-            if model_name not in seen:
-                seen.append(model_name)
-        return seen
+    def get(self, *coords):
+        """The value of one point, coordinates in axis order.
 
-    def batch_sizes(self) -> List[int]:
-        """Batch sizes present, sorted."""
-        return sorted({batch for _, _, batch in self._results})
+        Omitted trailing coordinates take the grid's defaults, or match any
+        value when the given ones leave exactly one point.
+        """
+        if len(coords) > len(self.axes):
+            raise TypeError(f"this grid has {len(self.axes)} axes {self.axes}")
+        named = dict(self._defaults)
+        named.update(zip(self.axes, coords))
+        positions = self._coordinates(named)
+        if len(positions) == len(self.axes):
+            key = tuple(positions[index] for index in range(len(self.axes)))
+            if key not in self._points:
+                raise KeyError(f"no experiment result for {key}")
+            return self._points[key]
+        matches = self._matching(positions)
+        if len(matches) != 1:
+            given = tuple(positions.get(index) for index in range(len(self.axes)))
+            raise KeyError(
+                f"{len(matches)} experiment results match {given}; pass every axis of "
+                f"{self.axes}"
+            )
+        return matches[0]
+
+    def filter(self, **coords) -> List[object]:
+        """All values matching the given axis coordinates, in grid order."""
+        return self._matching(self._coordinates(coords))
+
+    def axis(self, name: str) -> List[object]:
+        """The distinct coordinates of one axis, in grid order."""
+        index = self.axes.index(name)
+        return list(dict.fromkeys(key[index] for key in self._points))
 
     def __len__(self) -> int:
-        return len(self._results)
+        return len(self._points)
 
     def __iter__(self):
-        return iter(self._results.items())
+        return iter(self._points.items())
 
     # ------------------------------------------------------------------
     def pivot(
@@ -151,7 +192,7 @@ class ExperimentResult:
         value: ValueSpec = "latency_seconds",
         backend: Optional[str] = None,
     ) -> Dict[object, Dict[int, float]]:
-        """Model x batch-size table of one metric.
+        """Model x batch-size table of one metric of a batch grid.
 
         Args:
             value: Attribute/property name of :class:`InferenceResult`
@@ -165,9 +206,9 @@ class ExperimentResult:
             ``{row_key: {batch_size: value}}``.
         """
         backend_key = self._backend_key(backend) if backend is not None else None
-        multi_backend = backend is None and len(self.backends()) > 1
+        multi_backend = backend is None and len(self.axis("backend")) > 1
         table: Dict[object, Dict[int, float]] = {}
-        for (b, model_name, batch), result in self._results.items():
+        for (b, model_name, batch), result in self._points.items():
             if backend_key is not None and b != backend_key:
                 continue
             row_key = (b, model_name) if multi_backend else model_name
@@ -175,52 +216,84 @@ class ExperimentResult:
         return table
 
     def to_dict(self) -> Dict[str, object]:
-        """Serialize the whole grid (JSON-compatible)."""
+        """Serialize a batch grid (JSON-compatible)."""
         return {
             "system_fingerprint": system_fingerprint(self.system),
             "results": [
-                {"backend": backend, "result": result.to_dict()}
-                for (backend, _, _), result in self._results.items()
+                {"backend": key[0], "result": result.to_dict()}
+                for key, result in self._points.items()
             ],
         }
 
     def to_csv(self) -> str:
-        """Render the grid as CSV (one row per design point)."""
-        stages: List[str] = []
-        for result in self._results.values():
-            for stage in result.breakdown.stages:
-                if stage not in stages:
-                    stages.append(stage)
+        """Render the grid as CSV (one row per point)."""
+        columns = self._columns
+        if callable(columns):
+            columns = columns(list(self._points.values()))
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(
-            [
-                "backend",
-                "design_point",
-                "model",
-                "batch_size",
-                "latency_s",
-                "throughput_sps",
-                "power_w",
-                "energy_j",
-            ]
-            + [f"{stage.lower()}_s" for stage in stages]
-        )
-        for (backend, _, _), result in self._results.items():
-            writer.writerow(
-                [
-                    backend,
-                    result.design_point,
-                    result.model_name,
-                    result.batch_size,
-                    repr(result.latency_seconds),
-                    repr(result.throughput_samples_per_second),
-                    repr(result.power_watts),
-                    repr(result.energy_joules),
-                ]
-                + [repr(result.breakdown.get(stage)) for stage in stages]
-            )
+        writer.writerow([header for header, _ in columns])
+        for key, value in self._points.items():
+            writer.writerow([cell(key, value) for _, cell in columns])
         return buffer.getvalue()
+
+
+def _key_columns(axes: Sequence[str]) -> List[Column]:
+    """One CSV column per key coordinate, headed by its axis name."""
+    return [(axis, lambda key, _, index=index: key[index]) for index, axis in enumerate(axes)]
+
+
+_BATCH_AXES = ("backend", "model_name", "batch_size")
+
+
+def _batch_columns(results: List[InferenceResult]) -> List[Column]:
+    """Batch-grid columns: one latency column per stage any result has."""
+    stages = list(dict.fromkeys(s for result in results for s in result.breakdown.stages))
+    return [
+        ("backend", lambda key, _: key[0]),
+        ("design_point", lambda _, r: r.design_point),
+        ("model", lambda _, r: r.model_name),
+        ("batch_size", lambda _, r: r.batch_size),
+        ("latency_s", lambda _, r: repr(r.latency_seconds)),
+        ("throughput_sps", lambda _, r: repr(r.throughput_samples_per_second)),
+        ("power_w", lambda _, r: repr(r.power_watts)),
+        ("energy_j", lambda _, r: repr(r.energy_joules)),
+    ] + [
+        (f"{stage.lower()}_s", lambda _, r, stage=stage: repr(r.breakdown.get(stage)))
+        for stage in stages
+    ]
+
+
+_SERVING_AXES = ("backend", "workload", "model")
+
+_SERVING_COLUMNS = _key_columns(_SERVING_AXES) + [
+    ("completed_requests", lambda _, r: r.completed_requests),
+    ("p50_ms", lambda _, r: repr(r.latency.p50_s * 1e3)),
+    ("p95_ms", lambda _, r: repr(r.latency.p95_s * 1e3)),
+    ("p99_ms", lambda _, r: repr(r.latency.p99_s * 1e3)),
+    ("mean_ms", lambda _, r: repr(r.latency.mean_s * 1e3)),
+    ("avg_batch", lambda _, r: repr(r.average_batch_size)),
+    ("energy_per_request_mj", lambda _, r: repr(r.energy_per_request_joules * 1e3)),
+]
+
+_SHARDING_AXES = ("backend", "workload", "shards", "strategy", "cache", "updates")
+
+#: Label of the cache-off and no-update-stream coordinates.
+_OFF = "off"
+
+_SHARDING_COLUMNS = _key_columns(_SHARDING_AXES) + [
+    ("completed_requests", lambda _, r: r.completed_requests),
+    ("p50_ms", lambda _, r: repr(r.latency.p50_s * 1e3)),
+    ("p99_ms", lambda _, r: repr(r.latency.p99_s * 1e3)),
+    ("mean_ms", lambda _, r: repr(r.latency.mean_s * 1e3)),
+    ("hit_rate", lambda _, r: repr(r.sharding.hit_rate)),
+    ("lookup_imbalance", lambda _, r: repr(r.sharding.lookup_imbalance)),
+    ("cross_shard_mb", lambda _, r: repr(r.sharding.cross_shard_bytes / 1e6)),
+    ("mean_gather_us", lambda _, r: repr(r.sharding.mean_gather_s * 1e6)),
+    ("update_invalidations", lambda _, r: r.sharding.update_invalidations),
+    ("update_refreshes", lambda _, r: r.sharding.update_refreshes),
+    ("stale_hits", lambda _, r: r.sharding.stale_hits),
+]
 
 
 class Experiment:
@@ -410,7 +483,7 @@ class Experiment:
             name: get_backend(name, self.system)
             for name in dict.fromkeys(name for name, _, _ in points)
         }
-        outcome = ExperimentResult(self.system)
+        outcome = ExperimentResult(self.system, _BATCH_AXES, _batch_columns)
         total = len(points)
         for done, (name, model, batch_size) in enumerate(points, start=1):
             if cache is not None:
@@ -422,7 +495,7 @@ class Experiment:
             else:
                 was_cached = False
                 result = backends[name].run(model, batch_size)
-            outcome.add(name, result)
+            outcome.add((name, result.model_name, result.batch_size), result)
             if self._progress is not None:
                 status = "cached" if was_cached else "computed"
                 self._progress(
@@ -444,7 +517,7 @@ class Experiment:
         )
 
         executor = GridExecutor(self._jobs)
-        outcome = ExperimentResult(self.system)
+        outcome = ExperimentResult(self.system, _BATCH_AXES, _batch_columns)
         total = len(points)
         done = 0
 
@@ -470,7 +543,7 @@ class Experiment:
             chunk_results = executor.map(_run_batch_chunk, payloads, on_result=on_chunk)
             for chunk, results in zip(chunks, chunk_results):
                 for (name, _, _), result in zip(chunk, results):
-                    outcome.add(name, result)
+                    outcome.add((name, result.model_name, result.batch_size), result)
             return outcome
 
         # Memoized path: ship each missing key exactly once, merge the
@@ -508,153 +581,64 @@ class Experiment:
             cache.merge(worker_cache)
         for (name, model, batch_size), key, status in zip(points, keys, statuses):
             result = cache.peek(key)
-            outcome.add(name, result)
+            outcome.add((name, result.model_name, result.batch_size), result)
             if status == "cached":
                 emit(name, model, batch_size, "cached")
         return outcome
 
+    def _require_workloads(self, method: str) -> Tuple["Workload", ...]:
+        if not self._workloads:
+            raise SimulationError(
+                f"no workloads selected; call .workloads(...) before .{method}()"
+            )
+        return self._workloads
+
     def serve(
         self,
+        fleet: FleetSpec = FleetSpec(),
+        *,
         duration_s: Optional[float] = None,
         num_requests: Optional[int] = None,
-        batching=None,
-        dispatcher=None,
-        replicas: int = 1,
         seed: int = 0,
-    ):
-        """Run the serving grid: backends x workloads (x models).
+        faults=None,
+    ) -> ExperimentResult:
+        """Run the serving grid: backends x workloads (x models) on one fleet.
 
-        Requires :meth:`workloads` to have been called.  Every point is
-        capability-gated against the backend registry first; single-model
-        workloads fan out over the experiment's model axis while workloads
-        carrying a :class:`~repro.workloads.mix.TrafficMix` serve their own
-        blend.  Returns a
-        :class:`~repro.experiment.serving.ServingExperimentResult`.
+        Requires :meth:`workloads`.  ``fleet`` is the front-end recipe every
+        point is served by (one device by default; replicas, an autoscaling
+        policy or shard and cache tiers select the others, see
+        :class:`~repro.serving.fleet.FleetSpec`).  ``faults`` — a
+        :class:`~repro.chaos.faults.FaultSchedule` or a compact spec string
+        like ``"crash:at=0.1,restart=0.05"`` — is injected into every run,
+        so each report carries an :class:`~repro.chaos.report.IncidentReport`.
+
+        Every backend is capability-gated against the fleet and the
+        workloads first.  Single-model workloads fan out over the
+        experiment's model axis; workloads carrying a
+        :class:`~repro.workloads.mix.TrafficMix` serve their own blend.
+        Points are keyed ``(backend, workload, model)``; the points of one
+        (backend, default model) share one fleet.
         """
-        if not self._workloads:
-            raise SimulationError(
-                "no workloads selected; call .workloads(...) before .serve()"
+        from repro.chaos.faults import FaultSchedule, parse_fault_schedule
+
+        workloads = self._require_workloads("serve")
+        if isinstance(faults, str):
+            faults = parse_fault_schedule(faults)
+        if faults is not None and not isinstance(faults, FaultSchedule):
+            raise ConfigurationError(
+                f"faults must be a FaultSchedule or spec string, got {faults!r}"
             )
-        from repro.experiment.serving import serve_grid
-
-        return serve_grid(
-            self.system,
-            self.backend_names,
-            self._workloads,
-            self._models,
-            duration_s=duration_s,
-            num_requests=num_requests,
-            batching=batching,
-            dispatcher=dispatcher,
-            replicas=replicas,
-            seed=seed,
-            jobs=self._jobs,
-            progress=self._progress,
-        )
-
-    def autoscale(
-        self,
-        policy,
-        min_replicas: int = 1,
-        max_replicas: int = 8,
-        control_interval_s: float = 10e-3,
-        warmup_s: Optional[float] = None,
-        idle_power_w: float = 0.0,
-        duration_s: Optional[float] = None,
-        num_requests: Optional[int] = None,
-        batching=None,
-        dispatcher=None,
-        seed: int = 0,
-    ):
-        """Run the serving grid on elastic fleets driven by ``policy``.
-
-        Like :meth:`serve` but every (backend, workload) point is served by
-        an :class:`~repro.serving.autoscale.AutoscalingCluster` breathing
-        between ``min_replicas`` and ``max_replicas``; reports carry the
-        run's :class:`~repro.serving.cluster.AutoscaleReport` (replica-hour
-        and energy accounting).  ``warmup_s=None`` uses each backend's
-        registered provisioning-delay hint.  Requires :meth:`workloads`.
-        """
-        if not self._workloads:
-            raise SimulationError(
-                "no workloads selected; call .workloads(...) before .autoscale()"
-            )
-        from repro.experiment.serving import autoscale_grid
-
-        return autoscale_grid(
-            self.system,
-            self.backend_names,
-            self._workloads,
-            self._models,
-            policy,
-            min_replicas=min_replicas,
-            max_replicas=max_replicas,
-            control_interval_s=control_interval_s,
-            warmup_s=warmup_s,
-            idle_power_w=idle_power_w,
-            duration_s=duration_s,
-            num_requests=num_requests,
-            batching=batching,
-            dispatcher=dispatcher,
-            seed=seed,
-            jobs=self._jobs,
-            progress=self._progress,
-        )
-
-    def chaos(
-        self,
-        faults,
-        policy=None,
-        min_replicas: int = 1,
-        max_replicas: int = 8,
-        initial_replicas: Optional[int] = None,
-        control_interval_s: float = 10e-3,
-        warmup_s: Optional[float] = None,
-        idle_power_w: float = 0.0,
-        duration_s: Optional[float] = None,
-        num_requests: Optional[int] = None,
-        batching=None,
-        dispatcher=None,
-        seed: int = 0,
-    ):
-        """Run the serving grid under a deterministic fault schedule.
-
-        Like :meth:`autoscale` but every (backend, workload) fleet has
-        ``faults`` — a :class:`~repro.chaos.faults.FaultSchedule` or a
-        compact spec string like ``"crash:at=0.1,restart=0.05"`` — injected
-        into the run, so each report carries an
-        :class:`~repro.chaos.report.IncidentReport` measuring SLA
-        attainment through the incidents and the time-to-recover.
-        ``policy=None`` perturbs a static fleet; with a policy the
-        autoscaler and the faults compose.  Requires :meth:`workloads`.
-        """
-        if not self._workloads:
-            raise SimulationError(
-                "no workloads selected; call .workloads(...) before .chaos()"
-            )
-        from repro.experiment.serving import chaos_grid
-
-        return chaos_grid(
-            self.system,
-            self.backend_names,
-            self._workloads,
-            self._models,
-            faults,
-            policy=policy,
-            min_replicas=min_replicas,
-            max_replicas=max_replicas,
-            initial_replicas=initial_replicas,
-            control_interval_s=control_interval_s,
-            warmup_s=warmup_s,
-            idle_power_w=idle_power_w,
-            duration_s=duration_s,
-            num_requests=num_requests,
-            batching=batching,
-            dispatcher=dispatcher,
-            seed=seed,
-            jobs=self._jobs,
-            progress=self._progress,
-        )
+        for name in self.backend_names:
+            fleet.check(name, workloads, faults)
+        points = []
+        for name in self.backend_names:
+            for workload in workloads:
+                mix = workload.mix
+                for model in self._models if mix is None else workload.models[:1]:
+                    key = (name, workload.name, model.name if mix is None else mix.label)
+                    points.append((key, (name, model.name), fleet, model, workload))
+        result = ExperimentResult(self.system, _SERVING_AXES, _SERVING_COLUMNS)
+        return self._serve_points(result, points, duration_s, num_requests, seed, faults)
 
     def shard(
         self,
@@ -667,22 +651,21 @@ class Experiment:
         num_requests: Optional[int] = None,
         batching=None,
         seed: int = 0,
-    ):
+    ) -> ExperimentResult:
         """Run the sharded-serving grid: shards x strategy x cache x updates.
 
-        Every (backend, workload) point is served by a
+        Every (backend, workload) point is served by a fresh
         :class:`~repro.serving.sharded.ShardedReplicaGroup` at each shard
-        count / placement strategy / hot-row cache configuration, after
-        capability gating (workload support and
-        ``BackendCapabilities.supports_sharding``).  Sharded serving is
-        single-model: the partitioned model is ``model``, or the
-        experiment's model axis when it holds exactly one entry.  Returns
-        a :class:`~repro.experiment.sharding.ShardingExperimentResult`.
+        count / placement strategy / hot-row cache / embedding-push stream
+        (``None`` = the read-only path), after capability gating.  Sharded
+        serving is single-model: the partitioned model is ``model``, or the
+        experiment's model axis when it holds exactly one entry.  Points are
+        keyed ``(backend, workload, shards, strategy, cache, updates)``; a
+        cache or update stream off is ``"off"``.
         """
-        if not self._workloads:
-            raise SimulationError(
-                "no workloads selected; call .workloads(...) before .shard()"
-            )
+        from repro.sharding.plan import STRATEGIES, ShardingStrategy
+
+        workloads = self._require_workloads("shard")
         if model is None:
             if len(self._models) != 1:
                 raise SimulationError(
@@ -690,24 +673,108 @@ class Experiment:
                     f"{len(self._models)} — pass model=..."
                 )
             model = self._models[0]
-        from repro.experiment.sharding import shard_grid
-
-        return shard_grid(
+        if not shard_counts:
+            raise SimulationError("a sharding grid needs at least one shard count")
+        if not strategies:
+            raise SimulationError("a sharding grid needs at least one strategy")
+        caches = tuple(caches) or (None,)
+        updates = tuple(updates) or (None,)
+        strategy_names = [
+            strategy.name if isinstance(strategy, ShardingStrategy) else str(strategy)
+            for strategy in strategies
+        ]
+        for name in strategy_names:
+            if name not in STRATEGIES:
+                raise SimulationError(
+                    f"unknown sharding strategy {name!r}; available: "
+                    f"{', '.join(sorted(STRATEGIES))}"
+                )
+        update_labels = [_OFF if update is None else update.label() for update in updates]
+        # Points are keyed by strategy name and update label; two strategies
+        # or streams sharing one would silently collapse onto one point.
+        for kind, labels in (
+            ("sharding strategies", strategy_names),
+            ("update streams", update_labels),
+        ):
+            if len(set(labels)) != len(labels):
+                raise SimulationError(f"{kind} must have distinct names, got {labels}")
+        fleets = [
+            (
+                (int(shards), strategy_name, _OFF if cache is None else cache.describe(), label),
+                FleetSpec(
+                    batching=batching,
+                    shards=int(shards),
+                    strategy=strategy,
+                    cache=cache,
+                    updates=update,
+                ),
+            )
+            for shards in shard_counts
+            for strategy_name, strategy in zip(strategy_names, strategies)
+            for cache in caches
+            for label, update in zip(update_labels, updates)
+        ]
+        for name in self.backend_names:
+            fleets[0][1].check(name, workloads)  # every point's fleet is sharded
+        points = [
+            ((name, workload.name, *coords), None, spec, model, workload)
+            for name in self.backend_names
+            for workload in workloads
+            for coords, spec in fleets
+        ]
+        result = ExperimentResult(
             self.system,
-            self.backend_names,
-            self._workloads,
-            model,
-            shard_counts=shard_counts,
-            strategies=strategies,
-            caches=caches,
-            updates=updates,
-            duration_s=duration_s,
-            num_requests=num_requests,
-            batching=batching,
-            seed=seed,
-            jobs=self._jobs,
-            progress=self._progress,
+            _SHARDING_AXES,
+            _SHARDING_COLUMNS,
+            defaults={"strategy": "table", "cache": _OFF, "updates": _OFF},
         )
+        return self._serve_points(result, points, duration_s, num_requests, seed)
+
+    def _serve_points(
+        self, result, points, duration_s, num_requests, seed, faults=None
+    ) -> ExperimentResult:
+        """Serve ``(key, group, fleet, model, workload)`` points into ``result``.
+
+        Points with one ``group`` token (``None``: a fleet of its own) share
+        one fleet, which replays their workloads in serial order as one
+        :class:`~repro.experiment.executor.FleetTask`.  Tasks run through
+        :class:`~repro.experiment.executor.GridExecutor` (in-process at
+        ``jobs=1``), and every report lands under its key in point order.
+        """
+        from repro.experiment.executor import FleetTask, GridExecutor, _run_fleet_task
+
+        groups: Dict[object, List[int]] = {}
+        for position, (_, group, _, _, _) in enumerate(points):
+            groups.setdefault(position if group is None else group, []).append(position)
+        members = list(groups.values())
+        tasks = []
+        for positions in members:
+            key, _, fleet, model, _ = points[positions[0]]
+            workloads = tuple(points[position][4] for position in positions)
+            tasks.append(
+                FleetTask(
+                    self.system, fleet, key[0], model, workloads,
+                    duration_s, num_requests, seed, faults,
+                )
+            )
+        done = 0
+
+        def on_task(index: int, reports) -> None:
+            nonlocal done
+            for position in members[index]:
+                done += 1
+                if self._progress is not None:
+                    coordinates = " ".join(str(c) for c in points[position][0])
+                    self._progress(f"[{done}/{len(points)}] {coordinates} served")
+
+        reports: List[object] = [None] * len(points)
+        task_reports = GridExecutor(self._jobs).map(_run_fleet_task, tasks, on_result=on_task)
+        for positions, served in zip(members, task_reports):
+            for position, report in zip(positions, served):
+                reports[position] = report
+        for (key, *_), report in zip(points, reports):
+            result.add(key, report)
+        return result
 
     def plan_capacity(
         self,
@@ -729,10 +796,7 @@ class Experiment:
         planned model is ``model``, or the experiment's model axis when it
         holds exactly one entry.  Requires :meth:`workloads`.
         """
-        if not self._workloads:
-            raise SimulationError(
-                "no workloads selected; call .workloads(...) before .plan_capacity()"
-            )
+        workloads = self._require_workloads("plan_capacity")
         if model is None:
             if len(self._models) != 1:
                 raise SimulationError(
@@ -760,7 +824,7 @@ class Experiment:
                 duration_s=duration_s,
                 num_requests=num_requests,
             )
-            for workload in self._workloads
+            for workload in workloads
         }
 
 
@@ -801,15 +865,3 @@ class VariantSweep:
     def result(self, value, backend: str, batch_size: int) -> InferenceResult:
         """The inference result of one (sweep value, backend, batch) point."""
         return self.grid.get(backend, self.variants[value].name, batch_size)
-
-
-def run_grid(
-    system: SystemConfig,
-    backends: Sequence[str],
-    models: Iterable[DLRMConfig],
-    batch_sizes: Iterable[int],
-    cache=_USE_DEFAULT_CACHE,
-) -> ExperimentResult:
-    """One-call convenience wrapper around the :class:`Experiment` builder."""
-    experiment = Experiment(system, cache=cache).backends(*backends)
-    return experiment.models(tuple(models)).batch_sizes(tuple(batch_sizes)).run()

@@ -48,6 +48,7 @@ from repro.serving.autoscale import (
     TargetUtilizationPolicy,
     parse_autoscaler_spec,
 )
+from repro.serving.fleet import FleetSpec
 from repro.serving.planner import CapacityPlan, CapacityPlanner, CapacityPoint
 from repro.serving.sharded import (
     ShardedReplicaGroup,
@@ -88,6 +89,7 @@ __all__ = [
     "ScheduledPolicy",
     "EWMAPolicy",
     "parse_autoscaler_spec",
+    "FleetSpec",
     "CapacityPlan",
     "CapacityPlanner",
     "CapacityPoint",

@@ -158,6 +158,20 @@ class ClusterReport:
         """Alias so cluster and single-device reports render uniformly."""
         return self.mean_utilization
 
+    @property
+    def average_batch_size(self) -> float:
+        """Mean executed batch size over every replica's batches."""
+        total_batches = sum(
+            replica.extra.get("num_batches", 0.0) for replica in self.per_replica
+        )
+        if total_batches == 0:
+            return 0.0
+        weighted = sum(
+            replica.average_batch_size * replica.extra.get("num_batches", 0.0)
+            for replica in self.per_replica
+        )
+        return weighted / total_batches
+
 
 class HeterogeneousCluster(Fleet):
     """A mixed fleet of serving replicas behind a pluggable dispatcher.

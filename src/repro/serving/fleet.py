@@ -17,18 +17,28 @@ stream once through :func:`~repro.serving.replica.drive_stream` and lets
 each controller attach its accounting to the report.  A static fleet is a
 fleet without controllers: its stream keeps the driver's chunked, buffered
 pull, and is wrapped only when a controller reads it.
+
+A :class:`FleetSpec` is the picklable recipe for one front-end: it gates a
+backend's capabilities and builds the fleet that ``repro serve`` and every
+serving grid run.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, Iterator, List, Optional
 from typing import Sequence, Union
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only
     from repro.chaos.faults import FaultSchedule
+    from repro.serving.autoscale import AutoscalerPolicy
+    from repro.serving.batching import BatchingPolicy
+    from repro.sharding.cache import CacheConfig
+    from repro.sharding.plan import ShardingStrategy
+    from repro.workloads.updates import UpdateProcess
 
-from repro.backends.registry import resolve_backend
+from repro.backends.registry import backend_registration, get_backend, resolve_backend
 from repro.config.models import DLRMConfig
 from repro.config.system import SystemConfig
 from repro.errors import ConfigurationError, SimulationError
@@ -267,3 +277,172 @@ class Fleet:
         for controller in controllers:
             report = controller.finish(report, sim.now)
         return report
+
+
+def check_workload_support(backend_name: str, workload: Workload) -> None:
+    """Raise :class:`ConfigurationError` when a backend cannot serve a workload.
+
+    This is the registry-level gate: the backend's registered capability
+    flags are matched against the workload's requirements before any device
+    model runs.
+    """
+    registration = backend_registration(backend_name)
+    reason = workload.incompatibility(registration.capabilities)
+    if reason is not None:
+        raise ConfigurationError(
+            f"backend {registration.name!r} cannot serve workload "
+            f"{workload.name!r}: {reason}"
+        )
+
+
+def check_elastic_support(backend_name: str) -> None:
+    """Raise :class:`ConfigurationError` when a backend cannot scale elastically."""
+    registration = backend_registration(backend_name)
+    if not registration.capabilities.supports_elastic_scaling:
+        raise ConfigurationError(
+            f"backend {registration.name!r} does not support elastic scaling; "
+            "serve it through a static fleet instead"
+        )
+
+
+def check_sharding_support(backend_name: str) -> None:
+    """Raise :class:`ConfigurationError` when a backend cannot shard tables."""
+    registration = backend_registration(backend_name)
+    if not registration.capabilities.supports_sharding:
+        raise ConfigurationError(
+            f"backend {registration.name!r} cannot partition its embedding "
+            "tables; serve it unsharded instead"
+        )
+
+
+@dataclass(frozen=True)
+class FleetSpec:
+    """Recipe for one serving front-end, built per backend and model.
+
+    Every field is a constructor argument of a front-end; :meth:`build`
+    picks the front-end from them:
+
+    * a :class:`~repro.serving.sharded.ShardedReplicaGroup` when ``shards``
+      is set or any cache or update tier is (``shards=None`` with a tier set
+      is one shard);
+    * else an :class:`~repro.serving.autoscale.AutoscalingCluster` when
+      there is a ``policy`` or a fault schedule: restarting a crashed
+      replica is a provisioning act, so a static fleet under faults is a
+      policy-less elastic one;
+    * else a :class:`~repro.serving.simulator.ServingSimulator` for one
+      replica and a :class:`~repro.serving.cluster.ClusterSimulator` for
+      more.
+
+    Fields the chosen front-end has no use for are ignored: a shard group
+    is one logical replica, and only elastic fleets read the sizing and
+    control fields.  ``warmup_s=None`` takes the backend's registered
+    provisioning hint.
+    """
+
+    replicas: int = 1
+    batching: Optional["BatchingPolicy"] = None
+    dispatcher: Optional[Dispatcher] = None
+    policy: Optional["AutoscalerPolicy"] = None
+    min_replicas: int = 1
+    max_replicas: int = 8
+    initial_replicas: Optional[int] = None
+    control_interval_s: float = 10e-3
+    warmup_s: Optional[float] = None
+    idle_power_w: float = 0.0
+    shards: Optional[int] = None
+    strategy: Union[str, "ShardingStrategy"] = "table"
+    cache: Optional["CacheConfig"] = None
+    shared_cache: Optional["CacheConfig"] = None
+    updates: Optional["UpdateProcess"] = None
+    queue: QueueSpec = "auto"
+    profile: bool = False
+
+    def __post_init__(self) -> None:
+        if self.replicas <= 0:
+            raise SimulationError(f"replicas must be positive, got {self.replicas}")
+
+    @property
+    def sharded(self) -> bool:
+        """True when :meth:`build` returns a shard group."""
+        tiers = (self.cache, self.shared_cache, self.updates)
+        return self.shards is not None or any(tier is not None for tier in tiers)
+
+    def elastic(self, faults=None) -> bool:
+        """True when :meth:`build` returns an autoscaling cluster."""
+        return not self.sharded and (self.policy is not None or faults is not None)
+
+    def check(self, backend_name: str, workloads: Iterable[Workload], faults=None) -> None:
+        """Gate a backend's registered capabilities against this fleet.
+
+        Raises:
+            ConfigurationError: When the backend cannot shard, cannot scale
+                elastically or cannot serve one of ``workloads``.
+        """
+        if self.sharded:
+            check_sharding_support(backend_name)
+        elif self.elastic(faults):
+            check_elastic_support(backend_name)
+        for workload in workloads:
+            check_workload_support(backend_name, workload)
+
+    def build(self, backend_name: str, model: DLRMConfig, system: SystemConfig, faults=None):
+        """The front-end serving ``model`` on ``backend_name`` devices.
+
+        ``faults`` is the schedule the fleet will serve under; only whether
+        there is one matters here.
+        """
+        backend = get_backend(backend_name, system)
+        if self.sharded:
+            from repro.serving.sharded import ShardedReplicaGroup
+
+            return ShardedReplicaGroup(
+                backend,
+                model,
+                num_shards=1 if self.shards is None else self.shards,
+                strategy=self.strategy,
+                cache=self.cache,
+                batching=self.batching,
+                system=system,
+                queue=self.queue,
+                profile=self.profile,
+                updates=self.updates,
+                shared_cache=self.shared_cache,
+            )
+        if self.elastic(faults):
+            from repro.serving.autoscale import AutoscalingCluster
+
+            warmup_s = self.warmup_s
+            if warmup_s is None:
+                warmup_s = backend_registration(backend_name).capabilities.provision_warmup_s
+            return AutoscalingCluster(
+                backend,
+                model,
+                policy=self.policy,
+                min_replicas=self.min_replicas,
+                max_replicas=self.max_replicas,
+                initial_replicas=self.initial_replicas,
+                control_interval_s=self.control_interval_s,
+                warmup_s=warmup_s,
+                idle_power_w=self.idle_power_w,
+                dispatcher=self.dispatcher,
+                batching=self.batching,
+                queue=self.queue,
+                profile=self.profile,
+            )
+        if self.replicas == 1:
+            from repro.serving.simulator import ServingSimulator
+
+            return ServingSimulator(
+                backend, model, batching=self.batching, queue=self.queue, profile=self.profile
+            )
+        from repro.serving.cluster import ClusterSimulator
+
+        return ClusterSimulator(
+            backend,
+            model,
+            num_replicas=self.replicas,
+            batching=self.batching,
+            dispatcher=self.dispatcher,
+            queue=self.queue,
+            profile=self.profile,
+        )

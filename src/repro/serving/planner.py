@@ -23,6 +23,7 @@ from repro.errors import SimulationError
 from repro.serving.batching import BatchingPolicy
 from repro.serving.cluster import ClusterReport, ClusterSimulator
 from repro.serving.dispatch import Dispatcher
+from repro.serving.fleet import check_workload_support
 from repro.workloads.workload import Workload
 
 
@@ -148,8 +149,6 @@ class CapacityPlanner:
         treated as monotone in fleet size, which holds for open-loop
         arrival streams: more replicas never see more load each.
         """
-        from repro.experiment.serving import check_workload_support
-
         check_workload_support(backend_name, workload)
         backend = get_backend(backend_name, self.system)
         evaluated: List[int] = []

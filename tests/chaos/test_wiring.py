@@ -7,7 +7,7 @@ from repro.analysis import render_incident_timeline
 from repro.cli import main
 from repro.config import DLRM1, HARPV2_SYSTEM
 from repro.errors import ConfigurationError, SimulationError
-from repro.experiment import Experiment, chaos_grid
+from repro.experiment import Experiment
 from repro.workloads import (
     SCENARIO_CATALOG,
     PoissonArrivals,
@@ -16,6 +16,12 @@ from repro.workloads import (
 )
 
 WORKLOAD = Workload(arrivals=PoissonArrivals(rate_qps=20_000.0), name="steady")
+
+
+def faulted_grid(faults, num_requests):
+    """A one-point cpu x DLRM(1) grid served under ``faults``."""
+    experiment = Experiment(HARPV2_SYSTEM).backends("cpu").models([DLRM1]).workloads(WORKLOAD)
+    return experiment.serve(faults=faults, num_requests=num_requests)
 
 
 class TestScenarioCatalog:
@@ -51,60 +57,35 @@ class TestChaosGrid:
             .backends("cpu")
             .models([DLRM1])
             .workloads(WORKLOAD)
-            .chaos("crash:at=0.01,restart=0.01", num_requests=400, seed=3)
+            .serve(faults="crash:at=0.01,restart=0.01", num_requests=400, seed=3)
         )
         ((key, report),) = list(result)
         assert report.incidents is not None
         assert len(report.incidents.incidents) == 1
         assert report.autoscale.crashes == 1
 
-    def test_chaos_grid_accepts_schedule_objects_and_strings(self):
-        parsed = chaos_grid(
-            HARPV2_SYSTEM,
-            ["cpu"],
-            [WORKLOAD],
-            [DLRM1],
-            faults="crash:at=0.01",
-            num_requests=300,
-        )
+    def test_serve_faults_accept_schedule_objects_and_strings(self):
+        parsed = faulted_grid("crash:at=0.01", num_requests=300)
         from repro.chaos import ReplicaCrash
 
-        direct = chaos_grid(
-            HARPV2_SYSTEM,
-            ["cpu"],
-            [WORKLOAD],
-            [DLRM1],
-            faults=FaultSchedule([ReplicaCrash(at_s=0.01)]),
-            num_requests=300,
-        )
+        direct = faulted_grid(FaultSchedule([ReplicaCrash(at_s=0.01)]), num_requests=300)
         assert len(parsed) == len(direct) == 1
 
-    def test_chaos_grid_rejects_non_schedules(self):
+    def test_serve_faults_reject_non_schedules(self):
         with pytest.raises(ConfigurationError):
-            chaos_grid(
-                HARPV2_SYSTEM,
-                ["cpu"],
-                [WORKLOAD],
-                [DLRM1],
-                faults=42,
-                num_requests=300,
-            )
+            faulted_grid(42, num_requests=300)
 
     def test_experiment_chaos_requires_workloads(self):
         with pytest.raises(SimulationError):
-            Experiment(HARPV2_SYSTEM).backends("cpu").models([DLRM1]).chaos(
-                "crash:at=0.01", num_requests=300
+            Experiment(HARPV2_SYSTEM).backends("cpu").models([DLRM1]).serve(
+                faults="crash:at=0.01", num_requests=300
             )
 
 
 class TestRenderIncidentTimeline:
     def test_renders_rows_totals_and_notes(self):
-        result = chaos_grid(
-            HARPV2_SYSTEM,
-            ["cpu"],
-            [WORKLOAD],
-            [DLRM1],
-            faults="crash:at=0.01,inflight=shed;brownout:at=0.03,for=0.01,slow=3",
+        result = faulted_grid(
+            "crash:at=0.01,inflight=shed;brownout:at=0.03,for=0.01,slow=3",
             num_requests=600,
         )
         ((_, report),) = list(result)
@@ -116,14 +97,7 @@ class TestRenderIncidentTimeline:
         assert "worst time-to-recover" in rendered
 
     def test_accepts_a_bare_incident_report(self):
-        result = chaos_grid(
-            HARPV2_SYSTEM,
-            ["cpu"],
-            [WORKLOAD],
-            [DLRM1],
-            faults="crash:at=0.01",
-            num_requests=300,
-        )
+        result = faulted_grid("crash:at=0.01", num_requests=300)
         ((_, report),) = list(result)
         assert "crash" in render_incident_timeline(report.incidents)
 

@@ -20,6 +20,7 @@ from repro.config import DLRM1, DLRM2, HARPV2_SYSTEM
 from repro.errors import SimulationError
 from repro.experiment import Experiment, GridExecutor, ResultCache, resolve_jobs
 from repro.experiment.executor import BatchChunk, _run_batch_chunk, chunk_evenly
+from repro.serving import FleetSpec
 from repro.serving.planner import CapacityPlanner
 from repro.sharding import CacheConfig
 from repro.workloads import (
@@ -134,7 +135,7 @@ class TestGridExecutorMap:
 
 
 class TestBatchEquivalence:
-    def run_grid(self, jobs):
+    def build(self, jobs):
         cache = ResultCache()
         result = (
             Experiment(HARPV2_SYSTEM, cache=cache, jobs=jobs)
@@ -147,8 +148,8 @@ class TestBatchEquivalence:
 
     @pytest.mark.parametrize("jobs", JOBS)
     def test_matches_serial(self, jobs):
-        serial, serial_cache = self.run_grid(1)
-        parallel, parallel_cache = self.run_grid(jobs)
+        serial, serial_cache = self.build(1)
+        parallel, parallel_cache = self.build(jobs)
         assert signature(parallel) == signature(serial)
         assert parallel.to_dict() == serial.to_dict()
         # "Priced exactly once" holds across the whole pool, and the
@@ -158,7 +159,7 @@ class TestBatchEquivalence:
         assert parallel_cache.misses == serial_cache.misses
 
     def test_warm_cache_rerun_is_all_hits(self):
-        _, cache = self.run_grid(2)
+        _, cache = self.build(2)
         misses_before = cache.misses
         rerun = (
             Experiment(HARPV2_SYSTEM, cache=cache, jobs=2)
@@ -186,7 +187,7 @@ class TestBatchEquivalence:
 
 
 class TestServeEquivalence:
-    def run_grid(self, jobs):
+    def build(self, jobs):
         return (
             Experiment(HARPV2_SYSTEM, jobs=jobs)
             .backends("cpu", "centaur")
@@ -197,11 +198,11 @@ class TestServeEquivalence:
 
     @pytest.mark.parametrize("jobs", JOBS)
     def test_matches_serial(self, jobs):
-        assert signature(self.run_grid(jobs)) == signature(self.run_grid(1))
+        assert signature(self.build(jobs)) == signature(self.build(1))
 
 
 class TestShardEquivalence:
-    def run_grid(self, jobs):
+    def build(self, jobs):
         return (
             Experiment(HARPV2_SYSTEM, jobs=jobs)
             .backends("centaur")
@@ -218,23 +219,28 @@ class TestShardEquivalence:
 
     @pytest.mark.parametrize("jobs", JOBS)
     def test_matches_serial(self, jobs):
-        assert signature(self.run_grid(jobs)) == signature(self.run_grid(1))
+        assert signature(self.build(jobs)) == signature(self.build(1))
 
 
 class TestChaosEquivalence:
-    def run_grid(self, jobs):
+    def build(self, jobs):
         return (
             Experiment(HARPV2_SYSTEM, jobs=jobs)
             .backends("cpu", "centaur")
             .models(DLRM2)
             .workloads(STEADY)
-            .chaos(CRASH, initial_replicas=2, max_replicas=3, num_requests=250, seed=2)
+            .serve(
+                FleetSpec(initial_replicas=2, max_replicas=3),
+                faults=CRASH,
+                num_requests=250,
+                seed=2,
+            )
         )
 
     @pytest.mark.parametrize("jobs", JOBS)
     def test_matches_serial(self, jobs):
-        serial = self.run_grid(1)
-        parallel = self.run_grid(jobs)
+        serial = self.build(1)
+        parallel = self.build(jobs)
         assert signature(parallel) == signature(serial)
         for (key, report), (_, twin) in zip(serial, parallel):
             assert report.incidents is not None

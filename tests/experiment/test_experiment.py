@@ -11,7 +11,7 @@ from repro.config import (
     PAPER_MODELS,
 )
 from repro.errors import ConfigurationError, SimulationError
-from repro.experiment import Experiment, ResultCache, run_grid
+from repro.experiment import Experiment, ResultCache
 
 
 def small_grid(cache=None):
@@ -28,9 +28,9 @@ class TestExperimentBuilder:
     def test_declarative_grid(self):
         grid = small_grid()
         assert len(grid) == 2 * 2 * 2
-        assert grid.backends() == ["cpu", "centaur"]
-        assert grid.model_names() == ["DLRM(1)", "DLRM(3)"]
-        assert grid.batch_sizes() == [1, 64]
+        assert grid.axis("backend") == ["cpu", "centaur"]
+        assert grid.axis("model_name") == ["DLRM(1)", "DLRM(3)"]
+        assert grid.axis("batch_size") == [1, 64]
 
     def test_defaults_reproduce_the_paper_grid(self):
         experiment = Experiment(HARPV2_SYSTEM)
@@ -68,10 +68,12 @@ class TestExperimentBuilder:
             .run()
         )
         assert len(grid) == 3 * 2 * 2
-        assert grid.backends() == ["centaur", "cpu", "cpu-gpu"]
-        assert grid.model_names() == ["DLRM(1)", "DLRM(6)"]
-        assert grid.batch_sizes() == [1, 16]
-        labels = {grid.get(backend, "DLRM(6)", 16).design_point for backend in grid.backends()}
+        assert grid.axis("backend") == ["centaur", "cpu", "cpu-gpu"]
+        assert grid.axis("model_name") == ["DLRM(1)", "DLRM(6)"]
+        assert grid.axis("batch_size") == [1, 16]
+        labels = {
+            grid.get(backend, "DLRM(6)", 16).design_point for backend in grid.axis("backend")
+        }
         assert labels == {"CPU-only", "CPU-GPU", "Centaur"}
 
     def test_backends_accept_design_point_labels(self):
@@ -92,9 +94,13 @@ class TestExperimentBuilder:
         # The same configuration repeated is harmless.
         Experiment(HARPV2_SYSTEM).models(DLRM1, DLRM1)
 
-    def test_run_grid_convenience(self):
-        grid = run_grid(
-            HARPV2_SYSTEM, ["centaur"], [DLRM1], [16], cache=ResultCache()
+    def test_one_point_grid_with_its_own_cache(self):
+        grid = (
+            Experiment(HARPV2_SYSTEM, cache=ResultCache())
+            .backends("centaur")
+            .models(DLRM1)
+            .batch_sizes(16)
+            .run()
         )
         assert len(grid) == 1
         assert grid.get("centaur", "DLRM(1)", 16).design_point == "Centaur"

@@ -3,9 +3,9 @@
 import pytest
 
 from repro.config import DLRM1, DLRM2, HARPV2_SYSTEM
-from repro.errors import SimulationError
-from repro.experiment import Experiment
-from repro.experiment.serving import ServingExperimentResult
+from repro.errors import ConfigurationError, SimulationError
+from repro.experiment import Experiment, ExperimentResult
+from repro.serving import FleetSpec
 from repro.workloads import (
     ConstantRateArrivals,
     PoissonArrivals,
@@ -30,10 +30,10 @@ class TestExperimentServe:
             .workloads(FAST, MIX)
             .serve(num_requests=400, seed=1)
         )
-        assert isinstance(grid, ServingExperimentResult)
+        assert isinstance(grid, ExperimentResult)
         assert len(grid) == 4
-        assert grid.backends() == ["cpu", "centaur"]
-        assert grid.workload_names() == ["steady", "blend"]
+        assert grid.axis("backend") == ["cpu", "centaur"]
+        assert grid.axis("workload") == ["steady", "blend"]
 
     def test_get_and_filter(self):
         grid = (
@@ -49,6 +49,24 @@ class TestExperimentServe:
         assert grid.filter(backend="centaur") == [report]
         with pytest.raises(KeyError):
             grid.get("centaur", "nope")
+
+    def test_backend_lookups_resolve_labels_and_reject_typos(self):
+        grid = (
+            Experiment(HARPV2_SYSTEM)
+            .backends("centaur")
+            .models(DLRM2)
+            .workloads(FAST)
+            .serve(num_requests=200, seed=0)
+        )
+        report = grid.get("centaur", "steady")
+        # Design-point labels address the same point, as on the batch grid.
+        assert grid.get("Centaur", "steady") is report
+        assert grid.filter(backend="Centaur") == [report]
+        # A typo fails loudly rather than matching nothing.
+        with pytest.raises(ConfigurationError, match="unknown backend"):
+            grid.filter(backend="centuar")
+        with pytest.raises(ConfigurationError, match="unknown backend"):
+            grid.get("centuar", "steady")
 
     def test_mix_workload_reports_blend_label(self):
         grid = (
@@ -82,7 +100,7 @@ class TestExperimentServe:
             .backends("cpu")
             .models(DLRM2)
             .workloads(FAST)
-            .serve(num_requests=400, replicas=3, seed=0)
+            .serve(FleetSpec(replicas=3), num_requests=400, seed=0)
         )
         report = grid.get("cpu", "steady")
         assert report.num_replicas == 3
@@ -138,7 +156,7 @@ class TestValidation:
                 .backends("cpu")
                 .models(DLRM2)
                 .workloads(FAST)
-                .serve(num_requests=10, replicas=0)
+                .serve(FleetSpec(replicas=0), num_requests=10)
             )
 
 
@@ -151,9 +169,11 @@ class TestExperimentAutoscale:
             .backends("cpu", "centaur")
             .models(DLRM2)
             .workloads(FAST)
-            .autoscale(
-                QueueDepthPolicy(high_watermark=16.0, low_watermark=2.0),
-                max_replicas=3,
+            .serve(
+                FleetSpec(
+                    policy=QueueDepthPolicy(high_watermark=16.0, low_watermark=2.0),
+                    max_replicas=3,
+                ),
                 num_requests=400,
                 seed=1,
             )
@@ -175,9 +195,8 @@ class TestExperimentAutoscale:
             .backends("centaur")
             .models(DLRM2)
             .workloads(FAST)
-            .autoscale(
-                ScheduledPolicy([(0.0, 1)]),
-                max_replicas=2,
+            .serve(
+                FleetSpec(policy=ScheduledPolicy([(0.0, 1)]), max_replicas=2),
                 num_requests=200,
                 seed=0,
             )
@@ -190,8 +209,8 @@ class TestExperimentAutoscale:
         from repro.serving import QueueDepthPolicy
 
         with pytest.raises(SimulationError, match="workloads"):
-            Experiment(HARPV2_SYSTEM).backends("cpu").autoscale(
-                QueueDepthPolicy(), num_requests=10
+            Experiment(HARPV2_SYSTEM).backends("cpu").serve(
+                FleetSpec(policy=QueueDepthPolicy()), num_requests=10
             )
 
     def test_inelastic_backend_is_rejected_loudly(self):
@@ -214,7 +233,7 @@ class TestExperimentAutoscale:
                     .backends("fixed-appliance-test")
                     .models(DLRM2)
                     .workloads(FAST)
-                    .autoscale(QueueDepthPolicy(), num_requests=10)
+                    .serve(FleetSpec(policy=QueueDepthPolicy()), num_requests=10)
                 )
         finally:
             unregister_backend("fixed-appliance-test")

@@ -1,11 +1,10 @@
-"""Tests for the sharded-serving grid (Experiment.shard / shard_grid)."""
+"""Tests for the sharded-serving grid (Experiment.shard)."""
 
 import pytest
 
 from repro.config import DLRM1, DLRM2, HARPV2_SYSTEM
-from repro.errors import SimulationError
-from repro.experiment import Experiment
-from repro.experiment.sharding import ShardingExperimentResult, cache_label
+from repro.errors import ConfigurationError, SimulationError
+from repro.experiment import Experiment, ExperimentResult
 from repro.sharding import CacheConfig
 from repro.workloads import ConstantRateArrivals, PoissonArrivals, Workload
 from repro.workloads.traces import ZipfianTrace
@@ -40,10 +39,10 @@ def small_grid(**kwargs):
 class TestExperimentShard:
     def test_grid_spans_every_axis(self):
         grid = small_grid()
-        assert isinstance(grid, ShardingExperimentResult)
+        assert isinstance(grid, ExperimentResult)
         # 1 backend x 1 workload x 2 shard counts x 2 strategies x 2 caches.
         assert len(grid) == 8
-        assert grid.shard_counts() == [1, 2]
+        assert grid.axis("shards") == [1, 2]
         for (_, _, shards, _, cache, updates), report in grid:
             assert updates == "off"
             assert report.sharding is not None
@@ -53,20 +52,32 @@ class TestExperimentShard:
 
     def test_get_and_filter(self):
         grid = small_grid()
-        report = grid.get("centaur", "zipf", 2, "row", cache_label(LRU))
+        report = grid.get("centaur", "zipf", 2, "row", LRU.describe())
         assert report.sharding.cache_policy == "lru"
         assert report.sharding.num_shards == 2
         with pytest.raises(KeyError):
             grid.get("centaur", "zipf", 8, "row")
-        cached_points = grid.filter(cache=cache_label(LRU))
+        cached_points = grid.filter(cache=LRU.describe())
         assert len(cached_points) == 4
         assert all(point.sharding.hit_rate > 0 for point in cached_points)
+
+    def test_backend_lookups_resolve_labels_and_reject_typos(self):
+        grid = small_grid(shard_counts=(2,), strategies=("table",), caches=(None,))
+        report = grid.get("centaur", "zipf", 2)
+        # Design-point labels address the same point, as on the batch grid.
+        assert grid.get("Centaur", "zipf", 2) is report
+        assert grid.filter(backend="Centaur") == [report]
+        # A typo fails loudly rather than matching nothing.
+        with pytest.raises(ConfigurationError, match="unknown backend"):
+            grid.filter(backend="centuar")
+        with pytest.raises(ConfigurationError, match="unknown backend"):
+            grid.get("centuar", "zipf", 2)
 
     def test_cache_wins_on_the_skewed_trace_across_the_grid(self):
         grid = small_grid(strategies=("row",))
         for shards in (1, 2):
             off = grid.get("centaur", "zipf", shards, "row", "off")
-            on = grid.get("centaur", "zipf", shards, "row", cache_label(LRU))
+            on = grid.get("centaur", "zipf", shards, "row", LRU.describe())
             assert on.sharding.hit_rate > off.sharding.hit_rate
             assert on.sharding.mean_gather_s < off.sharding.mean_gather_s
 
@@ -131,7 +142,6 @@ class TestExperimentShard:
             unregister_backend("fused-tables-test")
 
     def test_updates_axis_spans_the_grid(self):
-        from repro.experiment.sharding import update_label
         from repro.workloads import UpdateProcess
 
         storm = UpdateProcess(arrivals=10_000, rows_per_update=16, mode="invalidate")
@@ -142,14 +152,14 @@ class TestExperimentShard:
             updates=(None, storm),
         )
         assert len(grid) == 2
-        off = grid.get("centaur", "zipf", 2, "row", cache_label(LRU))
+        off = grid.get("centaur", "zipf", 2, "row", LRU.describe())
         on = grid.get(
-            "centaur", "zipf", 2, "row", cache_label(LRU), update_label(storm)
+            "centaur", "zipf", 2, "row", LRU.describe(), storm.label()
         )
         assert off.sharding.update_events == 0
         assert on.sharding.update_events > 0
         assert on.sharding.update_invalidations > 0
-        assert len(grid.filter(updates=update_label(storm))) == 1
+        assert len(grid.filter(updates=storm.label())) == 1
         header = grid.to_csv().strip().splitlines()[0]
         assert ",updates," in header
         assert ",update_invalidations," in header
@@ -171,7 +181,7 @@ class TestExperimentShard:
     def test_deterministic_across_runs(self):
         first = small_grid(shard_counts=(2,), strategies=("row",), caches=(LRU,))
         second = small_grid(shard_counts=(2,), strategies=(" row".strip(),), caches=(LRU,))
-        left = first.get("centaur", "zipf", 2, "row", cache_label(LRU))
-        right = second.get("centaur", "zipf", 2, "row", cache_label(LRU))
+        left = first.get("centaur", "zipf", 2, "row", LRU.describe())
+        right = second.get("centaur", "zipf", 2, "row", LRU.describe())
         assert left.latency.samples_s.tolist() == right.latency.samples_s.tolist()
         assert left.sharding == right.sharding

@@ -157,8 +157,7 @@ class TestServe:
                 "--workload", "poisson:20000",
                 "--trace", "zipf:1.05",
                 "--requests", "1500",
-                "--shards", "4",
-                "--shard-strategy", "row",
+                "--shards", "4:row",
                 "--cache", "lru:rows=4096",
             ]
         ) == 0

@@ -144,7 +144,7 @@ class TestCapabilityGating:
         from repro.backends.registry import unregister_backend
         from repro.config import HARPV2_SYSTEM
         from repro.errors import ConfigurationError
-        from repro.experiment import check_workload_support
+        from repro.serving.fleet import check_workload_support
         from repro.cpu.cpu_runner import CPUOnlyRunner
 
         register_backend(
