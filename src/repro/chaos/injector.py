@@ -87,6 +87,9 @@ class FaultInjector(Controller):
         #: Raw incident records, in injection order.  Each holds the
         #: measured facts; SLA fields are filled in at finalize time.
         self._records: List[Dict[str, Any]] = []
+        #: The latest crash that stopped a replica; outage sheds that no
+        #: open incident covers are charged to it.
+        self._last_crash: Optional[Dict[str, Any]] = None
 
     # ------------------------------------------------------------------
     def shed_count(self) -> int:
@@ -170,18 +173,19 @@ class FaultInjector(Controller):
     # ------------------------------------------------------------------
     # Incident record bookkeeping
     # ------------------------------------------------------------------
-    def _snapshot(self) -> Tuple[float, float]:
-        """(energy_joules, replica_seconds) billed so far."""
-        now = self.sim.now
+    def _energy(self) -> float:
+        """Energy billed so far, in joules."""
         if self.controller is not None:
-            energy = sum(
-                replica.energy_joules for replica in self.controller.replicas
-            )
-            return energy, self.controller.commissioned_seconds(now)
-        return self.sharded.energy_joules, self.sharded.plan.num_shards * now
+            return sum(replica.energy_joules for replica in self.controller.replicas)
+        return self.sharded.energy_joules
+
+    def _replica_seconds(self, at_s: float) -> float:
+        """Replica-seconds billed up to ``at_s``, read after the run."""
+        if self.controller is not None:
+            return self.controller.billed_seconds(at_s)
+        return self.sharded.plan.num_shards * at_s
 
     def _open(self, kind: str, target: str, note: str = "") -> Dict[str, Any]:
-        energy, replica_seconds = self._snapshot()
         record: Dict[str, Any] = {
             "kind": kind,
             "target": target,
@@ -192,10 +196,8 @@ class FaultInjector(Controller):
             "redispatched": 0,
             "degraded0": self._degraded_lookups(),
             "degraded1": None,
-            "energy0": energy,
-            "rs0": replica_seconds,
+            "energy0": self._energy(),
             "energy1": None,
-            "rs1": None,
             "refill_rows": 0,
             "refill_s": 0.0,
             "refill_joules": 0.0,
@@ -207,11 +209,9 @@ class FaultInjector(Controller):
     def _close(self, record: Dict[str, Any], cleared: bool = True) -> None:
         if record["end_s"] is not None:
             return
-        energy, replica_seconds = self._snapshot()
         record["end_s"] = self.sim.now
         record["cleared"] = cleared
-        record["energy1"] = energy
-        record["rs1"] = replica_seconds
+        record["energy1"] = self._energy()
         record["degraded1"] = self._degraded_lookups()
 
     def _degraded_lookups(self) -> int:
@@ -225,8 +225,10 @@ class FaultInjector(Controller):
             if record["end_s"] is None:
                 record["shed"] += 1
                 return
-        # An outage with no open incident cannot happen through this
-        # injector's own faults, but stay conservative: count it globally.
+        # An outage can outlive every crash record, for example when the
+        # autoscaler cancels a restarted slot's warm-up: charge the latest.
+        if self._last_crash is not None:
+            self._last_crash["shed"] += 1
 
     # ------------------------------------------------------------------
     # Fleet-mode handlers
@@ -252,6 +254,7 @@ class FaultInjector(Controller):
             return
         note = f"was {state}" if state != "active" else ""
         record = self._open("crash", f"replica:{index}", note=note)
+        self._last_crash = record
         record["shed"] += shed
         record["redispatched"] += redispatched
         self.shed += shed
@@ -407,7 +410,8 @@ class FaultInjector(Controller):
                     shed_requests=record["shed"],
                     redispatched_requests=record["redispatched"],
                     degraded_lookups=(degraded1 or 0) - degraded0,
-                    recovery_replica_seconds=record["rs1"] - record["rs0"],
+                    recovery_replica_seconds=self._replica_seconds(record["end_s"])
+                    - self._replica_seconds(record["start_s"]),
                     recovery_energy_joules=record["energy1"] - record["energy0"],
                     refill_rows=record["refill_rows"],
                     refill_s=record["refill_s"],

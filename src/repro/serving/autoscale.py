@@ -372,6 +372,15 @@ class _ReplicaLifecycle:
             total += (stop if stop is not None else max(horizon_s, start)) - start
         return total
 
+    def billed_seconds(self, at_s: float) -> float:
+        """Seconds billed up to ``at_s`` by the intervals as they stand."""
+        total = 0.0
+        for start, stop in self.intervals:
+            if start > at_s:
+                break
+            total += (stop if stop is not None and stop <= at_s else at_s) - start
+        return total
+
 
 class AutoscalingCluster(ClusterSimulator):
     """An elastic fleet of identical replicas behind a dispatcher.
@@ -598,11 +607,14 @@ class _AutoscaleController(Controller):
         """Default crash/brownout target: mirrors the scale-down order."""
         return self.active_slots[-1] if self.active_slots else None
 
-    def commissioned_seconds(self, now: float) -> float:
-        """Replica-seconds billed up to ``now`` (incident cost snapshots)."""
-        return sum(
-            lifecycle.commissioned_seconds(now) for lifecycle in self.lifecycles
-        )
+    def billed_seconds(self, at_s: float) -> float:
+        """Replica-seconds billed up to ``at_s`` (incident costs).
+
+        Read after the run, this uses the final billing intervals: a reaped
+        drain's stop is back-dated to its last batch finish, which a
+        snapshot taken at ``at_s`` could not yet know.
+        """
+        return sum(lifecycle.billed_seconds(at_s) for lifecycle in self.lifecycles)
 
     def crash_replica(
         self, index: int, on_inflight: str

@@ -406,12 +406,12 @@ class ShardedReplicaServer(ReplicaServer):
         # exactly as one draw per table), then route the whole batch at
         # once: rows stay in (table, draw) order, tagged with their table.
         counts = [batch_size * table.gathers for table in model.tables]
-        drawn = [
-            self.trace_model.draw(self.trace_rng, table.num_rows, count, table_index)
-            for table_index, (table, count) in enumerate(zip(model.tables, counts))
-            if count
-        ]
-        rows = np.concatenate(drawn) if drawn else np.empty(0, dtype=np.int64)
+        rows = self.trace_model.draw_tables(
+            self.trace_rng,
+            [table.num_rows for table in model.tables],
+            counts,
+            range(len(counts)),
+        )
         tables = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
         owners = plan.owner_of(tables, rows)
         if self._lost_shards:

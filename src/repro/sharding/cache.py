@@ -7,13 +7,15 @@ An :class:`EmbeddingCache` sits in front of the host-memory gather on every
 backend: rows that hit are served from device-local memory and skip the
 host gather entirely, rows that miss are gathered and inserted.
 
-Everything is deterministic given the construction arguments: LRU recency
-and LFU frequency ties are broken by a monotonic access tick (never by
-randomness), so two runs over the same lookup stream produce bit-identical
-:class:`~repro.memsys.stats.CacheStats`.  The ``seed`` argument is part of
-the cache identity (it namespaces nothing today but keeps the constructor
-stable if a randomized policy is ever added) and two caches built with the
-same arguments always agree.
+Everything is deterministic given the construction arguments: LRU order is
+the order of accesses and LFU frequency ties are broken by a monotonic
+access tick (never by randomness), so two runs over the same lookup stream
+produce bit-identical :class:`~repro.memsys.stats.CacheStats`.  An LRU call
+is decided all at once by stack distance (see :class:`_LruRows`), with the
+same hits, evictions and final recency order as probing row by row.  The
+``seed`` argument is part of the cache identity (it namespaces nothing
+today but keeps the constructor stable if a randomized policy is ever
+added) and two caches built with the same arguments always agree.
 
 Internally a row is keyed by one packed int, ``(table << 40) | row``.  The
 packing is private to this module; :func:`check_key_space` rejects models
@@ -24,7 +26,6 @@ its rows, so two rows can never alias one key.
 from __future__ import annotations
 
 import heapq
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -60,17 +61,250 @@ def check_key_space(model: DLRMConfig) -> None:
             )
 
 
-def _pack(table_index: TableIndex, rows: np.ndarray) -> List[int]:
-    """Packed keys of ``rows``, range-checked once for the whole call."""
+def _pack(table_index: TableIndex, rows: np.ndarray) -> np.ndarray:
+    """Packed int64 keys of ``rows``, range-checked once for the whole call."""
     rows = np.asarray(rows, dtype=np.int64)
     tables = np.asarray(table_index, dtype=np.int64)
+    if tables.ndim and tables.shape != rows.shape:
+        raise ConfigurationError(
+            f"table_index must be one table or one per row: got tables of shape "
+            f"{tables.shape} for rows of shape {rows.shape}"
+        )
     if rows.size and ((rows >> ROW_BITS).any() or (tables >> _TABLE_BITS).any()):
         raise ConfigurationError(
             f"cache keys need rows in [0, 2**{ROW_BITS}) and tables in "
             f"[0, {MAX_TABLES}); got rows [{rows.min()}, {rows.max()}], "
             f"tables [{tables.min()}, {tables.max()}]"
         )
-    return ((tables << ROW_BITS) | rows).tolist()
+    return (tables << ROW_BITS) | rows
+
+
+#: Cell width of the prefix grid that counts nested reuse intervals.
+_CELL = 64
+#: ``_BEFORE[o, k]`` is ``k < o`` and ``_AFTER[o, k]`` is ``k > o``: the
+#: strip masks of a query at offset ``o`` in its cell.
+_BEFORE = np.tri(_CELL + 1, _CELL, -1, dtype=bool)
+_AFTER = ~_BEFORE[1:]
+#: Rows probed per pass.  LRU is sequential, so consecutive passes decide
+#: exactly what one pass over a whole call would, while the grid, which
+#: grows with the square of a pass's length, stays small.
+_PASS_ROWS = 1 << 14
+
+
+class _LruRows:
+    """LRU state as arrays, probed many rows at a time by stack distance.
+
+    ``keys`` holds the resident packed keys, least recently used first, and
+    ``stale`` flags the ones a push marked stale.  ``_sorted`` / ``_slot``
+    index them: ``keys[_slot[i]] == _sorted[i]`` with ``_sorted``
+    ascending, so a probe looks up only its own keys and never sorts the
+    resident set.
+
+    A pass is decided as if the resident keys had just been accessed in
+    recency order and the pass's keys followed them (Mattson et al.,
+    "Evaluation techniques for storage hierarchies", 1970): an access hits
+    an LRU cache of C rows iff fewer than C distinct keys were touched since
+    the same key's previous access.  Replaying the resident keys from an
+    empty cache rebuilds exactly this state, also below capacity.
+    """
+
+    __slots__ = ("capacity", "keys", "stale", "_sorted", "_slot")
+
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        self.keys = np.empty(0, dtype=np.int64)
+        self.stale = np.empty(0, dtype=bool)
+        self._sorted = self.keys
+        self._slot = self.keys
+
+    def __len__(self) -> int:
+        return self.keys.size
+
+    def locate(self, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Index position of each key, and its recency slot (-1 if absent)."""
+        at = np.searchsorted(self._sorted, keys)
+        size = self._sorted.size
+        if not size:
+            return at, np.full(keys.shape, -1, dtype=np.int64)
+        inside = np.minimum(at, size - 1)
+        return at, np.where(self._sorted[inside] == keys, self._slot[inside], -1)
+
+    def probe(self, keys: np.ndarray) -> Tuple[np.ndarray, int, int]:
+        """Hit mask, evictions and stale hits of one call; updates the state."""
+        hits = np.empty(keys.size, dtype=bool)
+        evictions = stale_hits = 0
+        for start in range(0, keys.size, _PASS_ROWS):
+            part = slice(start, start + _PASS_ROWS)
+            hits[part], evicted, stale = self._probe_pass(keys[part])
+            evictions += evicted
+            stale_hits += stale
+        return hits, evictions, stale_hits
+
+    def _probe_pass(self, keys: np.ndarray) -> Tuple[np.ndarray, int, int]:
+        n = keys.size
+        resident = self.keys.size
+        capacity = self.capacity
+        # Group the pass by key with positions ascending inside each group:
+        # a quicksort by key gives each key a dense id, and a stable sort
+        # of those ids (a radix sort, in the narrowest dtype that holds
+        # them) orders each group by position.  One stable sort by key is
+        # several times slower than both.
+        order = np.argsort(keys)
+        starts = np.empty(n, dtype=bool)
+        starts[0] = True
+        sorted_keys = keys[order]
+        np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=starts[1:])
+        group = np.cumsum(starts) - 1
+        unique = sorted_keys[starts]
+        dense = np.empty(n, dtype=np.int64)
+        dense[order] = group
+        order = np.argsort(dense.astype(np.min_scalar_type(unique.size)), kind="stable")
+        ends = np.empty(n, dtype=bool)
+        ends[:-1] = starts[1:]
+        ends[-1] = True
+        first = order[starts]
+        at, slot = self.locate(unique)
+        # Virtual sequence: resident keys at 0..S-1, the pass at S..S+n-1.
+        # ``prev`` is each access's previous position in it, or -1.
+        prev = np.empty(n, dtype=np.int64)
+        prev[order[1:]] = order[:-1] + resident
+        prev[first] = slot
+        # ``gap`` counts the accesses since the previous one.  Fewer than C
+        # is a hit outright; otherwise the access hits iff the distinct keys
+        # in between, the gap less the repeats nested inside it, are fewer.
+        reused = prev >= 0
+        gap = np.arange(resident - 1, resident - 1 + n) - prev
+        hits = reused & (gap < capacity)
+        ambiguous = np.flatnonzero(reused & (gap >= capacity))
+        if ambiguous.size:
+            distinct = gap[ambiguous] - _nested_reuses(prev, reused, ambiguous)
+            hits[ambiguous] = distinct < capacity
+        misses = n - int(np.count_nonzero(hits))
+        evictions = max(0, resident + misses - capacity)
+
+        # Stale hits: hits on keys stale at pass start before any miss of
+        # the same key in the pass (a miss means it was evicted meanwhile).
+        found = slot >= 0
+        was_stale = np.zeros(unique.size, dtype=bool)
+        was_stale[found] = self.stale[slot[found]]
+        stale_hits = 0
+        still_stale = was_stale
+        if was_stale.any():
+            hit_sorted = hits[order]
+            miss_sorted = ~hit_sorted
+            missed_before = np.cumsum(miss_sorted) - miss_sorted
+            missed_before -= missed_before[starts][group]
+            stale_hits = int(
+                np.count_nonzero(hit_sorted & was_stale[group] & (missed_before == 0))
+            )
+            still_stale = was_stale & (
+                np.bincount(dense[~hits], minlength=unique.size) == 0
+            )
+
+        # The new state is the last C distinct keys by last occurrence:
+        # untouched residents in recency order, then the pass's keys.
+        untouched = np.ones(resident, dtype=bool)
+        untouched[slot[found]] = False
+        survivors = int(np.count_nonzero(untouched))
+        last = np.zeros(n, dtype=bool)
+        last[order[ends]] = True
+        newest = dense[last]
+        drop = max(0, survivors + unique.size - capacity)
+        self.keys = np.concatenate((self.keys[untouched], keys[last]))[drop:]
+        self.stale = np.concatenate((self.stale[untouched], still_stale[newest]))[drop:]
+        # New slots: survivors keep their order, pass keys follow them, and
+        # the oldest ``drop`` fall below zero.  New keys merge into the
+        # index at the positions the lookup found; dropped keys leave it.
+        rank = np.empty(unique.size, dtype=np.int64)
+        rank[newest] = np.arange(survivors - drop, survivors - drop + unique.size)
+        moved = np.cumsum(untouched)
+        moved -= 1 + drop
+        moved[slot[found]] = rank[found]
+        inserted = ~found & (rank >= 0)
+        at = at[inserted]
+        index = np.insert(self._sorted, at, unique[inserted])
+        slots = np.insert(moved[self._slot], at, rank[inserted])
+        kept = slots >= 0
+        self._sorted = index[kept]
+        self._slot = slots[kept]
+        return hits, evictions, stale_hits
+
+    def _retain(self, keep: np.ndarray) -> None:
+        """Keep the resident keys ``keep`` selects, in recency order."""
+        slots = np.cumsum(keep) - 1
+        kept = keep[self._slot]
+        self._sorted = self._sorted[kept]
+        self._slot = slots[self._slot[kept]]
+        self.keys = self.keys[keep]
+        self.stale = self.stale[keep]
+
+    def invalidate(self, keys: np.ndarray) -> int:
+        slots = self.locate(keys)[1]
+        slots = np.unique(slots[slots >= 0])
+        if slots.size:
+            keep = np.ones(self.keys.size, dtype=bool)
+            keep[slots] = False
+            self._retain(keep)
+        return slots.size
+
+    def refresh(self, keys: np.ndarray) -> int:
+        slots = self.locate(keys)[1]
+        slots = slots[slots >= 0]
+        self.stale[slots] = False
+        return slots.size
+
+    def mark_stale(self, keys: np.ndarray) -> int:
+        slots = self.locate(keys)[1]
+        slots = np.unique(slots[slots >= 0])
+        fresh = slots[~self.stale[slots]]
+        self.stale[fresh] = True
+        return fresh.size
+
+
+def _nested_reuses(
+    prev: np.ndarray, reused: np.ndarray, queries: np.ndarray
+) -> np.ndarray:
+    """``#{j < t : prev[j] > prev[t]}`` for each position ``t`` in ``queries``.
+
+    These are the repeated keys inside the reuse interval ``(prev[t], t)``
+    of a query (which has ``prev[t] >= 0``).  Every ``prev >= 0`` is
+    distinct, so with ``prev`` replaced by its rank (the point's height)
+    this counts the earlier points above each query.  A prefix grid of
+    ``_CELL``-square cells counts whole cells; two exact strips count the
+    query's own cell column and cell row.
+    """
+    n = prev.size
+    points = np.flatnonzero(reused)
+    by_prev = points[np.argsort(prev[points])]
+    columns = n // _CELL + 1
+    rows = points.size // _CELL + 1
+    # Height of each position (-1 off the points), and the position of
+    # each height (n past the last one), padded to whole cells.
+    height = np.full(columns * _CELL, -1, dtype=np.int32)
+    height[by_prev] = np.arange(points.size, dtype=np.int32)
+    position = np.full(rows * _CELL, n, dtype=np.int32)
+    position[: points.size] = by_prev
+    queries = queries.astype(np.int32)
+    heights = height[queries]
+    column = queries // _CELL
+    row = heights // _CELL
+    cells = np.bincount(
+        points // _CELL * rows + height[points] // _CELL, minlength=columns * rows
+    ).reshape(columns, rows)
+    # above[c, r]: points in cell columns left of c and cell rows above r.
+    left = np.zeros((columns, rows), dtype=np.int64)
+    np.cumsum(cells[:-1], axis=0, out=left[1:])
+    above = left.sum(axis=1, keepdims=True) - np.cumsum(left, axis=1)
+    # Column strip: earlier points of the query's cell column, higher up.
+    strip = _BEFORE[queries - column * _CELL] & (
+        height.reshape(columns, _CELL)[column] > heights[:, None]
+    )
+    counts = above[column, row] + np.count_nonzero(strip, axis=1)
+    # Row strip: higher points of the query's cell row, in earlier columns.
+    strip = _AFTER[heights - row * _CELL] & (
+        position.reshape(rows, _CELL)[row] < (column * _CELL)[:, None]
+    )
+    return counts + np.count_nonzero(strip, axis=1)
 
 
 @dataclass(frozen=True)
@@ -177,30 +411,31 @@ class EmbeddingCache:
         #: Hits served from rows a push updated behind the cache
         #: (``mode="ignore"`` staleness accounting).
         self.stale_hits = 0
-        # Every structure below holds packed keys (see _pack).
-        self._stale: set = set()
-        self._tick = 0
-        # LRU state: insertion/recency-ordered keys.
-        self._lru: "OrderedDict[int, None]" = OrderedDict()
+        # Every structure below holds packed keys (see _pack).  LRU state,
+        # stale flags included, lives in arrays probed by stack distance.
+        self._lru = _LruRows(capacity_rows) if policy == "lru" else None
         # LFU state: key -> (frequency, last tick) plus a lazy min-heap of
         # (frequency, tick, key) snapshots; stale snapshots are skipped at
-        # eviction time, keeping every operation O(log n).
+        # eviction time, keeping every operation O(log n).  LFU has no
+        # inclusion property, so it stays a per-row loop.
         self._lfu: Dict[int, Tuple[int, int]] = {}
         self._heap: list = []
+        self._stale: set = set()
+        self._tick = 0
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._resident())
+        return len(self._lru) if self._lru is not None else len(self._lfu)
 
     def __contains__(self, key: Tuple[int, int]) -> bool:
         """Whether the ``(table, row)`` pair is resident."""
         table_index, row = key
         if not (0 <= table_index < MAX_TABLES and 0 <= row < 1 << ROW_BITS):
             return False
-        return (table_index << ROW_BITS | row) in self._resident()
-
-    def _resident(self) -> dict:
-        return self._lru if self.policy == "lru" else self._lfu
+        packed = table_index << ROW_BITS | row
+        if self._lru is not None:
+            return bool(self._lru.locate(np.array([packed]))[1][0] >= 0)
+        return packed in self._lfu
 
     @property
     def hit_rate(self) -> float:
@@ -218,44 +453,21 @@ class EmbeddingCache:
         consecutive accesses (the second occurrence of a missed row hits).
         """
         keys = _pack(table_index, rows)
+        if not keys.size:
+            return np.zeros(keys.shape, dtype=bool)
+        if self._lru is not None:
+            hits, evictions, stale_hits = self._lru.probe(keys)
+            self.evictions += evictions
+            self.stale_hits += stale_hits
+        else:
+            hits = self._lookup_lfu(keys.tolist())
+        hit_count = int(np.count_nonzero(hits))
+        self.stats.record_counts(hits=hit_count, misses=keys.size - hit_count)
+        return hits
+
+    def _lookup_lfu(self, keys: List[int]) -> np.ndarray:
         # One byte per access, set on a hit; read back as the bool mask.
         hits = bytearray(len(keys))
-        if self.policy == "lru":
-            self._lookup_lru(keys, hits)
-        else:
-            self._lookup_lfu(keys, hits)
-        hit_count = hits.count(1)
-        self.stats.record_counts(hits=hit_count, misses=len(keys) - hit_count)
-        return np.frombuffer(hits, dtype=bool)
-
-    def _lookup_lru(self, keys: List[int], hits: bytearray) -> None:
-        cache = self._lru
-        capacity = self.capacity_rows
-        stale = self._stale
-        move_to_end = cache.move_to_end
-        popitem = cache.popitem
-        # Inside one call the cache only grows until full, then every miss
-        # evicts exactly one row, so its size is tracked locally.
-        size = len(cache)
-        evictions = 0
-        for position, key in enumerate(keys):
-            if key in cache:
-                hits[position] = 1
-                move_to_end(key)
-                if stale and key in stale:
-                    self.stale_hits += 1
-                continue
-            if size < capacity:
-                size += 1
-            else:
-                evicted = popitem(False)[0]
-                evictions += 1
-                if stale:
-                    stale.discard(evicted)
-            cache[key] = None
-        self.evictions += evictions
-
-    def _lookup_lfu(self, keys: List[int], hits: bytearray) -> None:
         cache = self._lfu
         capacity = self.capacity_rows
         stale = self._stale
@@ -287,6 +499,7 @@ class EmbeddingCache:
                 for key, (frequency, tick) in cache.items()
             ]
             heapq.heapify(self._heap)
+        return np.frombuffer(hits, dtype=bool)
 
     def _evict_lfu(self) -> None:
         while self._heap:
@@ -310,15 +523,17 @@ class EmbeddingCache:
         capacity ``evictions`` counter — the per-cause split freshness
         reports rely on.  Absent rows are a no-op.
         """
-        cache = self._resident()
-        removed = 0
-        for key in _pack(table_index, rows):
-            if key in cache:
-                # LFU heap snapshots of the key go stale; _evict_lfu
-                # already skips snapshots whose entry disagrees.
-                del cache[key]
-                removed += 1
-                if self._stale:
+        keys = _pack(table_index, rows)
+        if self._lru is not None:
+            removed = self._lru.invalidate(keys)
+        else:
+            removed = 0
+            for key in keys.tolist():
+                if key in self._lfu:
+                    # Heap snapshots of the key go stale; _evict_lfu
+                    # already skips snapshots whose entry disagrees.
+                    del self._lfu[key]
+                    removed += 1
                     self._stale.discard(key)
         self.update_evictions += removed
         return removed
@@ -331,12 +546,14 @@ class EmbeddingCache:
         Absent rows are not allocated — write-no-allocate keeps one-shot
         pushes from polluting the hot set.
         """
-        cache = self._resident()
-        refreshed = 0
-        for key in _pack(table_index, rows):
-            if key in cache:
-                refreshed += 1
-                if self._stale:
+        keys = _pack(table_index, rows)
+        if self._lru is not None:
+            refreshed = self._lru.refresh(keys)
+        else:
+            refreshed = 0
+            for key in keys.tolist():
+                if key in self._lfu:
+                    refreshed += 1
                     self._stale.discard(key)
         self.update_refreshes += refreshed
         return refreshed
@@ -347,10 +564,12 @@ class EmbeddingCache:
         Later hits on marked rows increment ``stale_hits`` — the run's
         correctness/staleness exposure when pushes are not applied.
         """
-        cache = self._resident()
+        keys = _pack(table_index, rows)
+        if self._lru is not None:
+            return self._lru.mark_stale(keys)
         marked = 0
-        for key in _pack(table_index, rows):
-            if key in cache and key not in self._stale:
+        for key in keys.tolist():
+            if key in self._lfu and key not in self._stale:
                 self._stale.add(key)
                 marked += 1
         return marked

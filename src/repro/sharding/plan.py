@@ -136,6 +136,11 @@ class ShardingPlan:
         rows = np.asarray(rows, dtype=np.int64)
         tables = np.asarray(table_index, dtype=np.int64)
         num_tables = self.model.num_tables
+        if tables.ndim and tables.shape != rows.shape:
+            raise ConfigurationError(
+                f"table_index must be one table or one per row: got tables of "
+                f"shape {tables.shape} for rows of shape {rows.shape}"
+            )
         if tables.size and (tables.min() < 0 or tables.max() >= num_tables):
             bad = tables[(tables < 0) | (tables >= num_tables)].flat[0]
             raise ConfigurationError(

@@ -16,6 +16,8 @@ workload split seeds explicitly and lets per-table overrides compose
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -146,6 +148,25 @@ class TraceModel:
         """Draw ``count`` row IDs in ``[0, num_rows)`` as an int64 array."""
         raise NotImplementedError
 
+    def draw_tables(
+        self,
+        rng: np.random.Generator,
+        num_rows: Sequence[int],
+        counts: Sequence[int],
+        table_indices: Sequence[int],
+    ) -> np.ndarray:
+        """Draw ``counts[i]`` rows of table ``table_indices[i]`` for each table.
+
+        Returns the per-table draws concatenated in table order, consuming
+        ``rng`` exactly as one :meth:`draw` per table with a non-zero count.
+        """
+        drawn = [
+            self.draw(rng, rows, count, index)
+            for rows, count, index in zip(num_rows, counts, table_indices)
+            if count
+        ]
+        return np.concatenate(drawn) if drawn else np.empty(0, dtype=np.int64)
+
     def describe(self) -> str:
         return self.kind
 
@@ -184,36 +205,84 @@ class ZipfianTrace(TraceModel):
         if self.alpha <= 0:
             raise TraceError(f"alpha must be positive, got {self.alpha}")
 
-    def _cdf(self, num_rows: int) -> np.ndarray:
+    def _tables(self, num_rows: int) -> Tuple[np.ndarray, np.ndarray]:
+        """The rank CDF and its int32 guide table (Chen and Asau, 1974).
+
+        ``guide[b]`` is the first rank whose CDF reaches ``b / num_rows``,
+        so a uniform in bucket ``b`` starts its search there.
+        """
         key = (self.alpha, num_rows)
-        cached = _ZIPF_CDF_CACHE.get(key)
+        cached = _ZIPF_CACHE.get(key)
         if cached is None:
             ranks = np.arange(1, num_rows + 1, dtype=np.float64)
-            weights = ranks ** (-self.alpha)
-            cached = np.cumsum(weights)
-            cached /= cached[-1]
-            _cache_put(_ZIPF_CDF_CACHE, key, cached)
+            cdf = np.cumsum(ranks ** (-self.alpha))
+            cdf /= cdf[-1]
+            # Built a chunk of edges at a time: whole-table edge and index
+            # arrays would add their transient to a serving run's peak RSS.
+            guide = np.empty(num_rows + 1, dtype=np.int32)
+            for start in range(0, num_rows + 1, _GUIDE_CHUNK):
+                edges = np.arange(start, min(start + _GUIDE_CHUNK, num_rows + 1))
+                edges = edges / num_rows
+                guide[start : start + edges.size] = np.searchsorted(cdf, edges, side="left")
+            cached = (cdf, guide)
+            _cache_put(_ZIPF_CACHE, key, cached)
         return cached
 
     def draw(self, rng, num_rows, count, table_index=None):
-        cdf = self._cdf(num_rows)
+        cdf, guide = self._tables(num_rows)
         uniform = rng.random(count)
-        ranks = np.searchsorted(cdf, uniform, side="left")
-        permutation = _scatter_permutation(self.scatter_seed, num_rows)
-        return permutation[np.clip(ranks, 0, num_rows - 1)]
+        ranks = _guided_search(cdf, guide, uniform)
+        return _scatter_permutation(self.scatter_seed, num_rows)[ranks]
+
+    def draw_tables(self, rng, num_rows, counts, table_indices):
+        # Tables of one size share the CDF and the scatter, and
+        # ``rng.random(a + b)`` equals ``random(a)`` then ``random(b)``: one
+        # draw per run of equal-size tables keeps the stream bit-identical.
+        drawn = []
+        for rows, run in groupby(zip(num_rows, counts), key=itemgetter(0)):
+            total = sum(count for _, count in run)
+            if total:
+                drawn.append(self.draw(rng, rows, total))
+        return np.concatenate(drawn) if drawn else np.empty(0, dtype=np.int64)
 
     def describe(self) -> str:
         return f"zipf(alpha={self.alpha})"
 
 
-#: Zipf CDFs and hot-row scatter permutations are pure functions of their
-#: keys but O(num_rows) each, so the process-global caches are bounded:
-#: oldest entries are evicted FIFO once the cap is reached (a sweep over
-#: many alphas/table sizes stays at a bounded footprint).
+#: Zipf CDFs with their guide tables and hot-row scatter permutations are
+#: pure functions of their keys but O(num_rows) each, so the process-global
+#: caches are bounded: oldest entries are evicted FIFO once the cap is
+#: reached (a sweep over many alphas/table sizes stays at a bounded
+#: footprint).
 _TRACE_CACHE_CAP = 32
 
-_ZIPF_CDF_CACHE: Dict[Tuple[float, int], np.ndarray] = {}
+_ZIPF_CACHE: Dict[Tuple[float, int], Tuple[np.ndarray, np.ndarray]] = {}
 _SCATTER_CACHE: Dict[Tuple[int, int], np.ndarray] = {}
+
+#: Forward steps a guided search takes before it bisects what remains.
+_GUIDE_STEPS = 4
+#: Guide entries built per chunk.
+_GUIDE_CHUNK = 1 << 15
+
+
+def _guided_search(cdf: np.ndarray, guide: np.ndarray, uniform: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(cdf, uniform, side="left")`` via the guide table."""
+    buckets = len(guide) - 1
+    bucket = (uniform * buckets).astype(np.int64)
+    # The product can round up past the true floor by one; the division
+    # below is the one that built the guide, so the check is exact.
+    bucket -= bucket / buckets > uniform
+    ranks = guide[bucket]
+    todo = np.flatnonzero(cdf[ranks] < uniform)
+    for _ in range(_GUIDE_STEPS):
+        if not todo.size:
+            return ranks
+        ranks[todo] += 1
+        todo = todo[cdf[ranks[todo]] < uniform[todo]]
+    # Wide buckets (the flat tail of a steep CDF) fall back to bisection.
+    if todo.size:
+        ranks[todo] = np.searchsorted(cdf, uniform[todo], side="left")
+    return ranks
 
 
 def _cache_put(cache: Dict, key, value) -> None:

@@ -12,7 +12,7 @@ pool slots, in index order.
 import contextlib
 from collections import Counter
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.backends import get_backend
 from repro.chaos import Brownout, FaultSchedule, PoissonFaults, ReplicaCrash
@@ -106,6 +106,32 @@ class TestConservation:
         elastic=st.booleans(),
     )
     @settings(max_examples=25, deadline=None)
+    # A drained slot reaped before the crash: its billing stop is back-dated,
+    # so replica-seconds must come from the final intervals (never negative).
+    @example(
+        schedule=FaultSchedule([ReplicaCrash(at_s=0.02734375)], sla_s=5e-3),
+        seed=0,
+        elastic=True,
+    )
+    # The autoscaler reclaims the crashed slot before its restart, and the
+    # outage outlives the closed record: its sheds still reach the ledger.
+    @example(
+        schedule=FaultSchedule(
+            [
+                PoissonFaults(
+                    template=ReplicaCrash(
+                        at_s=0.0, restart_after_s=0.002, on_inflight="redispatch"
+                    ),
+                    rate_hz=35.0,
+                    end_s=0.03125,
+                    seed=0,
+                )
+            ],
+            sla_s=5e-3,
+        ),
+        seed=2222,
+        elastic=True,
+    )
     def test_arrivals_equal_completed_plus_shed(self, schedule, seed, elastic):
         cluster, report = run(schedule, seed, elastic)
         outcome = cluster.last_outcome

@@ -17,6 +17,7 @@ from repro.serving import (
     AutoscalingCluster,
     ClusterSimulator,
     QueueDepthPolicy,
+    ScheduledPolicy,
     ServingSimulator,
     TimeoutBatching,
 )
@@ -217,6 +218,36 @@ class TestAutoscalerComposition:
         # Either the chaos restart won the slot back, or the autoscaler
         # reclaimed it first — both are legal, and the report says which.
         assert incident.cleared or "reclaimed" in incident.note
+
+    def test_outage_outliving_every_crash_record_is_charged_to_the_latest(self):
+        # The scale-in to one replica cancels the restarted slot's warm-up,
+        # so the outage after the second crash outlives both records.
+        cluster = AutoscalingCluster(
+            get_backend("cpu", HARPV2_SYSTEM),
+            DLRM1,
+            policy=ScheduledPolicy([(0.0, 2), (0.005, 1)]),
+            min_replicas=1,
+            max_replicas=3,
+            initial_replicas=2,
+            control_interval_s=5e-3,
+            warmup_s=12e-3,
+            batching=TimeoutBatching(window_s=1e-3, max_batch_size=64),
+        )
+        report = cluster.serve_workload(
+            WORKLOAD,
+            num_requests=600,
+            seed=1,
+            faults=FaultSchedule(
+                [
+                    ReplicaCrash(at_s=0.004, replica=0, restart_after_s=0.001),
+                    ReplicaCrash(at_s=0.011, restart_after_s=0.008, warmup_s=0.003),
+                ]
+            ),
+        )
+        outcome = cluster.last_outcome
+        assert outcome.shed > 0
+        assert report.incidents.total_shed == outcome.shed
+        assert report.incidents.incidents[-1].shed_requests == outcome.shed
 
 
 class TestFleetValidation:

@@ -10,11 +10,16 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.config import HARPV2_SYSTEM, SystemConfig
 from repro.config.models import DLRMConfig, homogeneous_dlrm
 from repro.dlrm import DLRM, DLRMBatch
 from repro.workloads import UniformTrace, model_batch
+
+# A long-running profile for the oracle properties, selected with
+# ``--hypothesis-profile=deep``; the default profile keeps tier-1 fast.
+settings.register_profile("deep", max_examples=2000, deadline=None)
 
 
 @pytest.fixture(scope="session")

@@ -131,6 +131,8 @@ GRIDS = {
 
 _SERVE = ("serve", "--model", "DLRM2")
 _ZIPF = ("--backend", "centaur", "--trace", "zipf:1.05")
+_LRU_SHARDS = (*_SERVE, *_ZIPF, "--workload", "poisson:30000", "--jobs", "1",
+               "--seed", "0", "--shards", "2:row")
 CLI_CALLS = {
     "single": (
         (*_SERVE, "--backend", "centaur", "--workload", "poisson:20000",
@@ -160,6 +162,22 @@ CLI_CALLS = {
          "--cache", "lru:rows=4096",
          "--faults", "shard-loss:at=0.01,shard=1,restore=0.01"),
         "9728da52996b3ad6317d6fa3f79a3834ee9fc6ca0285953eeedb7259486b4adf",
+    ),
+    # LRU shapes no bench digest covers: a capacity far above one call's
+    # rows, and both push modes that touch the resident set between calls.
+    "lru-large": (
+        (*_LRU_SHARDS, "--cache", "lru:rows=65536", "--requests", "3000"),
+        "c4d2f10b33512f1c897eed3d3aae4861ba4835305e999b0ab4dc5c4da83cfb3c",
+    ),
+    "lru-invalidate": (
+        (*_LRU_SHARDS, "--cache", "lru:rows=4096",
+         "--updates", "invalidate:rate=30000,rows=256", "--requests", "600"),
+        "7b21587202a02aa03252735eba78c700f04f63f60c7350f90520a6d8ccbaf637",
+    ),
+    "lru-stale": (
+        (*_LRU_SHARDS, "--cache", "lru:rows=4096",
+         "--updates", "ignore:rate=30000,rows=256", "--requests", "600"),
+        "2ca4baf6389331745e8781818755c44fc6dccdf3d5ae99d86f569ffa6414eb68",
     ),
 }
 

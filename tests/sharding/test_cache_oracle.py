@@ -8,6 +8,7 @@ every observable must agree access for access.  The key-packing guards are
 pinned too, so two rows can never alias one key.
 """
 
+import re
 import types
 
 import numpy as np
@@ -128,6 +129,20 @@ class TestKeyPackingGuards:
             cache.lookup(tables, np.asarray(rows, dtype=np.int64))
         with pytest.raises(ConfigurationError):
             cache.invalidate(np.asarray(tables).flat[-1], np.asarray(rows))
+
+    @pytest.mark.parametrize("policy", ["lru", "lfu"])
+    @pytest.mark.parametrize("tables", [[1], [0, 1], [[0, 1, 2]]])
+    def test_misaligned_table_array_is_rejected(self, policy, tables):
+        cache = EmbeddingCache(capacity_rows=4, policy=policy)
+        tables = np.asarray(tables)
+        with pytest.raises(ConfigurationError, match=re.escape(f"{tables.shape}")):
+            cache.lookup(tables, np.array([0, 1, 2]))
+        assert cache.stats.accesses == 0 and len(cache) == 0
+
+    def test_scalar_table_probes_every_row(self):
+        cache = EmbeddingCache(capacity_rows=4)
+        assert cache.lookup(np.array(1), np.array([0, 1])).tolist() == [False, False]
+        assert cache.lookup(np.int64(1), np.array([1, 0])).tolist() == [True, True]
 
     def test_out_of_range_tuples_are_simply_absent(self):
         cache = EmbeddingCache(capacity_rows=4)

@@ -1,5 +1,7 @@
 """Unit tests for sharding plans and placement strategies."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -126,6 +128,21 @@ class TestPerRowTables:
         out = np.full(rows.size, -1, dtype=np.int64)
         assert plan.owner_of(3, rows, out=out) is out
         np.testing.assert_array_equal(out, plan.owner_of(3, rows))
+
+    @pytest.mark.parametrize("strategy", ["row", "table"])
+    @pytest.mark.parametrize("tables", [[1], [0, 1], [[0, 1, 2]]])
+    def test_misaligned_table_array_rejected(self, model, strategy, tables):
+        plan = make_plan(model, 4, strategy)
+        tables = np.asarray(tables)
+        with pytest.raises(ConfigurationError, match=re.escape(f"{tables.shape}")):
+            plan.owner_of(tables, np.arange(3))
+
+    @pytest.mark.parametrize("strategy", ["row", "table"])
+    def test_scalar_table_broadcasts_over_rows(self, model, strategy):
+        plan = make_plan(model, 4, strategy)
+        expected = plan.owner_of(2, np.arange(3))
+        np.testing.assert_array_equal(plan.owner_of(np.array(2), np.arange(3)), expected)
+        np.testing.assert_array_equal(plan.owner_of(np.int64(2), np.arange(3)), expected)
 
     def test_out_of_range_table_in_an_array_rejected(self, model):
         plan = make_plan(model, 4, "row")
