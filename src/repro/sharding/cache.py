@@ -8,9 +8,12 @@ backend: rows that hit are served from device-local memory and skip the
 host gather entirely, rows that miss are gathered and inserted.
 
 Everything is deterministic given the construction arguments: LRU order is
-the order of accesses and LFU frequency ties are broken by a monotonic
-access tick (never by randomness), so two runs over the same lookup stream
-produce bit-identical :class:`~repro.memsys.stats.CacheStats`.  An LRU call
+the order of accesses, and LFU keeps one first-in first-out queue of rows
+per frequency (never randomness).  A row joins the queue of frequency f at
+the access that gave it frequency f, so each queue is in last-access order
+and its head is the least-frequent row accessed longest ago, the victim of
+ordering by ``(frequency, last access)``.  Two runs over the same lookup
+stream produce bit-identical :class:`~repro.memsys.stats.CacheStats`.  An LRU call
 is decided all at once by stack distance (see :class:`_LruRows`), with the
 same hits, evictions and final recency order as probing row by row.  The
 ``seed`` argument is part of the cache identity (it namespaces nothing
@@ -25,7 +28,7 @@ its rows, so two rows can never alias one key.
 
 from __future__ import annotations
 
-import heapq
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -34,6 +37,7 @@ import numpy as np
 from repro.config.models import DLRMConfig
 from repro.errors import ConfigurationError
 from repro.memsys.stats import CacheStats
+from repro.utils.specs import parse_kv
 
 #: Low bits of a packed key that hold the row id; the table index sits above.
 ROW_BITS = 40
@@ -342,6 +346,8 @@ class CacheConfig:
         ):
             if value is not None and value <= 0:
                 raise ConfigurationError(f"{label} must be positive, got {value}")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be non-negative, got {self.seed}")
 
     def resolve_rows(self, model: DLRMConfig) -> int:
         """Capacity in rows against a concrete model's row size."""
@@ -382,8 +388,8 @@ class EmbeddingCache:
         policy: ``"lru"`` evicts the least-recently-used row; ``"lfu"``
             evicts the least-frequently-used row, oldest access first on
             frequency ties.
-        seed: Determinism seed (recorded; both policies are tick-ordered
-            and consume no randomness).
+        seed: Determinism seed (recorded; both policies are ordered by
+            access and consume no randomness).
     """
 
     def __init__(self, capacity_rows: int, policy: str = "lru", seed: int = 0):
@@ -414,14 +420,17 @@ class EmbeddingCache:
         # Every structure below holds packed keys (see _pack).  LRU state,
         # stale flags included, lives in arrays probed by stack distance.
         self._lru = _LruRows(capacity_rows) if policy == "lru" else None
-        # LFU state: key -> (frequency, last tick) plus a lazy min-heap of
-        # (frequency, tick, key) snapshots; stale snapshots are skipped at
-        # eviction time, keeping every operation O(log n).  LFU has no
-        # inclusion property, so it stays a per-row loop.
-        self._lfu: Dict[int, Tuple[int, int]] = {}
-        self._heap: list = []
+        # LFU state (Shah, Mitra and Matani, 2010): key -> frequency, one
+        # insertion-ordered FIFO of keys per frequency with empty classes
+        # deleted, and the lowest frequency present.  A key enters class f
+        # at the access that gave it frequency f, so each class is in
+        # last-access order and the head of the lowest one is the victim.
+        # LFU has no inclusion property, so it stays a per-row loop, O(1)
+        # per row.
+        self._lfu: Dict[int, int] = {}
+        self._classes: Dict[int, OrderedDict[int, None]] = {}
+        self._lowest = 0
         self._stale: set = set()
-        self._tick = 0
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -468,50 +477,43 @@ class EmbeddingCache:
     def _lookup_lfu(self, keys: List[int]) -> np.ndarray:
         # One byte per access, set on a hit; read back as the bool mask.
         hits = bytearray(len(keys))
-        cache = self._lfu
+        frequencies = self._lfu
+        classes = self._classes
         capacity = self.capacity_rows
         stale = self._stale
-        heap = self._heap
-        get = cache.get
-        push = heapq.heappush
-        tick = self._tick
+        lowest = self._lowest
+        get = frequencies.get
         for position, key in enumerate(keys):
-            entry = get(key)
-            tick += 1
-            if entry is not None:
+            frequency = get(key)
+            if frequency is not None:
                 hits[position] = 1
-                frequency = entry[0] + 1
                 if stale and key in stale:
                     self.stale_hits += 1
+                fifo = classes[frequency]
+                del fifo[key]
+                if not fifo:
+                    del classes[frequency]
+                    if lowest == frequency:
+                        lowest += 1
+                frequency += 1
             else:
-                if len(cache) >= capacity:
-                    self._evict_lfu()
-                frequency = 1
-            cache[key] = (frequency, tick)
-            push(heap, (frequency, tick, key))
-        self._tick = tick
-        # Lazy deletion leaves one stale snapshot per superseded access;
-        # compact once they dominate so heap memory stays O(resident rows)
-        # over arbitrarily long streams, not O(total lookups).
-        if len(heap) > 2 * len(cache) + 16:
-            self._heap = [
-                (frequency, tick, key)
-                for key, (frequency, tick) in cache.items()
-            ]
-            heapq.heapify(self._heap)
+                if len(frequencies) >= capacity:
+                    fifo = classes[lowest]
+                    victim = fifo.popitem(last=False)[0]
+                    if not fifo:
+                        del classes[lowest]
+                    del frequencies[victim]
+                    self.evictions += 1
+                    if stale:
+                        stale.discard(victim)
+                frequency = lowest = 1
+            frequencies[key] = frequency
+            fifo = classes.get(frequency)
+            if fifo is None:
+                fifo = classes[frequency] = OrderedDict()
+            fifo[key] = None
+        self._lowest = lowest
         return np.frombuffer(hits, dtype=bool)
-
-    def _evict_lfu(self) -> None:
-        while self._heap:
-            frequency, tick, key = heapq.heappop(self._heap)
-            current = self._lfu.get(key)
-            if current is not None and current == (frequency, tick):
-                del self._lfu[key]
-                self.evictions += 1
-                if self._stale:
-                    self._stale.discard(key)
-                return
-        raise RuntimeError("LFU heap drained with entries resident")  # pragma: no cover
 
     # ------------------------------------------------------------------
     # Freshness API: embedding pushes arriving behind the read path.
@@ -528,13 +530,18 @@ class EmbeddingCache:
             removed = self._lru.invalidate(keys)
         else:
             removed = 0
+            classes = self._classes
             for key in keys.tolist():
-                if key in self._lfu:
-                    # Heap snapshots of the key go stale; _evict_lfu
-                    # already skips snapshots whose entry disagrees.
-                    del self._lfu[key]
+                frequency = self._lfu.pop(key, None)
+                if frequency is not None:
+                    fifo = classes[frequency]
+                    del fifo[key]
+                    if not fifo:
+                        del classes[frequency]
                     removed += 1
                     self._stale.discard(key)
+            if self._lowest not in classes:
+                self._lowest = min(classes, default=0)
         self.update_evictions += removed
         return removed
 
@@ -609,27 +616,17 @@ def parse_cache_spec(spec: Optional[str]) -> Optional[CacheConfig]:
         raise ConfigurationError(
             f"cache spec {spec!r} needs a capacity, e.g. 'lru:rows=4096'"
         )
-    rows: Optional[int] = None
-    bytes_: Optional[int] = None
-    for part in body.split(","):
-        name, _, value = part.partition("=")
-        name = name.strip().lower()
-        value = value.strip()
-        if not _ and name.isdigit():
-            rows = int(name)
-            continue
+    values = parse_kv(body, "cache", known=("rows", "bytes"), positional="rows")
+    capacity = {}
+    for name, value in values.items():
         try:
-            parsed = int(value)
+            capacity[name] = int(value)
         except ValueError:
             raise ConfigurationError(
-                f"cache spec field {part.strip()!r} is not an integer setting"
+                f"cache spec field {name}={value!r} is not an integer setting"
             ) from None
-        if name == "rows":
-            rows = parsed
-        elif name == "bytes":
-            bytes_ = parsed
-        else:
-            raise ConfigurationError(
-                f"unknown cache spec field {name!r}; use rows=/bytes="
-            )
-    return CacheConfig(policy=policy, capacity_rows=rows, capacity_bytes=bytes_)
+    return CacheConfig(
+        policy=policy,
+        capacity_rows=capacity.get("rows"),
+        capacity_bytes=capacity.get("bytes"),
+    )

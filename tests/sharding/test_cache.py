@@ -59,16 +59,16 @@ class TestLFU:
         assert cache.lookup(0, rows(2)).tolist() == [True]
         assert cache.lookup(0, rows(1)).tolist() == [False]
 
-    def test_heap_memory_stays_bounded_over_long_hit_streams(self):
-        """Lazy deletion must not retain one snapshot per access forever."""
+    def test_frequency_classes_hold_one_entry_per_resident_row(self):
+        """Long hit streams move rows between classes, never copy them."""
         cache = EmbeddingCache(capacity_rows=32, policy="lfu")
         hot = np.arange(32, dtype=np.int64)
         for _ in range(500):
             cache.lookup(0, hot)
         assert cache.stats.hits > 15_000
-        assert len(cache._heap) <= 2 * 32 + 16
-        # Compaction must not corrupt eviction order: the oldest-by-tick
-        # resident is still the one a tie evicts.
+        queued = [key for fifo in cache._classes.values() for key in fifo]
+        assert sorted(queued) == sorted(cache._lfu)
+        assert all(cache._classes.values()), "empty classes must be dropped"
         assert len(cache) == 32
 
     def test_hot_rows_survive_a_cold_scan(self):
@@ -104,18 +104,19 @@ class TestEvictionAccounting:
         assert cache.stats.misses == 3
         assert cache.evictions == 1
 
-    def test_lfu_compaction_fires_and_preserves_eviction_order(self):
+    def test_lfu_long_hit_streams_preserve_eviction_order(self):
         cache = EmbeddingCache(capacity_rows=2, policy="lfu")
         cache.lookup(0, rows(1, 2))
-        # Each hit pushes one heap snapshot; the lazy heap compacts once it
-        # crosses 2 * len(cache) + 16 = 20 entries, back down to one
-        # snapshot per resident row.
+        # Each hit moves row 1 up one frequency class, leaving exactly one
+        # entry per resident row.
         for _ in range(30):
             cache.lookup(0, rows(1))
-        assert len(cache._heap) <= 2 * len(cache) + 16
+        assert {f: list(fifo) for f, fifo in cache._classes.items()} == {
+            1: [2],
+            31: [1],
+        }
         assert cache.stats.hits == 30
-        # Compaction must not corrupt the order: the cold row 2 (freq 1)
-        # is evicted, not the hot row 1 (freq 31).
+        # The cold row 2 (freq 1) is evicted, not the hot row 1 (freq 31).
         cache.lookup(0, rows(9))
         assert cache.evictions == 1
         assert (0, 1) in cache
@@ -175,8 +176,8 @@ class TestFreshness:
         cache = EmbeddingCache(capacity_rows=2, policy="lfu")
         cache.lookup(0, rows(1, 2))
         cache.invalidate(0, rows(1))
-        # The heap still holds a stale snapshot of row 1; eviction must
-        # skip it and evict the true least-frequent resident.
+        # Row 1 left its frequency class with it; eviction must take the
+        # true least-frequent resident.
         cache.lookup(0, rows(3, 4))
         assert cache.evictions == 1
         assert (0, 2) not in cache
@@ -278,6 +279,11 @@ class TestCacheConfig:
         with pytest.raises(ConfigurationError):
             CacheConfig(capacity_rows=4, capacity_bytes=4096)
 
+    def test_negative_seed_rejected_at_construction(self):
+        """Regression: the seed was checked only when the cache was built."""
+        with pytest.raises(ConfigurationError, match="seed"):
+            CacheConfig(capacity_rows=8, seed=-1)
+
     def test_describe_round_trips_through_the_spec_parser(self):
         config = CacheConfig(policy="lfu", capacity_rows=128)
         assert parse_cache_spec(config.describe()) == config
@@ -302,4 +308,10 @@ class TestSpecParsing:
     @pytest.mark.parametrize("spec", ["lru", "mru:rows=4", "lru:pages=4", "lru:rows=x"])
     def test_bad_specs_rejected(self, spec):
         with pytest.raises(ConfigurationError):
+            parse_cache_spec(spec)
+
+    @pytest.mark.parametrize("spec", ["lru:rows=1024,rows=64", "lfu:4096,rows=8"])
+    def test_repeated_fields_rejected(self, spec):
+        """Regression: a repeated field silently overrode the first one."""
+        with pytest.raises(ConfigurationError, match="duplicate cache parameter 'rows'"):
             parse_cache_spec(spec)
