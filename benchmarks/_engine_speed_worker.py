@@ -2,13 +2,13 @@
 
 Run as a script with ``PYTHONPATH`` pointing at ``src``::
 
-    python benchmarks/_engine_speed_worker.py <queue> <pool:0|1> <requests> <reps>
+    python benchmarks/_engine_speed_worker.py <requests> <reps>
 
-Prints one JSON object: best-of-``reps`` simulated requests/sec for the
-given engine configuration, the worker's own calibration score (heap
+Prints one JSON object: best-of-``reps`` simulated requests/sec of a
+``requests``-long stream, the worker's own calibration score (heap
 push/pop operations per second, measured in the same process right before
 the run so machine noise hits both numbers alike), and the process peak
-RSS.  One configuration per process keeps peak-RSS attribution clean —
+RSS.  One trajectory point per process keeps peak-RSS attribution clean —
 ``ru_maxrss`` is a process-lifetime high-water mark.
 """
 
@@ -64,10 +64,10 @@ def calibrate(ops: int = _CALIBRATION_OPS) -> float:
     return ops / (time.perf_counter() - start)
 
 
-def run_once(queue: str, pool: bool, total: int) -> float:
+def run_once(total: int) -> float:
     """One simulated stream; returns simulated requests per second."""
     workload = Workload(arrivals=ConstantRateArrivals(rate_qps=10_000_000.0))
-    sim = Simulator(queue=queue, event_pool=pool)
+    sim = Simulator()
     replica = ReplicaServer(
         sim,
         ServiceModel(_FlatRunner(), DLRM2),
@@ -83,8 +83,7 @@ def run_once(queue: str, pool: bool, total: int) -> float:
 
 
 def main(argv: list) -> int:
-    queue, pool_flag, total, reps = argv[1], argv[2], int(argv[3]), int(argv[4])
-    pool = bool(int(pool_flag))
+    total, reps = int(argv[1]), int(argv[2])
     # Calibrate once per rep and keep the best of each series
     # independently: on a noisy shared machine, best-of-N converges to the
     # quiet-window speed, which is the stable, comparable quantity.
@@ -92,12 +91,10 @@ def main(argv: list) -> int:
     best = 0.0
     for _ in range(reps):
         calibration = max(calibration, calibrate())
-        best = max(best, run_once(queue, pool, total))
+        best = max(best, run_once(total))
     print(
         json.dumps(
             {
-                "queue": queue,
-                "pool": pool,
                 "requests": total,
                 "reqs_per_sec": round(best, 1),
                 "calibration_ops_per_s": round(calibration, 1),

@@ -2,9 +2,7 @@
 
 Measures simulated requests/sec (and peak RSS) of the event engine on a
 constant-latency device model — pure engine + serving-loop cost, no device
-pricing — across the queue implementations (binary heap vs calendar) and
-event pooling on/off, at 100k and 1M requests (5M opt-in via
-``REPRO_BENCH_5M=1``).
+pricing — at 100k and 1M requests (5M opt-in via ``REPRO_BENCH_5M=1``).
 
 Every measurement runs in its own subprocess
 (:mod:`benchmarks._engine_speed_worker`), which also reports a machine
@@ -40,23 +38,19 @@ FRESH_PATH = pathlib.Path(__file__).parent / "BENCH_engine.fresh.json"
 #: Allowed calibration-normalized throughput regression before the gate fails.
 TOLERANCE = 0.20
 
-#: Default measurement plan: the full queue x pooling grid at 100k requests
-#: plus the default configuration at the 1M trajectory point.
+#: Default measurement plan: ``(requests, reps)`` per trajectory point.
 DEFAULT_PLAN = [
-    ("heap", True, 100_000, 3),
-    ("heap", False, 100_000, 3),
-    ("calendar", True, 100_000, 3),
-    ("calendar", False, 100_000, 3),
-    ("heap", True, 1_000_000, 2),
+    (100_000, 3),
+    (1_000_000, 2),
 ]
 
 
-def _measure(queue: str, pool: bool, requests: int, reps: int) -> dict:
-    """Run one engine configuration in a fresh subprocess."""
+def _measure(requests: int, reps: int) -> dict:
+    """Run one trajectory point in a fresh subprocess."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
     result = subprocess.run(
-        [sys.executable, str(WORKER), queue, str(int(pool)), str(requests), str(reps)],
+        [sys.executable, str(WORKER), str(requests), str(reps)],
         capture_output=True,
         text=True,
         env=env,
@@ -64,23 +58,20 @@ def _measure(queue: str, pool: bool, requests: int, reps: int) -> dict:
         check=False,
     )
     assert result.returncode == 0, (
-        f"engine-speed worker failed for queue={queue} pool={pool} "
-        f"requests={requests}:\n{result.stderr}"
+        f"engine-speed worker failed for requests={requests}:\n{result.stderr}"
     )
     return json.loads(result.stdout.strip().splitlines()[-1])
 
 
 def _render(points: list, title: str) -> str:
     table = TextTable(
-        ["queue", "pooled", "requests", "reqs/sec", "peak RSS (MiB)"],
+        ["requests", "reqs/sec", "peak RSS (MiB)"],
         title=title,
     )
     for point in points:
         rss = point.get("peak_rss_bytes")
         table.add_row(
             [
-                point["queue"],
-                "yes" if point["pool"] else "no",
                 point["requests"],
                 point["reqs_per_sec"],
                 rss / (1 << 20) if rss else "n/a",
@@ -93,12 +84,10 @@ def _write_fresh(points: list) -> None:
     existing = []
     if FRESH_PATH.exists():
         existing = json.loads(FRESH_PATH.read_text(encoding="utf-8")).get("points", [])
-    keys = {(p["queue"], p["pool"], p["requests"]) for p in points}
-    merged = [
-        p for p in existing if (p["queue"], p["pool"], p["requests"]) not in keys
-    ] + points
+    keys = {p["requests"] for p in points}
+    merged = [p for p in existing if p["requests"] not in keys] + points
     FRESH_PATH.write_text(
-        json.dumps({"schema": "engine-speed/v1", "points": merged}, indent=2) + "\n",
+        json.dumps({"schema": "engine-speed/v2", "points": merged}, indent=2) + "\n",
         encoding="utf-8",
     )
 
@@ -116,12 +105,10 @@ def _gate(points: list) -> None:
         "has no trajectory to compare against"
     )
     baseline = json.loads(BASELINE_PATH.read_text(encoding="utf-8"))
-    committed = {
-        (p["queue"], p["pool"], p["requests"]): p for p in baseline["points"]
-    }
+    committed = {p["requests"]: p for p in baseline["points"]}
     failures = []
     for point in points:
-        reference = committed.get((point["queue"], point["pool"], point["requests"]))
+        reference = committed.get(point["requests"])
         if reference is None:
             continue
         # Normalize to the baseline machine's speed: both runs carry a heap
@@ -131,7 +118,6 @@ def _gate(points: list) -> None:
         floor = (1.0 - TOLERANCE) * reference["reqs_per_sec"]
         if max(normalized, point["reqs_per_sec"]) < floor:
             failures.append(
-                f"queue={point['queue']} pool={point['pool']} "
                 f"requests={point['requests']}: normalized {normalized:,.0f} "
                 f"req/s < floor {floor:,.0f} (committed "
                 f"{reference['reqs_per_sec']:,.0f}, raw {point['reqs_per_sec']:,.0f}, "
@@ -140,19 +126,15 @@ def _gate(points: list) -> None:
     assert not failures, "engine throughput regressed >20%:\n" + "\n".join(failures)
 
 
-def _committed_point(queue: str, pool: bool, requests: int) -> dict:
+def _committed_point(requests: int) -> dict:
     baseline = json.loads(BASELINE_PATH.read_text(encoding="utf-8"))
-    return next(
-        point
-        for point in baseline["points"]
-        if (point["queue"], point["pool"], point["requests"]) == (queue, pool, requests)
-    )
+    return next(point for point in baseline["points"] if point["requests"] == requests)
 
 
 def test_gate_passes_a_faster_box_on_raw_throughput():
     """Calibration scale 0.6 with raw throughput above the floor: the
     normalized figure alone would fail a healthy run."""
-    reference = _committed_point("heap", True, 1_000_000)
+    reference = _committed_point(1_000_000)
     floor = (1.0 - TOLERANCE) * reference["reqs_per_sec"]
     point = dict(
         reference,
@@ -164,7 +146,7 @@ def test_gate_passes_a_faster_box_on_raw_throughput():
 
 
 def test_gate_still_fails_a_real_regression():
-    reference = _committed_point("heap", True, 1_000_000)
+    reference = _committed_point(1_000_000)
     floor = (1.0 - TOLERANCE) * reference["reqs_per_sec"]
     point = dict(reference, reqs_per_sec=0.9 * floor)
     with pytest.raises(AssertionError, match="regressed"):
@@ -176,7 +158,7 @@ def test_gate_still_fails_a_real_regression():
 
 @pytest.mark.perf
 def test_engine_speed_trajectory(rss_probe):
-    """Queue/pooling grid at 100k + the gated 1M trajectory point."""
+    """The gated 100k and 1M trajectory points."""
     points = [_measure(*plan) for plan in DEFAULT_PLAN]
     print()
     print(_render(points, "Engine speed (simulated requests/sec)"))
@@ -188,14 +170,11 @@ def test_engine_speed_trajectory(rss_probe):
 @pytest.mark.slow
 @pytest.mark.skipif(
     os.environ.get("REPRO_BENCH_5M") != "1",
-    reason="5M-request point is opt-in (REPRO_BENCH_5M=1); ~30s per config",
+    reason="5M-request point is opt-in (REPRO_BENCH_5M=1); ~30s",
 )
 def test_engine_speed_5m(rss_probe):
-    """The deep-queue 5M point, heap vs calendar (opt-in)."""
-    points = [
-        _measure("heap", True, 5_000_000, 1),
-        _measure("calendar", True, 5_000_000, 1),
-    ]
+    """The deep-queue 5M point (opt-in)."""
+    points = [_measure(5_000_000, 1)]
     print()
     print(_render(points, "Engine speed at 5M requests"))
     _write_fresh(points)

@@ -243,7 +243,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         cache=parse_cache_spec(args.cache),
         shared_cache=parse_cache_spec(args.shared_cache),
         updates=resolve_update_spec(args.updates),
-        queue=args.queue,
         profile=args.profile,
         **sizing,
     )
@@ -533,12 +532,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--profile",
         action="store_true",
         help="print a per-event-label engine profile after the serving table",
-    )
-    serve_parser.add_argument(
-        "--queue",
-        choices=["auto", "heap", "calendar"],
-        default="auto",
-        help="event-queue implementation for the simulation engine",
     )
     serve_parser.add_argument(
         "--jobs",

@@ -187,6 +187,13 @@ class ExperimentResult:
         return iter(self._points.items())
 
     # ------------------------------------------------------------------
+    def _require_batch_grid(self, method: str) -> None:
+        if self.axes != _BATCH_AXES:
+            raise SimulationError(
+                f"{method}() reads a batch grid keyed {_BATCH_AXES}; this grid's "
+                f"axes are {self.axes} — use get(), filter() or to_csv()"
+            )
+
     def pivot(
         self,
         value: ValueSpec = "latency_seconds",
@@ -205,6 +212,7 @@ class ExperimentResult:
         Returns:
             ``{row_key: {batch_size: value}}``.
         """
+        self._require_batch_grid("pivot")
         backend_key = self._backend_key(backend) if backend is not None else None
         multi_backend = backend is None and len(self.axis("backend")) > 1
         table: Dict[object, Dict[int, float]] = {}
@@ -217,6 +225,7 @@ class ExperimentResult:
 
     def to_dict(self) -> Dict[str, object]:
         """Serialize a batch grid (JSON-compatible)."""
+        self._require_batch_grid("to_dict")
         return {
             "system_fingerprint": system_fingerprint(self.system),
             "results": [
@@ -324,10 +333,14 @@ class Experiment:
 
     # ------------------------------------------------------------------
     def backends(self, *names: str) -> "Experiment":
-        """Select backends by registry name/alias (order preserved)."""
+        """Select backends by registry name/alias (order preserved).
+
+        Names resolving to one backend (an alias beside its canonical name,
+        say) select it once: points are keyed by canonical name.
+        """
         if len(names) == 1 and not isinstance(names[0], str):
             names = tuple(names[0])  # accept a single iterable, too
-        canonical = tuple(canonical_backend_name(name) for name in names)
+        canonical = tuple(dict.fromkeys(canonical_backend_name(name) for name in names))
         if not canonical:
             raise SimulationError("an experiment needs at least one backend")
         self._backend_names = canonical
@@ -454,12 +467,11 @@ class Experiment:
 
     def _grid_points(self) -> List[Tuple[str, DLRMConfig, int]]:
         """The grid in serial evaluation order: model x batch x backend."""
-        names = list(dict.fromkeys(self.backend_names))
         return [
             (name, model, batch_size)
             for model in self._models
             for batch_size in self._batch_sizes
-            for name in names
+            for name in self.backend_names
         ]
 
     def run(self) -> ExperimentResult:
@@ -677,7 +689,9 @@ class Experiment:
             raise SimulationError("a sharding grid needs at least one shard count")
         if not strategies:
             raise SimulationError("a sharding grid needs at least one strategy")
+        shard_counts = [int(shards) for shards in shard_counts]
         caches = tuple(caches) or (None,)
+        cache_labels = [_OFF if cache is None else cache.describe() for cache in caches]
         updates = tuple(updates) or (None,)
         strategy_names = [
             strategy.name if isinstance(strategy, ShardingStrategy) else str(strategy)
@@ -690,20 +704,23 @@ class Experiment:
                     f"{', '.join(sorted(STRATEGIES))}"
                 )
         update_labels = [_OFF if update is None else update.label() for update in updates]
-        # Points are keyed by strategy name and update label; two strategies
-        # or streams sharing one would silently collapse onto one point.
+        # Points are keyed by shard count, strategy name, cache label and
+        # update label; two entries sharing one would silently collapse onto
+        # one point.
         for kind, labels in (
+            ("shard counts", shard_counts),
             ("sharding strategies", strategy_names),
+            ("caches", cache_labels),
             ("update streams", update_labels),
         ):
             if len(set(labels)) != len(labels):
-                raise SimulationError(f"{kind} must have distinct names, got {labels}")
+                raise SimulationError(f"{kind} must be distinct, got {labels}")
         fleets = [
             (
-                (int(shards), strategy_name, _OFF if cache is None else cache.describe(), label),
+                (shards, strategy_name, cache_label, label),
                 FleetSpec(
                     batching=batching,
-                    shards=int(shards),
+                    shards=shards,
                     strategy=strategy,
                     cache=cache,
                     updates=update,
@@ -711,7 +728,7 @@ class Experiment:
             )
             for shards in shard_counts
             for strategy_name, strategy in zip(strategy_names, strategies)
-            for cache in caches
+            for cache_label, cache in zip(cache_labels, caches)
             for label, update in zip(update_labels, updates)
         ]
         for name in self.backend_names:

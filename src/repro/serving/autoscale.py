@@ -59,7 +59,7 @@ from repro.serving.cluster import AutoscaleReport, ClusterReport, ClusterSimulat
 from repro.serving.dispatch import Dispatcher
 from repro.serving.fleet import Controller
 from repro.serving.replica import ReplicaServer, ServiceModel
-from repro.sim.engine import QueueSpec, Simulator
+from repro.sim.engine import Simulator
 from repro.utils.specs import parse_kv, parse_kv_numbers
 from repro.workloads.arrivals import InferenceRequest
 
@@ -366,12 +366,6 @@ class _ReplicaLifecycle:
         start, _ = self.intervals[-1]
         self.intervals[-1] = (start, max(at_s, start))
 
-    def commissioned_seconds(self, horizon_s: float) -> float:
-        total = 0.0
-        for start, stop in self.intervals:
-            total += (stop if stop is not None else max(horizon_s, start)) - start
-        return total
-
     def billed_seconds(self, at_s: float) -> float:
         """Seconds billed up to ``at_s`` by the intervals as they stand."""
         total = 0.0
@@ -427,7 +421,6 @@ class AutoscalingCluster(ClusterSimulator):
         dispatcher: Optional[Dispatcher] = None,
         batching: Optional[BatchingPolicy] = None,
         system: Optional[SystemConfig] = None,
-        queue: QueueSpec = "auto",
         profile: bool = False,
     ):
         if min_replicas <= 0:
@@ -462,7 +455,6 @@ class AutoscalingCluster(ClusterSimulator):
             batching=batching,
             dispatcher=dispatcher,
             system=system,
-            queue=queue,
             profile=profile,
         )
         self.policy = policy
@@ -813,9 +805,7 @@ class _AutoscaleController(Controller):
             if lifecycle.state != _STOPPED:
                 # Still-commissioned replicas are paid through end of run.
                 lifecycle.close(horizon)
-        replica_seconds = sum(
-            lifecycle.commissioned_seconds(horizon) for lifecycle in self.lifecycles
-        )
+        replica_seconds = self.billed_seconds(horizon)
         busy_seconds = sum(replica.busy_time_s for replica in self.replicas)
         policy = self.cluster.policy
         autoscale = AutoscaleReport(

@@ -33,7 +33,7 @@ from repro.serving.dispatch import Dispatcher, RoundRobinDispatcher
 from repro.serving.fleet import Fleet, resolve_runner
 from repro.serving.metrics import LatencyDistribution, ServingReport
 from repro.serving.replica import DesignPointRunner, ReplicaServer, ServiceModel
-from repro.sim.engine import QueueSpec, Simulator
+from repro.sim.engine import Simulator
 
 
 @dataclass(frozen=True)
@@ -187,8 +187,6 @@ class HeterogeneousCluster(Fleet):
             defaults to a 2 ms window capped at 64.
         system: Hardware platform used to resolve backend names; required
             only when a spec names a backend instead of carrying a runner.
-        queue: Event-queue selector forwarded to the engine
-            (``"auto"``/``"heap"``/``"calendar"``, or a queue class).
         profile: Record a per-event-label engine profile for every serve;
             the latest one is exposed as :attr:`last_profile`.
     """
@@ -200,7 +198,6 @@ class HeterogeneousCluster(Fleet):
         dispatcher: Optional[Dispatcher] = None,
         batching: Optional[BatchingPolicy] = None,
         system: Optional[SystemConfig] = None,
-        queue: QueueSpec = "auto",
         profile: bool = False,
     ):
         if not specs:
@@ -222,7 +219,6 @@ class HeterogeneousCluster(Fleet):
         super().__init__(
             model,
             dispatcher if dispatcher is not None else RoundRobinDispatcher(),
-            queue=queue,
             profile=profile,
         )
         # One prediction cache per runner instance, shared across streams.
@@ -342,7 +338,6 @@ class ClusterSimulator(HeterogeneousCluster):
         batching: Optional[BatchingPolicy] = None,
         dispatcher: Optional[Dispatcher] = None,
         system: Optional[SystemConfig] = None,
-        queue: QueueSpec = "auto",
         profile: bool = False,
     ):
         if num_replicas <= 0:
@@ -353,7 +348,6 @@ class ClusterSimulator(HeterogeneousCluster):
             dispatcher=dispatcher,
             batching=batching,
             system=system,
-            queue=queue,
             profile=profile,
         )
         self.runner = self.specs[0].runner

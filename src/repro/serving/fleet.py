@@ -44,7 +44,7 @@ from repro.config.system import SystemConfig
 from repro.errors import ConfigurationError, SimulationError
 from repro.serving.dispatch import Dispatcher
 from repro.serving.replica import ReplicaServer, drive_stream
-from repro.sim.engine import QueueSpec, Simulator
+from repro.sim.engine import Simulator
 from repro.sim.profile import SimProfile
 from repro.workloads.arrivals import InferenceRequest, PoissonArrivals
 from repro.workloads.workload import Workload
@@ -122,8 +122,6 @@ class Fleet:
     Args:
         model: Served DLRM configuration (the report's default label).
         dispatcher: Routing policy; ``None`` for a one-replica fleet.
-        queue: Event-queue selector forwarded to the engine
-            (``"auto"``/``"heap"``/``"calendar"``, an instance, or a class).
         profile: Record a per-event-label engine profile for every serve;
             the latest one is exposed as :attr:`last_profile`.
     """
@@ -132,12 +130,10 @@ class Fleet:
         self,
         model: DLRMConfig,
         dispatcher: Optional[Dispatcher] = None,
-        queue: QueueSpec = "auto",
         profile: bool = False,
     ):
         self.model = model
         self.dispatcher = dispatcher
-        self.queue = queue
         self.profile = profile
         #: Engine profile of the most recent serve (``None`` until the first
         #: profiled run).
@@ -241,7 +237,7 @@ class Fleet:
             requests = sorted(requests, key=lambda request: request.arrival_time_s)
         if faults is not None and faults.empty:
             faults = None
-        sim = Simulator(queue=self.queue, profile=self.profile)
+        sim = Simulator(profile=self.profile)
         replicas = self._replicas(sim, faults, **options)
         if self.dispatcher is None:
             (replica,) = replicas
@@ -354,7 +350,6 @@ class FleetSpec:
     cache: Optional["CacheConfig"] = None
     shared_cache: Optional["CacheConfig"] = None
     updates: Optional["UpdateProcess"] = None
-    queue: QueueSpec = "auto"
     profile: bool = False
 
     def __post_init__(self) -> None:
@@ -403,7 +398,6 @@ class FleetSpec:
                 cache=self.cache,
                 batching=self.batching,
                 system=system,
-                queue=self.queue,
                 profile=self.profile,
                 updates=self.updates,
                 shared_cache=self.shared_cache,
@@ -426,14 +420,13 @@ class FleetSpec:
                 idle_power_w=self.idle_power_w,
                 dispatcher=self.dispatcher,
                 batching=self.batching,
-                queue=self.queue,
                 profile=self.profile,
             )
         if self.replicas == 1:
             from repro.serving.simulator import ServingSimulator
 
             return ServingSimulator(
-                backend, model, batching=self.batching, queue=self.queue, profile=self.profile
+                backend, model, batching=self.batching, profile=self.profile
             )
         from repro.serving.cluster import ClusterSimulator
 
@@ -443,6 +436,5 @@ class FleetSpec:
             num_replicas=self.replicas,
             batching=self.batching,
             dispatcher=self.dispatcher,
-            queue=self.queue,
             profile=self.profile,
         )

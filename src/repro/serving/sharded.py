@@ -59,7 +59,7 @@ from repro.serving.metrics import LatencyDistribution
 from repro.serving.replica import DesignPointRunner, ReplicaServer, ServiceModel
 from repro.sharding.cache import CacheConfig, EmbeddingCache, check_key_space
 from repro.sharding.plan import ShardingPlan, ShardingStrategy, make_plan
-from repro.sim.engine import QueueSpec, Simulator
+from repro.sim.engine import Simulator
 from repro.workloads.arrivals import InferenceRequest
 from repro.workloads.traces import TraceModel, UniformTrace
 from repro.workloads.updates import EmbeddingUpdate, UpdateProcess
@@ -657,7 +657,6 @@ class ShardedReplicaGroup(Fleet):
         batching: Batching policy of the group's shared queue.
         system: Hardware platform — prices the cross-shard link and
             resolves backend names; defaults to the runner's own system.
-        queue: Event-queue selector forwarded to the engine.
         profile: Record a per-event-label engine profile for every serve;
             the latest one is exposed as :attr:`last_profile`.
         updates: Optional :class:`~repro.workloads.updates.UpdateProcess`;
@@ -680,12 +679,11 @@ class ShardedReplicaGroup(Fleet):
         cache: Optional[CacheConfig] = None,
         batching: Optional[BatchingPolicy] = None,
         system: Optional[SystemConfig] = None,
-        queue: QueueSpec = "auto",
         profile: bool = False,
         updates: Optional[UpdateProcess] = None,
         shared_cache: Optional[CacheConfig] = None,
     ):
-        super().__init__(model, queue=queue, profile=profile)
+        super().__init__(model, profile=profile)
         self.runner = runner = resolve_runner(runner, system)
         # Hot-row caches key rows by packed ints; reject models that overflow them.
         check_key_space(model)

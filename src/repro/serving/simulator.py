@@ -22,7 +22,7 @@ from repro.serving.batching import BatchingPolicy, default_batching
 from repro.serving.fleet import Fleet
 from repro.serving.metrics import ServingReport
 from repro.serving.replica import DesignPointRunner, ReplicaServer, ServiceModel
-from repro.sim.engine import QueueSpec, Simulator
+from repro.sim.engine import Simulator
 
 __all__ = ["DesignPointRunner", "ServingSimulator"]
 
@@ -34,8 +34,6 @@ class ServingSimulator(Fleet):
         runner: A design-point runner (CPU-only, CPU-GPU or Centaur).
         model: Workload configuration served by the device.
         batching: Batching policy; defaults to a 2 ms window capped at 64.
-        queue: Event-queue selector forwarded to the engine
-            (``"auto"``/``"heap"``/``"calendar"``, an instance, or a class).
         profile: Record a per-event-label engine profile for every serve;
             the latest one is exposed as :attr:`last_profile`.
     """
@@ -45,10 +43,9 @@ class ServingSimulator(Fleet):
         runner: DesignPointRunner,
         model: DLRMConfig,
         batching: Optional[BatchingPolicy] = None,
-        queue: QueueSpec = "auto",
         profile: bool = False,
     ):
-        super().__init__(model, queue=queue, profile=profile)
+        super().__init__(model, profile=profile)
         self.runner = runner
         self.batching = batching if batching is not None else default_batching()
         self._service = ServiceModel(runner, model)

@@ -1,17 +1,16 @@
-"""Discrete-event simulation core: events, event queues and a simulator.
+"""Discrete-event simulation core: events, the event queue and a simulator.
 
 The hot path is tuned for million-event serving runs:
 
-* :class:`Event` is a ``__slots__`` record, and every queue keeps a free
-  list so a steady-state run allocates O(in-flight) event objects instead
-  of O(total events) (disable with ``pool=False`` / ``event_pool=False``).
-* The heap stores ``(time, sequence, event)`` tuples, so ordering is
-  resolved by C-level tuple comparison — the event object itself is never
-  compared.
-* :class:`EventQueue` (a binary heap) and
-  :class:`~repro.sim.calendar.CalendarQueue` (a bucketed calendar queue)
-  implement the same interface with identical ``(time, sequence)``
-  tie-break semantics; pick one with ``Simulator(queue=...)``.
+* :class:`Event` is a ``__slots__`` record, and the queue keeps a free list
+  so a steady-state run allocates O(in-flight) event objects instead of
+  O(total events).
+* :class:`EventQueue` is a C ``heapq`` binary heap of ``(time, sequence,
+  event)`` tuples, so ordering is resolved by C-level tuple comparison —
+  the event object itself is never compared — and simultaneous events fire
+  in the order they were scheduled.
+* Cancelled events are dropped lazily when popped, and the heap is
+  compacted once they make up more than half of it.
 * ``Simulator(profile=True)`` records per-label event counts and
   cumulative host wall-clock into a :class:`~repro.sim.profile.SimProfile`
   (zero overhead when disabled).
@@ -26,7 +25,7 @@ from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
 from time import perf_counter
-from typing import Callable, List, Optional, Tuple, Union
+from typing import Callable, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.sim.profile import SimProfile
@@ -47,7 +46,7 @@ class Event:
         sequence: int,
         callback: Optional[Callable[[], None]],
         label: str = "",
-        queue: Optional["BaseEventQueue"] = None,
+        queue: Optional["EventQueue"] = None,
     ):
         self.time = time
         self.sequence = sequence
@@ -84,140 +83,26 @@ _Entry = Tuple[float, int, Event]
 _COMPACT_MIN_CANCELLED = 8
 
 
-class BaseEventQueue:
-    """Shared queue machinery: validation, sequencing, pooling, compaction.
+class EventQueue:
+    """A stable binary-heap priority queue of :class:`Event` objects.
 
-    Subclasses implement the storage primitives (``_insert``, ``_take_min``,
-    ``_min_entry``, ``_compact_entries``) and must order entries by
-    ``(time, sequence)``.
+    Entries are ``(time, sequence, event)`` tuples, so the heap orders by
+    ``(time, sequence)``.  Fired events come back through :meth:`release`
+    and are reused by later pushes.
     """
 
-    kind = "base"
-
-    def __init__(self, pool: bool = True) -> None:
+    def __init__(self) -> None:
+        self._heap: List[_Entry] = []
         self._next_sequence = 0
-        self._free: Optional[List[Event]] = [] if pool else None
+        self._free: List[Event] = []
         self._cancelled = 0
         # Causality floor: the largest time popped so far.  Scheduling below
         # it would silently corrupt event order, so push refuses.
         self._floor = 0.0
 
-    # -- storage primitives (subclass responsibility) -------------------
-    def _insert(self, entry: _Entry) -> None:
-        raise NotImplementedError
-
-    def _take_min(self) -> _Entry:
-        raise NotImplementedError
-
-    def _min_entry(self) -> Optional[_Entry]:
-        raise NotImplementedError
-
-    def _compact_entries(self) -> List[Event]:
-        """Drop cancelled entries from storage; return the dropped events."""
-        raise NotImplementedError
-
-    def __len__(self) -> int:
-        raise NotImplementedError
-
-    # -- shared interface ------------------------------------------------
-    def push(self, time: float, callback: Callable[[], None], label: str = "") -> Event:
-        if time < 0:
-            raise SimulationError(f"event time must be non-negative, got {time}")
-        if time < self._floor:
-            raise SimulationError(
-                f"event {label!r} scheduled at {time} is before the current "
-                f"simulation time ({self._floor}); causality would be violated"
-            )
-        sequence = self._next_sequence
-        self._next_sequence = sequence + 1
-        free = self._free
-        if free:
-            event = free.pop()
-            event.time = time
-            event.sequence = sequence
-            event.callback = callback
-            event.label = label
-            event.cancelled = False
-        else:
-            event = Event(time, sequence, callback, label, self)
-        self._insert((time, sequence, event))
-        return event
-
-    def take(self) -> Optional[Event]:
-        """Pop the next event, or return ``None`` when the queue is empty.
-
-        The engine's run loop uses this instead of :meth:`pop` so draining
-        the queue costs no exception and no extra emptiness probe.
-        """
-        if not len(self):
-            return None
-        time, _, event = self._take_min()
-        self._floor = time
-        if event.cancelled:
-            self._cancelled -= 1
-        return event
-
-    def pop(self) -> Event:
-        event = self.take()
-        if event is None:
-            raise SimulationError("cannot pop from an empty event queue")
-        return event
-
-    def peek_time(self) -> Optional[float]:
-        """Time of the next event, or ``None`` when the queue is empty."""
-        entry = self._min_entry()
-        return entry[0] if entry is not None else None
-
-    def release(self, event: Event) -> None:
-        """Return a fired (or popped-cancelled) event to the free list.
-
-        Engine-internal: only events that are no longer queued may be
-        released, and the caller must not use the object afterwards.
-        """
-        free = self._free
-        if free is not None:
-            event.callback = None
-            free.append(event)
-
-    # -- cancellation bookkeeping ---------------------------------------
-    def _note_cancel(self) -> None:
-        self._cancelled += 1
-        if (
-            self._cancelled >= _COMPACT_MIN_CANCELLED
-            and self._cancelled * 2 > len(self)
-        ):
-            for event in self._compact_entries():
-                self.release(event)
-            self._cancelled = 0
-
-
-class EventQueue(BaseEventQueue):
-    """A stable binary-heap priority queue of :class:`Event` objects.
-
-    The default queue: C ``heapq`` on ``(time, sequence, event)`` tuples
-    dominates at the queue depths serving simulations produce (tens of
-    outstanding events).
-    """
-
-    kind = "heap"
-
-    def __init__(self, pool: bool = True) -> None:
-        super().__init__(pool=pool)
-        self._heap: List[_Entry] = []
-
     def __len__(self) -> int:
         return len(self._heap)
 
-    def _insert(self, entry: _Entry) -> None:
-        heappush(self._heap, entry)
-
-    def _take_min(self) -> _Entry:
-        return heappop(self._heap)
-
-    # -- hot-path overrides: the base implementations delegate through
-    # _insert/_take_min so subclasses stay small, but on the default queue
-    # that indirection is measurable at millions of events, so push/take
-    # inline the storage access.
     def push(self, time: float, callback: Callable[[], None], label: str = "") -> Event:
         if time < 0:
             raise SimulationError(f"event time must be non-negative, got {time}")
@@ -242,6 +127,11 @@ class EventQueue(BaseEventQueue):
         return event
 
     def take(self) -> Optional[Event]:
+        """Pop the next event, or return ``None`` when the queue is empty.
+
+        The engine's run loop uses this instead of :meth:`pop` so draining
+        the queue costs no exception and no extra emptiness probe.
+        """
         heap = self._heap
         if not heap:
             return None
@@ -251,68 +141,55 @@ class EventQueue(BaseEventQueue):
             self._cancelled -= 1
         return event
 
-    def _min_entry(self) -> Optional[_Entry]:
+    def pop(self) -> Event:
+        event = self.take()
+        if event is None:
+            raise SimulationError("cannot pop from an empty event queue")
+        return event
+
+    def peek_time(self) -> Optional[float]:
+        """Time of the next event, or ``None`` when the queue is empty."""
         heap = self._heap
-        return heap[0] if heap else None
+        return heap[0][0] if heap else None
 
-    def _compact_entries(self) -> List[Event]:
-        dropped = [entry[2] for entry in self._heap if entry[2].cancelled]
-        self._heap = [entry for entry in self._heap if not entry[2].cancelled]
-        heapify(self._heap)
-        return dropped
+    def release(self, event: Event) -> None:
+        """Return a fired (or popped-cancelled) event to the free list.
 
+        Engine-internal: only events that are no longer queued may be
+        released, and the caller must not use the object afterwards.
+        """
+        event.callback = None
+        self._free.append(event)
 
-#: Queue selector accepted by :class:`Simulator`: a kind name, an instance,
-#: or a queue class.
-QueueSpec = Union[str, BaseEventQueue, type, None]
-
-
-def make_event_queue(spec: QueueSpec = "auto", pool: bool = True) -> BaseEventQueue:
-    """Build an event queue from a :data:`QueueSpec`.
-
-    ``"auto"`` (and ``None``) selects the binary heap: its per-operation
-    cost is C-level and O(log n) in the outstanding-event count, which is
-    small (in-flight work only) for every serving workload in this repo.
-    The calendar queue's O(1) amortized operations only pay off for very
-    deep, densely scheduled queues — opt in with ``"calendar"``.
-    """
-    if spec is None or spec == "auto" or spec == "heap":
-        return EventQueue(pool=pool)
-    if spec == "calendar":
-        from repro.sim.calendar import CalendarQueue
-
-        return CalendarQueue(pool=pool)
-    if isinstance(spec, BaseEventQueue):
-        return spec
-    if isinstance(spec, type) and issubclass(spec, BaseEventQueue):
-        return spec(pool=pool)
-    raise SimulationError(
-        f"unknown event queue {spec!r}; expected 'auto', 'heap', 'calendar', "
-        "an event-queue instance or an event-queue class"
-    )
+    def _note_cancel(self) -> None:
+        """Count a cancellation; compact once cancelled entries dominate."""
+        self._cancelled += 1
+        heap = self._heap
+        if self._cancelled >= _COMPACT_MIN_CANCELLED and self._cancelled * 2 > len(heap):
+            live = []
+            free = self._free
+            for entry in heap:
+                if entry[2].cancelled:
+                    free.append(entry[2])
+                else:
+                    live.append(entry)
+            heapify(live)
+            self._heap = live
+            self._cancelled = 0
 
 
 class Simulator:
     """Runs events in time order and tracks the simulated clock (seconds).
 
     Args:
-        queue: Event-queue selector — ``"auto"`` / ``"heap"`` /
-            ``"calendar"``, a queue instance, or a queue class.
         profile: Record per-label event counts and cumulative host
             wall-clock into :attr:`profile` (a
             :class:`~repro.sim.profile.SimProfile`).  Off by default; the
             unprofiled run loop pays nothing for the hook.
-        event_pool: Recycle fired events through a free list (on by
-            default); ignored when ``queue`` is already an instance.
     """
 
-    def __init__(
-        self,
-        queue: QueueSpec = "auto",
-        profile: bool = False,
-        event_pool: bool = True,
-    ) -> None:
-        self.queue = make_event_queue(queue, pool=event_pool)
+    def __init__(self, profile: bool = False) -> None:
+        self.queue = EventQueue()
         self.profile: Optional[SimProfile] = SimProfile() if profile else None
         self.now: float = 0.0
         self.events_fired: int = 0
@@ -382,7 +259,7 @@ class Simulator:
         profile = self.profile
         take = queue.take
         # Inlined queue.release(): one list append per event instead of a
-        # method call.  ``_free`` is None exactly when pooling is off.
+        # method call.
         free_list = queue._free
         while True:
             if self._stop_requested:
@@ -399,8 +276,7 @@ class Simulator:
                 break
             if event.cancelled:
                 # cancel() already dropped the callback reference.
-                if free_list is not None:
-                    free_list.append(event)
+                free_list.append(event)
                 continue
             time = event.time
             if time < self.now:
@@ -416,9 +292,8 @@ class Simulator:
                 profile.record(event.label, perf_counter() - started)
             else:
                 callback()
-            if free_list is not None:
-                event.callback = None
-                free_list.append(event)
+            event.callback = None
+            free_list.append(event)
             self.events_fired += 1
             fired += 1
             if fired > max_events:

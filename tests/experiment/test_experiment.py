@@ -94,6 +94,23 @@ class TestExperimentBuilder:
         # The same configuration repeated is harmless.
         Experiment(HARPV2_SYSTEM).models(DLRM1, DLRM1)
 
+    def test_alias_beside_canonical_name_selects_one_backend(self):
+        # Points are keyed by canonical backend name; a repeat must not be
+        # priced twice and then collapse onto one key.
+        lines = []
+        experiment = (
+            Experiment(HARPV2_SYSTEM, cache=None)
+            .backends("cpu", "CPU-only", "centaur", "cpu")
+            .models(DLRM1)
+            .batch_sizes(4, 16)
+            .progress(lines.append)
+        )
+        assert experiment.backend_names == ("cpu", "centaur")
+        grid = experiment.run()
+        assert len(grid) == 2 * 1 * 2
+        assert len(lines) == len(grid)
+        assert lines[-1].startswith(f"[{len(grid)}/{len(grid)}]")
+
     def test_one_point_grid_with_its_own_cache(self):
         grid = (
             Experiment(HARPV2_SYSTEM, cache=ResultCache())
@@ -162,6 +179,46 @@ class TestExperimentResultQueries:
         assert len(lines) == len(grid) + 1
         assert lines[0].startswith("backend,design_point,model,batch_size,latency_s")
         assert any(line.startswith("centaur,Centaur,DLRM(3),64") for line in lines)
+
+
+class TestBatchOnlyQueries:
+    """pivot() and to_dict() read batch grids; serving grids say so."""
+
+    @pytest.fixture(scope="class")
+    def serve_grid(self):
+        from repro.workloads import ConstantRateArrivals, Workload
+
+        steady = Workload(arrivals=ConstantRateArrivals(rate_qps=20_000.0), name="steady")
+        return (
+            Experiment(HARPV2_SYSTEM)
+            .backends("centaur")
+            .models(DLRM1)
+            .workloads(steady)
+            .serve(num_requests=50)
+        )
+
+    @pytest.fixture(scope="class")
+    def shard_grid(self):
+        from repro.workloads import ConstantRateArrivals, Workload
+
+        steady = Workload(arrivals=ConstantRateArrivals(rate_qps=20_000.0), name="steady")
+        return (
+            Experiment(HARPV2_SYSTEM)
+            .backends("centaur")
+            .models(DLRM1)
+            .workloads(steady)
+            .shard(shard_counts=(2,), num_requests=50)
+        )
+
+    @pytest.mark.parametrize("grid_name", ["serve_grid", "shard_grid"])
+    @pytest.mark.parametrize("method", ["pivot", "to_dict"])
+    def test_error_names_the_grid_axes(self, request, grid_name, method):
+        grid = request.getfixturevalue(grid_name)
+        with pytest.raises(SimulationError, match=method) as raised:
+            getattr(grid, method)()
+        assert str(grid.axes) in str(raised.value)
+        # The grid's own queries still work.
+        assert "backend" in grid.to_csv().splitlines()[0]
 
 
 class TestVariantSweep:

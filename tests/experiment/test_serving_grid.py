@@ -144,6 +144,19 @@ class TestValidation:
                 Workload(arrivals=PoissonArrivals(2_000.0), name="dup"),
             )
 
+    def test_alias_beside_canonical_name_serves_one_point(self):
+        lines = []
+        grid = (
+            Experiment(HARPV2_SYSTEM)
+            .backends("cpu", "CPU-only")
+            .models(DLRM2)
+            .workloads(FAST)
+            .progress(lines.append)
+            .serve(num_requests=100, seed=0)
+        )
+        assert len(grid) == 1
+        assert lines == ["[1/1] cpu steady DLRM(2) served"]
+
     def test_bare_rate_becomes_poisson_workload(self):
         experiment = Experiment(HARPV2_SYSTEM).workloads(5_000.0)
         assert len(experiment.grid_workloads) == 1

@@ -117,6 +117,17 @@ class TestExperimentShard:
                 strategies=(RowWiseHashSharding(hash_seed=0), RowWiseHashSharding(hash_seed=7))
             )
 
+    def test_duplicate_shard_counts_rejected(self):
+        # Points are keyed by shard count; a repeat would be served twice
+        # and kept once.
+        with pytest.raises(SimulationError, match="shard counts must be distinct"):
+            small_grid(shard_counts=(2, 2), strategies=("table",), caches=(None,))
+
+    def test_caches_with_one_label_rejected(self):
+        twins = (CacheConfig(capacity_rows=64), CacheConfig(capacity_rows=64))
+        with pytest.raises(SimulationError, match="caches must be distinct"):
+            small_grid(shard_counts=(2,), strategies=("table",), caches=twins)
+
     def test_unshardable_backend_is_rejected_loudly(self):
         from repro.backends import BackendCapabilities, register_backend
         from repro.backends.registry import unregister_backend

@@ -1,38 +1,29 @@
-"""Heap vs calendar queue: interface, pooling, cancellation, equivalence.
+"""The event queue: interface, pooling, cancellation, compaction.
 
-The contract under test: :class:`CalendarQueue` is observationally
-identical to the binary-heap :class:`EventQueue` — same ``(time,
-sequence)`` pop order (ties included), same validation errors, same
-pooling and compaction behaviour — so a simulation's outcome can never
-depend on which queue backs it.
+The contract under test: :class:`EventQueue` pops in strict ``(time,
+sequence)`` order (ties in push order), refuses pushes that would break
+causality, recycles released events, and drops cancelled entries from
+storage once they make up more than half of it.  The property tests pin
+all of that against a plain sorted-list reference model.
 """
+
+import bisect
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
-from repro.sim.calendar import CalendarQueue
-from repro.sim.engine import (
-    BaseEventQueue,
-    EventQueue,
-    Simulator,
-    make_event_queue,
-)
-
-QUEUE_FACTORIES = {
-    "heap": EventQueue,
-    "calendar": CalendarQueue,
-}
+from repro.sim.engine import EventQueue
 
 
-@pytest.fixture(params=sorted(QUEUE_FACTORIES))
-def queue(request):
-    return QUEUE_FACTORIES[request.param]()
+@pytest.fixture
+def queue():
+    return EventQueue()
 
 
 # ---------------------------------------------------------------------------
-# Shared interface contract, run against both implementations.
+# Interface contract.
 # ---------------------------------------------------------------------------
 class TestQueueContract:
     def test_orders_by_time(self, queue):
@@ -86,15 +77,6 @@ class TestEventPooling:
         queue.release(event)
         assert event.callback is None
 
-    @pytest.mark.parametrize("kind", sorted(QUEUE_FACTORIES))
-    def test_pool_disabled_allocates_fresh_events(self, kind):
-        queue = QUEUE_FACTORIES[kind](pool=False)
-        first = queue.push(1e-3, lambda: None)
-        queue.pop()
-        queue.release(first)
-        second = queue.push(2e-3, lambda: None)
-        assert second is not first
-
 
 class TestCancellation:
     def test_cancel_drops_callback_immediately(self, queue):
@@ -124,6 +106,26 @@ class TestCancellation:
                 live.append(popped.label)
         assert live == ["e16", "e17", "e18", "e19"]
 
+    @pytest.mark.parametrize(
+        "queued, cancelled, compacts",
+        [(15, 8, True), (16, 8, False), (13, 7, False)],
+    )
+    def test_compaction_threshold(self, queue, queued, cancelled, compacts):
+        # Compaction needs at least eight cancelled entries, and more
+        # cancelled than live ones.
+        events = [queue.push(i * 1e-4, lambda: None) for i in range(queued)]
+        for event in events[:cancelled]:
+            event.cancel()
+        assert len(queue) == (queued - cancelled if compacts else queued)
+
+    def test_compacted_events_are_recycled(self, queue):
+        events = [queue.push(i * 1e-4, lambda: None) for i in range(12)]
+        for event in events[:8]:
+            event.cancel()
+        assert len(queue) == 4
+        recycled = {id(queue.push(1.0, lambda: None)) for _ in range(8)}
+        assert recycled == {id(event) for event in events[:8]}
+
     def test_small_queues_drain_cancels_lazily(self, queue):
         live = queue.push(2e-3, lambda: None, label="live")
         queue.push(1e-3, lambda: None, label="dead").cancel()
@@ -134,96 +136,100 @@ class TestCancellation:
         assert queue.pop() is live
 
 
-class TestMakeEventQueue:
-    def test_auto_and_heap_select_the_heap(self):
-        assert make_event_queue("auto").kind == "heap"
-        assert make_event_queue(None).kind == "heap"
-        assert make_event_queue("heap").kind == "heap"
-
-    def test_calendar_by_name_class_and_instance(self):
-        assert make_event_queue("calendar").kind == "calendar"
-        assert make_event_queue(CalendarQueue).kind == "calendar"
-        instance = CalendarQueue(bucket_width=1e-3)
-        assert make_event_queue(instance) is instance
-
-    def test_pool_flag_is_forwarded(self):
-        assert make_event_queue("heap", pool=False)._free is None
-        assert make_event_queue("calendar", pool=True)._free == []
-
-    def test_unknown_spec_rejected(self):
-        with pytest.raises(SimulationError, match="unknown event queue"):
-            make_event_queue("fibonacci")
-        with pytest.raises(SimulationError, match="unknown event queue"):
-            make_event_queue(42)
-
-    def test_simulator_accepts_queue_spec(self):
-        assert Simulator(queue="calendar").queue.kind == "calendar"
-        assert Simulator(queue="auto", event_pool=False).queue._free is None
-
-
-class TestCalendarInternals:
-    def test_invalid_parameters_rejected(self):
-        with pytest.raises(SimulationError, match="bucket_width"):
-            CalendarQueue(bucket_width=0.0)
-        with pytest.raises(SimulationError, match="num_buckets"):
-            CalendarQueue(num_buckets=0)
-
-    def test_grow_and_shrink_preserve_order(self):
-        queue = CalendarQueue(bucket_width=1e-5, num_buckets=4)
-        times = [((i * 7919) % 1000) * 1e-4 for i in range(500)]
-        for time in times:
-            queue.push(time, lambda: None)
-        popped = []
-        while len(queue):
-            popped.append(queue.pop().time)
-        assert popped == sorted(times)
-
-    def test_sparse_jump_finds_distant_events(self):
-        # One event far beyond a full ring scan from the cursor.
-        queue = CalendarQueue(bucket_width=1e-6, num_buckets=4)
-        queue.push(10.0, lambda: None, label="far")
-        queue.push(1e-6, lambda: None, label="near")
-        assert queue.pop().label == "near"
-        assert queue.pop().label == "far"
-
-
 # ---------------------------------------------------------------------------
-# Property-based equivalence: both queues pop any schedule identically.
+# Property-based equivalence: the heap pops any schedule like the reference.
 # ---------------------------------------------------------------------------
+class _RefEvent:
+    """A reference-model event: the fields a trace observes, plus cancel()."""
 
-#: Times drawn from a tiny grid so ties are common, plus booleans choosing
-#: push vs pop and whether to cancel a pending event.
+    def __init__(self, model, time, sequence, label):
+        self.model = model
+        self.time = time
+        self.sequence = sequence
+        self.label = label
+        self.cancelled = False
+
+    def cancel(self):
+        if not self.cancelled:
+            self.cancelled = True
+            self.model.note_cancel()
+
+
+class _SortedListQueue:
+    """Reference model: a plain list kept sorted by ``(time, sequence)``.
+
+    It states the heap's compaction rule directly — once at least eight
+    queued entries are cancelled and they outnumber the live ones, every
+    cancelled entry leaves storage — so traces also agree on which
+    cancelled events are still popped and on the length after every op.
+    """
+
+    def __init__(self):
+        self.entries = []
+        self.next_sequence = 0
+        self.cancelled = 0
+
+    def __len__(self):
+        return len(self.entries)
+
+    def push(self, time, callback, label=""):
+        entry = _RefEvent(self, time, self.next_sequence, label)
+        self.next_sequence += 1
+        keys = [(e.time, e.sequence) for e in self.entries]
+        self.entries.insert(bisect.bisect(keys, (time, entry.sequence)), entry)
+        return entry
+
+    def pop(self):
+        entry = self.entries.pop(0)
+        if entry.cancelled:
+            self.cancelled -= 1
+        return entry
+
+    def note_cancel(self):
+        self.cancelled += 1
+        if self.cancelled >= 8 and self.cancelled * 2 > len(self.entries):
+            self.entries = [e for e in self.entries if not e.cancelled]
+            self.cancelled = 0
+
+
+#: Times drawn from a tiny grid so ties are common.  Each op names what to
+#: do and a small integer: pushes and cancels come in runs of one to eight,
+#: so cancelled entries pile up often enough to trigger compaction.
 _OPS = st.lists(
     st.tuples(
         st.sampled_from(["push", "pop", "cancel"]),
         st.integers(min_value=0, max_value=9),
     ),
     min_size=1,
-    max_size=120,
+    max_size=200,
 )
 
 
-def _drive(queue: BaseEventQueue, ops) -> list:
+def _drive(queue, ops) -> list:
     """Apply an op sequence; return the observable trace."""
     trace = []
     pending = []
     floor = 0.0
     for op, value in ops:
         if op == "push":
-            time = floor + value * 1e-4
-            event = queue.push(time, lambda: None, label=f"t{time:.6f}")
-            pending.append(event)
-            trace.append(("push", time))
+            for step in range(value % 8 + 1):
+                time = floor + (value + step) % 10 * 1e-4
+                event = queue.push(time, lambda: None, label=f"t{time:.6f}")
+                pending.append(event)
+                trace.append(("push", time, len(queue)))
         elif op == "pop" and len(queue):
             event = queue.pop()
             floor = event.time
             if event in pending:
                 pending.remove(event)
-            trace.append(("pop", event.time, event.sequence, event.cancelled))
-        elif op == "cancel" and pending:
-            event = pending.pop(value % len(pending))
-            event.cancel()
-            trace.append(("cancel", event.time, event.sequence))
+            trace.append(("pop", event.time, event.sequence, event.cancelled, len(queue)))
+        elif op == "cancel":
+            for step in range(value % 8 + 1):
+                if not pending:
+                    break
+                event = pending.pop((value + step) % len(pending))
+                event.cancel()
+                trace.append(("cancel", event.time, event.sequence, len(queue)))
     while len(queue):
         event = queue.pop()
         trace.append(("pop", event.time, event.sequence, event.cancelled))
@@ -232,10 +238,8 @@ def _drive(queue: BaseEventQueue, ops) -> list:
 
 @settings(max_examples=150, deadline=None)
 @given(ops=_OPS)
-def test_heap_and_calendar_traces_are_identical(ops):
-    heap_trace = _drive(EventQueue(), ops)
-    calendar_trace = _drive(CalendarQueue(bucket_width=1e-4, num_buckets=4), ops)
-    assert heap_trace == calendar_trace
+def test_heap_and_reference_traces_are_identical(ops):
+    assert _drive(EventQueue(), ops) == _drive(_SortedListQueue(), ops)
 
 
 @settings(max_examples=80, deadline=None)
@@ -246,12 +250,12 @@ def test_heap_and_calendar_traces_are_identical(ops):
         max_size=200,
     )
 )
-def test_bulk_pop_order_matches_heap_with_arbitrary_floats(times):
-    heap, calendar = EventQueue(), CalendarQueue(bucket_width=1e-4, num_buckets=8)
+def test_bulk_pop_order_matches_reference_with_arbitrary_floats(times):
+    heap, reference = EventQueue(), _SortedListQueue()
     for time in times:
         heap.push(time, lambda: None)
-        calendar.push(time, lambda: None)
+        reference.push(time, lambda: None)
     heap_order = [(e.time, e.sequence) for e in (heap.pop() for _ in times)]
-    calendar_order = [(e.time, e.sequence) for e in (calendar.pop() for _ in times)]
-    assert heap_order == calendar_order
+    reference_order = [(e.time, e.sequence) for e in (reference.pop() for _ in times)]
+    assert heap_order == reference_order
     assert heap_order == sorted(heap_order)
