@@ -347,7 +347,8 @@ class Experiment:
         return self
 
     def models(self, *models) -> "Experiment":
-        """Select the model configurations of the grid.
+        """Select the model configurations of the grid (order preserved; a
+        configuration given twice is selected once).
 
         Raises:
             SimulationError: When two *different* configurations share a
@@ -367,11 +368,12 @@ class Experiment:
                     f"{model.name!r}; rename one so grid points stay distinct"
                 )
             by_name[model.name] = model
-        self._models = tuple(models)
+        self._models = tuple(by_name.values())
         return self
 
     def batch_sizes(self, *sizes) -> "Experiment":
-        """Select the input batch sizes of the grid."""
+        """Select the input batch sizes of the grid (order preserved; a
+        repeated size is selected once)."""
         if len(sizes) == 1 and isinstance(sizes[0], (list, tuple)):
             sizes = tuple(sizes[0])
         if not sizes:
@@ -379,7 +381,7 @@ class Experiment:
         for size in sizes:
             if int(size) <= 0:
                 raise SimulationError(f"batch sizes must be positive, got {size}")
-        self._batch_sizes = tuple(int(size) for size in sizes)
+        self._batch_sizes = tuple(dict.fromkeys(int(size) for size in sizes))
         return self
 
     def workloads(self, *workloads) -> "Experiment":

@@ -511,12 +511,11 @@ class _AutoscaleController(Controller):
         self.cluster = cluster
         self.sim = sim
         self.replicas = list(replicas)
-        # Without a policy there are no control ticks, so nothing reads the
-        # stream (a static fleet under chaos only needs lifecycle state).
-        self.reads_stream = cluster.policy is not None
         self.lifecycles = [_ReplicaLifecycle() for _ in replicas]
         self.active_slots: List[int] = []
         self.active: List[ReplicaServer] = []
+        # Routes over the live list: _set_state edits it in place.
+        self._route_active = cluster.dispatcher.router(self.active, sim)
         for index in range(cluster.initial_replicas):
             self._set_state(index, _ACTIVE)
             self.lifecycles[index].commission(0.0)
@@ -579,9 +578,8 @@ class _AutoscaleController(Controller):
 
     # -- routing -------------------------------------------------------
     def route(self, request: InferenceRequest) -> ReplicaServer:
-        active = self.active
-        if active:
-            return self.cluster._dispatch(active, request, self.sim.now)
+        if self.active:
+            return self._route_active(request)
         if self._shed_sink is not None:
             # Total outage under fault injection: arrivals are shed
             # (counted, never completed) instead of crashing the run.
@@ -659,7 +657,7 @@ class _AutoscaleController(Controller):
         states = [lifecycle.state for lifecycle in self.lifecycles]
         active = len(self.active)
         outstanding = sum(replica.outstanding for replica in self.active)
-        arrivals = self.stream.count if self.stream is not None else 0
+        arrivals = self.stream.count
         arrival_rate = (arrivals - self._arrivals_at_last_tick) / interval
         self._arrivals_at_last_tick = arrivals
         busy = sum(
@@ -715,7 +713,7 @@ class _AutoscaleController(Controller):
         queue drains — which requires the tick chain to stop, not to keep
         the simulation alive forever.
         """
-        if self.stream is None or not self.stream.exhausted:
+        if not self.stream.exhausted:
             return False
         return all(
             replica.outstanding == 0 or replica.device_idle

@@ -9,7 +9,7 @@ randomness from a seed and is reset before every stream.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -31,6 +31,21 @@ class Dispatcher:
     ) -> int:
         """Index of the replica the request should join."""
         raise NotImplementedError
+
+    def router(self, replicas: Sequence[ReplicaServer], sim) -> Callable:
+        """A one-frame route: :meth:`select` over ``replicas`` at ``sim.now``,
+        its index validated (a list edited in place is routed over live)."""
+        select = self.select
+
+        def route(request) -> ReplicaServer:
+            index = select(replicas, request, sim.now)
+            if 0 <= index < len(replicas):
+                return replicas[index]
+            raise SimulationError(
+                f"{self.name} selected invalid replica {index} of {len(replicas)}"
+            )
+
+        return route
 
 
 class RoundRobinDispatcher(Dispatcher):

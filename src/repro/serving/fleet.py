@@ -12,11 +12,12 @@ three parts:
   stream starts: the autoscaler's lifecycle controller, the sharded update
   driver and the chaos :class:`~repro.chaos.injector.FaultInjector`.
 
-:meth:`Fleet.serve` builds the simulator, arms the controllers, drives the
-stream once through :func:`~repro.serving.replica.drive_stream` and lets
-each controller attach its accounting to the report.  A static fleet is a
-fleet without controllers: its stream keeps the driver's chunked, buffered
-pull, and is wrapped only when a controller reads it.
+:meth:`Fleet.serve` builds the simulator, hands every controller the
+stream driver (whose live ``count`` and ``exhausted`` follow the simulated
+clock), arms the controllers, drives the stream once (see
+:func:`~repro.serving.replica.drive_stream`) and lets each controller
+attach its accounting to the report.  A static fleet is a fleet without
+controllers.
 
 A :class:`FleetSpec` is the picklable recipe for one front-end: it gates a
 backend's capabilities and builds the fleet that ``repro serve`` and every
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, Iterator, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional
 from typing import Sequence, Union
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only
@@ -43,7 +44,7 @@ from repro.config.models import DLRMConfig
 from repro.config.system import SystemConfig
 from repro.errors import ConfigurationError, SimulationError
 from repro.serving.dispatch import Dispatcher
-from repro.serving.replica import ReplicaServer, drive_stream
+from repro.serving.replica import ReplicaServer, _StreamDriver
 from repro.sim.engine import Simulator
 from repro.sim.profile import SimProfile
 from repro.workloads.arrivals import InferenceRequest, PoissonArrivals
@@ -62,43 +63,15 @@ def resolve_runner(runner, system: Optional[SystemConfig]):
     return resolve_backend(runner, system)
 
 
-class _CountingStream:
-    """A request iterator that counts its arrivals and notes its end.
-
-    Exposing ``exhausted`` flips :func:`drive_stream` into its unbuffered
-    one-pull-per-event mode, so ``count`` and ``exhausted`` follow the
-    simulated clock: ``exhausted`` turns True when the last arrival fires,
-    which is when controllers reading it between events expect it.
-    """
-
-    def __init__(self, iterator: Iterator[InferenceRequest]):
-        self._iterator = iterator
-        self.count = 0
-        self.exhausted = False
-
-    def __iter__(self) -> "_CountingStream":
-        return self
-
-    def __next__(self) -> InferenceRequest:
-        try:
-            request = next(self._iterator)
-        except StopIteration:
-            self.exhausted = True
-            raise
-        self.count += 1
-        return request
-
-
 class Controller:
     """Something a :class:`Fleet` arms on the engine for one stream.
 
     Every hook is optional; the defaults leave the run untouched.
     """
 
-    #: True when the controller reads the stream's live ``count`` /
-    #: ``exhausted``; the fleet then wraps the stream and sets :attr:`stream`.
-    reads_stream = False
-    stream: Optional[_CountingStream] = None
+    #: The stream's driver, set before :meth:`arm`: its live ``count`` and
+    #: ``exhausted`` follow the simulated clock.
+    stream: Optional[_StreamDriver] = None
     #: Takes over routing from the fleet's dispatcher when set.
     route: Optional[Callable[[InferenceRequest], ReplicaServer]] = None
     #: Requests shed so far; relaxes the stream's conservation check.
@@ -178,7 +151,7 @@ class Fleet:
 
         ``requests`` may be an eager sequence (sorted internally) or a lazy
         time-ordered iterator — e.g. ``Workload.requests(...)`` — pulled
-        one arrival at a time, so stream length does not bound memory.
+        in constant-size chunks, so stream length does not bound memory.
         ``extra_models`` prices traffic-mix models beside the default one;
         ``faults`` injects a :class:`~repro.chaos.faults.FaultSchedule` on
         the fleets that host an injector (an empty or ``None`` schedule arms
@@ -220,21 +193,9 @@ class Fleet:
             )
         return self.serve(itertools.chain([first], stream))
 
-    def _dispatch(self, replicas: Sequence[ReplicaServer], request, now: float):
-        """Ask the dispatcher for a replica, validating its choice."""
-        index = self.dispatcher.select(replicas, request, now)
-        if not 0 <= index < len(replicas):
-            raise SimulationError(
-                f"{self.dispatcher.name} selected invalid replica {index} "
-                f"of {len(replicas)}"
-            )
-        return replicas[index]
-
     def _serve(self, requests, report_label, faults, **options):
-        if isinstance(requests, Sequence):
-            if not requests:
-                raise SimulationError("cannot serve an empty request stream")
-            requests = sorted(requests, key=lambda request: request.arrival_time_s)
+        if isinstance(requests, Sequence) and not requests:
+            raise SimulationError("cannot serve an empty request stream")
         if faults is not None and faults.empty:
             faults = None
         sim = Simulator(profile=self.profile)
@@ -244,7 +205,7 @@ class Fleet:
             route = lambda request: replica  # noqa: E731
         else:
             self.dispatcher.reset()
-            route = lambda request: self._dispatch(replicas, request, sim.now)  # noqa: E731
+            route = self.dispatcher.router(replicas, sim)
         controllers = self._controllers(sim, replicas, faults, **options)
         if faults is not None:
             # Imported lazily: repro.chaos builds on this package.
@@ -252,17 +213,15 @@ class Fleet:
 
             host = self._fault_host(replicas, controllers)
             controllers.append(FaultInjector(sim, faults, **host))
-        stream = iter(requests)
-        if any(controller.reads_stream for controller in controllers):
-            stream = _CountingStream(stream)
         lost = None
         for controller in controllers:
-            if controller.reads_stream:
-                controller.stream = stream
             route = controller.route or route
             lost = controller.shed_count or lost
+        driver = _StreamDriver(sim, requests, route, lost=lost)
+        for controller in controllers:
+            controller.stream = driver
             controller.arm()
-        outcome = drive_stream(sim, replicas, stream, route, lost=lost)
+        outcome = driver.drive(replicas)
         if outcome.scheduled == 0:
             raise SimulationError("cannot serve an empty request stream")
         self.last_profile = sim.profile

@@ -1,11 +1,11 @@
 """Event-driven serving replica: one batching queue + one device on a Simulator.
 
 This is the core the serving stack is built on.  A :class:`ReplicaServer`
-lives on a shared :class:`repro.sim.engine.Simulator`; arrivals, batch-close
-timers, device starts and completions are all scheduled events, so batching
-policies can react to the queue as it evolves (close when the device idles,
-shrink the window as the queue deepens) and dispatchers can inspect live
-replica state at each arrival.
+lives on a shared :class:`repro.sim.engine.Simulator`; arrivals (merged
+beside the event heap), batch-close timers, device starts and completions
+are all events, so batching policies can react to the queue as it evolves
+(close when the device idles, shrink the window as the queue deepens) and
+dispatchers can inspect live replica state at each arrival.
 
 The replica reproduces the legacy replay semantics exactly for open-loop
 policies: a batch closed at time ``t`` enters a FIFO device queue, and the
@@ -25,13 +25,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from typing import (
     Callable,
     Deque,
     Dict,
     Iterable,
-    Iterator,
     List,
     Optional,
     Protocol,
@@ -583,91 +582,122 @@ class StreamOutcome:
 
 
 #: Arrivals pulled from the stream per refill: amortizes the generator
-#: round-trip over a constant-size block without changing event order (the
-#: driver still schedules exactly one arrival event ahead of the clock).
+#: round-trip over a constant-size block without changing event order.
 _STREAM_CHUNK = 1024
 
 
 class _StreamDriver:
-    """Pulls arrivals from an iterator one event at a time.
+    """The arrival stream as the simulator's merged ordered source.
 
-    Exactly one arrival *event* is outstanding at any moment: when it
-    fires, the driver first schedules its successor (so simultaneous
-    arrivals keep their stream order ahead of any timers the submission
-    arms) and then routes the request.  The iterator itself is drained in
-    :data:`_STREAM_CHUNK` blocks, so memory is O(chunk) — constant in
-    stream length.
-
-    Streams that expose live arrival accounting (an ``exhausted``
-    attribute, e.g. the fleet's counting wrapper) are pulled one
-    request per event instead: controllers observe their counters between
-    events, so draining them a chunk ahead of simulated time would make
-    exhaustion and arrival-rate observations run ahead of the clock.
+    Exactly one arrival is ranked ahead of the clock: its ``(time,
+    sequence)`` :attr:`key` sits beside the event heap, and
+    :meth:`Simulator.run` fires it when the key precedes the heap top.
+    Firing first ranks the successor, drawing its sequence number before
+    the request is routed, as if it were pushed as an event then — so
+    simultaneous arrivals keep their stream order ahead of any timers the
+    submission arms.  The iterator is drained in :data:`_STREAM_CHUNK`
+    blocks, so memory is constant in stream length; controllers read
+    :attr:`count` and :attr:`exhausted`, which follow the simulated clock.
     """
 
     def __init__(
         self,
         sim: Simulator,
-        iterator: Iterator[InferenceRequest],
+        requests: Union[Sequence[InferenceRequest], Iterable[InferenceRequest]],
         route: Callable[[InferenceRequest], "ReplicaServer"],
         lost: Optional[Callable[[], int]] = None,
     ):
+        if isinstance(requests, Sequence):
+            requests = sorted(requests, key=lambda request: request.arrival_time_s)
+        iterator = iter(requests)
         self.sim = sim
-        self.iterator = iterator
         self.route = route
         self.lost = lost
-        self.scheduled = 0
+        #: Arrivals ranked so far (the one ahead of the clock included).
+        self.count = 0
         self.completed = 0
         self.peak_resident = 0
+        #: True once a fired arrival finds no successor.
+        self.exhausted = False
+        #: ``(time, sequence)`` of the arrival ranked ahead of the clock.
+        self.key: Optional[Tuple[float, int]] = None
         self._current: Optional[InferenceRequest] = None
         self._last_time = 0.0
-        self._buffer: List[InferenceRequest] = []
-        self._next = 0
-        self._buffered = not hasattr(iterator, "exhausted")
-        # Arrivals are already validated monotone (the raise in pump), so
-        # push straight onto the queue — it still enforces the causality
-        # floor — instead of going through Simulator.schedule_at.
-        self._push = sim.queue.push
+        self._requests = chain.from_iterable(
+            iter(lambda: list(islice(iterator, _STREAM_CHUNK)), [])
+        )
+        self._reserve = sim.queue.reserve
 
     def note_completion(self, count: int) -> None:
         self.completed += count
 
-    def pump(self) -> None:
-        if self._buffered:
-            index = self._next
-            buffer = self._buffer
-            if index >= len(buffer):
-                buffer = list(islice(self.iterator, _STREAM_CHUNK))
-                if not buffer:
-                    return
-                self._buffer = buffer
-                index = 0
-            request = buffer[index]
-            self._next = index + 1
-        else:
-            request = next(self.iterator, None)
-            if request is None:
-                return
-        arrival_time = request.arrival_time_s
-        if arrival_time < self._last_time:
-            raise SimulationError(
-                "streaming arrivals must be time-ordered: got "
-                f"{arrival_time} after {self._last_time}"
-            )
-        self._last_time = arrival_time
-        self.scheduled += 1
-        self._current = request
-        self._push(arrival_time, self._fire, "arrival")
-
-    def _fire(self) -> None:
+    def fire(self) -> Optional[Tuple[float, int]]:
+        """Rank the successor, then deliver the ranked arrival (the first
+        call only ranks); returns the new :attr:`key`."""
         request = self._current
-        self.pump()
-        self.route(request).submit(request)
-        resident = self.scheduled - self.completed
-        if self.lost is not None:
-            resident -= self.lost()
-        if resident > self.peak_resident:
-            self.peak_resident = resident
+        successor = next(self._requests, None)
+        if successor is not None:
+            arrival_time = successor.arrival_time_s
+            if arrival_time < self._last_time:
+                raise SimulationError(
+                    "streaming arrivals must be time-ordered: got "
+                    f"{arrival_time} after {self._last_time}"
+                )
+            self._last_time = arrival_time
+            self.count += 1
+            self._current = successor
+            key = self.key = (arrival_time, self._reserve())
+        else:
+            key = self.key = self._current = None
+            self.exhausted = True
+        if request is not None:
+            self.route(request).submit(request)
+            resident = self.count - self.completed
+            if self.lost is not None:
+                resident -= self.lost()
+            if resident > self.peak_resident:
+                self.peak_resident = resident
+        return key
+
+    def drive(self, replicas: Sequence["ReplicaServer"]) -> "StreamOutcome":
+        """Run the stream through ``replicas`` to completion."""
+        sim = self.sim
+        previous_listeners = [replica.completion_listener for replica in replicas]
+        for replica in replicas:
+            replica.completion_listener = self.note_completion
+        sim.source = self
+        try:
+            self.fire()
+            sim.run()
+            # Policies without a close timer (e.g. FixedSizeBatching with no
+            # wait cap) can strand a trailing partial batch once the stream
+            # ends; flush and keep running until every replica drains.
+            guard = 0
+            while any(replica.has_pending for replica in replicas):
+                guard += 1
+                if guard > self.count + 1:
+                    raise SimulationError(
+                        "serving simulation failed to drain pending requests"
+                    )
+                for replica in replicas:
+                    replica.flush()
+                sim.run()
+        finally:
+            sim.source = None
+            for replica, listener in zip(replicas, previous_listeners):
+                replica.completion_listener = listener
+        shed = self.lost() if self.lost is not None else 0
+        if self.completed + shed != self.count:
+            raise SimulationError(
+                f"request conservation violated: {self.count} arrived, "
+                f"{self.completed} served, {shed} shed"
+            )
+        return StreamOutcome(
+            scheduled=self.count,
+            completed=self.completed,
+            peak_resident=self.peak_resident,
+            shed=shed,
+        )
 
 
 def drive_stream(
@@ -679,10 +709,11 @@ def drive_stream(
 ) -> StreamOutcome:
     """Drive a request stream through the fleet and run to completion.
 
-    Arrivals are pulled lazily: only one arrival event is scheduled ahead of
-    the simulation clock, so an arbitrarily long stream holds just the
-    in-flight requests in memory.  Sequences are sorted first (the legacy
-    contract); bare iterators must already be time-ordered.
+    Arrivals are pulled lazily and merged into the simulator beside its
+    event heap (see :class:`_StreamDriver`), so an arbitrarily long stream
+    holds just the in-flight requests in memory.  Sequences are sorted
+    first (the legacy contract); bare iterators must already be
+    time-ordered.
 
     Args:
         sim: The shared simulator all replicas live on.
@@ -696,42 +727,4 @@ def drive_stream(
             conservation relaxes to ``scheduled == completed + lost()``;
             without it (every fault-free run) the strict identity holds.
     """
-    if isinstance(requests, Sequence):
-        iterator = iter(sorted(requests, key=lambda request: request.arrival_time_s))
-    else:
-        iterator = iter(requests)
-    driver = _StreamDriver(sim, iterator, route, lost=lost)
-    previous_listeners = [replica.completion_listener for replica in replicas]
-    for replica in replicas:
-        replica.completion_listener = driver.note_completion
-    try:
-        driver.pump()
-        sim.run()
-        # Policies without a close timer (e.g. FixedSizeBatching with no wait
-        # cap) can strand a trailing partial batch once the stream ends; flush
-        # and keep running until every replica drains.
-        guard = 0
-        while any(replica.has_pending for replica in replicas):
-            guard += 1
-            if guard > driver.scheduled + 1:
-                raise SimulationError(
-                    "serving simulation failed to drain pending requests"
-                )
-            for replica in replicas:
-                replica.flush()
-            sim.run()
-    finally:
-        for replica, listener in zip(replicas, previous_listeners):
-            replica.completion_listener = listener
-    shed = lost() if lost is not None else 0
-    if driver.completed + shed != driver.scheduled:
-        raise SimulationError(
-            f"request conservation violated: {driver.scheduled} arrived, "
-            f"{driver.completed} served, {shed} shed"
-        )
-    return StreamOutcome(
-        scheduled=driver.scheduled,
-        completed=driver.completed,
-        peak_resident=driver.peak_resident,
-        shed=shed,
-    )
+    return _StreamDriver(sim, requests, route, lost=lost).drive(replicas)

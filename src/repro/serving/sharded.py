@@ -597,18 +597,15 @@ class ShardedReplicaServer(ReplicaServer):
 class _UpdateDriver(Controller):
     """Feeds an update stream into the engine, one event outstanding.
 
-    Mirrors the request-side stream driver: exactly one ``update:push``
-    event is scheduled at a time, each firing applies the push to the
-    shard group's cache tiers and pulls the next one.  The stream is
-    infinite, so the driver stops pulling once the request stream is
-    exhausted and the group has no work in flight (at most one trailing
-    push fires after the final completion — it finds every batch done and
-    schedules nothing further).
+    Exactly one ``update:push`` event is scheduled at a time; each firing
+    applies the push to the shard group's cache tiers and pulls the next
+    one.  The stream is infinite, so the driver stops pulling once the
+    request stream is exhausted and the group has no work in flight (at
+    most one trailing push fires after the final completion — it finds
+    every batch done and schedules nothing further).  It reads
+    ``stream.exhausted`` from the request-side stream driver, which turns
+    True the moment the last arrival fires in simulated time.
     """
-
-    #: Reads ``stream.exhausted``, which the fleet's counting wrapper turns
-    #: True the moment the last arrival fires in simulated time.
-    reads_stream = True
 
     def __init__(
         self,

@@ -11,6 +11,13 @@ The hot path is tuned for million-event serving runs:
   in the order they were scheduled.
 * Cancelled events are dropped lazily when popped, and the heap is
   compacted once they make up more than half of it.
+* The arrival stream, exogenous and already time-ordered, never enters
+  the heap: :meth:`Simulator.run` merges it as a second ordered source
+  (:attr:`Simulator.source`), firing the next arrival when its ``(time,
+  sequence)`` key precedes the heap top.  Its sequence number is drawn
+  where it would have been pushed, so the order is the all-on-heap order,
+  ties included.  Arrivals still advance the causality floor, count in
+  :attr:`Simulator.events_fired` and profile as ``"arrival"``.
 * ``Simulator(profile=True)`` records per-label event counts and
   cumulative host wall-clock into a :class:`~repro.sim.profile.SimProfile`
   (zero overhead when disabled).
@@ -24,6 +31,7 @@ batch-close timer slot is cleared before the callback body runs).
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
+from itertools import count
 from time import perf_counter
 from typing import Callable, List, Optional, Tuple
 
@@ -93,7 +101,10 @@ class EventQueue:
 
     def __init__(self) -> None:
         self._heap: List[_Entry] = []
-        self._next_sequence = 0
+        #: Draws the next sequence number.  The merged arrival source ranks
+        #: each arrival with it where it would have pushed, so the arrival
+        #: ties against queued events exactly as a queued one would.
+        self.reserve: Callable[[], int] = count().__next__
         self._free: List[Event] = []
         self._cancelled = 0
         # Causality floor: the largest time popped so far.  Scheduling below
@@ -111,8 +122,7 @@ class EventQueue:
                 f"event {label!r} scheduled at {time} is before the current "
                 f"simulation time ({self._floor}); causality would be violated"
             )
-        sequence = self._next_sequence
-        self._next_sequence = sequence + 1
+        sequence = self.reserve()
         free = self._free
         if free:
             event = free.pop()
@@ -147,10 +157,11 @@ class EventQueue:
             raise SimulationError("cannot pop from an empty event queue")
         return event
 
-    def peek_time(self) -> Optional[float]:
-        """Time of the next event, or ``None`` when the queue is empty."""
+    def top(self) -> Optional[_Entry]:
+        """The next (possibly cancelled) entry, left queued; ``None`` when
+        empty.  A ``(time, sequence)`` key compares against it directly."""
         heap = self._heap
-        return heap[0][0] if heap else None
+        return heap[0] if heap else None
 
     def release(self, event: Event) -> None:
         """Return a fired (or popped-cancelled) event to the free list.
@@ -193,6 +204,10 @@ class Simulator:
         self.profile: Optional[SimProfile] = SimProfile() if profile else None
         self.now: float = 0.0
         self.events_fired: int = 0
+        #: The arrival stream :meth:`run` merges beside the heap: ``key`` is
+        #: the next arrival's ``(time, sequence)`` (``None`` once exhausted),
+        #: and ``fire()`` delivers it, returning (and storing) the new key.
+        self.source = None
         self._stop_requested = False
 
     # ------------------------------------------------------------------
@@ -220,35 +235,8 @@ class Simulator:
         """
         self._stop_requested = True
 
-    # ------------------------------------------------------------------
-    def step(self) -> bool:
-        """Fire the next event; returns ``False`` when the queue is empty."""
-        queue = self.queue
-        while len(queue):
-            event = queue.pop()
-            if event.cancelled:
-                queue.release(event)
-                continue
-            if event.time < self.now:
-                raise SimulationError(
-                    f"event {event.label!r} scheduled at {event.time} is in the past "
-                    f"(now {self.now})"
-                )
-            self.now = event.time
-            callback = event.callback
-            if self.profile is not None:
-                started = perf_counter()
-                callback()
-                self.profile.record(event.label, perf_counter() - started)
-            else:
-                callback()
-            queue.release(event)
-            self.events_fired += 1
-            return True
-        return False
-
     def run(self, until: Optional[float] = None, max_events: int = 10_000_000) -> float:
-        """Run until the queue drains (or ``until`` / ``max_events`` is hit).
+        """Run until the heap and the source drain (or ``until`` / ``max_events`` is hit).
 
         Returns:
             The simulated time at which execution stopped.
@@ -257,43 +245,65 @@ class Simulator:
         self._stop_requested = False
         queue = self.queue
         profile = self.profile
+        top = queue.top
         take = queue.take
         # Inlined queue.release(): one list append per event instead of a
         # method call.
         free_list = queue._free
-        while True:
-            if self._stop_requested:
-                break
-            if until is not None:
-                next_time = queue.peek_time()
-                if next_time is None:
-                    break
-                if next_time > until:
+        source = self.source
+        if source is not None:
+            arrival = source.key
+            fire = source.fire
+        else:
+            arrival = None
+        while not self._stop_requested:
+            entry = top()
+            if arrival is not None and (entry is None or arrival < entry):
+                time = arrival[0]
+                if until is not None and time > until:
                     self.now = until
                     break
-            event = take()
-            if event is None:
-                break
-            if event.cancelled:
-                # cancel() already dropped the callback reference.
-                free_list.append(event)
-                continue
-            time = event.time
-            if time < self.now:
-                raise SimulationError(
-                    f"event {event.label!r} scheduled at {time} is in the past "
-                    f"(now {self.now})"
-                )
-            self.now = time
-            callback = event.callback
-            if profile is not None:
-                started = perf_counter()
-                callback()
-                profile.record(event.label, perf_counter() - started)
+                if time < self.now:
+                    raise SimulationError(
+                        f"event 'arrival' scheduled at {time} is in the past "
+                        f"(now {self.now})"
+                    )
+                # The causality floor advances as if the arrival were popped.
+                queue._floor = time
+                self.now = time
+                if profile is not None:
+                    started = perf_counter()
+                    arrival = fire()
+                    profile.record("arrival", perf_counter() - started)
+                else:
+                    arrival = fire()
             else:
-                callback()
-            event.callback = None
-            free_list.append(event)
+                if entry is None:
+                    break
+                time = entry[0]
+                if until is not None and time > until:
+                    self.now = until
+                    break
+                event = take()
+                if event.cancelled:
+                    # cancel() already dropped the callback reference.
+                    free_list.append(event)
+                    continue
+                if time < self.now:
+                    raise SimulationError(
+                        f"event {event.label!r} scheduled at {time} is in the past "
+                        f"(now {self.now})"
+                    )
+                self.now = time
+                callback = event.callback
+                if profile is not None:
+                    started = perf_counter()
+                    callback()
+                    profile.record(event.label, perf_counter() - started)
+                else:
+                    callback()
+                event.callback = None
+                free_list.append(event)
             self.events_fired += 1
             fired += 1
             if fired > max_events:

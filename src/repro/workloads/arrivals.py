@@ -29,7 +29,9 @@ an eager list where one is wanted.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import chain, count, islice, repeat
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -78,9 +80,11 @@ def _make_rng(seed: SeedLike) -> np.random.Generator:
 class ArrivalProcess:
     """Base class: a stateless description of an arrival-time distribution.
 
-    Subclasses implement :meth:`times` — an *infinite* lazy iterator of
-    strictly increasing arrival timestamps for a given seed.  The base class
-    turns timestamps into bounded :class:`InferenceRequest` streams.
+    Subclasses implement :meth:`_time_chunks` — a lazy iterator of
+    columns (lists) of non-decreasing arrival timestamps for a given seed,
+    unbounded except for a replay.  The base class flattens them into
+    :meth:`times` and builds bounded :class:`InferenceRequest` streams from
+    them one column at a time.
     """
 
     #: Short machine-readable kind, used by capability gating and the CLI.
@@ -93,6 +97,10 @@ class ArrivalProcess:
 
     def times(self, seed: SeedLike = 0) -> Iterator[float]:
         """Yield an unbounded, non-decreasing stream of arrival times."""
+        return chain.from_iterable(self._time_chunks(seed))
+
+    def _time_chunks(self, seed: SeedLike) -> Iterator[List[float]]:
+        """Yield the arrival times in consecutive non-decreasing columns."""
         raise NotImplementedError
 
     # ------------------------------------------------------------------
@@ -121,17 +129,34 @@ class ArrivalProcess:
         if num_requests is not None and num_requests <= 0:
             raise SimulationError(f"num_requests must be positive, got {num_requests}")
 
-        request_id = 0
-        for now in self.times(seed):
-            if duration_s is not None and now > duration_s:
+        names = model_names if model_names is not None else repeat(None)
+        new = object.__new__
+        next_id = 0
+        for column in self._time_chunks(seed):
+            last = False
+            if duration_s is not None and column and column[-1] > duration_s:
+                column = column[: bisect_right(column, duration_s)]
+                last = True
+            if num_requests is not None and next_id + len(column) >= num_requests:
+                column = column[: num_requests - next_id]
+                last = True
+            if column and min(column) < 0:
+                raise SimulationError(
+                    f"arrival_time_s must be non-negative, got {min(column)}"
+                )
+            # The frozen dataclass's __init__ (three object.__setattr__ calls
+            # and a __post_init__ frame) would dominate: the column is checked
+            # once above and each request's fields are set as __init__ would.
+            for request_id, time, name in zip(count(next_id), column, names):
+                request = new(InferenceRequest)
+                fields = request.__dict__
+                fields["request_id"] = request_id
+                fields["arrival_time_s"] = time
+                fields["model_name"] = name
+                yield request
+            if last:
                 return
-            name = next(model_names) if model_names is not None else None
-            yield InferenceRequest(
-                request_id=request_id, arrival_time_s=now, model_name=name
-            )
-            request_id += 1
-            if num_requests is not None and request_id >= num_requests:
-                return
+            next_id += len(column)
 
     def generate(
         self,
@@ -171,7 +196,7 @@ class PoissonArrivals(ArrivalProcess):
     def mean_rate_qps(self) -> float:
         return self.rate_qps
 
-    def times(self, seed: SeedLike = 0) -> Iterator[float]:
+    def _time_chunks(self, seed: SeedLike) -> Iterator[List[float]]:
         rng = _make_rng(seed)
         scale = 1.0 / self.rate_qps
         now = 0.0
@@ -183,7 +208,7 @@ class PoissonArrivals(ArrivalProcess):
             gaps[0] += now
             np.cumsum(gaps, out=gaps)
             now = float(gaps[-1])
-            yield from gaps.tolist()
+            yield gaps.tolist()
 
 
 @dataclass(frozen=True)
@@ -205,13 +230,13 @@ class ConstantRateArrivals(ArrivalProcess):
     def mean_rate_qps(self) -> float:
         return self.rate_qps
 
-    def times(self, seed: SeedLike = 0) -> Iterator[float]:
+    def _time_chunks(self, seed: SeedLike) -> Iterator[List[float]]:
         period = 1.0 / self.rate_qps
         k = 1
         while True:
             block = np.arange(k, k + CHUNK_SIZE, dtype=np.float64) * period
             k += CHUNK_SIZE
-            yield from block.tolist()
+            yield block.tolist()
 
 
 @dataclass(frozen=True)
@@ -256,7 +281,7 @@ class OnOffArrivals(ArrivalProcess):
             self.on_rate_qps * self.mean_on_s + self.off_rate_qps * self.mean_off_s
         ) / total
 
-    def times(self, seed: SeedLike = 0) -> Iterator[float]:
+    def _time_chunks(self, seed: SeedLike) -> Iterator[List[float]]:
         rng = _make_rng(seed)
         now = 0.0
         on = True
@@ -275,7 +300,7 @@ class OnOffArrivals(ArrivalProcess):
                     gaps[0] += t
                     np.cumsum(gaps, out=gaps)
                     inside = gaps[gaps <= end]
-                    yield from inside.tolist()
+                    yield inside.tolist()
                     if len(inside) < len(gaps):
                         break
                     t = float(gaps[-1])
@@ -327,7 +352,7 @@ class DiurnalArrivals(ArrivalProcess):
         swing = (self.peak_qps - self.trough_qps) / 2.0
         return self.trough_qps + swing * (1.0 - np.cos(2.0 * np.pi * time_s / self.period_s))
 
-    def times(self, seed: SeedLike = 0) -> Iterator[float]:
+    def _time_chunks(self, seed: SeedLike) -> Iterator[List[float]]:
         rng = _make_rng(seed)
         scale = 1.0 / self.peak_qps
         now = 0.0
@@ -337,7 +362,7 @@ class DiurnalArrivals(ArrivalProcess):
             np.cumsum(gaps, out=gaps)
             now = float(gaps[-1])
             accept = rng.random(CHUNK_SIZE) * self.peak_qps <= self.rate_at(gaps)
-            yield from gaps[accept].tolist()
+            yield gaps[accept].tolist()
 
 
 @dataclass(frozen=True)
@@ -368,8 +393,9 @@ class ReplayArrivals(ArrivalProcess):
         span = self.arrival_times_s[-1]
         return len(self.arrival_times_s) / span if span > 0 else float("inf")
 
-    def times(self, seed: SeedLike = 0) -> Iterator[float]:
-        return iter(self.arrival_times_s)
+    def _time_chunks(self, seed: SeedLike) -> Iterator[List[float]]:
+        times = iter(self.arrival_times_s)
+        return iter(lambda: list(islice(times, CHUNK_SIZE)), [])
 
     def describe(self) -> str:
         return f"replay of {len(self.arrival_times_s)} recorded arrivals"

@@ -263,27 +263,34 @@ class TestPlannerEquivalence:
 
 class TestProgress:
     def test_batch_progress_multiset_matches_serial(self):
-        def run(jobs):
+        def run(jobs, cache):
             lines = []
             result = (
-                Experiment(HARPV2_SYSTEM, cache=ResultCache(), jobs=jobs)
+                Experiment(HARPV2_SYSTEM, cache=cache, jobs=jobs)
                 .backends("cpu", "centaur")
                 .models(DLRM1)
-                .batch_sizes(8, 8, 16)  # duplicate batch exercises dedup
+                .batch_sizes(8, 8, 16)  # a repeated batch size is selected once
                 .progress(lines.append)
                 .run()
             )
             return result, lines
 
-        serial, serial_lines = run(1)
-        parallel, parallel_lines = run(2)
+        serial, serial_lines = run(1, ResultCache())
+        parallel, parallel_lines = run(2, ResultCache())
         assert signature(parallel) == signature(serial)
-        assert len(parallel_lines) == len(serial_lines) == 6
+        assert len(parallel_lines) == len(serial_lines) == 4
         # The [n/total] counter follows completion order, which differs
         # across settings; the per-point bodies must not.
         bodies = lambda lines: sorted(line.split("] ", 1)[1] for line in lines)
         assert bodies(parallel_lines) == bodies(serial_lines)
-        assert any(line.endswith("cached") for line in serial_lines)
+        assert all(line.endswith("computed") for line in serial_lines)
+
+        # A second run on the same cache reports every point cached.
+        cache = ResultCache()
+        run(1, cache)
+        _, cached_lines = run(2, cache)
+        assert len(cached_lines) == 4
+        assert all(line.endswith("cached") for line in cached_lines)
 
     def test_serve_progress_counts_points(self):
         lines = []

@@ -4,6 +4,7 @@ import pytest
 
 from repro.config import (
     DLRM1,
+    DLRM2,
     DLRM3,
     DLRM6,
     HARPV2_SYSTEM,
@@ -110,6 +111,37 @@ class TestExperimentBuilder:
         assert len(grid) == 2 * 1 * 2
         assert len(lines) == len(grid)
         assert lines[-1].startswith(f"[{len(grid)}/{len(grid)}]")
+
+    def test_repeated_batch_sizes_select_once(self):
+        # Points are keyed by batch size; a repeat must not be priced twice
+        # and then collapse onto one key.
+        lines = []
+        experiment = (
+            Experiment(HARPV2_SYSTEM, cache=None)
+            .backends("centaur")
+            .models(DLRM1)
+            .batch_sizes(8, 8, 16, 8)
+            .progress(lines.append)
+        )
+        assert experiment.grid_batch_sizes == (8, 16)
+        grid = experiment.run()
+        assert len(grid) == 2
+        assert len(lines) == len(grid)
+        assert lines[-1].startswith(f"[{len(grid)}/{len(grid)}]")
+
+    def test_repeated_models_select_once(self):
+        lines = []
+        experiment = (
+            Experiment(HARPV2_SYSTEM, cache=None)
+            .backends("centaur")
+            .models(DLRM2, DLRM1, DLRM2)
+            .batch_sizes(4)
+            .progress(lines.append)
+        )
+        assert experiment.grid_models == (DLRM2, DLRM1)
+        grid = experiment.run()
+        assert len(grid) == 2
+        assert len(lines) == len(grid)
 
     def test_one_point_grid_with_its_own_cache(self):
         grid = (

@@ -12,7 +12,7 @@ class TestEventQueue:
         fired = []
         queue.push(2.0, lambda: fired.append("b"))
         queue.push(1.0, lambda: fired.append("a"))
-        assert queue.peek_time() == 1.0
+        assert queue.top()[0] == 1.0
         queue.pop().callback()
         queue.pop().callback()
         assert fired == ["a", "b"]
@@ -32,8 +32,8 @@ class TestEventQueue:
         with pytest.raises(SimulationError):
             EventQueue().push(-1.0, lambda: None)
 
-    def test_peek_empty_returns_none(self):
-        assert EventQueue().peek_time() is None
+    def test_top_empty_returns_none(self):
+        assert EventQueue().top() is None
 
 
 class TestSimulator:
@@ -103,19 +103,6 @@ class TestSimulator:
             sim.run(max_events=1000)
 
 
-class TestStepping:
-    def test_step_returns_false_when_empty(self):
-        assert Simulator().step() is False
-
-    def test_step_fires_one_event(self):
-        sim = Simulator()
-        fired = []
-        sim.schedule(1e-6, lambda: fired.append(1))
-        sim.schedule(2e-6, lambda: fired.append(2))
-        assert sim.step() is True
-        assert fired == [1]
-
-
 class TestStop:
     def test_stop_returns_after_current_event_and_resumes(self):
         sim = Simulator()
@@ -133,6 +120,25 @@ class TestStop:
         # The stop request does not leak into the next run.
         sim.run()
         assert fired == ["first", "second", "third"]
+
+    def test_run_on_an_empty_simulator_fires_nothing(self):
+        sim = Simulator()
+        assert sim.run() == 0.0
+        assert sim.events_fired == 0
+
+    def test_stop_in_the_first_callback_fires_one_event(self):
+        sim = Simulator()
+        fired = []
+
+        def first():
+            fired.append(1)
+            sim.stop()
+
+        sim.schedule(1e-6, first)
+        sim.schedule(2e-6, lambda: fired.append(2))
+        assert sim.run() == 1e-6
+        assert fired == [1]
+        assert sim.events_fired == 1
 
     def test_stop_without_run_is_harmless(self):
         sim = Simulator()

@@ -1,0 +1,171 @@
+"""The merged arrival source against the all-on-heap reference, by property.
+
+:meth:`~repro.sim.engine.Simulator.run` fires the arrival stream from
+beside the event heap: the stream driver ranks each arrival with a
+sequence number drawn where the pre-merge driver pushed its arrival event.
+Here random callbacks push and cancel heap events, stop the run, and the
+arrival column is built on a coarse time grid so arrivals tie with each
+other and with heap events exactly.  The fired order, the clock after each
+firing, the stream's live ``count`` and ``exhausted`` at each firing, the
+clock after each ``run`` and ``events_fired`` must equal a run in which
+every arrival is a heap event pushed by the pre-merge driver.
+"""
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from repro.errors import SimulationError
+from repro.serving.replica import _StreamDriver
+from repro.sim.engine import Simulator
+from repro.workloads.arrivals import InferenceRequest
+
+from tests.integration.test_queue_equivalence import _CountingStream, _HeapStreamDriver
+
+#: Every time is a multiple of this (exact in binary), so ties are common.
+TICK = 0.25
+#: Heap events pushed per run, at most (callbacks would otherwise fan out).
+MAX_PUSHES = 60
+
+_ACTION = st.tuples(
+    st.lists(st.integers(0, 4), max_size=3),  # delays of new heap events, in ticks
+    st.lists(st.integers(0, 7), max_size=2),  # which pending heap events to cancel
+    st.booleans(),  # stop the run after this firing
+)
+
+
+def _simulate(arrival_ticks, actions, until_ticks, merged):
+    """Run one script; return the trace, the clocks after each run and
+    ``events_fired``."""
+    sim = Simulator()
+    trace = []
+    pending = {}  # heap event id -> Event, dropped when it fires
+    pushes = [0]
+
+    def on_fire(tag):
+        trace.append((tag, sim.now, stream.count, stream.exhausted))
+        delays, cancels, stop = actions[(len(trace) - 1) % len(actions)]
+        for delay in delays:
+            if pushes[0] >= MAX_PUSHES:
+                break
+            event_id = pushes[0]
+            pushes[0] += 1
+            pending[event_id] = sim.schedule(
+                delay * TICK, lambda event_id=event_id: fire_event(event_id)
+            )
+        for index in cancels:
+            if pending:
+                victim = sorted(pending)[index % len(pending)]
+                pending.pop(victim).cancel()
+        if stop:
+            sim.stop()
+
+    def fire_event(event_id):
+        del pending[event_id]
+        on_fire(("event", event_id))
+
+    class _Sink:
+        @staticmethod
+        def submit(request):
+            on_fire(("arrival", request.request_id))
+
+    requests = [
+        InferenceRequest(request_id=index, arrival_time_s=tick * TICK)
+        for index, tick in enumerate(sorted(arrival_ticks))
+    ]
+    route = lambda request: _Sink  # noqa: E731
+    if merged:
+        stream = _StreamDriver(sim, requests, route)
+        sim.source = stream
+        stream.fire()
+    else:
+        stream = _CountingStream(iter(requests))
+        _HeapStreamDriver(sim, stream, route).pump()
+
+    clocks = []
+    if until_ticks is not None:
+        clocks.append(sim.run(until=until_ticks * TICK))
+    while True:
+        fired = sim.events_fired
+        clocks.append(sim.run())
+        if sim.events_fired == fired:
+            break
+    return trace, clocks, sim.events_fired
+
+
+@given(
+    arrival_ticks=st.lists(st.integers(0, 12), min_size=1, max_size=30),
+    actions=st.lists(_ACTION, min_size=1, max_size=12),
+    until_ticks=st.none() | st.integers(0, 14),
+)
+def test_merged_source_matches_all_on_heap_reference(arrival_ticks, actions, until_ticks):
+    merged = _simulate(arrival_ticks, actions, until_ticks, merged=True)
+    reference = _simulate(arrival_ticks, actions, until_ticks, merged=False)
+    assert merged == reference
+    trace, _, fired = merged
+    assert fired == len(trace)
+    assert sum(tag[0] == "arrival" for tag, *_ in trace) == len(arrival_ticks)
+
+
+def test_arrivals_tie_with_heap_events_in_ranking_order():
+    """An arrival ranks when its predecessor fires, before the timer that
+    predecessor's delivery pushes for the same instant, and after a timer
+    pushed earlier."""
+    sim = Simulator()
+    fired = []
+
+    class _Sink:
+        @staticmethod
+        def submit(request):
+            fired.append(("arrival", request.request_id))
+            if request.request_id == 0:
+                sim.schedule_at(TICK, lambda: fired.append(("timer", 0)))
+
+    sim.schedule_at(TICK, lambda: fired.append(("early", 0)))
+    requests = [InferenceRequest(0, 0.0), InferenceRequest(1, TICK)]
+    driver = _StreamDriver(sim, requests, lambda request: _Sink)
+    sim.source = driver
+    driver.fire()
+    sim.run()
+    assert fired == [("arrival", 0), ("early", 0), ("arrival", 1), ("timer", 0)]
+    assert sim.events_fired == 4
+    assert driver.exhausted and driver.count == 2
+
+
+def _attach(sim, times, submit=lambda request: None):
+    """Merge a stream of requests at ``times`` into ``sim``."""
+    sink = type("_Sink", (), {"submit": staticmethod(submit)})
+    requests = [InferenceRequest(index, time) for index, time in enumerate(times)]
+    driver = _StreamDriver(sim, requests, lambda request: sink)
+    sim.source = driver
+    driver.fire()
+    return driver
+
+
+class TestMergedSourceChecks:
+    def test_an_arrival_advances_the_causality_floor(self):
+        sim = Simulator()
+        sim.schedule_at(TICK, lambda: None)
+        _attach(sim, [2 * TICK], lambda request: sim.queue.push(1.5 * TICK, lambda: None))
+        with pytest.raises(SimulationError, match="causality"):
+            sim.run()
+
+    def test_an_arrival_in_the_past_is_refused(self):
+        sim = Simulator()
+        sim.schedule_at(2 * TICK, lambda: None)
+        sim.run()
+        _attach(sim, [TICK])
+        with pytest.raises(SimulationError, match="'arrival' scheduled at 0.25 is in the past"):
+            sim.run()
+
+    def test_the_livelock_guard_counts_arrivals(self):
+        sim = Simulator()
+        _attach(sim, [TICK * index for index in range(10)])
+        with pytest.raises(SimulationError, match="exceeded 3 events"):
+            sim.run(max_events=3)
+
+    def test_profile_counts_arrivals_under_their_label(self):
+        sim = Simulator(profile=True)
+        _attach(sim, [0.0, TICK, TICK])
+        sim.run()
+        assert sim.profile.get("arrival").count == sim.events_fired == 3

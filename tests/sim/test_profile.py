@@ -80,11 +80,13 @@ class TestSimulatorProfiling:
         assert sim.profile.total_events == sim.events_fired == 3
         assert sim.profile.get("arrival").seconds >= 0.0
 
-    def test_step_records_too(self):
+    def test_stopped_run_records_too(self):
         sim = Simulator(profile=True)
-        sim.schedule(1e-6, lambda: None, label="stepped")
-        assert sim.step() is True
-        assert sim.profile.get("stepped").count == 1
+        sim.schedule(1e-6, sim.stop, label="stopping")
+        sim.schedule(2e-6, lambda: None, label="later")
+        sim.run()
+        assert sim.profile.get("stopping").count == 1
+        assert sim.profile.get("later").count == 0
 
 
 class TestRenderProfile:

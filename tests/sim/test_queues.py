@@ -30,7 +30,7 @@ class TestQueueContract:
         queue.push(3e-3, lambda: None, label="late")
         queue.push(1e-3, lambda: None, label="early")
         queue.push(2e-3, lambda: None, label="middle")
-        assert queue.peek_time() == 1e-3
+        assert queue.top()[0] == 1e-3
         assert [queue.pop().label for _ in range(3)] == ["early", "middle", "late"]
 
     def test_ties_break_by_insertion_order(self, queue):
