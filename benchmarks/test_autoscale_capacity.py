@@ -12,9 +12,9 @@ from repro.analysis import render_capacity_plan
 from repro.backends import get_backend
 from repro.config import DLRM2
 from repro.serving import (
-    AutoscalingCluster,
     CapacityPlanner,
-    ClusterSimulator,
+    Fleet,
+    FleetSpec,
     TargetUtilizationPolicy,
     TimeoutBatching,
 )
@@ -46,18 +46,20 @@ def _plan_and_autoscale(system):
     )
     backend = get_backend("cpu", system)
     peak_replicas = plan.get("cpu").replicas
-    static = ClusterSimulator(
-        backend, DLRM2, num_replicas=peak_replicas, batching=BATCHING
+    static = Fleet(
+        backend, DLRM2, FleetSpec(replicas=peak_replicas, batching=BATCHING)
     ).serve_workload(diurnal, duration_s=PERIOD_S, seed=SEED)
-    elastic = AutoscalingCluster(
+    elastic = Fleet(
         backend,
         DLRM2,
-        policy=TargetUtilizationPolicy(target=0.7, deadband=0.1, cooldown_s=0.02),
-        min_replicas=1,
-        max_replicas=peak_replicas,
-        control_interval_s=0.01,
-        warmup_s=backend.capabilities.provision_warmup_s,
-        batching=BATCHING,
+        FleetSpec(
+            policy=TargetUtilizationPolicy(target=0.7, deadband=0.1, cooldown_s=0.02),
+            min_replicas=1,
+            max_replicas=peak_replicas,
+            control_interval_s=0.01,
+            warmup_s=backend.capabilities.provision_warmup_s,
+            batching=BATCHING,
+        ),
     ).serve_workload(diurnal, duration_s=PERIOD_S, seed=SEED)
     return plan, static, elastic
 

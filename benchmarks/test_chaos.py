@@ -13,8 +13,7 @@ from repro.analysis import render_incident_timeline, render_serving_comparison
 from repro.backends import get_backend
 from repro.chaos import FaultSchedule, ShardLoss
 from repro.config import DLRM1, DLRM2
-from repro.serving import AutoscalingCluster, TimeoutBatching
-from repro.serving.sharded import ShardedReplicaGroup
+from repro.serving import Fleet, FleetSpec, TimeoutBatching
 from repro.sharding import parse_cache_spec
 from repro.workloads import SCENARIO_CATALOG
 
@@ -28,15 +27,15 @@ def _fleet_drill(system):
     backend = get_backend("cpu", system)
 
     def serve(faults):
-        cluster = AutoscalingCluster(
+        cluster = Fleet(
             backend,
             DLRM1,
-            policy=None,
-            min_replicas=1,
-            max_replicas=3,
-            initial_replicas=3,
-            warmup_s=backend.capabilities.provision_warmup_s,
-            batching=BATCHING,
+            FleetSpec(
+                replicas=3,
+                max_replicas=3,
+                warmup_s=backend.capabilities.provision_warmup_s,
+                batching=BATCHING,
+            ),
         )
         return cluster.serve_workload(
             scenario.workload(), num_requests=NUM_REQUESTS, seed=SEED, faults=faults
@@ -46,13 +45,11 @@ def _fleet_drill(system):
 
 
 def _shard_drill(system):
-    group = ShardedReplicaGroup(
+    group = Fleet(
         get_backend("centaur", system),
         DLRM2,
-        num_shards=4,
-        cache=parse_cache_spec("lru:rows=2048"),
-        batching=BATCHING,
-        system=system,
+        FleetSpec(shards=4, cache=parse_cache_spec("lru:rows=2048"), batching=BATCHING),
+        system,
     )
     scenario = SCENARIO_CATALOG["region-failover"]
     return group.serve_workload(

@@ -20,7 +20,7 @@ import pickle
 from repro.analysis import render_freshness_report
 from repro.backends import get_backend
 from repro.config import DLRM2
-from repro.serving import ShardedReplicaGroup, TimeoutBatching
+from repro.serving import Fleet, FleetSpec, TimeoutBatching
 from repro.sharding import CacheConfig
 from repro.workloads import PoissonArrivals, UpdateProcess, Workload
 from repro.workloads.traces import ZipfianTrace
@@ -47,16 +47,18 @@ WORKLOAD = Workload(
 
 
 def _serve(system, policy, updates, **extra):
-    group = ShardedReplicaGroup(
+    group = Fleet(
         get_backend("centaur", system),
         DLRM2,
-        num_shards=NUM_SHARDS,
-        strategy="row",
-        cache=CacheConfig(policy=policy, capacity_rows=CACHE_ROWS),
-        batching=BATCHING,
-        system=system,
-        updates=updates,
-        **extra,
+        FleetSpec(
+            shards=NUM_SHARDS,
+            strategy="row",
+            cache=CacheConfig(policy=policy, capacity_rows=CACHE_ROWS),
+            batching=BATCHING,
+            updates=updates,
+            **extra,
+        ),
+        system,
     )
     return group.serve_workload(WORKLOAD, num_requests=NUM_REQUESTS, seed=SEED)
 

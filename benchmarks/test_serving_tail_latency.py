@@ -11,12 +11,12 @@ from repro.analysis import render_serving_comparison
 from repro.backends import get_backend
 from repro.config import DLRM2
 from repro.serving import (
-    HeterogeneousCluster,
+    Fleet,
+    FleetSpec,
     JoinShortestQueueDispatcher,
     LeastLoadedDispatcher,
     PowerOfTwoChoicesDispatcher,
     RoundRobinDispatcher,
-    ServingSimulator,
     TimeoutBatching,
 )
 from repro.utils import TextTable
@@ -34,7 +34,7 @@ def _serve_all(system):
         get_backend("cpu-gpu", system),
         get_backend("centaur", system),
     ):
-        simulator = ServingSimulator(runner, DLRM2, batching=BATCHING)
+        simulator = Fleet(runner, DLRM2, FleetSpec(batching=BATCHING))
         reports[runner.design_point] = simulator.serve_poisson(
             rate_qps=LOAD_QPS, duration_s=DURATION_S, seed=42
         )
@@ -82,12 +82,11 @@ def _serve_fleet(system):
         JoinShortestQueueDispatcher(),
         LeastLoadedDispatcher(),
     ):
-        fleet = HeterogeneousCluster.from_backends(
+        fleet = Fleet(
             ["cpu", "cpu", "centaur"],
             DLRM2,
+            FleetSpec(dispatcher=dispatcher, batching=BATCHING),
             system,
-            dispatcher=dispatcher,
-            batching=BATCHING,
         )
         reports[dispatcher.name] = fleet.serve_poisson(
             rate_qps=FLEET_LOAD_QPS, duration_s=DURATION_S, seed=42

@@ -11,7 +11,7 @@ stage — the quantities the sharding subsystem exists to expose.
 from repro.analysis import render_sharding_report
 from repro.backends import get_backend
 from repro.config import DLRM2
-from repro.serving import ShardedReplicaGroup, TimeoutBatching
+from repro.serving import Fleet, FleetSpec, TimeoutBatching
 from repro.sharding import CacheConfig
 from repro.workloads import PoissonArrivals, Workload
 from repro.workloads.traces import ZipfianTrace
@@ -36,26 +36,25 @@ def _serve_grid(system):
     for shards in (1, 2, 4, 8):
         for cache in (None, CacheConfig(policy="lru", capacity_rows=CACHE_ROWS)):
             label = f"x{shards} row-wise, cache {'lru' if cache else 'off'}"
-            group = ShardedReplicaGroup(
+            group = Fleet(
                 get_backend("centaur", system),
                 DLRM2,
-                num_shards=shards,
-                strategy="row",
-                cache=cache,
-                batching=BATCHING,
-                system=system,
+                FleetSpec(shards=shards, strategy="row", cache=cache, batching=BATCHING),
+                system,
             )
             reports[label] = group.serve_workload(
                 WORKLOAD, num_requests=NUM_REQUESTS, seed=SEED
             )
-    group = ShardedReplicaGroup(
+    group = Fleet(
         get_backend("centaur", system),
         DLRM2,
-        num_shards=4,
-        strategy="row",
-        cache=CacheConfig(policy="lfu", capacity_rows=CACHE_ROWS),
-        batching=BATCHING,
-        system=system,
+        FleetSpec(
+            shards=4,
+            strategy="row",
+            cache=CacheConfig(policy="lfu", capacity_rows=CACHE_ROWS),
+            batching=BATCHING,
+        ),
+        system,
     )
     reports["x4 row-wise, cache lfu"] = group.serve_workload(
         WORKLOAD, num_requests=NUM_REQUESTS, seed=SEED

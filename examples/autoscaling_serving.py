@@ -25,10 +25,10 @@ from repro import get_backend
 from repro.analysis import render_autoscale_timeline, render_serving_comparison
 from repro.config import DLRM2, HARPV2_SYSTEM
 from repro.serving import (
-    AutoscalingCluster,
     CapacityPlanner,
-    ClusterSimulator,
     EWMAPolicy,
+    Fleet,
+    FleetSpec,
     LeastLoadedDispatcher,
     QueueDepthPolicy,
     ScheduledPolicy,
@@ -75,12 +75,12 @@ def main() -> None:
         name="diurnal-day",
     )
 
-    static = ClusterSimulator(
+    static = Fleet(
         backend,
         DLRM2,
-        num_replicas=peak_replicas,
-        batching=BATCHING,
-        dispatcher=LeastLoadedDispatcher(),
+        FleetSpec(
+            replicas=peak_replicas, batching=BATCHING, dispatcher=LeastLoadedDispatcher()
+        ),
     )
     reports = {
         f"static x{peak_replicas} (peak-provisioned)": static.serve_workload(
@@ -95,16 +95,18 @@ def main() -> None:
         ScheduledPolicy([(0.0, 1), (PERIOD_S * 0.25, peak_replicas), (PERIOD_S * 0.8, 2)]),
     )
     for policy in policies:
-        elastic = AutoscalingCluster(
+        elastic = Fleet(
             backend,
             DLRM2,
-            policy=policy,
-            min_replicas=1,
-            max_replicas=peak_replicas,
-            control_interval_s=0.01,
-            warmup_s=backend.capabilities.provision_warmup_s,
-            batching=BATCHING,
-            dispatcher=LeastLoadedDispatcher(),
+            FleetSpec(
+                policy=policy,
+                min_replicas=1,
+                max_replicas=peak_replicas,
+                control_interval_s=0.01,
+                warmup_s=backend.capabilities.provision_warmup_s,
+                batching=BATCHING,
+                dispatcher=LeastLoadedDispatcher(),
+            ),
         )
         reports[f"autoscaled ({policy.name})"] = elastic.serve_workload(
             diurnal, duration_s=PERIOD_S, seed=SEED

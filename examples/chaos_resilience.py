@@ -30,8 +30,7 @@ from repro import get_backend
 from repro.analysis import render_incident_timeline, render_serving_comparison
 from repro.chaos import FaultSchedule, ReplicaCrash, ShardLoss
 from repro.config import DLRM2, HARPV2_SYSTEM
-from repro.serving import AutoscalingCluster, TimeoutBatching
-from repro.serving.sharded import ShardedReplicaGroup
+from repro.serving import Fleet, FleetSpec, TimeoutBatching
 from repro.sharding import parse_cache_spec
 from repro.workloads import SCENARIO_CATALOG, PoissonArrivals, Workload
 
@@ -55,15 +54,16 @@ def fleet_drill() -> None:
         ("healthy x3", None),
         ("region failover x3", scenario.schedule()),
     ):
-        fleet = AutoscalingCluster(
+        fleet = Fleet(
             backend,
             DLRM2,
-            policy=None,  # static fleet; chaos only needs the elastic plumbing
-            min_replicas=1,
-            max_replicas=3,
-            initial_replicas=3,
-            warmup_s=backend.capabilities.provision_warmup_s,
-            batching=BATCHING,
+            # A static fleet of 3; a fault schedule arms the elastic plumbing.
+            FleetSpec(
+                replicas=3,
+                max_replicas=3,
+                warmup_s=backend.capabilities.provision_warmup_s,
+                batching=BATCHING,
+            ),
         )
         reports[label] = fleet.serve_workload(
             workload, num_requests=NUM_REQUESTS, seed=SEED, faults=faults
@@ -81,13 +81,11 @@ def fleet_drill() -> None:
 def shard_drill() -> None:
     """Lose one embedding shard of a sharded group, re-hash around it."""
     backend = get_backend("centaur", HARPV2_SYSTEM)
-    group = ShardedReplicaGroup(
+    group = Fleet(
         backend,
         DLRM2,
-        num_shards=4,
-        cache=parse_cache_spec("lru:rows=2048"),
-        batching=BATCHING,
-        system=HARPV2_SYSTEM,
+        FleetSpec(shards=4, cache=parse_cache_spec("lru:rows=2048"), batching=BATCHING),
+        HARPV2_SYSTEM,
     )
     faults = FaultSchedule(
         [ShardLoss(at_s=0.04, shard=0, restore_after_s=0.03, failover="rehash")],

@@ -22,11 +22,7 @@ from repro import get_backend
 from repro.analysis import render_serving_comparison
 from repro.config import DLRM2, DLRM4, HARPV2_SYSTEM
 from repro.config.models import DLRMConfig
-from repro.serving import (
-    ClusterSimulator,
-    LeastLoadedDispatcher,
-    TimeoutBatching,
-)
+from repro.serving import Fleet, FleetSpec, LeastLoadedDispatcher, TimeoutBatching
 from repro.utils import TextTable
 from repro.workloads import DiurnalArrivals, OnOffArrivals, PoissonArrivals, Workload
 
@@ -163,12 +159,14 @@ def validate_with_simulation(model: DLRMConfig) -> None:
         point = best_operating_point(runner, model, SLA_SECONDS)
         if point.nodes_for_target is None:
             continue
-        cluster = ClusterSimulator(
+        cluster = Fleet(
             runner,
             model,
-            num_replicas=point.nodes_for_target,
-            batching=batching,
-            dispatcher=LeastLoadedDispatcher(),
+            FleetSpec(
+                replicas=point.nodes_for_target,
+                batching=batching,
+                dispatcher=LeastLoadedDispatcher(),
+            ),
         )
         for shape, workload in scenarios.items():
             label = f"{point.design_point} x{point.nodes_for_target} ({shape})"

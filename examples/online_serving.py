@@ -20,12 +20,12 @@ from repro.config import DLRM2, DLRM4, HARPV2_SYSTEM
 from repro.serving import (
     AdaptiveWindowBatching,
     CloseOnFullBatching,
-    HeterogeneousCluster,
+    Fleet,
+    FleetSpec,
     JoinShortestQueueDispatcher,
     LeastLoadedDispatcher,
     PowerOfTwoChoicesDispatcher,
     RoundRobinDispatcher,
-    ServingSimulator,
     TimeoutBatching,
 )
 from repro.utils import TextTable
@@ -71,7 +71,7 @@ def main() -> None:
             title=f"Offered load: {load:,} QPS over {DURATION_S * 1e3:.0f} ms",
         )
         for runner in runners:
-            simulator = ServingSimulator(runner, model, batching=BATCHING)
+            simulator = Fleet(runner, model, FleetSpec(batching=BATCHING))
             report = simulator.serve_workload(workload, duration_s=DURATION_S, seed=42)
             table.add_row(
                 [
@@ -130,8 +130,8 @@ def compare_traffic_shapes(model) -> None:
     }
     reports = {}
     for label, workload in shapes.items():
-        simulator = ServingSimulator(
-            get_backend("centaur", HARPV2_SYSTEM), model, batching=BATCHING
+        simulator = Fleet(
+            get_backend("centaur", HARPV2_SYSTEM), model, FleetSpec(batching=BATCHING)
         )
         reports[label] = simulator.serve_workload(
             workload, duration_s=DURATION_S, seed=42
@@ -157,12 +157,11 @@ def serve_traffic_mix() -> None:
     workload = Workload(
         arrivals=PoissonArrivals(rate_qps=60_000.0), mix=mix, name="blend"
     )
-    fleet = HeterogeneousCluster.from_backends(
+    fleet = Fleet(
         ["cpu", "centaur", "centaur"],
         DLRM2,
+        FleetSpec(dispatcher=LeastLoadedDispatcher(), batching=BATCHING),
         HARPV2_SYSTEM,
-        dispatcher=LeastLoadedDispatcher(),
-        batching=BATCHING,
     )
     report = fleet.serve_workload(workload, duration_s=DURATION_S, seed=42)
     print(
@@ -188,8 +187,8 @@ def compare_batching_policies(model) -> None:
     }
     reports = {}
     for label, policy in policies.items():
-        simulator = ServingSimulator(
-            get_backend("centaur", HARPV2_SYSTEM), model, batching=policy
+        simulator = Fleet(
+            get_backend("centaur", HARPV2_SYSTEM), model, FleetSpec(batching=policy)
         )
         reports[label] = simulator.serve_poisson(
             rate_qps=30_000, duration_s=DURATION_S, seed=42
@@ -220,12 +219,11 @@ def compare_dispatchers(model) -> None:
     )
     reports = {}
     for dispatcher in dispatchers:
-        fleet = HeterogeneousCluster.from_backends(
+        fleet = Fleet(
             ["cpu", "cpu", "centaur"],
             model,
+            FleetSpec(dispatcher=dispatcher, batching=BATCHING),
             HARPV2_SYSTEM,
-            dispatcher=dispatcher,
-            batching=BATCHING,
         )
         reports[dispatcher.name] = fleet.serve_workload(
             workload, duration_s=DURATION_S, seed=42

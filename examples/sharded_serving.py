@@ -21,7 +21,7 @@ from __future__ import annotations
 from repro import get_backend
 from repro.analysis import render_sharding_report
 from repro.config import DLRM2, HARPV2_SYSTEM
-from repro.serving import ShardedReplicaGroup, TimeoutBatching
+from repro.serving import Fleet, FleetSpec, TimeoutBatching
 from repro.sharding import CacheConfig
 from repro.workloads import PoissonArrivals, Workload
 from repro.workloads.traces import ZipfianTrace
@@ -38,7 +38,7 @@ WORKLOAD = Workload(
 )
 
 
-def serve(group: ShardedReplicaGroup):
+def serve(group: Fleet):
     return group.serve_workload(WORKLOAD, num_requests=NUM_REQUESTS, seed=SEED)
 
 
@@ -48,13 +48,11 @@ def main() -> None:
     # 1. Shard-count scaling at a fixed strategy, cache off.
     scaling = {}
     for shards in (1, 2, 4, 8):
-        group = ShardedReplicaGroup(
+        group = Fleet(
             backend,
             DLRM2,
-            num_shards=shards,
-            strategy="row",
-            batching=BATCHING,
-            system=HARPV2_SYSTEM,
+            FleetSpec(shards=shards, strategy="row", batching=BATCHING),
+            HARPV2_SYSTEM,
         )
         scaling[f"x{shards} row-wise"] = serve(group)
     print(
@@ -67,13 +65,11 @@ def main() -> None:
     # 2. Placement strategies at four shards.
     strategies = {}
     for strategy in ("table", "row", "greedy"):
-        group = ShardedReplicaGroup(
+        group = Fleet(
             backend,
             DLRM2,
-            num_shards=4,
-            strategy=strategy,
-            batching=BATCHING,
-            system=HARPV2_SYSTEM,
+            FleetSpec(shards=4, strategy=strategy, batching=BATCHING),
+            HARPV2_SYSTEM,
         )
         strategies[strategy] = serve(group)
     print(
@@ -90,14 +86,11 @@ def main() -> None:
         ("lru 4096 rows/shard", CacheConfig(policy="lru", capacity_rows=4096)),
         ("lfu 4096 rows/shard", CacheConfig(policy="lfu", capacity_rows=4096)),
     ):
-        group = ShardedReplicaGroup(
+        group = Fleet(
             backend,
             DLRM2,
-            num_shards=4,
-            strategy="row",
-            cache=cache,
-            batching=BATCHING,
-            system=HARPV2_SYSTEM,
+            FleetSpec(shards=4, strategy="row", cache=cache, batching=BATCHING),
+            HARPV2_SYSTEM,
         )
         cached[label] = serve(group)
     print(

@@ -111,15 +111,14 @@ from repro.serving import (
     AdaptiveWindowBatching,
     CloseOnFullBatching,
     ClusterReport,
-    ClusterSimulator,
     FixedSizeBatching,
-    HeterogeneousCluster,
+    Fleet,
+    FleetSpec,
     JoinShortestQueueDispatcher,
     LeastLoadedDispatcher,
     PowerOfTwoChoicesDispatcher,
     ReplicaSpec,
     RoundRobinDispatcher,
-    ServingSimulator,
     SizeBucketedBatching,
     TimeoutBatching,
 )
@@ -207,10 +206,9 @@ __all__ = [
     "CloseOnFullBatching",
     "AdaptiveWindowBatching",
     "SizeBucketedBatching",
-    "ServingSimulator",
-    "ClusterSimulator",
+    "Fleet",
+    "FleetSpec",
     "ClusterReport",
-    "HeterogeneousCluster",
     "ReplicaSpec",
     "RoundRobinDispatcher",
     "JoinShortestQueueDispatcher",

@@ -7,6 +7,8 @@ the paper reports.
 
 from __future__ import annotations
 
+import bisect
+from operator import itemgetter
 from typing import List, Mapping, Sequence
 
 from repro.analysis.characterization import Figure5Row, Figure6Row, Figure7Point
@@ -549,7 +551,12 @@ def render_autoscale_timeline(
             "report carries no completion-ordered samples; serve with "
             "record_latency_samples enabled"
         )
-    horizon = max(time for time, _ in samples)
+    # One sort, then two bisects per bucket: a bucket holds the samples
+    # with ``start < time <= end`` (bucket 0 also those at time 0.0).
+    samples.sort(key=itemgetter(0))
+    times = [time for time, _ in samples]
+    latencies = [latency for _, latency in samples]
+    horizon = max(times)
     autoscale = getattr(report, "autoscale", None)
     if autoscale is not None:
         horizon = max(horizon, autoscale.timeline[-1][0])
@@ -573,11 +580,12 @@ def render_autoscale_timeline(
         # can round below horizon, which would drop the very sample (often
         # the worst tail latency) that defined it.
         end = horizon if bucket == buckets - 1 else (bucket + 1) * window
-        inside = [
-            latency
-            for time, latency in samples
-            if start < time <= end or (bucket == 0 and time == 0.0)
-        ]
+        first = (
+            bisect.bisect_left(times, 0.0)
+            if bucket == 0
+            else bisect.bisect_right(times, start)
+        )
+        inside = latencies[first : bisect.bisect_right(times, end)]
         distribution = LatencyDistribution(inside, allow_empty=True)
         midpoint = (start + end) / 2.0
         replicas = (

@@ -38,9 +38,9 @@ class BackendCapabilities:
             :class:`~repro.workloads.mix.TrafficMix` workloads require
             (batches execute one per-model segment at a time).
         supports_elastic_scaling: Replicas of this backend can be
-            commissioned and drained at runtime, so
-            :class:`~repro.serving.autoscale.AutoscalingCluster` and
-            ``Experiment.autoscale`` may serve it elastically.  A backend
+            commissioned and drained at runtime, so an elastic
+            :class:`~repro.serving.fleet.Fleet` (a policy or a fault
+            schedule) may serve it.  A backend
             whose device cannot be hot-added (fixed appliance, exclusive
             host resource) should clear this so autoscaled experiments fail
             loudly instead of modelling an impossible fleet.
@@ -49,9 +49,8 @@ class BackendCapabilities:
             partial-reconfiguration time for FPGAs.  Used as the default
             ``warmup_s`` of autoscaled fleets built through the registry.
         supports_sharding: The backend's embedding tables live in (host)
-            memory addressable per shard, so a
-            :class:`~repro.serving.sharded.ShardedReplicaGroup` may
-            partition them across devices and cache hot rows in front of
+            memory addressable per shard, so a sharded
+            :class:`~repro.serving.fleet.Fleet` may partition them across devices and cache hot rows in front of
             the gather.  Every built-in design point keeps this set (all
             three gather from shared host memory); a backend whose
             embedding storage cannot be partitioned (e.g. a monolithic

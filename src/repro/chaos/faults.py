@@ -15,8 +15,8 @@ Fault kinds (mirroring the failure modes of a production recsys fleet):
   are re-dispatched through the live dispatcher or shed, and an optional
   restart recommissions the slot after a delay, paying a re-warm priced
   from :attr:`~repro.backends.base.BackendCapabilities.provision_warmup_s`.
-* :class:`ShardLoss` — an embedding shard of a
-  :class:`~repro.serving.sharded.ShardedReplicaGroup` becomes unavailable;
+* :class:`ShardLoss` — an embedding shard of a sharded
+  :class:`~repro.serving.fleet.Fleet` becomes unavailable;
   failover either *promotes* a surviving buddy shard (correct, but its
   gathers and transfers concentrate there) or *re-hashes* lookups across
   survivors (cheap, but every re-hashed lookup reads the wrong shard's

@@ -37,7 +37,7 @@ from repro.chaos.faults import (
 )
 from repro.chaos.report import Incident, IncidentReport, build_incident_report
 from repro.errors import ConfigurationError
-from repro.serving.fleet import Controller
+from repro.serving.replica import Controller
 
 
 class _ShedSink:
@@ -118,7 +118,7 @@ class FaultInjector(Controller):
             if isinstance(spec, (ShardLoss, LinkDegradation)):
                 raise ConfigurationError(
                     f"{spec.kind} faults need a sharded group; this fleet "
-                    "has no shards (use ShardedReplicaGroup / --shards)"
+                    "has no shards (set FleetSpec(shards=...) / --shards)"
                 )
             if isinstance(spec, (ReplicaCrash, Brownout)):
                 if spec.replica is not None and spec.replica >= pool:
@@ -269,10 +269,9 @@ class FaultInjector(Controller):
     def _restart_warmup_s(self, spec: ReplicaCrash) -> float:
         if spec.warmup_s is not None:
             return spec.warmup_s
-        cluster = self.controller.cluster
-        capabilities = getattr(cluster.runner, "capabilities", None)
+        capabilities = getattr(self.controller.pool.runner, "capabilities", None)
         hint = getattr(capabilities, "provision_warmup_s", 0.0)
-        return max(cluster.warmup_s, hint)
+        return max(self.controller.warmup_s, hint)
 
     def _on_restart(
         self, spec: ReplicaCrash, index: int, record: Dict[str, Any]

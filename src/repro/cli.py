@@ -224,7 +224,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         sizing = dict(
             min_replicas=args.min_replicas,
             max_replicas=args.max_replicas,
-            initial_replicas=args.replicas if args.replicas > 1 else None,
             control_interval_s=args.control_interval,
         )
     else:
@@ -232,7 +231,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         # exactly --replicas (bit-identical to the static path when the
         # schedule is empty).
         policy = None
-        sizing = dict(max_replicas=max(args.replicas, 1), initial_replicas=args.replicas)
+        sizing = dict(max_replicas=args.replicas)
     fleet = FleetSpec(
         replicas=args.replicas,
         batching=TimeoutBatching(window_s=args.window, max_batch_size=args.max_batch),
@@ -254,7 +253,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
         return 2
     fleet.check(args.backend, [workload], faults)
-    simulator = fleet.build(args.backend, model, HARPV2_SYSTEM, faults)
+    simulator = fleet.build(args.backend, model, HARPV2_SYSTEM)
     report = simulator.serve_workload(
         workload,
         duration_s=args.duration,
@@ -265,7 +264,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if progress is not None:
         progress(f"[1/1] {args.backend} {workload.name} {model.name} served")
     print(f"workload: {workload.describe()}")
-    design_point = simulator.runner.design_point
+    design_point = simulator.design_point
     if fleet.sharded:
         cache = fleet.cache.describe() if fleet.cache is not None else "off"
         reports = {f"{design_point} x{num_shards} {strategy} shards, cache {cache}": report}

@@ -256,7 +256,7 @@ class FleetTask:
 
 
 def _run_fleet_task(task: FleetTask) -> list:
-    simulator = task.fleet.build(task.backend_name, task.model, task.system, task.faults)
+    simulator = task.fleet.build(task.backend_name, task.model, task.system)
     return [
         simulator.serve_workload(
             workload,

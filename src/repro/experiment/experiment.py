@@ -10,8 +10,9 @@ figures computes each ``(backend, model, batch, system)`` point exactly
 once.
 
 The serving grids (:meth:`Experiment.serve`, :meth:`Experiment.shard`)
-return the same keyed-axis result, each point served by the front-end a
-:class:`~repro.serving.fleet.FleetSpec` describes.
+return the same keyed-axis result, each point served by the
+:class:`~repro.serving.fleet.Fleet` a :class:`~repro.serving.fleet.FleetSpec`
+describes.
 
 Usage::
 
@@ -668,10 +669,10 @@ class Experiment:
     ) -> ExperimentResult:
         """Run the sharded-serving grid: shards x strategy x cache x updates.
 
-        Every (backend, workload) point is served by a fresh
-        :class:`~repro.serving.sharded.ShardedReplicaGroup` at each shard
-        count / placement strategy / hot-row cache / embedding-push stream
-        (``None`` = the read-only path), after capability gating.  Sharded
+        Every (backend, workload) point is served by a fresh sharded
+        :class:`~repro.serving.fleet.Fleet` at each shard count / placement
+        strategy / hot-row cache / embedding-push stream (``None`` = the
+        read-only path), after capability gating.  Sharded
         serving is single-model: the partitioned model is ``model``, or the
         experiment's model axis when it holds exactly one entry.  Points are
         keyed ``(backend, workload, shards, strategy, cache, updates)``; a

@@ -6,9 +6,10 @@ with an event-driven serving core built on :mod:`repro.sim.engine`: request
 arrivals, batch-close timers, device busy/free transitions and completions
 are all scheduled events.  On top of the core sit queue-reactive batching
 policies, pluggable dispatchers (round-robin, join-shortest-queue,
-least-loaded, power-of-two-choices) and heterogeneous fleets mixing
-CPU-only, CPU-GPU and Centaur replicas — reporting the throughput /
-tail-latency trade-off under identical load.
+least-loaded, power-of-two-choices) and one front-end, :class:`Fleet`,
+that serves a single device, a static or elastic fleet, a mix of CPU-only,
+CPU-GPU and Centaur replicas, or a sharded group — reporting the
+throughput / tail-latency trade-off under identical load.
 """
 
 from repro.workloads.arrivals import InferenceRequest
@@ -23,7 +24,6 @@ from repro.serving.batching import (
 )
 from repro.serving.metrics import ExecutedBatch, LatencyDistribution, ServingReport
 from repro.serving.replica import ReplicaServer, ServiceModel
-from repro.serving.simulator import ServingSimulator
 from repro.serving.dispatch import (
     Dispatcher,
     JoinShortestQueueDispatcher,
@@ -31,16 +31,10 @@ from repro.serving.dispatch import (
     PowerOfTwoChoicesDispatcher,
     RoundRobinDispatcher,
 )
-from repro.serving.cluster import (
-    AutoscaleReport,
-    ClusterReport,
-    ClusterSimulator,
-    HeterogeneousCluster,
-    ReplicaSpec,
-)
+from repro.serving.cluster import ClusterReport, ReplicaSpec
 from repro.serving.autoscale import (
+    AutoscaleReport,
     AutoscalerPolicy,
-    AutoscalingCluster,
     ClusterObservation,
     EWMAPolicy,
     QueueDepthPolicy,
@@ -48,13 +42,9 @@ from repro.serving.autoscale import (
     TargetUtilizationPolicy,
     parse_autoscaler_spec,
 )
-from repro.serving.fleet import FleetSpec
+from repro.serving.fleet import Fleet, FleetSpec
 from repro.serving.planner import CapacityPlan, CapacityPlanner, CapacityPoint
-from repro.serving.sharded import (
-    ShardedReplicaGroup,
-    ShardedReplicaServer,
-    ShardingStats,
-)
+from repro.serving.sharded import ShardedReplicaServer, ShardingStats
 
 __all__ = [
     "InferenceRequest",
@@ -70,30 +60,26 @@ __all__ = [
     "ServingReport",
     "ReplicaServer",
     "ServiceModel",
-    "ServingSimulator",
     "Dispatcher",
     "RoundRobinDispatcher",
     "JoinShortestQueueDispatcher",
     "LeastLoadedDispatcher",
     "PowerOfTwoChoicesDispatcher",
     "ClusterReport",
-    "ClusterSimulator",
-    "HeterogeneousCluster",
     "ReplicaSpec",
     "AutoscaleReport",
     "AutoscalerPolicy",
-    "AutoscalingCluster",
     "ClusterObservation",
     "QueueDepthPolicy",
     "TargetUtilizationPolicy",
     "ScheduledPolicy",
     "EWMAPolicy",
     "parse_autoscaler_spec",
+    "Fleet",
     "FleetSpec",
     "CapacityPlan",
     "CapacityPlanner",
     "CapacityPoint",
-    "ShardedReplicaGroup",
     "ShardedReplicaServer",
     "ShardingStats",
 ]

@@ -2,11 +2,11 @@
 
 A statically provisioned fleet sized for peak traffic wastes replica-hours
 all night; one sized for the mean gives back the SLA at every crest.  This
-module closes that gap: an :class:`AutoscalingCluster` serves a request
-stream through a pool of replicas whose *active* subset is adjusted by an
-:class:`AutoscalerPolicy` at periodic control ticks — timed events on the
-shared :class:`repro.sim.engine.Simulator`, exactly like arrivals and batch
-closes.
+module closes that gap: a :class:`~repro.serving.fleet.Fleet` with an
+:class:`AutoscalerPolicy` serves a request stream through a pool of
+replicas whose *active* subset the policy adjusts at periodic control
+ticks — timed events on the shared :class:`repro.sim.engine.Simulator`,
+exactly like arrivals and batch closes.
 
 Lifecycle semantics mirror real fleets:
 
@@ -35,30 +35,27 @@ Policies:
 * :class:`EWMAPolicy` — predictive: an exponentially weighted moving
   average of the observed arrival rate, divided by per-replica capacity.
 
-The cluster is a :class:`~repro.serving.fleet.Fleet` whose replica pool is
-managed by an armed lifecycle controller.  A policy-disabled run
-(``policy=None``) without faults arms no controller: it is the static fleet
-of ``initial_replicas`` replicas, bit-identical to a
-:class:`~repro.serving.cluster.HeterogeneousCluster` of that size —
-autoscaling is strictly opt-in.
+The elastic fleet is a :class:`~repro.serving.cluster.ReplicaPool` of
+``max_replicas`` slots managed by an armed :class:`_AutoscaleController`;
+``replicas`` of them (the ``min_replicas`` floor when ``replicas`` is 1)
+are active at time zero.  A fault schedule arms the controller too, with
+no policy: restarting a crashed replica is a provisioning act.  A fleet
+without a policy or faults arms no controller — autoscaling is strictly
+opt-in.
 """
 
 from __future__ import annotations
 
 import bisect
-import functools
 import math
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
-from repro.config.models import DLRMConfig
-from repro.config.system import SystemConfig
+if TYPE_CHECKING:  # pragma: no cover - annotation only
+    from repro.serving.cluster import ClusterReport, ReplicaPool
+
 from repro.errors import ConfigurationError, SimulationError
-from repro.serving.batching import BatchingPolicy
-from repro.serving.cluster import AutoscaleReport, ClusterReport, ClusterSimulator
-from repro.serving.dispatch import Dispatcher
-from repro.serving.fleet import Controller
-from repro.serving.replica import ReplicaServer, ServiceModel
+from repro.serving.replica import Controller, ReplicaServer
 from repro.sim.engine import Simulator
 from repro.utils.specs import parse_kv, parse_kv_numbers
 from repro.workloads.arrivals import InferenceRequest
@@ -336,13 +333,13 @@ class EWMAPolicy(AutoscalerPolicy):
         if capacity <= 0:
             raise SimulationError(
                 "EWMA policy needs a positive per-replica capacity; pass "
-                "replica_capacity_qps or serve through a cluster that derives it"
+                "replica_capacity_qps or serve through a fleet that derives it"
             )
         return math.ceil(self._rate_qps * self.headroom / capacity)
 
 
 # ----------------------------------------------------------------------
-# The elastic cluster
+# The elastic fleet
 # ----------------------------------------------------------------------
 _STOPPED = "stopped"
 _STARTING = "starting"
@@ -376,122 +373,53 @@ class _ReplicaLifecycle:
         return total
 
 
-class AutoscalingCluster(ClusterSimulator):
-    """An elastic fleet of identical replicas behind a dispatcher.
+@dataclass(frozen=True)
+class AutoscaleReport:
+    """Elastic-fleet accounting of one autoscaled serving run.
 
-    The pool holds ``max_replicas`` slots of one template replica;
-    ``initial_replicas`` of them are active when the stream starts and an
-    :class:`AutoscalerPolicy` adjusts the active subset at every control
-    tick.  With ``policy=None`` and no fault schedule no controller is
-    armed: the run is the static fleet of ``initial_replicas`` replicas.
-    ``serve``/``serve_workload`` take ``faults=`` (a
-    :class:`~repro.chaos.faults.FaultSchedule`) to inject crashes and
-    brownouts.
-
-    Args:
-        runner: Template device — a design-point runner or a backend
-            registry name (resolved against ``system``).
-        model: Served DLRM configuration.
-        policy: Autoscaling policy, or ``None`` for a static fleet.
-        min_replicas: Floor the controller never goes below (>= 1).
-        max_replicas: Pool size and scaling ceiling.
-        initial_replicas: Active replicas at time zero (defaults to
-            ``min_replicas``).
+    Attributes:
+        policy: Name of the :class:`~repro.serving.autoscale.AutoscalerPolicy`.
         control_interval_s: Spacing of the controller's timed events.
-        warmup_s: Delay between commissioning a replica and it accepting
-            traffic.
-        idle_power_w: Power drawn by a commissioned replica while its
-            device is not executing, charged to the run's idle energy.
-        dispatcher: Routing policy over the *active* replicas.
-        batching: Per-replica batching policy.
-        system: Hardware platform (required when ``runner`` is a name).
+        warmup_s: Commission-to-traffic delay each new replica paid.
+        timeline: ``(time_s, commissioned_replicas)`` change points —
+            commissioned means paid for: active, warming up, or draining.
+        replica_seconds: Total commissioned time summed over the fleet (the
+            replica-hours bill, in seconds).
+        peak_replicas: Largest commissioned count the run reached.
+        scale_up_events: Replica commissions (including drain reclaims).
+        scale_down_events: Replica decommissions (including warm-up cancels).
+        busy_energy_joules: Energy the devices spent executing batches.
+        idle_energy_joules: Energy charged for commissioned-but-idle time
+            (``idle_power_w`` times the non-busy replica-seconds).
+        crashes: Replica crashes injected by a fault schedule.
+        restarts: Crash restarts that recommissioned a replica.
     """
 
-    def __init__(
-        self,
-        runner,
-        model: DLRMConfig,
-        policy: Optional[AutoscalerPolicy] = None,
-        min_replicas: int = 1,
-        max_replicas: int = 8,
-        initial_replicas: Optional[int] = None,
-        control_interval_s: float = 10e-3,
-        warmup_s: float = 0.0,
-        idle_power_w: float = 0.0,
-        dispatcher: Optional[Dispatcher] = None,
-        batching: Optional[BatchingPolicy] = None,
-        system: Optional[SystemConfig] = None,
-        profile: bool = False,
-    ):
-        if min_replicas <= 0:
-            raise SimulationError(f"min_replicas must be positive, got {min_replicas}")
-        if max_replicas < min_replicas:
-            raise SimulationError(
-                f"max_replicas ({max_replicas}) must be >= min_replicas ({min_replicas})"
-            )
-        if initial_replicas is None:
-            initial_replicas = min_replicas
-        if not min_replicas <= initial_replicas <= max_replicas:
-            raise SimulationError(
-                f"initial_replicas ({initial_replicas}) must lie in "
-                f"[{min_replicas}, {max_replicas}]"
-            )
-        if control_interval_s <= 0:
-            raise SimulationError(
-                f"control_interval_s must be positive, got {control_interval_s}"
-            )
-        if warmup_s < 0:
-            raise SimulationError(f"warmup_s must be non-negative, got {warmup_s}")
-        if idle_power_w < 0:
-            raise SimulationError(f"idle_power_w must be non-negative, got {idle_power_w}")
-        if policy is not None and not isinstance(policy, AutoscalerPolicy):
-            raise SimulationError(
-                f"policy must be an AutoscalerPolicy or None, got {policy!r}"
-            )
-        super().__init__(
-            runner,
-            model,
-            max_replicas,
-            batching=batching,
-            dispatcher=dispatcher,
-            system=system,
-            profile=profile,
-        )
-        self.policy = policy
-        self.min_replicas = min_replicas
-        self.max_replicas = max_replicas
-        self.initial_replicas = initial_replicas
-        self.control_interval_s = control_interval_s
-        self.warmup_s = warmup_s
-        self.idle_power_w = idle_power_w
+    policy: str
+    control_interval_s: float
+    warmup_s: float
+    timeline: Tuple[Tuple[float, int], ...]
+    replica_seconds: float
+    peak_replicas: int
+    scale_up_events: int
+    scale_down_events: int
+    busy_energy_joules: float
+    idle_energy_joules: float
+    crashes: int = 0
+    restarts: int = 0
 
-    # ------------------------------------------------------------------
-    @functools.cached_property
-    def _replica_capacity_qps(self) -> float:
-        """Saturation throughput of one template replica, priced once.
+    @property
+    def total_energy_joules(self) -> float:
+        return self.busy_energy_joules + self.idle_energy_joules
 
-        The batch-size sweep behind it runs on the first policy-driven serve
-        of this cluster and is memoized — grids and search loops that serve
-        many streams through one cluster pay it a single time.
-        """
-        service = ServiceModel(self.runner, self.model, self._caches[id(self.runner)])
-        return service.saturation_throughput()
-
-    def _elastic(self, faults) -> bool:
-        return self.policy is not None or faults is not None
-
-    def _pool_size(self, faults) -> int:
-        # A static run (no policy, no faults) serves the initial replicas
-        # only, exactly like a HeterogeneousCluster of that size.
-        return self.max_replicas if self._elastic(faults) else self.initial_replicas
-
-    def _controllers(self, sim, replicas, faults, **options):
-        if not self._elastic(faults):
-            return []
-        return [_AutoscaleController(self, sim, replicas)]
-
-    def _fault_host(self, replicas, controllers):
-        return {"controller": controllers[0]}
+    def replicas_at(self, time_s: float) -> int:
+        """Commissioned replica count at a simulated time."""
+        count = self.timeline[0][1]
+        for change_s, changed in self.timeline:
+            if change_s > time_s:
+                break
+            count = changed
+        return count
 
 
 class _AutoscaleController(Controller):
@@ -504,22 +432,25 @@ class _AutoscaleController(Controller):
 
     def __init__(
         self,
-        cluster: AutoscalingCluster,
+        pool: "ReplicaPool",
         sim: Simulator,
         replicas: Sequence[ReplicaServer],
+        start: int,
     ):
-        self.cluster = cluster
+        self.pool = pool
+        self.spec = spec = pool.spec
+        self.warmup_s = spec.warmup_s if spec.warmup_s is not None else 0.0
         self.sim = sim
         self.replicas = list(replicas)
         self.lifecycles = [_ReplicaLifecycle() for _ in replicas]
         self.active_slots: List[int] = []
         self.active: List[ReplicaServer] = []
         # Routes over the live list: _set_state edits it in place.
-        self._route_active = cluster.dispatcher.router(self.active, sim)
-        for index in range(cluster.initial_replicas):
+        self._route_active = pool.dispatcher.router(self.active, sim)
+        for index in range(start):
             self._set_state(index, _ACTIVE)
             self.lifecycles[index].commission(0.0)
-        self.timeline: List[Tuple[float, int]] = [(0.0, cluster.initial_replicas)]
+        self.timeline: List[Tuple[float, int]] = [(0.0, start)]
         self.scale_up_events = 0
         self.scale_down_events = 0
         self.crash_events = 0
@@ -530,12 +461,12 @@ class _AutoscaleController(Controller):
         self._capacity_qps = 0.0
 
     def arm(self) -> None:
-        policy = self.cluster.policy
+        policy = self.spec.policy
         if policy is not None:
             policy.reset()
-            self._capacity_qps = self.cluster._replica_capacity_qps
+            self._capacity_qps = self.pool.capacity_qps
             self.sim.schedule_at(
-                self.cluster.control_interval_s, self._on_tick, label="autoscale:tick"
+                self.spec.control_interval_s, self._on_tick, label="autoscale:tick"
             )
 
     # -- lifecycle -----------------------------------------------------
@@ -653,7 +584,7 @@ class _AutoscaleController(Controller):
     # -- control loop --------------------------------------------------
     def _observe(self) -> ClusterObservation:
         now = self.sim.now
-        interval = self.cluster.control_interval_s
+        interval = self.spec.control_interval_s
         states = [lifecycle.state for lifecycle in self.lifecycles]
         active = len(self.active)
         outstanding = sum(replica.outstanding for replica in self.active)
@@ -678,16 +609,16 @@ class _AutoscaleController(Controller):
             utilization=utilization,
             arrival_rate_qps=arrival_rate,
             replica_capacity_qps=self._capacity_qps,
-            min_replicas=self.cluster.min_replicas,
-            max_replicas=self.cluster.max_replicas,
+            min_replicas=self.spec.min_replicas,
+            max_replicas=self.spec.max_replicas,
         )
 
     def _on_tick(self) -> None:
         now = self.sim.now
         self._reap_drained(now)
         observation = self._observe()
-        desired = self.cluster.policy.desired_replicas(observation)
-        desired = max(self.cluster.min_replicas, min(self.cluster.max_replicas, desired))
+        desired = self.spec.policy.desired_replicas(observation)
+        desired = max(self.spec.min_replicas, min(self.spec.max_replicas, desired))
         committed = observation.committed_replicas
         if desired > committed:
             self._scale_up(desired - committed, now)
@@ -696,7 +627,7 @@ class _AutoscaleController(Controller):
         self._record_timeline(now)
         if not self._finished():
             self.sim.schedule_at(
-                now + self.cluster.control_interval_s,
+                now + self.spec.control_interval_s,
                 self._on_tick,
                 label="autoscale:tick",
             )
@@ -748,7 +679,7 @@ class _AutoscaleController(Controller):
             if count == 0:
                 return
             if lifecycle.state == _STOPPED:
-                self._commission(index, now, self.cluster.warmup_s)
+                self._commission(index, now, self.warmup_s)
                 self.scale_up_events += 1
                 count -= 1
 
@@ -805,18 +736,18 @@ class _AutoscaleController(Controller):
                 lifecycle.close(horizon)
         replica_seconds = self.billed_seconds(horizon)
         busy_seconds = sum(replica.busy_time_s for replica in self.replicas)
-        policy = self.cluster.policy
+        policy = self.spec.policy
         autoscale = AutoscaleReport(
             policy=policy.name if policy is not None else "static",
-            control_interval_s=self.cluster.control_interval_s,
-            warmup_s=self.cluster.warmup_s,
+            control_interval_s=self.spec.control_interval_s,
+            warmup_s=self.warmup_s,
             timeline=tuple(self.timeline),
             replica_seconds=replica_seconds,
             peak_replicas=max(count for _, count in self.timeline),
             scale_up_events=self.scale_up_events,
             scale_down_events=self.scale_down_events,
             busy_energy_joules=sum(replica.energy_joules for replica in self.replicas),
-            idle_energy_joules=self.cluster.idle_power_w
+            idle_energy_joules=self.spec.idle_power_w
             * max(replica_seconds - busy_seconds, 0.0),
             crashes=self.crash_events,
             restarts=self.restart_events,

@@ -89,7 +89,7 @@ class BatchingPolicy:
         """
         raise SimulationError(
             f"{type(self).__name__} is queue-reactive and cannot form batches "
-            "open-loop; serve it through the event-driven ServingSimulator"
+            "open-loop; serve it through the event-driven Fleet"
         )
 
     # -- online interface ----------------------------------------------

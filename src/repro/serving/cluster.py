@@ -2,38 +2,52 @@
 
 Capacity planning (examples/datacenter_provisioning.py) asks "how many
 sockets do I need for a target load?".  This module answers the follow-up
-question — the tail latency when that many replicas share the load.  Both
-front-ends are a :class:`~repro.serving.fleet.Fleet` without controllers:
-one :class:`~repro.serving.replica.ReplicaServer` per :class:`ReplicaSpec`
-on the fleet's simulator, behind a dispatcher with live visibility into
-queue depths.
-
-* :class:`HeterogeneousCluster` — any mix of CPU-only / CPU-GPU / Centaur
-  replicas, each with its own batching policy, behind any dispatcher.
-* :class:`ClusterSimulator` — ``num_replicas`` identical devices
-  (round-robin by default).  The elastic
-  :class:`~repro.serving.autoscale.AutoscalingCluster` is one with a
-  lifecycle controller armed.
+question — the tail latency when that many replicas share the load.  A
+:class:`ReplicaPool` is the replica part of every unsharded
+:class:`~repro.serving.fleet.Fleet`: one
+:class:`~repro.serving.replica.ReplicaServer` per :class:`ReplicaSpec` on
+the fleet's simulator, behind a dispatcher with live visibility into queue
+depths.  The pool repeats one template device ``replicas`` times
+(round-robin by default), or mixes CPU-only / CPU-GPU / Centaur replicas,
+each with its own batching policy.  A policy or a fault schedule makes a
+template pool elastic: it then holds ``max_replicas`` slots, and an
+:class:`~repro.serving.autoscale._AutoscaleController` adjusts the active
+subset.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, List, Optional, Sequence, Union
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only
     from repro.chaos.report import IncidentReport
+    from repro.serving.fleet import FleetSpec
     from repro.serving.sharded import ShardingStats
 
+from repro.backends.registry import resolve_backend
 from repro.config.models import DLRMConfig
 from repro.config.system import SystemConfig
-from repro.errors import SimulationError
+from repro.errors import ConfigurationError, SimulationError
+from repro.serving.autoscale import AutoscaleReport, _AutoscaleController
 from repro.serving.batching import BatchingPolicy, default_batching
-from repro.serving.dispatch import Dispatcher, RoundRobinDispatcher
-from repro.serving.fleet import Fleet, resolve_runner
+from repro.serving.dispatch import RoundRobinDispatcher
 from repro.serving.metrics import LatencyDistribution, ServingReport
 from repro.serving.replica import DesignPointRunner, ReplicaServer, ServiceModel
 from repro.sim.engine import Simulator
+
+
+def resolve_runner(runner, system: Optional[SystemConfig]):
+    """A design-point runner, or the backend a registry name names on ``system``."""
+    if not isinstance(runner, str):
+        return runner
+    if system is None:
+        raise SimulationError(
+            f"backend {runner!r} is named without a system configuration to "
+            "resolve it against"
+        )
+    return resolve_backend(runner, system)
 
 
 @dataclass(frozen=True)
@@ -43,62 +57,13 @@ class ReplicaSpec:
     Attributes:
         runner: Design-point runner backing the replica's device, or a
             backend-registry name (``"cpu"``, ``"centaur"``, ...) resolved
-            against the cluster's ``system``.
+            against the fleet's ``system``.
         batching: Replica-local batching policy; ``None`` inherits the
-            cluster default.
+            fleet default.
     """
 
     runner: Union[DesignPointRunner, str]
     batching: Optional[BatchingPolicy] = None
-
-
-@dataclass(frozen=True)
-class AutoscaleReport:
-    """Elastic-fleet accounting of one autoscaled serving run.
-
-    Attributes:
-        policy: Name of the :class:`~repro.serving.autoscale.AutoscalerPolicy`.
-        control_interval_s: Spacing of the controller's timed events.
-        warmup_s: Commission-to-traffic delay each new replica paid.
-        timeline: ``(time_s, commissioned_replicas)`` change points —
-            commissioned means paid for: active, warming up, or draining.
-        replica_seconds: Total commissioned time summed over the fleet (the
-            replica-hours bill, in seconds).
-        peak_replicas: Largest commissioned count the run reached.
-        scale_up_events: Replica commissions (including drain reclaims).
-        scale_down_events: Replica decommissions (including warm-up cancels).
-        busy_energy_joules: Energy the devices spent executing batches.
-        idle_energy_joules: Energy charged for commissioned-but-idle time
-            (``idle_power_w`` times the non-busy replica-seconds).
-        crashes: Replica crashes injected by a fault schedule.
-        restarts: Crash restarts that recommissioned a replica.
-    """
-
-    policy: str
-    control_interval_s: float
-    warmup_s: float
-    timeline: Tuple[Tuple[float, int], ...]
-    replica_seconds: float
-    peak_replicas: int
-    scale_up_events: int
-    scale_down_events: int
-    busy_energy_joules: float
-    idle_energy_joules: float
-    crashes: int = 0
-    restarts: int = 0
-
-    @property
-    def total_energy_joules(self) -> float:
-        return self.busy_energy_joules + self.idle_energy_joules
-
-    def replicas_at(self, time_s: float) -> int:
-        """Commissioned replica count at a simulated time."""
-        count = self.timeline[0][1]
-        for change_s, changed in self.timeline:
-            if change_s > time_s:
-                break
-            count = changed
-        return count
 
 
 @dataclass(frozen=True)
@@ -173,88 +138,65 @@ class ClusterReport:
         return weighted / total_batches
 
 
-class HeterogeneousCluster(Fleet):
-    """A mixed fleet of serving replicas behind a pluggable dispatcher.
+class ReplicaPool:
+    """The plain replicas of a :class:`~repro.serving.fleet.Fleet`.
+
+    A lone replica without a dispatcher is routed to directly and reports
+    a :class:`~repro.serving.metrics.ServingReport`; every other pool sits
+    behind its dispatcher (round-robin by default) and reports a
+    :class:`ClusterReport`.
 
     Args:
-        specs: One :class:`ReplicaSpec` (or bare runner / backend name) per
-            replica.  Backend names are resolved through the registry and
-            shared: replicas naming the same backend run on one device
-            instance (mirroring how a shared runner behaves).
+        runner_or_specs: The template device every replica runs (a runner
+            or backend-registry name), or a sequence of :class:`ReplicaSpec`
+            (or bare runners / names), one per replica of a mixed fleet.
+            Backend names are resolved through the registry and shared:
+            replicas naming the same backend run on one device instance.
         model: Served DLRM configuration.
-        dispatcher: Routing policy; defaults to round-robin.
-        batching: Default batching policy for specs that do not set one;
-            defaults to a 2 ms window capped at 64.
-        system: Hardware platform used to resolve backend names; required
-            only when a spec names a backend instead of carrying a runner.
-        profile: Record a per-event-label engine profile for every serve;
-            the latest one is exposed as :attr:`last_profile`.
+        spec: The fleet's recipe: sizing, batching, dispatcher and the
+            elastic fields.
+        system: Hardware platform used to resolve backend names.
     """
 
     def __init__(
         self,
-        specs: Sequence,
+        runner_or_specs: Union[DesignPointRunner, str, Sequence],
         model: DLRMConfig,
-        dispatcher: Optional[Dispatcher] = None,
-        batching: Optional[BatchingPolicy] = None,
-        system: Optional[SystemConfig] = None,
-        profile: bool = False,
+        spec: "FleetSpec",
+        system: Optional[SystemConfig],
     ):
-        if not specs:
-            raise SimulationError("a cluster needs at least one replica")
-        fallback = batching if batching is not None else default_batching()
+        mixed = isinstance(runner_or_specs, (list, tuple))
+        entries = runner_or_specs if mixed else [runner_or_specs]
+        if not entries:
+            raise SimulationError("a fleet needs at least one replica")
+        fallback = spec.batching if spec.batching is not None else default_batching()
         resolved: dict = {}
-        self.specs: List[ReplicaSpec] = []
-        for spec in specs:
-            if not isinstance(spec, ReplicaSpec):
-                spec = ReplicaSpec(runner=spec)
-            runner = spec.runner
+        specs: List[ReplicaSpec] = []
+        for entry in entries:
+            if not isinstance(entry, ReplicaSpec):
+                entry = ReplicaSpec(runner=entry)
+            runner = entry.runner
             if isinstance(runner, str):
                 if runner not in resolved:
                     resolved[runner] = resolve_runner(runner, system)
                 runner = resolved[runner]
-            self.specs.append(
-                ReplicaSpec(runner, fallback if spec.batching is None else spec.batching)
+            specs.append(
+                ReplicaSpec(runner, fallback if entry.batching is None else entry.batching)
             )
-        super().__init__(
-            model,
-            dispatcher if dispatcher is not None else RoundRobinDispatcher(),
-            profile=profile,
+        self.model = model
+        self.spec = spec
+        #: The template device of a one-runner pool (``None`` when mixed).
+        self.runner = None if mixed else specs[0].runner
+        #: One resolved spec per replica of a static serve.
+        self.specs = specs if mixed else specs * spec.replicas
+        self.single = not mixed and spec.replicas == 1 and spec.dispatcher is None
+        self.dispatcher = (
+            spec.dispatcher if spec.dispatcher is not None else RoundRobinDispatcher()
         )
         # One prediction cache per runner instance, shared across streams.
-        self._caches = {}
-        for spec in self.specs:
-            self._caches.setdefault(id(spec.runner), {})
-
-    @classmethod
-    def from_backends(
-        cls,
-        backends: Sequence[str],
-        model: DLRMConfig,
-        system: SystemConfig,
-        dispatcher: Optional[Dispatcher] = None,
-        batching: Optional[BatchingPolicy] = None,
-    ) -> "HeterogeneousCluster":
-        """Build a fleet from backend-registry names, one replica per entry.
-
-        Example::
-
-            fleet = HeterogeneousCluster.from_backends(
-                ["cpu", "cpu", "centaur"], DLRM2, HARPV2_SYSTEM,
-                dispatcher=LeastLoadedDispatcher(),
-            )
-        """
-        return cls(
-            list(backends),
-            model,
-            dispatcher=dispatcher,
-            batching=batching,
-            system=system,
-        )
-
-    @property
-    def num_replicas(self) -> int:
-        return len(self.specs)
+        self._caches = {id(entry.runner): {} for entry in specs}
+        if spec.policy is not None:
+            self.start_replicas()
 
     @property
     def design_point(self) -> str:
@@ -265,15 +207,52 @@ class HeterogeneousCluster(Fleet):
                 seen.append(spec.runner.design_point)
         return "+".join(seen)
 
-    # ------------------------------------------------------------------
-    def _pool_size(self, faults) -> int:
-        """Replicas a stream runs on (every spec, for a static fleet)."""
-        return len(self.specs)
+    def start_replicas(self) -> int:
+        """Active replicas at time zero of an elastic serve: ``replicas``, or
+        the ``min_replicas`` floor when ``replicas`` is left at 1."""
+        spec = self.spec
+        if self.runner is None:
+            raise ConfigurationError(
+                "an elastic fleet (a policy or a fault schedule) scales one "
+                "template device; a mixed fleet serves statically"
+            )
+        start = spec.replicas if spec.replicas > 1 else spec.min_replicas
+        if not spec.min_replicas <= start <= spec.max_replicas:
+            raise SimulationError(
+                f"an elastic fleet starts with replicas ({start}), which must "
+                f"lie in [{spec.min_replicas}, {spec.max_replicas}]"
+            )
+        return start
 
-    def _replicas(
-        self, sim: Simulator, faults, extra_models: Sequence[DLRMConfig] = ()
-    ) -> List[ReplicaServer]:
-        return [
+    @functools.cached_property
+    def capacity_qps(self) -> float:
+        """Saturation throughput of one template replica, priced once.
+
+        The batch-size sweep behind it runs on the first policy-driven serve
+        of this pool and is memoized — grids and search loops that serve
+        many streams through one fleet pay it a single time.
+        """
+        service = ServiceModel(self.runner, self.model, self._caches[id(self.runner)])
+        return service.saturation_throughput()
+
+    def workload_options(self, workload, seed: int):
+        """Serve options a workload implies: its traffic mix's models."""
+        return {"extra_models": workload.models}
+
+    def start(self, sim: Simulator, faults, extra_models: Sequence[DLRMConfig] = ()):
+        """Build one stream's replicas, route and controllers.
+
+        A policy or a fault schedule arms the autoscale controller over
+        ``max_replicas`` slots (restarting a crashed replica is a
+        provisioning act, so a static fleet under faults is a policy-less
+        elastic one); otherwise the stream runs on the static replicas.
+        """
+        elastic = self.spec.elastic(faults)
+        specs = self.specs
+        if elastic:
+            start = self.start_replicas()
+            specs = [specs[0]] * self.spec.max_replicas
+        replicas = [
             ReplicaServer(
                 sim,
                 ServiceModel(
@@ -285,8 +264,29 @@ class HeterogeneousCluster(Fleet):
                 spec.batching,
                 name=f"{spec.runner.design_point}:{index}",
             )
-            for index, spec in enumerate(self.specs[: self._pool_size(faults)])
+            for index, spec in enumerate(specs)
         ]
+        report = functools.partial(self._report, replicas)
+        if elastic:
+            self.dispatcher.reset()
+            controller = _AutoscaleController(self, sim, replicas, start)
+            controllers = [controller]
+            if faults is not None:
+                # Imported lazily: repro.chaos builds on this package.
+                from repro.chaos.injector import FaultInjector
+
+                controllers.append(FaultInjector(sim, faults, controller=controller))
+            return replicas, controller.route, controllers, report
+        if self.single:
+            (replica,) = replicas
+            return (
+                replicas,
+                lambda request: replica,
+                [],
+                lambda label, allow_empty: replica.build_report(label),
+            )
+        self.dispatcher.reset()
+        return replicas, self.dispatcher.router(replicas, sim), [], report
 
     def _report(self, replicas, label: str, allow_empty: bool) -> ClusterReport:
         """Per-replica reports (replicas that served) + pooled latencies.
@@ -312,43 +312,3 @@ class HeterogeneousCluster(Fleet):
             latency=LatencyDistribution(latencies, allow_empty=allow_empty),
             dispatcher=self.dispatcher.name,
         )
-
-
-class ClusterSimulator(HeterogeneousCluster):
-    """``num_replicas`` identical devices behind a dispatcher.
-
-    Args:
-        runner: Design-point runner shared by every replica (they are
-            identical devices), or a backend-registry name resolved against
-            ``system``.
-        model: Served DLRM configuration.
-        num_replicas: Number of devices behind the load balancer.
-        batching: Per-replica batching policy (shared configuration).
-        dispatcher: Routing policy; defaults to round-robin (the legacy
-            behaviour).
-        system: Hardware platform; required only when ``runner`` is a
-            backend name.
-    """
-
-    def __init__(
-        self,
-        runner: Union[DesignPointRunner, str],
-        model: DLRMConfig,
-        num_replicas: int,
-        batching: Optional[BatchingPolicy] = None,
-        dispatcher: Optional[Dispatcher] = None,
-        system: Optional[SystemConfig] = None,
-        profile: bool = False,
-    ):
-        if num_replicas <= 0:
-            raise SimulationError(f"num_replicas must be positive, got {num_replicas}")
-        super().__init__(
-            [ReplicaSpec(runner=runner) for _ in range(num_replicas)],
-            model,
-            dispatcher=dispatcher,
-            batching=batching,
-            system=system,
-            profile=profile,
-        )
-        self.runner = self.specs[0].runner
-        self.batching = batching

@@ -6,8 +6,8 @@ each backend does a workload need at all?  :class:`CapacityPlanner`
 searches replica counts per backend (exponential probe, then binary
 search over the bracketed range) and keeps the smallest fleet whose
 simulated p99 SLA attainment reaches the target.  Every evaluation is a
-full event-driven :class:`~repro.serving.cluster.ClusterSimulator` run of
-the workload at a fixed seed, so plans are deterministic and directly
+full event-driven :class:`~repro.serving.fleet.Fleet` run of the workload
+at a fixed seed, so plans are deterministic and directly
 comparable across backends.
 """
 
@@ -21,9 +21,9 @@ from repro.config.models import DLRMConfig
 from repro.config.system import SystemConfig
 from repro.errors import SimulationError
 from repro.serving.batching import BatchingPolicy
-from repro.serving.cluster import ClusterReport, ClusterSimulator
-from repro.serving.dispatch import Dispatcher
-from repro.serving.fleet import check_workload_support
+from repro.serving.cluster import ClusterReport
+from repro.serving.dispatch import Dispatcher, RoundRobinDispatcher
+from repro.serving.fleet import Fleet, FleetSpec, check_workload_support
 from repro.workloads.workload import Workload
 
 
@@ -153,18 +153,15 @@ class CapacityPlanner:
         backend = get_backend(backend_name, self.system)
         evaluated: List[int] = []
         reports: Dict[int, ClusterReport] = {}
+        # Every probe, one replica included, sits behind a dispatcher and
+        # so reports a ClusterReport (its replica_seconds bill).
+        dispatcher = self.dispatcher if self.dispatcher is not None else RoundRobinDispatcher()
 
         def meets(count: int) -> bool:
             if count not in reports:
                 evaluated.append(count)
-                cluster = ClusterSimulator(
-                    backend,
-                    model,
-                    num_replicas=count,
-                    batching=self.batching,
-                    dispatcher=self.dispatcher,
-                )
-                reports[count] = cluster.serve_workload(
+                spec = FleetSpec(replicas=count, batching=self.batching, dispatcher=dispatcher)
+                reports[count] = Fleet(backend, model, spec).serve_workload(
                     workload, duration_s=duration_s, num_requests=num_requests, seed=self.seed
                 )
             attainment = reports[count].latency.sla_attainment(self.sla_s)

@@ -700,6 +700,30 @@ class _StreamDriver:
         )
 
 
+class Controller:
+    """Something a :class:`~repro.serving.fleet.Fleet` arms on the engine
+    for one stream: the autoscaler's lifecycle controller, the sharded
+    update driver or the chaos fault injector.
+
+    Every hook is optional; the defaults leave the run untouched.
+    """
+
+    #: The stream's driver, set before :meth:`arm`: its live ``count`` and
+    #: ``exhausted`` follow the simulated clock.
+    stream: Optional[_StreamDriver] = None
+    #: Takes over routing from the fleet's dispatcher when set.
+    route: Optional[Callable[[InferenceRequest], ReplicaServer]] = None
+    #: Requests shed so far; relaxes the stream's conservation check.
+    shed_count: Optional[Callable[[], int]] = None
+
+    def arm(self) -> None:
+        """Schedule the first events (controllers arm in list order)."""
+
+    def finish(self, report, horizon_s: float):
+        """Return ``report`` with this controller's accounting attached."""
+        return report
+
+
 def drive_stream(
     sim: Simulator,
     replicas: Sequence[ReplicaServer],

@@ -1,7 +1,8 @@
 """Sharded serving: one logical replica group spanning several device shards.
 
-A :class:`ShardedReplicaGroup` serves a model whose embedding tables are
-partitioned across ``num_shards`` device shards by a
+A sharded :class:`~repro.serving.fleet.Fleet` (a ``FleetSpec`` with
+``shards`` or a cache or update tier set) serves a model whose embedding
+tables are partitioned across ``shards`` device shards by a
 :class:`~repro.sharding.plan.ShardingPlan`.  Each executed batch models the
 paper's gather pipeline at fleet scale:
 
@@ -18,49 +19,40 @@ paper's gather pipeline at fleet scale:
    over a :class:`~repro.core.link.ChipletLink`; the straggler shard
    (gather + transfer) gates the embedding stage of the whole batch.
 
-The group is a one-replica :class:`~repro.serving.fleet.Fleet`: its replica
-factory builds one :class:`ShardedReplicaServer` (a
-:class:`~repro.serving.replica.ReplicaServer` with its own per-batch pricing
-hook), and an update stream or a fault schedule arms a controller on the
-same event engine that carries arrivals, batch closes and completions.  With one shard and no cache the pricing hook
-returns the runner's result object untouched, so the run is bit-identical
-to the unsharded cluster path — the property the equivalence tests pin.
+The fleet's replica part is a :class:`ShardGroup`: it builds one
+:class:`ShardedReplicaServer` (a :class:`~repro.serving.replica.ReplicaServer`
+with its own per-batch pricing hook) per stream, and an update stream or a
+fault schedule arms a controller on the same event engine that carries
+arrivals, batch closes and completions.  With one shard and no cache the
+pricing hook returns the runner's result object untouched, so the run is
+bit-identical to the unsharded pool path — the property the equivalence
+tests pin.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import (
-    TYPE_CHECKING,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple, Union
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only
-    from repro.chaos.faults import FaultSchedule
+    from repro.serving.fleet import FleetSpec
 
 import numpy as np
 
 from repro.config.models import DTYPE_BYTES, DLRMConfig
 from repro.config.system import SystemConfig
 from repro.core.link import ChipletLink
-from repro.errors import SimulationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.memsys.stats import CacheStats
 from repro.results import InferenceResult, LatencyBreakdown
 from repro.serving.batching import BatchingPolicy, default_batching
-from repro.serving.cluster import ClusterReport
-from repro.serving.fleet import Controller, Fleet, resolve_runner
+from repro.serving.cluster import ClusterReport, resolve_runner
 from repro.serving.metrics import LatencyDistribution
-from repro.serving.replica import DesignPointRunner, ReplicaServer, ServiceModel
+from repro.serving.replica import Controller, DesignPointRunner, ReplicaServer, ServiceModel
 from repro.sharding.cache import CacheConfig, EmbeddingCache, check_key_space
-from repro.sharding.plan import ShardingPlan, ShardingStrategy, make_plan
+from repro.sharding.plan import ShardingPlan, make_plan
 from repro.sim.engine import Simulator
-from repro.workloads.arrivals import InferenceRequest
 from repro.workloads.traces import TraceModel, UniformTrace
 from repro.workloads.updates import EmbeddingUpdate, UpdateProcess
 from repro.workloads.workload import Workload
@@ -75,8 +67,6 @@ class ShardingStats:
         strategy: Placement strategy of the plan.
         cache_policy: ``"lru"`` / ``"lfu"``, or ``None`` when cache-off.
         cache_capacity_rows: Per-shard cache capacity (``None`` cache-off).
-        plan_imbalance: Max-over-mean resident bytes of the plan.
-        shard_bytes: Resident embedding bytes per shard.
         cache: Hit/miss counters merged over every shard's cache.
         evictions: Rows evicted summed over shards.
         per_shard_lookups: Lookups *owned* by each shard (hits + misses).
@@ -94,8 +84,6 @@ class ShardingStats:
     strategy: str
     cache_policy: Optional[str]
     cache_capacity_rows: Optional[int]
-    plan_imbalance: float
-    shard_bytes: Tuple[float, ...]
     cache: CacheStats
     evictions: int
     per_shard_lookups: Tuple[int, ...]
@@ -566,8 +554,6 @@ class ShardedReplicaServer(ReplicaServer):
             strategy=self.plan.strategy,
             cache_policy=first_cache.policy if first_cache else None,
             cache_capacity_rows=first_cache.capacity_rows if first_cache else None,
-            plan_imbalance=self.plan.imbalance,
-            shard_bytes=self.plan.shard_bytes,
             cache=cache_stats,
             evictions=evictions,
             per_shard_lookups=tuple(int(value) for value in accounting.owned),
@@ -634,75 +620,60 @@ class _UpdateDriver(Controller):
             self._pump()
 
 
-class ShardedReplicaGroup(Fleet):
-    """A model served by ``num_shards`` embedding shards behind one queue.
+class ShardGroup:
+    """The replica part of a sharded :class:`~repro.serving.fleet.Fleet`.
 
     The group is one *logical* replica: requests join a single batching
     queue, every batch fans out to all owning shards and fans back in
-    through the coordinator, and the straggler shard gates completion.
+    through the coordinator, and the straggler shard gates completion.  Of
+    the fleet's recipe it reads ``shards`` (``None`` is one shard),
+    ``strategy``, ``cache``, ``shared_cache``, ``updates`` and
+    ``batching``.
 
     Args:
         runner: Design-point runner backing the shard devices, or a
             backend-registry name resolved against ``system``.
-        model: Served DLRM configuration.
-        num_shards: Shard count when no explicit ``plan`` is given.
-        strategy: Placement strategy name/instance for the implicit plan.
-        plan: Explicit :class:`~repro.sharding.plan.ShardingPlan`
-            (overrides ``num_shards``/``strategy``); must describe ``model``.
-        cache: Optional :class:`~repro.sharding.cache.CacheConfig`; one
-            cache instance is built per shard per stream.
-        batching: Batching policy of the group's shared queue.
+        model: Served DLRM configuration, partitioned by
+            :func:`~repro.sharding.plan.make_plan`.
+        spec: The fleet's recipe.  ``cache`` builds one
+            :class:`~repro.sharding.cache.EmbeddingCache` per shard per
+            stream; ``shared_cache`` a second tier shared across every
+            shard, probed by local misses before the host gather and priced
+            as row-granularity streams over the system link; ``updates``
+            an :class:`~repro.workloads.updates.UpdateProcess` whose pushes
+            ride the same event engine as arrivals (``None`` keeps the
+            read-only path bit-identical).
         system: Hardware platform — prices the cross-shard link and
             resolves backend names; defaults to the runner's own system.
-        profile: Record a per-event-label engine profile for every serve;
-            the latest one is exposed as :attr:`last_profile`.
-        updates: Optional :class:`~repro.workloads.updates.UpdateProcess`;
-            its pushes ride the same event engine as arrivals, driving the
-            cache tiers per the process's freshness mode.  ``None`` keeps
-            the read-only path bit-identical.
-        shared_cache: Optional :class:`~repro.sharding.cache.CacheConfig`
-            for a second cache tier shared across every shard; local
-            misses probe it before the host gather, and its hits are
-            priced as row-granularity streams over the system link.
     """
 
     def __init__(
         self,
         runner: Union[DesignPointRunner, str],
         model: DLRMConfig,
-        num_shards: int = 1,
-        strategy: Union[str, ShardingStrategy] = "table",
-        plan: Optional[ShardingPlan] = None,
-        cache: Optional[CacheConfig] = None,
-        batching: Optional[BatchingPolicy] = None,
-        system: Optional[SystemConfig] = None,
-        profile: bool = False,
-        updates: Optional[UpdateProcess] = None,
-        shared_cache: Optional[CacheConfig] = None,
+        spec: "FleetSpec",
+        system: Optional[SystemConfig],
     ):
-        super().__init__(model, profile=profile)
+        if isinstance(runner, (list, tuple)):
+            raise ConfigurationError(
+                "a shard group shards one backend; a mixed fleet serves unsharded"
+            )
         self.runner = runner = resolve_runner(runner, system)
+        self.model = model
         # Hot-row caches key rows by packed ints; reject models that overflow them.
         check_key_space(model)
-        if plan is None:
-            plan = make_plan(model, num_shards, strategy)
-        elif plan.model != model:
-            raise SimulationError(
-                f"plan partitions model {plan.model.name!r} but the group "
-                f"serves {model.name!r}"
-            )
-        self.plan = plan
+        self.plan = make_plan(model, 1 if spec.shards is None else spec.shards, spec.strategy)
         for name, value, kind in (
-            ("cache", cache, CacheConfig),
-            ("shared_cache", shared_cache, CacheConfig),
-            ("updates", updates, UpdateProcess),
+            ("cache", spec.cache, CacheConfig),
+            ("shared_cache", spec.shared_cache, CacheConfig),
+            ("updates", spec.updates, UpdateProcess),
         ):
             if value is not None and not isinstance(value, kind):
                 raise SimulationError(f"{name} must be {kind.__name__} or None, got {value!r}")
-        self.cache_config = cache
-        self.shared_cache_config = shared_cache
-        self.updates = updates
-        self.batching = batching if batching is not None else default_batching()
+        self.cache_config = spec.cache
+        self.shared_cache_config = spec.shared_cache
+        self.updates = spec.updates
+        self.batching = spec.batching if spec.batching is not None else default_batching()
         self.system = system if system is not None else getattr(runner, "system", None)
         if self.plan.num_shards > 1 and self.system is None:
             raise SimulationError(
@@ -714,43 +685,14 @@ class ShardedReplicaGroup(Fleet):
                 "a shared cache tier needs a system configuration to price "
                 "its link fetches"
             )
-        # Shared runner-prediction cache, one per group (mirrors clusters).
+        # Shared runner-prediction cache, one per group (mirrors pools).
         self._service_cache: Dict = {}
-
-    # ------------------------------------------------------------------
-    @property
-    def num_shards(self) -> int:
-        return self.plan.num_shards
 
     @property
     def design_point(self) -> str:
         return self.runner.design_point
 
-    # ------------------------------------------------------------------
-    def serve(
-        self,
-        requests: Union[Sequence[InferenceRequest], Iterable[InferenceRequest]],
-        trace: Optional[TraceModel] = None,
-        trace_seed: Union[int, np.random.SeedSequence] = 0,
-        report_label: Optional[str] = None,
-        faults: Optional["FaultSchedule"] = None,
-        update_seed: Union[int, np.random.SeedSequence] = 0,
-    ) -> ClusterReport:
-        """Serve a request stream through the shard group.
-
-        ``trace`` shapes the row IDs every batch gathers (uniform by
-        default); ``trace_seed`` seeds the draw stream.  Prefer
-        :meth:`serve_workload`, which wires both from the workload.
-        ``faults`` injects a :class:`~repro.chaos.faults.FaultSchedule`
-        (shard loss, link degradation, brownout); an empty or ``None``
-        schedule arms no injector.  ``update_seed`` seeds the group's
-        :class:`~repro.workloads.updates.UpdateProcess` push stream (unused
-        when the group has no update stream).
-        """
-        options = dict(trace=trace, trace_seed=trace_seed, update_seed=update_seed)
-        return self._serve(requests, report_label, faults, **options)
-
-    def _workload_options(self, workload: Workload, seed: int) -> Dict[str, object]:
+    def workload_options(self, workload: Workload, seed: int) -> Dict[str, object]:
         """The workload's trace model shapes every batch's gathered rows
         (the path where zipf / hot-cold skew actually changes cache hit
         rates and shard traffic)."""
@@ -772,9 +714,20 @@ class ShardedReplicaGroup(Fleet):
             update_seed = 0
         return {"trace": workload.trace, "trace_seed": trace_seed, "update_seed": update_seed}
 
-    def _replicas(
-        self, sim: Simulator, faults, trace=None, trace_seed=0, update_seed=0
-    ) -> List[ShardedReplicaServer]:
+    def start(
+        self,
+        sim: Simulator,
+        faults,
+        trace: Optional[TraceModel] = None,
+        trace_seed: Union[int, np.random.SeedSequence] = 0,
+        update_seed: Union[int, np.random.SeedSequence] = 0,
+    ):
+        """Build one stream's group replica, its update driver and injector.
+
+        ``trace`` shapes the row IDs every batch gathers (uniform by
+        default) and ``trace_seed`` seeds the draw stream; ``update_seed``
+        seeds the push stream (unused without one).
+        """
         caches = None
         if self.cache_config is not None:
             caches = [
@@ -786,37 +739,40 @@ class ShardedReplicaGroup(Fleet):
             if self.shared_cache_config is not None
             else None
         )
-        return [
-            ShardedReplicaServer(
-                sim,
-                ServiceModel(self.runner, self.model, self._service_cache),
-                self.batching,
-                plan=self.plan,
-                link=ChipletLink(self.system.link) if self.system is not None else None,
-                trace_model=trace if trace is not None else UniformTrace(),
-                trace_rng=np.random.default_rng(trace_seed),
-                caches=caches,
-                shared_cache=shared_cache,
-                update_mode=self.updates.mode if self.updates is not None else None,
-                name=f"{self.runner.design_point}:0",
-            )
-        ]
-
-    def _controllers(self, sim: Simulator, replicas, faults, update_seed=0, **options):
-        if self.updates is None:
-            return []
-        # Pushes and arrivals interleave on one event clock.
-        (replica,) = replicas
-        events = self.updates.events(
-            self.model, seed=update_seed, default_trace=replica.trace_model
+        replica = ShardedReplicaServer(
+            sim,
+            ServiceModel(self.runner, self.model, self._service_cache),
+            self.batching,
+            plan=self.plan,
+            link=ChipletLink(self.system.link) if self.system is not None else None,
+            trace_model=trace if trace is not None else UniformTrace(),
+            trace_rng=np.random.default_rng(trace_seed),
+            caches=caches,
+            shared_cache=shared_cache,
+            update_mode=self.updates.mode if self.updates is not None else None,
+            name=f"{self.runner.design_point}:0",
         )
-        return [_UpdateDriver(sim, replica, events)]
+        controllers: List[Controller] = []
+        if self.updates is not None:
+            # Pushes and arrivals interleave on one event clock.
+            events = self.updates.events(
+                self.model, seed=update_seed, default_trace=replica.trace_model
+            )
+            controllers.append(_UpdateDriver(sim, replica, events))
+        if faults is not None:
+            # Imported lazily: repro.chaos builds on this package.
+            from repro.chaos.injector import FaultInjector
 
-    def _fault_host(self, replicas, controllers):
-        return {"sharded": replicas[0], "cache_config": self.cache_config, "model": self.model}
+            controllers.append(
+                FaultInjector(
+                    sim, faults, sharded=replica, cache_config=self.cache_config,
+                    model=self.model,
+                )
+            )
+        report = functools.partial(self._report, replica)
+        return [replica], lambda request: replica, controllers, report
 
-    def _report(self, replicas, label: str, allow_empty: bool) -> ClusterReport:
-        (replica,) = replicas
+    def _report(self, replica, label: str, allow_empty: bool) -> ClusterReport:
         report = replica.build_report(label)
         return ClusterReport(
             design_point=self.design_point,

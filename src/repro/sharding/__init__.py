@@ -6,7 +6,8 @@ tables across device shards (table-wise, row-wise hash, capacity-balanced
 greedy), and :class:`EmbeddingCache` keeps the hot rows of a skewed trace
 resident in front of the host-memory gather.  The serving integration —
 request fan-out to owning shards, straggler-gated fan-in, cross-shard
-transfer pricing — lives in :class:`repro.serving.sharded.ShardedReplicaGroup`.
+transfer pricing — lives in :class:`repro.serving.sharded.ShardGroup`, the
+replica part of a sharded :class:`~repro.serving.fleet.Fleet`.
 """
 
 from repro.sharding.cache import CacheConfig, EmbeddingCache, parse_cache_spec

@@ -15,8 +15,8 @@ strategies here mirror the placements production embedding servers use:
   time-first onto the least-loaded shard; the capacity-balanced middle
   ground.
 
-Plans are consumed by :class:`repro.serving.sharded.ShardedReplicaGroup`
-(request fan-out/fan-in) and validated wholesale by the property tests:
+Plans are consumed by :class:`repro.serving.sharded.ShardGroup` (request
+fan-out/fan-in) and validated wholesale by the property tests:
 partition totality, ownership uniqueness and per-shard capacity.
 """
 

@@ -12,8 +12,8 @@ between the arrival stream, the mix tagging and the trace draws, so changing
 how one dimension consumes randomness never perturbs the others.
 
 Workloads are the unit the rest of the system speaks:
-``ServingSimulator.serve_workload``, ``HeterogeneousCluster.serve_workload``
-and ``Experiment.workloads(...).serve(...)`` all take one, and backend
+``Fleet.serve_workload`` and ``Experiment.workloads(...).serve(...)`` both
+take one, and backend
 capability flags (:class:`repro.backends.base.BackendCapabilities`) gate
 which workloads a backend can price.
 """

@@ -19,13 +19,7 @@ import pickle
 from repro.backends import get_backend
 from repro.chaos import FaultSchedule, ReplicaCrash, ShardLoss
 from repro.config import DLRM1, DLRM2, HARPV2_SYSTEM
-from repro.serving import (
-    AutoscalingCluster,
-    ClusterSimulator,
-    QueueDepthPolicy,
-    TimeoutBatching,
-)
-from repro.serving.sharded import ShardedReplicaGroup
+from repro.serving import Fleet, FleetSpec, QueueDepthPolicy, TimeoutBatching
 from repro.sharding import parse_cache_spec
 from repro.workloads import OnOffArrivals, PoissonArrivals, Workload
 
@@ -70,17 +64,19 @@ def fingerprint(report, outcome=None):
 class TestEmptyScheduleIsTheIdentity:
     def test_elastic_fleet_with_empty_schedule_matches_no_faults(self):
         def run(faults):
-            cluster = AutoscalingCluster(
+            cluster = Fleet(
                 get_backend("cpu", HARPV2_SYSTEM),
                 DLRM1,
-                policy=QueueDepthPolicy(
-                    high_watermark=24.0, low_watermark=2.0, cooldown_s=0.01
+                FleetSpec(
+                    policy=QueueDepthPolicy(
+                        high_watermark=24.0, low_watermark=2.0, cooldown_s=0.01
+                    ),
+                    min_replicas=1,
+                    max_replicas=4,
+                    control_interval_s=5e-3,
+                    warmup_s=2e-3,
+                    batching=TimeoutBatching(window_s=1e-3, max_batch_size=64),
                 ),
-                min_replicas=1,
-                max_replicas=4,
-                control_interval_s=5e-3,
-                warmup_s=2e-3,
-                batching=TimeoutBatching(window_s=1e-3, max_batch_size=64),
             )
             report = cluster.serve_workload(
                 make_workload(), num_requests=NUM_REQUESTS, seed=SEED, faults=faults
@@ -95,17 +91,15 @@ class TestEmptyScheduleIsTheIdentity:
     def test_static_fleet_with_empty_schedule_matches_cluster_simulator(self):
         batching = TimeoutBatching(window_s=1e-3, max_batch_size=64)
         backend = get_backend("cpu", HARPV2_SYSTEM)
-        static = ClusterSimulator(
-            backend, DLRM1, num_replicas=3, batching=batching
-        ).serve_workload(make_workload(), num_requests=NUM_REQUESTS, seed=SEED)
-        chaosless = AutoscalingCluster(
+        static = Fleet(
             backend,
             DLRM1,
-            policy=None,
-            min_replicas=1,
-            max_replicas=3,
-            initial_replicas=3,
-            batching=batching,
+            FleetSpec(replicas=3, batching=batching),
+        ).serve_workload(make_workload(), num_requests=NUM_REQUESTS, seed=SEED)
+        chaosless = Fleet(
+            backend,
+            DLRM1,
+            FleetSpec(policy=None, min_replicas=1, max_replicas=3, replicas=3, batching=batching),
         ).serve_workload(
             make_workload(),
             num_requests=NUM_REQUESTS,
@@ -116,13 +110,15 @@ class TestEmptyScheduleIsTheIdentity:
 
     def test_sharded_group_with_empty_schedule_is_bit_identical(self):
         def run(faults):
-            group = ShardedReplicaGroup(
+            group = Fleet(
                 get_backend("centaur", HARPV2_SYSTEM),
                 DLRM2,
-                num_shards=4,
-                cache=parse_cache_spec("lru:rows=2048"),
-                batching=TimeoutBatching(window_s=1e-3, max_batch_size=64),
-                system=HARPV2_SYSTEM,
+                FleetSpec(
+                    shards=4,
+                    cache=parse_cache_spec("lru:rows=2048"),
+                    batching=TimeoutBatching(window_s=1e-3, max_batch_size=64),
+                ),
+                HARPV2_SYSTEM,
             )
             report = group.serve_workload(
                 make_workload(), num_requests=NUM_REQUESTS, seed=SEED, faults=faults
@@ -141,15 +137,17 @@ class TestByteIdenticalIncidentReports:
 
     def test_fleet_incident_reports_reproduce_byte_for_byte(self):
         def run():
-            cluster = AutoscalingCluster(
+            cluster = Fleet(
                 get_backend("cpu", HARPV2_SYSTEM),
                 DLRM1,
-                policy=None,
-                min_replicas=1,
-                max_replicas=3,
-                initial_replicas=3,
-                warmup_s=2e-3,
-                batching=TimeoutBatching(window_s=1e-3, max_batch_size=64),
+                FleetSpec(
+                    policy=None,
+                    min_replicas=1,
+                    max_replicas=3,
+                    replicas=3,
+                    warmup_s=2e-3,
+                    batching=TimeoutBatching(window_s=1e-3, max_batch_size=64),
+                ),
             )
             return cluster.serve_workload(
                 make_workload(),
@@ -171,13 +169,15 @@ class TestByteIdenticalIncidentReports:
 
     def test_sharded_incident_reports_reproduce_byte_for_byte(self):
         def run():
-            group = ShardedReplicaGroup(
+            group = Fleet(
                 get_backend("centaur", HARPV2_SYSTEM),
                 DLRM2,
-                num_shards=4,
-                cache=parse_cache_spec("lru:rows=2048"),
-                batching=TimeoutBatching(window_s=1e-3, max_batch_size=64),
-                system=HARPV2_SYSTEM,
+                FleetSpec(
+                    shards=4,
+                    cache=parse_cache_spec("lru:rows=2048"),
+                    batching=TimeoutBatching(window_s=1e-3, max_batch_size=64),
+                ),
+                HARPV2_SYSTEM,
             )
             return group.serve_workload(
                 Workload(

@@ -18,7 +18,8 @@ from repro.backends import get_backend
 from repro.chaos import Brownout, FaultSchedule, PoissonFaults, ReplicaCrash
 from repro.config import DLRM1, HARPV2_SYSTEM
 from repro.serving import (
-    AutoscalingCluster,
+    Fleet,
+    FleetSpec,
     QueueDepthPolicy,
     RoundRobinDispatcher,
     ScheduledPolicy,
@@ -74,21 +75,23 @@ SCHEDULES = st.lists(
 
 
 def run(schedule, seed, elastic, dispatcher=None):
-    cluster = AutoscalingCluster(
+    cluster = Fleet(
         get_backend("cpu", HARPV2_SYSTEM),
         DLRM1,
-        policy=(
-            QueueDepthPolicy(high_watermark=24.0, low_watermark=2.0, cooldown_s=0.01)
-            if elastic
-            else None
+        FleetSpec(
+            policy=(
+                QueueDepthPolicy(high_watermark=24.0, low_watermark=2.0, cooldown_s=0.01)
+                if elastic
+                else None
+            ),
+            min_replicas=1,
+            max_replicas=3,
+            replicas=2,
+            control_interval_s=5e-3,
+            warmup_s=2e-3,
+            batching=BATCHING,
+            dispatcher=dispatcher,
         ),
-        min_replicas=1,
-        max_replicas=3,
-        initial_replicas=2,
-        control_interval_s=5e-3,
-        warmup_s=2e-3,
-        batching=BATCHING,
-        dispatcher=dispatcher,
     )
     report = cluster.serve_workload(
         Workload(arrivals=PoissonArrivals(rate_qps=20_000.0), name="steady"),
@@ -192,7 +195,7 @@ def checked_routing(tally):
             for replica, lifecycle in zip(self.replicas, self.lifecycles)
             if lifecycle.state == "active"
         ]
-        dispatcher = self.cluster.dispatcher
+        dispatcher = self.pool.dispatcher
         dispatcher.candidates = None
         chosen = route(self, request)
         if expected:
@@ -233,18 +236,20 @@ class TestActiveReplicaList:
     def test_every_lifecycle_transition_keeps_the_list_exact(self):
         """Scale-up, drain, warm-up cancel, crash and restore, all in one run."""
         tally = Counter()
-        cluster = AutoscalingCluster(
+        cluster = Fleet(
             get_backend("cpu", HARPV2_SYSTEM),
             DLRM1,
-            policy=ScheduledPolicy(
-                [(0.0, 1), (0.004, 4), (0.006, 2), (0.012, 4), (0.021, 3), (0.03, 1), (0.04, 3)]
+            FleetSpec(
+                policy=ScheduledPolicy(
+                    [(0.0, 1), (0.004, 4), (0.006, 2), (0.012, 4), (0.021, 3), (0.03, 1), (0.04, 3)]
+                ),
+                min_replicas=1,
+                max_replicas=4,
+                control_interval_s=1e-3,
+                warmup_s=3e-3,
+                batching=BATCHING,
+                dispatcher=_RecordingDispatcher(),
             ),
-            min_replicas=1,
-            max_replicas=4,
-            control_interval_s=1e-3,
-            warmup_s=3e-3,
-            batching=BATCHING,
-            dispatcher=_RecordingDispatcher(),
         )
         faults = FaultSchedule(
             [

@@ -1,5 +1,7 @@
 """Fault injection on replica fleets: crashes, restarts, brownouts, shedding."""
 
+import hashlib
+
 import pytest
 
 from repro.backends import get_backend
@@ -13,14 +15,7 @@ from repro.chaos import (
 )
 from repro.config import DLRM1, HARPV2_SYSTEM
 from repro.errors import ConfigurationError
-from repro.serving import (
-    AutoscalingCluster,
-    ClusterSimulator,
-    QueueDepthPolicy,
-    ScheduledPolicy,
-    ServingSimulator,
-    TimeoutBatching,
-)
+from repro.serving import Fleet, FleetSpec, QueueDepthPolicy, ScheduledPolicy, TimeoutBatching
 from repro.workloads import PoissonArrivals, Workload
 
 BATCHING = TimeoutBatching(window_s=1e-3, max_batch_size=32)
@@ -30,17 +25,19 @@ SEED = 4
 
 
 def serve(faults, *, replicas=3, policy=None, max_replicas=None, **kwargs):
-    cluster = AutoscalingCluster(
+    cluster = Fleet(
         get_backend("cpu", HARPV2_SYSTEM),
         DLRM1,
-        policy=policy,
-        min_replicas=1,
-        max_replicas=max_replicas if max_replicas is not None else replicas,
-        initial_replicas=replicas,
-        control_interval_s=5e-3,
-        warmup_s=2e-3,
-        batching=BATCHING,
-        **kwargs,
+        FleetSpec(
+            policy=policy,
+            min_replicas=1,
+            max_replicas=max_replicas if max_replicas is not None else replicas,
+            replicas=replicas,
+            control_interval_s=5e-3,
+            warmup_s=2e-3,
+            batching=BATCHING,
+            **kwargs,
+        ),
     )
     report = cluster.serve_workload(
         WORKLOAD, num_requests=NUM_REQUESTS, seed=SEED, faults=faults
@@ -222,16 +219,18 @@ class TestAutoscalerComposition:
     def test_outage_outliving_every_crash_record_is_charged_to_the_latest(self):
         # The scale-in to one replica cancels the restarted slot's warm-up,
         # so the outage after the second crash outlives both records.
-        cluster = AutoscalingCluster(
+        cluster = Fleet(
             get_backend("cpu", HARPV2_SYSTEM),
             DLRM1,
-            policy=ScheduledPolicy([(0.0, 2), (0.005, 1)]),
-            min_replicas=1,
-            max_replicas=3,
-            initial_replicas=2,
-            control_interval_s=5e-3,
-            warmup_s=12e-3,
-            batching=TimeoutBatching(window_s=1e-3, max_batch_size=64),
+            FleetSpec(
+                policy=ScheduledPolicy([(0.0, 2), (0.005, 1)]),
+                min_replicas=1,
+                max_replicas=3,
+                replicas=2,
+                control_interval_s=5e-3,
+                warmup_s=12e-3,
+                batching=TimeoutBatching(window_s=1e-3, max_batch_size=64),
+            ),
         )
         report = cluster.serve_workload(
             WORKLOAD,
@@ -266,23 +265,30 @@ class TestFleetValidation:
         with pytest.raises(ConfigurationError):
             serve(FaultSchedule([ReplicaCrash(at_s=0.01, replica=7)]))
 
-    @pytest.mark.parametrize("replicas", [1, 2])
-    def test_static_front_ends_reject_fault_schedules(self, replicas):
-        # Crash/restart needs the autoscaler's lifecycle controller, so only
-        # AutoscalingCluster (and ShardedReplicaGroup) host an injector.
-        backend = get_backend("cpu", HARPV2_SYSTEM)
-        front = (
-            ServingSimulator(backend, DLRM1, batching=BATCHING)
-            if replicas == 1
-            else ClusterSimulator(backend, DLRM1, num_replicas=replicas, batching=BATCHING)
+    @pytest.mark.parametrize(
+        "replicas, digest",
+        [
+            (1, "d7b73d956add7fb4e2c5dc20be75ad7280ee67a576b256206c175f609c3de208"),
+            (2, "f6c16d748b3be51dbf9111792c97fb5e3da45ee777e4e3100ef2819684aaf022"),
+        ],
+    )
+    def test_plain_fleet_under_a_crash_schedule_reports_its_incidents(self, replicas, digest):
+        # A static fleet given a fault schedule serves it as a policy-less
+        # elastic one.  The digest pins the IncidentReport of the elastic
+        # path at the same sizing (``replicas`` active of 8 slots).
+        fleet = Fleet(
+            get_backend("cpu", HARPV2_SYSTEM),
+            DLRM1,
+            FleetSpec(replicas=replicas, batching=BATCHING),
         )
-        with pytest.raises(ConfigurationError, match="takes no fault schedule"):
-            front.serve_workload(
-                WORKLOAD,
-                num_requests=10,
-                seed=SEED,
-                faults=FaultSchedule([ReplicaCrash(at_s=0.01)]),
-            )
+        report = fleet.serve_workload(
+            WORKLOAD,
+            num_requests=NUM_REQUESTS,
+            seed=SEED,
+            faults=FaultSchedule([ReplicaCrash(at_s=0.01, restart_after_s=0.005)]),
+        )
+        assert report.num_replicas == replicas
+        assert hashlib.sha256(repr(report.incidents).encode()).hexdigest() == digest
 
 
 def incidents_total(report):

@@ -12,8 +12,7 @@ from repro.chaos import (
 )
 from repro.config import DLRM2, HARPV2_SYSTEM
 from repro.errors import ConfigurationError, SimulationError
-from repro.serving import TimeoutBatching
-from repro.serving.sharded import ShardedReplicaGroup
+from repro.serving import Fleet, FleetSpec, TimeoutBatching
 from repro.sharding import parse_cache_spec
 from repro.workloads import PoissonArrivals, Workload
 
@@ -24,13 +23,15 @@ SEED = 4
 
 
 def serve(faults, *, num_shards=4, cache=None):
-    group = ShardedReplicaGroup(
+    group = Fleet(
         get_backend("centaur", HARPV2_SYSTEM),
         DLRM2,
-        num_shards=num_shards,
-        cache=parse_cache_spec(cache) if cache else None,
-        batching=BATCHING,
-        system=HARPV2_SYSTEM,
+        FleetSpec(
+            shards=num_shards,
+            cache=parse_cache_spec(cache) if cache else None,
+            batching=BATCHING,
+        ),
+        HARPV2_SYSTEM,
     )
     report = group.serve_workload(
         WORKLOAD, num_requests=NUM_REQUESTS, seed=SEED, faults=faults

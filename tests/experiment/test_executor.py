@@ -230,7 +230,7 @@ class TestChaosEquivalence:
             .models(DLRM2)
             .workloads(STEADY)
             .serve(
-                FleetSpec(initial_replicas=2, max_replicas=3),
+                FleetSpec(replicas=2, max_replicas=3),
                 faults=CRASH,
                 num_requests=250,
                 seed=2,

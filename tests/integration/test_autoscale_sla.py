@@ -12,9 +12,9 @@ import pytest
 from repro.backends import get_backend
 from repro.config import DLRM2, HARPV2_SYSTEM
 from repro.serving import (
-    AutoscalingCluster,
     CapacityPlanner,
-    ClusterSimulator,
+    Fleet,
+    FleetSpec,
     TargetUtilizationPolicy,
     TimeoutBatching,
 )
@@ -53,24 +53,24 @@ def peak_replicas():
 @pytest.fixture(scope="module")
 def static_report(peak_replicas):
     backend = get_backend("cpu", HARPV2_SYSTEM)
-    cluster = ClusterSimulator(
-        backend, DLRM2, num_replicas=peak_replicas, batching=BATCHING
-    )
+    cluster = Fleet(backend, DLRM2, FleetSpec(replicas=peak_replicas, batching=BATCHING))
     return cluster.serve_workload(DIURNAL, duration_s=PERIOD_S, seed=SEED)
 
 
 @pytest.fixture(scope="module")
 def elastic_report(peak_replicas):
     backend = get_backend("cpu", HARPV2_SYSTEM)
-    cluster = AutoscalingCluster(
+    cluster = Fleet(
         backend,
         DLRM2,
-        policy=TargetUtilizationPolicy(target=0.7, deadband=0.1, cooldown_s=0.02),
-        min_replicas=1,
-        max_replicas=peak_replicas,
-        control_interval_s=0.01,
-        warmup_s=backend.capabilities.provision_warmup_s,
-        batching=BATCHING,
+        FleetSpec(
+            policy=TargetUtilizationPolicy(target=0.7, deadband=0.1, cooldown_s=0.02),
+            min_replicas=1,
+            max_replicas=peak_replicas,
+            control_interval_s=0.01,
+            warmup_s=backend.capabilities.provision_warmup_s,
+            batching=BATCHING,
+        ),
     )
     return cluster.serve_workload(DIURNAL, duration_s=PERIOD_S, seed=SEED)
 
@@ -102,15 +102,17 @@ class TestAutoscaledDiurnalServing:
 
     def test_run_is_seeded_and_reproducible(self, elastic_report, peak_replicas):
         backend = get_backend("cpu", HARPV2_SYSTEM)
-        cluster = AutoscalingCluster(
+        cluster = Fleet(
             backend,
             DLRM2,
-            policy=TargetUtilizationPolicy(target=0.7, deadband=0.1, cooldown_s=0.02),
-            min_replicas=1,
-            max_replicas=peak_replicas,
-            control_interval_s=0.01,
-            warmup_s=backend.capabilities.provision_warmup_s,
-            batching=BATCHING,
+            FleetSpec(
+                policy=TargetUtilizationPolicy(target=0.7, deadband=0.1, cooldown_s=0.02),
+                min_replicas=1,
+                max_replicas=peak_replicas,
+                control_interval_s=0.01,
+                warmup_s=backend.capabilities.provision_warmup_s,
+                batching=BATCHING,
+            ),
         )
         again = cluster.serve_workload(DIURNAL, duration_s=PERIOD_S, seed=SEED)
         assert again.autoscale.timeline == elastic_report.autoscale.timeline

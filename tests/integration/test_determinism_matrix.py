@@ -23,9 +23,10 @@ from repro.chaos import Brownout, FaultSchedule, PoissonFaults, ReplicaCrash
 from repro.config import DLRM2, HARPV2_SYSTEM
 from repro.serving import (
     AdaptiveWindowBatching,
-    AutoscalingCluster,
     CloseOnFullBatching,
     EWMAPolicy,
+    Fleet,
+    FleetSpec,
     JoinShortestQueueDispatcher,
     LeastLoadedDispatcher,
     PowerOfTwoChoicesDispatcher,
@@ -104,17 +105,19 @@ def _run(
         name="bursty",
     )
     policy_factory = AUTOSCALERS[autoscaler_key]
-    cluster = AutoscalingCluster(
+    cluster = Fleet(
         backend,
         DLRM2,
-        policy=policy_factory() if policy_factory is not None else None,
-        min_replicas=2,
-        max_replicas=4,
-        initial_replicas=2,
-        control_interval_s=5e-3,
-        warmup_s=2e-3,
-        dispatcher=DISPATCHERS[dispatcher_key](),
-        batching=BATCHINGS[batching_key](),
+        FleetSpec(
+            policy=policy_factory() if policy_factory is not None else None,
+            min_replicas=2,
+            max_replicas=4,
+            replicas=2,
+            control_interval_s=5e-3,
+            warmup_s=2e-3,
+            dispatcher=DISPATCHERS[dispatcher_key](),
+            batching=BATCHINGS[batching_key](),
+        ),
     )
     report = cluster.serve_workload(
         workload,
@@ -176,7 +179,6 @@ UPDATE_STREAMS = {
 def _run_sharded_updates(policy_key: str, stream_key: str):
     """One sharded serving run under an update stream, fresh objects only."""
     from repro.config.models import homogeneous_dlrm
-    from repro.serving import ShardedReplicaGroup
     from repro.sharding import CacheConfig
     from repro.workloads import PoissonArrivals, Workload
     from repro.workloads.traces import ZipfianTrace
@@ -188,15 +190,17 @@ def _run_sharded_updates(policy_key: str, stream_key: str):
         gathers_per_table=8,
         embedding_dim=32,
     )
-    group = ShardedReplicaGroup(
+    group = Fleet(
         get_backend("cpu", HARPV2_SYSTEM),
         model,
-        num_shards=2,
-        strategy="row",
-        cache=CacheConfig(policy=policy_key, capacity_rows=1_024),
-        batching=TimeoutBatching(window_s=1e-3, max_batch_size=64),
-        system=HARPV2_SYSTEM,
-        updates=UPDATE_STREAMS[stream_key](),
+        FleetSpec(
+            shards=2,
+            strategy="row",
+            cache=CacheConfig(policy=policy_key, capacity_rows=1_024),
+            batching=TimeoutBatching(window_s=1e-3, max_batch_size=64),
+            updates=UPDATE_STREAMS[stream_key](),
+        ),
+        HARPV2_SYSTEM,
     )
     workload = Workload(
         arrivals=PoissonArrivals(rate_qps=30_000.0),

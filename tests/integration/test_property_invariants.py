@@ -17,10 +17,11 @@ from repro.core import CentaurRunner
 from repro.cpu import CPUOnlyRunner
 from repro.gpu import CPUGPURunner
 from repro.serving import (
-    AutoscalingCluster,
-    ClusterSimulator,
     EWMAPolicy,
+    Fleet,
+    FleetSpec,
     QueueDepthPolicy,
+    RoundRobinDispatcher,
     ScheduledPolicy,
     TargetUtilizationPolicy,
     TimeoutBatching,
@@ -159,15 +160,17 @@ class TestServingInvariants:
         self, workload_kind, rate_scale, policy_kind, bounds, seed
     ):
         minimum, maximum = bounds
-        cluster = AutoscalingCluster(
+        cluster = Fleet(
             get_backend("cpu", HARPV2_SYSTEM),
             DLRM2,
-            policy=_arbitrary_policy(policy_kind),
-            min_replicas=minimum,
-            max_replicas=maximum,
-            control_interval_s=5e-3,
-            warmup_s=2e-3,
-            batching=BATCHING,
+            FleetSpec(
+                policy=_arbitrary_policy(policy_kind),
+                min_replicas=minimum,
+                max_replicas=maximum,
+                control_interval_s=5e-3,
+                warmup_s=2e-3,
+                batching=BATCHING,
+            ),
         )
         report = cluster.serve_workload(
             _arbitrary_workload(workload_kind, rate_scale),
@@ -210,16 +213,22 @@ class TestServingInvariants:
     ):
         workload = _arbitrary_workload(workload_kind, rate_scale)
         backend = get_backend("cpu", HARPV2_SYSTEM)
-        static = ClusterSimulator(
-            backend, DLRM1, num_replicas=replicas, batching=BATCHING
-        ).serve_workload(workload, num_requests=400, seed=seed)
-        disabled = AutoscalingCluster(
+        static = Fleet(
             backend,
             DLRM1,
-            policy=None,
-            min_replicas=replicas,
-            max_replicas=replicas + 2,
-            batching=BATCHING,
+            FleetSpec(replicas=replicas, batching=BATCHING, dispatcher=RoundRobinDispatcher()),
+        ).serve_workload(workload, num_requests=400, seed=seed)
+        disabled = Fleet(
+            backend,
+            DLRM1,
+            FleetSpec(
+                replicas=replicas,
+                policy=None,
+                min_replicas=replicas,
+                max_replicas=replicas + 2,
+                batching=BATCHING,
+                dispatcher=RoundRobinDispatcher(),
+            ),
         ).serve_workload(workload, num_requests=400, seed=seed)
         assert disabled.autoscale is None
         assert disabled.completed_requests == static.completed_requests

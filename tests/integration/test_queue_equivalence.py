@@ -28,7 +28,7 @@ import pytest
 from repro.backends import get_backend
 from repro.config import DLRM2, HARPV2_SYSTEM
 from repro.errors import SimulationError
-from repro.serving import AutoscalingCluster, TargetUtilizationPolicy, TimeoutBatching
+from repro.serving import Fleet, FleetSpec, TargetUtilizationPolicy, TimeoutBatching
 from repro.serving import fleet
 from repro.serving.replica import StreamOutcome
 from repro.sim import engine
@@ -395,19 +395,21 @@ def _run_ties(window_gaps: int, dispatcher_key: str, autoscaled: bool, trailing_
         times = [request.arrival_time_s for request in arrivals.generate(num_requests=count)]
         times[-1] = times[-2] + trailing_gap_s
         arrivals = ReplayArrivals(times)
-    cluster = AutoscalingCluster(
+    cluster = Fleet(
         get_backend("cpu", HARPV2_SYSTEM),
         DLRM2,
-        policy=TargetUtilizationPolicy(target=0.6, deadband=0.1, cooldown_s=0.01)
-        if autoscaled
-        else None,
-        min_replicas=1,
-        max_replicas=3,
-        initial_replicas=2,
-        control_interval_s=2**-9,
-        warmup_s=2**-10,
-        dispatcher=DISPATCHERS[dispatcher_key](),
-        batching=TimeoutBatching(window_s=window_gaps / TIE_RATE_QPS, max_batch_size=16),
+        FleetSpec(
+            policy=TargetUtilizationPolicy(target=0.6, deadband=0.1, cooldown_s=0.01)
+            if autoscaled
+            else None,
+            min_replicas=1,
+            max_replicas=3,
+            replicas=2,
+            control_interval_s=2**-9,
+            warmup_s=2**-10,
+            dispatcher=DISPATCHERS[dispatcher_key](),
+            batching=TimeoutBatching(window_s=window_gaps / TIE_RATE_QPS, max_batch_size=16),
+        ),
     )
     report = cluster.serve_workload(
         Workload(arrivals=arrivals, name="ties"), num_requests=count, seed=SEED_TIES

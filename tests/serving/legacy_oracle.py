@@ -3,9 +3,9 @@
 This is the original serving model: sort arrivals, form every batch ahead of
 time with the policy's offline :meth:`~repro.serving.batching.BatchingPolicy.form_batches`,
 then replay the batches through a single-server queue with ``start =
-max(ready, device_free)``.  The event-driven :class:`repro.serving.simulator.
-ServingSimulator` must reproduce this replay exactly for open-loop policies
-(see ``tests/serving/test_event_equivalence.py``); queue-reactive policies
+max(ready, device_free)``.  The event-driven one-replica
+:class:`repro.serving.fleet.Fleet` must reproduce this replay exactly for
+open-loop policies (see ``tests/serving/test_event_equivalence.py``); queue-reactive policies
 have no open-loop equivalent and only run on the event core.
 """
 

@@ -7,9 +7,9 @@ from repro.backends import get_backend
 from repro.config import DLRM1, DLRM2, HARPV2_SYSTEM
 from repro.errors import ConfigurationError, SimulationError
 from repro.serving import (
-    AutoscalingCluster,
-    ClusterSimulator,
     EWMAPolicy,
+    Fleet,
+    FleetSpec,
     LeastLoadedDispatcher,
     QueueDepthPolicy,
     ScheduledPolicy,
@@ -207,31 +207,33 @@ class TestAutoscalingCluster:
             batching=BATCHING,
         )
         defaults.update(kwargs)
-        return AutoscalingCluster(backend, DLRM2, policy=policy, **defaults)
+        return Fleet(backend, DLRM2, FleetSpec(policy=policy, **defaults))
 
     def test_validation(self):
         backend = get_backend("cpu", HARPV2_SYSTEM)
         with pytest.raises(SimulationError):
-            AutoscalingCluster(backend, DLRM2, min_replicas=0)
+            Fleet(backend, DLRM2, FleetSpec(min_replicas=0))
         with pytest.raises(SimulationError):
-            AutoscalingCluster(backend, DLRM2, min_replicas=4, max_replicas=2)
+            Fleet(backend, DLRM2, FleetSpec(min_replicas=4, max_replicas=2))
         with pytest.raises(SimulationError):
-            AutoscalingCluster(backend, DLRM2, initial_replicas=9, max_replicas=4)
+            Fleet(backend, DLRM2, FleetSpec(replicas=9, max_replicas=4, policy=QueueDepthPolicy()))
         with pytest.raises(SimulationError):
-            AutoscalingCluster(backend, DLRM2, control_interval_s=0.0)
+            Fleet(backend, DLRM2, FleetSpec(control_interval_s=0.0))
         with pytest.raises(SimulationError):
-            AutoscalingCluster(backend, DLRM2, warmup_s=-1.0)
+            Fleet(backend, DLRM2, FleetSpec(warmup_s=-1.0))
         with pytest.raises(SimulationError):
-            AutoscalingCluster(backend, DLRM2, policy="queue")
+            Fleet(backend, DLRM2, FleetSpec(policy="queue"))
 
     def test_disabled_is_bit_identical_to_static_cluster(self):
         backend = get_backend("cpu", HARPV2_SYSTEM)
         workload = Workload(arrivals=PoissonArrivals(rate_qps=30_000.0))
-        static = ClusterSimulator(
-            backend, DLRM2, num_replicas=3, batching=BATCHING
+        static = Fleet(
+            backend,
+            DLRM2,
+            FleetSpec(replicas=3, batching=BATCHING),
         ).serve_workload(workload, num_requests=2_000, seed=3)
         disabled = self._cluster(
-            None, min_replicas=3, max_replicas=5
+            None, replicas=3, min_replicas=3, max_replicas=5
         ).serve_workload(workload, num_requests=2_000, seed=3)
         assert disabled.autoscale is None
         assert _fingerprint(disabled) == _fingerprint(static)
@@ -278,7 +280,7 @@ class TestAutoscalingCluster:
         # Force aggressive down-scaling right as load keeps arriving: the
         # schedule commissions 4 replicas then drops to 1 mid-stream.
         policy = ScheduledPolicy([(0.0, 4), (0.03, 1)])
-        cluster = self._cluster(policy, initial_replicas=4, min_replicas=1)
+        cluster = self._cluster(policy, replicas=4, min_replicas=1)
         report = cluster.serve_workload(
             Workload(arrivals=PoissonArrivals(rate_qps=50_000.0)),
             num_requests=5_000,
@@ -367,15 +369,16 @@ class TestAutoscalingCluster:
         # policy installed (it keeps asking for the same count).
         policy = ScheduledPolicy([(0.0, 2)])
         cluster = self._cluster(
-            policy, min_replicas=2, max_replicas=2, initial_replicas=2,
+            policy, min_replicas=2, max_replicas=2, replicas=2,
             dispatcher=LeastLoadedDispatcher(),
         )
         workload = Workload(arrivals=PoissonArrivals(rate_qps=30_000.0))
         elastic = cluster.serve_workload(workload, num_requests=2_000, seed=8)
         backend = get_backend("cpu", HARPV2_SYSTEM)
-        static = ClusterSimulator(
-            backend, DLRM2, num_replicas=2, batching=BATCHING,
-            dispatcher=LeastLoadedDispatcher(),
+        static = Fleet(
+            backend,
+            DLRM2,
+            FleetSpec(replicas=2, batching=BATCHING, dispatcher=LeastLoadedDispatcher()),
         ).serve_workload(workload, num_requests=2_000, seed=8)
         np.testing.assert_array_equal(
             elastic.latency.samples_s, static.latency.samples_s
@@ -383,14 +386,16 @@ class TestAutoscalingCluster:
 
     def test_serves_smallest_model_with_ewma(self):
         policy = EWMAPolicy(alpha=0.5, headroom=1.2, replica_capacity_qps=15_000.0)
-        cluster = AutoscalingCluster(
+        cluster = Fleet(
             get_backend("cpu", HARPV2_SYSTEM),
             DLRM1,
-            policy=policy,
-            min_replicas=1,
-            max_replicas=4,
-            control_interval_s=0.005,
-            batching=BATCHING,
+            FleetSpec(
+                policy=policy,
+                min_replicas=1,
+                max_replicas=4,
+                control_interval_s=0.005,
+                batching=BATCHING,
+            ),
         )
         report = cluster.serve_workload(
             Workload(arrivals=PoissonArrivals(rate_qps=45_000.0)),

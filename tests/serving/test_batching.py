@@ -5,7 +5,7 @@ import pytest
 from repro.config import DLRM1
 from repro.errors import SimulationError
 from repro.results import InferenceResult, LatencyBreakdown
-from repro.serving import ServingSimulator
+from repro.serving import Fleet, FleetSpec
 from repro.serving.batching import (
     AdaptiveWindowBatching,
     CloseOnFullBatching,
@@ -44,7 +44,7 @@ class StubRunner:
 
 def serve(policy, times, runner=None):
     runner = runner if runner is not None else StubRunner()
-    simulator = ServingSimulator(runner, DLRM1, batching=policy)
+    simulator = Fleet(runner, DLRM1, FleetSpec(batching=policy))
     return simulator.serve(arrivals(times))
 
 

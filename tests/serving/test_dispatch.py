@@ -7,9 +7,9 @@ from repro.core import CentaurRunner
 from repro.cpu import CPUOnlyRunner
 from repro.errors import SimulationError
 from repro.serving import (
-    ClusterSimulator,
     Dispatcher,
-    HeterogeneousCluster,
+    Fleet,
+    FleetSpec,
     JoinShortestQueueDispatcher,
     LeastLoadedDispatcher,
     PowerOfTwoChoicesDispatcher,
@@ -36,12 +36,10 @@ def stream(rate_qps=40_000, n=400, seed=2):
 class TestConservation:
     @pytest.mark.parametrize("dispatcher_cls", ALL_DISPATCHERS)
     def test_every_request_served_exactly_once(self, dispatcher_cls):
-        cluster = ClusterSimulator(
+        cluster = Fleet(
             CentaurRunner(HARPV2_SYSTEM),
             DLRM2,
-            num_replicas=3,
-            batching=BATCHING,
-            dispatcher=dispatcher_cls(),
+            FleetSpec(replicas=3, batching=BATCHING, dispatcher=dispatcher_cls()),
         )
         report = cluster.serve(stream())
         assert report.completed_requests == 400
@@ -54,9 +52,7 @@ class TestConservation:
             ReplicaSpec(CPUOnlyRunner(HARPV2_SYSTEM)),
             ReplicaSpec(CentaurRunner(HARPV2_SYSTEM)),
         ]
-        cluster = HeterogeneousCluster(
-            specs, DLRM2, dispatcher=dispatcher_cls(), batching=BATCHING
-        )
+        cluster = Fleet(specs, DLRM2, FleetSpec(dispatcher=dispatcher_cls(), batching=BATCHING))
         report = cluster.serve(stream())
         assert report.completed_requests == 400
 
@@ -66,12 +62,10 @@ class TestDeterminism:
     def test_same_stream_same_result(self, dispatcher_cls):
         """Repeated serves through one cluster object must be identical —
         dispatcher state (round-robin cursor, power-of-two RNG) resets."""
-        cluster = ClusterSimulator(
+        cluster = Fleet(
             CentaurRunner(HARPV2_SYSTEM),
             DLRM2,
-            num_replicas=3,
-            batching=BATCHING,
-            dispatcher=dispatcher_cls(),
+            FleetSpec(replicas=3, batching=BATCHING, dispatcher=dispatcher_cls()),
         )
         requests = stream(seed=6)
         first = cluster.serve(requests)
@@ -83,14 +77,13 @@ class TestDeterminism:
         requests = stream(seed=4)
 
         def serve(seed):
-            return HeterogeneousCluster(
+            return Fleet(
                 [
                     ReplicaSpec(CPUOnlyRunner(HARPV2_SYSTEM)),
                     ReplicaSpec(CentaurRunner(HARPV2_SYSTEM)),
                 ],
                 DLRM2,
-                dispatcher=PowerOfTwoChoicesDispatcher(seed=seed),
-                batching=BATCHING,
+                FleetSpec(dispatcher=PowerOfTwoChoicesDispatcher(seed=seed), batching=BATCHING),
             ).serve(requests)
 
         assert (
@@ -104,12 +97,10 @@ class TestRouting:
     def test_round_robin_cycles_indices(self):
         # Widely spaced arrivals: each replica gets every third request.
         requests = stream(rate_qps=50.0, n=6, seed=0)
-        cluster = ClusterSimulator(
+        cluster = Fleet(
             CentaurRunner(HARPV2_SYSTEM),
             DLRM2,
-            num_replicas=3,
-            batching=BATCHING,
-            dispatcher=RoundRobinDispatcher(),
+            FleetSpec(replicas=3, batching=BATCHING, dispatcher=RoundRobinDispatcher()),
         )
         report = cluster.serve(requests)
         assert [r.completed_requests for r in report.per_replica] == [2, 2, 2]
@@ -117,12 +108,10 @@ class TestRouting:
     def test_jsq_prefers_idle_replicas(self):
         # Under load, JSQ must never leave one replica idle while another
         # holds more than a full batch backlog.
-        cluster = ClusterSimulator(
+        cluster = Fleet(
             CPUOnlyRunner(HARPV2_SYSTEM),
             DLRM2,
-            num_replicas=4,
-            batching=BATCHING,
-            dispatcher=JoinShortestQueueDispatcher(),
+            FleetSpec(replicas=4, batching=BATCHING, dispatcher=JoinShortestQueueDispatcher()),
         )
         report = cluster.serve(stream(rate_qps=60_000, n=600, seed=8))
         counts = [r.completed_requests for r in report.per_replica]
@@ -133,8 +122,10 @@ class TestRouting:
             ReplicaSpec(CPUOnlyRunner(HARPV2_SYSTEM)),
             ReplicaSpec(CentaurRunner(HARPV2_SYSTEM)),
         ]
-        cluster = HeterogeneousCluster(
-            specs, DLRM2, dispatcher=LeastLoadedDispatcher(), batching=BATCHING
+        cluster = Fleet(
+            specs,
+            DLRM2,
+            FleetSpec(dispatcher=LeastLoadedDispatcher(), batching=BATCHING),
         )
         report = cluster.serve(stream(rate_qps=60_000, n=800, seed=3))
         cpu_report = next(r for r in report.per_replica if r.design_point == "CPU-only")
@@ -149,11 +140,15 @@ class TestRouting:
             ReplicaSpec(CentaurRunner(HARPV2_SYSTEM)),
         ]
         requests = stream(rate_qps=60_000, n=2000, seed=3)
-        round_robin = HeterogeneousCluster(
-            specs, DLRM2, dispatcher=RoundRobinDispatcher(), batching=BATCHING
+        round_robin = Fleet(
+            specs,
+            DLRM2,
+            FleetSpec(dispatcher=RoundRobinDispatcher(), batching=BATCHING),
         ).serve(requests)
-        shortest_queue = HeterogeneousCluster(
-            specs, DLRM2, dispatcher=JoinShortestQueueDispatcher(), batching=BATCHING
+        shortest_queue = Fleet(
+            specs,
+            DLRM2,
+            FleetSpec(dispatcher=JoinShortestQueueDispatcher(), batching=BATCHING),
         ).serve(requests)
         assert shortest_queue.latency.p99_s < round_robin.latency.p99_s
         assert shortest_queue.latency.mean_s < round_robin.latency.mean_s
@@ -165,23 +160,19 @@ class TestRouting:
             def select(self, replicas, request, now):
                 return len(replicas)  # out of range
 
-        cluster = ClusterSimulator(
+        cluster = Fleet(
             CentaurRunner(HARPV2_SYSTEM),
             DLRM2,
-            num_replicas=2,
-            batching=BATCHING,
-            dispatcher=BrokenDispatcher(),
+            FleetSpec(replicas=2, batching=BATCHING, dispatcher=BrokenDispatcher()),
         )
         with pytest.raises(SimulationError):
             cluster.serve(stream(n=10))
 
     def test_dispatcher_name_lands_in_report(self):
-        cluster = ClusterSimulator(
+        cluster = Fleet(
             CentaurRunner(HARPV2_SYSTEM),
             DLRM2,
-            num_replicas=2,
-            batching=BATCHING,
-            dispatcher=JoinShortestQueueDispatcher(),
+            FleetSpec(replicas=2, batching=BATCHING, dispatcher=JoinShortestQueueDispatcher()),
         )
         report = cluster.serve(stream(n=50))
         assert report.dispatcher == "join-shortest-queue"

@@ -1,4 +1,4 @@
-"""Dispatcher-policy behaviour on HeterogeneousCluster fleets.
+"""Dispatcher-policy behaviour on mixed fleets.
 
 Covers the policy-level contracts the per-dispatcher unit tests do not:
 seeded power-of-two-choices determinism across repeated streams on one
@@ -14,7 +14,8 @@ from repro.core.centaur import CentaurRunner
 from repro.cpu.cpu_runner import CPUOnlyRunner
 from repro.errors import SimulationError
 from repro.serving import (
-    HeterogeneousCluster,
+    Fleet,
+    FleetSpec,
     JoinShortestQueueDispatcher,
     LeastLoadedDispatcher,
     PowerOfTwoChoicesDispatcher,
@@ -29,9 +30,7 @@ def mixed_fleet(dispatcher, num_cpu=3, num_centaur=1):
     """A deliberately lopsided fleet: several slow CPUs, one fast Centaur."""
     specs = [ReplicaSpec(CPUOnlyRunner(HARPV2_SYSTEM)) for _ in range(num_cpu)]
     specs += [ReplicaSpec(CentaurRunner(HARPV2_SYSTEM)) for _ in range(num_centaur)]
-    return HeterogeneousCluster(
-        specs, DLRM2, dispatcher=dispatcher, batching=BATCHING
-    )
+    return Fleet(specs, DLRM2, FleetSpec(dispatcher=dispatcher, batching=BATCHING))
 
 
 def per_replica_counts(report):
@@ -113,42 +112,37 @@ class TestJSQvsLeastLoadedDivergence:
 
 
 class TestBackendNameConstruction:
-    def test_from_backends_builds_a_mixed_fleet(self):
-        fleet = HeterogeneousCluster.from_backends(
+    def test_backend_names_build_a_mixed_fleet(self):
+        fleet = Fleet(
             ["cpu", "cpu", "centaur"],
             DLRM2,
+            FleetSpec(dispatcher=LeastLoadedDispatcher(), batching=BATCHING),
             HARPV2_SYSTEM,
-            dispatcher=LeastLoadedDispatcher(),
-            batching=BATCHING,
         )
-        assert fleet.num_replicas == 3
+        assert len(fleet.part.specs) == 3
         assert fleet.design_point == "CPU-only+Centaur"
         report = fleet.serve_poisson(rate_qps=40_000, duration_s=0.02, seed=1)
         assert report.completed_requests > 0
 
     def test_specs_accept_backend_names_with_system(self):
-        fleet = HeterogeneousCluster(
+        fleet = Fleet(
             [ReplicaSpec("cpu"), ReplicaSpec("centaur")],
             DLRM2,
-            batching=BATCHING,
-            system=HARPV2_SYSTEM,
+            FleetSpec(batching=BATCHING),
+            HARPV2_SYSTEM,
         )
         assert fleet.design_point == "CPU-only+Centaur"
         # Same-name replicas share one resolved runner instance (and thus
         # one prediction cache), mirroring shared-runner clusters.
-        shared = HeterogeneousCluster(
-            ["cpu", "cpu"], DLRM2, batching=BATCHING, system=HARPV2_SYSTEM
-        )
-        assert shared.specs[0].runner is shared.specs[1].runner
+        shared = Fleet(["cpu", "cpu"], DLRM2, FleetSpec(batching=BATCHING), HARPV2_SYSTEM)
+        assert shared.part.specs[0].runner is shared.part.specs[1].runner
 
     def test_backend_name_without_system_raises(self):
         with pytest.raises(SimulationError, match="system"):
-            HeterogeneousCluster([ReplicaSpec("cpu")], DLRM2, batching=BATCHING)
+            Fleet([ReplicaSpec("cpu")], DLRM2, FleetSpec(batching=BATCHING))
 
     def test_unknown_backend_name_raises(self):
         from repro.errors import ConfigurationError
 
         with pytest.raises(ConfigurationError, match="unknown backend"):
-            HeterogeneousCluster(
-                ["tpu"], DLRM2, batching=BATCHING, system=HARPV2_SYSTEM
-            )
+            Fleet(["tpu"], DLRM2, FleetSpec(batching=BATCHING), HARPV2_SYSTEM)

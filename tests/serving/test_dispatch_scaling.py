@@ -16,7 +16,8 @@ import pytest
 from repro.config import DLRM2, HARPV2_SYSTEM
 from repro.core import CentaurRunner
 from repro.serving import (
-    AutoscalingCluster,
+    Fleet,
+    FleetSpec,
     PowerOfTwoChoicesDispatcher,
     RoundRobinDispatcher,
     ScheduledPolicy,
@@ -205,15 +206,17 @@ class TestAutoscaledServingRegression:
         workload = Workload(arrivals=PoissonArrivals(rate_qps=60_000))
 
         def run():
-            cluster = AutoscalingCluster(
+            cluster = Fleet(
                 CentaurRunner(HARPV2_SYSTEM),
                 DLRM2,
-                policy=ScheduledPolicy([(0.0, 1), (0.02, 4), (0.06, 2)]),
-                min_replicas=1,
-                max_replicas=4,
-                control_interval_s=5e-3,
-                batching=BATCHING,
-                dispatcher=make_dispatcher(),
+                FleetSpec(
+                    policy=ScheduledPolicy([(0.0, 1), (0.02, 4), (0.06, 2)]),
+                    min_replicas=1,
+                    max_replicas=4,
+                    control_interval_s=5e-3,
+                    batching=BATCHING,
+                    dispatcher=make_dispatcher(),
+                ),
             )
             return cluster.serve_workload(workload, duration_s=0.1, seed=2)
 
@@ -237,16 +240,18 @@ class TestAutoscaledServingRegression:
         workload = Workload(arrivals=PoissonArrivals(rate_qps=60_000))
 
         def run():
-            cluster = AutoscalingCluster(
+            cluster = Fleet(
                 CentaurRunner(HARPV2_SYSTEM),
                 DLRM2,
-                policy=None,
-                min_replicas=1,
-                max_replicas=4,
-                initial_replicas=4,
-                warmup_s=2e-3,
-                batching=BATCHING,
-                dispatcher=make_dispatcher(),
+                FleetSpec(
+                    policy=None,
+                    min_replicas=1,
+                    max_replicas=4,
+                    replicas=4,
+                    warmup_s=2e-3,
+                    batching=BATCHING,
+                    dispatcher=make_dispatcher(),
+                ),
             )
             report = cluster.serve_workload(
                 workload,

@@ -12,12 +12,7 @@ import pytest
 from repro.config import DLRM1, DLRM2, HARPV2_SYSTEM
 from repro.core import CentaurRunner
 from repro.cpu import CPUOnlyRunner
-from repro.serving import (
-    ClusterSimulator,
-    FixedSizeBatching,
-    ServingSimulator,
-    TimeoutBatching,
-)
+from repro.serving import FixedSizeBatching, Fleet, FleetSpec, TimeoutBatching
 from repro.workloads import PoissonArrivals
 from tests.serving.legacy_oracle import LegacyServingSimulator
 
@@ -55,7 +50,7 @@ class TestTimeoutBatchingEquivalence:
         policy = TimeoutBatching(window_s=1e-3, max_batch_size=32)
         stream = poisson_stream(rate_qps, 300, seed)
         runner = CentaurRunner(HARPV2_SYSTEM)
-        event = ServingSimulator(runner, DLRM2, batching=policy).serve(stream)
+        event = Fleet(runner, DLRM2, FleetSpec(batching=policy)).serve(stream)
         legacy = LegacyServingSimulator(runner, DLRM2, batching=policy).serve(stream)
         assert_reports_identical(event, legacy)
 
@@ -64,7 +59,7 @@ class TestTimeoutBatchingEquivalence:
         policy = TimeoutBatching(window_s=5e-4, max_batch_size=16)
         stream = poisson_stream(80_000, 400, seed=3)
         runner = CPUOnlyRunner(HARPV2_SYSTEM)
-        event = ServingSimulator(runner, DLRM1, batching=policy).serve(stream)
+        event = Fleet(runner, DLRM1, FleetSpec(batching=policy)).serve(stream)
         legacy = LegacyServingSimulator(runner, DLRM1, batching=policy).serve(stream)
         assert_reports_identical(event, legacy)
         assert any(
@@ -74,7 +69,7 @@ class TestTimeoutBatchingEquivalence:
 
     def test_default_policy_poisson_entrypoint_matches(self):
         runner = CentaurRunner(HARPV2_SYSTEM)
-        event = ServingSimulator(runner, DLRM2).serve_poisson(
+        event = Fleet(runner, DLRM2).serve_poisson(
             rate_qps=20_000, duration_s=0.05, seed=9
         )
         legacy = LegacyServingSimulator(runner, DLRM2).serve_poisson(
@@ -89,7 +84,7 @@ class TestFixedSizeBatchingEquivalence:
         policy = FixedSizeBatching(batch_size=8, max_wait_s=2e-3)
         stream = poisson_stream(25_000, 250, seed)
         runner = CentaurRunner(HARPV2_SYSTEM)
-        event = ServingSimulator(runner, DLRM2, batching=policy).serve(stream)
+        event = Fleet(runner, DLRM2, FleetSpec(batching=policy)).serve(stream)
         legacy = LegacyServingSimulator(runner, DLRM2, batching=policy).serve(stream)
         assert_reports_identical(event, legacy)
 
@@ -100,7 +95,7 @@ class TestFixedSizeBatchingEquivalence:
         policy = FixedSizeBatching(batch_size=8)
         stream = poisson_stream(25_000, 251, seed=5)
         runner = CentaurRunner(HARPV2_SYSTEM)
-        event = ServingSimulator(runner, DLRM2, batching=policy).serve(stream)
+        event = Fleet(runner, DLRM2, FleetSpec(batching=policy)).serve(stream)
         legacy = LegacyServingSimulator(runner, DLRM2, batching=policy).serve(stream)
         assert_reports_identical(event, legacy, compare_ready=False)
 
@@ -115,8 +110,10 @@ class TestClusterEquivalence:
         stream = poisson_stream(45_000, 330, seed=13)
         num_replicas = 3
 
-        cluster = ClusterSimulator(
-            runner, DLRM2, num_replicas=num_replicas, batching=policy
+        cluster = Fleet(
+            runner,
+            DLRM2,
+            FleetSpec(replicas=num_replicas, batching=policy),
         ).serve(stream)
 
         ordered = sorted(stream, key=lambda request: request.arrival_time_s)

@@ -10,7 +10,7 @@ from repro.config import HARPV2_SYSTEM
 from repro.config.models import homogeneous_dlrm
 from repro.core import CentaurRunner
 from repro.errors import SimulationError
-from repro.serving import ShardedReplicaGroup, TimeoutBatching
+from repro.serving import Fleet, FleetSpec, TimeoutBatching
 from repro.serving.sharded import ShardedReplicaServer
 from repro.sharding import CacheConfig
 from repro.workloads import PoissonArrivals, UpdateProcess, Workload
@@ -40,16 +40,18 @@ def zipf_workload():
 
 
 def serve(model, updates=None, shared_cache=None, cache_rows=1_024, **kwargs):
-    group = ShardedReplicaGroup(
+    group = Fleet(
         CentaurRunner(HARPV2_SYSTEM),
         model,
-        num_shards=2,
-        strategy="row",
-        cache=CacheConfig(policy="lru", capacity_rows=cache_rows),
-        batching=BATCHING,
-        system=HARPV2_SYSTEM,
-        updates=updates,
-        shared_cache=shared_cache,
+        FleetSpec(
+            shards=2,
+            strategy="row",
+            cache=CacheConfig(policy="lru", capacity_rows=cache_rows),
+            batching=BATCHING,
+            updates=updates,
+            shared_cache=shared_cache,
+        ),
+        HARPV2_SYSTEM,
     )
     return group.serve_workload(
         zipf_workload(), num_requests=NUM_REQUESTS, seed=SEED, **kwargs
@@ -154,12 +156,14 @@ class TestSharedTier:
         # the shared tier must then be rejected (its fetches are priced
         # over the system link).
         with pytest.raises(SimulationError):
-            ShardedReplicaGroup(
+            Fleet(
                 SimpleNamespace(),
                 model,
-                num_shards=1,
-                batching=BATCHING,
-                shared_cache=CacheConfig(policy="lru", capacity_rows=1_024),
+                FleetSpec(
+                    shards=1,
+                    batching=BATCHING,
+                    shared_cache=CacheConfig(policy="lru", capacity_rows=1_024),
+                ),
             )
 
     def test_shared_tier_sees_update_stream_too(self, model):
@@ -179,24 +183,20 @@ class TestSharedTier:
 class TestValidation:
     def test_updates_must_be_an_update_process(self, model):
         with pytest.raises(SimulationError):
-            ShardedReplicaGroup(
+            Fleet(
                 CentaurRunner(HARPV2_SYSTEM),
                 model,
-                num_shards=2,
-                batching=BATCHING,
-                system=HARPV2_SYSTEM,
-                updates="invalidate:rate=100",
+                FleetSpec(shards=2, batching=BATCHING, updates="invalidate:rate=100"),
+                HARPV2_SYSTEM,
             )
 
     def test_shared_cache_must_be_a_cache_config(self, model):
         with pytest.raises(SimulationError):
-            ShardedReplicaGroup(
+            Fleet(
                 CentaurRunner(HARPV2_SYSTEM),
                 model,
-                num_shards=2,
-                batching=BATCHING,
-                system=HARPV2_SYSTEM,
-                shared_cache="lru:rows=1024",
+                FleetSpec(shards=2, batching=BATCHING, shared_cache="lru:rows=1024"),
+                HARPV2_SYSTEM,
             )
 
 

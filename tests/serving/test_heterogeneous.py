@@ -9,10 +9,10 @@ from repro.errors import SimulationError
 from repro.gpu import CPUGPURunner
 from repro.serving import (
     CloseOnFullBatching,
-    HeterogeneousCluster,
+    Fleet,
+    FleetSpec,
     JoinShortestQueueDispatcher,
     ReplicaSpec,
-    ServingSimulator,
     TimeoutBatching,
 )
 from repro.workloads import PoissonArrivals
@@ -34,7 +34,7 @@ def mixed_specs():
 
 class TestFleetComposition:
     def test_mixed_fleet_serves_and_labels_design_points(self):
-        cluster = HeterogeneousCluster(mixed_specs(), DLRM2, batching=BATCHING)
+        cluster = Fleet(mixed_specs(), DLRM2, FleetSpec(batching=BATCHING))
         report = cluster.serve(stream())
         assert report.completed_requests == 400
         assert report.num_replicas == 3
@@ -43,10 +43,10 @@ class TestFleetComposition:
         assert served_points == {"CPU-only", "CPU-GPU", "Centaur"}
 
     def test_bare_runners_accepted_as_specs(self):
-        cluster = HeterogeneousCluster(
+        cluster = Fleet(
             [CPUOnlyRunner(HARPV2_SYSTEM), CentaurRunner(HARPV2_SYSTEM)],
             DLRM2,
-            batching=BATCHING,
+            FleetSpec(batching=BATCHING),
         )
         report = cluster.serve(stream(n=100))
         assert report.completed_requests == 100
@@ -61,7 +61,7 @@ class TestFleetComposition:
             ),
             ReplicaSpec(CPUOnlyRunner(HARPV2_SYSTEM)),
         ]
-        cluster = HeterogeneousCluster(specs, DLRM2, batching=BATCHING)
+        cluster = Fleet(specs, DLRM2, FleetSpec(batching=BATCHING))
         report = cluster.serve(stream(n=200))
         assert report.completed_requests == 200
         greedy = next(r for r in report.per_replica if r.design_point == "Centaur")
@@ -72,8 +72,8 @@ class TestFleetComposition:
 
     def test_validation(self):
         with pytest.raises(SimulationError):
-            HeterogeneousCluster([], DLRM2)
-        cluster = HeterogeneousCluster(mixed_specs(), DLRM2, batching=BATCHING)
+            Fleet([], DLRM2)
+        cluster = Fleet(mixed_specs(), DLRM2, FleetSpec(batching=BATCHING))
         with pytest.raises(SimulationError):
             cluster.serve([])
 
@@ -82,10 +82,8 @@ class TestAgainstSingleDevice:
     def test_single_replica_fleet_matches_serving_simulator(self):
         runner = CentaurRunner(HARPV2_SYSTEM)
         requests = stream(rate_qps=20_000, n=150, seed=9)
-        single = ServingSimulator(runner, DLRM2, batching=BATCHING).serve(requests)
-        fleet = HeterogeneousCluster(
-            [ReplicaSpec(runner)], DLRM2, batching=BATCHING
-        ).serve(requests)
+        single = Fleet(runner, DLRM2, FleetSpec(batching=BATCHING)).serve(requests)
+        fleet = Fleet([ReplicaSpec(runner)], DLRM2, FleetSpec(batching=BATCHING)).serve(requests)
         assert (fleet.latency.samples_s == single.latency.samples_s).all()
         assert fleet.total_energy_joules == pytest.approx(single.energy_joules, rel=1e-12)
 
@@ -93,27 +91,27 @@ class TestAgainstSingleDevice:
         """The provisioning story: augmenting a CPU fleet with one Centaur
         socket under smart dispatch improves the tail at fixed load."""
         requests = stream(rate_qps=50_000, n=1500, seed=17)
-        cpu_only = HeterogeneousCluster(
+        cpu_only = Fleet(
             [ReplicaSpec(CPUOnlyRunner(HARPV2_SYSTEM)) for _ in range(2)],
             DLRM2,
-            dispatcher=JoinShortestQueueDispatcher(),
-            batching=BATCHING,
+            FleetSpec(dispatcher=JoinShortestQueueDispatcher(), batching=BATCHING),
         ).serve(requests)
-        augmented = HeterogeneousCluster(
+        augmented = Fleet(
             [
                 ReplicaSpec(CPUOnlyRunner(HARPV2_SYSTEM)),
                 ReplicaSpec(CPUOnlyRunner(HARPV2_SYSTEM)),
                 ReplicaSpec(CentaurRunner(HARPV2_SYSTEM)),
             ],
             DLRM2,
-            dispatcher=JoinShortestQueueDispatcher(),
-            batching=BATCHING,
+            FleetSpec(dispatcher=JoinShortestQueueDispatcher(), batching=BATCHING),
         ).serve(requests)
         assert augmented.latency.p99_s < cpu_only.latency.p99_s
 
     def test_determinism_under_fixed_seed(self):
-        cluster = HeterogeneousCluster(
-            mixed_specs(), DLRM2, dispatcher=JoinShortestQueueDispatcher(), batching=BATCHING
+        cluster = Fleet(
+            mixed_specs(),
+            DLRM2,
+            FleetSpec(dispatcher=JoinShortestQueueDispatcher(), batching=BATCHING),
         )
         first = cluster.serve_poisson(rate_qps=30_000, duration_s=0.05, seed=21)
         second = cluster.serve_poisson(rate_qps=30_000, duration_s=0.05, seed=21)

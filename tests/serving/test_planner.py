@@ -5,11 +5,7 @@ import pytest
 from repro.backends import get_backend
 from repro.config import DLRM2, HARPV2_SYSTEM
 from repro.errors import SimulationError
-from repro.serving import (
-    CapacityPlanner,
-    ClusterSimulator,
-    TimeoutBatching,
-)
+from repro.serving import CapacityPlanner, ClusterReport, Fleet, FleetSpec, TimeoutBatching
 from repro.workloads import PoissonArrivals, Workload
 
 BATCHING = TimeoutBatching(window_s=1e-3, max_batch_size=64)
@@ -57,11 +53,10 @@ class TestMinimalSearch:
         assert point.attainment >= 0.99
 
         def attainment(count):
-            report = ClusterSimulator(
+            report = Fleet(
                 get_backend("cpu", HARPV2_SYSTEM),
                 DLRM2,
-                num_replicas=count,
-                batching=BATCHING,
+                FleetSpec(replicas=count, batching=BATCHING),
             ).serve_workload(WORKLOAD, num_requests=5_000, seed=0)
             return report.latency.sla_attainment(5e-3)
 
@@ -115,3 +110,24 @@ class TestPlan:
         assert plan.best() is None
         with pytest.raises(KeyError):
             plan.get("centaur")
+
+
+class TestOneReplicaProbe:
+    def test_one_replica_probe_reports_a_cluster_report(self, monkeypatch):
+        reports = []
+        serve_workload = Fleet.serve_workload
+
+        def recording(self, *args, **kwargs):
+            report = serve_workload(self, *args, **kwargs)
+            reports.append(report)
+            return report
+
+        monkeypatch.setattr(Fleet, "serve_workload", recording)
+        light = Workload(arrivals=PoissonArrivals(rate_qps=1_000.0), name="light")
+        point = planner().plan_backend("centaur", DLRM2, light, num_requests=500)
+        assert point.replicas == 1
+        assert point.evaluated == (1,)
+        (report,) = reports
+        assert isinstance(report, ClusterReport)
+        assert report.dispatcher == "round-robin"
+        assert point.replica_seconds == report.makespan_s > 0.0

@@ -1,4 +1,4 @@
-"""Tests for ShardedReplicaGroup: fan-out pricing, caching, equivalence."""
+"""Tests for sharded fleets: fan-out pricing, caching, equivalence."""
 
 import numpy as np
 import pytest
@@ -8,12 +8,8 @@ from repro.config.models import homogeneous_dlrm
 from repro.core import CentaurRunner
 from repro.cpu import CPUOnlyRunner
 from repro.errors import SimulationError
-from repro.serving import (
-    ClusterSimulator,
-    ShardedReplicaGroup,
-    TimeoutBatching,
-)
-from repro.sharding import CacheConfig, make_plan
+from repro.serving import Fleet, FleetSpec, RoundRobinDispatcher, TimeoutBatching
+from repro.sharding import CacheConfig
 from repro.workloads import PoissonArrivals, Workload
 from repro.workloads.mix import TrafficMix
 from repro.workloads.traces import UniformTrace, WorkingSetTrace, ZipfianTrace
@@ -49,16 +45,17 @@ class TestUnshardedEquivalence:
     @pytest.mark.parametrize("trace", [UniformTrace(), ZipfianTrace(alpha=1.05)])
     def test_bit_identical_to_cluster_simulator(self, model, trace):
         workload = Workload(arrivals=PoissonArrivals(rate_qps=30_000), trace=trace)
-        group = ShardedReplicaGroup(
+        group = Fleet(
             CentaurRunner(HARPV2_SYSTEM),
             model,
-            num_shards=1,
-            batching=BATCHING,
-            system=HARPV2_SYSTEM,
+            FleetSpec(shards=1, batching=BATCHING),
+            HARPV2_SYSTEM,
         )
         sharded = serve(group, workload)
-        cluster = ClusterSimulator(
-            CentaurRunner(HARPV2_SYSTEM), model, num_replicas=1, batching=BATCHING
+        cluster = Fleet(
+            CentaurRunner(HARPV2_SYSTEM),
+            model,
+            FleetSpec(replicas=1, batching=BATCHING, dispatcher=RoundRobinDispatcher()),
         )
         baseline = cluster.serve_workload(workload, num_requests=1_500, seed=3)
 
@@ -72,12 +69,11 @@ class TestUnshardedEquivalence:
         assert left.device_busy_s == right.device_busy_s
 
     def test_degenerate_group_still_accounts_lookups(self, model):
-        group = ShardedReplicaGroup(
+        group = Fleet(
             CentaurRunner(HARPV2_SYSTEM),
             model,
-            num_shards=1,
-            batching=BATCHING,
-            system=HARPV2_SYSTEM,
+            FleetSpec(shards=1, batching=BATCHING),
+            HARPV2_SYSTEM,
         )
         report = serve(group, zipf_workload())
         stats = report.sharding
@@ -100,14 +96,11 @@ class TestHotRowCache:
         workload = Workload(arrivals=PoissonArrivals(rate_qps=30_000), trace=trace)
 
         def run(cache):
-            group = ShardedReplicaGroup(
+            group = Fleet(
                 CentaurRunner(HARPV2_SYSTEM),
                 model,
-                num_shards=2,
-                strategy="row",
-                cache=cache,
-                batching=BATCHING,
-                system=HARPV2_SYSTEM,
+                FleetSpec(shards=2, strategy="row", cache=cache, batching=BATCHING),
+                HARPV2_SYSTEM,
             )
             return serve(group, workload)
 
@@ -123,28 +116,32 @@ class TestHotRowCache:
     def test_cache_helps_skew_more_than_uniform(self, model):
         def hit_rate(trace):
             workload = Workload(arrivals=PoissonArrivals(rate_qps=30_000), trace=trace)
-            group = ShardedReplicaGroup(
+            group = Fleet(
                 CentaurRunner(HARPV2_SYSTEM),
                 model,
-                num_shards=2,
-                strategy="row",
-                cache=CacheConfig(policy="lru", capacity_rows=512),
-                batching=BATCHING,
-                system=HARPV2_SYSTEM,
+                FleetSpec(
+                    shards=2,
+                    strategy="row",
+                    cache=CacheConfig(policy="lru", capacity_rows=512),
+                    batching=BATCHING,
+                ),
+                HARPV2_SYSTEM,
             )
             return serve(group, workload).sharding.hit_rate
 
         assert hit_rate(ZipfianTrace(alpha=1.05)) > hit_rate(UniformTrace()) + 0.1
 
     def test_eviction_accounting_under_tight_capacity(self, model):
-        group = ShardedReplicaGroup(
+        group = Fleet(
             CentaurRunner(HARPV2_SYSTEM),
             model,
-            num_shards=2,
-            strategy="row",
-            cache=CacheConfig(policy="lru", capacity_rows=64),
-            batching=BATCHING,
-            system=HARPV2_SYSTEM,
+            FleetSpec(
+                shards=2,
+                strategy="row",
+                cache=CacheConfig(policy="lru", capacity_rows=64),
+                batching=BATCHING,
+            ),
+            HARPV2_SYSTEM,
         )
         stats = serve(group, zipf_workload()).sharding
         assert stats.evictions > 0
@@ -157,13 +154,11 @@ class TestFanOutPricing:
         """More shards gather in parallel: the straggler beats the monolith."""
         gathers = {}
         for shards in (1, 2, 4):
-            group = ShardedReplicaGroup(
+            group = Fleet(
                 CentaurRunner(HARPV2_SYSTEM),
                 model,
-                num_shards=shards,
-                strategy="row",
-                batching=BATCHING,
-                system=HARPV2_SYSTEM,
+                FleetSpec(shards=shards, strategy="row", batching=BATCHING),
+                HARPV2_SYSTEM,
             )
             gathers[shards] = serve(group, zipf_workload()).sharding.mean_gather_s
         assert gathers[2] < gathers[1]
@@ -173,13 +168,11 @@ class TestFanOutPricing:
 
     def test_cross_shard_traffic_appears_beyond_one_shard(self, model):
         for shards, strategy in ((2, "row"), (4, "table")):
-            group = ShardedReplicaGroup(
+            group = Fleet(
                 CentaurRunner(HARPV2_SYSTEM),
                 model,
-                num_shards=shards,
-                strategy=strategy,
-                batching=BATCHING,
-                system=HARPV2_SYSTEM,
+                FleetSpec(shards=shards, strategy=strategy, batching=BATCHING),
+                HARPV2_SYSTEM,
             )
             stats = serve(group, zipf_workload()).sharding
             assert stats.cross_shard_bytes > 0
@@ -188,14 +181,16 @@ class TestFanOutPricing:
 
     def test_double_run_is_deterministic(self, model):
         def run():
-            group = ShardedReplicaGroup(
+            group = Fleet(
                 CentaurRunner(HARPV2_SYSTEM),
                 model,
-                num_shards=4,
-                strategy="row",
-                cache=CacheConfig(policy="lfu", capacity_rows=512),
-                batching=BATCHING,
-                system=HARPV2_SYSTEM,
+                FleetSpec(
+                    shards=4,
+                    strategy="row",
+                    cache=CacheConfig(policy="lfu", capacity_rows=512),
+                    batching=BATCHING,
+                ),
+                HARPV2_SYSTEM,
             )
             return serve(group, zipf_workload())
 
@@ -204,40 +199,42 @@ class TestFanOutPricing:
         assert first.sharding == second.sharding
 
     def test_works_on_the_cpu_backend_too(self, model):
-        group = ShardedReplicaGroup(
+        group = Fleet(
             CPUOnlyRunner(HARPV2_SYSTEM),
             model,
-            num_shards=2,
-            strategy="greedy",
-            cache=CacheConfig(policy="lru", capacity_rows=1_024),
-            batching=BATCHING,
-            system=HARPV2_SYSTEM,
+            FleetSpec(
+                shards=2,
+                strategy="greedy",
+                cache=CacheConfig(policy="lru", capacity_rows=1_024),
+                batching=BATCHING,
+            ),
+            HARPV2_SYSTEM,
         )
         report = serve(group, zipf_workload())
         assert report.sharding.hit_rate > 0.0
         assert report.completed_requests == 1_500
 
     def test_backend_name_resolution(self, model):
-        group = ShardedReplicaGroup(
-            "centaur", model, num_shards=2, batching=BATCHING, system=HARPV2_SYSTEM
-        )
+        group = Fleet("centaur", model, FleetSpec(shards=2, batching=BATCHING), HARPV2_SYSTEM)
         assert group.design_point == "Centaur"
 
     def test_raw_request_stream_defaults_to_a_uniform_trace(self, model):
         requests = zipf_workload().request_list(num_requests=500, seed=4)
-        group = ShardedReplicaGroup(
+        group = Fleet(
             CentaurRunner(HARPV2_SYSTEM),
             model,
-            num_shards=2,
-            strategy="table",
-            cache=CacheConfig(policy="lru", capacity_rows=256),
-            batching=BATCHING,
-            system=HARPV2_SYSTEM,
+            FleetSpec(
+                shards=2,
+                strategy="table",
+                cache=CacheConfig(policy="lru", capacity_rows=256),
+                batching=BATCHING,
+            ),
+            HARPV2_SYSTEM,
         )
         report = group.serve(requests)
         stats = report.sharding
         assert report.completed_requests == 500
-        assert not group.plan.row_wise
+        assert not group.part.plan.row_wise
         assert stats.total_lookups == sum(stats.per_shard_lookups)
         # A uniform trace over 5k rows/table barely hits a 256-row cache.
         assert stats.hit_rate < 0.3
@@ -246,19 +243,7 @@ class TestFanOutPricing:
 class TestValidation:
     def test_backend_name_without_system_rejected(self, model):
         with pytest.raises(SimulationError):
-            ShardedReplicaGroup("centaur", model, num_shards=2)
-
-    def test_plan_for_another_model_rejected(self, model):
-        other = homogeneous_dlrm(
-            name="other", num_tables=2, rows_per_table=100, gathers_per_table=2
-        )
-        with pytest.raises(SimulationError):
-            ShardedReplicaGroup(
-                CentaurRunner(HARPV2_SYSTEM),
-                model,
-                plan=make_plan(other, 2, "table"),
-                system=HARPV2_SYSTEM,
-            )
+            Fleet("centaur", model, FleetSpec(shards=2))
 
     def test_multi_model_mix_rejected(self, model):
         other = homogeneous_dlrm(
@@ -268,12 +253,11 @@ class TestValidation:
             arrivals=PoissonArrivals(rate_qps=10_000),
             mix=TrafficMix(((model, 0.5), (other, 0.5))),
         )
-        group = ShardedReplicaGroup(
+        group = Fleet(
             CentaurRunner(HARPV2_SYSTEM),
             model,
-            num_shards=2,
-            batching=BATCHING,
-            system=HARPV2_SYSTEM,
+            FleetSpec(shards=2, batching=BATCHING),
+            HARPV2_SYSTEM,
         )
         with pytest.raises(SimulationError):
             group.serve_workload(workload, num_requests=10)
@@ -286,33 +270,30 @@ class TestValidation:
             arrivals=PoissonArrivals(rate_qps=10_000),
             mix=TrafficMix(((other, 1.0),)),
         )
-        group = ShardedReplicaGroup(
+        group = Fleet(
             CentaurRunner(HARPV2_SYSTEM),
             model,
-            num_shards=2,
-            batching=BATCHING,
-            system=HARPV2_SYSTEM,
+            FleetSpec(shards=2, batching=BATCHING),
+            HARPV2_SYSTEM,
         )
         with pytest.raises(SimulationError, match="mix targets model"):
             group.serve_workload(workload, num_requests=10)
 
     def test_empty_stream_rejected(self, model):
-        group = ShardedReplicaGroup(
+        group = Fleet(
             CentaurRunner(HARPV2_SYSTEM),
             model,
-            num_shards=2,
-            batching=BATCHING,
-            system=HARPV2_SYSTEM,
+            FleetSpec(shards=2, batching=BATCHING),
+            HARPV2_SYSTEM,
         )
         with pytest.raises(SimulationError):
             group.serve([])
 
     def test_bad_cache_argument_rejected(self, model):
         with pytest.raises(SimulationError):
-            ShardedReplicaGroup(
+            Fleet(
                 CentaurRunner(HARPV2_SYSTEM),
                 model,
-                num_shards=2,
-                cache="lru:rows=4",
-                system=HARPV2_SYSTEM,
+                FleetSpec(shards=2, cache="lru:rows=4"),
+                HARPV2_SYSTEM,
             )

@@ -19,12 +19,7 @@ from repro.config import DLRM2, DLRM4, HARPV2_SYSTEM
 from repro.config.models import DLRMConfig
 from repro.errors import SimulationError
 from repro.results import InferenceResult, LatencyBreakdown
-from repro.serving import (
-    ClusterSimulator,
-    FixedSizeBatching,
-    ServingSimulator,
-    TimeoutBatching,
-)
+from repro.serving import FixedSizeBatching, Fleet, FleetSpec, TimeoutBatching
 from repro.serving.replica import ReplicaServer, ServiceModel, drive_stream
 from repro.sim.engine import Simulator
 from repro.workloads import (
@@ -64,10 +59,10 @@ class TestStreamingEquivalence:
         process = PoissonArrivals(rate_qps=20_000.0)
         batching = TimeoutBatching(window_s=1e-3, max_batch_size=64)
 
-        eager = ServingSimulator(runner, DLRM2, batching=batching).serve(
+        eager = Fleet(runner, DLRM2, FleetSpec(batching=batching)).serve(
             process.generate(num_requests=2_000, seed=5)
         )
-        lazy = ServingSimulator(runner, DLRM2, batching=batching).serve(
+        lazy = Fleet(runner, DLRM2, FleetSpec(batching=batching)).serve(
             process.arrivals(num_requests=2_000, seed=5)
         )
         assert eager.completed_requests == lazy.completed_requests
@@ -80,8 +75,8 @@ class TestStreamingEquivalence:
 
         runner = get_backend("cpu", HARPV2_SYSTEM)
         process = PoissonArrivals(rate_qps=40_000.0)
-        eager_cluster = ClusterSimulator(runner, DLRM2, num_replicas=3)
-        lazy_cluster = ClusterSimulator(runner, DLRM2, num_replicas=3)
+        eager_cluster = Fleet(runner, DLRM2, FleetSpec(replicas=3))
+        lazy_cluster = Fleet(runner, DLRM2, FleetSpec(replicas=3))
         eager = eager_cluster.serve(process.generate(num_requests=1_500, seed=2))
         lazy = lazy_cluster.serve(process.arrivals(num_requests=1_500, seed=2))
         assert eager.completed_requests == lazy.completed_requests
@@ -146,11 +141,11 @@ class TestMultiModelServing:
         runner = FlatRunner()
         mix = TrafficMix.of((DLRM2, 0.5), (DLRM4, 0.5))
         workload = Workload(arrivals=PoissonArrivals(20_000.0), mix=mix)
-        simulator = ServingSimulator(runner, DLRM2)
+        simulator = Fleet(runner, DLRM2)
         report = simulator.serve_workload(workload, num_requests=1_000, seed=0)
         assert report.completed_requests == 1_000
         assert report.model_name == mix.label
-        priced = {model for model, _ in simulator._service._cache}
+        priced = {model for model, _ in simulator.part._caches[id(runner)]}
         assert priced == {"DLRM(2)", "DLRM(4)"}
 
     def test_mixed_batches_split_into_per_model_segments(self):
@@ -207,7 +202,7 @@ class TestStreamValidation:
         from repro import get_backend
 
         runner = get_backend("centaur", HARPV2_SYSTEM)
-        simulator = ServingSimulator(runner, DLRM2)
+        simulator = Fleet(runner, DLRM2)
         with pytest.raises(SimulationError, match="empty request stream"):
             simulator.serve(iter([]))
         with pytest.raises(SimulationError, match="empty request stream"):

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from repro.config import HARPV2_SYSTEM
 from repro.config.models import homogeneous_dlrm
 from repro.errors import ConfigurationError
-from repro.serving.sharded import ShardedReplicaGroup
+from repro.serving import Fleet, FleetSpec
 from repro.sharding import EmbeddingCache
 from repro.sharding import cache as cache_module
 from repro.sharding.cache import MAX_TABLES, ROW_BITS, check_key_space
@@ -179,10 +179,10 @@ class TestKeyPackingGuards:
             gathers_per_table=1,
         )
         with pytest.raises(ConfigurationError):
-            ShardedReplicaGroup("centaur", too_tall, num_shards=2, system=HARPV2_SYSTEM)
+            Fleet("centaur", too_tall, FleetSpec(shards=2), HARPV2_SYSTEM)
         wide = homogeneous_dlrm(
             name="wide", num_tables=6, rows_per_table=100, gathers_per_table=1
         )
         monkeypatch.setattr(cache_module, "MAX_TABLES", 4)
         with pytest.raises(ConfigurationError, match="tables"):
-            ShardedReplicaGroup("centaur", wide, num_shards=2, system=HARPV2_SYSTEM)
+            Fleet("centaur", wide, FleetSpec(shards=2), HARPV2_SYSTEM)

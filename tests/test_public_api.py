@@ -47,6 +47,22 @@ class TestPublicAPI:
         for name in repro.__all__:
             assert hasattr(repro, name), f"{name} listed in __all__ but missing"
 
+    def test_one_serving_front_end_is_exported(self):
+        import repro.serving
+
+        assert repro.Fleet is repro.serving.Fleet
+        assert repro.FleetSpec is repro.serving.FleetSpec
+        assert repro.Fleet.__subclasses__() == []
+        # The per-kind front-ends (single device, cluster, elastic cluster,
+        # shard group) are gone from both namespaces.
+        for module in (repro, repro.serving):
+            front_ends = [
+                name
+                for name in dir(module)
+                if name.endswith(("Simulator", "Cluster", "ReplicaGroup"))
+            ]
+            assert front_ends == []
+
     def test_quickstart_flow(self):
         """The README quickstart must work exactly as written."""
         namespace = {}
