@@ -217,15 +217,33 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     model = parse_model(args.model)
     num_shards, strategy = parse_sharding_spec(args.shards)
+    elastic_flags = [
+        flag
+        for flag, value in (
+            ("--min-replicas", args.min_replicas),
+            ("--max-replicas", args.max_replicas),
+            ("--control-interval", args.control_interval),
+        )
+        if value is not None
+    ]
     if args.autoscale is not None:
         policy = parse_autoscaler_spec(args.autoscale)
         # --replicas sizes the fleet at time zero; left at its default of 1
         # the elastic fleet starts at the --min-replicas floor.
         sizing = dict(
-            min_replicas=args.min_replicas,
-            max_replicas=args.max_replicas,
-            control_interval_s=args.control_interval,
+            min_replicas=1 if args.min_replicas is None else args.min_replicas,
+            max_replicas=8 if args.max_replicas is None else args.max_replicas,
+            control_interval_s=(
+                10e-3 if args.control_interval is None else args.control_interval
+            ),
         )
+    elif elastic_flags:
+        print(
+            f"error: {'/'.join(elastic_flags)} size an autoscaled fleet and need "
+            "--autoscale; a static fleet is sized by --replicas",
+            file=sys.stderr,
+        )
+        return 2
     else:
         # Under faults a static fleet is a policy-less elastic one of
         # exactly --replicas (bit-identical to the static path when the
@@ -499,16 +517,22 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     serve_parser.add_argument(
-        "--min-replicas", type=int, default=1, help="autoscaling floor (default 1)"
+        "--min-replicas",
+        type=int,
+        default=None,
+        help="autoscaling floor; needs --autoscale (default 1)",
     )
     serve_parser.add_argument(
-        "--max-replicas", type=int, default=8, help="autoscaling ceiling (default 8)"
+        "--max-replicas",
+        type=int,
+        default=None,
+        help="autoscaling ceiling; needs --autoscale (default 8)",
     )
     serve_parser.add_argument(
         "--control-interval",
         type=float,
-        default=10e-3,
-        help="autoscaler control tick in seconds (default 0.01)",
+        default=None,
+        help="autoscaler control tick in seconds; needs --autoscale (default 0.01)",
     )
     serve_parser.add_argument(
         "--warmup",

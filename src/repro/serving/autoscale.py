@@ -445,7 +445,8 @@ class _AutoscaleController(Controller):
         self.lifecycles = [_ReplicaLifecycle() for _ in replicas]
         self.active_slots: List[int] = []
         self.active: List[ReplicaServer] = []
-        # Routes over the live list: _set_state edits it in place.
+        # Routes over the live list: _set_state edits it in place, after
+        # letting the dispatcher snapshot it.
         self._route_active = pool.dispatcher.router(self.active, sim)
         for index in range(start):
             self._set_state(index, _ACTIVE)
@@ -475,6 +476,7 @@ class _AutoscaleController(Controller):
         lifecycle = self.lifecycles[index]
         if (lifecycle.state == _ACTIVE) != (state == _ACTIVE):
             position = bisect.bisect_left(self.active_slots, index)
+            self.pool.dispatcher.snapshot()
             if state == _ACTIVE:
                 self.active_slots.insert(position, index)
                 self.active.insert(position, self.replicas[index])

@@ -9,7 +9,7 @@ randomness from a seed and is reset before every stream.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -32,9 +32,14 @@ class Dispatcher:
         """Index of the replica the request should join."""
         raise NotImplementedError
 
+    def snapshot(self) -> None:
+        """Called just before the routed list is edited in place: keep what
+        the dispatcher remembers of the list as it is now."""
+
     def router(self, replicas: Sequence[ReplicaServer], sim) -> Callable:
         """A one-frame route: :meth:`select` over ``replicas`` at ``sim.now``,
-        its index validated (a list edited in place is routed over live)."""
+        its index validated.  A list edited in place is routed over live;
+        its owner calls :meth:`snapshot` before each edit."""
         select = self.select
 
         def route(request) -> ReplicaServer:
@@ -62,6 +67,10 @@ class RoundRobinDispatcher(Dispatcher):
     degrades to "the slot the anchor occupied", but a crash can take the
     anchor *and* replicas before it in one step, where the old slot
     heuristic restarted the rotation at the wrong replica.
+
+    The remembered rotation is the list last selected over, held by
+    reference, not copied per call; :meth:`snapshot` freezes it into a
+    tuple before its owner edits it in place.
     """
 
     name = "round-robin"
@@ -69,12 +78,15 @@ class RoundRobinDispatcher(Dispatcher):
     def __init__(self) -> None:
         self._last: Optional[ReplicaServer] = None
         self._last_index = 0
-        self._order: Tuple[ReplicaServer, ...] = ()
+        self._order: Sequence[ReplicaServer] = ()
 
     def reset(self) -> None:
         self._last = None
         self._last_index = 0
         self._order = ()
+
+    def snapshot(self) -> None:
+        self._order = tuple(self._order)
 
     def _resume_after_anchor_lost(self, replicas) -> int:
         order = self._order
@@ -92,25 +104,25 @@ class RoundRobinDispatcher(Dispatcher):
         return self._last_index if self._last_index < len(replicas) else 0
 
     def select(self, replicas, request, now):
-        if self._last is None:
+        last = self._last
+        index = self._last_index
+        size = len(replicas)
+        if last is None:
             index = 0
-        elif (
-            self._last_index < len(replicas)
-            and replicas[self._last_index] is self._last
-        ):
+        elif index < size and replicas[index] is last:
             # Fast path: unchanged fleet (the overwhelmingly common case)
             # advances in O(1), exactly like the old counter.
-            index = (self._last_index + 1) % len(replicas)
+            index = (index + 1) % size
         else:
             for position, replica in enumerate(replicas):
-                if replica is self._last:
-                    index = (position + 1) % len(replicas)
+                if replica is last:
+                    index = (position + 1) % size
                     break
             else:
                 index = self._resume_after_anchor_lost(replicas)
         self._last = replicas[index]
         self._last_index = index
-        self._order = tuple(replicas)
+        self._order = replicas
         return index
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -153,15 +154,13 @@ class ServingReport:
 
     def completion_samples(self) -> List[Tuple[float, float]]:
         """``(completion_time_s, latency_s)`` pairs in completion order."""
-        if not self.ordered_latency_s:
-            return []
-        pairs: List[Tuple[float, float]] = []
-        cursor = 0
-        for batch in self.executed_batches:
-            for latency in self.ordered_latency_s[cursor : cursor + batch.batch_size]:
-                pairs.append((batch.finish_time_s, latency))
-            cursor += batch.batch_size
-        return pairs
+        # Each batch's own finish-time float, repeated by reference: a
+        # float64 np.repeat would box a new float per request.
+        finishes = chain.from_iterable(
+            repeat(batch.finish_time_s, batch.batch_size)
+            for batch in self.executed_batches
+        )
+        return list(zip(finishes, self.ordered_latency_s))
 
     @property
     def achieved_qps(self) -> float:

@@ -26,6 +26,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain, islice
+from math import inf
+from time import perf_counter
 from typing import (
     Callable,
     Deque,
@@ -168,6 +170,9 @@ class ReplicaServer:
         self.service = service
         self.batching = batching
         self.name = name
+        # Event labels, formatted once per replica rather than per batch.
+        self._close_label = f"{name}:batch-close"
+        self._complete_label = f"{name}:complete"
         self.record_latency_samples = record_latency_samples
         # Open batch accumulating arrivals (+ arrival times, kept in step so
         # batch completion can vectorize over them without re-touching the
@@ -309,7 +314,7 @@ class ReplicaServer:
         if self._close_timer is not None:
             self._close_timer.cancel()
         self._close_timer = self.sim.schedule_at(
-            max(time, self.sim.now), self._on_timer, label=f"{self.name}:batch-close"
+            max(time, self.sim.now), self._on_timer, label=self._close_label
         )
 
     def _on_timer(self) -> None:
@@ -380,15 +385,18 @@ class ReplicaServer:
             result = self._execute_result(
                 self.batching.execution_batch_size(len(group)), model_name
             )
+            # Sum the stage breakdown once; the result's energy is the same
+            # power x latency product.
             duration = result.latency_seconds
+            energy = result.power_watts * duration
             if self.latency_multiplier != 1.0:
                 duration *= self.latency_multiplier
             seg_start = clock
             clock = seg_start + duration
             busy_delta += duration
-            energy_delta += result.energy_joules
+            energy_delta += energy
             self.busy_time_s += duration
-            self.energy_joules += result.energy_joules
+            self.energy_joules += energy
             self.batch_count += 1
             self.batch_size_sum += len(group)
             if clock > self.last_finish_s:
@@ -419,7 +427,7 @@ class ReplicaServer:
         self._completion_event = self.sim.schedule_at(
             finish,
             lambda segs=segments: self._on_complete(segs),
-            label=f"{self.name}:complete",
+            label=self._complete_label,
         )
 
     def crash(self) -> Tuple[List[InferenceRequest], List[InferenceRequest]]:
@@ -590,14 +598,18 @@ class _StreamDriver:
     """The arrival stream as the simulator's merged ordered source.
 
     Exactly one arrival is ranked ahead of the clock: its ``(time,
-    sequence)`` :attr:`key` sits beside the event heap, and
-    :meth:`Simulator.run` fires it when the key precedes the heap top.
-    Firing first ranks the successor, drawing its sequence number before
-    the request is routed, as if it were pushed as an event then — so
-    simultaneous arrivals keep their stream order ahead of any timers the
-    submission arms.  The iterator is drained in :data:`_STREAM_CHUNK`
-    blocks, so memory is constant in stream length; controllers read
-    :attr:`count` and :attr:`exhausted`, which follow the simulated clock.
+    sequence)`` :attr:`key` sits beside the event heap.  When the key
+    precedes the heap top, :meth:`Simulator.run` calls :meth:`admit` once,
+    and it delivers that arrival and every successor whose key still
+    precedes the heap top — an *arrival run*.  Nothing on the heap can fire
+    before such an arrival, so no heap pass is needed between them (the
+    "safe time" of conservative simulation).  Each delivery first ranks the
+    successor, drawing its sequence number before the request is routed, as
+    if it were pushed as an event then — so simultaneous arrivals keep their
+    stream order ahead of any timers the submission arms.  The iterator is
+    drained in :data:`_STREAM_CHUNK` blocks, so memory is constant in stream
+    length; controllers read :attr:`count` and :attr:`exhausted`, which
+    follow the simulated clock.
     """
 
     def __init__(
@@ -617,12 +629,11 @@ class _StreamDriver:
         self.count = 0
         self.completed = 0
         self.peak_resident = 0
-        #: True once a fired arrival finds no successor.
+        #: True once a delivered arrival finds no successor.
         self.exhausted = False
         #: ``(time, sequence)`` of the arrival ranked ahead of the clock.
         self.key: Optional[Tuple[float, int]] = None
         self._current: Optional[InferenceRequest] = None
-        self._last_time = 0.0
         self._requests = chain.from_iterable(
             iter(lambda: list(islice(iterator, _STREAM_CHUNK)), [])
         )
@@ -631,33 +642,91 @@ class _StreamDriver:
     def note_completion(self, count: int) -> None:
         self.completed += count
 
-    def fire(self) -> Optional[Tuple[float, int]]:
-        """Rank the successor, then deliver the ranked arrival (the first
-        call only ranks); returns the new :attr:`key`."""
-        request = self._current
-        successor = next(self._requests, None)
-        if successor is not None:
-            arrival_time = successor.arrival_time_s
-            if arrival_time < self._last_time:
-                raise SimulationError(
-                    "streaming arrivals must be time-ordered: got "
-                    f"{arrival_time} after {self._last_time}"
-                )
-            self._last_time = arrival_time
-            self.count += 1
-            self._current = successor
-            key = self.key = (arrival_time, self._reserve())
-        else:
-            key = self.key = self._current = None
+    def attach(self) -> None:
+        """Become the simulator's source and rank the first arrival,
+        drawing its sequence number now."""
+        self.sim.source = self
+        first = next(self._requests, None)
+        if first is None:
             self.exhausted = True
-        if request is not None:
-            self.route(request).submit(request)
-            resident = self.count - self.completed
-            if self.lost is not None:
-                resident -= self.lost()
-            if resident > self.peak_resident:
-                self.peak_resident = resident
-        return key
+            return
+        self.count = 1
+        self._current = first
+        self.key = (first.arrival_time_s, self._reserve())
+
+    def admit(self, until: Optional[float], budget: int) -> int:
+        """Deliver the ranked arrival and the rest of its run; return how
+        many arrivals were delivered.
+
+        The engine calls this once the key precedes the heap top (and
+        ``until``).  Each arrival sets the clock and the causality floor,
+        ranks its successor before its own submit, counts in
+        ``events_fired`` and profiles as ``"arrival"``.  The heap top is
+        read again after every submit, which may push an earlier timer.
+        The run ends there, past ``until``, on ``stop()``, after ``budget``
+        arrivals or at the stream's end.
+        """
+        sim = self.sim
+        queue = sim.queue
+        top = queue.top
+        profile = sim.profile
+        requests = self._requests
+        reserve = self._reserve
+        route = self.route
+        lost = self.lost
+        horizon = inf if until is None else until
+        peak = self.peak_resident
+        successor = request = self._current
+        key = self.key
+        delivered = 0
+        try:
+            while True:
+                time = key[0]
+                # The causality floor advances as if the arrival were popped.
+                queue._floor = time
+                sim.now = time
+                if profile is not None:
+                    started = perf_counter()
+                successor = next(requests, None)
+                if successor is not None:
+                    successor_time = successor.arrival_time_s
+                    if successor_time < time:
+                        raise SimulationError(
+                            "streaming arrivals must be time-ordered: got "
+                            f"{successor_time} after {time}"
+                        )
+                    count = self.count = self.count + 1
+                    key = (successor_time, reserve())
+                else:
+                    count = self.count
+                    key = None
+                    self.exhausted = True
+                route(request).submit(request)
+                resident = count - self.completed
+                if lost is not None:
+                    resident -= lost()
+                if resident > peak:
+                    peak = resident
+                if profile is not None:
+                    profile.record("arrival", perf_counter() - started)
+                delivered += 1
+                if (
+                    key is None
+                    or delivered == budget
+                    or sim._stop_requested
+                    or key[0] > horizon
+                ):
+                    break
+                entry = top()
+                if entry is not None and entry < key:
+                    break
+                request = successor
+        finally:
+            self.key = key
+            self._current = successor
+            self.peak_resident = peak
+            sim.events_fired += delivered
+        return delivered
 
     def drive(self, replicas: Sequence["ReplicaServer"]) -> "StreamOutcome":
         """Run the stream through ``replicas`` to completion."""
@@ -665,9 +734,8 @@ class _StreamDriver:
         previous_listeners = [replica.completion_listener for replica in replicas]
         for replica in replicas:
             replica.completion_listener = self.note_completion
-        sim.source = self
         try:
-            self.fire()
+            self.attach()
             sim.run()
             # Policies without a close timer (e.g. FixedSizeBatching with no
             # wait cap) can strand a trailing partial batch once the stream

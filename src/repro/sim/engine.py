@@ -13,11 +13,14 @@ The hot path is tuned for million-event serving runs:
   compacted once they make up more than half of it.
 * The arrival stream, exogenous and already time-ordered, never enters
   the heap: :meth:`Simulator.run` merges it as a second ordered source
-  (:attr:`Simulator.source`), firing the next arrival when its ``(time,
-  sequence)`` key precedes the heap top.  Its sequence number is drawn
-  where it would have been pushed, so the order is the all-on-heap order,
-  ties included.  Arrivals still advance the causality floor, count in
-  :attr:`Simulator.events_fired` and profile as ``"arrival"``.
+  (:attr:`Simulator.source`).  When the next arrival's ``(time,
+  sequence)`` key precedes the heap top, one source call delivers an
+  *arrival run*: that arrival and every successor whose key still
+  precedes the heap top, read again after each delivery.  Each sequence
+  number is drawn where the arrival would have been pushed, so the order
+  is the all-on-heap order, ties included.  Arrivals still advance the
+  causality floor, count in :attr:`Simulator.events_fired` and profile as
+  ``"arrival"``, one by one.
 * ``Simulator(profile=True)`` records per-label event counts and
   cumulative host wall-clock into a :class:`~repro.sim.profile.SimProfile`
   (zero overhead when disabled).
@@ -206,7 +209,9 @@ class Simulator:
         self.events_fired: int = 0
         #: The arrival stream :meth:`run` merges beside the heap: ``key`` is
         #: the next arrival's ``(time, sequence)`` (``None`` once exhausted),
-        #: and ``fire()`` delivers it, returning (and storing) the new key.
+        #: and ``admit(until, budget)`` delivers the run of arrivals ahead of
+        #: the heap top, counts them in :attr:`events_fired` and returns how
+        #: many it delivered (at most ``budget``).
         self.source = None
         self._stop_requested = False
 
@@ -253,7 +258,7 @@ class Simulator:
         source = self.source
         if source is not None:
             arrival = source.key
-            fire = source.fire
+            admit = source.admit
         else:
             arrival = None
         while not self._stop_requested:
@@ -268,15 +273,10 @@ class Simulator:
                         f"event 'arrival' scheduled at {time} is in the past "
                         f"(now {self.now})"
                     )
-                # The causality floor advances as if the arrival were popped.
-                queue._floor = time
-                self.now = time
-                if profile is not None:
-                    started = perf_counter()
-                    arrival = fire()
-                    profile.record("arrival", perf_counter() - started)
-                else:
-                    arrival = fire()
+                # One call delivers the whole run of arrivals ahead of the
+                # heap top; it counts them in events_fired itself.
+                fired += admit(until, max_events + 1 - fired)
+                arrival = source.key
             else:
                 if entry is None:
                     break
@@ -304,8 +304,8 @@ class Simulator:
                     callback()
                 event.callback = None
                 free_list.append(event)
-            self.events_fired += 1
-            fired += 1
+                self.events_fired += 1
+                fired += 1
             if fired > max_events:
                 raise SimulationError(
                     f"simulation exceeded {max_events} events; likely a livelock"

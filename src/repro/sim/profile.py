@@ -2,6 +2,8 @@
 
 Enable with ``Simulator(profile=True)``; the run loop then records, for
 every fired event, its label, and the host wall-clock its callback spent.
+Arrivals, delivered in runs by the merged arrival source, are still
+recorded one by one under ``"arrival"``.
 The result answers the first question of any engine optimisation: *which
 event class dominates?* — without reaching for ``cProfile``.
 

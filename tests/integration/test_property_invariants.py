@@ -211,6 +211,9 @@ class TestServingInvariants:
     def test_autoscaling_disabled_is_bit_identical_to_static(
         self, workload_kind, rate_scale, replicas, seed
     ):
+        """An elastic pool whose policy pins it at the static size serves
+        exactly what the static pool serves: the control ticks, the
+        lifecycle bookkeeping and the live candidate list change nothing."""
         workload = _arbitrary_workload(workload_kind, rate_scale)
         backend = get_backend("cpu", HARPV2_SYSTEM)
         static = Fleet(
@@ -218,29 +221,33 @@ class TestServingInvariants:
             DLRM1,
             FleetSpec(replicas=replicas, batching=BATCHING, dispatcher=RoundRobinDispatcher()),
         ).serve_workload(workload, num_requests=400, seed=seed)
-        disabled = Fleet(
+        pinned = Fleet(
             backend,
             DLRM1,
             FleetSpec(
                 replicas=replicas,
-                policy=None,
+                policy=ScheduledPolicy([(0.0, replicas)]),
                 min_replicas=replicas,
-                max_replicas=replicas + 2,
+                max_replicas=replicas,
                 batching=BATCHING,
                 dispatcher=RoundRobinDispatcher(),
             ),
         ).serve_workload(workload, num_requests=400, seed=seed)
-        assert disabled.autoscale is None
-        assert disabled.completed_requests == static.completed_requests
-        assert disabled.num_replicas == static.num_replicas
-        np.testing.assert_array_equal(
-            disabled.latency.samples_s, static.latency.samples_s
-        )
-        assert disabled.total_energy_joules == static.total_energy_joules
-        for mine, theirs in zip(disabled.per_replica, static.per_replica):
+        autoscale = pinned.autoscale
+        assert autoscale is not None
+        assert autoscale.timeline == ((0.0, replicas),)
+        assert autoscale.scale_up_events == autoscale.scale_down_events == 0
+        assert pinned.completed_requests == static.completed_requests == 400
+        assert pinned.num_replicas == static.num_replicas
+        np.testing.assert_array_equal(pinned.latency.samples_s, static.latency.samples_s)
+        assert pinned.makespan_s == static.makespan_s
+        assert pinned.total_energy_joules == static.total_energy_joules
+        for mine, theirs in zip(pinned.per_replica, static.per_replica, strict=True):
             assert mine.completed_requests == theirs.completed_requests
             assert mine.device_busy_s == theirs.device_busy_s
             assert mine.executed_batches == theirs.executed_batches
+            assert mine.ordered_latency_s == theirs.ordered_latency_s
+            np.testing.assert_array_equal(mine.queueing.samples_s, theirs.queueing.samples_s)
 
 
 class TestPhysicalBounds:

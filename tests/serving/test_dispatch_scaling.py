@@ -104,44 +104,69 @@ class TestRoundRobinUnderScaleEvents:
         assert dispatcher.select(replicas, None, 0.0) == 0
 
 
+def fresh_lists(dispatcher):
+    """Each fleet change hands the dispatcher a new list."""
+    return list
+
+
+def one_live_list(dispatcher):
+    """Each fleet change edits one list in place (the autoscaler's
+    pattern), letting the dispatcher snapshot it first."""
+    live = []
+
+    def edit(members):
+        dispatcher.snapshot()
+        live[:] = members
+        return live
+
+    return edit
+
+
+@pytest.mark.parametrize("fleet_lists", [fresh_lists, one_live_list])
 class TestRoundRobinUnderCrashEvents:
     """Crash-driven shrink removes *arbitrary* replicas, not the trailing
     suffix the autoscaler drains; the rotation must resume at the crashed
-    anchor's remembered successor, not whatever now sits in its old slot."""
+    anchor's remembered successor, not whatever now sits in its old slot.
+    Each case runs over fresh lists and over one list edited in place."""
 
-    def test_crash_of_anchor_and_an_earlier_replica_resumes_at_successor(self):
+    def test_crash_of_anchor_and_an_earlier_replica_resumes_at_successor(
+        self, fleet_lists
+    ):
         dispatcher = RoundRobinDispatcher()
+        fleet = fleet_lists(dispatcher)
         a, b, c, d = (FakeReplica() for _ in range(4))
-        select_sequence(dispatcher, [a, b, c, d], 3)  # last served: c
+        select_sequence(dispatcher, fleet([a, b, c, d]), 3)  # last served: c
         # A crash takes the anchor ``c`` *and* ``a`` in one step.  The slot
         # heuristic would resume at index 2 -> wrap to ``b`` (double-hit
         # territory); the remembered rotation says ``d`` follows ``c``.
-        survivors = [b, d]
+        survivors = fleet([b, d])
         follow = [survivors[i] for i in select_sequence(dispatcher, survivors, 4)]
         assert follow == [d, b, d, b]
 
-    def test_crash_of_anchor_mid_list_does_not_restart_the_rotation(self):
+    def test_crash_of_anchor_mid_list_does_not_restart_the_rotation(self, fleet_lists):
         dispatcher = RoundRobinDispatcher()
-        fleet = [FakeReplica() for _ in range(5)]
-        select_sequence(dispatcher, fleet, 2)  # last served: fleet[1]
-        survivors = [fleet[0], fleet[2], fleet[4]]  # crash took 1 and 3
+        fleet = fleet_lists(dispatcher)
+        replicas = [FakeReplica() for _ in range(5)]
+        select_sequence(dispatcher, fleet(replicas), 2)  # last served: replicas[1]
+        survivors = fleet([replicas[0], replicas[2], replicas[4]])  # 1 and 3 crashed
         follow = [survivors[i] for i in select_sequence(dispatcher, survivors, 3)]
-        assert follow == [fleet[2], fleet[4], fleet[0]]
+        assert follow == [replicas[2], replicas[4], replicas[0]]
 
-    def test_full_fleet_replacement_falls_back_to_the_slot_heuristic(self):
+    def test_full_fleet_replacement_falls_back_to_the_slot_heuristic(self, fleet_lists):
         dispatcher = RoundRobinDispatcher()
-        old = [FakeReplica() for _ in range(3)]
-        select_sequence(dispatcher, old, 2)  # last served index 1
-        fresh = [FakeReplica() for _ in range(3)]
+        fleet = fleet_lists(dispatcher)
+        select_sequence(dispatcher, fleet([FakeReplica() for _ in range(3)]), 2)
+        fresh = fleet([FakeReplica() for _ in range(3)])  # last served index 1
         assert dispatcher.select(fresh, None, 0.0) == 1
 
-    def test_crash_then_restart_rejoins_the_rotation(self):
+    def test_crash_then_restart_rejoins_the_rotation(self, fleet_lists):
         dispatcher = RoundRobinDispatcher()
+        fleet = fleet_lists(dispatcher)
         a, b, c = (FakeReplica() for _ in range(3))
-        select_sequence(dispatcher, [a, b, c], 3)  # last served: c
-        shrunk = [a, b]  # c crashed
+        select_sequence(dispatcher, fleet([a, b, c]), 3)  # last served: c
+        shrunk = fleet([a, b])  # c crashed
         assert [shrunk[i] for i in select_sequence(dispatcher, shrunk, 2)] == [a, b]
-        healed = [a, b, c]  # c restarted into its old slot
+        healed = fleet([a, b, c])  # c restarted into its old slot
         follow = [healed[i] for i in select_sequence(dispatcher, healed, 3)]
         assert follow == [c, a, b]
 

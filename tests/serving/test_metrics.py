@@ -1,9 +1,11 @@
 """Tests for the serving metrics."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import SimulationError
-from repro.serving.metrics import LatencyDistribution, ServingReport
+from repro.serving.metrics import ExecutedBatch, LatencyDistribution, ServingReport
 
 
 class TestLatencyDistribution:
@@ -81,3 +83,29 @@ class TestServingReport:
         row = self._report().summary_row()
         for key in ("achieved_qps", "p99_ms", "utilization", "energy_per_request_mj"):
             assert key in row
+
+    def test_completion_samples_pair_each_latency_with_its_batch_finish(self):
+        batches = tuple(
+            ExecutedBatch(
+                ready_time_s=0.1 * index,
+                start_time_s=0.1 * index,
+                finish_time_s=0.1 * index + 0.03,
+                batch_size=size,
+            )
+            for index, size in enumerate([3, 1, 4, 2])
+        )
+        latencies = tuple(1e-3 * (index + 1) for index in range(10))
+        report = dataclasses.replace(
+            self._report(), executed_batches=batches, ordered_latency_s=latencies
+        )
+        expected = []
+        cursor = 0
+        for batch in batches:
+            for latency in latencies[cursor : cursor + batch.batch_size]:
+                expected.append((batch.finish_time_s, latency))
+            cursor += batch.batch_size
+        samples = report.completion_samples()
+        assert samples == expected
+        # The batch's own float is shared, not copied once per request.
+        assert all(mine is theirs for (mine, _), (theirs, _) in zip(samples, expected))
+        assert self._report().completion_samples() == []

@@ -15,12 +15,21 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.backends import get_backend
+from repro.chaos import FaultSchedule, ReplicaCrash
+from repro.config import DLRM2, HARPV2_SYSTEM
 from repro.errors import SimulationError
+from repro.serving import Fleet, FleetSpec, TimeoutBatching
 from repro.serving.replica import _StreamDriver
 from repro.sim.engine import Simulator
+from repro.workloads import PoissonArrivals, Workload
 from repro.workloads.arrivals import InferenceRequest
 
-from tests.integration.test_queue_equivalence import _CountingStream, _HeapStreamDriver
+from tests.integration.test_queue_equivalence import (  # noqa: F401 (fixture)
+    _CountingStream,
+    _HeapStreamDriver,
+    on_reference,
+)
 
 #: Every time is a multiple of this (exact in binary), so ties are common.
 TICK = 0.25
@@ -76,8 +85,7 @@ def _simulate(arrival_ticks, actions, until_ticks, merged):
     route = lambda request: _Sink  # noqa: E731
     if merged:
         stream = _StreamDriver(sim, requests, route)
-        sim.source = stream
-        stream.fire()
+        stream.attach()
     else:
         stream = _CountingStream(iter(requests))
         _HeapStreamDriver(sim, stream, route).pump()
@@ -124,8 +132,7 @@ def test_arrivals_tie_with_heap_events_in_ranking_order():
     sim.schedule_at(TICK, lambda: fired.append(("early", 0)))
     requests = [InferenceRequest(0, 0.0), InferenceRequest(1, TICK)]
     driver = _StreamDriver(sim, requests, lambda request: _Sink)
-    sim.source = driver
-    driver.fire()
+    driver.attach()
     sim.run()
     assert fired == [("arrival", 0), ("early", 0), ("arrival", 1), ("timer", 0)]
     assert sim.events_fired == 4
@@ -137,8 +144,7 @@ def _attach(sim, times, submit=lambda request: None):
     sink = type("_Sink", (), {"submit": staticmethod(submit)})
     requests = [InferenceRequest(index, time) for index, time in enumerate(times)]
     driver = _StreamDriver(sim, requests, lambda request: sink)
-    sim.source = driver
-    driver.fire()
+    driver.attach()
     return driver
 
 
@@ -169,3 +175,150 @@ class TestMergedSourceChecks:
         _attach(sim, [0.0, TICK, TICK])
         sim.run()
         assert sim.profile.get("arrival").count == sim.events_fired == 3
+
+
+def _count_runs(driver):
+    """Record the size of every arrival run the engine asks ``driver`` for."""
+    runs = []
+    admit = driver.admit
+
+    def counted(until, budget):
+        delivered = admit(until, budget)
+        runs.append(delivered)
+        return delivered
+
+    driver.admit = counted
+    return runs
+
+
+class TestArrivalRuns:
+    """One source call delivers every arrival ahead of the heap top."""
+
+    def test_arrivals_ahead_of_the_heap_are_one_run(self):
+        sim = Simulator()
+        sim.schedule_at(10 * TICK, lambda: None)
+        driver = _attach(sim, [TICK * index for index in range(6)])
+        runs = _count_runs(driver)
+        sim.run()
+        assert runs == [6]
+        assert sim.events_fired == 7 and sim.now == 10 * TICK
+
+    def test_stop_inside_a_submit_ends_the_run(self):
+        sim = Simulator()
+        delivered = []
+
+        def submit(request):
+            delivered.append(request.request_id)
+            if request.request_id == 1:
+                sim.stop()
+
+        driver = _attach(sim, [0.0, TICK, 2 * TICK, 3 * TICK], submit)
+        runs = _count_runs(driver)
+        assert sim.run() == TICK
+        assert delivered == [0, 1] and sim.events_fired == 2
+        assert driver.key[0] == 2 * TICK and not driver.exhausted
+        assert sim.run() == 3 * TICK
+        assert delivered == [0, 1, 2, 3] and runs == [2, 2]
+
+    def test_until_between_two_arrivals_of_a_run(self):
+        sim = Simulator()
+        delivered = []
+        driver = _attach(
+            sim, [0.0, TICK, 3 * TICK], lambda request: delivered.append(request.request_id)
+        )
+        runs = _count_runs(driver)
+        assert sim.run(until=2 * TICK) == 2 * TICK
+        assert delivered == [0, 1] and sim.events_fired == 2
+        assert sim.run() == 3 * TICK
+        assert delivered == [0, 1, 2] and runs == [2, 1]
+
+    def test_the_budget_binds_inside_a_run(self):
+        sim = Simulator()
+        sim.schedule_at(0.0, lambda: None)
+        _attach(sim, [TICK * index for index in range(1, 5)])
+        assert sim.run(max_events=5) == 4 * TICK
+        sim = Simulator()
+        sim.schedule_at(0.0, lambda: None)
+        driver = _attach(sim, [TICK * index for index in range(1, 6)])
+        runs = _count_runs(driver)
+        with pytest.raises(SimulationError, match="exceeded 4 events"):
+            sim.run(max_events=4)
+        # The heap event, then a run cut at the fifth event.
+        assert runs == [4] and sim.events_fired == 5
+
+    @pytest.mark.parametrize(
+        "timer_at, order, runs",
+        [
+            # Earlier than arrival 1: the run ends after arrival 0.
+            (0.5 * TICK, ["a0", "timer", "a1", "a2", "a3"], [1, 3]),
+            # Tied with arrival 2, which arrival 1 ranks only after the
+            # timer was pushed: the timer wins the tie and ends the run.
+            (2 * TICK, ["a0", "a1", "timer", "a2", "a3"], [2, 2]),
+            # Tied with arrival 1, ranked before the push: the run goes on.
+            (TICK, ["a0", "a1", "timer", "a2", "a3"], [2, 2]),
+        ],
+    )
+    def test_a_timer_pushed_ahead_of_the_next_arrival_ends_the_run(
+        self, timer_at, order, runs
+    ):
+        sim = Simulator()
+        fired = []
+
+        def submit(request):
+            fired.append(f"a{request.request_id}")
+            if request.request_id == 0:
+                sim.schedule_at(timer_at, lambda: fired.append("timer"))
+
+        driver = _attach(sim, [0.0, TICK, 2 * TICK, 2 * TICK], submit)
+        recorded = _count_runs(driver)
+        sim.run()
+        assert fired == order
+        assert recorded == runs and sim.events_fired == 5
+
+    def test_profile_counts_one_arrival_per_arrival_across_runs(self):
+        sim = Simulator(profile=True)
+        for tick in (1, 3):
+            sim.schedule_at(tick * TICK, lambda: None, label="timer")
+        driver = _attach(sim, [0.0, 0.0, 2 * TICK, 2 * TICK, 2 * TICK, 4 * TICK])
+        runs = _count_runs(driver)
+        sim.run()
+        assert runs == [2, 3, 1]
+        assert sim.profile.get("arrival").count == 6
+        assert sim.profile.get("timer").count == 2
+        assert sim.profile.total_events == sim.events_fired == 8
+
+
+@pytest.mark.parametrize("outage_at", [0.0, 0.005])
+def test_peak_resident_is_the_per_arrival_maximum_through_a_total_outage(
+    on_reference, outage_at
+):
+    """Both replicas crash for good, so every later arrival is shed, the
+    last one included: it ranks no successor and raises ``lost``, so the
+    resident count falls at the end of its run.  The peak must still be the
+    maximum over arrivals, as the one-event-per-arrival reference takes it."""
+
+    def serve():
+        cluster = Fleet(
+            get_backend("cpu", HARPV2_SYSTEM),
+            DLRM2,
+            FleetSpec(replicas=2, batching=TimeoutBatching(window_s=1e-3, max_batch_size=16)),
+        )
+        cluster.serve_workload(
+            Workload(arrivals=PoissonArrivals(rate_qps=20_000)),
+            num_requests=400,
+            seed=1,
+            faults=FaultSchedule(
+                [
+                    ReplicaCrash(at_s=outage_at, replica=0, on_inflight="shed"),
+                    ReplicaCrash(at_s=outage_at, replica=1, on_inflight="shed"),
+                ]
+            ),
+        )
+        return cluster.last_outcome
+
+    outcome, reference = on_reference(serve)
+    assert outcome == reference
+    assert outcome.shed > 0 and outcome.completed + outcome.shed == 400
+    if outage_at == 0.0:
+        # Every arrival is shed in one run; only the look-ahead is resident.
+        assert outcome.completed == 0 and outcome.peak_resident == 1

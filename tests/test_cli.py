@@ -148,6 +148,28 @@ class TestServe:
         out = capsys.readouterr().out
         assert "Autoscale timeline" in out
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--min-replicas", "3"), ("--max-replicas", "4"), ("--control-interval", "0.02")],
+    )
+    def test_autoscale_sizing_flags_need_autoscale(self, capsys, flag, value):
+        # Without --autoscale these flags used to be dropped silently, even
+        # under --faults, where the static fleet is sized by --replicas.
+        assert main(
+            [
+                "serve",
+                "--backend", "cpu",
+                "--model", "DLRM1",
+                "--workload", "poisson:20000",
+                "--requests", "500",
+                "--faults", "crash:at=0.01,restart=0.005",
+                "--replicas", "2",
+                flag, value,
+            ]
+        ) == 2
+        err = capsys.readouterr().err
+        assert flag in err and "--autoscale" in err
+
     def test_sharded_serving_report(self, capsys):
         assert main(
             [
