@@ -14,6 +14,7 @@ from typing import List, Mapping, Sequence
 from repro.analysis.characterization import Figure5Row, Figure6Row, Figure7Point
 from repro.analysis.evaluation import AblationPoint, Figure13Row, Figure14Row, Figure15Row
 from repro.analysis.tables import Table1Row, Table2Row, Table3Row, Table4Row, Table5Row
+from repro.utils.stats_utils import safe_divide
 from repro.utils.tables import TextTable
 from repro.utils.units import bytes_to_human
 
@@ -303,7 +304,9 @@ def render_experiment(grid, title: str = "Experiment grid") -> str:
     """Render an :class:`~repro.experiment.ExperimentResult` as a text table.
 
     One row per design point: backend, model, batch, end-to-end latency,
-    throughput and energy.
+    throughput and energy.  Each row sums its latency breakdown once;
+    throughput and energy are the :class:`~repro.results.InferenceResult`
+    expressions over that one sum.
     """
     from repro.utils.units import seconds_to_human
 
@@ -312,14 +315,15 @@ def render_experiment(grid, title: str = "Experiment grid") -> str:
         title=title,
     )
     for (backend, _, _), result in grid:
+        latency = result.latency_seconds
         table.add_row(
             [
                 backend,
                 result.model_name,
                 result.batch_size,
-                seconds_to_human(result.latency_seconds),
-                f"{result.throughput_samples_per_second:,.0f}",
-                result.energy_joules * 1e3,
+                seconds_to_human(latency),
+                f"{safe_divide(result.batch_size, latency):,.0f}",
+                result.power_watts * latency * 1e3,
             ]
         )
     return table.render()

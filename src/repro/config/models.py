@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property, wraps
+from itertools import groupby
 from typing import Sequence, Tuple
 
 from repro.errors import ConfigurationError
@@ -220,6 +221,15 @@ class DLRMConfig:
     def embedding_table_bytes(self) -> int:
         """Aggregate embedding-table footprint ("Table size" in Table I)."""
         return sum(table.table_bytes for table in self.tables)
+
+    @cached_property
+    def table_runs(self) -> Tuple[Tuple[int, EmbeddingTableConfig], ...]:
+        """Runs of consecutive equal tables as ``(count, table)``, in table order.
+
+        A homogeneous preset is one run; ``A A B A`` is three runs, because
+        only adjacent tables merge and per-table sums keep their order.
+        """
+        return tuple((len(tuple(run)), table) for table, run in groupby(self.tables))
 
     @cached_property
     def largest_table_bytes(self) -> int:

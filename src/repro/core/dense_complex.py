@@ -195,14 +195,8 @@ class DenseAcceleratorComplex:
             raise SimulationError(f"batch_size must be positive, got {batch_size}")
         frequency = self.fpga.frequency_hz
 
-        bottom_cycles = sum(
-            timing.cycles
-            for timing in self.mlp_unit.mlp_timing(model.bottom_mlp.layer_dims, batch_size)
-        )
-        top_cycles = sum(
-            timing.cycles
-            for timing in self.mlp_unit.mlp_timing(model.top_mlp.layer_dims, batch_size)
-        )
+        bottom_cycles = self.mlp_unit.mlp_cycles(model.bottom_mlp.layer_dims, batch_size)
+        top_cycles = self.mlp_unit.mlp_cycles(model.top_mlp.layer_dims, batch_size)
         interaction = self.interaction_unit.timing(
             num_tables=model.num_tables,
             embedding_dim=model.embedding_dim,

@@ -158,23 +158,38 @@ class MLPUnit:
         if m <= 0 or n <= 0 or k <= 0:
             raise ModelShapeError(f"GEMM dimensions must be positive, got {(m, n, k)}")
         t = self.tile_dim
-        m_tiles, n_tiles, k_tiles = -(-m // t), -(-n // t), -(-k // t)
-        tile_ops = m_tiles * n_tiles * k_tiles
-        waves = -(-tile_ops // self.num_pes)
-        # K-split partial sums merge at one extra tile-width of cycles per
-        # reduced tile when the fallback mapping is active.
-        merge_cycles = t * k_tiles if m_tiles * n_tiles < self.num_pes else 0
-        cycles = waves * self.cycles_per_tile_op + merge_cycles + self.fill_cycles
-        useful_flops = 2 * m * n * k
-        padded_flops = tile_ops * self._flops_per_tile_op
+        tile_ops = -(-m // t) * -(-n // t) * -(-k // t)
         return GemmTiming(
             m=m,
             n=n,
             k=k,
             tile_ops=tile_ops,
-            waves=waves,
-            cycles=cycles,
-            utilization=useful_flops / padded_flops,
+            waves=-(-tile_ops // self.num_pes),
+            cycles=self.gemm_cycles(m, n, k),
+            utilization=2 * m * n * k / (tile_ops * self._flops_per_tile_op),
+        )
+
+    def gemm_cycles(self, m: int, n: int, k: int) -> int:
+        """Cycles of one GEMM under the schedule :meth:`gemm_timing` describes.
+
+        The shape is taken as valid; :meth:`gemm_timing` checks it.
+        """
+        t = self.tile_dim
+        output_tiles = -(-m // t) * -(-n // t)
+        k_tiles = -(-k // t)
+        waves = -(-(output_tiles * k_tiles) // self.num_pes)
+        # K-split partial sums merge at one extra tile-width of cycles per
+        # reduced tile when the fallback mapping is active.
+        merge_cycles = t * k_tiles if output_tiles < self.num_pes else 0
+        return waves * self.cycles_per_tile_op + merge_cycles + self.fill_cycles
+
+    def mlp_cycles(self, layer_dims: Sequence[int], batch_size: int) -> int:
+        """Total cycles of an MLP with the given layer widths."""
+        if batch_size <= 0:
+            raise ModelShapeError(f"batch_size must be positive, got {batch_size}")
+        return sum(
+            self.gemm_cycles(batch_size, out_dim, in_dim)
+            for in_dim, out_dim in zip(layer_dims[:-1], layer_dims[1:])
         )
 
     def mlp_timing(self, layer_dims: Sequence[int], batch_size: int) -> List[GemmTiming]:

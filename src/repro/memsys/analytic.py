@@ -48,7 +48,8 @@ def expected_unique_fraction(population: int, draws: int) -> float:
     dividing by ``draws`` gives the fraction of draws that are "first
     touches".  Embedding gathers within one batch reuse a row only when the
     same row ID is drawn twice, so this factor scales the miss count.
-    Memoized (bounded): a model's identical tables repeat the same call.
+    Memoized (bounded): the CPU-only and CPU-GPU backends price the same
+    ``(rows, lookups)`` pairs for every (model, batch) of a sweep.
     """
     if population <= 0:
         raise SimulationError(f"population must be positive, got {population}")
@@ -155,13 +156,18 @@ class EmbeddingAccessProfile:
         gather_accesses = 0.0
         gather_misses = 0.0
         useful_bytes = 0.0
-        for table in model.tables:
+        # Equal tables in a row are priced once.  The integer sums scale
+        # exactly (they stay far below 2**53); the float miss term is still
+        # added once per table, in table order, so its rounding is unchanged.
+        for count, table in model.table_runs:
             lookups = table.gathers * batch_size
             lines = lookups * lines_per_vector
             unique_fraction = expected_unique_fraction(table.num_rows, lookups)
-            gather_accesses += lines
-            gather_misses += lines * unique_fraction * aggregate_miss_prob
-            useful_bytes += lookups * table.row_bytes
+            gather_accesses += lines * count
+            table_misses = lines * unique_fraction * aggregate_miss_prob
+            for _ in range(count):
+                gather_misses += table_misses
+            useful_bytes += lookups * table.row_bytes * count
 
         other_accesses = (
             self.fixed_llc_accesses + self.other_accesses_per_lookup * total_lookups
@@ -180,10 +186,9 @@ class EmbeddingAccessProfile:
             hits=accesses_int - misses_int,
             misses=misses_int,
         )
-        transferred = misses * self.cpu.cache_line_bytes + useful_bytes * 0.0
         return MemoryTrafficStats(
             useful_bytes=useful_bytes,
-            transferred_bytes=transferred,
+            transferred_bytes=misses * self.cpu.cache_line_bytes,
             llc=llc,
             instructions=instructions,
         )

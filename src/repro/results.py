@@ -9,6 +9,7 @@ speedups and efficiency ratios compare like with like.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import inf
 from typing import Dict, Mapping, Optional
 
 from repro.errors import SimulationError
@@ -35,8 +36,10 @@ class LatencyBreakdown:
 
     def add(self, stage: str, seconds: float) -> None:
         """Add (or accumulate into) a stage."""
-        if seconds < 0:
-            raise SimulationError(f"stage {stage!r} has negative latency {seconds}")
+        if not 0 <= seconds < inf:
+            raise SimulationError(
+                f"stage {stage!r} latency must be finite and non-negative, got {seconds}"
+            )
         self._stages[stage] = self._stages.get(stage, 0.0) + float(seconds)
 
     def get(self, stage: str) -> float:
@@ -108,8 +111,10 @@ class InferenceResult:
     def __post_init__(self) -> None:
         if self.batch_size <= 0:
             raise SimulationError(f"batch_size must be positive, got {self.batch_size}")
-        if self.power_watts < 0:
-            raise SimulationError(f"power_watts must be non-negative, got {self.power_watts}")
+        if not 0 <= self.power_watts < inf:
+            raise SimulationError(
+                f"power_watts must be finite and non-negative, got {self.power_watts}"
+            )
 
     # ------------------------------------------------------------------
     @property

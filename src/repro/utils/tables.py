@@ -45,14 +45,10 @@ class TextTable:
 
     def render(self) -> str:
         """Render the table as an aligned ASCII string."""
-        widths = [len(column) for column in self.columns]
-        for row in self._rows:
-            for index, cell in enumerate(row):
-                widths[index] = max(widths[index], len(cell))
+        widths = [max(map(len, cells)) for cells in zip(self.columns, *self._rows)]
 
         def render_line(cells: Sequence[str]) -> str:
-            padded = [cell.ljust(widths[index]) for index, cell in enumerate(cells)]
-            return "| " + " | ".join(padded) + " |"
+            return "| " + " | ".join(map(str.ljust, cells, widths)) + " |"
 
         separator = "+-" + "-+-".join("-" * width for width in widths) + "-+"
         lines: list[str] = []
@@ -61,8 +57,7 @@ class TextTable:
         lines.append(separator)
         lines.append(render_line(self.columns))
         lines.append(separator)
-        for row in self._rows:
-            lines.append(render_line(row))
+        lines.extend(map(render_line, self._rows))
         lines.append(separator)
         return "\n".join(lines)
 

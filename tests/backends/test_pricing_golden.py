@@ -15,11 +15,40 @@ import dataclasses
 import hashlib
 
 from repro.backends import get_backend
-from repro.config import HARPV2_SYSTEM, PAPER_MODELS
+from repro.config import HARPV2_SYSTEM, PAPER_MODELS, EmbeddingTableConfig
+from repro.config.models import homogeneous_dlrm
 
 BACKENDS = ("cpu", "cpu-gpu", "centaur")
 BATCHES = (1, 2, 7, 64, 128, 333, 512)
 EXPECTED = "9a435245d0ceb164d5971f1ab7eb0d56efd6f7b0f2b9bdb60b8c9e81949f1208"
+
+
+def _with_tables(name, tables):
+    """A model with the given tables around the default MLP shapes."""
+    base = homogeneous_dlrm(name, len(tables), rows_per_table=1, gathers_per_table=1)
+    return dataclasses.replace(base, tables=tuple(tables))
+
+
+_A = EmbeddingTableConfig(num_rows=200_000, gathers=80)
+_B = EmbeddingTableConfig(num_rows=3_000_000, gathers=80)
+_C = EmbeddingTableConfig(num_rows=45_000, gathers=80)
+
+#: Heterogeneous models the paper presets cannot stand in for: equal tables
+#: that are not adjacent (A A B A C C) and tables that differ only in their
+#: gather counts.  Grouping tables across a gap, or by size alone, reorders
+#: the miss sum and changes their digest, which was computed with the
+#: per-table profile loop before equal tables were priced once per run.
+HETEROGENEOUS = (
+    _with_tables("AABACC", (_A, _A, _B, _A, _C, _C)),
+    _with_tables(
+        "mixed-gathers",
+        tuple(
+            EmbeddingTableConfig(num_rows=200_000, gathers=gathers)
+            for gathers in (20, 20, 80, 2, 2, 2, 80, 20, 120)
+        ),
+    ),
+)
+EXPECTED_HETEROGENEOUS = "cc869b7f7f4d2c99a1eae406a2c8142c4a26cfd9ab79c617c02b7a5f79408047"
 
 
 def pricing_digest(models=PAPER_MODELS) -> str:
@@ -48,3 +77,7 @@ def test_cold_and_warm_configs_price_identically():
     )
     assert pricing_digest(fresh) == EXPECTED
     assert pricing_digest() == EXPECTED
+
+
+def test_heterogeneous_tables_price_bit_identically():
+    assert pricing_digest(HETEROGENEOUS) == EXPECTED_HETEROGENEOUS

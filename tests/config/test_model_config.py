@@ -180,6 +180,19 @@ class TestCachedAggregates:
                 i * o + o for i, o in zip(dims[:-1], dims[1:])
             )
 
+    def test_table_runs_merge_only_adjacent_equal_tables(self):
+        from dataclasses import replace
+
+        a = EmbeddingTableConfig(num_rows=100)
+        b = EmbeddingTableConfig(num_rows=200)
+        c = EmbeddingTableConfig(num_rows=100, gathers=3)
+        base = homogeneous_dlrm("runs", num_tables=7, rows_per_table=1, gathers_per_table=1)
+        model = replace(base, tables=(a, a, b, a, c, c, EmbeddingTableConfig(num_rows=100)))
+        assert model.table_runs == ((2, a), (1, b), (1, a), (2, c), (1, a))
+        assert homogeneous_dlrm("one", 50, 10, 2).table_runs == (
+            (50, EmbeddingTableConfig(num_rows=10, gathers=2)),
+        )
+
     def test_variants_do_not_inherit_the_originals_aggregates(self):
         from repro.config import DLRM1
 

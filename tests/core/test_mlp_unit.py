@@ -98,6 +98,21 @@ class TestTiming:
         assert len(timings) == 3
         assert timings[0].k == 13 and timings[0].n == 128 and timings[0].m == 16
 
+    def test_mlp_cycles_sum_the_per_layer_timings(self, unit):
+        # 838 cycles per tile multiply (2 * 32**3 flops at 78.25 per cycle)
+        # plus the 64-cycle fill; a GEMM with fewer output tiles than PEs
+        # also pays a 32-cycle merge per K tile.
+        assert unit.gemm_cycles(1, 1, 1) == 838 + 32 + 64
+        assert unit.gemm_cycles(128, 128, 32) == 838 + 64
+        assert unit.gemm_cycles(16, 128, 64) == 838 + 2 * 32 + 64
+        dims = (13, 128, 64, 32)
+        for batch in (1, 16, 333):
+            assert unit.mlp_cycles(dims, batch) == sum(
+                timing.cycles for timing in unit.mlp_timing(dims, batch)
+            )
+        with pytest.raises(ModelShapeError):
+            unit.mlp_cycles(dims, 0)
+
     def test_peak_throughput_consistent_with_313_gflops(self, unit):
         """A large, well-aligned GEMM should sustain close to the MLP unit's
         share (16/20) of the 313 GFLOPS aggregate."""

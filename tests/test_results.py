@@ -1,5 +1,7 @@
 """Tests for the shared result containers."""
 
+import math
+
 import pytest
 
 from repro.errors import SimulationError
@@ -40,6 +42,19 @@ class TestLatencyBreakdown:
         with pytest.raises(SimulationError):
             LatencyBreakdown({"EMB": -1.0})
 
+    @pytest.mark.parametrize("seconds", [math.nan, math.inf, -math.inf])
+    def test_non_finite_latency_rejected(self, seconds):
+        # NaN compares false both ways, so a "< 0" check alone lets it
+        # through and every derived metric turns into NaN.
+        with pytest.raises(SimulationError, match="finite"):
+            LatencyBreakdown().add("EMB", seconds)
+        with pytest.raises(SimulationError, match="finite"):
+            LatencyBreakdown({"EMB": 1e-3, "MLP": seconds})
+        breakdown = LatencyBreakdown({"EMB": 1e-3})
+        with pytest.raises(SimulationError):
+            breakdown.add("EMB", seconds)
+        assert breakdown.get("EMB") == 1e-3
+
     def test_scaled(self):
         breakdown = LatencyBreakdown({"A": 2.0}).scaled(0.5)
         assert breakdown.get("A") == pytest.approx(1.0)
@@ -54,6 +69,16 @@ class TestLatencyBreakdown:
 
 
 class TestInferenceResult:
+    @pytest.mark.parametrize("power", [math.nan, math.inf, -1.0])
+    def test_non_finite_or_negative_power_rejected(self, power):
+        with pytest.raises(SimulationError, match="power_watts"):
+            make_result(power=power)
+
+    def test_zero_latency_and_power_accepted(self):
+        result = make_result(stages={"EMB": 0.0}, power=0.0)
+        assert result.latency_seconds == 0.0
+        assert result.energy_joules == 0.0
+
     def test_latency_and_throughput(self):
         result = make_result()
         assert result.latency_seconds == pytest.approx(4.1e-4)
