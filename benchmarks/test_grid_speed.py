@@ -1,14 +1,18 @@
 """Grid wall-clock trajectory benchmark and parallel-execution perf gate.
 
 Measures wall-clock of three representative experiment grids at
-``jobs=1/2/4`` through :class:`repro.experiment.executor.GridExecutor`:
+``jobs=1/2/4``:
 
 * ``figure`` — the full figure-suite batch grid (108 analytic points).
-  Recorded as trajectory only: analytic points cost microseconds, so the
-  pool overhead *exceeds* the work and parallelism cannot pay here — the
-  measurement documents why ``jobs=1`` stays the default.
+  Recorded as trajectory only.  Batch grids always price in-process, so
+  its ``jobs>1`` rows time the same serial path as ``jobs=1``; the
+  committed ``jobs>1`` rows predate that and record the process pool the
+  batch path used to open (0.244 s at ``jobs=2`` against 0.025 s
+  serially), which is why it was dropped.
 * ``serve`` — an event-driven serving grid (three backends, two
-  workloads); points group by (backend, model), so three worker tasks.
+  workloads) fanned out through
+  :class:`repro.experiment.executor.GridExecutor`; points group by
+  (backend, model), so three worker tasks.
 * ``shard`` — an event-driven sharded-serving grid (eight independent
   points, every point carrying a hot-row cache so per-point cost stays
   even); the parallel workhorse the speedup floors are pinned on.

@@ -199,7 +199,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if resolve_jobs(args.jobs) > 1:
         print(
             "note: serve evaluates one (backend, workload) point; --jobs "
-            "parallelizes grids (sweep, Experiment.serve), so this run is serial",
+            "parallelizes event-driven grids (plan, Experiment.serve), so this "
+            "run is serial",
             file=sys.stderr,
         )
     progress = _progress_printer(args.progress)
@@ -414,8 +415,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help=(
-            "worker processes fanning the grid out (default 1 = serial, "
-            "0 = all CPUs); results are byte-identical at any setting"
+            "accepted for symmetry with serve and plan (0 = all CPUs); a "
+            "sweep always prices in-process, so output is identical at any "
+            "setting"
         ),
     )
     sweep_parser.add_argument(

@@ -184,6 +184,7 @@ class CentaurRunner:
     sigmoid_mode: str = "exact"
     _streamer: EBStreamer = field(default=None, repr=False)  # type: ignore[assignment]
     _dense: DenseAcceleratorComplex = field(default=None, repr=False)  # type: ignore[assignment]
+    _link: ChipletLink = field(default=None, repr=False)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
         if self.other_fixed_s < 0:
@@ -194,6 +195,8 @@ class CentaurRunner:
             self._dense = DenseAcceleratorComplex(
                 fpga=self.system.fpga, sigmoid_mode=self.sigmoid_mode
             )
+        if self._link is None:
+            self._link = ChipletLink(self.system.link)
 
     # ------------------------------------------------------------------
     @property
@@ -220,12 +223,11 @@ class CentaurRunner:
 
         streamer = self._streamer.estimate(model, batch_size)
         dense = self._dense.estimate(model, batch_size)
-        link = ChipletLink(self.system.link)
 
         # Dense-feature fetch (DNF) and final result write-back.
         dense_feature_bytes = model.dense_feature_bytes_per_sample() * batch_size
-        dnf = link.bulk_transfer(dense_feature_bytes)
-        result_writeback = link.bulk_transfer(4 * batch_size)
+        dnf = self._link.bulk_transfer(dense_feature_bytes)
+        result_writeback = self._link.bulk_transfer(4 * batch_size)
 
         breakdown = LatencyBreakdown()
         breakdown.add("IDX", streamer.index_fetch_s)

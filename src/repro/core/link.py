@@ -44,18 +44,22 @@ class LinkTransferEstimate:
         return self.bytes_transferred / self.latency_s
 
 
+@dataclass(frozen=True)
 class ChipletLink:
-    """Performance model of the package-level CPU<->FPGA interconnect."""
+    """Performance model of the package-level CPU<->FPGA interconnect.
 
-    def __init__(self, config: LinkConfig, gather_efficiency: float = 0.68):
-        if not 0.0 < gather_efficiency <= 1.0:
+    Stateless: every estimate is a pure function of the configuration and
+    its arguments, so one link can price every transfer of a runner.
+    """
+
+    config: LinkConfig
+    gather_efficiency: float = 0.68
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.gather_efficiency <= 1.0:
             raise SimulationError(
-                f"gather_efficiency must be in (0, 1], got {gather_efficiency}"
+                f"gather_efficiency must be in (0, 1], got {self.gather_efficiency}"
             )
-        self.config = config
-        self.gather_efficiency = gather_efficiency
-        self.bytes_transferred = 0.0
-        self.transfers = 0
 
     # ------------------------------------------------------------------
     @property
@@ -78,8 +82,6 @@ class ChipletLink:
         """A contiguous transfer (index array upload, dense features, results)."""
         if num_bytes < 0:
             raise SimulationError(f"num_bytes must be non-negative, got {num_bytes}")
-        self.transfers += 1
-        self.bytes_transferred += num_bytes
         if num_bytes == 0:
             return LinkTransferEstimate(0.0, 0.0, 0.0, 0.0, 0.0)
         streaming_s = num_bytes / self.config.effective_bandwidth
@@ -113,9 +115,7 @@ class ChipletLink:
         """A stream of independent cache-line reads (embedding gathers)."""
         if num_lines < 0:
             raise SimulationError(f"num_lines must be non-negative, got {num_lines}")
-        self.transfers += 1
         num_bytes = num_lines * self.config.request_granularity_bytes
-        self.bytes_transferred += num_bytes
         if num_lines == 0:
             return LinkTransferEstimate(0.0, 0.0, 0.0, 0.0, 0.0)
         bandwidth = self.gather_bandwidth(min(outstanding_requests, num_lines))

@@ -78,10 +78,10 @@ class ResultCache:
 
     Thread-safe: :meth:`get_or_compute` holds the cache lock across the
     whole lookup-or-compute, so concurrent threads racing on one key can
-    never price it twice (threaded callers serialize on the device model —
-    process-level parallelism is what :class:`~repro.experiment.executor.
-    GridExecutor` is for).  Caches pickle without their lock, so a worker
-    process can ship its cache back to the parent for :meth:`merge`.
+    never price it twice (threaded callers serialize on the device model).
+    A cache lives in one process: :meth:`Experiment.run
+    <repro.experiment.Experiment.run>` prices batch grids in-process at
+    every ``jobs`` setting, so no worker ever prices into it.
     """
 
     def __init__(self) -> None:
@@ -89,16 +89,6 @@ class ResultCache:
         self._compute_counts: Dict[CacheKey, int] = {}
         self.hits = 0
         self.misses = 0
-        self._lock = threading.RLock()
-
-    # ------------------------------------------------------------------
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        del state["_lock"]  # locks don't pickle; workers get a fresh one
-        return state
-
-    def __setstate__(self, state) -> None:
-        self.__dict__.update(state)
         self._lock = threading.RLock()
 
     # ------------------------------------------------------------------
@@ -143,29 +133,6 @@ class ResultCache:
             result = backend.run(model, batch_size)
             self._entries[key] = result
             return result
-
-    def peek(self, key: CacheKey) -> Optional[InferenceResult]:
-        """The memoized result of ``key`` without touching any counter."""
-        with self._lock:
-            return self._entries.get(key)
-
-    # ------------------------------------------------------------------
-    def merge(self, other: "ResultCache") -> None:
-        """Fold a worker cache into this one.
-
-        Entries absent here are adopted (the first cache to price a key
-        wins on conflict — results are pure functions of the key, so both
-        sides hold equal values); compute/hit/miss counters are *summed*,
-        so duplicated work across processes still surfaces through
-        :meth:`max_compute_count` instead of being hidden by the merge.
-        """
-        with self._lock, other._lock:
-            for key, result in other._entries.items():
-                self._entries.setdefault(key, result)
-            for key, count in other._compute_counts.items():
-                self._compute_counts[key] = self._compute_counts.get(key, 0) + count
-            self.hits += other.hits
-            self.misses += other.misses
 
     # ------------------------------------------------------------------
     def compute_counts(self) -> Dict[CacheKey, int]:

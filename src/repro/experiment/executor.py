@@ -1,26 +1,31 @@
-"""Process-pool fan-out for experiment grids.
+"""Process-pool fan-out for the event-driven experiment grids.
 
-Every grid point in this repo is an independent, seed-deterministic
-simulation — a pure function of picklable inputs (backend *name*, model /
-system configs, workload / shard / fault specs).  :class:`GridExecutor`
-exploits that: it fans task payloads out over a
+Every serving, sharding and capacity-planning point is an independent,
+seed-deterministic event simulation — a pure function of picklable inputs
+(backend *name*, model / system configs, workload / shard / fault specs).
+:class:`GridExecutor` exploits that: it fans task payloads out over a
 :class:`concurrent.futures.ProcessPoolExecutor` and hands results back in
 **submission order**, so callers that enumerate their grid in the serial
 order get byte-identical products at any ``jobs=`` setting.
 
-The module-level ``_run_*`` functions are the worker entry points (they
-must be importable by name so payloads stay spawn-safe).  Workers resolve
-backends through the registry — builtin backends self-register on import
-in every process; ad-hoc registrations made only in the parent cannot be
-resolved by a worker, which is why ``jobs`` defaults to 1 (the serial
-path) everywhere.
+Batch grids (:meth:`~repro.experiment.Experiment.run`) never come here: a
+design point is an analytic price that costs less than its round trip to a
+worker, so they always run in-process.  On a 2-vCPU host a 36,864-point
+batch grid took 2.1-2.4 s serially and 2.6-2.9 s over two workers.
+
+:func:`_run_fleet_task` is the serving-grid worker entry point (it must be
+importable by name so payloads stay spawn-safe); capacity planning maps a
+bound planner method.  Workers resolve backends through the registry —
+builtin backends self-register on import in every process; ad-hoc
+registrations made only in the parent cannot be resolved by a worker,
+which is why ``jobs`` defaults to 1 (the serial path) everywhere.
 
 Determinism contract (asserted by the equivalence-matrix tests): for each
 grid flavour the tasks partition points exactly the way fleets share
-state — batch points are pure per-point functions; serving points share a
-fleet per (backend, default model) group, so a whole group is one
-:class:`FleetTask` replayed in serial order; shard points build a fresh
-group each, so they ship one per task.  ``jobs=1`` runs the same tasks
+state — serving points share a fleet per (backend, default model) group,
+so a whole group is one :class:`FleetTask` replayed in serial order; shard
+points build a fresh group each, so they ship one per task; capacity
+plans ship one backend's search per task.  ``jobs=1`` runs the same tasks
 in-process.
 """
 
@@ -32,13 +37,11 @@ import reprlib
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.backends.registry import get_backend
 from repro.config.models import DLRMConfig
 from repro.config.system import SystemConfig
 from repro.errors import SimulationError
-from repro.experiment.cache import ResultCache
 from repro.serving.fleet import FleetSpec
 from repro.workloads.workload import Workload
 
@@ -53,20 +56,20 @@ def resolve_jobs(jobs: int) -> int:
     return jobs
 
 
-def _pool_context(start_method: Optional[str]):
+def _pool_context():
     """The multiprocessing context grids fan out with.
 
     ``fork`` (where the platform offers it) starts a worker in
     milliseconds; ``spawn`` pays a fresh-interpreter import (~1.5 s of
     ``repro`` imports) per worker, which would erase the speedup on small
     grids.  Payloads are spawn-safe either way — workers never rely on
-    inherited state (each computes into a fresh local cache) — so forcing
-    ``start_method="spawn"`` changes wall-clock, never results.
+    inherited state — so the start method changes wall-clock, never
+    results.
     """
-    if start_method is None:
-        methods = multiprocessing.get_all_start_methods()
-        start_method = "fork" if "fork" in methods else methods[0]
-    return multiprocessing.get_context(start_method)
+    try:
+        return multiprocessing.get_context("fork")
+    except ValueError:  # no fork on this platform: take its default
+        return multiprocessing.get_context()
 
 
 #: Progress callback: (payload index, result) — completion order in
@@ -107,13 +110,8 @@ class GridExecutor:
     grid products stay byte-identical across ``jobs`` settings.
     """
 
-    def __init__(self, jobs: int = 1, start_method: Optional[str] = None):
+    def __init__(self, jobs: int = 1):
         self.jobs = resolve_jobs(jobs)
-        self.start_method = start_method
-
-    @property
-    def parallel(self) -> bool:
-        return self.jobs > 1
 
     def map(
         self,
@@ -133,7 +131,7 @@ class GridExecutor:
                     on_result(index, result)
             return results
         slots: List[object] = [None] * len(payloads)
-        context = _pool_context(self.start_method)
+        context = _pool_context()
         progress = context.RawArray("b", len(payloads))
         try:
             with ProcessPoolExecutor(
@@ -186,47 +184,6 @@ class GridExecutor:
 
 
 # ----------------------------------------------------------------------
-# Batch grids (Experiment.run)
-
-
-@dataclass(frozen=True)
-class BatchChunk:
-    """A slice of batch-grid points one worker prices.
-
-    ``memoize=True`` computes through a fresh worker-local
-    :class:`ResultCache` and returns it for the parent to
-    :meth:`~ResultCache.merge`; ``memoize=False`` mirrors the uncached
-    serial path (every point runs the device model, duplicates included).
-    """
-
-    system: SystemConfig
-    points: Tuple[Tuple[str, DLRMConfig, int], ...]  # (backend, model, batch)
-    memoize: bool = True
-
-    def describe(self) -> str:
-        (name, model, first), (_, _, last) = self.points[0], self.points[-1]
-        return f"{len(self.points)} batch points from {name} {model.name} batch {first} to batch {last}"
-
-
-def _run_batch_chunk(chunk: BatchChunk):
-    backends: Dict[str, object] = {}
-    for name, _, _ in chunk.points:
-        if name not in backends:
-            backends[name] = get_backend(name, chunk.system)
-    if chunk.memoize:
-        cache = ResultCache()
-        for name, model, batch_size in chunk.points:
-            cache.get_or_compute(
-                backends[name], model, batch_size, chunk.system, backend_name=name
-            )
-        return cache
-    return [
-        backends[name].run(model, batch_size)
-        for name, model, batch_size in chunk.points
-    ]
-
-
-# ----------------------------------------------------------------------
 # Serving grids (Experiment.serve / Experiment.shard)
 
 
@@ -267,65 +224,3 @@ def _run_fleet_task(task: FleetTask) -> list:
         )
         for workload in task.workloads
     ]
-
-
-# ----------------------------------------------------------------------
-# Capacity planning
-
-
-@dataclass
-class PlanBackendTask:
-    """One backend's minimal-fleet search (the search itself is serial)."""
-
-    system: SystemConfig
-    sla_s: float
-    target_attainment: float
-    max_replicas: int
-    batching: object
-    dispatcher: object
-    seed: int
-    backend_name: str
-    model: DLRMConfig
-    workload: Workload
-    duration_s: Optional[float]
-    num_requests: Optional[int]
-
-    def describe(self) -> str:
-        return f"plan {self.backend_name} {self.model.name} {self.workload.name}"
-
-
-def _run_plan_backend(task: PlanBackendTask):
-    from repro.serving.planner import CapacityPlanner
-
-    planner = CapacityPlanner(
-        task.system,
-        sla_s=task.sla_s,
-        target_attainment=task.target_attainment,
-        max_replicas=task.max_replicas,
-        batching=task.batching,
-        dispatcher=task.dispatcher,
-        seed=task.seed,
-    )
-    return planner.plan_backend(
-        task.backend_name,
-        task.model,
-        task.workload,
-        duration_s=task.duration_s,
-        num_requests=task.num_requests,
-    )
-
-
-def chunk_evenly(items: Sequence, chunks: int) -> List[List]:
-    """Split ``items`` into at most ``chunks`` contiguous, balanced runs."""
-    items = list(items)
-    count = min(max(1, chunks), len(items)) if items else 0
-    if count == 0:
-        return []
-    base, extra = divmod(len(items), count)
-    out: List[List] = []
-    start = 0
-    for index in range(count):
-        size = base + (1 if index < extra else 0)
-        out.append(items[start : start + size])
-        start += size
-    return out

@@ -45,6 +45,7 @@ from repro.config.presets import PAPER_BATCH_SIZES, PAPER_MODELS
 from repro.config.system import SystemConfig
 from repro.errors import ConfigurationError, SimulationError
 from repro.experiment.cache import ResultCache, default_cache, system_fingerprint
+from repro.experiment.executor import FleetTask, GridExecutor, _run_fleet_task, resolve_jobs
 from repro.results import InferenceResult
 from repro.serving.fleet import FleetSpec
 
@@ -313,9 +314,13 @@ class Experiment:
         system: Hardware platform shared by every backend in the grid.
         cache: Result cache; defaults to the process-wide shared cache.
             Pass ``None`` to disable memoization for this experiment.
-        jobs: Worker processes for grid evaluation (``1`` = serial,
-            ``0`` = one per CPU).  Results are byte-identical at every
-            setting; see :mod:`repro.experiment.executor`.
+        jobs: Worker processes the event-driven grids (:meth:`serve`,
+            :meth:`shard`, :meth:`plan_capacity`) fan out over (``1`` =
+            serial, ``0`` = one per CPU); :meth:`run` always prices
+            in-process.  Results are byte-identical at every setting; see
+            :mod:`repro.experiment.executor`.  A negative value raises
+            :class:`~repro.errors.SimulationError` here, as :meth:`jobs`
+            does.
 
     The builder methods mutate and return ``self`` so grids read as one
     chained expression; defaults reproduce the paper's full evaluation grid
@@ -329,8 +334,8 @@ class Experiment:
         self._models: Tuple[DLRMConfig, ...] = PAPER_MODELS
         self._batch_sizes: Tuple[int, ...] = PAPER_BATCH_SIZES
         self._workloads: Tuple["Workload", ...] = ()
-        self._jobs = jobs
         self._progress: Optional[Callable[[str], None]] = None
+        self.jobs(jobs)
 
     # ------------------------------------------------------------------
     def backends(self, *names: str) -> "Experiment":
@@ -419,16 +424,18 @@ class Experiment:
         return self
 
     def jobs(self, jobs: int) -> "Experiment":
-        """Evaluate grids with this many worker processes.
+        """Fan the event-driven grids out over this many worker processes.
 
-        ``1`` (the default) is the serial in-process path; ``0`` means one
-        worker per CPU.  Every grid product is byte-identical to the
-        serial run at any setting — parallelism only changes wall-clock.
-        Workers resolve backends through the registry, so ad-hoc backends
-        registered only in this process require ``jobs=1``.
+        Applies to :meth:`serve`, :meth:`shard` and :meth:`plan_capacity`,
+        whose points are whole simulations.  ``1`` (the default) is the
+        serial in-process path; ``0`` means one worker per CPU.  Batch
+        grids (:meth:`run`) price in-process at every setting: an analytic
+        design point costs less than shipping it to a worker.  Every grid
+        product is byte-identical to the serial run at any setting —
+        parallelism only changes wall-clock.  Workers resolve backends
+        through the registry, so ad-hoc backends registered only in this
+        process require ``jobs=1`` on the fanned-out grids.
         """
-        from repro.experiment.executor import resolve_jobs
-
         resolve_jobs(jobs)  # validate eagerly; store the raw setting
         self._jobs = int(jobs)
         return self
@@ -437,8 +444,9 @@ class Experiment:
         """Log one line per completed grid point through ``callback``.
 
         Lines look like ``[12/108] cpu DLRM(3) b64 computed`` (batch
-        grids say ``cached`` vs ``computed``; serving grids say
-        ``served``).  Logging never alters any grid product.
+        grids say ``cached`` vs ``computed``, in grid order at every
+        ``jobs`` setting; serving grids say ``served``, in completion
+        order when fanned out).  Logging never alters any grid product.
         """
         self._progress = callback
         return self
@@ -482,18 +490,13 @@ class Experiment:
 
         Design points already in the cache are returned without touching
         the device models; everything else is computed once and memoized.
-        With ``jobs > 1`` the uncached points fan out over worker
-        processes, each pricing into a fresh local cache that is merged
-        back — so "each point computed exactly once" holds across the
-        whole pool, and the collected grid is byte-identical to a serial
-        run.
+        A design point is an analytic price, far cheaper than a worker
+        process round trip, so batch grids always run in-process: ``jobs``
+        fans out only the event-driven :meth:`serve` and :meth:`shard`
+        grids and capacity planning.
         """
-        from repro.experiment.executor import resolve_jobs
-
         cache = self._resolve_cache()
         points = self._grid_points()
-        if resolve_jobs(self._jobs) > 1:
-            return self._run_parallel(points, cache)
         backends = {
             name: get_backend(name, self.system)
             for name in dict.fromkeys(name for name, _, _ in points)
@@ -516,89 +519,6 @@ class Experiment:
                 self._progress(
                     f"[{done}/{total}] {name} {model.name} b{batch_size} {status}"
                 )
-        return outcome
-
-    def _run_parallel(
-        self,
-        points: List[Tuple[str, DLRMConfig, int]],
-        cache: Optional[ResultCache],
-    ) -> ExperimentResult:
-        """Fan the grid's uncached points out over worker processes."""
-        from repro.experiment.executor import (
-            BatchChunk,
-            GridExecutor,
-            _run_batch_chunk,
-            chunk_evenly,
-        )
-
-        executor = GridExecutor(self._jobs)
-        outcome = ExperimentResult(self.system, _BATCH_AXES, _batch_columns)
-        total = len(points)
-        done = 0
-
-        def emit(name: str, model: DLRMConfig, batch_size: int, status: str) -> None:
-            nonlocal done
-            done += 1
-            if self._progress is not None:
-                self._progress(
-                    f"[{done}/{total}] {name} {model.name} b{batch_size} {status}"
-                )
-
-        if cache is None:
-            chunks = chunk_evenly(points, executor.jobs * 4)
-            payloads = [
-                BatchChunk(self.system, tuple(chunk), memoize=False)
-                for chunk in chunks
-            ]
-
-            def on_chunk(index: int, results) -> None:
-                for name, model, batch_size in chunks[index]:
-                    emit(name, model, batch_size, "computed")
-
-            chunk_results = executor.map(_run_batch_chunk, payloads, on_result=on_chunk)
-            for chunk, results in zip(chunks, chunk_results):
-                for (name, _, _), result in zip(chunk, results):
-                    outcome.add((name, result.model_name, result.batch_size), result)
-            return outcome
-
-        # Memoized path: ship each missing key exactly once, merge the
-        # worker caches back, then collect every point (now a lookup) in
-        # serial order.  Hit/miss accounting mirrors the serial loop: a
-        # point whose key is cached — or already bound for a worker — is
-        # the hit it would have been serially; each shipped key is the one
-        # miss its worker records.
-        shipped = set()
-        pending: List[Tuple[str, DLRMConfig, int]] = []
-        statuses: List[str] = []
-        keys = [
-            cache.key(name, model, batch_size, self.system)
-            for name, model, batch_size in points
-        ]
-        for (name, model, batch_size), key in zip(points, keys):
-            if key in cache or key in shipped:
-                with cache._lock:
-                    cache.hits += 1
-                statuses.append("cached")
-            else:
-                shipped.add(key)
-                pending.append((name, model, batch_size))
-                statuses.append("computed")
-        chunks = chunk_evenly(pending, executor.jobs * 4)
-        payloads = [
-            BatchChunk(self.system, tuple(chunk), memoize=True) for chunk in chunks
-        ]
-
-        def on_cache(index: int, worker_cache) -> None:
-            for name, model, batch_size in chunks[index]:
-                emit(name, model, batch_size, "computed")
-
-        for worker_cache in executor.map(_run_batch_chunk, payloads, on_result=on_cache):
-            cache.merge(worker_cache)
-        for (name, model, batch_size), key, status in zip(points, keys, statuses):
-            result = cache.peek(key)
-            outcome.add((name, result.model_name, result.batch_size), result)
-            if status == "cached":
-                emit(name, model, batch_size, "cached")
         return outcome
 
     def _require_workloads(self, method: str) -> Tuple["Workload", ...]:
@@ -761,8 +681,6 @@ class Experiment:
         :class:`~repro.experiment.executor.GridExecutor` (in-process at
         ``jobs=1``), and every report lands under its key in point order.
         """
-        from repro.experiment.executor import FleetTask, GridExecutor, _run_fleet_task
-
         groups: Dict[object, List[int]] = {}
         for position, (_, group, _, _, _) in enumerate(points):
             groups.setdefault(position if group is None else group, []).append(position)

@@ -13,10 +13,11 @@ comparable across backends.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.backends.registry import available_backends, get_backend
+from repro.backends.registry import available_backends, canonical_backend_name, get_backend
 from repro.config.models import DLRMConfig
 from repro.config.system import SystemConfig
 from repro.errors import SimulationError
@@ -67,8 +68,14 @@ class CapacityPlan:
     points: Tuple[CapacityPoint, ...]
 
     def get(self, backend: str) -> CapacityPoint:
+        """The point of ``backend``, by registry name or alias.
+
+        Raises:
+            KeyError: When the plan holds no point for that backend.
+        """
+        name = canonical_backend_name(backend)
         for point in self.points:
-            if point.backend == backend:
+            if point.backend == name:
                 return point
         raise KeyError(f"no capacity point for backend {backend!r}")
 
@@ -147,8 +154,10 @@ class CapacityPlanner:
         Doubles the fleet until the target is met (or ``max_replicas`` is
         hit), then binary-searches the bracketed range.  Attainment is
         treated as monotone in fleet size, which holds for open-loop
-        arrival streams: more replicas never see more load each.
+        arrival streams: more replicas never see more load each.  The
+        point is recorded under the backend's canonical registry name.
         """
+        backend_name = canonical_backend_name(backend_name)
         check_workload_support(backend_name, workload)
         backend = get_backend(backend_name, self.system)
         evaluated: List[int] = []
@@ -203,38 +212,28 @@ class CapacityPlanner:
     ) -> CapacityPlan:
         """Minimal fleets for every backend (default: all registered).
 
-        With ``jobs > 1`` the per-backend searches run in worker
-        processes; plans are deterministic either way, so the answer is
-        identical at any setting.
+        Backends are given by registry name or alias; names resolving to
+        one backend are planned once, in first-seen order, under the
+        canonical name.  With ``jobs > 1`` the per-backend searches run in
+        worker processes; plans are deterministic either way, so the
+        answer is identical at any setting.
         """
-        from repro.experiment.executor import (
-            GridExecutor,
-            PlanBackendTask,
-            _run_plan_backend,
-        )
+        from repro.experiment.executor import GridExecutor
 
         if (duration_s is None) == (num_requests is None):
             raise SimulationError("provide exactly one of duration_s or num_requests")
-        names = tuple(backends) if backends else available_backends()
-        tasks = [
-            PlanBackendTask(
-                system=self.system,
-                sla_s=self.sla_s,
-                target_attainment=self.target_attainment,
-                max_replicas=self.max_replicas,
-                batching=self.batching,
-                dispatcher=self.dispatcher,
-                seed=self.seed,
-                backend_name=name,
-                model=model,
-                workload=workload,
-                duration_s=duration_s,
-                num_requests=num_requests,
-            )
-            for name in names
-        ]
+        names = available_backends()
+        if backends:
+            names = tuple(dict.fromkeys(canonical_backend_name(name) for name in backends))
+        search = functools.partial(
+            self.plan_backend,
+            model=model,
+            workload=workload,
+            duration_s=duration_s,
+            num_requests=num_requests,
+        )
         # jobs=1 (or one backend) runs the searches serially in-process.
-        points = tuple(GridExecutor(self.jobs).map(_run_plan_backend, tasks))
+        points = tuple(GridExecutor(self.jobs).map(search, names))
         return CapacityPlan(
             workload_name=workload.name,
             model_name=model.name,

@@ -50,6 +50,12 @@ class TestRunnerOutputs:
         with pytest.raises(SimulationError):
             CentaurRunner(HARPV2_SYSTEM, other_fixed_s=-1.0)
 
+    def test_reused_runner_prices_like_a_fresh_one(self, runner):
+        for model, batch in ((DLRM1, 1), (DLRM4, 256), (DLRM6, 16)):
+            runner.run(model, batch)
+        fresh = CentaurRunner(HARPV2_SYSTEM)
+        assert runner.run(DLRM2, 64).to_dict() == fresh.run(DLRM2, 64).to_dict()
+
 
 class TestPaperShapes:
     def test_embedding_dominates_for_embedding_heavy_models(self, runner):

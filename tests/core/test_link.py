@@ -1,5 +1,7 @@
 """Tests for the CPU<->FPGA chiplet link model."""
 
+import dataclasses
+
 import pytest
 
 from repro.config.system import LinkConfig
@@ -21,15 +23,17 @@ class TestBulkTransfer:
         assert estimate.latency_s == pytest.approx(estimate.fixed_s + estimate.streaming_s)
         assert estimate.fixed_s == pytest.approx(link.config.latency_s)
 
-    def test_counters_accumulate(self, link):
-        link.bulk_transfer(100)
-        link.bulk_transfer(200)
-        assert link.bytes_transferred == 300
-        assert link.transfers == 2
-
     def test_negative_rejected(self, link):
         with pytest.raises(SimulationError):
             link.bulk_transfer(-1)
+
+    def test_transfers_leave_the_link_unchanged(self, link):
+        first = link.bulk_transfer(4096)
+        link.gather_stream(1_000, 64)
+        assert link.bulk_transfer(4096) == first
+        assert link == ChipletLink(LinkConfig())
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            link.gather_efficiency = 0.5
 
 
 class TestGatherBandwidth:

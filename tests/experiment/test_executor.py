@@ -19,7 +19,7 @@ from repro.chaos import FaultSchedule, ReplicaCrash
 from repro.config import DLRM1, DLRM2, HARPV2_SYSTEM
 from repro.errors import SimulationError
 from repro.experiment import Experiment, GridExecutor, ResultCache, resolve_jobs
-from repro.experiment.executor import BatchChunk, _run_batch_chunk, chunk_evenly
+from repro.experiment import executor
 from repro.serving import FleetSpec
 from repro.serving.planner import CapacityPlanner
 from repro.sharding import CacheConfig
@@ -86,18 +86,6 @@ class TestResolveJobs:
     def test_negative_rejected(self):
         with pytest.raises(SimulationError):
             resolve_jobs(-2)
-
-
-class TestChunkEvenly:
-    def test_balanced_and_order_preserving(self):
-        chunks = chunk_evenly(list(range(10)), 3)
-        assert [item for chunk in chunks for item in chunk] == list(range(10))
-        sizes = [len(chunk) for chunk in chunks]
-        assert max(sizes) - min(sizes) <= 1
-
-    def test_more_chunks_than_items(self):
-        assert chunk_evenly([1, 2], 8) == [[1], [2]]
-        assert chunk_evenly([], 4) == []
 
 
 class TestGridExecutorMap:
@@ -186,6 +174,37 @@ class TestBatchEquivalence:
         assert signature(run(jobs)) == signature(run(1))
 
 
+class TestBatchGridInProcess:
+    """Batch grids price in-process at every ``jobs`` setting."""
+
+    def test_jobs_opens_no_pool_and_keeps_progress_order(self, monkeypatch):
+        def run(jobs):
+            lines = []
+            result = (
+                Experiment(HARPV2_SYSTEM, cache=ResultCache(), jobs=jobs)
+                .backends("cpu", "centaur")
+                .models(DLRM1, DLRM2)
+                .batch_sizes(8, 64)
+                .progress(lines.append)
+                .run()
+            )
+            return result, lines
+
+        serial, serial_lines = run(1)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a batch grid opened a process pool")
+
+        monkeypatch.setattr(executor, "ProcessPoolExecutor", no_pool)
+        fanned, fanned_lines = run(2)
+        assert signature(fanned) == signature(serial)
+        assert fanned_lines == serial_lines
+
+    def test_negative_jobs_rejected_at_construction(self):
+        with pytest.raises(SimulationError):
+            Experiment(HARPV2_SYSTEM, jobs=-1)
+
+
 class TestServeEquivalence:
     def build(self, jobs):
         return (
@@ -260,6 +279,17 @@ class TestPlannerEquivalence:
     def test_matches_serial(self, jobs):
         assert self.plan(jobs) == self.plan(1)
 
+    def test_aliases_in_workers_match_serial(self):
+        def plan(jobs):
+            planner = CapacityPlanner(HARPV2_SYSTEM, sla_s=5e-3, max_replicas=4, jobs=jobs)
+            return planner.plan(
+                STEADY, DLRM2, backends=("CPU-only", "cpu", "Centaur"), num_requests=200
+            )
+
+        fanned = plan(2)
+        assert [point.backend for point in fanned.points] == ["cpu", "centaur"]
+        assert fanned == plan(1)
+
 
 class TestProgress:
     def test_batch_progress_multiset_matches_serial(self):
@@ -304,49 +334,6 @@ class TestProgress:
         )
         assert len(lines) == len(grid) == 2
         assert all("served" in line for line in lines)
-
-
-class TestCacheMerge:
-    def test_merge_adopts_entries_and_sums_counters(self):
-        backend = get_backend("centaur", HARPV2_SYSTEM)
-        parent = ResultCache()
-        parent.get_or_compute(backend, DLRM1, 8, HARPV2_SYSTEM)
-        points = [("centaur", DLRM1, 16), ("centaur", DLRM2, 8), ("centaur", DLRM2, 16)]
-        workers = [
-            _run_batch_chunk(BatchChunk(HARPV2_SYSTEM, tuple(chunk)))
-            for chunk in chunk_evenly(points, 2)
-        ]
-        for worker in workers:
-            # Worker caches cross a process boundary in real runs.
-            parent.merge(pickle.loads(pickle.dumps(worker)))
-        assert len(parent) == 4
-        assert parent.max_compute_count() == 1
-        assert parent.misses == 4
-
-    def test_merge_never_changes_parent_results(self):
-        backend = get_backend("centaur", HARPV2_SYSTEM)
-        parent = ResultCache()
-        mine = parent.get_or_compute(backend, DLRM1, 8, HARPV2_SYSTEM)
-        worker = _run_batch_chunk(
-            BatchChunk(HARPV2_SYSTEM, (("centaur", DLRM1, 8),))
-        )
-        parent.merge(worker)
-        # First cache to price a key wins; the parent's object survives.
-        assert parent.peek(parent.key("centaur", DLRM1, 8, HARPV2_SYSTEM)) is mine
-        # Duplicated work across caches still surfaces in the counters.
-        assert parent.max_compute_count() == 2
-
-    def test_worker_cache_save_load_round_trip(self, tmp_path):
-        worker = _run_batch_chunk(
-            BatchChunk(HARPV2_SYSTEM, (("centaur", DLRM1, 8), ("cpu", DLRM1, 8)))
-        )
-        path = tmp_path / "cache.json"
-        worker.save(path)
-        loaded = ResultCache.load(path)
-        assert len(loaded) == len(worker) == 2
-        for key, count in worker.compute_counts().items():
-            assert count == 1
-            assert loaded.peek(key).to_dict() == worker.peek(key).to_dict()
 
 
 class _SlowBackend:

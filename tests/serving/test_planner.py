@@ -100,6 +100,34 @@ class TestPlan:
         assert plan.get("centaur").replicas <= plan.get("cpu").replicas
         assert best.replicas == min(point.replicas for point in plan.points)
 
+    def test_aliases_plan_one_backend_under_its_canonical_name(self):
+        plan = planner().plan(
+            WORKLOAD, DLRM2, backends=("cpu", "CPU-only", "centaur"), num_requests=2_000
+        )
+        assert [point.backend for point in plan.points] == ["cpu", "centaur"]
+        assert plan.get("cpu-only") is plan.get("CPU-only") is plan.get("cpu")
+
+    def test_repeated_names_are_searched_once(self, monkeypatch):
+        searcher = planner()
+        searched = []
+        search = searcher.plan_backend
+
+        def counting(backend_name, **kwargs):
+            searched.append(backend_name)
+            return search(backend_name, **kwargs)
+
+        monkeypatch.setattr(searcher, "plan_backend", counting)
+        plan = searcher.plan(
+            WORKLOAD, DLRM2, backends=("centaur", "Centaur", "centaur"), num_requests=2_000
+        )
+        assert searched == ["centaur"]
+        assert [point.backend for point in plan.points] == ["centaur"]
+
+    def test_get_raises_key_error_for_an_unplanned_backend(self):
+        plan = planner().plan(WORKLOAD, DLRM2, backends=("centaur",), num_requests=2_000)
+        with pytest.raises(KeyError):
+            plan.get("cpu")
+
     def test_best_none_when_nothing_feasible(self):
         plan = planner(max_replicas=1, sla_s=1e-4).plan(
             Workload(arrivals=PoissonArrivals(rate_qps=500_000.0), name="heavy"),
