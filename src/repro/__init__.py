@@ -4,7 +4,7 @@ This package reproduces, in Python, the system described in *"Centaur: A
 Chiplet-based, Hybrid Sparse-Dense Accelerator for Personalized
 Recommendations"* (ISCA 2020): a from-scratch DLRM inference library, CPU /
 CPU-GPU / Centaur performance models calibrated to the paper's evaluation
-platform (Intel HARPv2), an FPGA resource estimator, power/energy models and
+platform (Intel HARPv2), an FPGA resource estimator, a Table IV power model and
 an analysis harness that regenerates every table and figure of the paper's
 evaluation.
 

@@ -742,39 +742,3 @@ def render_capacity_plan(plan, title: str = "Capacity plan") -> str:
         rendered += "\nrecommended: none — no backend met the target; raise max_replicas"
     return rendered
 
-
-def render_serving_grid(grid, sla_s: float = 5e-3, title: str = "Serving grid") -> str:
-    """Render a serving-grid :class:`~repro.experiment.ExperimentResult`.
-
-    One row per (backend, workload, model) point with the tail-latency and
-    efficiency columns capacity planners compare.
-    """
-    table = TextTable(
-        [
-            "backend",
-            "workload",
-            "model",
-            "requests",
-            "p50 (ms)",
-            "p99 (ms)",
-            f"SLA<{sla_s * 1e3:.0f}ms %",
-            "energy/req (mJ)",
-        ],
-        title=title,
-    )
-    for (backend, workload, model_label), report in grid:
-        latency = report.latency
-        p50, p99 = latency.percentiles((50.0, 99.0))
-        table.add_row(
-            [
-                backend,
-                workload,
-                model_label,
-                report.completed_requests,
-                p50 * 1e3,
-                p99 * 1e3,
-                100.0 * latency.sla_attainment(sla_s),
-                report.energy_per_request_joules * 1e3,
-            ]
-        )
-    return table.render()

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.backends import available_backends, backend_registration, get_backend
 from repro.config.models import DLRMConfig

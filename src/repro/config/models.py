@@ -16,7 +16,7 @@ and stored on it: :func:`functools.cached_property` for properties,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property, wraps
 from itertools import groupby
 from typing import Sequence, Tuple
@@ -304,20 +304,6 @@ class DLRMConfig:
         """Return a copy where every table performs ``gathers`` lookups."""
         new_tables = tuple(replace(table, gathers=gathers) for table in self.tables)
         return replace(self, tables=new_tables)
-
-    def with_num_tables(self, num_tables: int) -> "DLRMConfig":
-        """Return a copy with ``num_tables`` copies of the first table.
-
-        The top MLP's input layer is re-sized to match the new interaction
-        output dimension.
-        """
-        if num_tables <= 0:
-            raise ConfigurationError(f"num_tables must be positive, got {num_tables}")
-        new_tables = tuple(self.tables[0] for _ in range(num_tables))
-        n = num_tables + 1
-        interaction_dim = n * (n - 1) // 2 + self.embedding_dim
-        new_top = MLPConfig(layer_dims=(interaction_dim,) + self.top_mlp.layer_dims[1:])
-        return replace(self, tables=new_tables, top_mlp=new_top)
 
     def summary(self) -> str:
         """One-line description in the style of a Table I row."""

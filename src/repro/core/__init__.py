@@ -5,9 +5,10 @@ hybrid sparse-dense accelerator:
 
 * the sparse accelerator complex (``EB-Streamer``): base-pointer registers,
   sparse-index SRAM, embedding gather unit and on-the-fly reduction unit,
-* the dense accelerator complex: a 4x4 processing-engine array for MLPs with
-  an output-stationary 32x32 tiling, dedicated feature-interaction PEs, a
-  sigmoid unit and the SRAM buffers that feed them,
+* the dense accelerator complex: a 4x4 processing-engine array running MLPs
+  on 32x32 tiles (output-stationary when the output tiles fill the array,
+  K-split below that), dedicated feature-interaction PEs, a sigmoid unit and
+  the SRAM buffers that feed them,
 * the CPU<->FPGA chiplet link (cache-coherent path, optional cache-bypass
   path), the MMIO/IOMMU software interface and host-memory model,
 * an FPGA resource estimator reproducing Tables II and III,
@@ -25,8 +26,7 @@ from repro.core.gather import EmbeddingGatherUnit, GatherRequest
 from repro.core.reduction import EmbeddingReductionUnit
 from repro.core.eb_streamer import EBStreamer, EBStreamerEstimate
 from repro.core.pe import ProcessingEngine
-from repro.core.dataflow import OutputStationaryScheduler, ScheduleSummary, TileAssignment
-from repro.core.mlp_unit import MLPUnit, GemmTiming
+from repro.core.mlp_unit import MLPUnit
 from repro.core.interaction_unit import FeatureInteractionUnit
 from repro.core.sigmoid_unit import SigmoidUnit
 from repro.core.dense_complex import DenseAcceleratorComplex, DenseTimingEstimate
@@ -47,11 +47,7 @@ __all__ = [
     "EBStreamer",
     "EBStreamerEstimate",
     "ProcessingEngine",
-    "OutputStationaryScheduler",
-    "ScheduleSummary",
-    "TileAssignment",
     "MLPUnit",
-    "GemmTiming",
     "FeatureInteractionUnit",
     "SigmoidUnit",
     "DenseAcceleratorComplex",

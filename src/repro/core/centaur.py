@@ -15,7 +15,7 @@ without touching real data.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from repro.config.models import DLRMConfig
 from repro.config.system import SystemConfig
 from repro.core.dense_complex import DenseAcceleratorComplex
 from repro.core.eb_streamer import EBStreamer
-from repro.core.link import ChipletLink
 from repro.core.mmio import HostMemory, MMIOInterface
 from repro.core.registers import BasePointerRegisters
 from repro.dlrm.model import DLRM, DLRMOutput
@@ -184,7 +183,6 @@ class CentaurRunner:
     sigmoid_mode: str = "exact"
     _streamer: EBStreamer = field(default=None, repr=False)  # type: ignore[assignment]
     _dense: DenseAcceleratorComplex = field(default=None, repr=False)  # type: ignore[assignment]
-    _link: ChipletLink = field(default=None, repr=False)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
         if self.other_fixed_s < 0:
@@ -195,8 +193,6 @@ class CentaurRunner:
             self._dense = DenseAcceleratorComplex(
                 fpga=self.system.fpga, sigmoid_mode=self.sigmoid_mode
             )
-        if self._link is None:
-            self._link = ChipletLink(self.system.link)
 
     # ------------------------------------------------------------------
     @property
@@ -226,8 +222,9 @@ class CentaurRunner:
 
         # Dense-feature fetch (DNF) and final result write-back.
         dense_feature_bytes = model.dense_feature_bytes_per_sample() * batch_size
-        dnf = self._link.bulk_transfer(dense_feature_bytes)
-        result_writeback = self._link.bulk_transfer(4 * batch_size)
+        link = self._streamer.link
+        dnf = link.bulk_transfer(dense_feature_bytes)
+        result_writeback = link.bulk_transfer(4 * batch_size)
 
         breakdown = LatencyBreakdown()
         breakdown.add("IDX", streamer.index_fetch_s)

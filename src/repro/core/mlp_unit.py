@@ -1,18 +1,23 @@
-"""MLP unit: a spatial PE array executing GEMMs with an output-stationary dataflow.
+"""MLP unit: a spatial PE array executing GEMMs on ``[32 x 32]`` tiles.
 
-The unit tiles the input and weight matrices into ``[32 x 32]`` tiles, walks
-the output tiles in an output-stationary order (each output tile stays in
-its PE's accumulation SRAM while the K-dimension is reduced), and broadcasts
-weight/input tiles across rows/columns of the PE array — Fig. 12 of the
-paper.
+The unit tiles the input and weight matrices into ``[32 x 32]`` tiles and
+broadcasts weight/input tiles across rows/columns of the PE array (Fig. 12
+of the paper).  The priced dataflow depends on how many output tiles a GEMM
+has:
+
+* when the output tiles fill the array, it is output-stationary: each PE
+  owns an output tile, keeps it in its accumulation SRAM and walks the K
+  dimension;
+* below that (small batches, narrow layers), the K dimension is split
+  across the otherwise idle PEs and their partial sums are merged.
 
 Two views are provided: a functional tiled GEMM (bit-identical to a dense
-``A @ B`` up to fp32 accumulation order) and a cycle/timing estimate.
+``A @ B`` up to fp32 accumulation order) and the cycle count of that
+dataflow, :meth:`MLPUnit.gemm_cycles`, which Centaur's dense estimate sums.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Sequence
 
 import numpy as np
@@ -20,22 +25,6 @@ import numpy as np
 from repro.core.pe import ProcessingEngine
 from repro.dlrm.mlp import MLP, relu
 from repro.errors import ConfigurationError, ModelShapeError
-
-
-@dataclass(frozen=True)
-class GemmTiming:
-    """Cycle-level cost of one tiled GEMM on the PE array."""
-
-    m: int
-    n: int
-    k: int
-    tile_ops: int
-    waves: int
-    cycles: int
-    utilization: float
-
-    def latency_s(self, frequency_hz: float) -> float:
-        return self.cycles / frequency_hz
 
 
 class MLPUnit:
@@ -75,7 +64,6 @@ class MLPUnit:
         # here rather than re-derived for each GEMM priced.
         self.num_pes = pe_rows * pe_cols
         self.cycles_per_tile_op = self.pes[0][0].cycles_per_tile_op
-        self._flops_per_tile_op = self.pes[0][0].flops_per_tile_op
 
     def _pe(self, output_row_tile: int, output_col_tile: int) -> ProcessingEngine:
         """PE owning a given output tile (round-robin over the array)."""
@@ -143,37 +131,20 @@ class MLPUnit:
     # ------------------------------------------------------------------
     # Timing
     # ------------------------------------------------------------------
-    def gemm_timing(self, m: int, n: int, k: int) -> GemmTiming:
-        """Cycle cost of one ``[M,K] @ [K,N]`` GEMM on the array.
+    def gemm_cycles(self, m: int, n: int, k: int) -> int:
+        """Cycles of one ``[M,K] @ [K,N]`` GEMM on the array.
 
         The control unit distributes tile multiplies over the PE array.  When
         there are enough output tiles to occupy every PE, the schedule is the
         pure output-stationary one of Fig. 12 (each PE owns an output tile
         and walks the K dimension).  When the output-tile count cannot fill
-        the array (small batches, narrow layers), the control unit splits the
-        K dimension across otherwise-idle PEs and merges their partial sums,
-        so the number of PE "waves" is bounded by the total tile-multiply
-        count divided by the array size rather than by the serialized K walk.
+        the array, the control unit splits the K dimension across otherwise
+        idle PEs and merges their partial sums, so the number of PE "waves"
+        is the total tile-multiply count divided by the array size rather
+        than the serialized K walk.  Every GEMM also pays ``fill_cycles``.
         """
         if m <= 0 or n <= 0 or k <= 0:
             raise ModelShapeError(f"GEMM dimensions must be positive, got {(m, n, k)}")
-        t = self.tile_dim
-        tile_ops = -(-m // t) * -(-n // t) * -(-k // t)
-        return GemmTiming(
-            m=m,
-            n=n,
-            k=k,
-            tile_ops=tile_ops,
-            waves=-(-tile_ops // self.num_pes),
-            cycles=self.gemm_cycles(m, n, k),
-            utilization=2 * m * n * k / (tile_ops * self._flops_per_tile_op),
-        )
-
-    def gemm_cycles(self, m: int, n: int, k: int) -> int:
-        """Cycles of one GEMM under the schedule :meth:`gemm_timing` describes.
-
-        The shape is taken as valid; :meth:`gemm_timing` checks it.
-        """
         t = self.tile_dim
         output_tiles = -(-m // t) * -(-n // t)
         k_tiles = -(-k // t)
@@ -191,15 +162,6 @@ class MLPUnit:
             self.gemm_cycles(batch_size, out_dim, in_dim)
             for in_dim, out_dim in zip(layer_dims[:-1], layer_dims[1:])
         )
-
-    def mlp_timing(self, layer_dims: Sequence[int], batch_size: int) -> List[GemmTiming]:
-        """Per-layer timings of an MLP with the given layer widths."""
-        if batch_size <= 0:
-            raise ModelShapeError(f"batch_size must be positive, got {batch_size}")
-        timings = []
-        for in_dim, out_dim in zip(layer_dims[:-1], layer_dims[1:]):
-            timings.append(self.gemm_timing(m=batch_size, n=out_dim, k=in_dim))
-        return timings
 
     def reset_counters(self) -> None:
         for row in self.pes:

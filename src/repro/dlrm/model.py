@@ -10,7 +10,6 @@ whole model in one place.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 

@@ -1,4 +1,4 @@
-"""Memory-system substrate: caches, MSHRs, DRAM and analytic equivalents.
+"""Memory-system substrate: caches, DRAM and analytic equivalents.
 
 The CPU-side characterization of the paper (Figures 6 and 7) hinges on how
 the cache hierarchy and the DRAM subsystem respond to sparse, low-locality
@@ -11,7 +11,6 @@ harness across full Table I configurations).
 from repro.memsys.address import AddressMapper, cache_lines_for_vector
 from repro.memsys.cache import ReplacementPolicy, SetAssociativeCache
 from repro.memsys.hierarchy import CacheHierarchy, HierarchyAccessResult
-from repro.memsys.mshr import MSHRFile
 from repro.memsys.dram import DRAMModel, DRAMRequestStats
 from repro.memsys.stats import CacheStats, MemoryTrafficStats
 from repro.memsys.analytic import (
@@ -28,7 +27,6 @@ __all__ = [
     "SetAssociativeCache",
     "CacheHierarchy",
     "HierarchyAccessResult",
-    "MSHRFile",
     "DRAMModel",
     "DRAMRequestStats",
     "CacheStats",

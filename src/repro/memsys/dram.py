@@ -146,7 +146,11 @@ class DRAMModel:
         return (lines_per_vector - 1) / lines_per_vector
 
     def estimate_row_hit_rate(self, line_addresses: np.ndarray) -> float:
-        """Empirical per-bank row-buffer hit rate of an address stream."""
+        """Empirical per-bank row-buffer hit rate of an address stream.
+
+        Replays the stream through one open row per bank; the tests hold
+        :meth:`row_hit_rate_for_gathers` to it on random vector gathers.
+        """
         line_addresses = np.asarray(line_addresses, dtype=np.int64)
         if line_addresses.size == 0:
             return 0.0

@@ -1,12 +1,9 @@
-"""Power and energy-efficiency models (Table IV and Figure 15b)."""
+"""Average power of the three design points (Table IV).
 
-from repro.power.models import DesignPointPower, PowerModel
-from repro.power.energy import EnergyReport, energy_of, energy_efficiency_ratio
+Energy is power x latency on each :class:`~repro.results.InferenceResult`
+(``energy_joules``, ``energy_efficiency_over``), as Figure 15(b) computes it.
+"""
 
-__all__ = [
-    "DesignPointPower",
-    "PowerModel",
-    "EnergyReport",
-    "energy_of",
-    "energy_efficiency_ratio",
-]
+from repro.power.models import PowerModel
+
+__all__ = ["PowerModel"]

@@ -2,15 +2,12 @@
 
 The paper measures socket-level power with ``pcm-power`` (CPU and
 CPU+FPGA) and ``nvprof`` (GPU) and reports one average number per design
-point (Table IV).  The model reproduces those numbers and also provides a
-component-level decomposition that explains *why* Centaur draws less power
-than the CPU-only baseline: the Xeon cores sit mostly idle while the FPGA
-performs the gathers and GEMMs.
+point (Table IV).  The model reproduces those totals; the paper reports no
+split by component, so none is modelled.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict
 
 from repro.config.system import PowerConfig
@@ -18,24 +15,6 @@ from repro.errors import ConfigurationError
 
 #: Canonical design-point names used across the library.
 DESIGN_POINTS = ("CPU-only", "CPU-GPU", "Centaur")
-
-
-@dataclass(frozen=True)
-class DesignPointPower:
-    """Average power of one design point with a component decomposition."""
-
-    design_point: str
-    total_watts: float
-    components: Dict[str, float]
-
-    def __post_init__(self) -> None:
-        if self.total_watts <= 0:
-            raise ConfigurationError("total_watts must be positive")
-        component_sum = sum(self.components.values())
-        if abs(component_sum - self.total_watts) > 1e-6:
-            raise ConfigurationError(
-                f"component powers sum to {component_sum}, expected {self.total_watts}"
-            )
 
 
 class PowerModel:
@@ -55,49 +34,6 @@ class PowerModel:
             return self.config.centaur_watts
         raise ConfigurationError(
             f"unknown design point {design_point!r}; expected one of {DESIGN_POINTS}"
-        )
-
-    def breakdown(self, design_point: str) -> DesignPointPower:
-        """Component-level decomposition of a design point's power draw.
-
-        The split between cores/uncore/DRAM/FPGA/GPU is a modelling estimate
-        (the paper reports only totals); the totals match Table IV exactly.
-        """
-        if design_point == "CPU-only":
-            total = self.config.cpu_only_watts
-            components = {
-                "cpu_cores": round(total * 0.56, 3),
-                "cpu_uncore": round(total * 0.22, 3),
-                "dram": round(total * 0.22, 3),
-            }
-        elif design_point == "CPU-GPU":
-            cpu = self.config.cpu_gpu_cpu_watts
-            gpu = self.config.cpu_gpu_gpu_watts
-            components = {
-                "cpu_cores": round(cpu * 0.58, 3),
-                "cpu_uncore": round(cpu * 0.21, 3),
-                "dram": round(cpu * 0.21, 3),
-                "gpu": float(gpu),
-            }
-            total = self.config.cpu_gpu_total_watts
-        elif design_point == "Centaur":
-            total = self.config.centaur_watts
-            components = {
-                "cpu_cores": round(total * 0.26, 3),
-                "cpu_uncore": round(total * 0.20, 3),
-                "dram": round(total * 0.24, 3),
-                "fpga": round(total * 0.30, 3),
-            }
-        else:
-            raise ConfigurationError(
-                f"unknown design point {design_point!r}; expected one of {DESIGN_POINTS}"
-            )
-        # Absorb rounding residue into the first component so the total is exact.
-        residue = total - sum(components.values())
-        first_key = next(iter(components))
-        components[first_key] = round(components[first_key] + residue, 6)
-        return DesignPointPower(
-            design_point=design_point, total_watts=total, components=components
         )
 
     def table4(self) -> Dict[str, float]:

@@ -179,16 +179,3 @@ class ServingReport:
         if self.completed_requests == 0:
             return 0.0
         return self.energy_joules / self.completed_requests
-
-    def summary_row(self) -> Dict[str, float]:
-        """Flat dictionary used by the reporting/benchmark layers."""
-        return {
-            "offered_qps": self.offered_load_qps,
-            "achieved_qps": self.achieved_qps,
-            "p50_ms": self.latency.p50_s * 1e3,
-            "p95_ms": self.latency.p95_s * 1e3,
-            "p99_ms": self.latency.p99_s * 1e3,
-            "mean_batch": self.average_batch_size,
-            "utilization": self.device_utilization,
-            "energy_per_request_mj": self.energy_per_request_joules * 1e3,
-        }

@@ -149,10 +149,6 @@ class ShardingStats:
         mean = total / len(self.per_shard_lookups)
         return max(self.per_shard_lookups) / mean
 
-    @property
-    def cache_enabled(self) -> bool:
-        return self.cache_policy is not None
-
 
 class _ShardingAccounting:
     """Mutable counters a :class:`ShardedReplicaServer` fills while serving."""

@@ -17,12 +17,11 @@ from repro.utils.units import (
     milliseconds,
     seconds_to_human,
 )
-from repro.utils.tables import TextTable, format_series
+from repro.utils.tables import TextTable
 from repro.utils.stats_utils import (
     geometric_mean,
     harmonic_mean,
     safe_divide,
-    weighted_mean,
 )
 
 __all__ = [
@@ -42,9 +41,7 @@ __all__ = [
     "milliseconds",
     "seconds_to_human",
     "TextTable",
-    "format_series",
     "geometric_mean",
     "harmonic_mean",
     "safe_divide",
-    "weighted_mean",
 ]

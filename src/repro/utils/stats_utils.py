@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 def safe_divide(numerator: float, denominator: float, default: float = 0.0) -> float:
@@ -41,22 +41,3 @@ def harmonic_mean(values: Iterable[float]) -> float:
     if any(value <= 0 for value in values):
         raise ValueError("harmonic mean requires strictly positive values")
     return len(values) / sum(1.0 / value for value in values)
-
-
-def weighted_mean(values: Sequence[float], weights: Sequence[float]) -> float:
-    """Weighted arithmetic mean.
-
-    Args:
-        values: The values to average.
-        weights: Non-negative weights, at least one of which must be positive.
-    """
-    if len(values) != len(weights):
-        raise ValueError("values and weights must have the same length")
-    if not values:
-        raise ValueError("weighted mean of an empty sequence is undefined")
-    if any(weight < 0 for weight in weights):
-        raise ValueError("weights must be non-negative")
-    total_weight = sum(weights)
-    if total_weight == 0:
-        raise ValueError("at least one weight must be positive")
-    return sum(v * w for v, w in zip(values, weights)) / total_weight

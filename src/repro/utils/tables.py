@@ -7,7 +7,7 @@ and figure series without needing any plotting dependency.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 
 class TextTable:
@@ -65,23 +65,9 @@ class TextTable:
         return self.render()
 
 
-def format_series(series: Mapping[object, float], value_format: str = "{:.2f}") -> str:
-    """Render a one-dimensional series (e.g. a figure's bar group) on one line.
-
-    Args:
-        series: Mapping from x-label (batch size, model name, ...) to value.
-        value_format: Format string applied to every value.
-
-    Returns:
-        ``"x1=v1  x2=v2  ..."`` suitable for benchmark console output.
-    """
-    parts = []
-    for key, value in series.items():
-        parts.append(f"{key}={value_format.format(value)}")
-    return "  ".join(parts)
-
-
 def _format_cell(value: object) -> str:
+    if type(value) is str:  # most cells; a str subclass may override __str__
+        return value
     if isinstance(value, bool):
         return "yes" if value else "no"
     if isinstance(value, float):

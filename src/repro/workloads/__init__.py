@@ -25,7 +25,6 @@ from repro.workloads.arrivals import (
     PoissonArrivals,
     ReplayArrivals,
     as_arrival_process,
-    merge_streams,
 )
 from repro.workloads.traces import (
     DLRMBatch,
@@ -35,7 +34,6 @@ from repro.workloads.traces import (
     UniformTrace,
     WorkingSetTrace,
     ZipfianTrace,
-    concatenate_traces,
     model_batch,
     table_trace,
 )
@@ -77,7 +75,6 @@ __all__ = [
     "ReplayArrivals",
     "InferenceRequest",
     "as_arrival_process",
-    "merge_streams",
     "TraceModel",
     "UniformTrace",
     "ZipfianTrace",
@@ -85,7 +82,6 @@ __all__ = [
     "PerTableTrace",
     "SparseTrace",
     "DLRMBatch",
-    "concatenate_traces",
     "model_batch",
     "table_trace",
     "MixComponent",

@@ -32,7 +32,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain, count, islice, repeat
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -411,36 +411,3 @@ def as_arrival_process(spec: Union[ArrivalProcess, float, int]) -> ArrivalProces
         f"cannot interpret {spec!r} as an arrival process; pass an "
         "ArrivalProcess or a Poisson rate in QPS"
     )
-
-
-def merge_streams(
-    streams: Sequence[Iterable[InferenceRequest]],
-) -> Iterator[InferenceRequest]:
-    """Merge several time-ordered request streams into one, lazily.
-
-    Request IDs are renumbered to stay monotonic in the merged order; ties
-    resolve toward the earlier stream (stable).
-    """
-    import heapq
-
-    if not streams:
-        raise SimulationError("cannot merge zero request streams")
-    heap: List[Tuple[float, int, InferenceRequest, Iterator[InferenceRequest]]] = []
-    for index, stream in enumerate(streams):
-        iterator = iter(stream)
-        first = next(iterator, None)
-        if first is not None:
-            heap.append((first.arrival_time_s, index, first, iterator))
-    heapq.heapify(heap)
-    request_id = 0
-    while heap:
-        time, index, request, iterator = heapq.heappop(heap)
-        yield InferenceRequest(
-            request_id=request_id,
-            arrival_time_s=request.arrival_time_s,
-            model_name=request.model_name,
-        )
-        request_id += 1
-        successor = next(iterator, None)
-        if successor is not None:
-            heapq.heappush(heap, (successor.arrival_time_s, index, successor, iterator))

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import groupby
 from operator import itemgetter
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -425,27 +425,3 @@ def model_batch(
         for index, table in enumerate(model.tables)
     )
     return DLRMBatch(dense_features=dense, sparse_traces=traces)
-
-
-def concatenate_traces(traces: Sequence[SparseTrace]) -> SparseTrace:
-    """Concatenate per-batch traces for the *same* table into one trace.
-
-    Useful when modelling multiple inference requests back to back.
-    """
-    if not traces:
-        raise TraceError("cannot concatenate an empty sequence of traces")
-    num_rows = traces[0].num_rows
-    if any(trace.num_rows != num_rows for trace in traces):
-        raise TraceError("all traces must refer to tables with the same row count")
-    indices: List[np.ndarray] = []
-    offsets: List[np.ndarray] = [np.zeros(1, dtype=np.int64)]
-    running = 0
-    for trace in traces:
-        indices.append(trace.indices)
-        offsets.append(trace.offsets[1:] + running)
-        running += trace.total_lookups
-    return SparseTrace(
-        indices=np.concatenate(indices) if indices else np.zeros(0, dtype=np.int64),
-        offsets=np.concatenate(offsets),
-        num_rows=num_rows,
-    )

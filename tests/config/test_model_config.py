@@ -82,12 +82,6 @@ class TestDLRMConfig:
         assert modified.gathers_per_table == 9
         assert config.gathers_per_table == 4
 
-    def test_with_num_tables_resizes_top_mlp(self):
-        config = homogeneous_dlrm("m", num_tables=2, rows_per_table=100, gathers_per_table=4)
-        modified = config.with_num_tables(10)
-        assert modified.num_tables == 10
-        assert modified.top_mlp.input_dim == modified.interaction_output_dim
-
     def test_rejects_mismatched_bottom_mlp(self):
         table = EmbeddingTableConfig(num_rows=10, embedding_dim=32)
         with pytest.raises(ConfigurationError):
@@ -144,12 +138,24 @@ class TestDLRMConfig:
         assert config.total_gathers_per_sample == num_tables * gathers
 
 
+def _widened(model, num_tables):
+    """``model`` with ``num_tables`` copies of its first table and a top MLP
+    whose input layer fits the wider interaction output."""
+    from dataclasses import replace
+
+    n = num_tables + 1
+    top = (n * (n - 1) // 2 + model.embedding_dim,) + model.top_mlp.layer_dims[1:]
+    return replace(
+        model, tables=(model.tables[0],) * num_tables, top_mlp=MLPConfig(layer_dims=top)
+    )
+
+
 def _variants():
     from repro.config import PAPER_MODELS
 
     for model in PAPER_MODELS:
         yield model
-        yield model.with_num_tables(7)
+        yield _widened(model, 7)
         yield model.with_gathers_per_table(3)
 
 
@@ -197,7 +203,7 @@ class TestCachedAggregates:
         from repro.config import DLRM1
 
         DLRM1.total_gathers_per_sample  # warm the original's memo
-        wider = DLRM1.with_num_tables(DLRM1.num_tables + 5)
+        wider = _widened(DLRM1, DLRM1.num_tables + 5)
         assert wider.total_gathers_per_sample == DLRM1.total_gathers_per_sample + 5 * (
             DLRM1.tables[0].gathers
         )

@@ -57,6 +57,12 @@ class TestFunctionalGemm:
         unit.reset_counters()
         assert sum(pe.tile_ops for row in unit.pes for pe in row) == 0
 
+    def test_output_tiles_map_round_robin_onto_the_array(self, unit):
+        for m_tile in range(6):
+            for n_tile in range(6):
+                pe = unit._pe(m_tile, n_tile)
+                assert unit.pes[m_tile % 4][n_tile % 4] is pe
+
     @given(
         m=st.integers(min_value=1, max_value=70),
         k=st.integers(min_value=1, max_value=70),
@@ -73,60 +79,82 @@ class TestFunctionalGemm:
 
 class TestTiming:
     def test_cycle_count_scales_with_tiles(self, unit):
-        small = unit.gemm_timing(m=32, n=32, k=32)
-        large = unit.gemm_timing(m=128, n=128, k=128)
-        assert large.cycles > small.cycles
-        assert large.tile_ops == 4 * 4 * 4
+        small = unit.gemm_cycles(m=32, n=32, k=32)
+        large = unit.gemm_cycles(m=128, n=128, k=128)
+        assert large > small
+        # 4 x 4 x 4 tile multiplies over 16 PEs: four waves, no K split.
+        assert large == 4 * unit.cycles_per_tile_op + unit.fill_cycles
 
     def test_full_array_utilization(self, unit):
-        timing = unit.gemm_timing(m=128, n=128, k=32)
+        m, n, k = 128, 128, 32
+        cycles = unit.gemm_cycles(m, n, k)
         # 16 output tiles exactly fill the 4x4 array: one wave per K tile.
-        assert timing.waves == 1
-        assert timing.utilization == pytest.approx(1.0)
+        assert cycles == unit.cycles_per_tile_op + unit.fill_cycles
+        flops_per_wave = unit.num_pes * unit.pes[0][0].flops_per_tile_op
+        assert 2 * m * n * k / flops_per_wave == pytest.approx(1.0)
 
     def test_small_gemm_pays_fill_overhead(self, unit):
-        timing = unit.gemm_timing(m=1, n=1, k=1)
-        assert timing.cycles >= unit.fill_cycles
-        assert timing.utilization < 0.01
+        cycles = unit.gemm_cycles(m=1, n=1, k=1)
+        assert cycles >= unit.fill_cycles
+        peak_flops_per_cycle = unit.num_pes * unit.pes[0][0].flops_per_cycle
+        assert 2 / cycles < 0.01 * peak_flops_per_cycle
 
-    def test_latency_seconds(self, unit):
-        timing = unit.gemm_timing(m=32, n=32, k=32)
-        assert timing.latency_s(200e6) == pytest.approx(timing.cycles / 200e6)
-
-    def test_mlp_timing_covers_every_layer(self, unit):
-        timings = unit.mlp_timing((13, 128, 64, 32), batch_size=16)
-        assert len(timings) == 3
-        assert timings[0].k == 13 and timings[0].n == 128 and timings[0].m == 16
-
-    def test_mlp_cycles_sum_the_per_layer_timings(self, unit):
+    def test_mlp_cycles_sum_the_per_layer_gemms(self, unit):
         # 838 cycles per tile multiply (2 * 32**3 flops at 78.25 per cycle)
         # plus the 64-cycle fill; a GEMM with fewer output tiles than PEs
         # also pays a 32-cycle merge per K tile.
         assert unit.gemm_cycles(1, 1, 1) == 838 + 32 + 64
         assert unit.gemm_cycles(128, 128, 32) == 838 + 64
         assert unit.gemm_cycles(16, 128, 64) == 838 + 2 * 32 + 64
+        # Each layer is an [batch, in] @ [in, out] GEMM.
+        assert unit.mlp_cycles((13, 128, 64, 32), batch_size=16) == (
+            unit.gemm_cycles(16, 128, 13)
+            + unit.gemm_cycles(16, 64, 128)
+            + unit.gemm_cycles(16, 32, 64)
+        )
         dims = (13, 128, 64, 32)
         for batch in (1, 16, 333):
             assert unit.mlp_cycles(dims, batch) == sum(
-                timing.cycles for timing in unit.mlp_timing(dims, batch)
+                unit.gemm_cycles(batch, out_dim, in_dim)
+                for in_dim, out_dim in zip(dims[:-1], dims[1:])
             )
-        with pytest.raises(ModelShapeError):
-            unit.mlp_cycles(dims, 0)
 
     def test_peak_throughput_consistent_with_313_gflops(self, unit):
         """A large, well-aligned GEMM should sustain close to the MLP unit's
         share (16/20) of the 313 GFLOPS aggregate."""
         m = n = k = 512
-        timing = unit.gemm_timing(m, n, k)
-        seconds = timing.latency_s(200e6)
+        seconds = unit.gemm_cycles(m, n, k) / 200e6
         achieved = 2 * m * n * k / seconds
         mlp_share = 313e9 * 16 / 20
         assert achieved == pytest.approx(mlp_share, rel=0.05)
 
+    @pytest.mark.parametrize(
+        "shape", [(0, 1, 1), (1, 0, 1), (1, 1, 0), (1, 1, -1), (-32, 32, 32)]
+    )
+    def test_gemm_cycles_rejects_non_positive_dims(self, unit, shape):
+        with pytest.raises(ModelShapeError):
+            unit.gemm_cycles(*shape)
+
+    # 838 cycles per tile multiply, 64 fill cycles, and a 32-cycle merge per
+    # K tile while the output tiles leave part of the 16-PE array idle.
+    @pytest.mark.parametrize(
+        ("m", "n", "k", "cycles"),
+        [
+            (1, 1, 1, 838 + 32 + 64),  # one padded tile
+            (33, 32, 32, 838 + 32 + 64),  # two output tiles share one wave
+            (16, 128, 64, 838 + 2 * 32 + 64),  # K split over idle PEs
+            (1, 32, 2048, 4 * 838 + 64 * 32 + 64),  # 64 K tiles in 4 waves
+            (128, 128, 32, 838 + 64),  # output tiles exactly fill the array
+            (128, 128, 128, 4 * 838 + 64),  # output-stationary K walk
+            (256, 128, 32, 2 * 838 + 64),  # two waves of output tiles
+            (512, 512, 512, 256 * 838 + 64),  # 4096 tile multiplies
+        ],
+    )
+    def test_gemm_cycles_per_dataflow_regime(self, unit, m, n, k, cycles):
+        assert unit.gemm_cycles(m, n, k) == cycles
+
     def test_validation(self, unit):
         with pytest.raises(ModelShapeError):
-            unit.gemm_timing(0, 1, 1)
-        with pytest.raises(ModelShapeError):
-            unit.mlp_timing((13, 64), batch_size=0)
+            unit.mlp_cycles((13, 64), batch_size=0)
         with pytest.raises(ConfigurationError):
             MLPUnit(pe_rows=0)

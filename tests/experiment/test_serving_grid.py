@@ -118,19 +118,6 @@ class TestExperimentServe:
         assert lines[0].startswith("backend,workload,model")
         assert len(lines) == 1 + len(grid)
 
-    def test_render_serving_grid(self):
-        from repro.analysis import render_serving_grid
-
-        grid = (
-            Experiment(HARPV2_SYSTEM)
-            .backends("centaur")
-            .models(DLRM2)
-            .workloads(FAST)
-            .serve(num_requests=200, seed=0)
-        )
-        text = render_serving_grid(grid)
-        assert "steady" in text and "centaur" in text
-
 
 class TestValidation:
     def test_serve_requires_workloads(self):

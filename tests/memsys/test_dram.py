@@ -103,11 +103,20 @@ class TestRowBufferModel:
         with pytest.raises(SimulationError):
             dram.row_hit_rate_for_gathers(0, 100)
 
-    def test_empirical_hit_rate_sequential_vs_random(self, dram):
-        sequential = np.arange(4096)
-        random_lines = np.random.default_rng(0).integers(0, 10_000_000, size=4096)
-        assert dram.estimate_row_hit_rate(sequential) > 0.9
-        assert dram.estimate_row_hit_rate(random_lines) < 0.1
+    @pytest.mark.parametrize("dim", [16, 32, 64, 128])
+    def test_priced_rate_agrees_with_the_simulated_row_buffers(self, dram, dim):
+        """Random vector gathers from a 1M-row table, replayed through the
+        per-bank open-row simulation, hit at the priced rate (20,000 gathers
+        seeded by ``dim`` measured 0.0073, 0.5023, 0.7505 and 0.8752 against
+        0, 0.5, 0.75 and 0.875)."""
+        rng = np.random.default_rng(dim)
+        vector_bytes = 4 * dim
+        lines_per_vector = -(-vector_bytes // dram.line_bytes)
+        rows = rng.integers(0, 1_000_000, size=20_000)
+        lines = (rows[:, None] * lines_per_vector + np.arange(lines_per_vector)).ravel()
+        simulated = dram.estimate_row_hit_rate(lines)
+        priced = dram.row_hit_rate_for_gathers(vector_bytes, 1_000_000 * vector_bytes)
+        assert simulated == pytest.approx(priced, abs=0.02)
 
     def test_empirical_hit_rate_empty(self, dram):
         assert dram.estimate_row_hit_rate(np.array([])) == 0.0

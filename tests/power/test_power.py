@@ -1,4 +1,4 @@
-"""Tests for the power and energy models (Table IV / Figure 15b)."""
+"""Tests for the power model and the energy it yields (Table IV / Figure 15b)."""
 
 import pytest
 
@@ -6,9 +6,9 @@ from repro.config import DLRM1, HARPV2_SYSTEM
 from repro.config.system import PowerConfig
 from repro.core import CentaurRunner
 from repro.cpu import CPUOnlyRunner
-from repro.errors import ConfigurationError, SimulationError
-from repro.power import PowerModel, energy_efficiency_ratio, energy_of
-from repro.power.models import DESIGN_POINTS
+from repro.gpu import CPUGPURunner
+from repro.errors import ConfigurationError
+from repro.power import PowerModel
 
 
 @pytest.fixture(scope="module")
@@ -30,45 +30,33 @@ class TestPowerModel:
     def test_unknown_design_point_rejected(self, power_model):
         with pytest.raises(ConfigurationError):
             power_model.power_watts("TPU")
-        with pytest.raises(ConfigurationError):
-            power_model.breakdown("TPU")
 
-    def test_breakdowns_sum_to_totals(self, power_model):
-        for design_point in DESIGN_POINTS:
-            breakdown = power_model.breakdown(design_point)
-            assert sum(breakdown.components.values()) == pytest.approx(
-                breakdown.total_watts
-            )
-
-    def test_centaur_cpu_cores_mostly_idle(self, power_model):
-        """The FPGA does the work, so the core share shrinks versus CPU-only."""
-        cpu_only = power_model.breakdown("CPU-only").components["cpu_cores"]
-        centaur = power_model.breakdown("Centaur").components["cpu_cores"]
-        assert centaur < cpu_only
-
-    def test_cpu_gpu_breakdown_includes_gpu(self, power_model):
-        assert power_model.breakdown("CPU-GPU").components["gpu"] == 56.0
+    def test_cpu_gpu_total_is_socket_plus_device(self, power_model):
+        config = power_model.config
+        assert config.cpu_gpu_gpu_watts == 56.0
+        assert power_model.power_watts("CPU-GPU") == config.cpu_gpu_cpu_watts + 56.0
 
 
 class TestEnergyAccounting:
-    def test_energy_of_result(self):
+    def test_energy_is_power_times_latency(self):
         result = CPUOnlyRunner(HARPV2_SYSTEM).run(DLRM1, 16)
-        report = energy_of(result)
-        assert report.energy_joules == pytest.approx(80.0 * result.latency_seconds)
-        assert report.energy_per_sample_joules == pytest.approx(report.energy_joules / 16)
-        assert report.design_point == "CPU-only"
+        assert result.energy_joules == pytest.approx(80.0 * result.latency_seconds)
+        assert result.energy_per_sample_joules == pytest.approx(result.energy_joules / 16)
+        assert result.design_point == "CPU-only"
 
-    def test_energy_requires_power(self):
-        result = CPUOnlyRunner(HARPV2_SYSTEM).run(DLRM1, 16)
-        result.power_watts = 0.0
-        with pytest.raises(SimulationError):
-            energy_of(result)
+    @pytest.mark.parametrize("runner_cls", [CPUOnlyRunner, CPUGPURunner, CentaurRunner])
+    def test_each_design_point_is_priced_at_its_table4_power(self, power_model, runner_cls):
+        result = runner_cls(HARPV2_SYSTEM).run(DLRM1, 16)
+        assert result.power_watts == power_model.power_watts(result.design_point)
+        assert result.energy_joules == pytest.approx(
+            result.power_watts * result.latency_seconds
+        )
 
-    def test_efficiency_ratio_matches_result_method(self):
+    def test_efficiency_is_the_baseline_over_the_candidate_energy(self):
         cpu = CPUOnlyRunner(HARPV2_SYSTEM).run(DLRM1, 16)
         centaur = CentaurRunner(HARPV2_SYSTEM).run(DLRM1, 16)
-        assert energy_efficiency_ratio(centaur, cpu) == pytest.approx(
-            centaur.energy_efficiency_over(cpu)
+        assert centaur.energy_efficiency_over(cpu) == pytest.approx(
+            cpu.energy_joules / centaur.energy_joules
         )
 
     def test_efficiency_combines_speedup_and_power_ratio(self):

@@ -79,11 +79,6 @@ class TestServingReport:
         assert report.device_utilization == pytest.approx(0.5)
         assert report.energy_per_request_joules == pytest.approx(0.074)
 
-    def test_summary_row_keys(self):
-        row = self._report().summary_row()
-        for key in ("achieved_qps", "p99_ms", "utilization", "energy_per_request_mj"):
-            assert key in row
-
     def test_completion_samples_pair_each_latency_with_its_batch_finish(self):
         batches = tuple(
             ExecutedBatch(

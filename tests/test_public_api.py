@@ -1,11 +1,20 @@
 """Tests for the top-level public API surface."""
 
+import importlib
 import pathlib
+import pkgutil
 import re
 import subprocess
 import sys
 
+import pytest
+
 import repro
+
+#: ``repro`` and every subpackage; each one's ``__all__`` is checked.
+_PACKAGES = ["repro"] + [
+    info.name for info in pkgutil.walk_packages(repro.__path__, "repro.") if info.ispkg
+]
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
@@ -43,9 +52,13 @@ class TestPublicAPI:
         assert repro.PAPER_VENUE == "ISCA 2020"
         assert len(repro.PAPER_AUTHORS) == 4
 
-    def test_all_exports_resolve(self):
-        for name in repro.__all__:
-            assert hasattr(repro, name), f"{name} listed in __all__ but missing"
+    @pytest.mark.parametrize("package_name", _PACKAGES)
+    def test_all_exports_resolve(self, package_name):
+        assert len(_PACKAGES) > 10
+        package = importlib.import_module(package_name)
+        assert len(set(package.__all__)) == len(package.__all__)
+        for name in package.__all__:
+            assert hasattr(package, name), f"{name} listed in {package_name}.__all__ but missing"
 
     def test_one_serving_front_end_is_exported(self):
         import repro.serving

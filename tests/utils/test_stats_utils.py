@@ -1,7 +1,5 @@
 """Tests for the statistics helpers."""
 
-import math
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,7 +7,6 @@ from repro.utils.stats_utils import (
     geometric_mean,
     harmonic_mean,
     safe_divide,
-    weighted_mean,
 )
 
 
@@ -62,24 +59,3 @@ class TestHarmonicMean:
     @given(st.lists(st.floats(min_value=0.1, max_value=100.0), min_size=2, max_size=20))
     def test_harmonic_below_geometric(self, values):
         assert harmonic_mean(values) <= geometric_mean(values) + 1e-9
-
-
-class TestWeightedMean:
-    def test_uniform_weights_match_average(self):
-        assert weighted_mean([1, 2, 3], [1, 1, 1]) == pytest.approx(2.0)
-
-    def test_weights_shift_the_mean(self):
-        assert weighted_mean([0.0, 10.0], [3.0, 1.0]) == pytest.approx(2.5)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            weighted_mean([1], [1, 2])
-        with pytest.raises(ValueError):
-            weighted_mean([], [])
-        with pytest.raises(ValueError):
-            weighted_mean([1, 2], [0.0, 0.0])
-        with pytest.raises(ValueError):
-            weighted_mean([1, 2], [1.0, -1.0])
-
-    def test_is_nan_free_for_finite_inputs(self):
-        assert not math.isnan(weighted_mean([1e-9, 1e9], [1e-3, 1e3]))

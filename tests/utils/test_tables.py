@@ -1,8 +1,9 @@
 """Tests for the ASCII table renderer."""
 
+import numpy as np
 import pytest
 
-from repro.utils.tables import TextTable, format_series
+from repro.utils.tables import TextTable
 
 
 class TestTextTable:
@@ -51,12 +52,39 @@ class TestTextTable:
         header_width = len(lines[1])
         assert all(len(line) == header_width for line in lines[1:])
 
+    def test_string_cells_render_verbatim(self):
+        class Label(str):
+            def __str__(self):
+                return "label"
 
-class TestFormatSeries:
-    def test_renders_key_value_pairs(self):
-        series = {1: 0.5, 4: 1.25}
-        rendered = format_series(series)
-        assert rendered == "1=0.50  4=1.25"
+        table = TextTable(["a", "b"])
+        table.add_row(["DLRM(1)", Label("raw")])
+        # A plain string is its own cell; a subclass still goes through str().
+        assert "| DLRM(1) | label |" in table.render()
 
-    def test_custom_format(self):
-        assert format_series({"a": 3.14159}, "{:.1f}") == "a=3.1"
+
+@pytest.mark.parametrize(
+    ("value", "cell"),
+    [
+        ("DLRM(1)", "DLRM(1)"),
+        (True, "yes"),
+        (False, "no"),
+        (7, "7"),
+        (None, "None"),
+        (0.0, "0"),
+        (-0.0, "0"),
+        (12345.678, "12,345.7"),
+        (-1500.0, "-1,500.0"),
+        (9.3, "9.30"),
+        (1.0, "1.00"),
+        (np.float64(2.5), "2.50"),
+        (0.00123, "0.0012"),
+        (-0.5, "-0.5000"),
+    ],
+)
+def test_cell_formatting(value, cell):
+    """Each kind of value renders to one fixed cell text."""
+    table = TextTable(["v"])
+    table.add_row([value])
+    row = table.render().splitlines()[3]
+    assert row == f"| {cell} |"

@@ -15,7 +15,6 @@ from repro.workloads import (
     PoissonArrivals,
     ReplayArrivals,
     as_arrival_process,
-    merge_streams,
 )
 
 ALL_PROCESSES = (
@@ -215,19 +214,6 @@ class TestArgumentValidation:
         assert as_arrival_process(process) is process
         with pytest.raises(SimulationError):
             as_arrival_process("nope")
-
-
-class TestMergeStreams:
-    def test_merges_in_time_order_with_fresh_ids(self):
-        a = ReplayArrivals([0.1, 0.3]).arrivals(num_requests=2)
-        b = ReplayArrivals([0.2, 0.4]).arrivals(num_requests=2)
-        merged = list(merge_streams([a, b]))
-        assert [r.arrival_time_s for r in merged] == pytest.approx([0.1, 0.2, 0.3, 0.4])
-        assert [r.request_id for r in merged] == [0, 1, 2, 3]
-
-    def test_rejects_empty(self):
-        with pytest.raises(SimulationError):
-            list(merge_streams([]))
 
 
 class TestAbstractBase:

@@ -1,4 +1,4 @@
-"""Tests for the trace containers: SparseTrace, DLRMBatch, concatenate_traces."""
+"""Tests for the trace containers: SparseTrace and DLRMBatch."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from repro.workloads import (
     DLRMBatch,
     SparseTrace,
     UniformTrace,
-    concatenate_traces,
     model_batch,
 )
 
@@ -72,21 +71,3 @@ class TestDLRMBatch:
     def test_rejects_non_2d_dense(self):
         with pytest.raises(TraceError):
             DLRMBatch(dense_features=np.zeros(13), sparse_traces=())
-
-
-class TestConcatenateTraces:
-    def test_concatenation_preserves_lookups(self):
-        first = make_trace([1, 2], [0, 1, 2])
-        second = make_trace([3, 4, 5], [0, 2, 3])
-        merged = concatenate_traces([first, second])
-        assert merged.total_lookups == 5
-        assert merged.batch_size == 4
-        np.testing.assert_array_equal(merged.indices, [1, 2, 3, 4, 5])
-
-    def test_rejects_empty_and_mismatched(self):
-        with pytest.raises(TraceError):
-            concatenate_traces([])
-        first = make_trace([1], [0, 1], num_rows=10)
-        second = make_trace([1], [0, 1], num_rows=20)
-        with pytest.raises(TraceError):
-            concatenate_traces([first, second])
