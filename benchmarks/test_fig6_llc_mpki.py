@@ -22,14 +22,9 @@ def test_figure6_llc_miss_rate_and_mpki(benchmark, report_sink, system):
         assert all(later >= earlier - 0.01 for earlier, later in zip(rates, rates[1:]))
         assert rates[-1] > rates[0]
 
-    # Shape 2: embedding miss rates reach tens of percent for the largest
-    # tables, while MLP layers stay below the paper's 20% bound.
-    assert max(row.emb_llc_miss_rate for row in rows) > 0.35
-    assert all(row.mlp_llc_miss_rate < 0.20 for row in rows)
-
-    # Shape 3: MPKI peaks in the single digits (paper: up to ~6.5) and the
-    # embedding layer's MPKI exceeds the MLP's at large batch sizes.
-    assert 3.0 < max(row.emb_mpki for row in rows) < 8.0
+    # Shape 2: the embedding layer's MPKI exceeds the MLP's at large batch
+    # sizes.  The peak miss rate, the peak MPKI and the MLP miss-rate bound
+    # are paper claims in repro.analysis.paper.
     for row in rows:
         if row.batch_size >= 64 and row.model_name in {"DLRM(4)", "DLRM(5)"}:
             assert row.emb_mpki > row.mlp_mpki

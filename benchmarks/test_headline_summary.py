@@ -1,4 +1,9 @@
-"""Headline summary: the abstract's numbers over the full evaluation sweep."""
+"""Headline summary: the abstract's numbers over the full evaluation sweep.
+
+The paper's values, and how far this reproduction sits from each, are the
+ledger in :mod:`repro.analysis.paper`, checked by
+``tests/analysis/test_paper_ledger.py``.
+"""
 
 from repro.analysis import headline_summary, render_headline
 
@@ -6,14 +11,3 @@ from repro.analysis import headline_summary, render_headline
 def test_headline_summary(benchmark, report_sink, system):
     summary = benchmark(headline_summary, system)
     report_sink("headline_summary", "\n".join(render_headline(summary)))
-
-    # Paper: 1.7-17.2x speedup and 1.7-19.5x energy-efficiency improvement
-    # over CPU-only; ~27x average gather-throughput improvement; CPU-only
-    # ~1.1x faster and ~1.9x more energy-efficient than CPU-GPU.
-    assert summary["centaur_speedup_max"] > 5.0
-    assert summary["centaur_speedup_max"] < 30.0
-    assert summary["centaur_efficiency_max"] > summary["centaur_speedup_max"]
-    assert summary["gather_bw_improvement_mean"] > 5.0
-    assert summary["gather_bw_improvement_min"] < 1.0
-    assert 0.8 < summary["cpu_vs_gpu_performance_geomean"] < 1.5
-    assert 1.4 < summary["cpu_vs_gpu_efficiency_geomean"] < 2.6

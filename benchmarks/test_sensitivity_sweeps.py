@@ -43,6 +43,6 @@ def test_batch_size_sensitivity(benchmark, report_sink, system):
     assert values == sorted(values)
     # Even far beyond inference-realistic batches, 32-wide gathers stay well
     # under half of the DRAM peak in this model (the paper's footnote quotes
-    # >50 GB/s at batch >2048; our CPU model is more conservative there, see
-    # EXPERIMENTS.md).
+    # >50 GB/s at batch >2048; this CPU model is more conservative there, a
+    # deviation recorded in repro.analysis.paper).
     assert all(point.cpu_fraction_of_peak < 0.5 for point in points)

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from repro import get_backend
 from repro.analysis import render_incident_timeline, render_serving_comparison
-from repro.chaos import FaultSchedule, ReplicaCrash, ShardLoss
+from repro.chaos import FaultSchedule, ShardLoss
 from repro.config import DLRM2, HARPV2_SYSTEM
 from repro.serving import Fleet, FleetSpec, TimeoutBatching
 from repro.sharding import parse_cache_spec

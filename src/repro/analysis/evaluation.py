@@ -198,14 +198,6 @@ class Figure15Row:
     cpu_only_efficiency: float
     centaur_efficiency: float
 
-    @property
-    def centaur_speedup_over_cpu(self) -> float:
-        return self.centaur_performance / self.cpu_only_performance
-
-    @property
-    def centaur_efficiency_over_cpu(self) -> float:
-        return self.centaur_efficiency / self.cpu_only_efficiency
-
 
 def figure15_comparison(
     system: SystemConfig,

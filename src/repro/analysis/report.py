@@ -13,7 +13,9 @@ from typing import List, Mapping, Sequence
 
 from repro.analysis.characterization import Figure5Row, Figure6Row, Figure7Point
 from repro.analysis.evaluation import AblationPoint, Figure13Row, Figure14Row, Figure15Row
-from repro.analysis.tables import Table1Row, Table2Row, Table3Row, Table4Row, Table5Row
+from repro.analysis.paper import CLAIMS_BY_KEY
+from repro.analysis.tables import Table1Row, Table2Row, Table4Row, Table5Row
+from repro.core.resources import ModuleResources
 from repro.utils.stats_utils import safe_divide
 from repro.utils.tables import TextTable
 from repro.utils.units import bytes_to_human
@@ -178,6 +180,10 @@ def render_table1(rows: Sequence[Table1Row]) -> str:
         title="Table I: recommendation model configurations",
     )
     for row in rows:
+        paper = [
+            CLAIMS_BY_KEY.get(f"table1.{row.model_name}.{column}")
+            for column in ("table_bytes", "mlp_bytes")
+        ]
         table.add_row(
             [
                 row.model_name,
@@ -185,8 +191,7 @@ def render_table1(rows: Sequence[Table1Row]) -> str:
                 row.gathers_per_table,
                 bytes_to_human(row.table_bytes),
                 bytes_to_human(row.mlp_bytes),
-                bytes_to_human(row.paper_table_bytes) if row.paper_table_bytes else "-",
-                bytes_to_human(row.paper_mlp_bytes) if row.paper_mlp_bytes else "-",
+                *(bytes_to_human(claim.published) if claim else "-" for claim in paper),
             ]
         )
     return table.render()
@@ -204,14 +209,14 @@ def render_table2(rows: Sequence[Table2Row]) -> str:
                 row.resource,
                 row.available,
                 row.used,
-                row.paper_used if row.paper_used is not None else "-",
+                CLAIMS_BY_KEY[f"table2.{row.resource}"].published,
                 100.0 * row.utilization,
             ]
         )
     return table.render()
 
 
-def render_table3(rows: Sequence[Table3Row]) -> str:
+def render_table3(rows: Sequence[ModuleResources]) -> str:
     """Render Table III (sparse vs dense module resources)."""
     table = TextTable(
         ["group", "module", "LC comb", "LC reg", "block mem bits", "DSP"],
@@ -219,14 +224,7 @@ def render_table3(rows: Sequence[Table3Row]) -> str:
     )
     for row in rows:
         table.add_row(
-            [
-                row.module.group,
-                row.module.name,
-                row.module.lc_comb,
-                row.module.lc_reg,
-                row.module.block_memory_bits,
-                row.module.dsps,
-            ]
+            [row.group, row.name, row.lc_comb, row.lc_reg, row.block_memory_bits, row.dsps]
         )
     return table.render()
 
@@ -238,7 +236,9 @@ def render_table4(rows: Sequence[Table4Row]) -> str:
         title="Table IV: power consumption",
     )
     for row in rows:
-        table.add_row([row.design_point, row.watts, row.paper_watts])
+        table.add_row(
+            [row.design_point, row.watts, CLAIMS_BY_KEY[f"table4.{row.design_point}"].published]
+        )
     return table.render()
 
 
@@ -272,30 +272,43 @@ def render_table5(rows: Sequence[Table5Row]) -> str:
 
 
 def render_headline(summary: dict) -> List[str]:
-    """Render the headline summary as a list of printable lines."""
+    """Render the headline summary as a list of printable lines.
+
+    Each line quotes the paper's value of the same metric from the ledger,
+    :data:`repro.analysis.paper.CLAIMS`.
+    """
+
+    def paper(metric: str) -> str:
+        return f"{CLAIMS_BY_KEY[f'headline.{metric}'].published:g}"
+
     return [
         "Headline results (this reproduction vs the paper's reported ranges):",
         (
             f"  Centaur speedup over CPU-only      : "
             f"{summary['centaur_speedup_min']:.2f}x - {summary['centaur_speedup_max']:.2f}x "
-            f"(geomean {summary['centaur_speedup_geomean']:.2f}x; paper: 1.7x - 17.2x)"
+            f"(geomean {summary['centaur_speedup_geomean']:.2f}x; "
+            f"paper: {paper('centaur_speedup_min')}x - {paper('centaur_speedup_max')}x)"
         ),
         (
             f"  Centaur energy-efficiency gain     : "
             f"{summary['centaur_efficiency_min']:.2f}x - {summary['centaur_efficiency_max']:.2f}x "
-            f"(geomean {summary['centaur_efficiency_geomean']:.2f}x; paper: 1.7x - 19.5x)"
+            f"(geomean {summary['centaur_efficiency_geomean']:.2f}x; "
+            f"paper: {paper('centaur_efficiency_min')}x - {paper('centaur_efficiency_max')}x)"
         ),
         (
             f"  Gather throughput improvement      : mean "
             f"{summary['gather_bw_improvement_mean']:.1f}x, max "
             f"{summary['gather_bw_improvement_max']:.1f}x, min "
-            f"{summary['gather_bw_improvement_min']:.2f}x (paper: avg ~27x, min ~0.67x)"
+            f"{summary['gather_bw_improvement_min']:.2f}x "
+            f"(paper: avg ~{paper('gather_bw_improvement_mean')}x, "
+            f"min ~{paper('gather_bw_improvement_min')}x)"
         ),
         (
             f"  CPU-only vs CPU-GPU                : "
             f"{summary['cpu_vs_gpu_performance_geomean']:.2f}x perf, "
             f"{summary['cpu_vs_gpu_efficiency_geomean']:.2f}x energy-eff "
-            f"(paper: ~1.1x / ~1.9x)"
+            f"(paper: ~{paper('cpu_vs_gpu_performance_geomean')}x / "
+            f"~{paper('cpu_vs_gpu_efficiency_geomean')}x)"
         ),
     ]
 

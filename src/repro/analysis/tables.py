@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.config.models import DLRMConfig
 from repro.config.presets import PAPER_MODELS
 from repro.config.system import FPGAConfig, PowerConfig
-from repro.errors import ConfigurationError
 from repro.core.resources import FPGAResourceModel, ModuleResources
 from repro.power.models import PowerModel
 
@@ -18,26 +17,13 @@ from repro.power.models import PowerModel
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
 class Table1Row:
-    """One row of Table I, with the paper's published values for comparison."""
+    """One row of Table I, as the configured model reproduces it."""
 
     model_name: str
     num_tables: int
     gathers_per_table: float
     table_bytes: int
     mlp_bytes: int
-    paper_table_bytes: Optional[int]
-    paper_mlp_bytes: Optional[int]
-
-
-#: The values printed in the paper's Table I (bytes).
-PAPER_TABLE1: Dict[str, Dict[str, int]] = {
-    "DLRM(1)": {"tables": 5, "gathers": 20, "table_bytes": 128_000_000, "mlp_bytes": 57_400},
-    "DLRM(2)": {"tables": 50, "gathers": 20, "table_bytes": 1_280_000_000, "mlp_bytes": 57_400},
-    "DLRM(3)": {"tables": 5, "gathers": 80, "table_bytes": 128_000_000, "mlp_bytes": 57_400},
-    "DLRM(4)": {"tables": 50, "gathers": 80, "table_bytes": 1_280_000_000, "mlp_bytes": 57_400},
-    "DLRM(5)": {"tables": 50, "gathers": 80, "table_bytes": 3_200_000_000, "mlp_bytes": 57_400},
-    "DLRM(6)": {"tables": 5, "gathers": 2, "table_bytes": 128_000_000, "mlp_bytes": 557_000},
-}
 
 
 def table1_model_configurations(
@@ -45,21 +31,16 @@ def table1_model_configurations(
 ) -> List[Table1Row]:
     """Reproduce Table I from the configured models."""
     models = tuple(models) if models is not None else PAPER_MODELS
-    rows: List[Table1Row] = []
-    for model in models:
-        paper = PAPER_TABLE1.get(model.name)
-        rows.append(
-            Table1Row(
-                model_name=model.name,
-                num_tables=model.num_tables,
-                gathers_per_table=model.gathers_per_table,
-                table_bytes=model.embedding_table_bytes,
-                mlp_bytes=model.mlp_parameter_bytes,
-                paper_table_bytes=paper["table_bytes"] if paper else None,
-                paper_mlp_bytes=paper["mlp_bytes"] if paper else None,
-            )
+    return [
+        Table1Row(
+            model_name=model.name,
+            num_tables=model.num_tables,
+            gathers_per_table=model.gathers_per_table,
+            table_bytes=model.embedding_table_bytes,
+            mlp_bytes=model.mlp_parameter_bytes,
         )
-    return rows
+        for model in models
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -72,21 +53,10 @@ class Table2Row:
     resource: str
     available: float
     used: float
-    paper_used: Optional[float]
 
     @property
     def utilization(self) -> float:
         return self.used / self.available
-
-
-#: Table II values from the paper (Centaur row).
-PAPER_TABLE2: Dict[str, float] = {
-    "ALM": 127_719,
-    "Block memory bits": 23_700_000,
-    "RAM blocks": 2_238,
-    "DSP": 784,
-    "PLL": 48,
-}
 
 
 def table2_fpga_utilization(fpga: Optional[FPGAConfig] = None) -> List[Table2Row]:
@@ -96,57 +66,20 @@ def table2_fpga_utilization(fpga: Optional[FPGAConfig] = None) -> List[Table2Row
     report = model.report()
     fabric = fpga.fabric
     return [
-        Table2Row("ALM", fabric.alms, report.alms, PAPER_TABLE2["ALM"]),
-        Table2Row(
-            "Block memory bits",
-            fabric.block_memory_bits,
-            report.block_memory_bits,
-            PAPER_TABLE2["Block memory bits"],
-        ),
-        Table2Row("RAM blocks", fabric.ram_blocks, report.ram_blocks, PAPER_TABLE2["RAM blocks"]),
-        Table2Row("DSP", fabric.dsps, report.dsps, PAPER_TABLE2["DSP"]),
-        Table2Row("PLL", fabric.plls, report.plls, PAPER_TABLE2["PLL"]),
+        Table2Row("ALM", fabric.alms, report.alms),
+        Table2Row("Block memory bits", fabric.block_memory_bits, report.block_memory_bits),
+        Table2Row("RAM blocks", fabric.ram_blocks, report.ram_blocks),
+        Table2Row("DSP", fabric.dsps, report.dsps),
+        Table2Row("PLL", fabric.plls, report.plls),
     ]
 
 
 # ---------------------------------------------------------------------------
 # Table III: sparse vs dense module resource usage
 # ---------------------------------------------------------------------------
-#: Table III values from the paper, keyed by (group, module name).
-PAPER_TABLE3: Dict[str, Dict[str, float]] = {
-    "Sparse/Base ptr reg.": {"lc_comb": 98, "lc_reg": 211, "mem_bits": 0, "dsp": 0},
-    "Sparse/Gather unit": {"lc_comb": 295, "lc_reg": 216, "mem_bits": 0, "dsp": 0},
-    "Sparse/Reduction unit": {"lc_comb": 108, "lc_reg": 8_260, "mem_bits": 0, "dsp": 96},
-    "Sparse/SRAM arrays": {"lc_comb": 350, "lc_reg": 98, "mem_bits": 12_200_000, "dsp": 0},
-    "Dense/MLP unit": {"lc_comb": 40_000, "lc_reg": 131_000, "mem_bits": 2_300_000, "dsp": 512},
-    "Dense/Feat. int. unit": {"lc_comb": 10_000, "lc_reg": 33_000, "mem_bits": 593_000, "dsp": 128},
-    "Dense/SRAM arrays": {"lc_comb": 1_000, "lc_reg": 11_000, "mem_bits": 1_600_000, "dsp": 48},
-    "Dense/Weights": {"lc_comb": 13, "lc_reg": 77, "mem_bits": 5_200_000, "dsp": 0},
-    "Others/Misc.": {"lc_comb": 587, "lc_reg": 6_000, "mem_bits": 608_000, "dsp": 0},
-}
-
-
-@dataclass(frozen=True)
-class Table3Row:
-    """One module row of Table III, alongside the paper's value when known."""
-
-    module: ModuleResources
-    paper: Optional[Dict[str, float]]
-
-    @property
-    def key(self) -> str:
-        return f"{self.module.group}/{self.module.name}"
-
-
-def table3_module_resources(fpga: Optional[FPGAConfig] = None) -> List[Table3Row]:
-    """Reproduce Table III's per-module resource breakdown."""
-    fpga = fpga if fpga is not None else FPGAConfig()
-    model = FPGAResourceModel(fpga)
-    rows: List[Table3Row] = []
-    for module in model.all_modules():
-        key = f"{module.group}/{module.name}"
-        rows.append(Table3Row(module=module, paper=PAPER_TABLE3.get(key)))
-    return rows
+def table3_module_resources(fpga: Optional[FPGAConfig] = None) -> List[ModuleResources]:
+    """Reproduce Table III's per-module resource breakdown, in the paper's row order."""
+    return FPGAResourceModel(fpga if fpga is not None else FPGAConfig()).all_modules()
 
 
 # ---------------------------------------------------------------------------
@@ -154,42 +87,16 @@ def table3_module_resources(fpga: Optional[FPGAConfig] = None) -> List[Table3Row
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
 class Table4Row:
-    """One design-point column of Table IV.
-
-    ``backend`` carries the registry name of the design point (when one is
-    registered), tying the power table to the backend registry the rest of
-    the evaluation addresses devices by.
-    """
+    """One design-point column of Table IV."""
 
     design_point: str
     watts: float
-    paper_watts: float
-    backend: Optional[str] = None
-
-
-PAPER_TABLE4: Dict[str, float] = {"CPU-only": 80.0, "CPU-GPU": 147.0, "Centaur": 74.0}
 
 
 def table4_power(power: Optional[PowerConfig] = None) -> List[Table4Row]:
     """Reproduce Table IV (the CPU-GPU column is the sum of CPU and GPU power)."""
-    from repro.backends.registry import canonical_backend_name
-
     model = PowerModel(power if power is not None else PowerConfig())
-    rows = []
-    for design_point, watts in model.table4().items():
-        try:
-            backend = canonical_backend_name(design_point)
-        except ConfigurationError:
-            backend = None
-        rows.append(
-            Table4Row(
-                design_point=design_point,
-                watts=watts,
-                paper_watts=PAPER_TABLE4[design_point],
-                backend=backend,
-            )
-        )
-    return rows
+    return [Table4Row(point, watts) for point, watts in model.table4().items()]
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,9 @@ Broadwell Xeon E5-2680v4 and an Altera Arria 10 GX1150, a quad-channel DDR4
 memory system with 77 GB/s of peak bandwidth, a 28.8 GB/s (theoretical)
 CPU<->FPGA link, and an NVIDIA DGX-1 V100 for the ``CPU-GPU`` design point.
 
-Workload presets mirror Table I.  The paper does not publish exact MLP layer
-shapes, so the layer widths below are chosen to land close to the quoted
-model sizes (~57 KB for DLRM(1)-(5) and ~0.5 MB for DLRM(6)); the Table I
-benchmark prints both the paper's figure and the value computed from these
-shapes.
+Workload presets mirror Table I.  The paper does not publish MLP layer
+shapes; how far the sizes of the widths chosen below are from Table I's is
+recorded in :mod:`repro.analysis.paper`.
 """
 
 from __future__ import annotations

@@ -30,7 +30,7 @@ from repro.analysis import (
     table4_power,
     table5_related_work,
 )
-from repro.analysis.report import render_ablation as _render_ablation  # noqa: F401
+from repro.analysis.paper import CLAIMS_BY_KEY
 from repro.config import DLRM1, HARPV2_SYSTEM
 
 
@@ -72,9 +72,25 @@ class TestFigureRendering:
         assert "cache-bypass" in text
 
     def test_headline(self, small_kwargs):
+        """Each line quotes the paper's values of its metrics from the ledger."""
         lines = render_headline(headline_summary(HARPV2_SYSTEM, **small_kwargs))
-        assert any("speedup" in line for line in lines)
-        assert any("paper" in line for line in lines)
+
+        def paper(metric):
+            return f"{CLAIMS_BY_KEY[f'headline.{metric}'].published:g}"
+
+        expected = [
+            f"paper: {paper('centaur_speedup_min')}x - {paper('centaur_speedup_max')}x)",
+            f"paper: {paper('centaur_efficiency_min')}x - {paper('centaur_efficiency_max')}x)",
+            f"(paper: avg ~{paper('gather_bw_improvement_mean')}x, "
+            f"min ~{paper('gather_bw_improvement_min')}x)",
+            f"(paper: ~{paper('cpu_vs_gpu_performance_geomean')}x / "
+            f"~{paper('cpu_vs_gpu_efficiency_geomean')}x)",
+        ]
+        assert "speedup" in lines[1]
+        assert len(lines) == 1 + len(expected)
+        for line, paper_text in zip(lines[1:], expected):
+            assert line.endswith(paper_text)
+            assert line.count("paper") == 1
 
 
 class TestTableRendering:

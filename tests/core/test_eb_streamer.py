@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.analysis.paper import CLAIMS_BY_KEY
 from repro.config import DLRM1, DLRM4, DLRM5, DLRM6
 from repro.config.models import homogeneous_dlrm
 from repro.config.system import FPGAConfig, LinkConfig
@@ -10,7 +11,6 @@ from repro.core.eb_streamer import EBStreamer
 from repro.core.mmio import HostMemory
 from repro.core.registers import BasePointerRegisters
 from repro.dlrm import DLRM
-from repro.dlrm.embedding import sparse_lengths_sum
 from repro.errors import CapacityError, SimulationError
 from repro.workloads import UniformTrace, model_batch
 
@@ -98,9 +98,11 @@ class TestAnalyticEstimate:
         assert estimate.gather_s > estimate.reduction_s
 
     def test_effective_throughput_reaches_paper_peak(self, streamer):
-        """Large gathers saturate at ~11.9 GB/s (68% of effective link bw)."""
+        """Large gathers saturate at the paper's gather peak (68% of the
+        effective link bandwidth)."""
+        peak = CLAIMS_BY_KEY["fig13.centaur_gather_peak"]
         throughput = streamer.estimate(DLRM4, 128).effective_throughput
-        assert 1.1e10 < throughput < 1.25e10
+        assert throughput == pytest.approx(peak.published, rel=peak.tolerance)
 
     def test_small_batch_still_respectable(self, streamer):
         """Unlike the CPU, the EB-Streamer keeps multi-GB/s rates at batch 1."""

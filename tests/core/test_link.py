@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+from repro.analysis.paper import CLAIMS_BY_KEY
 from repro.config.system import LinkConfig
 from repro.core.link import ChipletLink
 from repro.errors import SimulationError
@@ -42,7 +43,8 @@ class TestGatherBandwidth:
         assert link.peak_gather_bandwidth == pytest.approx(
             0.68 * link.config.effective_bandwidth
         )
-        assert 11e9 < link.peak_gather_bandwidth < 12.5e9
+        peak = CLAIMS_BY_KEY["fig13.centaur_gather_peak"]
+        assert link.peak_gather_bandwidth == pytest.approx(peak.published, rel=peak.tolerance)
 
     def test_bandwidth_limited_by_outstanding_requests(self, link):
         few = link.gather_bandwidth(4)

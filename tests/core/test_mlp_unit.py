@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.analysis.paper import CLAIMS_BY_KEY
 from repro.config.models import MLPConfig
 from repro.core.mlp_unit import MLPUnit
 from repro.dlrm.mlp import MLP
@@ -121,11 +122,11 @@ class TestTiming:
 
     def test_peak_throughput_consistent_with_313_gflops(self, unit):
         """A large, well-aligned GEMM should sustain close to the MLP unit's
-        share (16/20) of the 313 GFLOPS aggregate."""
+        share (16/20) of the paper's 313 GFLOPS aggregate."""
         m = n = k = 512
         seconds = unit.gemm_cycles(m, n, k) / 200e6
         achieved = 2 * m * n * k / seconds
-        mlp_share = 313e9 * 16 / 20
+        mlp_share = CLAIMS_BY_KEY["dense.peak_flops"].published * 16 / 20
         assert achieved == pytest.approx(mlp_share, rel=0.05)
 
     @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ import dataclasses
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.analysis.paper import CLAIMS_BY_KEY
 from repro.config import DLRM1, DLRM4, DLRM5, DLRM6, EmbeddingTableConfig
 from repro.config.models import homogeneous_dlrm
 from repro.config.system import CPUConfig
@@ -93,15 +94,18 @@ class TestEmbeddingAccessProfile:
         assert large > small
 
     def test_miss_rate_in_papers_ballpark(self, profile):
-        # Figure 6(a) tops out around 45%; the model stays in that regime.
-        for batch in (1, 32, 128):
-            rate = profile.compute(DLRM4, batch).llc.miss_rate
-            assert 0.0 < rate < 0.6
+        """A big model at batch 128 sits at Figure 6(a)'s peak miss rate."""
+        peak = CLAIMS_BY_KEY["fig6.emb_llc_miss_rate_max"]
+        for batch in (1, 32):
+            assert 0.0 < profile.compute(DLRM4, batch).llc.miss_rate
+        rate = profile.compute(DLRM4, 128).llc.miss_rate
+        assert rate == pytest.approx(peak.published, rel=peak.tolerance)
 
     def test_mpki_in_papers_ballpark(self, profile):
-        # Figure 6(b) tops out around 6.5 MPKI.
-        assert profile.compute(DLRM4, 128).mpki < 8.0
-        assert profile.compute(DLRM4, 128).mpki > 2.0
+        """A big model at batch 128 sits at Figure 6(b)'s peak MPKI."""
+        peak = CLAIMS_BY_KEY["fig6.emb_mpki_max"]
+        mpki = profile.compute(DLRM4, 128).mpki
+        assert mpki == pytest.approx(peak.published, rel=peak.tolerance)
         assert profile.compute(DLRM1, 1).mpki < 1.0
 
     def test_useful_bytes_scale_with_batch(self, profile):

@@ -1,6 +1,5 @@
 """Tests for sharded fleets: fan-out pricing, caching, equivalence."""
 
-import numpy as np
 import pytest
 
 from repro.config import HARPV2_SYSTEM

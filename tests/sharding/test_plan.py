@@ -11,7 +11,6 @@ from repro.sharding import (
     GreedyBalancedSharding,
     RowWiseHashSharding,
     ShardingPlan,
-    TableWiseSharding,
     make_plan,
     parse_sharding_spec,
 )

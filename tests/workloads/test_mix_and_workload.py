@@ -142,7 +142,6 @@ class TestCapabilityGating:
     def test_registry_level_gate(self):
         from repro.backends import register_backend
         from repro.backends.registry import unregister_backend
-        from repro.config import HARPV2_SYSTEM
         from repro.errors import ConfigurationError
         from repro.serving.fleet import check_workload_support
         from repro.cpu.cpu_runner import CPUOnlyRunner
