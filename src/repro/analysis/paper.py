@@ -13,7 +13,9 @@ Tolerances: 0 for counts, watts, peak FLOP/s and pinned MLP bytes; 0.001 for
 Table III logic cells (0.06% off today); 0.01 for Table II ALMs and bits and
 every pinned float; 0.02 for RAM blocks (1.6%) and the gather peak; 0.04 for
 Table III bits (3.1%); 0.05 for peak MPKI (2.4%); 0.10 for the "~" CPU-only
-vs CPU-GPU ratios (5.2%); 0.15 for the ~45% peak EMB miss rate (11%).
+vs CPU-GPU ratios (5.2%); 1/7 for Fig. 7's 15-20 GB/s batch-128 gathers,
+which is that range about its 17.5 GB/s midpoint (13%); 0.15 for the ~45%
+peak EMB miss rate (11%).
 """
 
 from __future__ import annotations
@@ -150,6 +152,14 @@ _FIGURE_CLAIMS = (
         "The minimum is DLRM(3) at batch 128, where CPU-only gathers reach 15.6 GB/s "
         "against Centaur's 11.9 GB/s plateau; ~0.67x implies about 17.8 GB/s.",
     ),
+    PaperClaim(
+        "fig7.DLRM(4).cpu_gather_batch_128", "Fig. 7(a); Sec. VI-B", 17.5e9, "B/s", 1 / 7
+    ),
+    PaperClaim(
+        "fig7.DLRM(5).cpu_gather_batch_128", "Fig. 7(a); Sec. VI-B", 17.5e9, "B/s", 1 / 7
+    ),
+    PaperClaim("fig7.cpu_gather_batch_1_max", "Fig. 7(a)", 2e9, "B/s", 0.0, upper_bound=True),
+    PaperClaim("sec6.centaur_link_fraction_min", "Sec. VI-B", 0.68, "share", 0.01),
     PaperClaim("headline.cpu_vs_gpu_performance_geomean", "Fig. 15(a)", 1.1, "x", 0.10),
     PaperClaim("headline.cpu_vs_gpu_efficiency_geomean", "Fig. 15(b)", 1.9, "x", 0.10),
     PaperClaim("fig13.centaur_gather_peak", "Fig. 13(a); Sec. VI-B", 11.9e9, "B/s", 0.02),

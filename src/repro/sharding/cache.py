@@ -8,17 +8,17 @@ backend: rows that hit are served from device-local memory and skip the
 host gather entirely, rows that miss are gathered and inserted.
 
 Everything is deterministic given the construction arguments: LRU order is
-the order of accesses, and LFU keeps one first-in first-out queue of rows
-per frequency (never randomness).  A row joins the queue of frequency f at
-the access that gave it frequency f, so each queue is in last-access order
-and its head is the least-frequent row accessed longest ago, the victim of
-ordering by ``(frequency, last access)``.  Two runs over the same lookup
-stream produce bit-identical :class:`~repro.memsys.stats.CacheStats`.  An LRU call
-is decided all at once by stack distance (see :class:`_LruRows`), with the
-same hits, evictions and final recency order as probing row by row.  The
-``seed`` argument is part of the cache identity (it namespaces nothing
-today but keeps the constructor stable if a randomized policy is ever
-added) and two caches built with the same arguments always agree.
+the order of accesses, and LFU evicts the least-frequent row accessed
+longest ago, ordering by ``(frequency, last access)`` (never randomness).
+Two runs over the same lookup stream produce bit-identical
+:class:`~repro.memsys.stats.CacheStats`.  Either policy decides a call many
+rows at a time, with the same hits, evictions and final eviction order as
+probing row by row: LRU by stack distance (see :class:`_LruRows`), LFU by
+its frequency classes with a Python loop over misses only (see
+:class:`_LfuRows`).  The ``seed`` argument is part of the cache identity
+(it namespaces nothing today but keeps the constructor stable if a
+randomized policy is ever added) and two caches built with the same
+arguments always agree.
 
 Internally a row is keyed by one packed int, ``(table << 40) | row``.  The
 packing is private to this module; :func:`check_key_space` rejects models
@@ -28,9 +28,9 @@ its rows, so two rows can never alias one key.
 
 from __future__ import annotations
 
-from collections import OrderedDict
+import heapq
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -95,6 +95,34 @@ _AFTER = ~_BEFORE[1:]
 _PASS_ROWS = 1 << 14
 
 
+def _group(keys: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """Group a pass by key, positions ascending inside each group.
+
+    Returns ``order`` (the positions, grouped), ``starts`` / ``ends``
+    (flags over ``order`` at each group's first and last position), each
+    sorted position's ``group``, the ``unique`` keys ascending, and each
+    position's group as ``dense``.  A quicksort by key gives each key a
+    dense id, and a stable sort of those ids (a radix sort, in the
+    narrowest dtype that holds them) orders each group by position.  One
+    stable sort by key is several times slower than both.
+    """
+    n = keys.size
+    order = np.argsort(keys)
+    starts = np.empty(n, dtype=bool)
+    starts[0] = True
+    sorted_keys = keys[order]
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=starts[1:])
+    group = np.cumsum(starts) - 1
+    unique = sorted_keys[starts]
+    dense = np.empty(n, dtype=np.int64)
+    dense[order] = group
+    order = np.argsort(dense.astype(np.min_scalar_type(unique.size)), kind="stable")
+    ends = np.empty(n, dtype=bool)
+    ends[:-1] = starts[1:]
+    ends[-1] = True
+    return order, starts, ends, group, unique, dense
+
+
 class _LruRows:
     """LRU state as arrays, probed many rows at a time by stack distance.
 
@@ -133,6 +161,10 @@ class _LruRows:
         inside = np.minimum(at, size - 1)
         return at, np.where(self._sorted[inside] == keys, self._slot[inside], -1)
 
+    def __contains__(self, key: int) -> bool:
+        at = self._sorted.searchsorted(key)
+        return bool(at < self._sorted.size and self._sorted[at] == key)
+
     def probe(self, keys: np.ndarray) -> Tuple[np.ndarray, int, int]:
         """Hit mask, evictions and stale hits of one call; updates the state."""
         hits = np.empty(keys.size, dtype=bool)
@@ -148,24 +180,7 @@ class _LruRows:
         n = keys.size
         resident = self.keys.size
         capacity = self.capacity
-        # Group the pass by key with positions ascending inside each group:
-        # a quicksort by key gives each key a dense id, and a stable sort
-        # of those ids (a radix sort, in the narrowest dtype that holds
-        # them) orders each group by position.  One stable sort by key is
-        # several times slower than both.
-        order = np.argsort(keys)
-        starts = np.empty(n, dtype=bool)
-        starts[0] = True
-        sorted_keys = keys[order]
-        np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=starts[1:])
-        group = np.cumsum(starts) - 1
-        unique = sorted_keys[starts]
-        dense = np.empty(n, dtype=np.int64)
-        dense[order] = group
-        order = np.argsort(dense.astype(np.min_scalar_type(unique.size)), kind="stable")
-        ends = np.empty(n, dtype=bool)
-        ends[:-1] = starts[1:]
-        ends[-1] = True
+        order, starts, ends, group, unique, dense = _group(keys)
         first = order[starts]
         at, slot = self.locate(unique)
         # Virtual sequence: resident keys at 0..S-1, the pass at S..S+n-1.
@@ -311,6 +326,274 @@ def _nested_reuses(
     return counts + np.count_nonzero(strip, axis=1)
 
 
+def _run_log(
+    log: List[int], misses: List[int], after: np.ndarray
+) -> Tuple[int, List[int], Optional[int]]:
+    """Take each evicting miss's victim from the head of the LFU log.
+
+    ``log`` holds each entry's next read, when it leaves the log by
+    promotion; ``misses`` are the first reads that evict, ascending.  A
+    victim's next read (``n`` if none) is a conflict: it misses, and
+    evicts in turn.  Every miss appends its key's next read (``after``,
+    per position of the pass) to ``log``.  Returns the entries examined,
+    the conflicts, and the position of a miss that found the log empty
+    (None if none did).  This is the one Python loop of an LFU pass, and
+    it runs over misses only.
+    """
+    n = after.size
+    heap = misses  # ascending, so already a heap
+    after = after.tolist()
+    conflicts: List[int] = []
+    append = log.append
+    pop, push = heapq.heappop, heapq.heappush
+    head = 0
+    try:
+        while heap:
+            t = pop(heap)
+            # The head entry, less those promoted before t.
+            read_at = log[head]
+            head += 1
+            while read_at < t:
+                read_at = log[head]
+                head += 1
+            if read_at < n:
+                push(heap, read_at)
+                conflicts.append(read_at)
+            append(after[t])
+    except IndexError:
+        return head, conflicts, t
+    return head, conflicts, None
+
+
+class _LfuRows:
+    """LFU state as arrays, decided a pass at a time.
+
+    ``keys`` holds the packed keys ascending, with aligned ``freq``,
+    ``stamp`` and ``stale``.  ``stamp`` is the global tick of a key's last
+    access, so the victim is the minimum ``(freq, stamp)``: the least
+    frequent row, accessed longest ago.  An invalidated key stays behind as
+    a tombstone (``freq == 0``) until the next pass that inserts keys
+    rebuilds the arrays.
+
+    The frequency classes of Shah, Mitra and Matani ("An O(1) algorithm
+    for implementing the LFU cache eviction scheme", 2010) decide a pass.
+    If the resident keys and the pass's new keys fit the capacity, nothing
+    is evicted and the pass has a closed form.  Otherwise every access hits
+    except the first read of a non-resident key and the next read of a key
+    evicted earlier in the pass (a conflict).  While class 1 (``freq ==
+    1``) is non-empty, the victim is the head of a first-in first-out log:
+    the class-1 residents in ``stamp`` order, then each miss's key in time
+    order, where an entry leaves the log at its key's next read.  So the
+    Python loop runs over misses only.  A miss that finds class 1 empty
+    ends the pass: the prefix commits, the ``(freq, stamp)`` minimum is
+    evicted directly, and a new pass starts at the miss.
+    """
+
+    __slots__ = ("capacity", "keys", "freq", "stamp", "stale", "size", "tick")
+
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        self.keys = np.empty(0, dtype=np.int64)
+        self.freq = np.empty(0, dtype=np.int64)
+        self.stamp = np.empty(0, dtype=np.int64)
+        self.stale = np.empty(0, dtype=bool)
+        #: Resident keys (tombstones excluded), and accesses so far.
+        self.size = 0
+        self.tick = 0
+
+    def __len__(self) -> int:
+        return self.size
+
+    def locate(self, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Index position of each key, and its slot (-1 if not indexed).
+
+        A tombstone has a slot but is not resident.
+        """
+        at = np.searchsorted(self.keys, keys)
+        if not self.keys.size:
+            return at, np.full(keys.shape, -1, dtype=np.int64)
+        inside = np.minimum(at, self.keys.size - 1)
+        return at, np.where(self.keys[inside] == keys, inside, -1)
+
+    def _resident(self, keys: np.ndarray) -> np.ndarray:
+        """Slots of the resident keys among ``keys`` (repeats kept)."""
+        slots = self.locate(keys)[1]
+        slots = slots[slots >= 0]
+        return slots[self.freq[slots] > 0]
+
+    def __contains__(self, key: int) -> bool:
+        at = self.keys.searchsorted(key)
+        return bool(at < self.keys.size and self.keys[at] == key and self.freq[at])
+
+    def _ranked(self) -> np.ndarray:
+        """Slots of the resident keys, next victim first."""
+        live = np.flatnonzero(self.freq)
+        return live[np.lexsort((self.stamp[live], self.freq[live]))]
+
+    def order(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Resident keys and their frequencies, next victim first."""
+        ranked = self._ranked()
+        return self.keys[ranked], self.freq[ranked]
+
+    def probe(self, keys: np.ndarray) -> Tuple[np.ndarray, int, int]:
+        """Hit mask, evictions and stale hits of one call; updates the state."""
+        hits = np.empty(keys.size, dtype=bool)
+        evictions = stale_hits = 0
+        start = 0
+        while start < keys.size:
+            part = keys[start:]
+            stop, evicted, stale = self._pass(part, hits[start:])
+            if stop < part.size:
+                # Class 1 was empty at the miss at ``stop``.  The prefix's
+                # own pass decides the same and runs to its end; then the
+                # least frequent row is evicted directly.
+                evicted = stale = 0
+                if stop:
+                    _, evicted, stale = self._pass(part[:stop], hits[start : start + stop])
+                victim = self._ranked()[0]
+                self.freq[victim] = 0
+                self.stale[victim] = False
+                self.size -= 1
+                evicted += 1
+            evictions += evicted
+            stale_hits += stale
+            start += stop
+        return hits, evictions, stale_hits
+
+    def _pass(self, keys: np.ndarray, hits: np.ndarray) -> Tuple[int, int, int]:
+        """Decide ``keys`` into ``hits`` and commit them.
+
+        Returns the rows decided (all of them), the evictions and the stale
+        hits.  At a miss that finds class 1 empty it returns the miss's
+        position instead, with nothing committed.
+        """
+        n = keys.size
+        order, starts, ends, _, unique, dense = _group(keys)
+        first = order[starts]
+        last = order[ends]
+        at, slot = self.locate(unique)
+        indexed = slot >= 0
+        freq = np.zeros(unique.size, dtype=np.int64)
+        freq[indexed] = self.freq[slot[indexed]]
+        found = freq > 0
+        missed = np.sort(first[~found])
+        free = self.capacity - self.size
+        victims = times = conflicts = np.empty(0, dtype=np.int64)
+        if missed.size > free:
+            # Next read of the same key after each position, or n.
+            after = np.empty(n, dtype=np.int64)
+            after[order[:-1]] = order[1:]
+            after[last] = n
+            # The log: class-1 residents oldest first, then the key of each
+            # miss in time order.  An entry is a dense key id, or ~slot for
+            # a resident the pass never reads, and leaves the log at its
+            # key's next read.  Each miss that evicts takes one entry, and
+            # a resident is skipped as promoted, or taken with a conflict
+            # to follow, only if the pass reads it.  So until the residents
+            # run out, at most (misses that evict) + (class-1 residents
+            # read) of them are examined, and only those oldest are sorted.
+            ones = np.flatnonzero(self.freq == 1)
+            reader = np.full(self.keys.size, -1, dtype=np.int64)
+            reader[slot[found]] = np.flatnonzero(found)
+            filled = missed[:free]
+            evicting = missed[free:]
+            reach = evicting.size + np.count_nonzero(reader[ones] >= 0)
+            if reach < ones.size:
+                ones = ones[np.argpartition(self.stamp[ones], reach)[:reach]]
+            ones = ones[np.argsort(self.stamp[ones])]
+            read = reader[ones]
+            log = np.concatenate((np.where(read >= 0, first[read], n), after[filled])).tolist()
+            head, conflicts, stop = _run_log(log, evicting.tolist(), after)
+            if stop is not None:
+                return stop, 0, 0
+            # An examined entry was evicted unless its key was read before
+            # the miss examined it, i.e. unless its next read was a hit.
+            conflicts = np.array(conflicts, dtype=np.int64)
+            times = np.sort(np.concatenate((evicting, conflicts)))
+            examined = np.array(log[:head], dtype=np.int64)
+            entries = np.concatenate(
+                (np.where(read >= 0, read, ~ones), dense[filled], dense[times])
+            )[:head]
+            victims = entries[(examined == n) | np.isin(examined, conflicts)]
+
+        hits[:] = True
+        hits[missed] = False
+        hits[conflicts] = False
+        gone = ~victims[victims < 0]
+        ours = victims >= 0
+        # Each key's first and last eviction in the pass; a key keeps its
+        # frequency and staleness only if it was never evicted, and counts
+        # the reads after its last eviction.
+        evicted_last = np.full(unique.size, -1, dtype=np.int64)
+        np.maximum.at(evicted_last, victims[ours], times[ours])
+        positions = np.arange(n)
+        kept = evicted_last < 0
+        freq[~kept] = 0
+        freq += np.bincount(
+            dense[positions > evicted_last[dense]], minlength=unique.size
+        )
+        stale = np.zeros(unique.size, dtype=bool)
+        stale[found] = self.stale[slot[found]]
+        stale_hits = 0
+        if stale.any():
+            evicted_first = np.full(unique.size, n, dtype=np.int64)
+            np.minimum.at(evicted_first, victims[ours], times[ours])
+            stale_hits = int(
+                np.count_nonzero(stale[dense] & (positions < evicted_first[dense]))
+            )
+            stale &= kept
+        stamp = last + self.tick + 1
+        self.tick += n
+        self.size += missed.size + conflicts.size - victims.size
+
+        # Indexed keys (tombstones included) update in place; the rest are
+        # merged in, which also drops every tombstone.
+        self.freq[gone] = 0
+        self.stale[gone] = False
+        inplace = slot[indexed]
+        self.freq[inplace] = freq[indexed]
+        self.stamp[inplace] = stamp[indexed]
+        self.stale[inplace] = stale[indexed]
+        new = ~indexed & (freq > 0)
+        if new.any():
+            # Each new key goes after the resident keys below it.
+            keep = np.flatnonzero(self.freq)
+            put = np.searchsorted(keep, at[new]) + np.arange(np.count_nonzero(new))
+            rest = np.ones(keep.size + put.size, dtype=bool)
+            rest[put] = False
+            rest = np.flatnonzero(rest)
+
+            def merged(old: np.ndarray, values) -> np.ndarray:
+                out = np.empty(rest.size + put.size, dtype=old.dtype)
+                out[rest] = old[keep]
+                out[put] = values
+                return out
+
+            self.keys = merged(self.keys, unique[new])
+            self.freq = merged(self.freq, freq[new])
+            self.stamp = merged(self.stamp, stamp[new])
+            self.stale = merged(self.stale, False)
+        return n, victims.size, stale_hits
+
+    def invalidate(self, keys: np.ndarray) -> int:
+        slots = np.unique(self._resident(keys))
+        self.freq[slots] = 0
+        self.stale[slots] = False
+        self.size -= slots.size
+        return slots.size
+
+    def refresh(self, keys: np.ndarray) -> int:
+        slots = self._resident(keys)
+        self.stale[slots] = False
+        return slots.size
+
+    def mark_stale(self, keys: np.ndarray) -> int:
+        slots = np.unique(self._resident(keys))
+        fresh = slots[~self.stale[slots]]
+        self.stale[fresh] = True
+        return fresh.size
+
+
 @dataclass(frozen=True)
 class CacheConfig:
     """Declarative description of a hot-row cache (one instance per shard).
@@ -417,34 +700,21 @@ class EmbeddingCache:
         #: Hits served from rows a push updated behind the cache
         #: (``mode="ignore"`` staleness accounting).
         self.stale_hits = 0
-        # Every structure below holds packed keys (see _pack).  LRU state,
-        # stale flags included, lives in arrays probed by stack distance.
-        self._lru = _LruRows(capacity_rows) if policy == "lru" else None
-        # LFU state (Shah, Mitra and Matani, 2010): key -> frequency, one
-        # insertion-ordered FIFO of keys per frequency with empty classes
-        # deleted, and the lowest frequency present.  A key enters class f
-        # at the access that gave it frequency f, so each class is in
-        # last-access order and the head of the lowest one is the victim.
-        # LFU has no inclusion property, so it stays a per-row loop, O(1)
-        # per row.
-        self._lfu: Dict[int, int] = {}
-        self._classes: Dict[int, OrderedDict[int, None]] = {}
-        self._lowest = 0
-        self._stale: set = set()
+        # Row state in packed keys (see _pack), stale flags included, held
+        # in arrays and decided many rows at a time: LRU by stack distance,
+        # LFU by its frequency classes.
+        self._rows = (_LruRows if policy == "lru" else _LfuRows)(capacity_rows)
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._lru) if self._lru is not None else len(self._lfu)
+        return len(self._rows)
 
     def __contains__(self, key: Tuple[int, int]) -> bool:
         """Whether the ``(table, row)`` pair is resident."""
         table_index, row = key
         if not (0 <= table_index < MAX_TABLES and 0 <= row < 1 << ROW_BITS):
             return False
-        packed = table_index << ROW_BITS | row
-        if self._lru is not None:
-            return bool(self._lru.locate(np.array([packed]))[1][0] >= 0)
-        return packed in self._lfu
+        return (table_index << ROW_BITS | row) in self._rows
 
     @property
     def hit_rate(self) -> float:
@@ -464,56 +734,12 @@ class EmbeddingCache:
         keys = _pack(table_index, rows)
         if not keys.size:
             return np.zeros(keys.shape, dtype=bool)
-        if self._lru is not None:
-            hits, evictions, stale_hits = self._lru.probe(keys)
-            self.evictions += evictions
-            self.stale_hits += stale_hits
-        else:
-            hits = self._lookup_lfu(keys.tolist())
+        hits, evictions, stale_hits = self._rows.probe(keys)
+        self.evictions += evictions
+        self.stale_hits += stale_hits
         hit_count = int(np.count_nonzero(hits))
         self.stats.record_counts(hits=hit_count, misses=keys.size - hit_count)
         return hits
-
-    def _lookup_lfu(self, keys: List[int]) -> np.ndarray:
-        # One byte per access, set on a hit; read back as the bool mask.
-        hits = bytearray(len(keys))
-        frequencies = self._lfu
-        classes = self._classes
-        capacity = self.capacity_rows
-        stale = self._stale
-        lowest = self._lowest
-        get = frequencies.get
-        for position, key in enumerate(keys):
-            frequency = get(key)
-            if frequency is not None:
-                hits[position] = 1
-                if stale and key in stale:
-                    self.stale_hits += 1
-                fifo = classes[frequency]
-                del fifo[key]
-                if not fifo:
-                    del classes[frequency]
-                    if lowest == frequency:
-                        lowest += 1
-                frequency += 1
-            else:
-                if len(frequencies) >= capacity:
-                    fifo = classes[lowest]
-                    victim = fifo.popitem(last=False)[0]
-                    if not fifo:
-                        del classes[lowest]
-                    del frequencies[victim]
-                    self.evictions += 1
-                    if stale:
-                        stale.discard(victim)
-                frequency = lowest = 1
-            frequencies[key] = frequency
-            fifo = classes.get(frequency)
-            if fifo is None:
-                fifo = classes[frequency] = OrderedDict()
-            fifo[key] = None
-        self._lowest = lowest
-        return np.frombuffer(hits, dtype=bool)
 
     # ------------------------------------------------------------------
     # Freshness API: embedding pushes arriving behind the read path.
@@ -526,22 +752,7 @@ class EmbeddingCache:
         reports rely on.  Absent rows are a no-op.
         """
         keys = _pack(table_index, rows)
-        if self._lru is not None:
-            removed = self._lru.invalidate(keys)
-        else:
-            removed = 0
-            classes = self._classes
-            for key in keys.tolist():
-                frequency = self._lfu.pop(key, None)
-                if frequency is not None:
-                    fifo = classes[frequency]
-                    del fifo[key]
-                    if not fifo:
-                        del classes[frequency]
-                    removed += 1
-                    self._stale.discard(key)
-            if self._lowest not in classes:
-                self._lowest = min(classes, default=0)
+        removed = self._rows.invalidate(keys)
         self.update_evictions += removed
         return removed
 
@@ -554,14 +765,7 @@ class EmbeddingCache:
         pushes from polluting the hot set.
         """
         keys = _pack(table_index, rows)
-        if self._lru is not None:
-            refreshed = self._lru.refresh(keys)
-        else:
-            refreshed = 0
-            for key in keys.tolist():
-                if key in self._lfu:
-                    refreshed += 1
-                    self._stale.discard(key)
+        refreshed = self._rows.refresh(keys)
         self.update_refreshes += refreshed
         return refreshed
 
@@ -572,14 +776,7 @@ class EmbeddingCache:
         correctness/staleness exposure when pushes are not applied.
         """
         keys = _pack(table_index, rows)
-        if self._lru is not None:
-            return self._lru.mark_stale(keys)
-        marked = 0
-        for key in keys.tolist():
-            if key in self._lfu and key not in self._stale:
-                self._stale.add(key)
-                marked += 1
-        return marked
+        return self._rows.mark_stale(keys)
 
     def apply_update(self, table_index: int, rows: np.ndarray, mode: str) -> int:
         """Apply one push per ``mode``; returns the rows affected."""

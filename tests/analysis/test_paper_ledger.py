@@ -3,10 +3,10 @@
 Every case measures from one full sweep of the paper grid (the table
 functions, the headline summary and the figure maxima all read design
 points the sweep already priced); only the footnote's far-batch gather
-rate needs one more design point.  A ``matches`` claim must sit within its
-tolerance of the paper; a ``deviates`` claim must sit within its tolerance
-of its pinned reproduced value, so moving either way fails until the ledger
-is updated on purpose.
+rate and the link share across vector widths need more design points.  A
+``matches`` claim must sit within its tolerance of the paper; a
+``deviates`` claim must sit within its tolerance of its pinned reproduced
+value, so moving either way fails until the ledger is updated on purpose.
 """
 
 from operator import attrgetter
@@ -15,6 +15,7 @@ import pytest
 
 from repro.analysis import (
     batch_size_sweep,
+    embedding_dim_sweep,
     headline_summary,
     table1_model_configurations,
     table2_fpga_utilization,
@@ -85,6 +86,18 @@ def measured(pairs):
                 if centaur.model_name == "DLRM(6)"
             ]
         ),
+    )
+    for _, cpu in pairs:
+        if cpu.batch_size == 128 and cpu.model_name in ("DLRM(4)", "DLRM(5)"):
+            gather = cpu.effective_embedding_throughput
+            record(f"fig7.{cpu.model_name}.cpu_gather_batch_128", gather)
+    record(
+        "fig7.cpu_gather_batch_1_max",
+        max(cpu.effective_embedding_throughput for _, cpu in pairs if cpu.batch_size == 1),
+    )
+    record(
+        "sec6.centaur_link_fraction_min",
+        min(point.centaur_fraction_of_link for point in embedding_dim_sweep(HARPV2_SYSTEM)),
     )
     record("fig5.emb_share_max", max(cpu.breakdown.fraction("EMB") for _, cpu in pairs))
     record(

@@ -33,9 +33,9 @@ class TestEmbeddingDimSweep:
 
     def test_centaur_benefit_not_tied_to_vector_width(self, points):
         """Unlike TensorDIMM, Centaur's gather path is width-agnostic: it
-        holds ~68% of the link bandwidth across the entire sweep."""
+        holds the same share of the link bandwidth across the entire sweep
+        (the ~68% level is the ledger claim sec6.centaur_link_fraction_min)."""
         fractions = [point.centaur_fraction_of_link for point in points]
-        assert min(fractions) > 0.6
         assert max(fractions) - min(fractions) < 0.05
 
     def test_improvement_largest_for_production_widths(self, points):

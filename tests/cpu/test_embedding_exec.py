@@ -60,15 +60,20 @@ class TestEffectiveThroughput:
                 assert model.effective_throughput(config, batch) < 0.4 * peak
 
     def test_small_batch_throughput_is_poor(self, model):
-        # Batch-1 inference achieves only a GB/s or so (Figure 7a, left bars).
+        # Figure 7(a)'s batch-1 level is the ledger claim
+        # fig7.cpu_gather_batch_1_max; here batch 1 is each model's slowest.
         for config in (DLRM1, DLRM2, DLRM4):
-            assert model.effective_throughput(config, 1) < 2e9
+            batch1 = model.effective_throughput(config, 1)
+            assert all(batch1 < model.effective_throughput(config, b) for b in (4, 32, 128))
 
     def test_large_batch_big_model_reaches_high_teens(self, model):
-        # DLRM(4)/(5) at batch 128 reach the 15-20 GB/s regime, which is what
-        # lets the CPU overtake the link-limited EB-Streamer there (Sec VI-B).
-        assert 1.3e10 < model.effective_throughput(DLRM4, 128) < 2.2e10
-        assert 1.3e10 < model.effective_throughput(DLRM5, 128) < 2.2e10
+        # The 15-20 GB/s level of DLRM(4)/(5) at batch 128 is the ledger
+        # claims fig7.DLRM(4)/(5).cpu_gather_batch_128; here the 80-gather
+        # 50-table models outrun the 20-gather one at that batch.
+        for config in (DLRM4, DLRM5):
+            assert model.effective_throughput(config, 128) > model.effective_throughput(
+                DLRM2, 128
+            )
 
     def test_more_lookups_per_table_help(self, model):
         # Figure 7(b): throughput grows with the number of lookups per table.

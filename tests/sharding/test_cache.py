@@ -60,15 +60,15 @@ class TestLFU:
         assert cache.lookup(0, rows(1)).tolist() == [False]
 
     def test_frequency_classes_hold_one_entry_per_resident_row(self):
-        """Long hit streams move rows between classes, never copy them."""
+        """Long hit streams update rows in place, never copy them."""
         cache = EmbeddingCache(capacity_rows=32, policy="lfu")
         hot = np.arange(32, dtype=np.int64)
         for _ in range(500):
             cache.lookup(0, hot)
         assert cache.stats.hits > 15_000
-        queued = [key for fifo in cache._classes.values() for key in fifo]
-        assert sorted(queued) == sorted(cache._lfu)
-        assert all(cache._classes.values()), "empty classes must be dropped"
+        keys, frequencies = cache._rows.order()
+        assert sorted(keys.tolist()) == sorted(cache._rows.keys.tolist()) == hot.tolist()
+        assert frequencies.tolist() == [500] * 32, "every read lands on its one entry"
         assert len(cache) == 32
 
     def test_hot_rows_survive_a_cold_scan(self):
@@ -111,10 +111,9 @@ class TestEvictionAccounting:
         # entry per resident row.
         for _ in range(30):
             cache.lookup(0, rows(1))
-        assert {f: list(fifo) for f, fifo in cache._classes.items()} == {
-            1: [2],
-            31: [1],
-        }
+        keys, frequencies = cache._rows.order()
+        assert keys.tolist() == [2, 1]
+        assert frequencies.tolist() == [1, 31]
         assert cache.stats.hits == 30
         # The cold row 2 (freq 1) is evicted, not the hot row 1 (freq 31).
         cache.lookup(0, rows(9))
@@ -176,12 +175,14 @@ class TestFreshness:
         cache = EmbeddingCache(capacity_rows=2, policy="lfu")
         cache.lookup(0, rows(1, 2))
         cache.invalidate(0, rows(1))
-        # Row 1 left its frequency class with it; eviction must take the
+        # Row 1 left the eviction order with it; eviction must take the
         # true least-frequent resident.
+        assert [key.tolist() for key in cache._rows.order()] == [[2], [1]]
         cache.lookup(0, rows(3, 4))
         assert cache.evictions == 1
         assert (0, 2) not in cache
         assert (0, 4) in cache
+        assert [key.tolist() for key in cache._rows.order()] == [[3, 4], [1, 1]]
 
     def test_apply_update_dispatches_and_rejects_bad_modes(self):
         cache = EmbeddingCache(capacity_rows=8, policy="lru")

@@ -62,7 +62,8 @@ def observables(cache):
     }
 
 
-@settings(max_examples=150, deadline=None)
+# At least 150 examples, and the whole "deep" profile when it is selected.
+@settings(max_examples=max(150, settings.default.max_examples), deadline=None)
 @given(
     policy=st.sampled_from(["lru", "lfu"]),
     capacity=st.integers(1, 10),

@@ -32,7 +32,7 @@ def recency(cache):
     """Resident ``(table, row)`` pairs, least recently used first."""
     if isinstance(cache, TupleKeyCache):
         return list(cache._lru)
-    keys = cache._lru.keys.tolist()
+    keys = cache._rows.keys.tolist()
     return [(key >> ROW_BITS, key & ((1 << ROW_BITS) - 1)) for key in keys]
 
 
