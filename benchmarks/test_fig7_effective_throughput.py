@@ -26,11 +26,10 @@ def test_figure7a_throughput_vs_batch(benchmark, report_sink, system):
         values = [point.effective_throughput for point in series]
         assert values == sorted(values)
 
-    # Shape 3: batch-1 inference languishes in the ~0.05-2 GB/s range while
-    # the largest batches reach the mid-to-high teens of GB/s.
-    batch1 = [p.effective_throughput for p in points if p.batch_size == 1]
+    # Shape 3: the largest batches reach the mid-to-high teens of GB/s.  The
+    # batch-1 ceiling is the ledger's ``fig7.cpu_gather_batch_1_max``; this
+    # band's maximum is DLRM(3), which no ledger claim covers.
     batch128 = [p.effective_throughput for p in points if p.batch_size == 128]
-    assert max(batch1) < 2e9
     assert 1.3e10 < max(batch128) < 2.2e10
 
 

@@ -22,11 +22,6 @@ class BackendCapabilities:
     """What a backend can do beyond pricing a batch.
 
     Attributes:
-        reports_embedding_throughput: The backend attaches an embedding
-            traffic profile, so Figure 7/13-style effective gather
-            throughput can be read off its results.
-        reports_mlp_traffic: The backend attaches an MLP cache/traffic
-            profile (needed by the Figure 6 MPKI comparison).
         uses_accelerator: An attached device (GPU or FPGA) executes part of
             the model.
         offloads_embeddings: Embedding gathers run outside the CPU cores
@@ -71,8 +66,6 @@ class BackendCapabilities:
             workloads fail loudly instead of silently mispricing.
     """
 
-    reports_embedding_throughput: bool = False
-    reports_mlp_traffic: bool = False
     uses_accelerator: bool = False
     offloads_embeddings: bool = False
     stages: Tuple[str, ...] = ()
@@ -117,8 +110,4 @@ class Backend(Protocol):
 
     def run(self, model: DLRMConfig, batch_size: int) -> InferenceResult:
         """Price one inference batch end to end."""
-        ...
-
-    def energy(self, model: DLRMConfig, batch_size: int) -> float:
-        """Energy in joules of one batch (power x latency)."""
         ...

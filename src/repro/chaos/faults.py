@@ -35,13 +35,13 @@ an empty (or absent) schedule is bit-identical to today's fault-free path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
-from typing import List, Optional, Sequence, Tuple, Union
+from dataclasses import MISSING, dataclass, fields, replace
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.utils.specs import parse_kv, pop_number, reject_unknown
+from repro.utils.specs import OFF, lookup, parse_kv, read_number, reject_unknown, split_spec
 
 #: In-flight handling choices of a crashed replica.
 _INFLIGHT_MODES = ("redispatch", "shed")
@@ -66,21 +66,14 @@ class FaultSpec:
 
     def describe(self) -> str:
         """Compact text form (round-trips through the spec parser)."""
-        parts = [f"at={self.at_s:g}"]
-        for spec_field in fields(self):
-            if spec_field.name == "at_s":
-                continue
-            value = getattr(self, spec_field.name)
-            if value is None:
-                continue
-            parts.append(f"{_FIELD_ALIASES.get(spec_field.name, spec_field.name)}={value:g}"
-                         if isinstance(value, (int, float)) and not isinstance(value, bool)
-                         else f"{_FIELD_ALIASES.get(spec_field.name, spec_field.name)}={value}")
-        return f"{self.kind}:{','.join(parts)}"
+        return f"{self.kind}:{','.join(_items(self))}"
 
 
-#: describe()/parser field spellings (keeps CLI specs short).
-_FIELD_ALIASES = {
+#: Spec key of each field of the spec dataclasses below, read by both
+#: describe() and the parser (short keys keep CLI specs short).  A class's
+#: ``spec_keys`` overrides an entry.
+_FIELD_KEYS = {
+    "at_s": "at",
     "restart_after_s": "restart",
     "warmup_s": "warmup",
     "on_inflight": "inflight",
@@ -88,7 +81,55 @@ _FIELD_ALIASES = {
     "duration_s": "for",
     "bandwidth_factor": "bw",
     "latency_factor": "lat",
+    "template": "kind",
+    "rate_hz": "rate",
+    "end_s": "until",
+    "start_s": "start",
+    "sla_s": "sla",
+    "window_s": "window",
 }
+
+
+def _keys(cls) -> Dict[str, str]:
+    """Field name -> spec key of a spec dataclass."""
+    keys = {**_FIELD_KEYS, **getattr(cls, "spec_keys", {})}
+    return {name: keys.get(name, name) for name in (spec_field.name for spec_field in fields(cls))}
+
+
+def _items(spec, skip: Sequence[str] = ()) -> List[str]:
+    """``key=value`` items of a spec's set fields (floats formatted ``:g``)."""
+    keys = _keys(type(spec))
+    items = []
+    for spec_field in fields(spec):
+        value = getattr(spec, spec_field.name)
+        if value is None or spec_field.name in skip:
+            continue
+        text = f"{value:g}" if isinstance(value, float) else str(value)
+        items.append(f"{keys[spec_field.name]}={text}")
+    return items
+
+
+def _spec_kwargs(cls, values: Dict[str, str], skip: Sequence[str] = ()) -> Dict[str, object]:
+    """Read a spec body's ``values`` into ``cls``'s fields through its keys.
+
+    ``str`` fields take the raw text, ``int`` fields the whole-number rule
+    and the rest numbers; a field without a default is required.
+    """
+    keys = _keys(cls)
+    reject_unknown(values, cls.kind, tuple(keys.values()))
+    kwargs: Dict[str, object] = {}
+    for spec_field in fields(cls):
+        key, type_name = keys[spec_field.name], spec_field.type
+        if spec_field.name in skip:
+            continue
+        if key in values:
+            raw = values[key]
+            kwargs[spec_field.name] = raw if type_name == "str" else read_number(
+                raw, f"{cls.kind} parameter {key!r}", whole="int" in type_name
+            )
+        elif spec_field.default is MISSING:
+            raise ConfigurationError(f"{cls.kind} spec needs {key}=<value>")
+    return kwargs
 
 
 @dataclass(frozen=True)
@@ -237,6 +278,7 @@ class Brownout(FaultSpec):
     latency_factor: float = 2.0
 
     kind = "brownout"
+    spec_keys = {"latency_factor": "slow"}
 
     def __post_init__(self):
         super().__post_init__()
@@ -271,6 +313,8 @@ class PoissonFaults:
     start_s: float = 0.0
     seed: int = 0
 
+    kind = "poisson"
+
     def __post_init__(self):
         if not isinstance(self.template, FaultSpec):
             raise ConfigurationError(
@@ -304,11 +348,13 @@ class PoissonFaults:
         return tuple(events)
 
     def describe(self) -> str:
-        template = self.template.describe()
-        return (
-            f"poisson(rate={self.rate_hz:g},start={self.start_s:g},"
-            f"end={self.end_s:g},seed={self.seed})[{template}]"
-        )
+        """``poisson:kind=...`` text (round-trips through the spec parser)."""
+        items = [
+            f"kind={self.template.kind}",
+            *_items(self, skip=("template",)),
+            *_items(self.template, skip=("at_s",)),
+        ]
+        return f"{self.kind}:{','.join(items)}"
 
 
 class FaultSchedule:
@@ -382,72 +428,39 @@ class FaultSchedule:
 # ----------------------------------------------------------------------
 # Compact text specs (CLI)
 # ----------------------------------------------------------------------
-def _parse_one_fault(kind: str, values: dict) -> FaultSpec:
-    if kind in ("crash", "replica-crash"):
-        at_s = pop_number(values, "at", kind)
-        if at_s is None:
-            raise ConfigurationError("crash spec needs at=<seconds>")
-        replica = pop_number(values, "replica", kind)
-        restart = pop_number(values, "restart", kind)
-        warmup = pop_number(values, "warmup", kind)
-        inflight = values.pop("inflight", "redispatch")
-        reject_unknown(values, kind, ("at", "replica", "restart", "warmup", "inflight"))
-        return ReplicaCrash(
-            at_s=at_s,
-            replica=int(replica) if replica is not None else None,
-            restart_after_s=restart,
-            warmup_s=warmup,
-            on_inflight=inflight,
-        )
-    if kind in ("shard-loss", "shard"):
-        at_s = pop_number(values, "at", kind)
-        if at_s is None:
-            raise ConfigurationError("shard-loss spec needs at=<seconds>")
-        shard = pop_number(values, "shard", kind)
-        restore = pop_number(values, "restore", kind)
-        failover = values.pop("failover", "promote")
-        reject_unknown(values, kind, ("at", "shard", "restore", "failover"))
-        return ShardLoss(
-            at_s=at_s,
-            shard=int(shard) if shard is not None else 0,
-            restore_after_s=restore,
-            failover=failover,
-        )
-    if kind in ("link", "link-degradation"):
-        at_s = pop_number(values, "at", kind)
-        duration = pop_number(values, "for", kind)
-        if at_s is None or duration is None:
-            raise ConfigurationError("link spec needs at=<seconds>,for=<seconds>")
-        bandwidth = pop_number(values, "bw", kind)
-        latency = pop_number(values, "lat", kind)
-        reject_unknown(values, kind, ("at", "for", "bw", "lat"))
-        return LinkDegradation(
-            at_s=at_s,
-            duration_s=duration,
-            bandwidth_factor=bandwidth if bandwidth is not None else 1.0,
-            latency_factor=latency if latency is not None else 1.0,
-        )
-    if kind == "brownout":
-        at_s = pop_number(values, "at", kind)
-        duration = pop_number(values, "for", kind)
-        if at_s is None or duration is None:
-            raise ConfigurationError("brownout spec needs at=<seconds>,for=<seconds>")
-        replica = pop_number(values, "replica", kind)
-        slow = pop_number(values, "slow", kind)
-        if slow is None:
-            # ``lat=`` is the describe() spelling (shared latency_factor
-            # alias); accept it so specs round-trip.
-            slow = pop_number(values, "lat", kind)
-        reject_unknown(values, kind, ("at", "for", "replica", "slow"))
-        return Brownout(
-            at_s=at_s,
-            duration_s=duration,
-            replica=int(replica) if replica is not None else None,
-            latency_factor=slow if slow is not None else 2.0,
-        )
-    raise ConfigurationError(
-        f"unknown fault kind {kind!r}; known kinds: crash, shard-loss, link, "
-        "brownout, poisson, report"
+@dataclass(frozen=True)
+class _Report:
+    """The ``report`` segment: the schedule's incident-report knobs."""
+
+    sla_s: float = 10e-3
+    window_s: Optional[float] = None
+
+    kind = "report"
+
+
+#: Timed fault kinds, with their aliases as extra keys.
+_FAULT_KINDS = {
+    "crash": ReplicaCrash,
+    "replica-crash": ReplicaCrash,
+    "shard-loss": ShardLoss,
+    "shard": ShardLoss,
+    "link": LinkDegradation,
+    "link-degradation": LinkDegradation,
+    "brownout": Brownout,
+}
+#: Every segment kind of a ``--faults`` spec.
+_SEGMENTS = {**_FAULT_KINDS, "poisson": PoissonFaults, "report": _Report}
+
+
+def _parse_poisson(values: Dict[str, str]) -> PoissonFaults:
+    own = {key: values.pop(key) for key in _keys(PoissonFaults).values() if key in values}
+    if "kind" not in own:
+        raise ConfigurationError("poisson spec needs kind=<value>")
+    template_cls = lookup(_FAULT_KINDS, own.pop("kind").lower(), "fault kind")
+    # The template's time is stamped per materialized event.
+    template = template_cls(at_s=0.0, **_spec_kwargs(template_cls, values, skip=("at_s",)))
+    return PoissonFaults(
+        template=template, **_spec_kwargs(PoissonFaults, own, skip=("template",))
     )
 
 
@@ -463,61 +476,24 @@ def parse_fault_schedule(spec: Optional[str]) -> Optional[FaultSchedule]:
         poisson:kind=crash,rate=20,until=0.5[,start=0,seed=0,restart=...]
         report:sla=0.01,window=0.005       (incident-report knobs)
 
-    ``None``, ``""``, ``"off"`` and ``"none"`` mean no schedule.
+    Each kind's keys are its dataclass fields through :data:`_FIELD_KEYS`,
+    the spellings :meth:`FaultSchedule.describe` prints.  ``None``, ``""``,
+    ``"off"`` and ``"none"`` mean no schedule.
     """
-    if spec is None:
-        return None
-    text = str(spec).strip()
-    if not text or text.lower() in ("off", "none"):
+    text = "" if spec is None else str(spec).strip()
+    if text.lower() in OFF:
         return None
     faults: List[Union[FaultSpec, PoissonFaults]] = []
-    sla_s = 10e-3
-    window_s: Optional[float] = None
-    for segment in text.split(";"):
-        segment = segment.strip()
-        if not segment:
-            continue
-        kind, _, body = segment.partition(":")
-        kind = kind.strip().lower()
-        values = parse_kv(body, kind)
-        if kind == "report":
-            sla = pop_number(values, "sla", kind)
-            window = pop_number(values, "window", kind)
-            reject_unknown(values, kind, ("sla", "window"))
-            if sla is not None:
-                sla_s = sla
-            if window is not None:
-                window_s = window
-            continue
-        if kind == "poisson":
-            inner_kind = values.pop("kind", None)
-            if inner_kind is None:
-                raise ConfigurationError(
-                    "poisson spec needs kind=<crash|shard-loss|link|brownout>"
-                )
-            rate = pop_number(values, "rate", kind)
-            until = pop_number(values, "until", kind)
-            if rate is None or until is None:
-                raise ConfigurationError(
-                    "poisson spec needs rate=<hz> and until=<seconds>"
-                )
-            start = pop_number(values, "start", kind) or 0.0
-            seed = pop_number(values, "seed", kind)
-            # Remaining keys parameterize the template (its time is stamped
-            # per materialized event).
-            values["at"] = "0"
-            template = _parse_one_fault(inner_kind.strip().lower(), values)
-            faults.append(
-                PoissonFaults(
-                    template=template,
-                    rate_hz=rate,
-                    end_s=until,
-                    start_s=start,
-                    seed=int(seed) if seed is not None else 0,
-                )
-            )
-            continue
-        faults.append(_parse_one_fault(kind, values))
+    report = _Report()
+    for segment in filter(str.strip, text.split(";")):
+        cls, body = split_spec(segment, _SEGMENTS, "fault kind")
+        values = parse_kv(body, cls.kind)
+        if cls is _Report:
+            report = replace(report, **_spec_kwargs(cls, values))
+        elif cls is PoissonFaults:
+            faults.append(_parse_poisson(values))
+        else:
+            faults.append(cls(**_spec_kwargs(cls, values)))
     if not faults:
         return None
-    return FaultSchedule(faults, sla_s=sla_s, window_s=window_s)
+    return FaultSchedule(faults, sla_s=report.sla_s, window_s=report.window_s)

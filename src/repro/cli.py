@@ -186,6 +186,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.workloads.catalog import (
         SCENARIO_CATALOG,
         UPDATE_SCENARIO_CATALOG,
+        find_scenario,
         parse_arrival_spec,
         parse_trace_spec,
         resolve_fault_spec,
@@ -209,7 +210,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         (SCENARIO_CATALOG, args.faults, "chaos"),
         (UPDATE_SCENARIO_CATALOG, args.updates, "update"),
     ):
-        scenario = catalog.get(spec.strip().lower()) if spec is not None else None
+        scenario = find_scenario(catalog, spec)
         if scenario is not None:
             print(f"{kind} scenario '{scenario.name}': {scenario.summary}")
     workload = Workload(

@@ -101,23 +101,12 @@ class CentaurDevice:
         if batch.batch_size > self._output_capacity:
             self._grow_output_buffer(batch.batch_size)
         reduced = self.eb_streamer.gather_and_reduce(self.table_names, batch.sparse_traces)
-        probabilities, logits = self.dense_complex.forward(batch.dense_features, reduced)
+        output = self.dense_complex.forward(batch.dense_features, reduced)
 
         # Final FPGA->CPU result copy into the registered output region.
         output_base = self.registers.read("output")
-        self.host_memory.write(output_base, probabilities.astype(np.float32))
-
-        bottom_out = self.dense_complex.mlp_unit.run_mlp(
-            self.dlrm.bottom_mlp, batch.dense_features
-        )
-        interaction = self.dense_complex.interaction_unit.forward(bottom_out, reduced)
-        return DLRMOutput(
-            probabilities=probabilities,
-            logits=logits,
-            reduced_embeddings=reduced,
-            bottom_mlp_output=bottom_out,
-            interaction_output=interaction,
-        )
+        self.host_memory.write(output_base, output.probabilities.astype(np.float32))
+        return output
 
     def _grow_output_buffer(self, min_samples: int) -> None:
         """Re-register a larger host output region for an oversized batch.
@@ -153,8 +142,6 @@ class CentaurDevice:
 
 #: What the Centaur backend reports (registered as ``"centaur"``).
 CENTAUR_CAPABILITIES = BackendCapabilities(
-    reports_embedding_throughput=True,
-    reports_mlp_traffic=False,
     uses_accelerator=True,
     offloads_embeddings=True,
     stages=("IDX", "EMB", "DNF", "MLP", "Other"),
@@ -207,10 +194,6 @@ class CentaurRunner:
     @property
     def capabilities(self) -> BackendCapabilities:
         return CENTAUR_CAPABILITIES
-
-    def energy(self, model: DLRMConfig, batch_size: int) -> float:
-        """Energy in joules of one batch (power x latency)."""
-        return self.run(model, batch_size).energy_joules
 
     def run(self, model: DLRMConfig, batch_size: int) -> InferenceResult:
         """Model one inference batch end to end on Centaur."""

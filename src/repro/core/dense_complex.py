@@ -9,7 +9,7 @@ MLP weights are uploaded once at boot and stay persistent in on-chip SRAM.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from repro.core.mlp_unit import MLPUnit
 from repro.core.sigmoid_unit import SigmoidUnit
 from repro.core.sram import SRAMBuffer
 from repro.dlrm.mlp import MLP, relu
+from repro.dlrm.model import DLRMOutput
 from repro.errors import SimulationError
 
 
@@ -107,7 +108,7 @@ class DenseAcceleratorComplex:
     # ------------------------------------------------------------------
     def forward(
         self, dense_features: np.ndarray, reduced_embeddings: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
+    ) -> DLRMOutput:
         """Run the dense half of DLRM on the PE arrays.
 
         Args:
@@ -116,7 +117,9 @@ class DenseAcceleratorComplex:
                 EB-Streamer.
 
         Returns:
-            ``(probabilities, logits)`` for the batch.
+            The batch's :class:`~repro.dlrm.model.DLRMOutput`: probabilities,
+            logits and the bottom-MLP and interaction outputs computed on
+            the way, beside the given reductions.
         """
         if not self.weights_loaded:
             raise SimulationError("load_weights() must be called before forward()")
@@ -127,16 +130,13 @@ class DenseAcceleratorComplex:
             return self._forward_tile(dense_features, reduced_embeddings)
         # Per-inference inputs are transient and double-buffered: a batch
         # whose features exceed the input SRAMs streams through in tiles.
-        probability_tiles = []
-        logit_tiles = []
-        for start in range(0, batch, tile):
-            stop = min(start + tile, batch)
-            probabilities, logits = self._forward_tile(
-                dense_features[start:stop], reduced_embeddings[start:stop]
+        tiles = [
+            self._forward_tile(
+                dense_features[start : start + tile], reduced_embeddings[start : start + tile]
             )
-            probability_tiles.append(probabilities)
-            logit_tiles.append(logits)
-        return np.concatenate(probability_tiles), np.concatenate(logit_tiles)
+            for start in range(0, batch, tile)
+        ]
+        return DLRMOutput(*map(np.concatenate, zip(*(vars(part).values() for part in tiles))))
 
     def _max_tile_batch(
         self, dense_features: np.ndarray, reduced_embeddings: np.ndarray
@@ -158,7 +158,7 @@ class DenseAcceleratorComplex:
 
     def _forward_tile(
         self, dense_features: np.ndarray, reduced_embeddings: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
+    ) -> DLRMOutput:
         self.dense_feature_sram.write("dense_features", dense_features)
 
         bottom_out = self._run_mlp_from_sram("bottom", dense_features)
@@ -171,7 +171,13 @@ class DenseAcceleratorComplex:
         # Per-inference inputs are transient; weights stay resident.
         self.dense_feature_sram.discard("dense_features")
         self.mlp_input_sram.discard("interaction")
-        return probabilities, logits
+        return DLRMOutput(
+            probabilities=probabilities,
+            logits=logits,
+            reduced_embeddings=reduced_embeddings,
+            bottom_mlp_output=bottom_out,
+            interaction_output=interaction,
+        )
 
     def _run_mlp_from_sram(self, which: str, inputs: np.ndarray) -> np.ndarray:
         """Run one MLP using the weight tensors stored in SRAM."""

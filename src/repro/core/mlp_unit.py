@@ -23,7 +23,6 @@ from typing import List, Sequence
 import numpy as np
 
 from repro.core.pe import ProcessingEngine
-from repro.dlrm.mlp import MLP, relu
 from repro.errors import ConfigurationError, ModelShapeError
 
 
@@ -117,16 +116,6 @@ class MLPUnit:
                     accumulator
                 )
         return output[:m, :n]
-
-    def run_mlp(self, mlp: MLP, inputs: np.ndarray) -> np.ndarray:
-        """Run a full MLP through the PE array (ReLU between layers)."""
-        activations = np.asarray(inputs, dtype=np.float32)
-        last = len(mlp.layers) - 1
-        for index, layer in enumerate(mlp.layers):
-            activations = self.gemm(activations, layer.weight) + layer.bias
-            if index != last:
-                activations = relu(activations)
-        return activations
 
     # ------------------------------------------------------------------
     # Timing

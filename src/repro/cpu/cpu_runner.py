@@ -16,8 +16,6 @@ from repro.results import InferenceResult, LatencyBreakdown
 
 #: What the CPU-only backend reports (registered as ``"cpu"``).
 CPU_CAPABILITIES = BackendCapabilities(
-    reports_embedding_throughput=True,
-    reports_mlp_traffic=True,
     uses_accelerator=False,
     offloads_embeddings=False,
     stages=("EMB", "MLP", "Other"),
@@ -75,10 +73,6 @@ class CPUOnlyRunner:
     @property
     def capabilities(self) -> BackendCapabilities:
         return CPU_CAPABILITIES
-
-    def energy(self, model: DLRMConfig, batch_size: int) -> float:
-        """Energy in joules of one batch (power x latency)."""
-        return self.run(model, batch_size).energy_joules
 
     def run(self, model: DLRMConfig, batch_size: int) -> InferenceResult:
         """Model one inference batch end to end on the CPU-only system."""

@@ -24,8 +24,6 @@ from repro.results import InferenceResult, LatencyBreakdown
 
 #: What the CPU-GPU backend reports (registered as ``"cpu-gpu"``).
 CPU_GPU_CAPABILITIES = BackendCapabilities(
-    reports_embedding_throughput=True,
-    reports_mlp_traffic=True,
     uses_accelerator=True,
     offloads_embeddings=False,
     stages=("EMB", "PCIe", "MLP", "Other"),
@@ -79,10 +77,6 @@ class CPUGPURunner:
     @property
     def capabilities(self) -> BackendCapabilities:
         return CPU_GPU_CAPABILITIES
-
-    def energy(self, model: DLRMConfig, batch_size: int) -> float:
-        """Energy in joules of one batch (power x latency)."""
-        return self.run(model, batch_size).energy_joules
 
     def run(self, model: DLRMConfig, batch_size: int) -> InferenceResult:
         """Model one inference batch end to end on the CPU-GPU system."""

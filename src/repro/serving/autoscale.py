@@ -57,7 +57,7 @@ if TYPE_CHECKING:  # pragma: no cover - annotation only
 from repro.errors import ConfigurationError, SimulationError
 from repro.serving.replica import Controller, ReplicaServer
 from repro.sim.engine import Simulator
-from repro.utils.specs import parse_kv, parse_kv_numbers
+from repro.utils.specs import parse_kv, parse_kv_numbers, read_number, split_spec
 from repro.workloads.arrivals import InferenceRequest
 
 
@@ -760,20 +760,46 @@ class _AutoscaleController(Controller):
 # ----------------------------------------------------------------------
 # Compact text specs (CLI)
 # ----------------------------------------------------------------------
-#: Spec kinds (with aliases) -> numeric parameter defaults and the builder.
+def _build_schedule(body: str) -> "ScheduledPolicy":
+    values = parse_kv(body, "schedule")
+    if not values:
+        raise ConfigurationError(
+            "schedule spec needs time=replicas pairs, e.g. schedule:0=1,0.5=4"
+        )
+    return ScheduledPolicy([
+        (read_number(time_s, f"schedule time {time_s!r}"),
+         read_number(count, f"schedule parameter {time_s!r}", whole=True))
+        for time_s, count in values.items()
+    ])
+
+
+def _numeric(kind, defaults, build):
+    """Builder of a policy from numeric parameters, passed in ``defaults`` order."""
+    return lambda body: build(*parse_kv_numbers(body, defaults, kind).values())
+
+
+_QUEUE = _numeric(
+    "queue", {"high": 8.0, "low": 1.0, "step": 1, "cooldown": 0.0}, QueueDepthPolicy
+)
+_UTIL = _numeric(
+    "util", {"target": 0.6, "deadband": 0.1, "cooldown": 0.0}, TargetUtilizationPolicy
+)
+_EWMA = _numeric(
+    "ewma",
+    {"alpha": 0.3, "headroom": 1.2, "rate": 0.0},
+    lambda alpha, headroom, rate: EWMAPolicy(alpha, headroom, rate if rate > 0 else None),
+)
+
+#: Spec kinds, with their aliases as extra keys -> ``build(body)``.
 _POLICY_SPECS = {
-    ("queue", "queue-depth"): (
-        {"high": 8.0, "low": 1.0, "step": 1.0, "cooldown": 0.0},
-        lambda v: QueueDepthPolicy(v["high"], v["low"], int(v["step"]), v["cooldown"]),
-    ),
-    ("util", "utilization", "target-utilization"): (
-        {"target": 0.6, "deadband": 0.1, "cooldown": 0.0},
-        lambda v: TargetUtilizationPolicy(v["target"], v["deadband"], v["cooldown"]),
-    ),
-    ("ewma", "predictive"): (
-        {"alpha": 0.3, "headroom": 1.2, "rate": 0.0},
-        lambda v: EWMAPolicy(v["alpha"], v["headroom"], v["rate"] if v["rate"] > 0 else None),
-    ),
+    "queue": _QUEUE,
+    "queue-depth": _QUEUE,
+    "util": _UTIL,
+    "utilization": _UTIL,
+    "target-utilization": _UTIL,
+    "ewma": _EWMA,
+    "predictive": _EWMA,
+    "schedule": _build_schedule,
 }
 
 
@@ -787,24 +813,5 @@ def parse_autoscaler_spec(spec: str) -> AutoscalerPolicy:
         ewma[:alpha=0.3,headroom=1.2,rate=<qps>]
         schedule:0=1,0.5=4,1.0=2        (time_s=replicas pairs)
     """
-    text = spec.strip()
-    if not text:
-        raise ConfigurationError("autoscaler spec must be non-empty")
-    kind, _, body = text.partition(":")
-    kind = kind.strip().lower()
-    for kinds, (defaults, build) in _POLICY_SPECS.items():
-        if kind in kinds:
-            return build(parse_kv_numbers(body, defaults, kind))
-    if kind != "schedule":
-        raise ConfigurationError(
-            f"unknown autoscaler kind {kind!r}; known kinds: queue, util, ewma, schedule"
-        )
-    if not body.strip():
-        raise ConfigurationError(
-            "schedule spec needs time=replicas pairs, e.g. schedule:0=1,0.5=4"
-        )
-    try:
-        entries = [(float(time_s), int(count)) for time_s, count in parse_kv(body, kind).items()]
-    except ValueError:
-        raise ConfigurationError(f"schedule entries must be time=replicas numbers, got {body!r}")
-    return ScheduledPolicy(entries)
+    build, body = split_spec(spec, _POLICY_SPECS, "autoscaler kind")
+    return build(body)

@@ -37,7 +37,7 @@ import numpy as np
 from repro.config.models import DLRMConfig
 from repro.errors import ConfigurationError
 from repro.memsys.stats import CacheStats
-from repro.utils.specs import parse_kv
+from repro.utils.specs import parse_kv, pop_number, split_spec
 
 #: Low bits of a packed key that hold the row id; the table index sits above.
 ROW_BITS = 40
@@ -796,34 +796,26 @@ class EmbeddingCache:
         return f"{self.policy}:{self.capacity_rows}rows"
 
 
+#: Cache policies by spec name.
+_POLICIES = {"lru": "lru", "lfu": "lfu"}
+
+
 def parse_cache_spec(spec: Optional[str]) -> Optional[CacheConfig]:
     """Build a :class:`CacheConfig` from ``"lru:rows=4096"`` / ``"lfu:bytes=1048576"``.
 
-    ``None``, ``""`` and ``"off"`` mean no cache.  A bare count
+    ``None``, ``""``, ``"off"`` and ``"none"`` mean no cache.  A bare count
     (``"lru:4096"``) is interpreted as rows.
     """
-    if spec is None:
+    policy, body = split_spec(spec, _POLICIES, "cache policy", optional=True)
+    if policy is None:
         return None
-    text = str(spec).strip()
-    if not text or text.lower() in ("off", "none"):
-        return None
-    policy, _, body = text.partition(":")
-    policy = policy.strip().lower()
-    if not body.strip():
+    values = parse_kv(body, "cache", known=("rows", "bytes"), positional="rows")
+    if not values:
         raise ConfigurationError(
             f"cache spec {spec!r} needs a capacity, e.g. 'lru:rows=4096'"
         )
-    values = parse_kv(body, "cache", known=("rows", "bytes"), positional="rows")
-    capacity = {}
-    for name, value in values.items():
-        try:
-            capacity[name] = int(value)
-        except ValueError:
-            raise ConfigurationError(
-                f"cache spec field {name}={value!r} is not an integer setting"
-            ) from None
     return CacheConfig(
         policy=policy,
-        capacity_rows=capacity.get("rows"),
-        capacity_bytes=capacity.get("bytes"),
+        capacity_rows=pop_number(values, "rows", "cache", whole=True),
+        capacity_bytes=pop_number(values, "bytes", "cache", whole=True),
     )

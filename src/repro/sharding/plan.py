@@ -30,6 +30,7 @@ import numpy as np
 
 from repro.config.models import DLRMConfig
 from repro.errors import ConfigurationError
+from repro.utils.specs import lookup, read_number
 
 #: splitmix64 finalizer constants (deterministic row-wise hashing).
 _MIX_A = np.uint64(0xBF58476D1CE4E5B9)
@@ -316,31 +317,21 @@ def make_plan(
     """Build a plan from a strategy name (``table``/``row``/``greedy``) or instance."""
     if isinstance(strategy, ShardingStrategy):
         return strategy.build(model, num_shards, capacity_bytes=capacity_bytes)
-    cls = STRATEGIES.get(str(strategy))
-    if cls is None:
-        raise ConfigurationError(
-            f"unknown sharding strategy {strategy!r}; available: "
-            f"{', '.join(sorted(STRATEGIES))}"
-        )
+    cls = lookup(STRATEGIES, str(strategy), "sharding strategy")
     return cls().build(model, num_shards, capacity_bytes=capacity_bytes)
 
 
 def parse_sharding_spec(spec: str) -> Tuple[int, str]:
-    """Parse a compact ``"<shards>[:<strategy>]"`` spec, e.g. ``"4:row"``."""
-    text = str(spec).strip()
-    count_text, _, strategy = text.partition(":")
-    strategy = strategy.strip() or "table"
-    try:
-        count = int(count_text)
-    except ValueError:
-        raise ConfigurationError(
-            f"sharding spec must start with a shard count, got {spec!r}"
-        ) from None
+    """Parse a compact ``"<shards>[:<strategy>]"`` spec, e.g. ``"4:row"``.
+
+    The one spec grammar that puts its number first: the count takes the
+    whole-number rule and the strategy the unknown-name error of
+    :mod:`repro.utils.specs`.
+    """
+    count_text, _, strategy = str(spec).strip().partition(":")
+    count = read_number(count_text, "shard count", whole=True)
     if count <= 0:
         raise ConfigurationError(f"shard count must be positive, got {count}")
-    if strategy not in STRATEGIES:
-        raise ConfigurationError(
-            f"unknown sharding strategy {strategy!r}; available: "
-            f"{', '.join(sorted(STRATEGIES))}"
-        )
+    strategy = strategy.strip() or "table"
+    lookup(STRATEGIES, strategy, "sharding strategy")
     return count, strategy

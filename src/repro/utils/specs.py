@@ -1,18 +1,60 @@
-"""The one ``key=value`` grammar of the compact text specs.
+"""The one grammar of the compact text specs.
 
-The bodies of ``--autoscale``, ``--faults``, ``--updates`` and
-``--workload`` specs are comma-separated ``key=value`` items, e.g.
-``util:target=0.7,deadband=0.1``.  :func:`parse_kv` splits a body into raw
-strings and :func:`pop_number` reads one of them as a number; every
-malformed item raises :class:`~repro.errors.ConfigurationError` in the
-same style, whichever flag it came from.
+Seven CLI flags take a spec: ``--workload``, ``--trace``, ``--autoscale``,
+``--faults``, ``--updates``, ``--cache``/``--shared-cache`` and
+``--shards``.  All but ``--shards`` (``N[:strategy]``, count first) read
+``kind[:body]``, e.g. ``util:target=0.7,deadband=0.1``:
+
+* :func:`split_spec` strips the spec, lowercases the kind and resolves it
+  (aliases are extra keys of the kind table) with one unknown-name error.
+  Only flags whose feature can be absent read ``""``/``off``/``none`` as
+  no spec.
+* :func:`parse_kv` splits a body of comma-separated ``key=value`` items;
+  a kind with a bare-number body (``poisson:30000``) names the key it sets.
+* :func:`read_number` and :func:`pop_number` read one value, and apply
+  the one whole-number rule to integer parameters: ``4096.0`` and ``1e4``
+  are whole, ``1.5`` is rejected.
+
+Every malformed spec raises :class:`~repro.errors.ConfigurationError` in
+the same style, whichever flag it came from.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Sequence
+from typing import Dict, Mapping, Optional, Sequence, Tuple, TypeVar
 
 from repro.errors import ConfigurationError
+
+T = TypeVar("T")
+
+#: Spellings of "no spec" for the flags whose feature can be absent.
+OFF = ("", "off", "none")
+
+
+def lookup(table: Mapping[str, T], name: str, what: str, optional: bool = False) -> T:
+    """``table[name]``, or the one unknown-name error listing ``table``."""
+    try:
+        return table[name]
+    except KeyError:
+        off = " (or off)" if optional else ""
+        raise ConfigurationError(
+            f"unknown {what} {name!r}; known: {', '.join(table)}{off}"
+        ) from None
+
+
+def split_spec(
+    spec, kinds: Mapping[str, T], what: str, optional: bool = False
+) -> Tuple[Optional[T], str]:
+    """Split ``kind[:body]`` into ``(kinds[kind], body)``.
+
+    With ``optional``, ``None`` and the :data:`OFF` spellings return
+    ``(None, "")``: no spec.
+    """
+    text = "" if spec is None else str(spec).strip()
+    if optional and text.lower() in OFF:
+        return None, ""
+    head, _, body = text.partition(":")
+    return lookup(kinds, head.strip().lower(), what, optional), body.strip()
 
 
 def parse_kv(
@@ -58,20 +100,45 @@ def reject_unknown(values: Mapping[str, str], kind: str, known: Sequence[str]) -
             )
 
 
+def read_number(raw: str, label: str, whole: bool = False):
+    """``raw`` as a float, or as an int when ``whole`` (``4096.0``, ``1e4``)."""
+    try:
+        number = float(raw)
+    except ValueError:
+        raise ConfigurationError(f"{label} is not a number: {raw!r}") from None
+    if not whole:
+        return number
+    if not number.is_integer():
+        raise ConfigurationError(f"{label} must be a whole number, got {raw!r}")
+    try:
+        return int(raw)  # exact past float precision
+    except ValueError:
+        return int(number)
+
+
 def pop_number(
-    values: Dict[str, str], key: str, kind: str, default: Optional[float] = None
-) -> Optional[float]:
-    """Remove ``key`` from ``values`` and return it as a float (or ``default``)."""
+    values: Dict[str, str], key: str, kind: str, default=None, whole: bool = False
+):
+    """Remove ``key`` from ``values`` and read it (or return ``default``)."""
     raw = values.pop(key, None)
     if raw is None:
         return default
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigurationError(f"{kind} parameter {key!r} is not a number: {raw!r}")
+    return read_number(raw, f"{kind} parameter {key!r}", whole)
 
 
-def parse_kv_numbers(body: str, defaults: Mapping[str, float], kind: str) -> Dict[str, float]:
-    """Parse a body of numeric parameters over a dict of defaults."""
-    values = parse_kv(body, kind, known=tuple(defaults))
-    return {key: pop_number(values, key, kind, default) for key, default in defaults.items()}
+def parse_kv_numbers(
+    body: str, defaults: Mapping[str, object], kind: str, positional: Optional[str] = None
+) -> Dict[str, float]:
+    """Parse a body of numeric parameters over a dict of defaults.
+
+    An ``int`` default makes its key whole-numbered; a ``None`` default
+    makes it required.
+    """
+    values = parse_kv(body, kind, known=tuple(defaults), positional=positional)
+    numbers = {}
+    for key, default in defaults.items():
+        number = pop_number(values, key, kind, default, whole=isinstance(default, int))
+        if number is None:
+            raise ConfigurationError(f"{kind} spec needs {key}=<value>")
+        numbers[key] = number
+    return numbers

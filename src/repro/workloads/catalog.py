@@ -1,26 +1,20 @@
 """Workload catalog and spec parsing for the CLI and experiment tooling.
 
-Arrival processes and trace models are addressable by compact text specs so
-``python -m repro serve --workload bursty:on=40000,off=2000`` can build the
-same objects Python callers compose by hand:
-
-* ``poisson:30000`` — Poisson arrivals at 30 kQPS.
-* ``constant:10000`` — evenly spaced arrivals at 10 kQPS.
-* ``bursty:on=40000,off=2000,mean_on=0.05,mean_off=0.1`` — MMPP on/off.
-* ``diurnal:trough=5000,peak=30000,period=0.5`` — sinusoidal day curve.
-* ``replay:0.001,0.002,0.0035`` — explicit timestamps.
-
-Trace specs follow the same shape: ``uniform``, ``zipf:1.05``,
-``hotcold:frac=0.05,weight=0.9``.
+Arrival processes, trace models, update streams and named drills are
+addressable by compact ``kind[:body]`` specs (the one grammar of
+:mod:`repro.utils.specs`), so ``python -m repro serve --workload
+bursty:on=40000,off=2000`` builds the same objects Python callers compose
+by hand.  Each catalog entry carries an example spec; ``list-workloads``
+prints them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Tuple
+from typing import Callable, Dict
 
 from repro.errors import ConfigurationError
-from repro.utils.specs import parse_kv, parse_kv_numbers, pop_number
+from repro.utils.specs import parse_kv, parse_kv_numbers, pop_number, split_spec
 from repro.workloads.arrivals import (
     ArrivalProcess,
     ConstantRateArrivals,
@@ -49,46 +43,21 @@ class CatalogEntry:
     build: Callable[[str], object]
 
 
-def _require_number(body: str, kind: str, what: str) -> float:
-    try:
-        return float(body)
-    except ValueError:
-        raise ConfigurationError(f"{kind} spec needs a {what}, got {body!r}")
-
-
-def _build_poisson(body: str) -> ArrivalProcess:
-    return PoissonArrivals(rate_qps=_require_number(body, "poisson", "rate in QPS"))
-
-
-def _build_constant(body: str) -> ArrivalProcess:
-    return ConstantRateArrivals(rate_qps=_require_number(body, "constant", "rate in QPS"))
+def _rate(kind: str, process: Callable[[float], ArrivalProcess]):
+    """Builder of a one-rate process: ``kind:30000`` or ``kind:rate=30000``."""
+    return lambda body: process(
+        parse_kv_numbers(body, {"rate": None}, kind, positional="rate")["rate"]
+    )
 
 
 def _build_bursty(body: str) -> ArrivalProcess:
-    values = parse_kv_numbers(
-        body,
-        {"on": 40_000.0, "off": 0.0, "mean_on": 0.05, "mean_off": 0.1},
-        "bursty",
-    )
-    return OnOffArrivals(
-        on_rate_qps=values["on"],
-        off_rate_qps=values["off"],
-        mean_on_s=values["mean_on"],
-        mean_off_s=values["mean_off"],
-    )
+    defaults = {"on": 40_000.0, "off": 0.0, "mean_on": 0.05, "mean_off": 0.1}
+    return OnOffArrivals(*parse_kv_numbers(body, defaults, "bursty").values())
 
 
 def _build_diurnal(body: str) -> ArrivalProcess:
-    values = parse_kv_numbers(
-        body,
-        {"trough": 5_000.0, "peak": 30_000.0, "period": 1.0},
-        "diurnal",
-    )
-    return DiurnalArrivals(
-        trough_qps=values["trough"],
-        peak_qps=values["peak"],
-        period_s=values["period"],
-    )
+    defaults = {"trough": 5_000.0, "peak": 30_000.0, "period": 1.0}
+    return DiurnalArrivals(*parse_kv_numbers(body, defaults, "diurnal").values())
 
 
 def _build_replay(body: str) -> ArrivalProcess:
@@ -106,13 +75,13 @@ ARRIVAL_CATALOG: Dict[str, CatalogEntry] = {
         kind="poisson",
         summary="memoryless open-loop traffic (exponential gaps)",
         example="poisson:30000",
-        build=_build_poisson,
+        build=_rate("poisson", PoissonArrivals),
     ),
     "constant": CatalogEntry(
         kind="constant",
         summary="evenly spaced closed-loop arrivals (zero burstiness)",
         example="constant:10000",
-        build=_build_constant,
+        build=_rate("constant", ConstantRateArrivals),
     ),
     "bursty": CatalogEntry(
         kind="bursty",
@@ -142,7 +111,7 @@ def _build_uniform_trace(body: str) -> TraceModel:
 
 
 def _build_zipf_trace(body: str) -> TraceModel:
-    alpha = _require_number(body, "zipf", "skew alpha") if body else 1.05
+    alpha = parse_kv_numbers(body, {"alpha": 1.05}, "zipf", positional="alpha")["alpha"]
     return ZipfianTrace(alpha=alpha)
 
 
@@ -173,33 +142,15 @@ TRACE_CATALOG: Dict[str, CatalogEntry] = {
 }
 
 
-def _split_spec(spec: str) -> Tuple[str, str]:
-    text = spec.strip()
-    kind, _, body = text.partition(":")
-    return kind.strip().lower(), body.strip()
-
-
 def parse_arrival_spec(spec: str) -> ArrivalProcess:
     """Build an :class:`ArrivalProcess` from a compact text spec."""
-    kind, body = _split_spec(spec)
-    entry = ARRIVAL_CATALOG.get(kind)
-    if entry is None:
-        raise ConfigurationError(
-            f"unknown arrival process {kind!r}; available: "
-            f"{', '.join(sorted(ARRIVAL_CATALOG))}"
-        )
+    entry, body = split_spec(spec, ARRIVAL_CATALOG, "arrival process")
     return entry.build(body)  # type: ignore[return-value]
 
 
 def parse_trace_spec(spec: str) -> TraceModel:
     """Build a :class:`TraceModel` from a compact text spec."""
-    kind, body = _split_spec(spec)
-    entry = TRACE_CATALOG.get(kind)
-    if entry is None:
-        raise ConfigurationError(
-            f"unknown trace model {kind!r}; available: "
-            f"{', '.join(sorted(TRACE_CATALOG))}"
-        )
+    entry, body = split_spec(spec, TRACE_CATALOG, "trace model")
     return entry.build(body)  # type: ignore[return-value]
 
 
@@ -269,12 +220,11 @@ SCENARIO_CATALOG: Dict[str, ChaosScenario] = {
 }
 
 
-_MODE_ALIASES = {
-    "invalidate": "invalidate",
-    "write-through": "write-through",
+#: Update modes, with their aliases as extra keys.
+_UPDATE_MODES = {
+    **{mode: mode for mode in UPDATE_MODES},
     "writethrough": "write-through",
     "write_through": "write-through",
-    "ignore": "ignore",
 }
 
 
@@ -289,21 +239,12 @@ def parse_update_spec(spec) -> "UpdateProcess | None":
     serving path.  The trace sub-spec may not contain commas beyond its
     own parameters (``trace=zipf:1.05`` works; quote odd shapes in code).
     """
-    if spec is None:
-        return None
-    text = str(spec).strip()
-    if not text or text.lower() in ("off", "none"):
-        return None
-    mode_text, _, body = text.partition(":")
-    mode = _MODE_ALIASES.get(mode_text.strip().lower())
+    mode, body = split_spec(spec, _UPDATE_MODES, "update mode", optional=True)
     if mode is None:
-        raise ConfigurationError(
-            f"unknown update mode {mode_text.strip()!r}; use one of "
-            f"{', '.join(UPDATE_MODES)} (or 'off')"
-        )
+        return None
     values = parse_kv(body, "update", known=("rate", "rows", "trace"), positional="rate")
     rate = pop_number(values, "rate", "update", 1000.0)
-    rows = int(pop_number(values, "rows", "update", 1))
+    rows = pop_number(values, "rows", "update", 1, whole=True)
     trace = parse_trace_spec(values["trace"]) if "trace" in values else None
     if rate < 0:
         raise ConfigurationError(f"update rate must be >= 0, got {rate:g}")
@@ -347,12 +288,15 @@ UPDATE_SCENARIO_CATALOG: Dict[str, UpdateScenario] = {
 }
 
 
+def find_scenario(catalog: Dict[str, object], spec):
+    """The scenario of ``catalog`` that ``spec`` names, or ``None``."""
+    return None if spec is None else catalog.get(str(spec).strip().lower())
+
+
 def resolve_update_spec(spec) -> "UpdateProcess | None":
     """Resolve ``--updates`` text: a scenario name or a raw update spec."""
-    if spec is not None and str(spec).strip().lower() in UPDATE_SCENARIO_CATALOG:
-        scenario = UPDATE_SCENARIO_CATALOG[str(spec).strip().lower()]
-        return scenario.updates()
-    return parse_update_spec(spec)
+    scenario = find_scenario(UPDATE_SCENARIO_CATALOG, spec)
+    return parse_update_spec(spec) if scenario is None else scenario.updates()
 
 
 def resolve_fault_spec(spec: str):
@@ -360,8 +304,9 @@ def resolve_fault_spec(spec: str):
 
     Returns the parsed ``FaultSchedule`` (or ``None`` for ``off``/``none``).
     """
-    if spec is not None and spec.strip().lower() in SCENARIO_CATALOG:
-        return SCENARIO_CATALOG[spec.strip().lower()].schedule()
+    scenario = find_scenario(SCENARIO_CATALOG, spec)
+    if scenario is not None:
+        return scenario.schedule()
     from repro.chaos.faults import parse_fault_schedule
 
     return parse_fault_schedule(spec)

@@ -57,10 +57,6 @@ class TestBuiltinRegistrations:
             assert isinstance(backend.capabilities, BackendCapabilities)
             assert backend.capabilities.stages
 
-    def test_energy_matches_run(self):
-        backend = get_backend("centaur", HARPV2_SYSTEM)
-        assert backend.energy(DLRM1, 16) == backend.run(DLRM1, 16).energy_joules
-
     def test_breakdown_stages_match_declared_capabilities(self):
         for name in ("cpu", "cpu-gpu", "centaur"):
             backend = get_backend(name, HARPV2_SYSTEM)
@@ -94,9 +90,6 @@ class FakeBackend:
             breakdown=LatencyBreakdown({"ALL": 1e-3}),
             power_watts=1.0,
         )
-
-    def energy(self, model, batch_size):
-        return self.run(model, batch_size).energy_joules
 
 
 class TestCustomRegistration:

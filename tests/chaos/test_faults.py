@@ -205,11 +205,26 @@ class TestSpecParsing:
             "poisson:rate=10,until=0.5",  # missing kind=
             "poisson:kind=crash,until=0.5",  # missing rate=
             "report:sla=0.01,shape=tail",  # unknown report key
+            "crash:at=0.1,replica=1.5",  # non-whole replica index
+            "shard-loss:at=0.1,shard=0.7",  # non-whole shard index
+            "poisson:kind=crash,rate=10,until=0.5,seed=2.5",  # non-whole seed
+            "brownout:at=0.1,for=0.1,lat=3",  # a brownout's factor is slow=
+            "poisson:kind=report,rate=10,until=0.5",  # not a timed fault kind
         ],
     )
     def test_malformed_specs_raise(self, bad):
         with pytest.raises(ConfigurationError):
             parse_fault_schedule(bad)
+
+    def test_whole_valued_indices_are_accepted(self):
+        schedule = parse_fault_schedule(
+            "crash:at=0.1,replica=1.0;shard-loss:at=0.2,shard=2e0;"
+            "poisson:kind=crash,rate=10,until=0.5,seed=7.0"
+        )
+        crash, shard_loss, generator = schedule.faults
+        assert crash.replica == 1 and type(crash.replica) is int
+        assert shard_loss.shard == 2 and type(shard_loss.shard) is int
+        assert generator.seed == 7 and type(generator.seed) is int
 
     def test_only_report_segment_means_no_schedule(self):
         assert parse_fault_schedule("report:sla=0.01") is None

@@ -60,6 +60,23 @@ class TestFunctionalEquivalence:
             hardware.reduced_embeddings, software.reduced_embeddings, rtol=1e-4, atol=1e-5
         )
 
+    def test_infer_runs_each_mlp_layer_once(self, device_and_model, trace_rng, monkeypatch):
+        """The dense datapath runs once: one GEMM per bottom and top layer."""
+        device, model, config = device_and_model
+        batch = model_batch(UniformTrace(), trace_rng, config, 8)
+        unit = device.dense_complex.mlp_unit
+        calls = []
+        gemm = unit.gemm
+        monkeypatch.setattr(unit, "gemm", lambda *args: calls.append(1) or gemm(*args))
+        output = device.infer(batch)
+        assert len(calls) == len(model.bottom_mlp.layers) + len(model.top_mlp.layers)
+        np.testing.assert_allclose(
+            output.bottom_mlp_output,
+            model.bottom_mlp.forward(batch.dense_features),
+            rtol=1e-4,
+            atol=1e-5,
+        )
+
     def test_predict_writes_result_back_to_host_memory(self, device_and_model, trace_rng):
         device, _, config = device_and_model
         batch = model_batch(UniformTrace(), trace_rng, config, 4)

@@ -52,11 +52,39 @@ class TestFunctionalForward:
         dense, model = complex_
         batch = model_batch(UniformTrace(), trace_rng, tiny_config, 5)
         software = model.forward(batch)
-        probabilities, logits = dense.forward(
-            batch.dense_features, software.reduced_embeddings
+        hardware = dense.forward(batch.dense_features, software.reduced_embeddings)
+        np.testing.assert_allclose(hardware.logits, software.logits, rtol=1e-4, atol=1e-4)
+        np.testing.assert_allclose(
+            hardware.probabilities, software.probabilities, rtol=1e-4, atol=1e-4
         )
-        np.testing.assert_allclose(logits, software.logits, rtol=1e-4, atol=1e-4)
-        np.testing.assert_allclose(probabilities, software.probabilities, rtol=1e-4, atol=1e-4)
+
+    def test_bottom_output_matches_software_mlp(self, complex_, trace_rng, tiny_config):
+        """The PE-array bottom MLP (tiled GEMMs on SRAM weights) matches the software MLP."""
+        dense, model = complex_
+        batch = model_batch(UniformTrace(), trace_rng, tiny_config, 9)
+        software = model.forward(batch)
+        hardware = dense.forward(batch.dense_features, software.reduced_embeddings)
+        np.testing.assert_allclose(
+            hardware.bottom_mlp_output,
+            model.bottom_mlp.forward(batch.dense_features),
+            rtol=1e-4,
+            atol=1e-4,
+        )
+        np.testing.assert_allclose(
+            hardware.interaction_output, software.interaction_output, rtol=1e-4, atol=1e-4
+        )
+
+    def test_tiled_batch_matches_one_tile(self, complex_, trace_rng, tiny_config):
+        """A batch streamed through the input SRAMs in tiles returns every output whole."""
+        dense, model = complex_
+        batch = model_batch(UniformTrace(), trace_rng, tiny_config, 7)
+        reduced = model.embeddings.forward(batch.sparse_traces)
+        whole = dense.forward(batch.dense_features, reduced)
+        dense._max_tile_batch = lambda features, embeddings: 3
+        tiled = dense.forward(batch.dense_features, reduced)
+        for name in ("probabilities", "logits", "reduced_embeddings",
+                     "bottom_mlp_output", "interaction_output"):
+            np.testing.assert_allclose(getattr(tiled, name), getattr(whole, name), rtol=1e-5)
 
     def test_transient_inputs_are_discarded(self, complex_, trace_rng, tiny_config):
         dense, model = complex_

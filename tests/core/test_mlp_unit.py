@@ -5,9 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.paper import CLAIMS_BY_KEY
-from repro.config.models import MLPConfig
 from repro.core.mlp_unit import MLPUnit
-from repro.dlrm.mlp import MLP
 from repro.errors import ConfigurationError, ModelShapeError
 
 
@@ -41,14 +39,6 @@ class TestFunctionalGemm:
             unit.gemm(np.zeros((4, 5)), np.zeros((6, 4)))
         with pytest.raises(ModelShapeError):
             unit.gemm(np.zeros(5), np.zeros((5, 4)))
-
-    def test_run_mlp_matches_software_mlp(self, unit):
-        rng = np.random.default_rng(3)
-        mlp = MLP.from_config(MLPConfig(layer_dims=(13, 64, 32)), rng)
-        inputs = rng.standard_normal((9, 13)).astype(np.float32)
-        np.testing.assert_allclose(
-            unit.run_mlp(mlp, inputs), mlp.forward(inputs), rtol=1e-4, atol=1e-4
-        )
 
     def test_pes_accumulate_work(self, unit):
         a = np.zeros((64, 64), dtype=np.float32)

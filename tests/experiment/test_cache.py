@@ -56,9 +56,6 @@ class CountingBackend:
         self.calls += 1
         return self.inner.run(model, batch_size)
 
-    def energy(self, model, batch_size):
-        return self.run(model, batch_size).energy_joules
-
 
 class TestResultCache:
     def test_memoizes_per_key(self):

@@ -180,6 +180,14 @@ class TestParseAutoscalerSpec:
         assert policy.step == 2
         assert policy.cooldown_s == 0.1
 
+    def test_whole_valued_replica_counts_are_accepted(self):
+        assert parse_autoscaler_spec("schedule:0=4.0,0.5=1e1").schedule == ((0.0, 4), (0.5, 10))
+        assert parse_autoscaler_spec("queue:step=2.0").step == 2
+
+    def test_aliases_build_the_same_policy(self):
+        assert isinstance(parse_autoscaler_spec("Queue-Depth:high=4"), QueueDepthPolicy)
+        assert isinstance(parse_autoscaler_spec("predictive"), EWMAPolicy)
+
     def test_rejects_bad_specs(self):
         for spec in ("", "warp-speed", "queue:frobnicate=1", "schedule:", "schedule:abc"):
             with pytest.raises(ConfigurationError):

@@ -302,6 +302,14 @@ class TestSpecParsing:
     def test_bare_count_means_rows(self):
         assert parse_cache_spec("lru:512") == CacheConfig(policy="lru", capacity_rows=512)
 
+    @pytest.mark.parametrize(
+        "spec, rows", [("lru:rows=4096.0", 4096), ("lru:rows=1e4", 10_000), ("lru:2e3", 2_000)]
+    )
+    def test_whole_valued_numbers_are_accepted(self, spec, rows):
+        config = parse_cache_spec(spec)
+        assert config == CacheConfig(policy="lru", capacity_rows=rows)
+        assert type(config.capacity_rows) is int
+
     @pytest.mark.parametrize("spec", [None, "", "off", "none"])
     def test_disabled_specs(self, spec):
         assert parse_cache_spec(spec) is None

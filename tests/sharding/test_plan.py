@@ -235,7 +235,10 @@ class TestSpecParsing:
         assert parse_sharding_spec("8:row") == (8, "row")
         assert parse_sharding_spec("2:greedy") == (2, "greedy")
 
-    @pytest.mark.parametrize("spec", ["", "x:row", "0:table", "4:mystery"])
+    def test_whole_valued_count_is_accepted(self):
+        assert parse_sharding_spec("4.0:row") == (4, "row")
+
+    @pytest.mark.parametrize("spec", ["", "x:row", "0:table", "4:mystery", "2.5"])
     def test_bad_specs_rejected(self, spec):
         with pytest.raises(ConfigurationError):
             parse_sharding_spec(spec)

@@ -376,6 +376,26 @@ class TestServe:
             ("--workload", "bursty:40000", "bursty spec parameters must be key=value, got '40000'"),
             ("--workload", "diurnal:peek=3", "unknown diurnal parameter 'peek'"),
             ("--workload", "diurnal:peak=tall", "diurnal parameter 'peak' is not a number: 'tall'"),
+            ("--workload", "poisson:rate=fast", "poisson parameter 'rate' is not a number: 'fast'"),
+            ("--trace", "fractal", "unknown trace model 'fractal'; known: uniform, zipf, hotcold"),
+            ("--trace", "zipf:steep", "zipf parameter 'alpha' is not a number: 'steep'"),
+            ("--cache", "mru:rows=64", "unknown cache policy 'mru'; known: lru, lfu (or off)"),
+            ("--cache", "lru:pages=64", "unknown cache parameter 'pages'"),
+            ("--shared-cache", "lfu:rows=lots", "cache parameter 'rows' is not a number: 'lots'"),
+            ("--shards", "two", "shard count is not a number: 'two'"),
+            ("--shards", "2:diagonal", "unknown sharding strategy 'diagonal'; known: table, row, greedy"),
+            ("--faults", "brownout:at=0.1,for=0.1,lat=3", "unknown brownout parameter 'lat'"),
+            ("--faults", "explode:at=0.1", "unknown fault kind 'explode'; known: crash,"),
+            # One whole-number rule: a non-whole value for each integer parameter.
+            ("--faults", "crash:at=0.1,replica=1.5", "crash parameter 'replica' must be a whole number, got '1.5'"),
+            ("--faults", "shard-loss:at=0.2,shard=0.7", "shard-loss parameter 'shard' must be a whole number, got '0.7'"),
+            ("--faults", "poisson:kind=crash,rate=9,until=0.1,seed=7.5", "poisson parameter 'seed' must be a whole number, got '7.5'"),
+            ("--updates", "invalidate:rate=10,rows=2.9", "update parameter 'rows' must be a whole number, got '2.9'"),
+            ("--autoscale", "queue:step=1.5", "queue parameter 'step' must be a whole number, got '1.5'"),
+            ("--autoscale", "schedule:0=1,0.5=2.5", "schedule parameter '0.5' must be a whole number, got '2.5'"),
+            ("--cache", "lru:rows=4096.5", "cache parameter 'rows' must be a whole number, got '4096.5'"),
+            ("--shared-cache", "lfu:bytes=1e-3", "cache parameter 'bytes' must be a whole number, got '1e-3'"),
+            ("--shards", "2.5:row", "shard count must be a whole number, got '2.5'"),
         ],
     )
     def test_malformed_spec_fails_cleanly(self, capsys, flag, spec, message):

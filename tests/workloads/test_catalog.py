@@ -5,7 +5,9 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.workloads import (
     ARRIVAL_CATALOG,
+    SCENARIO_CATALOG,
     TRACE_CATALOG,
+    UPDATE_SCENARIO_CATALOG,
     ConstantRateArrivals,
     DiurnalArrivals,
     OnOffArrivals,
@@ -17,7 +19,10 @@ from repro.workloads import (
     parse_arrival_spec,
     parse_trace_spec,
     parse_workload_spec,
+    resolve_fault_spec,
+    resolve_update_spec,
 )
+from repro.workloads.catalog import find_scenario
 
 
 class TestArrivalSpecs:
@@ -48,6 +53,11 @@ class TestArrivalSpecs:
 
     def test_case_insensitive_kind(self):
         assert isinstance(parse_arrival_spec("POISSON:10"), PoissonArrivals)
+
+    def test_positional_bodies_also_take_their_key(self):
+        assert parse_arrival_spec("poisson:rate=30000") == parse_arrival_spec("poisson:30000")
+        assert parse_arrival_spec("constant:rate=1e4").rate_qps == 10_000.0
+        assert parse_trace_spec("zipf:alpha=1.3").alpha == 1.3
 
     def test_errors(self):
         with pytest.raises(ConfigurationError, match="unknown arrival"):
@@ -102,6 +112,23 @@ class TestCatalogCoverage:
             assert parse_arrival_spec(entry.example) is not None
         for entry in TRACE_CATALOG.values():
             assert parse_trace_spec(entry.example) is not None
+
+    def test_every_scenario_spec_parses(self):
+        for scenario in SCENARIO_CATALOG.values():
+            schedule = scenario.schedule()
+            assert schedule is not None and not schedule.empty
+            assert resolve_fault_spec(scenario.name).faults == schedule.faults
+            assert parse_workload_spec(scenario.arrival_spec, scenario.trace_spec)
+        for scenario in UPDATE_SCENARIO_CATALOG.values():
+            updates = scenario.updates()
+            assert updates is not None
+            assert resolve_update_spec(scenario.name) == updates
+            assert parse_workload_spec(scenario.arrival_spec, scenario.trace_spec)
+
+    def test_scenario_names_resolve_in_any_case(self):
+        assert find_scenario(SCENARIO_CATALOG, " Region-Failover ").name == "region-failover"
+        assert find_scenario(UPDATE_SCENARIO_CATALOG, "crash:at=0.1") is None
+        assert find_scenario(SCENARIO_CATALOG, None) is None
 
     def test_render_workload_catalog(self):
         from repro.analysis import render_workload_catalog

@@ -155,6 +155,10 @@ class TestSpecParsing:
         assert process.mean_push_rate == 4_000.0
         assert process.rows_per_update == 1
 
+    def test_whole_valued_rows_are_accepted(self):
+        assert parse_update_spec("invalidate:rate=10,rows=1e2").rows_per_update == 100
+        assert parse_update_spec("invalidate:rate=10,rows=32.0").rows_per_update == 32
+
     def test_trace_parameter(self):
         process = parse_update_spec("ignore:rate=500,rows=4,trace=zipf:1.2")
         assert isinstance(process.trace, ZipfianTrace)
@@ -166,7 +170,13 @@ class TestSpecParsing:
 
     @pytest.mark.parametrize(
         "spec",
-        ["drop:rate=100", "invalidate:rate=-5", "invalidate:pages=4", "invalidate:rate=x"],
+        [
+            "drop:rate=100",
+            "invalidate:rate=-5",
+            "invalidate:pages=4",
+            "invalidate:rate=x",
+            "invalidate:rate=10,rows=2.9",
+        ],
     )
     def test_bad_specs_rejected(self, spec):
         with pytest.raises(ConfigurationError):
