@@ -113,15 +113,16 @@ def _spec_kwargs(cls, values: Dict[str, str], skip: Sequence[str] = ()) -> Dict[
     """Read a spec body's ``values`` into ``cls``'s fields through its keys.
 
     ``str`` fields take the raw text, ``int`` fields the whole-number rule
-    and the rest numbers; a field without a default is required.
+    and the rest numbers; a field without a default is required.  The keys
+    of ``skip`` fields are rejected like unknown ones.
     """
-    keys = _keys(cls)
+    keys = {name: key for name, key in _keys(cls).items() if name not in skip}
     reject_unknown(values, cls.kind, tuple(keys.values()))
     kwargs: Dict[str, object] = {}
     for spec_field in fields(cls):
-        key, type_name = keys[spec_field.name], spec_field.type
         if spec_field.name in skip:
             continue
+        key, type_name = keys[spec_field.name], spec_field.type
         if key in values:
             raw = values[key]
             kwargs[spec_field.name] = raw if type_name == "str" else read_number(
@@ -228,7 +229,7 @@ class LinkDegradation(FaultSpec):
     :class:`~repro.core.link.ChipletLink` in the serving stack).
     """
 
-    duration_s: float = 0.0
+    duration_s: float
     bandwidth_factor: float = 1.0
     latency_factor: float = 1.0
 
@@ -273,7 +274,7 @@ class Brownout(FaultSpec):
         latency_factor: Executed-segment duration multiplier (> 1).
     """
 
-    duration_s: float = 0.0
+    duration_s: float
     replica: Optional[int] = None
     latency_factor: float = 2.0
 

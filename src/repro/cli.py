@@ -272,7 +272,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    fleet.check(args.backend, [workload], faults)
     simulator = fleet.build(args.backend, model, HARPV2_SYSTEM)
     report = simulator.serve_workload(
         workload,

@@ -144,7 +144,6 @@ class CentaurDevice:
 CENTAUR_CAPABILITIES = BackendCapabilities(
     uses_accelerator=True,
     offloads_embeddings=True,
-    stages=("IDX", "EMB", "DNF", "MLP", "Other"),
     # FPGA partial reconfiguration dominates Centaur's commission time.
     provision_warmup_s=10e-3,
 )

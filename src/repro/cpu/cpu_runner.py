@@ -18,7 +18,6 @@ from repro.results import InferenceResult, LatencyBreakdown
 CPU_CAPABILITIES = BackendCapabilities(
     uses_accelerator=False,
     offloads_embeddings=False,
-    stages=("EMB", "MLP", "Other"),
     # A CPU replica is traffic-ready once the embedding tables are paged in.
     provision_warmup_s=2e-3,
 )

@@ -547,12 +547,10 @@ class Experiment:
         like ``"crash:at=0.1,restart=0.05"`` — is injected into every run,
         so each report carries an :class:`~repro.chaos.report.IncidentReport`.
 
-        Every backend is capability-gated against the fleet and the
-        workloads first.  Single-model workloads fan out over the
-        experiment's model axis; workloads carrying a
-        :class:`~repro.workloads.mix.TrafficMix` serve their own blend.
-        Points are keyed ``(backend, workload, model)``; the points of one
-        (backend, default model) share one fleet.
+        Single-model workloads fan out over the experiment's model axis;
+        workloads carrying a :class:`~repro.workloads.mix.TrafficMix` serve
+        their own blend.  Points are keyed ``(backend, workload, model)``;
+        the points of one (backend, default model) share one fleet.
         """
         from repro.chaos.faults import FaultSchedule, parse_fault_schedule
 
@@ -563,8 +561,6 @@ class Experiment:
             raise ConfigurationError(
                 f"faults must be a FaultSchedule or spec string, got {faults!r}"
             )
-        for name in self.backend_names:
-            fleet.check(name, workloads, faults)
         points = []
         for name in self.backend_names:
             for workload in workloads:
@@ -592,13 +588,14 @@ class Experiment:
         Every (backend, workload) point is served by a fresh sharded
         :class:`~repro.serving.fleet.Fleet` at each shard count / placement
         strategy / hot-row cache / embedding-push stream (``None`` = the
-        read-only path), after capability gating.  Sharded
-        serving is single-model: the partitioned model is ``model``, or the
-        experiment's model axis when it holds exactly one entry.  Points are
-        keyed ``(backend, workload, shards, strategy, cache, updates)``; a
-        cache or update stream off is ``"off"``.
+        read-only path).  Sharded serving is single-model: the partitioned
+        model is ``model``, or the experiment's model axis when it holds
+        exactly one entry.  Points are keyed ``(backend, workload, shards,
+        strategy, cache, updates)``; a cache or update stream off is
+        ``"off"``.
         """
         from repro.sharding.plan import STRATEGIES, ShardingStrategy
+        from repro.utils.specs import lookup
 
         workloads = self._require_workloads("shard")
         if model is None:
@@ -621,11 +618,7 @@ class Experiment:
             for strategy in strategies
         ]
         for name in strategy_names:
-            if name not in STRATEGIES:
-                raise SimulationError(
-                    f"unknown sharding strategy {name!r}; available: "
-                    f"{', '.join(sorted(STRATEGIES))}"
-                )
+            lookup(STRATEGIES, name, "sharding strategy")
         update_labels = [_OFF if update is None else update.label() for update in updates]
         # Points are keyed by shard count, strategy name, cache label and
         # update label; two entries sharing one would silently collapse onto
@@ -654,8 +647,6 @@ class Experiment:
             for cache_label, cache in zip(cache_labels, caches)
             for label, update in zip(update_labels, updates)
         ]
-        for name in self.backend_names:
-            fleets[0][1].check(name, workloads)  # every point's fleet is sharded
         points = [
             ((name, workload.name, *coords), None, spec, model, workload)
             for name in self.backend_names

@@ -26,7 +26,6 @@ from repro.results import InferenceResult, LatencyBreakdown
 CPU_GPU_CAPABILITIES = BackendCapabilities(
     uses_accelerator=True,
     offloads_embeddings=False,
-    stages=("EMB", "PCIe", "MLP", "Other"),
     # CUDA context + weight upload over PCIe before the first batch.
     provision_warmup_s=5e-3,
 )

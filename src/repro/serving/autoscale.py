@@ -20,9 +20,7 @@ Lifecycle semantics mirror real fleets:
   holds unchanged.
 * **Cost accounting** — the run's :class:`AutoscaleReport` (attached to the
   :class:`~repro.serving.cluster.ClusterReport`) tracks replica-seconds,
-  the replica-count timeline, scale events, and busy vs. idle energy
-  (idle energy is ``idle_power_w`` times the commissioned-but-not-busy
-  time).
+  the replica-count timeline and scale events.
 
 Policies:
 
@@ -388,9 +386,6 @@ class AutoscaleReport:
         peak_replicas: Largest commissioned count the run reached.
         scale_up_events: Replica commissions (including drain reclaims).
         scale_down_events: Replica decommissions (including warm-up cancels).
-        busy_energy_joules: Energy the devices spent executing batches.
-        idle_energy_joules: Energy charged for commissioned-but-idle time
-            (``idle_power_w`` times the non-busy replica-seconds).
         crashes: Replica crashes injected by a fault schedule.
         restarts: Crash restarts that recommissioned a replica.
     """
@@ -403,14 +398,8 @@ class AutoscaleReport:
     peak_replicas: int
     scale_up_events: int
     scale_down_events: int
-    busy_energy_joules: float
-    idle_energy_joules: float
     crashes: int = 0
     restarts: int = 0
-
-    @property
-    def total_energy_joules(self) -> float:
-        return self.busy_energy_joules + self.idle_energy_joules
 
     def replicas_at(self, time_s: float) -> int:
         """Commissioned replica count at a simulated time."""
@@ -737,7 +726,6 @@ class _AutoscaleController(Controller):
                 # Still-commissioned replicas are paid through end of run.
                 lifecycle.close(horizon)
         replica_seconds = self.billed_seconds(horizon)
-        busy_seconds = sum(replica.busy_time_s for replica in self.replicas)
         policy = self.spec.policy
         autoscale = AutoscaleReport(
             policy=policy.name if policy is not None else "static",
@@ -748,9 +736,6 @@ class _AutoscaleController(Controller):
             peak_replicas=max(count for _, count in self.timeline),
             scale_up_events=self.scale_up_events,
             scale_down_events=self.scale_down_events,
-            busy_energy_joules=sum(replica.energy_joules for replica in self.replicas),
-            idle_energy_joules=self.spec.idle_power_w
-            * max(replica_seconds - busy_seconds, 0.0),
             crashes=self.crash_events,
             restarts=self.restart_events,
         )

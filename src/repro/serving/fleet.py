@@ -41,7 +41,7 @@ if TYPE_CHECKING:  # pragma: no cover - annotation only
 from repro.backends.registry import backend_registration, get_backend
 from repro.config.models import DLRMConfig
 from repro.config.system import SystemConfig
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import SimulationError
 from repro.serving.autoscale import AutoscalerPolicy
 from repro.serving.cluster import ReplicaPool
 from repro.serving.dispatch import Dispatcher
@@ -51,42 +51,6 @@ from repro.sim.engine import Simulator
 from repro.sim.profile import SimProfile
 from repro.workloads.arrivals import InferenceRequest, PoissonArrivals
 from repro.workloads.workload import Workload
-
-
-def check_workload_support(backend_name: str, workload: Workload) -> None:
-    """Raise :class:`ConfigurationError` when a backend cannot serve a workload.
-
-    This is the registry-level gate: the backend's registered capability
-    flags are matched against the workload's requirements before any device
-    model runs.
-    """
-    registration = backend_registration(backend_name)
-    reason = workload.incompatibility(registration.capabilities)
-    if reason is not None:
-        raise ConfigurationError(
-            f"backend {registration.name!r} cannot serve workload "
-            f"{workload.name!r}: {reason}"
-        )
-
-
-def check_elastic_support(backend_name: str) -> None:
-    """Raise :class:`ConfigurationError` when a backend cannot scale elastically."""
-    registration = backend_registration(backend_name)
-    if not registration.capabilities.supports_elastic_scaling:
-        raise ConfigurationError(
-            f"backend {registration.name!r} does not support elastic scaling; "
-            "serve it through a static fleet instead"
-        )
-
-
-def check_sharding_support(backend_name: str) -> None:
-    """Raise :class:`ConfigurationError` when a backend cannot shard tables."""
-    registration = backend_registration(backend_name)
-    if not registration.capabilities.supports_sharding:
-        raise ConfigurationError(
-            f"backend {registration.name!r} cannot partition its embedding "
-            "tables; serve it unsharded instead"
-        )
 
 
 @dataclass(frozen=True)
@@ -117,7 +81,6 @@ class FleetSpec:
     max_replicas: int = 8
     control_interval_s: float = 10e-3
     warmup_s: Optional[float] = None
-    idle_power_w: float = 0.0
     shards: Optional[int] = None
     strategy: Union[str, "ShardingStrategy"] = "table"
     cache: Optional["CacheConfig"] = None
@@ -141,10 +104,6 @@ class FleetSpec:
             )
         if self.warmup_s is not None and self.warmup_s < 0:
             raise SimulationError(f"warmup_s must be non-negative, got {self.warmup_s}")
-        if self.idle_power_w < 0:
-            raise SimulationError(
-                f"idle_power_w must be non-negative, got {self.idle_power_w}"
-            )
         if self.policy is not None and not isinstance(self.policy, AutoscalerPolicy):
             raise SimulationError(
                 f"policy must be an AutoscalerPolicy or None, got {self.policy!r}"
@@ -159,20 +118,6 @@ class FleetSpec:
     def elastic(self, faults=None) -> bool:
         """True when a serve under ``faults`` arms the autoscale controller."""
         return not self.sharded and (self.policy is not None or faults is not None)
-
-    def check(self, backend_name: str, workloads: Iterable[Workload], faults=None) -> None:
-        """Gate a backend's registered capabilities against this fleet.
-
-        Raises:
-            ConfigurationError: When the backend cannot shard, cannot scale
-                elastically or cannot serve one of ``workloads``.
-        """
-        if self.sharded:
-            check_sharding_support(backend_name)
-        elif self.elastic(faults):
-            check_elastic_support(backend_name)
-        for workload in workloads:
-            check_workload_support(backend_name, workload)
 
     def build(self, backend_name: str, model: DLRMConfig, system: SystemConfig) -> "Fleet":
         """The fleet serving ``model`` on ``backend_name`` devices."""

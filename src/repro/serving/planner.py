@@ -24,7 +24,7 @@ from repro.errors import SimulationError
 from repro.serving.batching import BatchingPolicy
 from repro.serving.cluster import ClusterReport
 from repro.serving.dispatch import Dispatcher, RoundRobinDispatcher
-from repro.serving.fleet import Fleet, FleetSpec, check_workload_support
+from repro.serving.fleet import Fleet, FleetSpec
 from repro.workloads.workload import Workload
 
 
@@ -158,7 +158,6 @@ class CapacityPlanner:
         point is recorded under the backend's canonical registry name.
         """
         backend_name = canonical_backend_name(backend_name)
-        check_workload_support(backend_name, workload)
         backend = get_backend(backend_name, self.system)
         evaluated: List[int] = []
         reports: Dict[int, ClusterReport] = {}

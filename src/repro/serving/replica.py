@@ -26,7 +26,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain, islice
-from math import inf
 from time import perf_counter
 from typing import (
     Callable,
@@ -654,17 +653,16 @@ class _StreamDriver:
         self._current = first
         self.key = (first.arrival_time_s, self._reserve())
 
-    def admit(self, until: Optional[float], budget: int) -> int:
+    def admit(self, budget: int) -> int:
         """Deliver the ranked arrival and the rest of its run; return how
         many arrivals were delivered.
 
-        The engine calls this once the key precedes the heap top (and
-        ``until``).  Each arrival sets the clock and the causality floor,
-        ranks its successor before its own submit, counts in
-        ``events_fired`` and profiles as ``"arrival"``.  The heap top is
-        read again after every submit, which may push an earlier timer.
-        The run ends there, past ``until``, on ``stop()``, after ``budget``
-        arrivals or at the stream's end.
+        The engine calls this once the key precedes the heap top.  Each
+        arrival sets the clock and the causality floor, ranks its successor
+        before its own submit, counts in ``events_fired`` and profiles as
+        ``"arrival"``.  The heap top is read again after every submit,
+        which may push an earlier timer.  The run ends there, after
+        ``budget`` arrivals or at the stream's end.
         """
         sim = self.sim
         queue = sim.queue
@@ -674,7 +672,6 @@ class _StreamDriver:
         reserve = self._reserve
         route = self.route
         lost = self.lost
-        horizon = inf if until is None else until
         peak = self.peak_resident
         successor = request = self._current
         key = self.key
@@ -710,12 +707,7 @@ class _StreamDriver:
                 if profile is not None:
                     profile.record("arrival", perf_counter() - started)
                 delivered += 1
-                if (
-                    key is None
-                    or delivered == budget
-                    or sim._stop_requested
-                    or key[0] > horizon
-                ):
+                if key is None or delivered == budget:
                     break
                 entry = top()
                 if entry is not None and entry < key:

@@ -700,14 +700,10 @@ class ShardGroup:
                 f"sharded groups serve a single model: the workload mix targets "
                 f"model(s) {names} but the group shards {self.model.name!r}"
             )
-        if self.updates is not None:
-            # SeedSequence children are keyed by spawn index, so the first
-            # three of spawn(4) equal spawn(3)'s — the trace stream is
-            # untouched and the update stream gets its own child.
-            _, _, trace_seed, update_seed = np.random.SeedSequence(seed).spawn(4)
-        else:
-            _, _, trace_seed = np.random.SeedSequence(seed).spawn(3)
-            update_seed = 0
+        # SeedSequence children are keyed by spawn index, so the first three
+        # of spawn(4) equal the workload's spawn(3) — the trace stream is
+        # untouched and the update stream gets its own child.
+        _, _, trace_seed, update_seed = np.random.SeedSequence(seed).spawn(4)
         return {"trace": workload.trace, "trace_seed": trace_seed, "update_seed": update_seed}
 
     def start(

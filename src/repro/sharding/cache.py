@@ -15,10 +15,8 @@ Two runs over the same lookup stream produce bit-identical
 rows at a time, with the same hits, evictions and final eviction order as
 probing row by row: LRU by stack distance (see :class:`_LruRows`), LFU by
 its frequency classes with a Python loop over misses only (see
-:class:`_LfuRows`).  The ``seed`` argument is part of the cache identity
-(it namespaces nothing today but keeps the constructor stable if a
-randomized policy is ever added) and two caches built with the same
-arguments always agree.
+:class:`_LfuRows`).  Two caches built with the same arguments always
+agree.
 
 Internally a row is keyed by one packed int, ``(table << 40) | row``.  The
 packing is private to this module; :func:`check_key_space` rejects models
@@ -606,13 +604,11 @@ class CacheConfig:
         policy: ``"lru"`` or ``"lfu"``.
         capacity_rows: Capacity in embedding rows.
         capacity_bytes: Capacity in bytes (rows = bytes // row_bytes).
-        seed: Determinism seed carried into every built cache.
     """
 
     policy: str = "lru"
     capacity_rows: Optional[int] = None
     capacity_bytes: Optional[int] = None
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.policy not in ("lru", "lfu"):
@@ -629,8 +625,6 @@ class CacheConfig:
         ):
             if value is not None and value <= 0:
                 raise ConfigurationError(f"{label} must be positive, got {value}")
-        if self.seed < 0:
-            raise ConfigurationError(f"seed must be non-negative, got {self.seed}")
 
     def resolve_rows(self, model: DLRMConfig) -> int:
         """Capacity in rows against a concrete model's row size."""
@@ -653,7 +647,6 @@ class CacheConfig:
         return EmbeddingCache(
             capacity_rows=self.resolve_rows(model),
             policy=self.policy,
-            seed=self.seed,
         )
 
     def describe(self) -> str:
@@ -671,11 +664,9 @@ class EmbeddingCache:
         policy: ``"lru"`` evicts the least-recently-used row; ``"lfu"``
             evicts the least-frequently-used row, oldest access first on
             frequency ties.
-        seed: Determinism seed (recorded; both policies are ordered by
-            access and consume no randomness).
     """
 
-    def __init__(self, capacity_rows: int, policy: str = "lru", seed: int = 0):
+    def __init__(self, capacity_rows: int, policy: str = "lru"):
         if capacity_rows <= 0:
             raise ConfigurationError(
                 f"capacity_rows must be positive, got {capacity_rows}"
@@ -684,11 +675,8 @@ class EmbeddingCache:
             raise ConfigurationError(
                 f"cache policy must be 'lru' or 'lfu', got {policy!r}"
             )
-        if seed < 0:
-            raise ConfigurationError(f"seed must be non-negative, got {seed}")
         self.capacity_rows = capacity_rows
         self.policy = policy
-        self.seed = seed
         self.stats = CacheStats()
         #: Rows evicted to make room (capacity pressure only — update
         #: invalidations are counted separately in ``update_evictions``).

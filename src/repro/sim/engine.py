@@ -209,11 +209,10 @@ class Simulator:
         self.events_fired: int = 0
         #: The arrival stream :meth:`run` merges beside the heap: ``key`` is
         #: the next arrival's ``(time, sequence)`` (``None`` once exhausted),
-        #: and ``admit(until, budget)`` delivers the run of arrivals ahead of
-        #: the heap top, counts them in :attr:`events_fired` and returns how
+        #: and ``admit(budget)`` delivers the run of arrivals ahead of the
+        #: heap top, counts them in :attr:`events_fired` and returns how
         #: many it delivered (at most ``budget``).
         self.source = None
-        self._stop_requested = False
 
     # ------------------------------------------------------------------
     def schedule_at(self, time: float, callback: Callable[[], None], label: str = "") -> Event:
@@ -231,23 +230,17 @@ class Simulator:
         return self.queue.push(self.now + delay, callback, label)
 
     # ------------------------------------------------------------------
-    def stop(self) -> None:
-        """Ask :meth:`run` to return after the current event.
+    def run(self, max_events: int = 10_000_000) -> float:
+        """Run until the heap and the source drain.
 
-        Useful from inside a callback (e.g. when a measurement horizon or an
-        error condition is reached); the remaining events stay queued, so a
-        later :meth:`run` resumes where the simulation stopped.
-        """
-        self._stop_requested = True
-
-    def run(self, until: Optional[float] = None, max_events: int = 10_000_000) -> float:
-        """Run until the heap and the source drain (or ``until`` / ``max_events`` is hit).
+        Raises:
+            SimulationError: When more than ``max_events`` events fire (a
+                livelock guard).
 
         Returns:
             The simulated time at which execution stopped.
         """
         fired = 0
-        self._stop_requested = False
         queue = self.queue
         profile = self.profile
         top = queue.top
@@ -261,13 +254,10 @@ class Simulator:
             admit = source.admit
         else:
             arrival = None
-        while not self._stop_requested:
+        while True:
             entry = top()
             if arrival is not None and (entry is None or arrival < entry):
                 time = arrival[0]
-                if until is not None and time > until:
-                    self.now = until
-                    break
                 if time < self.now:
                     raise SimulationError(
                         f"event 'arrival' scheduled at {time} is in the past "
@@ -275,15 +265,12 @@ class Simulator:
                     )
                 # One call delivers the whole run of arrivals ahead of the
                 # heap top; it counts them in events_fired itself.
-                fired += admit(until, max_events + 1 - fired)
+                fired += admit(max_events + 1 - fired)
                 arrival = source.key
             else:
                 if entry is None:
                     break
                 time = entry[0]
-                if until is not None and time > until:
-                    self.now = until
-                    break
                 event = take()
                 if event.cancelled:
                     # cancel() already dropped the callback reference.

@@ -85,18 +85,6 @@ class SimProfile:
     def total_seconds(self) -> float:
         return sum(stats.seconds for stats in self._stats.values())
 
-    def merge(self, other: "SimProfile") -> "SimProfile":
-        """Pool two profiles (e.g. several streams through one cluster)."""
-        merged = SimProfile()
-        for source in (self, other):
-            for stats in source._stats.values():
-                target = merged._stats.get(stats.label)
-                if target is None:
-                    target = merged._stats[stats.label] = LabelStats(stats.label)
-                target.count += stats.count
-                target.seconds += stats.seconds
-        return merged
-
     def rows(self) -> List[Tuple[str, int, float, float, float]]:
         """Render-ready rows: (label, count, seconds, mean µs, share).
 

@@ -43,12 +43,7 @@ from repro.workloads.updates import (
     EmbeddingUpdate,
     UpdateProcess,
 )
-from repro.workloads.workload import (
-    TAG_MULTI_MODEL,
-    TAG_SKEWED_TRACE,
-    Workload,
-    poisson_workload,
-)
+from repro.workloads.workload import Workload, poisson_workload
 from repro.workloads.catalog import (
     ARRIVAL_CATALOG,
     SCENARIO_CATALOG,
@@ -88,8 +83,6 @@ __all__ = [
     "TrafficMix",
     "Workload",
     "poisson_workload",
-    "TAG_MULTI_MODEL",
-    "TAG_SKEWED_TRACE",
     "EmbeddingUpdate",
     "UpdateProcess",
     "UPDATE_MODES",

@@ -87,7 +87,7 @@ class ArrivalProcess:
     them one column at a time.
     """
 
-    #: Short machine-readable kind, used by capability gating and the CLI.
+    #: Short machine-readable kind, used in derived workload names and the CLI.
     kind: str = "abstract"
 
     @property

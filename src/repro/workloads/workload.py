@@ -13,9 +13,7 @@ how one dimension consumes randomness never perturbs the others.
 
 Workloads are the unit the rest of the system speaks:
 ``Fleet.serve_workload`` and ``Experiment.workloads(...).serve(...)`` both
-take one, and backend
-capability flags (:class:`repro.backends.base.BackendCapabilities`) gate
-which workloads a backend can price.
+take one.
 """
 
 from __future__ import annotations
@@ -30,11 +28,6 @@ from repro.errors import SimulationError
 from repro.workloads.arrivals import ArrivalProcess, InferenceRequest, as_arrival_process
 from repro.workloads.mix import TrafficMix
 from repro.workloads.traces import DLRMBatch, TraceModel, UniformTrace, model_batch
-
-#: Capability tags a workload may require from a backend.
-TAG_MULTI_MODEL = "multi-model"
-TAG_SKEWED_TRACE = "skewed-trace"
-
 
 @dataclass(frozen=True)
 class Workload:
@@ -138,43 +131,6 @@ class Workload:
             return ()
         return self.mix.models
 
-    def required_tags(self) -> Tuple[str, ...]:
-        """Capability tags a backend must support to price this workload."""
-        tags: List[str] = []
-        if self.mix is not None and self.mix.is_multi_model:
-            tags.append(TAG_MULTI_MODEL)
-        if self.trace.kind not in ("uniform", "abstract"):
-            tags.append(TAG_SKEWED_TRACE)
-        return tuple(tags)
-
-    def incompatibility(self, capabilities) -> Optional[str]:
-        """Why a backend with ``capabilities`` cannot serve this workload.
-
-        Returns ``None`` when the backend is compatible.  ``capabilities``
-        is duck-typed (any object with the
-        :class:`~repro.backends.base.BackendCapabilities` gating fields) so
-        this module never imports the backends package.
-        """
-        tags = self.required_tags()
-        if TAG_MULTI_MODEL in tags and not getattr(
-            capabilities, "supports_multi_model", True
-        ):
-            return (
-                f"workload {self.name!r} blends {len(self.mix)} models but the "
-                "backend cannot serve multi-model traffic"
-            )
-        if TAG_SKEWED_TRACE in tags and not getattr(
-            capabilities, "supports_skewed_traces", True
-        ):
-            return (
-                f"workload {self.name!r} uses a {self.trace.kind} trace model but "
-                "the backend only prices uniform-locality traffic"
-            )
-        return None
-
-    def compatible_with(self, capabilities) -> bool:
-        """True when a backend with ``capabilities`` can serve this workload."""
-        return self.incompatibility(capabilities) is None
 
     # ------------------------------------------------------------------
     def describe(self) -> str:

@@ -108,8 +108,6 @@ def fake_report(per_replica, elastic):
             peak_replicas=3,
             scale_up_events=1,
             scale_down_events=0,
-            busy_energy_joules=0.0,
-            idle_energy_joules=0.0,
         )
     return SimpleNamespace(
         per_replica=replicas, num_replicas=len(replicas), autoscale=autoscale

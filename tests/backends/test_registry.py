@@ -55,13 +55,30 @@ class TestBuiltinRegistrations:
             assert isinstance(backend, Backend)
             assert backend.name == name
             assert isinstance(backend.capabilities, BackendCapabilities)
-            assert backend.capabilities.stages
 
-    def test_breakdown_stages_match_declared_capabilities(self):
-        for name in ("cpu", "cpu-gpu", "centaur"):
-            backend = get_backend(name, HARPV2_SYSTEM)
-            result = backend.run(DLRM1, 4)
-            assert tuple(result.breakdown.stages) == backend.capabilities.stages
+    @pytest.mark.parametrize(
+        "name, capabilities",
+        [
+            ("cpu", BackendCapabilities(False, False, 2e-3)),
+            ("cpu-gpu", BackendCapabilities(True, False, 5e-3)),
+            ("centaur", BackendCapabilities(True, True, 10e-3)),
+        ],
+    )
+    def test_capabilities_describe_the_device(self, name, capabilities):
+        assert get_backend(name, HARPV2_SYSTEM).capabilities == capabilities
+        assert backend_registration(name).capabilities == capabilities
+
+    @pytest.mark.parametrize(
+        "name, stages",
+        [
+            ("cpu", ("EMB", "MLP", "Other")),
+            ("cpu-gpu", ("EMB", "PCIe", "MLP", "Other")),
+            ("centaur", ("IDX", "EMB", "DNF", "MLP", "Other")),
+        ],
+    )
+    def test_breakdown_stages_in_render_order(self, name, stages):
+        result = get_backend(name, HARPV2_SYSTEM).run(DLRM1, 4)
+        assert tuple(result.breakdown.stages) == stages
 
 
 class FakeBackend:
@@ -80,7 +97,7 @@ class FakeBackend:
 
     @property
     def capabilities(self):
-        return BackendCapabilities(stages=("ALL",))
+        return BackendCapabilities()
 
     def run(self, model, batch_size):
         return InferenceResult(

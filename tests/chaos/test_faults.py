@@ -210,11 +210,31 @@ class TestSpecParsing:
             "poisson:kind=crash,rate=10,until=0.5,seed=2.5",  # non-whole seed
             "brownout:at=0.1,for=0.1,lat=3",  # a brownout's factor is slow=
             "poisson:kind=report,rate=10,until=0.5",  # not a timed fault kind
+            "poisson:kind=crash,rate=1,until=1,at=5",  # events are stamped, not at=
         ],
     )
     def test_malformed_specs_raise(self, bad):
         with pytest.raises(ConfigurationError):
             parse_fault_schedule(bad)
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("poisson:kind=crash,rate=1,until=1,at=5", "unknown crash parameter 'at'"),
+            ("link:at=0.1,bw=0.5", "link spec needs for=<value>"),
+            ("brownout:at=0.1,slow=3", "brownout spec needs for=<value>"),
+            ("poisson:kind=link,rate=10,until=0.5,bw=0.5", "link spec needs for=<value>"),
+            ("poisson:kind=brownout,rate=10,until=0.5", "brownout spec needs for=<value>"),
+        ],
+    )
+    def test_errors_name_the_key(self, spec, message):
+        with pytest.raises(ConfigurationError, match=f"^{message}"):
+            parse_fault_schedule(spec)
+
+    @pytest.mark.parametrize("fault", [LinkDegradation, Brownout])
+    def test_a_window_fault_has_no_default_duration(self, fault):
+        with pytest.raises(TypeError, match="duration_s"):
+            fault(at_s=0.1)
 
     def test_whole_valued_indices_are_accepted(self):
         schedule = parse_fault_schedule(

@@ -205,6 +205,34 @@ class TestExperimentAutoscale:
         expected = backend_registration("centaur").capabilities.provision_warmup_s
         assert report.autoscale.warmup_s == expected
 
+    def test_any_registered_backend_autoscales(self):
+        # Capability flags describe a device; they do not gate the grid.
+        from repro.backends import BackendCapabilities, register_backend
+        from repro.backends.registry import unregister_backend
+        from repro.cpu.cpu_runner import CPUOnlyRunner
+        from repro.serving import QueueDepthPolicy
+
+        register_backend(
+            "plain-cpu-test",
+            CPUOnlyRunner,
+            design_point="PlainCPU",
+            capabilities=BackendCapabilities(),
+        )
+        try:
+            grid = (
+                Experiment(HARPV2_SYSTEM)
+                .backends("plain-cpu-test")
+                .models(DLRM2)
+                .workloads(FAST)
+                .serve(FleetSpec(policy=QueueDepthPolicy()), num_requests=10)
+            )
+        finally:
+            unregister_backend("plain-cpu-test")
+        report = grid.get("plain-cpu-test", "steady")
+        assert report.completed_requests == 10
+        # The registration's zero warm-up hint reaches the fleet.
+        assert report.autoscale.warmup_s == 0.0
+
     def test_autoscale_requires_workloads(self):
         from repro.serving import QueueDepthPolicy
 
@@ -212,31 +240,6 @@ class TestExperimentAutoscale:
             Experiment(HARPV2_SYSTEM).backends("cpu").serve(
                 FleetSpec(policy=QueueDepthPolicy()), num_requests=10
             )
-
-    def test_inelastic_backend_is_rejected_loudly(self):
-        from repro.backends import BackendCapabilities, register_backend
-        from repro.backends.registry import unregister_backend
-        from repro.cpu.cpu_runner import CPUOnlyRunner
-        from repro.errors import ConfigurationError
-        from repro.serving import QueueDepthPolicy
-
-        register_backend(
-            "fixed-appliance-test",
-            CPUOnlyRunner,
-            design_point="FixedAppliance",
-            capabilities=BackendCapabilities(supports_elastic_scaling=False),
-        )
-        try:
-            with pytest.raises(ConfigurationError, match="elastic"):
-                (
-                    Experiment(HARPV2_SYSTEM)
-                    .backends("fixed-appliance-test")
-                    .models(DLRM2)
-                    .workloads(FAST)
-                    .serve(FleetSpec(policy=QueueDepthPolicy()), num_requests=10)
-                )
-        finally:
-            unregister_backend("fixed-appliance-test")
 
 
 class TestExperimentPlanCapacity:

@@ -104,7 +104,11 @@ class TestExperimentShard:
             )
 
     def test_unknown_strategy_rejected(self):
-        with pytest.raises(SimulationError, match="strategy"):
+        # The grid raises what --shards and make_plan raise.
+        with pytest.raises(
+            ConfigurationError,
+            match="unknown sharding strategy 'mystery'; known: table, row, greedy",
+        ):
             small_grid(strategies=("mystery",))
 
     def test_duplicate_strategy_names_rejected(self):
@@ -128,29 +132,31 @@ class TestExperimentShard:
         with pytest.raises(SimulationError, match="caches must be distinct"):
             small_grid(shard_counts=(2,), strategies=("table",), caches=twins)
 
-    def test_unshardable_backend_is_rejected_loudly(self):
+    def test_any_registered_backend_shards(self):
+        # Capability flags describe a device; they do not gate the grid.
         from repro.backends import BackendCapabilities, register_backend
         from repro.backends.registry import unregister_backend
         from repro.cpu.cpu_runner import CPUOnlyRunner
-        from repro.errors import ConfigurationError
 
         register_backend(
-            "fused-tables-test",
+            "plain-cpu-test",
             CPUOnlyRunner,
-            design_point="FusedTables",
-            capabilities=BackendCapabilities(supports_sharding=False),
+            design_point="PlainCPU",
+            capabilities=BackendCapabilities(),
         )
         try:
-            with pytest.raises(ConfigurationError, match="partition"):
-                (
-                    Experiment(HARPV2_SYSTEM)
-                    .backends("fused-tables-test")
-                    .models(DLRM2)
-                    .workloads(STEADY)
-                    .shard(num_requests=10)
-                )
+            grid = (
+                Experiment(HARPV2_SYSTEM)
+                .backends("plain-cpu-test")
+                .models(DLRM2)
+                .workloads(STEADY)
+                .shard(shard_counts=(2,), strategies=("table",), num_requests=10)
+            )
         finally:
-            unregister_backend("fused-tables-test")
+            unregister_backend("plain-cpu-test")
+        report = grid.get("plain-cpu-test", "steady", 2, "table")
+        assert report.completed_requests == 10
+        assert report.sharding.num_shards == 2
 
     def test_updates_axis_spans_the_grid(self):
         from repro.workloads import UpdateProcess

@@ -1,5 +1,6 @@
 """Tests for sharded fleets: fan-out pricing, caching, equivalence."""
 
+import numpy as np
 import pytest
 
 from repro.config import HARPV2_SYSTEM
@@ -11,7 +12,7 @@ from repro.serving import Fleet, FleetSpec, RoundRobinDispatcher, TimeoutBatchin
 from repro.sharding import CacheConfig
 from repro.workloads import PoissonArrivals, Workload
 from repro.workloads.mix import TrafficMix
-from repro.workloads.traces import UniformTrace, WorkingSetTrace, ZipfianTrace
+from repro.workloads.traces import UniformTrace, WorkingSetTrace, ZipfianTrace, model_batch
 
 BATCHING = TimeoutBatching(window_s=1e-3, max_batch_size=32)
 
@@ -277,6 +278,24 @@ class TestValidation:
         )
         with pytest.raises(SimulationError, match="mix targets model"):
             group.serve_workload(workload, num_requests=10)
+
+    def test_trace_seed_matches_the_unsharded_split(self, model):
+        # A sharded fleet draws the same batches as Workload.batch for one
+        # seed; the update stream takes a fourth child of the same split.
+        workload = Workload(arrivals=PoissonArrivals(rate_qps=10_000), trace=ZipfianTrace())
+        group = Fleet(
+            CentaurRunner(HARPV2_SYSTEM),
+            model,
+            FleetSpec(shards=2, batching=BATCHING),
+            HARPV2_SYSTEM,
+        )
+        options = group.part.workload_options(workload, seed=11)
+        rng = np.random.default_rng(options["trace_seed"])
+        sharded = model_batch(options["trace"], rng, model, 4)
+        unsharded = workload.batch(model, 4, seed=11)
+        for left, right in zip(sharded.sparse_traces, unsharded.sparse_traces):
+            np.testing.assert_array_equal(left.indices, right.indices)
+        np.testing.assert_array_equal(sharded.dense_features, unsharded.dense_features)
 
     def test_empty_stream_rejected(self, model):
         group = Fleet(

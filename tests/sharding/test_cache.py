@@ -200,8 +200,8 @@ class TestDeterminism:
     @pytest.mark.parametrize("policy", ["lru", "lfu"])
     def test_same_stream_produces_identical_stats(self, policy):
         stream = np.random.default_rng(3).integers(0, 50, size=400)
-        a = EmbeddingCache(capacity_rows=16, policy=policy, seed=1)
-        b = EmbeddingCache(capacity_rows=16, policy=policy, seed=1)
+        a = EmbeddingCache(capacity_rows=16, policy=policy)
+        b = EmbeddingCache(capacity_rows=16, policy=policy)
         hits_a = [a.lookup(0, chunk) for chunk in np.split(stream, 8)]
         hits_b = [b.lookup(0, chunk) for chunk in np.split(stream, 8)]
         for left, right in zip(hits_a, hits_b):
@@ -225,10 +225,6 @@ class TestValidation:
     def test_bad_policy_rejected(self):
         with pytest.raises(ConfigurationError):
             EmbeddingCache(capacity_rows=4, policy="mru")
-
-    def test_negative_seed_rejected(self):
-        with pytest.raises(ConfigurationError):
-            EmbeddingCache(capacity_rows=4, seed=-1)
 
 
 class TestCacheConfig:
@@ -280,10 +276,10 @@ class TestCacheConfig:
         with pytest.raises(ConfigurationError):
             CacheConfig(capacity_rows=4, capacity_bytes=4096)
 
-    def test_negative_seed_rejected_at_construction(self):
-        """Regression: the seed was checked only when the cache was built."""
-        with pytest.raises(ConfigurationError, match="seed"):
-            CacheConfig(capacity_rows=8, seed=-1)
+    def test_seed_is_not_a_cache_parameter(self):
+        # No replacement policy draws random numbers, so a cache has no seed.
+        with pytest.raises(ConfigurationError, match="unknown cache parameter 'seed'"):
+            parse_cache_spec("lru:rows=8,seed=1")
 
     def test_describe_round_trips_through_the_spec_parser(self):
         config = CacheConfig(policy="lfu", capacity_rows=128)

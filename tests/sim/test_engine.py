@@ -69,18 +69,6 @@ class TestSimulator:
         assert fired == []
         assert sim.events_fired == 0
 
-    def test_run_until_stops_before_future_events(self):
-        sim = Simulator()
-        fired = []
-        sim.schedule(1e-6, lambda: fired.append("early"))
-        sim.schedule(10e-6, lambda: fired.append("late"))
-        sim.run(until=5e-6)
-        assert fired == ["early"]
-        assert sim.now == pytest.approx(5e-6)
-        # The remaining event still fires if we keep running.
-        sim.run()
-        assert fired == ["early", "late"]
-
     def test_cannot_schedule_in_the_past(self):
         sim = Simulator()
         sim.schedule(1e-6, lambda: None)
@@ -92,6 +80,29 @@ class TestSimulator:
         with pytest.raises(SimulationError):
             Simulator().schedule(-1.0, lambda: None)
 
+    def test_run_on_an_empty_simulator_fires_nothing(self):
+        sim = Simulator()
+        assert sim.run() == 0.0
+        assert sim.events_fired == 0
+
+    def test_a_second_run_resumes_from_the_clock(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(1e-6, lambda: fired.append(sim.now))
+        assert sim.run() == pytest.approx(1e-6)
+        # The delay counts from where the first run left the clock.
+        sim.schedule(2e-6, lambda: fired.append(sim.now))
+        assert sim.run() == pytest.approx(3e-6)
+        assert fired == pytest.approx([1e-6, 3e-6])
+        assert sim.events_fired == 2
+
+    def test_max_events_is_inclusive(self):
+        sim = Simulator()
+        for index in range(3):
+            sim.schedule(index * 1e-6, lambda: None)
+        sim.run(max_events=3)
+        assert sim.events_fired == 3
+
     def test_livelock_guard(self):
         sim = Simulator()
 
@@ -101,48 +112,3 @@ class TestSimulator:
         sim.schedule(0.0, reschedule)
         with pytest.raises(SimulationError):
             sim.run(max_events=1000)
-
-
-class TestStop:
-    def test_stop_returns_after_current_event_and_resumes(self):
-        sim = Simulator()
-        fired = []
-
-        def second():
-            fired.append("second")
-            sim.stop()
-
-        sim.schedule(1e-6, lambda: fired.append("first"))
-        sim.schedule(2e-6, second)
-        sim.schedule(3e-6, lambda: fired.append("third"))
-        sim.run()
-        assert fired == ["first", "second"]
-        # The stop request does not leak into the next run.
-        sim.run()
-        assert fired == ["first", "second", "third"]
-
-    def test_run_on_an_empty_simulator_fires_nothing(self):
-        sim = Simulator()
-        assert sim.run() == 0.0
-        assert sim.events_fired == 0
-
-    def test_stop_in_the_first_callback_fires_one_event(self):
-        sim = Simulator()
-        fired = []
-
-        def first():
-            fired.append(1)
-            sim.stop()
-
-        sim.schedule(1e-6, first)
-        sim.schedule(2e-6, lambda: fired.append(2))
-        assert sim.run() == 1e-6
-        assert fired == [1]
-        assert sim.events_fired == 1
-
-    def test_stop_without_run_is_harmless(self):
-        sim = Simulator()
-        sim.stop()
-        sim.schedule(1e-6, lambda: None)
-        assert sim.run() == pytest.approx(1e-6)
-        assert sim.events_fired == 1

@@ -3,12 +3,12 @@
 :meth:`~repro.sim.engine.Simulator.run` fires the arrival stream from
 beside the event heap: the stream driver ranks each arrival with a
 sequence number drawn where the pre-merge driver pushed its arrival event.
-Here random callbacks push and cancel heap events, stop the run, and the
-arrival column is built on a coarse time grid so arrivals tie with each
-other and with heap events exactly.  The fired order, the clock after each
-firing, the stream's live ``count`` and ``exhausted`` at each firing, the
-clock after each ``run`` and ``events_fired`` must equal a run in which
-every arrival is a heap event pushed by the pre-merge driver.
+Here random callbacks push and cancel heap events, and the arrival column
+is built on a coarse time grid so arrivals tie with each other and with
+heap events exactly.  The fired order, the clock after each firing, the
+stream's live ``count`` and ``exhausted`` at each firing, the clock after
+the run and ``events_fired`` must equal a run in which every arrival is a
+heap event pushed by the pre-merge driver.
 """
 
 import pytest
@@ -39,12 +39,11 @@ MAX_PUSHES = 60
 _ACTION = st.tuples(
     st.lists(st.integers(0, 4), max_size=3),  # delays of new heap events, in ticks
     st.lists(st.integers(0, 7), max_size=2),  # which pending heap events to cancel
-    st.booleans(),  # stop the run after this firing
 )
 
 
-def _simulate(arrival_ticks, actions, until_ticks, merged):
-    """Run one script; return the trace, the clocks after each run and
+def _simulate(arrival_ticks, actions, merged):
+    """Run one script; return the trace, the clock after the run and
     ``events_fired``."""
     sim = Simulator()
     trace = []
@@ -53,7 +52,7 @@ def _simulate(arrival_ticks, actions, until_ticks, merged):
 
     def on_fire(tag):
         trace.append((tag, sim.now, stream.count, stream.exhausted))
-        delays, cancels, stop = actions[(len(trace) - 1) % len(actions)]
+        delays, cancels = actions[(len(trace) - 1) % len(actions)]
         for delay in delays:
             if pushes[0] >= MAX_PUSHES:
                 break
@@ -66,8 +65,6 @@ def _simulate(arrival_ticks, actions, until_ticks, merged):
             if pending:
                 victim = sorted(pending)[index % len(pending)]
                 pending.pop(victim).cancel()
-        if stop:
-            sim.stop()
 
     def fire_event(event_id):
         del pending[event_id]
@@ -90,25 +87,17 @@ def _simulate(arrival_ticks, actions, until_ticks, merged):
         stream = _CountingStream(iter(requests))
         _HeapStreamDriver(sim, stream, route).pump()
 
-    clocks = []
-    if until_ticks is not None:
-        clocks.append(sim.run(until=until_ticks * TICK))
-    while True:
-        fired = sim.events_fired
-        clocks.append(sim.run())
-        if sim.events_fired == fired:
-            break
-    return trace, clocks, sim.events_fired
+    clock = sim.run()
+    return trace, clock, sim.events_fired
 
 
 @given(
     arrival_ticks=st.lists(st.integers(0, 12), min_size=1, max_size=30),
     actions=st.lists(_ACTION, min_size=1, max_size=12),
-    until_ticks=st.none() | st.integers(0, 14),
 )
-def test_merged_source_matches_all_on_heap_reference(arrival_ticks, actions, until_ticks):
-    merged = _simulate(arrival_ticks, actions, until_ticks, merged=True)
-    reference = _simulate(arrival_ticks, actions, until_ticks, merged=False)
+def test_merged_source_matches_all_on_heap_reference(arrival_ticks, actions):
+    merged = _simulate(arrival_ticks, actions, merged=True)
+    reference = _simulate(arrival_ticks, actions, merged=False)
     assert merged == reference
     trace, _, fired = merged
     assert fired == len(trace)
@@ -182,8 +171,8 @@ def _count_runs(driver):
     runs = []
     admit = driver.admit
 
-    def counted(until, budget):
-        delivered = admit(until, budget)
+    def counted(budget):
+        delivered = admit(budget)
         runs.append(delivered)
         return delivered
 
@@ -202,35 +191,6 @@ class TestArrivalRuns:
         sim.run()
         assert runs == [6]
         assert sim.events_fired == 7 and sim.now == 10 * TICK
-
-    def test_stop_inside_a_submit_ends_the_run(self):
-        sim = Simulator()
-        delivered = []
-
-        def submit(request):
-            delivered.append(request.request_id)
-            if request.request_id == 1:
-                sim.stop()
-
-        driver = _attach(sim, [0.0, TICK, 2 * TICK, 3 * TICK], submit)
-        runs = _count_runs(driver)
-        assert sim.run() == TICK
-        assert delivered == [0, 1] and sim.events_fired == 2
-        assert driver.key[0] == 2 * TICK and not driver.exhausted
-        assert sim.run() == 3 * TICK
-        assert delivered == [0, 1, 2, 3] and runs == [2, 2]
-
-    def test_until_between_two_arrivals_of_a_run(self):
-        sim = Simulator()
-        delivered = []
-        driver = _attach(
-            sim, [0.0, TICK, 3 * TICK], lambda request: delivered.append(request.request_id)
-        )
-        runs = _count_runs(driver)
-        assert sim.run(until=2 * TICK) == 2 * TICK
-        assert delivered == [0, 1] and sim.events_fired == 2
-        assert sim.run() == 3 * TICK
-        assert delivered == [0, 1, 2] and runs == [2, 1]
 
     def test_the_budget_binds_inside_a_run(self):
         sim = Simulator()

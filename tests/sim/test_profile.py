@@ -38,18 +38,6 @@ class TestSimProfile:
         profile.record("medium", 1e-3)
         assert [stats.label for stats in profile] == ["heavy", "medium", "light"]
 
-    def test_merge_pools_counts_and_seconds(self):
-        first, second = SimProfile(), SimProfile()
-        first.record("arrival", 1e-3)
-        second.record("arrival", 2e-3)
-        second.record("tick", 5e-4)
-        merged = first.merge(second)
-        assert merged.get("arrival").count == 2
-        assert merged.get("arrival").seconds == pytest.approx(3e-3)
-        assert merged.get("tick").count == 1
-        # Sources are untouched.
-        assert first.get("arrival").count == 1
-
     def test_rows_carry_shares_that_sum_to_one(self):
         profile = SimProfile()
         profile.record("a", 3e-3)
@@ -80,13 +68,17 @@ class TestSimulatorProfiling:
         assert sim.profile.total_events == sim.events_fired == 3
         assert sim.profile.get("arrival").seconds >= 0.0
 
-    def test_stopped_run_records_too(self):
+
+    def test_successive_runs_pool_into_one_profile(self):
         sim = Simulator(profile=True)
-        sim.schedule(1e-6, sim.stop, label="stopping")
-        sim.schedule(2e-6, lambda: None, label="later")
+        sim.schedule(1e-6, lambda: None, label="arrival")
         sim.run()
-        assert sim.profile.get("stopping").count == 1
-        assert sim.profile.get("later").count == 0
+        sim.schedule(1e-6, lambda: None, label="arrival")
+        sim.schedule(2e-6, lambda: None, label="tick")
+        sim.run()
+        assert sim.profile.get("arrival").count == 2
+        assert sim.profile.get("tick").count == 1
+        assert sim.profile.total_events == sim.events_fired == 3
 
 
 class TestRenderProfile:

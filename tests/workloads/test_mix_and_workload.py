@@ -1,15 +1,13 @@
-"""Tests for TrafficMix, Workload composition, seed-splitting and gating."""
+"""Tests for TrafficMix, Workload composition and seed-splitting."""
 
 import itertools
 
 import numpy as np
 import pytest
 
-from repro.backends import BackendCapabilities
 from repro.config import DLRM2, DLRM4
 from repro.errors import SimulationError
 from repro.workloads import (
-    OnOffArrivals,
     PoissonArrivals,
     TrafficMix,
     UniformTrace,
@@ -108,58 +106,3 @@ class TestWorkload:
         workload = poisson_workload(1_000.0, name="shorthand")
         assert workload.name == "shorthand"
         assert workload.arrivals.mean_rate_qps == 1_000.0
-
-
-class TestCapabilityGating:
-    def test_multi_model_gate(self):
-        mixed = Workload(
-            arrivals=PoissonArrivals(1_000.0),
-            mix=TrafficMix.of((DLRM2, 0.5), (DLRM4, 0.5)),
-        )
-        open_backend = BackendCapabilities()
-        closed_backend = BackendCapabilities(supports_multi_model=False)
-        assert mixed.compatible_with(open_backend)
-        assert not mixed.compatible_with(closed_backend)
-        assert "multi-model" in mixed.incompatibility(closed_backend)
-
-    def test_skewed_trace_gate(self):
-        skewed = Workload(arrivals=PoissonArrivals(1_000.0), trace=ZipfianTrace())
-        uniform_only = BackendCapabilities(supports_skewed_traces=False)
-        assert not skewed.compatible_with(uniform_only)
-        assert skewed.compatible_with(BackendCapabilities())
-        plain = Workload(arrivals=PoissonArrivals(1_000.0))
-        assert plain.compatible_with(uniform_only)
-
-    def test_capabilities_helpers(self):
-        mixed = Workload(
-            arrivals=OnOffArrivals(on_rate_qps=1_000.0),
-            mix=TrafficMix.of((DLRM2, 0.5), (DLRM4, 0.5)),
-        )
-        capabilities = BackendCapabilities(supports_multi_model=False)
-        assert capabilities.supports_workload(mixed) is False
-        assert capabilities.rejection_reason(mixed) is not None
-
-    def test_registry_level_gate(self):
-        from repro.backends import register_backend
-        from repro.backends.registry import unregister_backend
-        from repro.errors import ConfigurationError
-        from repro.serving.fleet import check_workload_support
-        from repro.cpu.cpu_runner import CPUOnlyRunner
-
-        register_backend(
-            "uniform-only-test",
-            CPUOnlyRunner,
-            design_point="UniformOnly",
-            capabilities=BackendCapabilities(supports_multi_model=False),
-        )
-        try:
-            mixed = Workload(
-                arrivals=PoissonArrivals(1_000.0),
-                mix=TrafficMix.of((DLRM2, 0.5), (DLRM4, 0.5)),
-            )
-            with pytest.raises(ConfigurationError, match="multi-model"):
-                check_workload_support("uniform-only-test", mixed)
-            plain = Workload(arrivals=PoissonArrivals(1_000.0))
-            check_workload_support("uniform-only-test", plain)  # no raise
-        finally:
-            unregister_backend("uniform-only-test")
