@@ -1,9 +1,10 @@
 """Shared helpers for the benchmark harness.
 
-Every benchmark regenerates one table or figure of the paper, times the
-computation through ``pytest-benchmark``, prints the same rows/series the
-paper reports, and additionally writes the rendered text to
-``benchmarks/output/`` so the artifacts survive output capturing.
+Every artifact test regenerates one table or figure of the paper with a
+single direct call, prints the same rows/series the paper reports, and
+additionally writes the rendered text to ``benchmarks/output/`` so the
+artifacts survive output capturing.  Wall-clock is measured by
+``bench/run.py``, not here.
 """
 
 from __future__ import annotations

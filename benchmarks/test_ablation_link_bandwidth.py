@@ -13,9 +13,8 @@ from repro.analysis.report import render_ablation
 from repro.config import DLRM4
 
 
-def test_ablation_link_bandwidth_and_bypass(benchmark, report_sink, system):
-    points = benchmark(
-        ablation_link_bandwidth,
+def test_ablation_link_bandwidth_and_bypass(report_sink, system):
+    points = ablation_link_bandwidth(
         system,
         DLRM4,
         64,

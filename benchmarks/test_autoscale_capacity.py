@@ -64,8 +64,8 @@ def _plan_and_autoscale(system):
     return plan, static, elastic
 
 
-def test_autoscale_capacity(benchmark, report_sink, system):
-    plan, static, elastic = benchmark(_plan_and_autoscale, system)
+def test_autoscale_capacity(report_sink, system):
+    plan, static, elastic = _plan_and_autoscale(system)
 
     table = TextTable(
         ["fleet", "SLA attainment %", "p99 (ms)", "replica-seconds", "vs static %"],

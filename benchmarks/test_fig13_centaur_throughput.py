@@ -4,18 +4,15 @@ from repro.analysis import figure13_centaur_throughput, figure13_lookup_sweep, r
 from repro.config import PAPER_BATCH_SIZES, PAPER_MODELS
 
 
-def test_figure13a_centaur_gather_throughput(benchmark, report_sink, system):
-    rows = benchmark(
-        figure13_centaur_throughput, system, PAPER_MODELS, PAPER_BATCH_SIZES
-    )
+def test_figure13a_centaur_gather_throughput(report_sink, system):
+    rows = figure13_centaur_throughput(system, PAPER_MODELS, PAPER_BATCH_SIZES)
     report_sink("figure13a_centaur_gather_throughput", render_figure13(rows, "(a)"))
 
     assert len(rows) == 36
 
 
-def test_figure13b_throughput_vs_lookups(benchmark, report_sink, system):
-    rows = benchmark(
-        figure13_lookup_sweep,
+def test_figure13b_throughput_vs_lookups(report_sink, system):
+    rows = figure13_lookup_sweep(
         system,
         None,
         (1, 16, 128),

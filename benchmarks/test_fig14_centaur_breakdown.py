@@ -4,10 +4,8 @@ from repro.analysis import figure14_centaur_breakdown, render_figure14
 from repro.config import PAPER_BATCH_SIZES, PAPER_MODELS
 
 
-def test_figure14_centaur_breakdown_and_speedup(benchmark, report_sink, system):
-    rows = benchmark(
-        figure14_centaur_breakdown, system, PAPER_MODELS, PAPER_BATCH_SIZES
-    )
+def test_figure14_centaur_breakdown_and_speedup(report_sink, system):
+    rows = figure14_centaur_breakdown(system, PAPER_MODELS, PAPER_BATCH_SIZES)
     report_sink("figure14_centaur_breakdown", render_figure14(rows))
 
     assert len(rows) == 36

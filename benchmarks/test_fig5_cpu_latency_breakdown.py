@@ -6,10 +6,8 @@ from repro.analysis import figure5_latency_breakdown, render_figure5
 from repro.config import PAPER_BATCH_SIZES, PAPER_MODELS
 
 
-def test_figure5_cpu_latency_breakdown(benchmark, report_sink, system):
-    rows = benchmark(
-        figure5_latency_breakdown, system, PAPER_MODELS, PAPER_BATCH_SIZES
-    )
+def test_figure5_cpu_latency_breakdown(report_sink, system):
+    rows = figure5_latency_breakdown(system, PAPER_MODELS, PAPER_BATCH_SIZES)
     report_sink("figure5_cpu_latency_breakdown", render_figure5(rows))
 
     assert len(rows) == 36

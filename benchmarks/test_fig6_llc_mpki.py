@@ -4,8 +4,8 @@ from repro.analysis import figure6_cache_behaviour, render_figure6
 from repro.config import PAPER_BATCH_SIZES, PAPER_MODELS
 
 
-def test_figure6_llc_miss_rate_and_mpki(benchmark, report_sink, system):
-    rows = benchmark(figure6_cache_behaviour, system, PAPER_MODELS, PAPER_BATCH_SIZES)
+def test_figure6_llc_miss_rate_and_mpki(report_sink, system):
+    rows = figure6_cache_behaviour(system, PAPER_MODELS, PAPER_BATCH_SIZES)
     report_sink("figure6_llc_mpki", render_figure6(rows))
 
     assert len(rows) == 36

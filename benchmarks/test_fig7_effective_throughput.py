@@ -5,10 +5,8 @@ from repro.analysis.characterization import figure7_lookup_sweep
 from repro.config import PAPER_BATCH_SIZES, PAPER_MODELS
 
 
-def test_figure7a_throughput_vs_batch(benchmark, report_sink, system):
-    points = benchmark(
-        figure7_effective_throughput, system, PAPER_MODELS, PAPER_BATCH_SIZES
-    )
+def test_figure7a_throughput_vs_batch(report_sink, system):
+    points = figure7_effective_throughput(system, PAPER_MODELS, PAPER_BATCH_SIZES)
     report_sink("figure7a_cpu_effective_throughput", render_figure7(points, "(a)"))
 
     assert len(points) == 36
@@ -33,9 +31,8 @@ def test_figure7a_throughput_vs_batch(benchmark, report_sink, system):
     assert 1.3e10 < max(batch128) < 2.2e10
 
 
-def test_figure7b_throughput_vs_lookups(benchmark, report_sink, system):
-    points = benchmark(
-        figure7_lookup_sweep,
+def test_figure7b_throughput_vs_lookups(report_sink, system):
+    points = figure7_lookup_sweep(
         system,
         None,
         (1, 16, 128),

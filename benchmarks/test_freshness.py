@@ -88,11 +88,9 @@ def _freshness_grid(system):
     return reports, identity
 
 
-def test_cache_freshness_under_update_streams(benchmark, report_sink, system):
-    # 14 full serving runs: one timed round keeps the smoke within budget.
-    reports, identity = benchmark.pedantic(
-        _freshness_grid, args=(system,), rounds=1, iterations=1
-    )
+def test_cache_freshness_under_update_streams(report_sink, system):
+    # 12 full serving runs, the costliest artifact of the smoke.
+    reports, identity = _freshness_grid(system)
 
     # Acceptance gate first, before any rendering can touch the reports:
     # updates=None must be byte-identical to the read-only sharded path.

@@ -8,6 +8,6 @@ ledger in :mod:`repro.analysis.paper`, checked by
 from repro.analysis import headline_summary, render_headline
 
 
-def test_headline_summary(benchmark, report_sink, system):
-    summary = benchmark(headline_summary, system)
+def test_headline_summary(report_sink, system):
+    summary = headline_summary(system)
     report_sink("headline_summary", "\n".join(render_headline(summary)))

@@ -9,10 +9,8 @@ argument that Centaur (unlike TensorDIMM) does not depend on wide vectors.
 from repro.analysis import batch_size_sweep, embedding_dim_sweep, render_sensitivity
 
 
-def test_embedding_dim_sensitivity(benchmark, report_sink, system):
-    points = benchmark(
-        embedding_dim_sweep, system, None, (32, 64, 128, 256, 512, 1024), 32
-    )
+def test_embedding_dim_sensitivity(report_sink, system):
+    points = embedding_dim_sweep(system, None, (32, 64, 128, 256, 512, 1024), 32)
     report_sink(
         "sensitivity_embedding_dim",
         render_sensitivity(points, "Embedding-vector width sensitivity (batch 32)"),
@@ -30,10 +28,8 @@ def test_embedding_dim_sensitivity(benchmark, report_sink, system):
     assert narrow.centaur_improvement > widest.centaur_improvement
 
 
-def test_batch_size_sensitivity(benchmark, report_sink, system):
-    points = benchmark(
-        batch_size_sweep, system, None, (128, 256, 512, 1024, 2048, 4096)
-    )
+def test_batch_size_sensitivity(report_sink, system):
+    points = batch_size_sweep(system, None, (128, 256, 512, 1024, 2048, 4096))
     report_sink(
         "sensitivity_batch_size",
         render_sensitivity(points, "Batch-size sensitivity (DLRM(4), dim 32)"),

@@ -41,8 +41,8 @@ def _serve_all(system):
     return reports
 
 
-def test_serving_tail_latency(benchmark, report_sink, system):
-    reports = benchmark(_serve_all, system)
+def test_serving_tail_latency(report_sink, system):
+    reports = _serve_all(system)
 
     table = TextTable(
         ["design point", "p50 (ms)", "p99 (ms)", "SLA attainment %", "energy/req (mJ)"],
@@ -94,13 +94,13 @@ def _serve_fleet(system):
     return reports
 
 
-def test_serving_dispatch_policies(benchmark, report_sink, system):
+def test_serving_dispatch_policies(report_sink, system):
     """Extension benchmark: dispatch policy effects on a heterogeneous fleet.
 
     The fleet's CPU sockets saturate if they receive an equal share of the
     load; queue-aware dispatch must route around them.
     """
-    reports = benchmark(_serve_fleet, system)
+    reports = _serve_fleet(system)
     report_sink(
         "serving_dispatch_policies",
         render_serving_comparison(

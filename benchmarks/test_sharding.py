@@ -62,8 +62,8 @@ def _serve_grid(system):
     return reports
 
 
-def test_sharded_embedding_serving(benchmark, report_sink, system):
-    reports = benchmark(_serve_grid, system)
+def test_sharded_embedding_serving(report_sink, system):
+    reports = _serve_grid(system)
 
     report_sink(
         "sharding_scaling",

@@ -3,8 +3,8 @@
 from repro.analysis import render_table1, table1_model_configurations
 
 
-def test_table1_model_configurations(benchmark, report_sink):
-    rows = benchmark(table1_model_configurations)
+def test_table1_model_configurations(report_sink):
+    rows = table1_model_configurations()
     report_sink("table1_model_configurations", render_table1(rows))
 
     # Embedding footprints reproduce the paper exactly; MLP layer shapes are

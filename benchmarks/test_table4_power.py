@@ -3,6 +3,6 @@
 from repro.analysis import render_table4, table4_power
 
 
-def test_table4_power(benchmark, report_sink):
-    rows = benchmark(table4_power)
+def test_table4_power(report_sink):
+    rows = table4_power()
     report_sink("table4_power", render_table4(rows))

@@ -3,8 +3,8 @@
 from repro.analysis import render_table5, table5_related_work
 
 
-def test_table5_related_work(benchmark, report_sink):
-    rows = benchmark(table5_related_work)
+def test_table5_related_work(report_sink):
+    rows = table5_related_work()
     report_sink("table5_related_work", render_table5(rows))
 
     assert len(rows) == 7

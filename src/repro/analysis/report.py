@@ -1,8 +1,8 @@
 """Text rendering of the reproduced figures and tables.
 
 The benchmark harness prints these renderings so that the console output of
-``pytest benchmarks/ --benchmark-only`` contains the same rows and series
-the paper reports.
+``pytest benchmarks/ -s`` contains the same rows and series the paper
+reports.
 """
 
 from __future__ import annotations

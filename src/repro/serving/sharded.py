@@ -700,11 +700,8 @@ class ShardGroup:
                 f"sharded groups serve a single model: the workload mix targets "
                 f"model(s) {names} but the group shards {self.model.name!r}"
             )
-        # SeedSequence children are keyed by spawn index, so the first three
-        # of spawn(4) equal the workload's spawn(3) — the trace stream is
-        # untouched and the update stream gets its own child.
-        _, _, trace_seed, update_seed = np.random.SeedSequence(seed).spawn(4)
-        return {"trace": workload.trace, "trace_seed": trace_seed, "update_seed": update_seed}
+        seeds = workload.seeds(seed)
+        return {"trace": workload.trace, "trace_seed": seeds.trace, "update_seed": seeds.updates}
 
     def start(
         self,

@@ -8,8 +8,9 @@ A workload answers three questions about the traffic a serving system sees:
 
 All three are stateless descriptions; randomness enters through one seed at
 generation time, split explicitly (via :class:`numpy.random.SeedSequence`)
-between the arrival stream, the mix tagging and the trace draws, so changing
-how one dimension consumes randomness never perturbs the others.
+between the arrival stream, the mix tagging, the trace draws and an
+embedding-update stream (:meth:`Workload.seeds`), so changing how one
+dimension consumes randomness never perturbs the others.
 
 Workloads are the unit the rest of the system speaks:
 ``Fleet.serve_workload`` and ``Experiment.workloads(...).serve(...)`` both
@@ -19,7 +20,7 @@ take one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -28,6 +29,16 @@ from repro.errors import SimulationError
 from repro.workloads.arrivals import ArrivalProcess, InferenceRequest, as_arrival_process
 from repro.workloads.mix import TrafficMix
 from repro.workloads.traces import DLRMBatch, TraceModel, UniformTrace, model_batch
+
+
+class SeedStreams(NamedTuple):
+    """The independent children one user-facing seed splits into."""
+
+    arrivals: np.random.SeedSequence
+    mix: np.random.SeedSequence
+    trace: np.random.SeedSequence
+    updates: np.random.SeedSequence
+
 
 @dataclass(frozen=True)
 class Workload:
@@ -68,12 +79,14 @@ class Workload:
         return "-".join(parts)
 
     # ------------------------------------------------------------------
-    # Seed splitting: one user-facing seed fans out into independent
-    # sub-streams so arrivals, mix tags and traces never share an RNG.
-    # ------------------------------------------------------------------
     @staticmethod
-    def _split_seed(seed: int) -> Tuple[np.random.SeedSequence, ...]:
-        return tuple(np.random.SeedSequence(seed).spawn(3))
+    def seeds(seed: int) -> SeedStreams:
+        """Split one user-facing seed into named, independent sub-streams.
+
+        The one seed layout of every serving run: arrivals, mix tags, trace
+        draws and embedding-update pushes never share an RNG.
+        """
+        return SeedStreams(*np.random.SeedSequence(seed).spawn(len(SeedStreams._fields)))
 
     # ------------------------------------------------------------------
     def requests(
@@ -89,12 +102,12 @@ class Workload:
         pull arrivals on demand, so a 5M-request run materializes only the
         requests currently in flight.
         """
-        arrival_seed, mix_seed, _ = self._split_seed(seed)
-        names = self.mix.name_stream(mix_seed) if self.mix is not None else None
+        seeds = self.seeds(seed)
+        names = self.mix.name_stream(seeds.mix) if self.mix is not None else None
         return self.arrivals.arrivals(
             duration_s=duration_s,
             num_requests=num_requests,
-            seed=arrival_seed,
+            seed=seeds.arrivals,
             model_names=names,
         )
 
@@ -110,16 +123,14 @@ class Workload:
     # ------------------------------------------------------------------
     def batch(self, model: DLRMConfig, batch_size: int, seed: int = 0) -> DLRMBatch:
         """One inference batch drawn from this workload's trace model."""
-        _, _, trace_seed = self._split_seed(seed)
-        rng = np.random.default_rng(trace_seed)
+        rng = np.random.default_rng(self.seeds(seed).trace)
         return model_batch(self.trace, rng, model, batch_size)
 
     def batches(
         self, model: DLRMConfig, batch_size: int, count: int, seed: int = 0
     ) -> Iterator[DLRMBatch]:
         """``count`` independent batches (one shared trace RNG stream)."""
-        _, _, trace_seed = self._split_seed(seed)
-        rng = np.random.default_rng(trace_seed)
+        rng = np.random.default_rng(self.seeds(seed).trace)
         for _ in range(count):
             yield model_batch(self.trace, rng, model, batch_size)
 

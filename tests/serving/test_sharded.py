@@ -297,6 +297,19 @@ class TestValidation:
             np.testing.assert_array_equal(left.indices, right.indices)
         np.testing.assert_array_equal(sharded.dense_features, unsharded.dense_features)
 
+    def test_update_seed_is_the_workloads_update_child(self, model):
+        workload = Workload(arrivals=PoissonArrivals(rate_qps=10_000))
+        group = Fleet(
+            CentaurRunner(HARPV2_SYSTEM),
+            model,
+            FleetSpec(shards=2, batching=BATCHING),
+            HARPV2_SYSTEM,
+        )
+        options = group.part.workload_options(workload, seed=11)
+        update_seed, expected = options["update_seed"], Workload.seeds(11).updates
+        assert update_seed.spawn_key == expected.spawn_key == (3,)
+        assert update_seed.entropy == expected.entropy
+
     def test_empty_stream_rejected(self, model):
         group = Fleet(
             CentaurRunner(HARPV2_SYSTEM),

@@ -13,6 +13,7 @@ from repro.workloads import (
     UniformTrace,
     Workload,
     ZipfianTrace,
+    model_batch,
     poisson_workload,
 )
 
@@ -80,6 +81,30 @@ class TestWorkload:
         times_plain = [r.arrival_time_s for r in plain.request_list(num_requests=50, seed=8)]
         times_mixed = [r.arrival_time_s for r in mixed.request_list(num_requests=50, seed=8)]
         assert times_plain == pytest.approx(times_mixed, abs=0.0)
+
+    def test_seed_layout_is_one_four_way_split(self):
+        """Arrivals, mix, trace and updates are spawn children 0-3 of the seed.
+
+        Every committed stdout and artifact was drawn from this layout, so
+        reordering or resizing the split must fail here first.
+        """
+        seeds = Workload.seeds(8)
+        assert seeds._fields == ("arrivals", "mix", "trace", "updates")
+        for index, child in enumerate(seeds):
+            expected = np.random.SeedSequence(8).spawn(index + 1)[index]
+            assert child.spawn_key == (index,)
+            assert np.array_equal(child.generate_state(4), expected.generate_state(4))
+
+    def test_requests_and_batches_draw_from_their_named_children(self):
+        workload = Workload(arrivals=PoissonArrivals(5_000.0))
+        seeds = Workload.seeds(8)
+        times = [r.arrival_time_s for r in workload.request_list(num_requests=20, seed=8)]
+        direct = PoissonArrivals(5_000.0).arrivals(num_requests=20, seed=seeds.arrivals)
+        assert times == [r.arrival_time_s for r in direct]
+        batch = workload.batch(DLRM2, batch_size=4, seed=8)
+        rng = np.random.default_rng(seeds.trace)
+        again = model_batch(workload.trace, rng, DLRM2, 4)
+        assert np.array_equal(batch.sparse_traces[0].indices, again.sparse_traces[0].indices)
 
     def test_batch_generation_uses_trace_model(self):
         workload = Workload(arrivals=PoissonArrivals(1_000.0), trace=UniformTrace())
