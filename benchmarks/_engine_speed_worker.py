@@ -72,7 +72,6 @@ def run_once(total: int) -> float:
         sim,
         ServiceModel(_FlatRunner(), DLRM2),
         FixedSizeBatching(batch_size=1024),
-        record_latency_samples=False,
     )
     stream = workload.requests(num_requests=total)
     start = time.perf_counter()

@@ -370,15 +370,20 @@ def render_serving_comparison(
     )
     for label, report in reports.items():
         latency = report.latency
-        p50, p95, p99 = latency.percentiles((50.0, 95.0, 99.0))
+        if len(latency):
+            p50, p95, p99 = (value * 1e3 for value in latency.percentiles((50.0, 95.0, 99.0)))
+            attainment = 100.0 * latency.sla_attainment(sla_s)
+        else:
+            # A total outage completed nothing: there is no tail to show.
+            p50 = p95 = p99 = attainment = "-"
         table.add_row(
             [
                 label,
                 report.completed_requests,
-                p50 * 1e3,
-                p95 * 1e3,
-                p99 * 1e3,
-                100.0 * latency.sla_attainment(sla_s),
+                p50,
+                p95,
+                p99,
+                attainment,
                 report.energy_per_request_joules * 1e3,
                 100.0 * report.device_utilization,
             ]
@@ -565,8 +570,8 @@ def render_autoscale_timeline(
         samples.extend(replica.completion_samples())
     if not samples:
         raise ValueError(
-            "report carries no completion-ordered samples; serve with "
-            "record_latency_samples enabled"
+            "report carries no completion-ordered samples: no replica "
+            "completed a request"
         )
     # One sort, then two bisects per bucket: a bucket holds the samples
     # with ``start < time <= end`` (bucket 0 also those at time 0.0).

@@ -717,7 +717,7 @@ class _AutoscaleController(Controller):
         # the timeline must agree with the billing intervals just closed.
         self._record_timeline(now)
         makespan = max(
-            [replica.last_finish_s for replica in self.replicas if replica.batch_count],
+            [replica.last_finish_s for replica in self.replicas if replica.executed],
             default=now,
         )
         horizon = max(now, makespan)

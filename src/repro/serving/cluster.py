@@ -21,6 +21,8 @@ import functools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Sequence, Union
 
+import numpy as np
+
 if TYPE_CHECKING:  # pragma: no cover - annotation only
     from repro.chaos.report import IncidentReport
     from repro.serving.fleet import FleetSpec
@@ -98,14 +100,17 @@ class ClusterReport:
 
     @property
     def mean_utilization(self) -> float:
+        """Mean device utilization; 0 when no replica served (a total outage)."""
+        if not self.per_replica:
+            return 0.0
         return sum(report.device_utilization for report in self.per_replica) / len(
             self.per_replica
         )
 
     @property
     def makespan_s(self) -> float:
-        """Time the slowest replica finished its last batch."""
-        return max(report.makespan_s for report in self.per_replica)
+        """Time the slowest replica finished its last batch (0 when none served)."""
+        return max((report.makespan_s for report in self.per_replica), default=0.0)
 
     @property
     def replica_seconds(self) -> float:
@@ -126,13 +131,11 @@ class ClusterReport:
     @property
     def average_batch_size(self) -> float:
         """Mean executed batch size over every replica's batches."""
-        total_batches = sum(
-            replica.extra.get("num_batches", 0.0) for replica in self.per_replica
-        )
+        total_batches = sum(len(replica.executed_batches) for replica in self.per_replica)
         if total_batches == 0:
             return 0.0
         weighted = sum(
-            replica.average_batch_size * replica.extra.get("num_batches", 0.0)
+            replica.average_batch_size * len(replica.executed_batches)
             for replica in self.per_replica
         )
         return weighted / total_batches
@@ -301,9 +304,10 @@ class ReplicaPool:
         ]
         if not reports and not allow_empty:
             raise SimulationError("no replica received any requests")
-        latencies: List[float] = []
-        for report in reports:
-            latencies.extend(report.latency.samples_s.tolist())
+        # The empty leading array lets a total outage pool zero replicas.
+        latencies = np.concatenate(
+            [np.empty(0)] + [report.ordered_latency_s for report in reports]
+        )
         return ClusterReport(
             design_point=self.design_point,
             model_name=label,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 from typing import Dict, List, Sequence, Tuple
@@ -137,20 +138,22 @@ class ServingReport:
 
     design_point: str
     model_name: str
-    offered_load_qps: float
     completed_requests: int
     makespan_s: float
-    latency: LatencyDistribution
-    queueing: LatencyDistribution
     average_batch_size: float
     device_busy_s: float
     energy_joules: float
-    extra: Dict[str, float] = field(default_factory=dict)
     executed_batches: Tuple[ExecutedBatch, ...] = ()
-    #: Per-request latencies in completion order (``latency`` sorts them
-    #: away); zipping against ``executed_batches`` sizes recovers each
-    #: request's completion time, which timeline renderers bucket by.
-    ordered_latency_s: Tuple[float, ...] = ()
+    #: Per-request latencies in completion order: the report's one
+    #: per-request record.  ``latency`` sorts it; zipping it against
+    #: ``executed_batches`` sizes recovers each request's completion time,
+    #: which timeline renderers bucket by.
+    ordered_latency_s: np.ndarray = field(default_factory=lambda: np.empty(0))
+
+    @functools.cached_property
+    def latency(self) -> LatencyDistribution:
+        """The per-request latencies, sorted for percentile queries."""
+        return LatencyDistribution(self.ordered_latency_s)
 
     def completion_samples(self) -> List[Tuple[float, float]]:
         """``(completion_time_s, latency_s)`` pairs in completion order."""
@@ -160,13 +163,7 @@ class ServingReport:
             repeat(batch.finish_time_s, batch.batch_size)
             for batch in self.executed_batches
         )
-        return list(zip(finishes, self.ordered_latency_s))
-
-    @property
-    def achieved_qps(self) -> float:
-        if self.makespan_s == 0:
-            return 0.0
-        return self.completed_requests / self.makespan_s
+        return list(zip(finishes, self.ordered_latency_s.tolist()))
 
     @property
     def device_utilization(self) -> float:

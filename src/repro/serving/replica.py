@@ -15,14 +15,16 @@ free)`` recurrence the legacy simulator iterated, now emerging from event
 order.
 
 Memory discipline: replicas hold request objects only while they are in
-flight (pending batch, closed-batch queue, executing batch).  Everything a
-report needs about the past is kept as counters and running aggregates, so
-a multi-million-request streaming run (see :func:`drive_stream`) stays
-O(max in-flight) in resident requests.
+flight (pending batch, closed-batch queue, executing batch), so a
+multi-million-request streaming run (see :func:`drive_stream`) stays
+O(max in-flight) in resident requests.  What a report needs about the past
+is one completion record: an :class:`ExecutedBatch` per executed segment
+and, per completed request, its arrival time as an 8-byte double.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain, islice
@@ -46,7 +48,7 @@ from repro.config.models import DLRMConfig
 from repro.errors import SimulationError
 from repro.results import InferenceResult
 from repro.serving.batching import BatchingPolicy, BatchSignal
-from repro.serving.metrics import ExecutedBatch, LatencyDistribution, ServingReport
+from repro.serving.metrics import ExecutedBatch, ServingReport
 from repro.sim.engine import Event, Simulator
 from repro.workloads.arrivals import InferenceRequest
 
@@ -130,18 +132,6 @@ class ServiceModel:
         return best
 
 
-#: One device occupancy: when it starts, when it ends, and the arrival
-#: times of the requests it serves.  Completion accounting only needs the
-#: arrival times; the executing batch's request objects are kept on the
-#: replica (``_executing``) so a chaos crash can salvage them, and are
-#: released when the batch completes.
-_Segment = Tuple[float, float, List[float]]
-
-#: Below this segment size the scalar completion loop beats numpy's
-#: fixed per-call overhead; above it the vectorized path wins.
-_VECTORIZE_MIN = 16
-
-
 class ReplicaServer:
     """One device behind a batching queue, driven by simulator events.
 
@@ -150,11 +140,6 @@ class ReplicaServer:
         service: Cached runner predictions for this replica's device.
         batching: Batching policy (immutable; may be shared across replicas).
         name: Label used on scheduled events (debugging/tracing).
-        record_latency_samples: Keep every per-request latency/queueing
-            sample for exact percentile reporting (the default).  Disable
-            for huge streaming runs: counters and running aggregates are
-            still maintained, but :meth:`build_report` (which needs the full
-            distribution) becomes unavailable.
     """
 
     def __init__(
@@ -163,7 +148,6 @@ class ReplicaServer:
         service: ServiceModel,
         batching: BatchingPolicy,
         name: str = "replica",
-        record_latency_samples: bool = True,
     ):
         self.sim = sim
         self.service = service
@@ -172,10 +156,9 @@ class ReplicaServer:
         # Event labels, formatted once per replica rather than per batch.
         self._close_label = f"{name}:batch-close"
         self._complete_label = f"{name}:complete"
-        self.record_latency_samples = record_latency_samples
         # Open batch accumulating arrivals (+ arrival times, kept in step so
-        # batch completion can vectorize over them without re-touching the
-        # request objects).
+        # batch completion can record them without re-touching the request
+        # objects).
         self._pending: List[InferenceRequest] = []
         self._pending_times: List[float] = []
         self._close_timer: Optional[Event] = None
@@ -184,26 +167,15 @@ class ReplicaServer:
             Tuple[float, List[InferenceRequest], List[float]]
         ] = deque()
         self._busy = False
-        self._in_flight = 0
         self._outstanding = 0
         self.device_free_at = 0.0
-        # Accounting: counters + aggregates (O(1) memory), optional samples.
         self.arrival_count = 0
-        self.last_arrival_s = 0.0
-        self.completed_count = 0
-        self.peak_outstanding = 0
-        self.latency_sum_s = 0.0
-        self.latency_max_s = 0.0
-        self.queueing_sum_s = 0.0
-        self.batch_count = 0
-        self.batch_size_sum = 0
         self.last_finish_s = 0.0
-        # Per-batch boundary records; like the latency samples, only kept
-        # when sample recording is on — otherwise a long streaming run would
-        # retain O(num batches) memory through these records.
+        # The completion record: one boundary record per executed segment
+        # (appended when it starts, rolled back if a crash kills it) and the
+        # arrival times of completed requests, in completion order.
         self.executed: List[ExecutedBatch] = []
-        self.request_latency_s: List[float] = []
-        self.request_queueing_s: List[float] = []
+        self.completed_arrival_s = array("d")
         self.busy_time_s = 0.0
         self.energy_joules = 0.0
         #: Invoked with the completed-request count of each finished batch;
@@ -242,11 +214,9 @@ class ReplicaServer:
         return bool(self._pending)
 
     @property
-    def mean_latency_s(self) -> float:
-        """Running mean request latency (available even without samples)."""
-        if self.completed_count == 0:
-            return 0.0
-        return self.latency_sum_s / self.completed_count
+    def completed_count(self) -> int:
+        """Requests completed here: the length of the completion record."""
+        return len(self.completed_arrival_s)
 
     def estimated_backlog_s(self, now: float) -> float:
         """Predicted time to drain everything currently routed here.
@@ -279,15 +249,9 @@ class ReplicaServer:
         """Accept a request at the current simulated time."""
         now = self.sim.now
         self.arrival_count += 1
-        arrival_time = request.arrival_time_s
-        if arrival_time > self.last_arrival_s:
-            self.last_arrival_s = arrival_time
         self._pending.append(request)
-        self._pending_times.append(arrival_time)
-        outstanding = self._outstanding + 1
-        self._outstanding = outstanding
-        if outstanding > self.peak_outstanding:
-            self.peak_outstanding = outstanding
+        self._pending_times.append(request.arrival_time_s)
+        self._outstanding += 1
         signal = self.batching.on_enqueue(
             self._pending, now, not self._busy and not self._batch_queue
         )
@@ -368,19 +332,18 @@ class ReplicaServer:
             return
         ready, batch, times = self._batch_queue.popleft()
         start = self.sim.now
-        segments: List[_Segment] = []
         clock = start
         previous_finish = self.last_finish_s
         busy_delta = 0.0
         energy_delta = 0.0
-        if not self.service.multi_model:
-            segmented = [(batch, None, times)]
-        else:
-            segmented = [
-                (group, model_name, [request.arrival_time_s for request in group])
-                for group, model_name in self._segment_batch(batch)
+        segmented = self._segment_batch(batch)
+        if len(segmented) > 1:
+            # Segments complete back to back, so completion order is
+            # segment order.
+            times = [
+                request.arrival_time_s for group, _ in segmented for request in group
             ]
-        for group, model_name, group_times in segmented:
+        for group, model_name in segmented:
             result = self._execute_result(
                 self.batching.execution_batch_size(len(group)), model_name
             )
@@ -396,23 +359,18 @@ class ReplicaServer:
             energy_delta += energy
             self.busy_time_s += duration
             self.energy_joules += energy
-            self.batch_count += 1
-            self.batch_size_sum += len(group)
             if clock > self.last_finish_s:
                 self.last_finish_s = clock
-            if self.record_latency_samples:
-                self.executed.append(
-                    ExecutedBatch(
-                        ready_time_s=ready,
-                        start_time_s=seg_start,
-                        finish_time_s=clock,
-                        batch_size=len(group),
-                    )
+            self.executed.append(
+                ExecutedBatch(
+                    ready_time_s=ready,
+                    start_time_s=seg_start,
+                    finish_time_s=clock,
+                    batch_size=len(group),
                 )
-            segments.append((seg_start, clock, group_times))
+            )
         finish = clock
         self._busy = True
-        self._in_flight = len(batch)
         self.device_free_at = finish
         self._executing = (
             start,
@@ -425,7 +383,7 @@ class ReplicaServer:
         )
         self._completion_event = self.sim.schedule_at(
             finish,
-            lambda segs=segments: self._on_complete(segs),
+            lambda times=times: self._on_complete(times),
             label=self._complete_label,
         )
 
@@ -464,13 +422,9 @@ class ReplicaServer:
             burned = min(max(now - start, 0.0), span) / span if span > 0.0 else 1.0
             self.busy_time_s -= busy_delta * (1.0 - burned)
             self.energy_joules -= energy_delta * (1.0 - burned)
-            self.batch_count -= seg_count
-            self.batch_size_sum -= len(batch)
-            if self.record_latency_samples:
-                del self.executed[len(self.executed) - seg_count :]
+            del self.executed[len(self.executed) - seg_count :]
             self.last_finish_s = previous_finish
             self._busy = False
-            self._in_flight = 0
             self.device_free_at = now
         self._completion_event = None
         self._executing = None
@@ -479,47 +433,13 @@ class ReplicaServer:
         self._outstanding -= removed
         return queued, executing
 
-    def _on_complete(self, segments: List[_Segment]) -> None:
+    def _on_complete(self, times: List[float]) -> None:
         self._completion_event = None
         self._executing = None
-        completed = 0
-        record = self.record_latency_samples
-        for seg_start, seg_finish, times in segments:
-            count = len(times)
-            if count >= _VECTORIZE_MIN:
-                # Chunk-vectorized accounting: one numpy pass per segment
-                # instead of one Python iteration per request.  Latency and
-                # queueing values are elementwise identical to the scalar
-                # path; only the *order of additions* into the running sums
-                # differs (per-segment subtotal vs per-request), which no
-                # report or artifact depends on.
-                arrivals = np.asarray(times)
-                latencies = seg_finish - arrivals
-                queueings = seg_start - arrivals
-                self.latency_sum_s += float(latencies.sum())
-                self.queueing_sum_s += float(queueings.sum())
-                peak = float(latencies.max())
-                if peak > self.latency_max_s:
-                    self.latency_max_s = peak
-                if record:
-                    self.request_latency_s.extend(latencies.tolist())
-                    self.request_queueing_s.extend(queueings.tolist())
-            else:
-                for arrival_time in times:
-                    latency = seg_finish - arrival_time
-                    queueing = seg_start - arrival_time
-                    self.latency_sum_s += latency
-                    self.queueing_sum_s += queueing
-                    if latency > self.latency_max_s:
-                        self.latency_max_s = latency
-                    if record:
-                        self.request_latency_s.append(latency)
-                        self.request_queueing_s.append(queueing)
-            completed += count
-        self.completed_count += completed
+        self.completed_arrival_s.extend(times)
+        completed = len(times)
         self._outstanding -= completed
         self._busy = False
-        self._in_flight = 0
         if self.completion_listener is not None:
             self.completion_listener(completed)
         # Only a truly idle device (no closed batches waiting) triggers the
@@ -533,7 +453,8 @@ class ReplicaServer:
     # -- reporting -----------------------------------------------------
     def build_report(self, model_name: str) -> ServingReport:
         """Summarize everything this replica served into a ServingReport."""
-        if self.batch_count == 0:
+        executed = self.executed
+        if not executed:
             raise SimulationError(f"{self.name} executed no batches")
         completed = self.completed_count
         if completed != self.arrival_count:
@@ -541,27 +462,23 @@ class ReplicaServer:
                 f"{self.name} lost requests: {self.arrival_count} arrived, "
                 f"{completed} completed"
             )
-        if not self.record_latency_samples:
-            raise SimulationError(
-                f"{self.name} ran with latency samples disabled; percentile "
-                "reports are unavailable (read the counters/aggregates instead)"
-            )
-        makespan = max(batch.finish_time_s for batch in self.executed)
+        # Each request finishes with its segment: the segment's finish time,
+        # repeated by its size, minus the arrival times in completion order.
+        finishes = np.repeat(
+            [batch.finish_time_s for batch in executed],
+            [batch.batch_size for batch in executed],
+        )
+        latencies = finishes - np.frombuffer(self.completed_arrival_s, dtype=np.float64)
         return ServingReport(
             design_point=self.service.design_point,
             model_name=model_name,
-            offered_load_qps=completed / max(self.last_arrival_s, 1e-12),
             completed_requests=completed,
-            makespan_s=makespan,
-            latency=LatencyDistribution(self.request_latency_s),
-            queueing=LatencyDistribution(self.request_queueing_s),
-            average_batch_size=sum(b.batch_size for b in self.executed)
-            / len(self.executed),
+            makespan_s=max(batch.finish_time_s for batch in executed),
+            average_batch_size=completed / len(executed),
             device_busy_s=self.busy_time_s,
             energy_joules=self.energy_joules,
-            extra={"num_batches": float(len(self.executed))},
-            executed_batches=tuple(self.executed),
-            ordered_latency_s=tuple(self.request_latency_s),
+            executed_batches=tuple(executed),
+            ordered_latency_s=latencies,
         )
 
 

@@ -48,7 +48,6 @@ from repro.memsys.stats import CacheStats
 from repro.results import InferenceResult, LatencyBreakdown
 from repro.serving.batching import BatchingPolicy, default_batching
 from repro.serving.cluster import ClusterReport, resolve_runner
-from repro.serving.metrics import LatencyDistribution
 from repro.serving.replica import Controller, DesignPointRunner, ReplicaServer, ServiceModel
 from repro.sharding.cache import CacheConfig, EmbeddingCache, check_key_space
 from repro.sharding.plan import ShardingPlan, make_plan
@@ -768,7 +767,7 @@ class ShardGroup:
             model_name=label,
             num_replicas=self.plan.num_shards,
             per_replica=[report],
-            latency=LatencyDistribution(report.latency.samples_s.tolist()),
+            latency=report.latency,
             dispatcher="shard-fan-out",
             sharding=replica.sharding_stats(),
         )

@@ -5,6 +5,8 @@ request stream holds only the in-flight requests (pending batch + device
 queue + the driver's single look-ahead arrival) resident.  This test drives
 five million requests through the event engine and asserts the peak resident
 request count against the in-flight bound — not against the stream length.
+The replica's completion record is the one thing that grows with the stream:
+8 bytes per completed request.
 """
 
 from __future__ import annotations
@@ -51,7 +53,6 @@ def test_five_million_requests_hold_only_in_flight_memory():
         sim,
         ServiceModel(FlatRunner(), DLRM2),
         FixedSizeBatching(batch_size=BATCH_CAP),
-        record_latency_samples=False,
     )
     stream = workload.requests(num_requests=TOTAL_REQUESTS)
     outcome = drive_stream(sim, [replica], stream, lambda request: replica)
@@ -61,18 +62,20 @@ def test_five_million_requests_hold_only_in_flight_memory():
     assert outcome.completed == TOTAL_REQUESTS
     assert replica.completed_count == TOTAL_REQUESTS
 
-    # Peak resident requests <= max in-flight: what the replica ever held
-    # outstanding plus the driver's single scheduled look-ahead arrival.
-    assert outcome.peak_resident <= replica.peak_outstanding + 1
-    # And max in-flight is a handful of batches, unrelated to stream length.
-    assert replica.peak_outstanding <= 4 * BATCH_CAP
+    # Peak resident requests: a handful of in-flight batches plus the
+    # driver's single scheduled look-ahead arrival, unrelated to stream
+    # length.
     assert outcome.peak_resident <= 4 * BATCH_CAP + 1
 
-    # No-samples mode retains neither per-request floats nor per-batch
-    # records; only counters and running aggregates grow.
-    assert len(replica.request_latency_s) == 0
-    assert len(replica.executed) == 0
-    # Full batches plus one flushed partial batch at end of stream.
-    assert replica.batch_count == -(-TOTAL_REQUESTS // BATCH_CAP)
-    assert replica.mean_latency_s > 0.0
-    assert replica.latency_max_s < 1e-2
+    # What grows is the completion record: one 8-byte arrival time per
+    # request, and full batches plus one flushed partial batch at the end.
+    record = replica.completed_arrival_s
+    assert len(record) == TOTAL_REQUESTS
+    assert record.itemsize == 8
+    assert len(replica.executed) == -(-TOTAL_REQUESTS // BATCH_CAP)
+
+    # And the report reads its latencies from that record.
+    report = replica.build_report(DLRM2.name)
+    assert report.completed_requests == TOTAL_REQUESTS
+    assert report.latency.mean_s > 0.0
+    assert report.latency.max_s < 1e-2

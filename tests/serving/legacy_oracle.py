@@ -13,10 +13,12 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
+import numpy as np
+
 from repro.config.models import DLRMConfig
 from repro.errors import SimulationError
 from repro.serving.batching import BatchingPolicy, default_batching
-from repro.serving.metrics import ExecutedBatch, LatencyDistribution, ServingReport
+from repro.serving.metrics import ExecutedBatch, ServingReport
 from repro.serving.replica import DesignPointRunner, ServiceModel
 from repro.workloads.arrivals import InferenceRequest, PoissonArrivals
 
@@ -47,7 +49,6 @@ class LegacyServingSimulator:
 
         executed: List[ExecutedBatch] = []
         per_request_latency: List[float] = []
-        per_request_queueing: List[float] = []
         device_free_at = 0.0
         busy_time = 0.0
         energy = 0.0
@@ -71,23 +72,18 @@ class LegacyServingSimulator:
             )
             for request in batch_requests:
                 per_request_latency.append(finish - request.arrival_time_s)
-                per_request_queueing.append(start - request.arrival_time_s)
 
         makespan = executed[-1].finish_time_s
-        offered_qps = len(ordered) / max(ordered[-1].arrival_time_s, 1e-12)
         return ServingReport(
             design_point=self.runner.design_point,
             model_name=self.model.name,
-            offered_load_qps=offered_qps,
             completed_requests=len(ordered),
             makespan_s=makespan,
-            latency=LatencyDistribution(per_request_latency),
-            queueing=LatencyDistribution(per_request_queueing),
             average_batch_size=sum(b.batch_size for b in executed) / len(executed),
             device_busy_s=busy_time,
             energy_joules=energy,
-            extra={"num_batches": float(len(executed))},
             executed_batches=tuple(executed),
+            ordered_latency_s=np.array(per_request_latency),
         )
 
     # ------------------------------------------------------------------

@@ -33,7 +33,6 @@ def assert_reports_identical(event_report, legacy_report, compare_ready=True):
         if compare_ready:
             assert event_batch.ready_time_s == legacy_batch.ready_time_s
     assert (event_report.latency.samples_s == legacy_report.latency.samples_s).all()
-    assert (event_report.queueing.samples_s == legacy_report.queueing.samples_s).all()
     assert event_report.energy_joules == legacy_report.energy_joules
     assert event_report.makespan_s == legacy_report.makespan_s
     assert event_report.device_busy_s == legacy_report.device_busy_s

@@ -2,6 +2,7 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from repro.errors import SimulationError
@@ -63,19 +64,16 @@ class TestServingReport:
         return ServingReport(
             design_point="Centaur",
             model_name="DLRM(1)",
-            offered_load_qps=1000.0,
             completed_requests=100,
             makespan_s=0.2,
-            latency=LatencyDistribution([1e-3] * 100),
-            queueing=LatencyDistribution([5e-4] * 100),
             average_batch_size=10.0,
             device_busy_s=0.1,
             energy_joules=7.4,
+            ordered_latency_s=np.full(100, 1e-3),
         )
 
     def test_derived_metrics(self):
         report = self._report()
-        assert report.achieved_qps == pytest.approx(500.0)
         assert report.device_utilization == pytest.approx(0.5)
         assert report.energy_per_request_joules == pytest.approx(0.074)
 
@@ -91,7 +89,7 @@ class TestServingReport:
         )
         latencies = tuple(1e-3 * (index + 1) for index in range(10))
         report = dataclasses.replace(
-            self._report(), executed_batches=batches, ordered_latency_s=latencies
+            self._report(), executed_batches=batches, ordered_latency_s=np.array(latencies)
         )
         expected = []
         cursor = 0

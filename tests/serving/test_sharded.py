@@ -65,7 +65,7 @@ class TestUnshardedEquivalence:
         assert sharded.num_replicas == baseline.num_replicas == 1
         left, right = sharded.per_replica[0], baseline.per_replica[0]
         assert left.executed_batches == right.executed_batches
-        assert left.ordered_latency_s == right.ordered_latency_s
+        assert left.ordered_latency_s.tobytes() == right.ordered_latency_s.tobytes()
         assert left.device_busy_s == right.device_busy_s
 
     def test_degenerate_group_still_accounts_lookups(self, model):

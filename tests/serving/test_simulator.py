@@ -31,7 +31,9 @@ class TestServeExplicitStream:
         report = simulator.serve(arrivals([0.0, 0.0]))
         batch1_latency = runner.run(DLRM1, 1).latency_seconds
         assert report.latency.max_s == pytest.approx(2 * batch1_latency, rel=1e-6)
-        assert report.queueing.max_s == pytest.approx(batch1_latency, rel=1e-6)
+        # The wait is queueing: the second batch starts when the first ends.
+        second = report.executed_batches[1]
+        assert second.start_time_s == pytest.approx(batch1_latency, rel=1e-6)
 
     def test_all_requests_accounted_for(self):
         runner = CentaurRunner(HARPV2_SYSTEM)

@@ -170,6 +170,26 @@ class TestServe:
         err = capsys.readouterr().err
         assert flag in err and "--autoscale" in err
 
+    def test_total_outage_renders_an_empty_row_and_the_incidents(self, capsys):
+        # A crash at time zero kills the only replica before anything is
+        # served: the whole stream is shed and nothing completes.
+        assert main(
+            [
+                "serve",
+                "--backend", "cpu",
+                "--model", "DLRM1",
+                "--workload", "poisson:20000",
+                "--requests", "200",
+                "--faults", "crash:at=0",
+            ]
+        ) == 0
+        out = capsys.readouterr().out
+        row = next(line for line in out.splitlines() if "(chaos)" in line)
+        cells = [cell.strip() for cell in row.strip("|").split("|")]
+        assert cells == ["CPU-only x1 (chaos)", "0", "-", "-", "-", "-", "0", "0"]
+        assert "Incident timeline" in out
+        assert "shed=200" in out
+
     def test_sharded_serving_report(self, capsys):
         assert main(
             [
