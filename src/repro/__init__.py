@@ -40,194 +40,63 @@ hand-built runner loops::
     print(result.get("centaur", "DLRM(3)", 64).latency_seconds)
 """
 
-from repro.version import __version__, PAPER_TITLE, PAPER_VENUE, PAPER_AUTHORS
-from repro.errors import (
-    ReproError,
-    ConfigurationError,
-    ModelShapeError,
-    TraceError,
-    SimulationError,
-    CapacityError,
-    ResourceEstimationError,
-)
-from repro.results import InferenceResult, LatencyBreakdown
-from repro.config import (
-    CPUConfig,
-    MemoryConfig,
-    LinkConfig,
-    FPGAConfig,
-    GPUConfig,
-    PowerConfig,
-    SystemConfig,
-    DLRMConfig,
-    EmbeddingTableConfig,
-    MLPConfig,
-    HARPV2_SYSTEM,
-    PAPER_MODELS,
-    PAPER_BATCH_SIZES,
-    DLRM1,
-    DLRM2,
-    DLRM3,
-    DLRM4,
-    DLRM5,
-    DLRM6,
-    dlrm_preset,
-)
-from repro.dlrm import (
-    DLRM,
-    DLRMOutput,
-    DLRMBatch,
-    SparseTrace,
-    EmbeddingBagCollection,
-    DenseEmbeddingTable,
-    VirtualEmbeddingTable,
-    sparse_lengths_sum,
-    MLP,
-)
-from repro.backends import (
-    Backend,
-    BackendCapabilities,
-    available_backends,
-    get_backend,
-    register_backend,
-)
-from repro.experiment import (
-    Experiment,
-    ExperimentResult,
-    ResultCache,
-    default_cache,
-)
-from repro.cpu import CPUOnlyRunner
-from repro.gpu import CPUGPURunner
-from repro.core import (
-    CentaurDevice,
-    CentaurRunner,
-    EBStreamer,
-    DenseAcceleratorComplex,
-    FPGAResourceModel,
-)
-from repro.power import PowerModel
-from repro.serving import (
-    AdaptiveWindowBatching,
-    CloseOnFullBatching,
-    ClusterReport,
-    FixedSizeBatching,
-    Fleet,
-    FleetSpec,
-    JoinShortestQueueDispatcher,
-    LeastLoadedDispatcher,
-    PowerOfTwoChoicesDispatcher,
-    ReplicaSpec,
-    RoundRobinDispatcher,
-    SizeBucketedBatching,
-    TimeoutBatching,
-)
-from repro.workloads import (
-    ArrivalProcess,
-    ConstantRateArrivals,
-    DiurnalArrivals,
-    InferenceRequest,
-    OnOffArrivals,
-    PerTableTrace,
-    PoissonArrivals,
-    ReplayArrivals,
-    TraceModel,
-    TrafficMix,
-    UniformTrace,
-    Workload,
-    WorkingSetTrace,
-    ZipfianTrace,
-    poisson_workload,
-)
-from repro.analysis import headline_summary
+from repro._exports import lazy_exports
 
-__all__ = [
-    "__version__",
-    "PAPER_TITLE",
-    "PAPER_VENUE",
-    "PAPER_AUTHORS",
-    "ReproError",
-    "ConfigurationError",
-    "ModelShapeError",
-    "TraceError",
-    "SimulationError",
-    "CapacityError",
-    "ResourceEstimationError",
-    "InferenceResult",
-    "LatencyBreakdown",
-    "CPUConfig",
-    "MemoryConfig",
-    "LinkConfig",
-    "FPGAConfig",
-    "GPUConfig",
-    "PowerConfig",
-    "SystemConfig",
-    "DLRMConfig",
-    "EmbeddingTableConfig",
-    "MLPConfig",
-    "HARPV2_SYSTEM",
-    "PAPER_MODELS",
-    "PAPER_BATCH_SIZES",
-    "DLRM1",
-    "DLRM2",
-    "DLRM3",
-    "DLRM4",
-    "DLRM5",
-    "DLRM6",
-    "dlrm_preset",
-    "DLRM",
-    "DLRMOutput",
-    "DLRMBatch",
-    "SparseTrace",
-    "EmbeddingBagCollection",
-    "DenseEmbeddingTable",
-    "VirtualEmbeddingTable",
-    "sparse_lengths_sum",
-    "MLP",
-    "Backend",
-    "BackendCapabilities",
-    "available_backends",
-    "get_backend",
-    "register_backend",
-    "Experiment",
-    "ExperimentResult",
-    "ResultCache",
-    "default_cache",
-    "CPUOnlyRunner",
-    "CPUGPURunner",
-    "CentaurDevice",
-    "CentaurRunner",
-    "EBStreamer",
-    "DenseAcceleratorComplex",
-    "FPGAResourceModel",
-    "PowerModel",
-    "FixedSizeBatching",
-    "TimeoutBatching",
-    "CloseOnFullBatching",
-    "AdaptiveWindowBatching",
-    "SizeBucketedBatching",
-    "Fleet",
-    "FleetSpec",
-    "ClusterReport",
-    "ReplicaSpec",
-    "RoundRobinDispatcher",
-    "JoinShortestQueueDispatcher",
-    "LeastLoadedDispatcher",
-    "PowerOfTwoChoicesDispatcher",
-    "ArrivalProcess",
-    "PoissonArrivals",
-    "ConstantRateArrivals",
-    "OnOffArrivals",
-    "DiurnalArrivals",
-    "ReplayArrivals",
-    "InferenceRequest",
-    "TraceModel",
-    "UniformTrace",
-    "ZipfianTrace",
-    "WorkingSetTrace",
-    "PerTableTrace",
-    "TrafficMix",
-    "Workload",
-    "poisson_workload",
-    "headline_summary",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".version": ("__version__", "PAPER_TITLE", "PAPER_VENUE", "PAPER_AUTHORS"),
+        ".errors": (
+            "ReproError", "ConfigurationError", "ModelShapeError", "TraceError", "SimulationError",
+            "CapacityError", "ResourceEstimationError",
+        ),
+        ".results": ("InferenceResult", "LatencyBreakdown"),
+        ".config.system": (
+            "CPUConfig", "MemoryConfig", "LinkConfig", "FPGAConfig", "GPUConfig", "PowerConfig",
+            "SystemConfig",
+        ),
+        ".config.models": ("DLRMConfig", "EmbeddingTableConfig", "MLPConfig"),
+        ".config.presets": (
+            "HARPV2_SYSTEM", "PAPER_MODELS", "PAPER_BATCH_SIZES", "DLRM1", "DLRM2", "DLRM3",
+            "DLRM4", "DLRM5", "DLRM6", "dlrm_preset",
+        ),
+        ".dlrm.model": ("DLRM", "DLRMOutput"),
+        ".dlrm.embedding": (
+            "EmbeddingBagCollection", "DenseEmbeddingTable", "VirtualEmbeddingTable",
+            "sparse_lengths_sum",
+        ),
+        ".dlrm.mlp": ("MLP",),
+        ".backends.base": ("Backend", "BackendCapabilities"),
+        ".backends.registry": ("available_backends", "get_backend", "register_backend"),
+        ".experiment.experiment": ("Experiment", "ExperimentResult"),
+        ".experiment.cache": ("ResultCache", "default_cache"),
+        ".cpu.cpu_runner": ("CPUOnlyRunner",),
+        ".gpu.gpu_runner": ("CPUGPURunner",),
+        ".core.centaur": ("CentaurDevice", "CentaurRunner"),
+        ".core.eb_streamer": ("EBStreamer",),
+        ".core.dense_complex": ("DenseAcceleratorComplex",),
+        ".core.resources": ("FPGAResourceModel",),
+        ".power.models": ("PowerModel",),
+        ".serving.batching": (
+            "FixedSizeBatching", "TimeoutBatching", "CloseOnFullBatching", "AdaptiveWindowBatching",
+            "SizeBucketedBatching",
+        ),
+        ".serving.fleet": ("Fleet", "FleetSpec"),
+        ".serving.cluster": ("ClusterReport", "ReplicaSpec"),
+        ".serving.dispatch": (
+            "RoundRobinDispatcher", "JoinShortestQueueDispatcher", "LeastLoadedDispatcher",
+            "PowerOfTwoChoicesDispatcher",
+        ),
+        ".workloads.arrivals": (
+            "ArrivalProcess", "PoissonArrivals", "ConstantRateArrivals", "OnOffArrivals",
+            "DiurnalArrivals", "ReplayArrivals", "InferenceRequest",
+        ),
+        ".workloads.traces": (
+            "DLRMBatch", "SparseTrace", "TraceModel", "UniformTrace", "ZipfianTrace",
+            "WorkingSetTrace", "PerTableTrace",
+        ),
+        ".workloads.mix": ("TrafficMix",),
+        ".workloads.workload": ("Workload", "poisson_workload"),
+        ".analysis.evaluation": ("headline_summary",),
+    },
+)

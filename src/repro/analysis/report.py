@@ -9,16 +9,17 @@ from __future__ import annotations
 
 import bisect
 from operator import itemgetter
-from typing import List, Mapping, Sequence
+from typing import TYPE_CHECKING, List, Mapping, Sequence
 
-from repro.analysis.characterization import Figure5Row, Figure6Row, Figure7Point
-from repro.analysis.evaluation import AblationPoint, Figure13Row, Figure14Row, Figure15Row
-from repro.analysis.paper import CLAIMS_BY_KEY
-from repro.analysis.tables import Table1Row, Table2Row, Table4Row, Table5Row
-from repro.core.resources import ModuleResources
 from repro.utils.stats_utils import safe_divide
 from repro.utils.tables import TextTable
-from repro.utils.units import bytes_to_human
+from repro.utils.units import bytes_to_human, seconds_to_human
+
+if TYPE_CHECKING:  # pragma: no cover - annotation only
+    from repro.analysis.characterization import Figure5Row, Figure6Row, Figure7Point
+    from repro.analysis.evaluation import AblationPoint, Figure13Row, Figure14Row, Figure15Row
+    from repro.analysis.tables import Table1Row, Table2Row, Table4Row, Table5Row
+    from repro.core.resources import ModuleResources
 
 
 def render_figure5(rows: Sequence[Figure5Row]) -> str:
@@ -175,6 +176,8 @@ def render_ablation(points: Sequence[AblationPoint]) -> str:
 
 def render_table1(rows: Sequence[Table1Row]) -> str:
     """Render Table I (model configurations)."""
+    from repro.analysis.paper import CLAIMS_BY_KEY
+
     table = TextTable(
         ["model", "# tables", "gathers/table", "table size", "MLP size", "paper table", "paper MLP"],
         title="Table I: recommendation model configurations",
@@ -199,6 +202,8 @@ def render_table1(rows: Sequence[Table1Row]) -> str:
 
 def render_table2(rows: Sequence[Table2Row]) -> str:
     """Render Table II (FPGA resource utilization)."""
+    from repro.analysis.paper import CLAIMS_BY_KEY
+
     table = TextTable(
         ["resource", "available (GX1150)", "Centaur (model)", "Centaur (paper)", "utilization %"],
         title="Table II: Centaur FPGA resource utilization",
@@ -231,6 +236,8 @@ def render_table3(rows: Sequence[ModuleResources]) -> str:
 
 def render_table4(rows: Sequence[Table4Row]) -> str:
     """Render Table IV (power consumption)."""
+    from repro.analysis.paper import CLAIMS_BY_KEY
+
     table = TextTable(
         ["design point", "watts (model)", "watts (paper)"],
         title="Table IV: power consumption",
@@ -277,6 +284,7 @@ def render_headline(summary: dict) -> List[str]:
     Each line quotes the paper's value of the same metric from the ledger,
     :data:`repro.analysis.paper.CLAIMS`.
     """
+    from repro.analysis.paper import CLAIMS_BY_KEY
 
     def paper(metric: str) -> str:
         return f"{CLAIMS_BY_KEY[f'headline.{metric}'].published:g}"
@@ -321,8 +329,6 @@ def render_experiment(grid, title: str = "Experiment grid") -> str:
     throughput and energy are the :class:`~repro.results.InferenceResult`
     expressions over that one sum.
     """
-    from repro.utils.units import seconds_to_human
-
     table = TextTable(
         ["backend", "model", "batch", "latency", "samples/s", "energy/batch (mJ)"],
         title=title,
@@ -561,24 +567,20 @@ def render_autoscale_timeline(
     and the SLA attainment — the at-a-glance view of whether the fleet
     breathed with the load or gave back the tail.  Works for any
     :class:`~repro.serving.cluster.ClusterReport`; static fleets render a
-    constant replica count.
+    constant replica count.  A run that completed nothing (a total outage)
+    renders zero completions and ``-`` attainment in every window.
     """
     from repro.serving.metrics import LatencyDistribution
 
     samples: List[tuple] = []
     for replica in report.per_replica:
         samples.extend(replica.completion_samples())
-    if not samples:
-        raise ValueError(
-            "report carries no completion-ordered samples: no replica "
-            "completed a request"
-        )
     # One sort, then two bisects per bucket: a bucket holds the samples
     # with ``start < time <= end`` (bucket 0 also those at time 0.0).
     samples.sort(key=itemgetter(0))
     times = [time for time, _ in samples]
     latencies = [latency for _, latency in samples]
-    horizon = max(times)
+    horizon = times[-1] if times else 0.0
     autoscale = getattr(report, "autoscale", None)
     if autoscale is not None:
         horizon = max(horizon, autoscale.timeline[-1][0])
@@ -622,7 +624,7 @@ def render_autoscale_timeline(
                 replicas,
                 bar,
                 len(inside),
-                100.0 * distribution.sla_attainment(sla_s),
+                100.0 * distribution.sla_attainment(sla_s) if samples else "-",
             ]
         )
     return table.render()

@@ -13,29 +13,16 @@ with :func:`register_backend` and are immediately usable by
 :class:`repro.experiment.Experiment`, the serving clusters and the CLI.
 """
 
-from repro.backends.base import Backend, BackendCapabilities
-from repro.backends.registry import (
-    BackendFactory,
-    BackendRegistration,
-    available_backends,
-    backend_registration,
-    canonical_backend_name,
-    get_backend,
-    register_backend,
-    resolve_backend,
-    unregister_backend,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "Backend",
-    "BackendCapabilities",
-    "BackendFactory",
-    "BackendRegistration",
-    "available_backends",
-    "backend_registration",
-    "canonical_backend_name",
-    "get_backend",
-    "register_backend",
-    "resolve_backend",
-    "unregister_backend",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".base": ("Backend", "BackendCapabilities"),
+        ".registry": (
+            "BackendFactory", "BackendRegistration", "available_backends", "backend_registration",
+            "canonical_backend_name", "get_backend", "register_backend", "resolve_backend",
+            "unregister_backend",
+        ),
+    },
+)

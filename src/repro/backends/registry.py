@@ -49,9 +49,9 @@ def _normalize(name: str) -> str:
 def _ensure_builtins() -> None:
     """Import the built-in registrations lazily.
 
-    The runner modules import :mod:`repro.backends.base` for their
-    capability flags, so eager registration at package-import time would be
-    circular; the first registry lookup triggers it instead.
+    :mod:`repro.backends.builtin` registers through this module, so
+    importing it here at module level would be circular; the first
+    registry lookup triggers it instead.
     """
     global _BUILTINS_LOADED
     if not _BUILTINS_LOADED:

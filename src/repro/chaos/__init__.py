@@ -8,30 +8,16 @@ pre-incident p99, shed/re-dispatched requests, and the replica-second and
 energy bill of the recovery.
 """
 
-from repro.chaos.faults import (
-    Brownout,
-    FaultSchedule,
-    FaultSpec,
-    LinkDegradation,
-    PoissonFaults,
-    ReplicaCrash,
-    ShardLoss,
-    parse_fault_schedule,
-)
-from repro.chaos.injector import FaultInjector
-from repro.chaos.report import Incident, IncidentReport, build_incident_report
+from repro._exports import lazy_exports
 
-__all__ = [
-    "Brownout",
-    "FaultInjector",
-    "FaultSchedule",
-    "FaultSpec",
-    "Incident",
-    "IncidentReport",
-    "LinkDegradation",
-    "PoissonFaults",
-    "ReplicaCrash",
-    "ShardLoss",
-    "build_incident_report",
-    "parse_fault_schedule",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".faults": (
+            "Brownout", "FaultSchedule", "FaultSpec", "LinkDegradation", "PoissonFaults",
+            "ReplicaCrash", "ShardLoss", "parse_fault_schedule",
+        ),
+        ".injector": ("FaultInjector",),
+        ".report": ("Incident", "IncidentReport", "build_incident_report"),
+    },
+)

@@ -179,10 +179,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         render_sharding_report,
     )
     from repro.experiment.executor import resolve_jobs
-    from repro.serving.autoscale import parse_autoscaler_spec
     from repro.serving.batching import TimeoutBatching
     from repro.serving.fleet import FleetSpec
-    from repro.sharding import parse_cache_spec, parse_sharding_spec
     from repro.workloads.catalog import (
         SCENARIO_CATALOG,
         UPDATE_SCENARIO_CATALOG,
@@ -218,7 +216,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         trace=parse_trace_spec(args.trace),
     )
     model = parse_model(args.model)
-    num_shards, strategy = parse_sharding_spec(args.shards)
+    num_shards, strategy, cache, shared_cache = 1, "table", None, None
+    if (args.shards, args.cache, args.shared_cache) != (None, None, None):
+        from repro.sharding import parse_cache_spec, parse_sharding_spec
+
+        num_shards, strategy = parse_sharding_spec(args.shards or "1")
+        cache, shared_cache = map(parse_cache_spec, (args.cache, args.shared_cache))
     elastic_flags = [
         flag
         for flag, value in (
@@ -229,6 +232,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         if value is not None
     ]
     if args.autoscale is not None:
+        from repro.serving.autoscale import parse_autoscaler_spec
+
         policy = parse_autoscaler_spec(args.autoscale)
         # --replicas sizes the fleet at time zero; left at its default of 1
         # the elastic fleet starts at the --min-replicas floor.
@@ -259,8 +264,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         warmup_s=args.warmup,
         shards=num_shards if num_shards > 1 else None,
         strategy=strategy,
-        cache=parse_cache_spec(args.cache),
-        shared_cache=parse_cache_spec(args.shared_cache),
+        cache=cache,
+        shared_cache=shared_cache,
         updates=resolve_update_spec(args.updates),
         profile=args.profile,
         **sizing,
@@ -462,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument(
         "--shards",
-        default="1",
+        default=None,
         metavar="SPEC",
         help=(
             "partition the model's embedding tables: a shard count or a "

@@ -11,62 +11,20 @@ Two families of configuration live here:
   :mod:`repro.config.presets`.
 """
 
-from repro.config.system import (
-    CPUConfig,
-    MemoryConfig,
-    LinkConfig,
-    FPGAConfig,
-    GPUConfig,
-    PowerConfig,
-    SystemConfig,
-)
-from repro.config.models import DLRMConfig, EmbeddingTableConfig, MLPConfig
-from repro.config.presets import (
-    BROADWELL_XEON,
-    DDR4_QUAD_CHANNEL,
-    HARPV2_LINK,
-    ARRIA10_GX1150,
-    CENTAUR_FPGA,
-    DGX1_V100,
-    PAPER_POWER,
-    HARPV2_SYSTEM,
-    DLRM1,
-    DLRM2,
-    DLRM3,
-    DLRM4,
-    DLRM5,
-    DLRM6,
-    PAPER_MODELS,
-    PAPER_BATCH_SIZES,
-    dlrm_preset,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "CPUConfig",
-    "MemoryConfig",
-    "LinkConfig",
-    "FPGAConfig",
-    "GPUConfig",
-    "PowerConfig",
-    "SystemConfig",
-    "DLRMConfig",
-    "EmbeddingTableConfig",
-    "MLPConfig",
-    "BROADWELL_XEON",
-    "DDR4_QUAD_CHANNEL",
-    "HARPV2_LINK",
-    "ARRIA10_GX1150",
-    "CENTAUR_FPGA",
-    "DGX1_V100",
-    "PAPER_POWER",
-    "HARPV2_SYSTEM",
-    "DLRM1",
-    "DLRM2",
-    "DLRM3",
-    "DLRM4",
-    "DLRM5",
-    "DLRM6",
-    "PAPER_MODELS",
-    "PAPER_BATCH_SIZES",
-    "dlrm_preset",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".system": (
+            "CPUConfig", "MemoryConfig", "LinkConfig", "FPGAConfig", "GPUConfig", "PowerConfig",
+            "SystemConfig",
+        ),
+        ".models": ("DLRMConfig", "EmbeddingTableConfig", "MLPConfig"),
+        ".presets": (
+            "BROADWELL_XEON", "DDR4_QUAD_CHANNEL", "HARPV2_LINK", "ARRIA10_GX1150", "CENTAUR_FPGA",
+            "DGX1_V100", "PAPER_POWER", "HARPV2_SYSTEM", "DLRM1", "DLRM2", "DLRM3", "DLRM4",
+            "DLRM5", "DLRM6", "PAPER_MODELS", "PAPER_BATCH_SIZES", "dlrm_preset",
+        ),
+    },
+)

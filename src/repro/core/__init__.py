@@ -18,43 +18,24 @@ hybrid sparse-dense accelerator:
   the Figure 13-15 results).
 """
 
-from repro.core.registers import BasePointerRegisters
-from repro.core.sram import SRAMBuffer
-from repro.core.link import ChipletLink, LinkTransferEstimate
-from repro.core.mmio import HostMemory, IOMMU, MMIOInterface
-from repro.core.gather import EmbeddingGatherUnit, GatherRequest
-from repro.core.reduction import EmbeddingReductionUnit
-from repro.core.eb_streamer import EBStreamer, EBStreamerEstimate
-from repro.core.pe import ProcessingEngine
-from repro.core.mlp_unit import MLPUnit
-from repro.core.interaction_unit import FeatureInteractionUnit
-from repro.core.sigmoid_unit import SigmoidUnit
-from repro.core.dense_complex import DenseAcceleratorComplex, DenseTimingEstimate
-from repro.core.resources import FPGAResourceModel, ModuleResources, ResourceReport
-from repro.core.centaur import CentaurDevice, CentaurRunner
+from repro._exports import lazy_exports
 
-__all__ = [
-    "BasePointerRegisters",
-    "SRAMBuffer",
-    "ChipletLink",
-    "LinkTransferEstimate",
-    "HostMemory",
-    "IOMMU",
-    "MMIOInterface",
-    "EmbeddingGatherUnit",
-    "GatherRequest",
-    "EmbeddingReductionUnit",
-    "EBStreamer",
-    "EBStreamerEstimate",
-    "ProcessingEngine",
-    "MLPUnit",
-    "FeatureInteractionUnit",
-    "SigmoidUnit",
-    "DenseAcceleratorComplex",
-    "DenseTimingEstimate",
-    "FPGAResourceModel",
-    "ModuleResources",
-    "ResourceReport",
-    "CentaurDevice",
-    "CentaurRunner",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".registers": ("BasePointerRegisters",),
+        ".sram": ("SRAMBuffer",),
+        ".link": ("ChipletLink", "LinkTransferEstimate"),
+        ".mmio": ("HostMemory", "IOMMU", "MMIOInterface"),
+        ".gather": ("EmbeddingGatherUnit", "GatherRequest"),
+        ".reduction": ("EmbeddingReductionUnit",),
+        ".eb_streamer": ("EBStreamer", "EBStreamerEstimate"),
+        ".pe": ("ProcessingEngine",),
+        ".mlp_unit": ("MLPUnit",),
+        ".interaction_unit": ("FeatureInteractionUnit",),
+        ".sigmoid_unit": ("SigmoidUnit",),
+        ".dense_complex": ("DenseAcceleratorComplex", "DenseTimingEstimate"),
+        ".resources": ("FPGAResourceModel", "ModuleResources", "ResourceReport"),
+        ".centaur": ("CentaurDevice", "CentaurRunner"),
+    },
+)

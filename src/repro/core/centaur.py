@@ -15,22 +15,23 @@ without touching real data.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List
+from typing import TYPE_CHECKING, List
 
 import numpy as np
 
 from repro.backends.base import BackendCapabilities
+from repro.backends.builtin import CENTAUR_CAPABILITIES
 from repro.config.models import DLRMConfig
 from repro.config.system import SystemConfig
 from repro.core.dense_complex import DenseAcceleratorComplex
 from repro.core.eb_streamer import EBStreamer
-from repro.core.mmio import HostMemory, MMIOInterface
-from repro.core.registers import BasePointerRegisters
-from repro.dlrm.model import DLRM, DLRMOutput
-from repro.workloads.traces import DLRMBatch
 from repro.errors import SimulationError
 from repro.memsys.stats import CacheStats, MemoryTrafficStats
 from repro.results import InferenceResult, LatencyBreakdown
+
+if TYPE_CHECKING:  # pragma: no cover - annotation only
+    from repro.dlrm.model import DLRM, DLRMOutput
+    from repro.workloads.traces import DLRMBatch
 
 
 class CentaurDevice:
@@ -45,6 +46,11 @@ class CentaurDevice:
     """
 
     def __init__(self, dlrm: DLRM, system: SystemConfig, sigmoid_mode: str = "exact"):
+        # The functional datapath loads with the first device, never with
+        # the performance runner.
+        from repro.core.mmio import HostMemory, MMIOInterface
+        from repro.core.registers import BasePointerRegisters
+
         self.dlrm = dlrm
         self.system = system
         self.host_memory = HostMemory()
@@ -138,15 +144,6 @@ class CentaurDevice:
     def predict(self, batch: DLRMBatch) -> np.ndarray:
         """Convenience wrapper returning only the event probabilities."""
         return self.infer(batch).probabilities
-
-
-#: What the Centaur backend reports (registered as ``"centaur"``).
-CENTAUR_CAPABILITIES = BackendCapabilities(
-    uses_accelerator=True,
-    offloads_embeddings=True,
-    # FPGA partial reconfiguration dominates Centaur's commission time.
-    provision_warmup_s=10e-3,
-)
 
 
 @dataclass

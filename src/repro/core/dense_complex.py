@@ -9,7 +9,7 @@ MLP weights are uploaded once at boot and stay persistent in on-chip SRAM.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional, Tuple
 
 import numpy as np
 
@@ -19,9 +19,11 @@ from repro.core.interaction_unit import FeatureInteractionUnit
 from repro.core.mlp_unit import MLPUnit
 from repro.core.sigmoid_unit import SigmoidUnit
 from repro.core.sram import SRAMBuffer
-from repro.dlrm.mlp import MLP, relu
-from repro.dlrm.model import DLRMOutput
 from repro.errors import SimulationError
+
+if TYPE_CHECKING:  # pragma: no cover - annotation only
+    from repro.dlrm.mlp import MLP
+    from repro.dlrm.model import DLRMOutput
 
 
 @dataclass(frozen=True)
@@ -121,13 +123,15 @@ class DenseAcceleratorComplex:
             logits and the bottom-MLP and interaction outputs computed on
             the way, beside the given reductions.
         """
+        from repro.dlrm.model import DLRMOutput
+
         if not self.weights_loaded:
             raise SimulationError("load_weights() must be called before forward()")
         dense_features = np.asarray(dense_features, dtype=np.float32)
         batch = dense_features.shape[0]
         tile = self._max_tile_batch(dense_features, reduced_embeddings)
         if batch <= tile:
-            return self._forward_tile(dense_features, reduced_embeddings)
+            return DLRMOutput(*self._forward_tile(dense_features, reduced_embeddings))
         # Per-inference inputs are transient and double-buffered: a batch
         # whose features exceed the input SRAMs streams through in tiles.
         tiles = [
@@ -136,7 +140,7 @@ class DenseAcceleratorComplex:
             )
             for start in range(0, batch, tile)
         ]
-        return DLRMOutput(*map(np.concatenate, zip(*(vars(part).values() for part in tiles))))
+        return DLRMOutput(*map(np.concatenate, zip(*tiles)))
 
     def _max_tile_batch(
         self, dense_features: np.ndarray, reduced_embeddings: np.ndarray
@@ -158,7 +162,8 @@ class DenseAcceleratorComplex:
 
     def _forward_tile(
         self, dense_features: np.ndarray, reduced_embeddings: np.ndarray
-    ) -> DLRMOutput:
+    ) -> Tuple[np.ndarray, ...]:
+        """One tile's :class:`~repro.dlrm.model.DLRMOutput` fields, in order."""
         self.dense_feature_sram.write("dense_features", dense_features)
 
         bottom_out = self._run_mlp_from_sram("bottom", dense_features)
@@ -171,16 +176,12 @@ class DenseAcceleratorComplex:
         # Per-inference inputs are transient; weights stay resident.
         self.dense_feature_sram.discard("dense_features")
         self.mlp_input_sram.discard("interaction")
-        return DLRMOutput(
-            probabilities=probabilities,
-            logits=logits,
-            reduced_embeddings=reduced_embeddings,
-            bottom_mlp_output=bottom_out,
-            interaction_output=interaction,
-        )
+        return probabilities, logits, reduced_embeddings, bottom_out, interaction
 
     def _run_mlp_from_sram(self, which: str, inputs: np.ndarray) -> np.ndarray:
         """Run one MLP using the weight tensors stored in SRAM."""
+        from repro.dlrm.mlp import relu
+
         mlp = self._bottom_mlp if which == "bottom" else self._top_mlp
         activations = np.asarray(inputs, dtype=np.float32)
         last = len(mlp.layers) - 1

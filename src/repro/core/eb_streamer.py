@@ -21,23 +21,22 @@ Three views of the same hardware are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.config.models import DLRMConfig
 from repro.config.system import FPGAConfig, LinkConfig
-from repro.core.gather import EmbeddingGatherUnit
 from repro.core.link import ChipletLink
-from repro.core.mmio import HostMemory, IOMMU
 from repro.core.reduction import EmbeddingReductionUnit
-from repro.core.registers import BasePointerRegisters
 from repro.core.sram import SRAMBuffer
-from repro.workloads.traces import SparseTrace
 from repro.errors import CapacityError, SimulationError
 from repro.memsys.address import cache_lines_for_vector
-from repro.sim.engine import Simulator
-from repro.sim.resources import BandwidthResource, TokenPool
+
+if TYPE_CHECKING:  # pragma: no cover - annotation only
+    from repro.core.mmio import HostMemory
+    from repro.core.registers import BasePointerRegisters
+    from repro.workloads.traces import SparseTrace
 
 
 @dataclass(frozen=True)
@@ -66,7 +65,12 @@ class EBStreamerEstimate:
 
 
 class EBStreamer:
-    """The sparse accelerator complex (BPregs + index SRAM + EB-GU + EB-RU)."""
+    """The sparse accelerator complex (BPregs + index SRAM + EB-GU + EB-RU).
+
+    Only a streamer wired to ``host_memory`` runs the functional path, so
+    only it builds (and imports) the base-pointer registers, the gather
+    unit and the IOMMU; the timing paths need none of them.
+    """
 
     def __init__(
         self,
@@ -78,20 +82,28 @@ class EBStreamer:
     ):
         self.fpga = fpga
         self.link = ChipletLink(link_config)
-        self.registers = registers if registers is not None else BasePointerRegisters()
+        self.registers = registers
         self.host_memory = host_memory
         self.embedding_dim = embedding_dim
         # The sparse-index SRAM holds 32-bit row IDs.
         self.index_sram = SRAMBuffer(
             name="SRAM_sparseID", capacity_bytes=fpga.sparse_index_sram_entries * 4
         )
-        self.gather_unit = EmbeddingGatherUnit(self.registers, self.index_sram)
         self.reduction_unit = EmbeddingReductionUnit(
             embedding_dim=embedding_dim,
             num_lanes=fpga.reduction_lanes,
             frequency_hz=fpga.frequency_hz,
         )
-        self.iommu = IOMMU()
+        self.gather_unit = self.iommu = None
+        if host_memory is not None:
+            from repro.core.gather import EmbeddingGatherUnit
+            from repro.core.mmio import IOMMU
+            from repro.core.registers import BasePointerRegisters
+
+            if registers is None:
+                self.registers = BasePointerRegisters()
+            self.gather_unit = EmbeddingGatherUnit(self.registers, self.index_sram)
+            self.iommu = IOMMU()
 
     # ------------------------------------------------------------------
     # Functional path
@@ -212,6 +224,8 @@ class EBStreamer:
         simulated_lines = min(total_lines, max_requests)
         if simulated_lines == 0:
             return {"gather_s": 0.0, "achieved_bandwidth": 0.0, "simulated_lines": 0}
+        from repro.sim.engine import Simulator
+        from repro.sim.resources import BandwidthResource, TokenPool
 
         simulator = Simulator()
         credits = TokenPool(self.link.config.max_outstanding_requests, name="link-credits")

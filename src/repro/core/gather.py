@@ -9,13 +9,15 @@ link's outstanding-request budget allows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence
+from typing import TYPE_CHECKING, Iterator, List, Sequence
 
 import numpy as np
 
-from repro.core.registers import BasePointerRegisters
-from repro.core.sram import SRAMBuffer
 from repro.errors import SimulationError
+
+if TYPE_CHECKING:  # pragma: no cover - annotation only
+    from repro.core.registers import BasePointerRegisters
+    from repro.core.sram import SRAMBuffer
 
 
 @dataclass(frozen=True)

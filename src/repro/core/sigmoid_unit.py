@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.dlrm.mlp import sigmoid as exact_sigmoid
 from repro.errors import ConfigurationError
 
 
@@ -52,7 +51,9 @@ class SigmoidUnit:
         """Apply the sigmoid to a vector of logits."""
         logits = np.asarray(logits, dtype=np.float32)
         if self.mode == "exact":
-            return exact_sigmoid(logits)
+            from repro.dlrm.mlp import sigmoid
+
+            return sigmoid(logits)
         return self._piecewise(logits)
 
     @staticmethod

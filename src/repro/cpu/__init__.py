@@ -7,19 +7,15 @@ AVX GEMMs, and the memory system serves sparse gathers with the limited
 memory-level parallelism a latency-optimized core can sustain.
 """
 
-from repro.cpu.gemm import CPUGemmModel, GemmEstimate
-from repro.cpu.threads import ThreadPoolModel
-from repro.cpu.embedding_exec import EmbeddingExecutionModel, EmbeddingExecutionEstimate
-from repro.cpu.cpu_runner import CPUOnlyRunner
-from repro.cpu.trace_exec import TraceDrivenEmbeddingSimulator, TraceDrivenProfile
+from repro._exports import lazy_exports
 
-__all__ = [
-    "CPUGemmModel",
-    "GemmEstimate",
-    "ThreadPoolModel",
-    "EmbeddingExecutionModel",
-    "EmbeddingExecutionEstimate",
-    "CPUOnlyRunner",
-    "TraceDrivenEmbeddingSimulator",
-    "TraceDrivenProfile",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".gemm": ("CPUGemmModel", "GemmEstimate"),
+        ".threads": ("ThreadPoolModel",),
+        ".embedding_exec": ("EmbeddingExecutionModel", "EmbeddingExecutionEstimate"),
+        ".cpu_runner": ("CPUOnlyRunner",),
+        ".trace_exec": ("TraceDrivenEmbeddingSimulator", "TraceDrivenProfile"),
+    },
+)

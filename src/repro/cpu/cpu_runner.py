@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.backends.base import BackendCapabilities
+from repro.backends.builtin import CPU_CAPABILITIES
 from repro.config.models import DLRMConfig
 from repro.config.system import SystemConfig
 from repro.cpu.embedding_exec import EmbeddingExecutionModel
@@ -13,15 +14,6 @@ from repro.cpu.gemm import CPUGemmModel
 from repro.errors import SimulationError
 from repro.memsys.analytic import MLPAccessProfile
 from repro.results import InferenceResult, LatencyBreakdown
-
-#: What the CPU-only backend reports (registered as ``"cpu"``).
-CPU_CAPABILITIES = BackendCapabilities(
-    uses_accelerator=False,
-    offloads_embeddings=False,
-    # A CPU replica is traffic-ready once the embedding tables are paged in.
-    provision_warmup_s=2e-3,
-)
-
 
 @dataclass
 class CPUOnlyRunner:

@@ -12,29 +12,18 @@ The performance models in :mod:`repro.cpu`, :mod:`repro.gpu` and
 while tests and examples exercise the numerics end to end.
 """
 
-from repro.dlrm.embedding import (
-    DenseEmbeddingTable,
-    VirtualEmbeddingTable,
-    EmbeddingBagCollection,
-    sparse_lengths_sum,
-)
-from repro.dlrm.mlp import LinearLayer, MLP, relu, sigmoid
-from repro.dlrm.interaction import dot_feature_interaction
-from repro.dlrm.model import DLRM, DLRMOutput
-from repro.workloads.traces import DLRMBatch, SparseTrace
+from repro._exports import lazy_exports
 
-__all__ = [
-    "DenseEmbeddingTable",
-    "VirtualEmbeddingTable",
-    "EmbeddingBagCollection",
-    "sparse_lengths_sum",
-    "LinearLayer",
-    "MLP",
-    "relu",
-    "sigmoid",
-    "dot_feature_interaction",
-    "DLRM",
-    "DLRMOutput",
-    "DLRMBatch",
-    "SparseTrace",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".embedding": (
+            "DenseEmbeddingTable", "VirtualEmbeddingTable", "EmbeddingBagCollection",
+            "sparse_lengths_sum",
+        ),
+        ".mlp": ("LinearLayer", "MLP", "relu", "sigmoid"),
+        ".interaction": ("dot_feature_interaction",),
+        ".model": ("DLRM", "DLRMOutput"),
+        "repro.workloads.traces": ("DLRMBatch", "SparseTrace"),
+    },
+)

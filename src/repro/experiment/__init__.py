@@ -6,33 +6,16 @@ flavour returns), and :class:`ResultCache` (the memoization layer keyed on
 backend/model/batch/system fingerprints).
 """
 
-from repro.experiment.cache import (
-    ResultCache,
-    default_cache,
-    model_fingerprint,
-    override_default_cache,
-    set_default_cache,
-    system_fingerprint,
-)
-from repro.experiment.executor import GridExecutor, resolve_jobs
-from repro.experiment.experiment import (
-    Experiment,
-    ExperimentKey,
-    ExperimentResult,
-    VariantSweep,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "Experiment",
-    "ExperimentKey",
-    "ExperimentResult",
-    "GridExecutor",
-    "ResultCache",
-    "VariantSweep",
-    "default_cache",
-    "model_fingerprint",
-    "override_default_cache",
-    "resolve_jobs",
-    "set_default_cache",
-    "system_fingerprint",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".experiment": ("Experiment", "ExperimentKey", "ExperimentResult", "VariantSweep"),
+        ".executor": ("GridExecutor", "resolve_jobs"),
+        ".cache": (
+            "ResultCache", "default_cache", "model_fingerprint", "override_default_cache",
+            "set_default_cache", "system_fingerprint",
+        ),
+    },
+)

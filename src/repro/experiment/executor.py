@@ -15,10 +15,11 @@ batch grid took 2.1-2.4 s serially and 2.6-2.9 s over two workers.
 
 :func:`_run_fleet_task` is the serving-grid worker entry point (it must be
 importable by name so payloads stay spawn-safe); capacity planning maps a
-bound planner method.  Workers resolve backends through the registry —
-builtin backends self-register on import in every process; ad-hoc
-registrations made only in the parent cannot be resolved by a worker,
-which is why ``jobs`` defaults to 1 (the serial path) everywhere.
+bound planner method.  Workers resolve backends through the registry,
+which registers the builtin backends on its first lookup in every
+process; ad-hoc registrations made only in the parent cannot be resolved
+by a worker, which is why ``jobs`` defaults to 1 (the serial path)
+everywhere.
 
 Determinism contract (asserted by the equivalence-matrix tests): for each
 grid flavour the tasks partition points exactly the way fleets share
@@ -37,13 +38,15 @@ import reprlib
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
 
 from repro.config.models import DLRMConfig
 from repro.config.system import SystemConfig
 from repro.errors import SimulationError
-from repro.serving.fleet import FleetSpec
-from repro.workloads.workload import Workload
+
+if TYPE_CHECKING:  # pragma: no cover - annotation only
+    from repro.serving.fleet import FleetSpec
+    from repro.workloads.workload import Workload
 
 
 def resolve_jobs(jobs: int) -> int:

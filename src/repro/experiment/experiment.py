@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import csv
 import io
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.backends.registry import (
     available_backends,
@@ -47,7 +47,11 @@ from repro.errors import ConfigurationError, SimulationError
 from repro.experiment.cache import ResultCache, default_cache, system_fingerprint
 from repro.experiment.executor import FleetTask, GridExecutor, _run_fleet_task, resolve_jobs
 from repro.results import InferenceResult
-from repro.serving.fleet import FleetSpec
+
+if TYPE_CHECKING:  # pragma: no cover - annotation only
+    from repro.serving.fleet import FleetSpec
+    from repro.serving.planner import CapacityPlan
+    from repro.workloads.workload import Workload
 
 #: Key of one grid point: one coordinate per axis of its result.
 ExperimentKey = Tuple[object, ...]
@@ -530,7 +534,7 @@ class Experiment:
 
     def serve(
         self,
-        fleet: FleetSpec = FleetSpec(),
+        fleet: Optional[FleetSpec] = None,
         *,
         duration_s: Optional[float] = None,
         num_requests: Optional[int] = None,
@@ -540,9 +544,9 @@ class Experiment:
         """Run the serving grid: backends x workloads (x models) on one fleet.
 
         Requires :meth:`workloads`.  ``fleet`` is the front-end recipe every
-        point is served by (one device by default; replicas, an autoscaling
-        policy or shard and cache tiers select the others, see
-        :class:`~repro.serving.fleet.FleetSpec`).  ``faults`` — a
+        point is served by (``None``: ``FleetSpec()``, one device; replicas,
+        an autoscaling policy or shard and cache tiers select the others,
+        see :class:`~repro.serving.fleet.FleetSpec`).  ``faults`` — a
         :class:`~repro.chaos.faults.FaultSchedule` or a compact spec string
         like ``"crash:at=0.1,restart=0.05"`` — is injected into every run,
         so each report carries an :class:`~repro.chaos.report.IncidentReport`.
@@ -553,8 +557,11 @@ class Experiment:
         the points of one (backend, default model) share one fleet.
         """
         from repro.chaos.faults import FaultSchedule, parse_fault_schedule
+        from repro.serving.fleet import FleetSpec
 
         workloads = self._require_workloads("serve")
+        if fleet is None:
+            fleet = FleetSpec()
         if isinstance(faults, str):
             faults = parse_fault_schedule(faults)
         if faults is not None and not isinstance(faults, FaultSchedule):
@@ -594,6 +601,7 @@ class Experiment:
         strategy, cache, updates)``; a cache or update stream off is
         ``"off"``.
         """
+        from repro.serving.fleet import FleetSpec
         from repro.sharding.plan import STRATEGIES, ShardingStrategy
         from repro.utils.specs import lookup
 

@@ -6,14 +6,13 @@ like the CPU-only system, and then ships the reduced embeddings plus dense
 features to a discrete GPU over PCIe for the dense MLP/interaction layers.
 """
 
-from repro.gpu.pcie import PCIeLink, TransferEstimate
-from repro.gpu.device import GPUDevice, GPUGemmEstimate
-from repro.gpu.gpu_runner import CPUGPURunner
+from repro._exports import lazy_exports
 
-__all__ = [
-    "PCIeLink",
-    "TransferEstimate",
-    "GPUDevice",
-    "GPUGemmEstimate",
-    "CPUGPURunner",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".pcie": ("PCIeLink", "TransferEstimate"),
+        ".device": ("GPUDevice", "GPUGemmEstimate"),
+        ".gpu_runner": ("CPUGPURunner",),
+    },
+)

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.backends.base import BackendCapabilities
+from repro.backends.builtin import CPU_GPU_CAPABILITIES
 from repro.config.models import DLRMConfig
 from repro.config.system import SystemConfig
 from repro.cpu.embedding_exec import EmbeddingExecutionModel
@@ -21,15 +22,6 @@ from repro.gpu.device import GPUDevice
 from repro.gpu.pcie import PCIeLink
 from repro.memsys.analytic import MLPAccessProfile
 from repro.results import InferenceResult, LatencyBreakdown
-
-#: What the CPU-GPU backend reports (registered as ``"cpu-gpu"``).
-CPU_GPU_CAPABILITIES = BackendCapabilities(
-    uses_accelerator=True,
-    offloads_embeddings=False,
-    # CUDA context + weight upload over PCIe before the first batch.
-    provision_warmup_s=5e-3,
-)
-
 
 @dataclass
 class CPUGPURunner:

@@ -8,31 +8,19 @@ small experiments) and closed-form analytic models (used by the benchmark
 harness across full Table I configurations).
 """
 
-from repro.memsys.address import AddressMapper, cache_lines_for_vector
-from repro.memsys.cache import ReplacementPolicy, SetAssociativeCache
-from repro.memsys.hierarchy import CacheHierarchy, HierarchyAccessResult
-from repro.memsys.dram import DRAMModel, DRAMRequestStats
-from repro.memsys.stats import CacheStats, MemoryTrafficStats
-from repro.memsys.analytic import (
-    AnalyticCacheModel,
-    EmbeddingAccessProfile,
-    MLPAccessProfile,
-    memory_level_parallelism_bandwidth,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "AddressMapper",
-    "cache_lines_for_vector",
-    "ReplacementPolicy",
-    "SetAssociativeCache",
-    "CacheHierarchy",
-    "HierarchyAccessResult",
-    "DRAMModel",
-    "DRAMRequestStats",
-    "CacheStats",
-    "MemoryTrafficStats",
-    "AnalyticCacheModel",
-    "EmbeddingAccessProfile",
-    "MLPAccessProfile",
-    "memory_level_parallelism_bandwidth",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".address": ("AddressMapper", "cache_lines_for_vector"),
+        ".cache": ("ReplacementPolicy", "SetAssociativeCache"),
+        ".hierarchy": ("CacheHierarchy", "HierarchyAccessResult"),
+        ".dram": ("DRAMModel", "DRAMRequestStats"),
+        ".stats": ("CacheStats", "MemoryTrafficStats"),
+        ".analytic": (
+            "AnalyticCacheModel", "EmbeddingAccessProfile", "MLPAccessProfile",
+            "memory_level_parallelism_bandwidth",
+        ),
+    },
+)

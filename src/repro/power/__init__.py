@@ -4,6 +4,11 @@ Energy is power x latency on each :class:`~repro.results.InferenceResult`
 (``energy_joules``, ``energy_efficiency_over``), as Figure 15(b) computes it.
 """
 
-from repro.power.models import PowerModel
+from repro._exports import lazy_exports
 
-__all__ = ["PowerModel"]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".models": ("PowerModel",),
+    },
+)

@@ -12,74 +12,29 @@ CPU-GPU and Centaur replicas, or a sharded group — reporting the
 throughput / tail-latency trade-off under identical load.
 """
 
-from repro.workloads.arrivals import InferenceRequest
-from repro.serving.batching import (
-    AdaptiveWindowBatching,
-    BatchingPolicy,
-    BatchSignal,
-    CloseOnFullBatching,
-    FixedSizeBatching,
-    SizeBucketedBatching,
-    TimeoutBatching,
-)
-from repro.serving.metrics import ExecutedBatch, LatencyDistribution, ServingReport
-from repro.serving.replica import ReplicaServer, ServiceModel
-from repro.serving.dispatch import (
-    Dispatcher,
-    JoinShortestQueueDispatcher,
-    LeastLoadedDispatcher,
-    PowerOfTwoChoicesDispatcher,
-    RoundRobinDispatcher,
-)
-from repro.serving.cluster import ClusterReport, ReplicaSpec
-from repro.serving.autoscale import (
-    AutoscaleReport,
-    AutoscalerPolicy,
-    ClusterObservation,
-    EWMAPolicy,
-    QueueDepthPolicy,
-    ScheduledPolicy,
-    TargetUtilizationPolicy,
-    parse_autoscaler_spec,
-)
-from repro.serving.fleet import Fleet, FleetSpec
-from repro.serving.planner import CapacityPlan, CapacityPlanner, CapacityPoint
-from repro.serving.sharded import ShardedReplicaServer, ShardingStats
+from repro._exports import lazy_exports
 
-__all__ = [
-    "InferenceRequest",
-    "BatchingPolicy",
-    "BatchSignal",
-    "FixedSizeBatching",
-    "TimeoutBatching",
-    "CloseOnFullBatching",
-    "AdaptiveWindowBatching",
-    "SizeBucketedBatching",
-    "ExecutedBatch",
-    "LatencyDistribution",
-    "ServingReport",
-    "ReplicaServer",
-    "ServiceModel",
-    "Dispatcher",
-    "RoundRobinDispatcher",
-    "JoinShortestQueueDispatcher",
-    "LeastLoadedDispatcher",
-    "PowerOfTwoChoicesDispatcher",
-    "ClusterReport",
-    "ReplicaSpec",
-    "AutoscaleReport",
-    "AutoscalerPolicy",
-    "ClusterObservation",
-    "QueueDepthPolicy",
-    "TargetUtilizationPolicy",
-    "ScheduledPolicy",
-    "EWMAPolicy",
-    "parse_autoscaler_spec",
-    "Fleet",
-    "FleetSpec",
-    "CapacityPlan",
-    "CapacityPlanner",
-    "CapacityPoint",
-    "ShardedReplicaServer",
-    "ShardingStats",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.workloads.arrivals": ("InferenceRequest",),
+        ".batching": (
+            "BatchingPolicy", "BatchSignal", "FixedSizeBatching", "TimeoutBatching",
+            "CloseOnFullBatching", "AdaptiveWindowBatching", "SizeBucketedBatching",
+        ),
+        ".metrics": ("ExecutedBatch", "LatencyDistribution", "ServingReport"),
+        ".replica": ("ReplicaServer", "ServiceModel"),
+        ".dispatch": (
+            "Dispatcher", "RoundRobinDispatcher", "JoinShortestQueueDispatcher",
+            "LeastLoadedDispatcher", "PowerOfTwoChoicesDispatcher",
+        ),
+        ".cluster": ("ClusterReport", "ReplicaSpec"),
+        ".autoscale": (
+            "AutoscaleReport", "AutoscalerPolicy", "ClusterObservation", "QueueDepthPolicy",
+            "TargetUtilizationPolicy", "ScheduledPolicy", "EWMAPolicy", "parse_autoscaler_spec",
+        ),
+        ".fleet": ("Fleet", "FleetSpec"),
+        ".planner": ("CapacityPlan", "CapacityPlanner", "CapacityPoint"),
+        ".sharded": ("ShardedReplicaServer", "ShardingStats"),
+    },
+)

@@ -25,6 +25,7 @@ import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only
     from repro.chaos.report import IncidentReport
+    from repro.serving.autoscale import AutoscaleReport
     from repro.serving.fleet import FleetSpec
     from repro.serving.sharded import ShardingStats
 
@@ -32,7 +33,6 @@ from repro.backends.registry import resolve_backend
 from repro.config.models import DLRMConfig
 from repro.config.system import SystemConfig
 from repro.errors import ConfigurationError, SimulationError
-from repro.serving.autoscale import AutoscaleReport, _AutoscaleController
 from repro.serving.batching import BatchingPolicy, default_batching
 from repro.serving.dispatch import RoundRobinDispatcher
 from repro.serving.metrics import LatencyDistribution, ServingReport
@@ -271,6 +271,8 @@ class ReplicaPool:
         ]
         report = functools.partial(self._report, replicas)
         if elastic:
+            from repro.serving.autoscale import _AutoscaleController
+
             self.dispatcher.reset()
             controller = _AutoscaleController(self, sim, replicas, start)
             controllers = [controller]

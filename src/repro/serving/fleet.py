@@ -33,6 +33,7 @@ from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only
     from repro.chaos.faults import FaultSchedule
+    from repro.serving.autoscale import AutoscalerPolicy
     from repro.serving.batching import BatchingPolicy
     from repro.sharding.cache import CacheConfig
     from repro.sharding.plan import ShardingStrategy
@@ -42,11 +43,9 @@ from repro.backends.registry import backend_registration, get_backend
 from repro.config.models import DLRMConfig
 from repro.config.system import SystemConfig
 from repro.errors import SimulationError
-from repro.serving.autoscale import AutoscalerPolicy
 from repro.serving.cluster import ReplicaPool
 from repro.serving.dispatch import Dispatcher
 from repro.serving.replica import _StreamDriver
-from repro.serving.sharded import ShardGroup
 from repro.sim.engine import Simulator
 from repro.sim.profile import SimProfile
 from repro.workloads.arrivals import InferenceRequest, PoissonArrivals
@@ -76,7 +75,7 @@ class FleetSpec:
     replicas: int = 1
     batching: Optional["BatchingPolicy"] = None
     dispatcher: Optional[Dispatcher] = None
-    policy: Optional[AutoscalerPolicy] = None
+    policy: Optional["AutoscalerPolicy"] = None
     min_replicas: int = 1
     max_replicas: int = 8
     control_interval_s: float = 10e-3
@@ -104,10 +103,13 @@ class FleetSpec:
             )
         if self.warmup_s is not None and self.warmup_s < 0:
             raise SimulationError(f"warmup_s must be non-negative, got {self.warmup_s}")
-        if self.policy is not None and not isinstance(self.policy, AutoscalerPolicy):
-            raise SimulationError(
-                f"policy must be an AutoscalerPolicy or None, got {self.policy!r}"
-            )
+        if self.policy is not None:
+            from repro.serving.autoscale import AutoscalerPolicy
+
+            if not isinstance(self.policy, AutoscalerPolicy):
+                raise SimulationError(
+                    f"policy must be an AutoscalerPolicy or None, got {self.policy!r}"
+                )
 
     @property
     def sharded(self) -> bool:
@@ -151,7 +153,10 @@ class Fleet:
     ):
         self.model = model
         self.spec = spec
-        part = ShardGroup if spec.sharded else ReplicaPool
+        if spec.sharded:
+            from repro.serving.sharded import ShardGroup as part
+        else:
+            part = ReplicaPool
         #: The replica part: a :class:`~repro.serving.cluster.ReplicaPool`
         #: or a :class:`~repro.serving.sharded.ShardGroup`.
         self.part = part(runner_or_specs, model, spec, system)

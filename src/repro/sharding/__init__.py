@@ -10,28 +10,15 @@ transfer pricing — lives in :class:`repro.serving.sharded.ShardGroup`, the
 replica part of a sharded :class:`~repro.serving.fleet.Fleet`.
 """
 
-from repro.sharding.cache import CacheConfig, EmbeddingCache, parse_cache_spec
-from repro.sharding.plan import (
-    STRATEGIES,
-    GreedyBalancedSharding,
-    RowWiseHashSharding,
-    ShardingPlan,
-    ShardingStrategy,
-    TableWiseSharding,
-    make_plan,
-    parse_sharding_spec,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "CacheConfig",
-    "EmbeddingCache",
-    "parse_cache_spec",
-    "ShardingPlan",
-    "ShardingStrategy",
-    "TableWiseSharding",
-    "RowWiseHashSharding",
-    "GreedyBalancedSharding",
-    "STRATEGIES",
-    "make_plan",
-    "parse_sharding_spec",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".cache": ("CacheConfig", "EmbeddingCache", "parse_cache_spec"),
+        ".plan": (
+            "ShardingPlan", "ShardingStrategy", "TableWiseSharding", "RowWiseHashSharding",
+            "GreedyBalancedSharding", "STRATEGIES", "make_plan", "parse_sharding_spec",
+        ),
+    },
+)

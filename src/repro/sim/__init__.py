@@ -8,15 +8,13 @@ event-driven runs.  The hot path is tuned for million-event simulations:
 and an opt-in per-label profile (``Simulator(profile=True)``).
 """
 
-from repro.sim.engine import Event, EventQueue, Simulator
-from repro.sim.profile import SimProfile
-from repro.sim.resources import BandwidthResource, TokenPool
+from repro._exports import lazy_exports
 
-__all__ = [
-    "Event",
-    "EventQueue",
-    "SimProfile",
-    "Simulator",
-    "BandwidthResource",
-    "TokenPool",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".engine": ("Event", "EventQueue", "Simulator"),
+        ".profile": ("SimProfile",),
+        ".resources": ("BandwidthResource", "TokenPool"),
+    },
+)

@@ -1,47 +1,15 @@
 """Small shared utilities: unit helpers, table rendering, statistics."""
 
-from repro.utils.units import (
-    KIB,
-    MIB,
-    GIB,
-    KB,
-    MB,
-    GB,
-    KILO,
-    MEGA,
-    GIGA,
-    bytes_to_human,
-    gbps,
-    nanoseconds,
-    microseconds,
-    milliseconds,
-    seconds_to_human,
-)
-from repro.utils.tables import TextTable
-from repro.utils.stats_utils import (
-    geometric_mean,
-    harmonic_mean,
-    safe_divide,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "KIB",
-    "MIB",
-    "GIB",
-    "KB",
-    "MB",
-    "GB",
-    "KILO",
-    "MEGA",
-    "GIGA",
-    "bytes_to_human",
-    "gbps",
-    "nanoseconds",
-    "microseconds",
-    "milliseconds",
-    "seconds_to_human",
-    "TextTable",
-    "geometric_mean",
-    "harmonic_mean",
-    "safe_divide",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".units": (
+            "KIB", "MIB", "GIB", "KB", "MB", "GB", "KILO", "MEGA", "GIGA", "bytes_to_human", "gbps",
+            "nanoseconds", "microseconds", "milliseconds", "seconds_to_human",
+        ),
+        ".tables": ("TextTable",),
+        ".stats_utils": ("geometric_mean", "harmonic_mean", "safe_divide"),
+    },
+)

@@ -15,88 +15,28 @@ first-class, composable object:
   unit that serving simulators, experiment grids and the CLI consume.
 """
 
-from repro.workloads.arrivals import (
-    CHUNK_SIZE,
-    ArrivalProcess,
-    ConstantRateArrivals,
-    DiurnalArrivals,
-    InferenceRequest,
-    OnOffArrivals,
-    PoissonArrivals,
-    ReplayArrivals,
-    as_arrival_process,
-)
-from repro.workloads.traces import (
-    DLRMBatch,
-    PerTableTrace,
-    SparseTrace,
-    TraceModel,
-    UniformTrace,
-    WorkingSetTrace,
-    ZipfianTrace,
-    model_batch,
-    table_trace,
-)
-from repro.workloads.mix import MixComponent, TrafficMix
-from repro.workloads.updates import (
-    UPDATE_MODES,
-    EmbeddingUpdate,
-    UpdateProcess,
-)
-from repro.workloads.workload import Workload, poisson_workload
-from repro.workloads.catalog import (
-    ARRIVAL_CATALOG,
-    SCENARIO_CATALOG,
-    TRACE_CATALOG,
-    UPDATE_SCENARIO_CATALOG,
-    CatalogEntry,
-    ChaosScenario,
-    UpdateScenario,
-    parse_arrival_spec,
-    parse_trace_spec,
-    parse_update_spec,
-    parse_workload_spec,
-    resolve_fault_spec,
-    resolve_update_spec,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "CHUNK_SIZE",
-    "ArrivalProcess",
-    "PoissonArrivals",
-    "ConstantRateArrivals",
-    "OnOffArrivals",
-    "DiurnalArrivals",
-    "ReplayArrivals",
-    "InferenceRequest",
-    "as_arrival_process",
-    "TraceModel",
-    "UniformTrace",
-    "ZipfianTrace",
-    "WorkingSetTrace",
-    "PerTableTrace",
-    "SparseTrace",
-    "DLRMBatch",
-    "model_batch",
-    "table_trace",
-    "MixComponent",
-    "TrafficMix",
-    "Workload",
-    "poisson_workload",
-    "EmbeddingUpdate",
-    "UpdateProcess",
-    "UPDATE_MODES",
-    "CatalogEntry",
-    "ChaosScenario",
-    "UpdateScenario",
-    "ARRIVAL_CATALOG",
-    "SCENARIO_CATALOG",
-    "TRACE_CATALOG",
-    "UPDATE_SCENARIO_CATALOG",
-    "parse_arrival_spec",
-    "parse_trace_spec",
-    "parse_update_spec",
-    "parse_workload_spec",
-    "resolve_fault_spec",
-    "resolve_update_spec",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".arrivals": (
+            "CHUNK_SIZE", "ArrivalProcess", "PoissonArrivals", "ConstantRateArrivals",
+            "OnOffArrivals", "DiurnalArrivals", "ReplayArrivals", "InferenceRequest",
+            "as_arrival_process",
+        ),
+        ".traces": (
+            "TraceModel", "UniformTrace", "ZipfianTrace", "WorkingSetTrace", "PerTableTrace",
+            "SparseTrace", "DLRMBatch", "model_batch", "table_trace",
+        ),
+        ".mix": ("MixComponent", "TrafficMix"),
+        ".updates": ("UPDATE_MODES", "EmbeddingUpdate", "UpdateProcess"),
+        ".workload": ("Workload", "poisson_workload"),
+        ".catalog": (
+            "ARRIVAL_CATALOG", "SCENARIO_CATALOG", "TRACE_CATALOG", "UPDATE_SCENARIO_CATALOG",
+            "CatalogEntry", "ChaosScenario", "UpdateScenario", "parse_arrival_spec",
+            "parse_trace_spec", "parse_update_spec", "parse_workload_spec", "resolve_fault_spec",
+            "resolve_update_spec",
+        ),
+    },
+)

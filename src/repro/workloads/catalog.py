@@ -304,6 +304,8 @@ def resolve_fault_spec(spec: str):
 
     Returns the parsed ``FaultSchedule`` (or ``None`` for ``off``/``none``).
     """
+    if spec is None:
+        return None
     scenario = find_scenario(SCENARIO_CATALOG, spec)
     if scenario is not None:
         return scenario.schedule()

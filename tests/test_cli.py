@@ -190,6 +190,29 @@ class TestServe:
         assert "Incident timeline" in out
         assert "shed=200" in out
 
+    def test_total_outage_renders_an_empty_autoscale_timeline(self, capsys):
+        # The same outage on an elastic fleet: every timeline window shows
+        # zero completions and no attainment instead of a traceback.
+        assert main(
+            [
+                "serve",
+                "--backend", "cpu",
+                "--model", "DLRM1",
+                "--workload", "poisson:20000",
+                "--requests", "200",
+                "--autoscale", "schedule:0=1",
+                "--faults", "crash:at=0",
+            ]
+        ) == 0
+        out = capsys.readouterr().out
+        timeline = out.split("Autoscale timeline", 1)[1].split("Incident timeline", 1)[0]
+        rows = [line for line in timeline.splitlines() if line.startswith("|  ")]
+        assert len(rows) == 12
+        for row in rows:
+            cells = [cell.strip() for cell in row.strip("|").split("|")]
+            assert cells[3:] == ["0", "-"]
+        assert "shed=200" in out
+
     def test_sharded_serving_report(self, capsys):
         assert main(
             [
