@@ -7,9 +7,7 @@ reports.
 
 from __future__ import annotations
 
-import bisect
-from operator import itemgetter
-from typing import TYPE_CHECKING, List, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 from repro.utils.stats_utils import safe_divide
 from repro.utils.tables import TextTable
@@ -567,20 +565,16 @@ def render_autoscale_timeline(
     and the SLA attainment — the at-a-glance view of whether the fleet
     breathed with the load or gave back the tail.  Works for any
     :class:`~repro.serving.cluster.ClusterReport`; static fleets render a
-    constant replica count.  A run that completed nothing (a total outage)
-    renders zero completions and ``-`` attainment in every window.
+    constant replica count.  A window in which nothing completed (a gap in
+    the load, or a total outage) renders zero completions and ``-``
+    attainment, and a window with no commissioned replica an empty bar.
     """
-    from repro.serving.metrics import LatencyDistribution
+    import numpy as np
 
-    samples: List[tuple] = []
-    for replica in report.per_replica:
-        samples.extend(replica.completion_samples())
-    # One sort, then two bisects per bucket: a bucket holds the samples
-    # with ``start < time <= end`` (bucket 0 also those at time 0.0).
-    samples.sort(key=itemgetter(0))
-    times = [time for time, _ in samples]
-    latencies = [latency for _, latency in samples]
-    horizon = times[-1] if times else 0.0
+    from repro.serving.metrics import pooled_completions, window_latency
+
+    times, latencies = pooled_completions(report.per_replica)
+    horizon = float(times[-1]) if times.size else 0.0
     autoscale = getattr(report, "autoscale", None)
     if autoscale is not None:
         horizon = max(horizon, autoscale.timeline[-1][0])
@@ -598,36 +592,40 @@ def render_autoscale_timeline(
         ["window (ms)", "replicas", "fleet", "completions", f"SLA<{sla_s * 1e3:.0f}ms %"],
         title=header,
     )
-    for bucket in range(buckets):
-        start = bucket * window
-        # Clamp the last bucket to the horizon: buckets * (horizon/buckets)
-        # can round below horizon, which would drop the very sample (often
-        # the worst tail latency) that defined it.
-        end = horizon if bucket == buckets - 1 else (bucket + 1) * window
-        first = (
-            bisect.bisect_left(times, 0.0)
-            if bucket == 0
-            else bisect.bisect_right(times, start)
-        )
-        inside = latencies[first : bisect.bisect_right(times, end)]
-        distribution = LatencyDistribution(inside, allow_empty=True)
+    starts = [bucket * window for bucket in range(buckets)]
+    # Clamp the last bucket to the horizon: buckets * (horizon/buckets)
+    # can round below horizon, which would drop the very sample (often the
+    # worst tail latency) that defined it.
+    ends = starts[1:] + [horizon]
+    # A bucket holds the completions with start < time <= end; bucket 0
+    # also those at time 0, the earliest a request can complete.
+    firsts = np.searchsorted(times, starts, side="right")
+    firsts[0] = 0
+    lasts = np.searchsorted(times, ends, side="right")
+    for start, end, first, last in zip(starts, ends, firsts.tolist(), lasts.tolist()):
+        completed = window_latency(latencies[first:last])
         midpoint = (start + end) / 2.0
         replicas = (
             autoscale.replicas_at(midpoint)
             if autoscale is not None
             else report.num_replicas
         )
-        bar = "#" * max(1, round(bar_width * replicas / max(peak, 1)))
+        cells = round(bar_width * replicas / max(peak, 1))
         table.add_row(
             [
                 f"{start * 1e3:7.1f}-{end * 1e3:7.1f}",
                 replicas,
-                bar,
-                len(inside),
-                100.0 * distribution.sla_attainment(sla_s) if samples else "-",
+                "#" * (max(1, cells) if replicas else 0),
+                last - first,
+                "-" if completed is None else 100.0 * completed.sla_attainment(sla_s),
             ]
         )
     return table.render()
+
+
+def _percent(fraction: Optional[float]) -> object:
+    """A fraction as a percentage cell; ``-`` when there is nothing to measure."""
+    return "-" if fraction is None else 100.0 * fraction
 
 
 def render_incident_timeline(
@@ -636,17 +634,15 @@ def render_incident_timeline(
 ) -> str:
     """Render the chaos incidents of one serving run, one row per incident.
 
-    Accepts a :class:`~repro.serving.cluster.ClusterReport` whose
-    ``incidents`` field is populated (a run served with a fault schedule)
-    or an :class:`~repro.chaos.report.IncidentReport` directly.  Each row
-    shows the incident's window, how much traffic it shed or re-dispatched,
-    SLA attainment before/during/after, and the time-to-recover back to the
+    Takes a :class:`~repro.serving.cluster.ClusterReport` whose
+    ``incidents`` field is populated (a run served with a fault schedule).
+    Each row shows the incident's window, how much traffic it shed or
+    re-dispatched, SLA attainment before/during/after (``-`` for a window in
+    which nothing completed), and the time-to-recover back to the
     pre-incident p99.
     """
-    incidents = report
-    if incidents is not None and not hasattr(incidents, "schedule"):
-        incidents = getattr(report, "incidents", None)
-    if incidents is None or not hasattr(incidents, "incidents"):
+    incidents = getattr(report, "incidents", None)
+    if incidents is None:
         raise ValueError(
             "report carries no incident data; serve with a fault schedule "
             "(faults=...) to populate ClusterReport.incidents"
@@ -676,19 +672,18 @@ def render_incident_timeline(
         title=header,
     )
     for incident in incidents.incidents:
-        end = incident.end_s if incident.end_s is not None else incidents.horizon_s
         label = incident.kind if not incident.target else f"{incident.kind} {incident.target}"
         table.add_row(
             [
                 label,
-                f"{incident.start_s * 1e3:7.1f}-{end * 1e3:7.1f}",
+                f"{incident.start_s * 1e3:7.1f}-{incident.end_s * 1e3:7.1f}",
                 "yes" if incident.cleared else "no",
                 incident.shed_requests,
                 incident.redispatched_requests,
                 incident.degraded_lookups,
-                100.0 * incident.sla_before,
-                100.0 * incident.sla_during,
-                100.0 * incident.sla_after,
+                _percent(incident.sla_before),
+                _percent(incident.sla_during),
+                _percent(incident.sla_after),
                 (
                     f"{incident.time_to_recover_s * 1e3:.1f}"
                     if incident.time_to_recover_s is not None
@@ -700,6 +695,7 @@ def render_incident_timeline(
             ]
         )
     rendered = table.render()
+    worst_sla = incidents.worst_sla_during
     worst_ttr = incidents.worst_time_to_recover_s
     summary = (
         f"\ntotals: shed={incidents.total_shed}, "
@@ -707,8 +703,9 @@ def render_incident_timeline(
         f"degraded lookups={incidents.total_degraded_lookups}, "
         f"cache refill={incidents.total_refill_rows} rows "
         f"/ {incidents.total_refill_s * 1e3:.3f}ms, "
-        f"worst SLA during={100.0 * incidents.worst_sla_during:.2f}%, "
-        f"worst time-to-recover="
+        "worst SLA during="
+        + (f"{100.0 * worst_sla:.2f}%" if worst_sla is not None else "-")
+        + ", worst time-to-recover="
         + (f"{worst_ttr * 1e3:.1f}ms" if worst_ttr is not None else "not recovered")
     )
     notes = [

@@ -25,7 +25,7 @@ conservation identity ``arrivals == completed + shed``.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from repro.chaos.faults import (
     Brownout,
@@ -35,8 +35,9 @@ from repro.chaos.faults import (
     ReplicaCrash,
     ShardLoss,
 )
-from repro.chaos.report import Incident, IncidentReport, build_incident_report
+from repro.chaos.report import IncidentReport, build_incident_report
 from repro.errors import ConfigurationError
+from repro.serving.metrics import pooled_completions
 from repro.serving.replica import Controller
 
 
@@ -85,7 +86,7 @@ class FaultInjector(Controller):
         self._model = model
         self.shed = 0
         #: Raw incident records, in injection order.  Each holds the
-        #: measured facts; SLA fields are filled in at finalize time.
+        #: recorded facts; the SLA view is measured at finalize time.
         self._records: List[Dict[str, Any]] = []
         #: The latest crash that stopped a replica; outage sheds that no
         #: open incident covers are charged to it.
@@ -390,17 +391,12 @@ class FaultInjector(Controller):
 
     def finalize(self, per_replica_reports, horizon_s: float) -> IncidentReport:
         """Close open incidents at the horizon and measure the SLA view."""
-        samples: List[Tuple[float, float]] = []
-        for report in per_replica_reports:
-            samples.extend(report.completion_samples())
-        incidents: List[Incident] = []
+        facts: List[Dict[str, Any]] = []
         for record in self._records:
             if record["end_s"] is None:
                 self._close(record, cleared=False)
-            degraded0 = record["degraded0"]
-            degraded1 = record["degraded1"]
-            incidents.append(
-                Incident(
+            facts.append(
+                dict(
                     kind=record["kind"],
                     target=record["target"],
                     start_s=record["start_s"],
@@ -408,7 +404,7 @@ class FaultInjector(Controller):
                     cleared=record["cleared"],
                     shed_requests=record["shed"],
                     redispatched_requests=record["redispatched"],
-                    degraded_lookups=(degraded1 or 0) - degraded0,
+                    degraded_lookups=record["degraded1"] - record["degraded0"],
                     recovery_replica_seconds=self._replica_seconds(record["end_s"])
                     - self._replica_seconds(record["start_s"]),
                     recovery_energy_joules=record["energy1"] - record["energy0"],
@@ -418,9 +414,11 @@ class FaultInjector(Controller):
                     note=record["note"],
                 )
             )
+        times_s, latencies_s = pooled_completions(per_replica_reports)
         return build_incident_report(
-            samples,
-            incidents,
+            times_s,
+            latencies_s,
+            facts,
             schedule=self.schedule.describe(),
             sla_s=self.schedule.sla_s,
             window_s=self.schedule.window_s,

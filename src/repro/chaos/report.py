@@ -3,9 +3,11 @@
 The :class:`~repro.chaos.injector.FaultInjector` records raw per-incident
 facts while the simulation runs (onset/clear times, shed and re-dispatched
 counts, energy and replica-second snapshots); :func:`build_incident_report`
-then folds the run's completion samples over those windows to produce the
-SLA view — attainment before/during/after each incident and the
-time-to-recover back to the pre-incident p99.
+then slices the fleet's pooled completion timeline at those windows to
+produce the SLA view — attainment before/during/after each incident and
+the time-to-recover back to the pre-incident p99.  A window in which
+nothing completed has no attainment and no p99: it reads ``None``, never
+a vacuous 100%.
 
 Everything here is pure arithmetic over deterministic inputs, so equal
 seeds produce byte-identical :class:`IncidentReport` objects.
@@ -13,12 +15,13 @@ seeds produce byte-identical :class:`IncidentReport` objects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import SimulationError
+from repro.serving.metrics import window_latency
 
 #: A recovered window may sit this fraction above the pre-incident p99
 #: before it counts as recovered (tail estimates over small windows are
@@ -58,9 +61,10 @@ class Incident:
         refill_energy_joules: Device energy the refill costs.
         sla_before: Attainment in the window before onset.
         sla_during: Attainment between onset and restoration.
-        sla_after: Attainment in the window after restoration.
-        p99_before_s: Pre-incident p99 the recovery scan targets (0.0 when
-            nothing completed before onset).
+        sla_after: Attainment in the window after restoration.  Each of
+            the three is ``None`` when nothing completed in its window.
+        p99_before_s: Pre-incident p99 the recovery scan targets (``None``
+            when nothing completed before onset).
         time_to_recover_s: Time from onset until a full window's p99 first
             returns to within 10% of ``p99_before_s``; ``None`` when the
             run ends first (censored) or there is no pre-incident baseline.
@@ -74,22 +78,18 @@ class Incident:
     cleared: bool
     shed_requests: int
     redispatched_requests: int
-    degraded_lookups: int = 0
-    recovery_replica_seconds: float = 0.0
-    recovery_energy_joules: float = 0.0
-    refill_rows: int = 0
-    refill_s: float = 0.0
-    refill_energy_joules: float = 0.0
-    sla_before: float = 1.0
-    sla_during: float = 1.0
-    sla_after: float = 1.0
-    p99_before_s: float = 0.0
-    time_to_recover_s: Optional[float] = None
-    note: str = ""
-
-    @property
-    def duration_s(self) -> float:
-        return self.end_s - self.start_s
+    degraded_lookups: int
+    recovery_replica_seconds: float
+    recovery_energy_joules: float
+    refill_rows: int
+    refill_s: float
+    refill_energy_joules: float
+    sla_before: Optional[float]
+    sla_during: Optional[float]
+    sla_after: Optional[float]
+    p99_before_s: Optional[float]
+    time_to_recover_s: Optional[float]
+    note: str
 
 
 @dataclass(frozen=True)
@@ -139,46 +139,21 @@ class IncidentReport:
     @property
     def worst_time_to_recover_s(self) -> Optional[float]:
         """Largest measured time-to-recover; ``None`` if none was measurable."""
-        measured = [
-            incident.time_to_recover_s
-            for incident in self.incidents
-            if incident.time_to_recover_s is not None
-        ]
-        return max(measured) if measured else None
+        recovered = (incident.time_to_recover_s for incident in self.incidents)
+        return max((value for value in recovered if value is not None), default=None)
 
     @property
-    def worst_sla_during(self) -> float:
-        if not self.incidents:
-            return 1.0
-        return min(incident.sla_during for incident in self.incidents)
-
-
-def _attainment(latencies: np.ndarray, sla_s: float) -> float:
-    """SLA attainment of one window; vacuous 1.0 on an empty window."""
-    if latencies.size == 0:
-        return 1.0
-    return float(np.count_nonzero(latencies <= sla_s)) / latencies.size
-
-
-def _p99(latencies: np.ndarray) -> float:
-    if latencies.size == 0:
-        return 0.0
-    return float(np.quantile(latencies, 0.99))
-
-
-def _window_slice(
-    times: np.ndarray, latencies: np.ndarray, start: float, end: float
-) -> np.ndarray:
-    lo = int(np.searchsorted(times, start, side="left"))
-    hi = int(np.searchsorted(times, end, side="left"))
-    return latencies[lo:hi]
+    def worst_sla_during(self) -> Optional[float]:
+        """Lowest attainment during an incident; ``None`` if none was measurable."""
+        during = (incident.sla_during for incident in self.incidents)
+        return min((value for value in during if value is not None), default=None)
 
 
 def _time_to_recover(
-    times: np.ndarray,
-    latencies: np.ndarray,
+    times_s: np.ndarray,
+    latencies_s: np.ndarray,
     start_s: float,
-    p99_before_s: float,
+    p99_before_s: Optional[float],
     window_s: float,
     horizon_s: float,
 ) -> Optional[float]:
@@ -189,35 +164,39 @@ def _time_to_recover(
     ``_RECOVERY_TOLERANCE`` of the pre-incident p99 marks recovery.  Empty
     buckets during a total outage do *not* count as recovered — nothing
     completing is the opposite of healthy.  Returns ``None`` when the run
-    ends before any bucket qualifies.
+    ends before any bucket qualifies, or when there is no baseline.
     """
-    if p99_before_s <= 0.0:
+    if not p99_before_s:
         return None
     target = p99_before_s * _RECOVERY_TOLERANCE
     edge = start_s
     while edge < horizon_s:
-        window = _window_slice(times, latencies, edge, edge + window_s)
-        if window.size and _p99(window) <= target:
+        lo, hi = np.searchsorted(times_s, (edge, edge + window_s))
+        window = window_latency(latencies_s[lo:hi])
+        if window is not None and window.percentile(99.0) <= target:
             return edge + window_s - start_s
         edge += window_s
     return None
 
 
 def build_incident_report(
-    samples: Sequence[Tuple[float, float]],
-    incidents: Sequence[Incident],
+    times_s: np.ndarray,
+    latencies_s: np.ndarray,
+    facts: Sequence[Mapping[str, Any]],
     schedule: str,
     sla_s: float,
     window_s: Optional[float],
     horizon_s: float,
 ) -> IncidentReport:
-    """Fold completion samples over raw incident windows into the report.
+    """Measure each incident's windows over the fleet's completion timeline.
 
     Args:
-        samples: ``(completion_time_s, latency_s)`` pairs pooled over the
-            fleet (any order).
-        incidents: Raw incidents from the injector — SLA fields still at
-            their defaults; this function fills them in.
+        times_s: Completion times pooled over the fleet, ascending
+            (:func:`~repro.serving.metrics.pooled_completions`).
+        latencies_s: The latency of each completion in ``times_s``.
+        facts: One mapping per incident holding every :class:`Incident`
+            field the injector recorded — all but the SLA view, which this
+            function measures.
         schedule: ``FaultSchedule.describe()`` of the run.
         sla_s: Latency budget for attainment.
         window_s: Attainment/recovery bucket width; ``None`` derives it
@@ -226,42 +205,34 @@ def build_incident_report(
     """
     if sla_s <= 0:
         raise SimulationError(f"sla_s must be positive, got {sla_s}")
-    if samples:
-        pairs = np.asarray(sorted(samples), dtype=np.float64)
-        times = np.ascontiguousarray(pairs[:, 0])
-        latencies = np.ascontiguousarray(pairs[:, 1])
-    else:
-        times = np.empty(0, dtype=np.float64)
-        latencies = np.empty(0, dtype=np.float64)
     if window_s is None:
-        longest = max(
-            (incident.duration_s for incident in incidents), default=0.0
-        )
+        longest = max((fact["end_s"] - fact["start_s"] for fact in facts), default=0.0)
         window_s = max(longest, _MIN_WINDOW_S)
     measured: List[Incident] = []
-    for incident in sorted(incidents, key=lambda record: record.start_s):
-        before = _window_slice(
-            times, latencies, incident.start_s - window_s, incident.start_s
+    for fact in sorted(facts, key=lambda fact: fact["start_s"]):
+        start_s, end_s = fact["start_s"], fact["end_s"]
+        # Before, during and after: each window holds the completions with
+        # window start <= time < window end.
+        edges = np.searchsorted(
+            times_s, (start_s - window_s, start_s, end_s, end_s + window_s)
         )
-        during = _window_slice(times, latencies, incident.start_s, incident.end_s)
-        after = _window_slice(
-            times, latencies, incident.end_s, incident.end_s + window_s
+        before, during, after = (
+            window_latency(latencies_s[lo:hi]) for lo, hi in zip(edges, edges[1:])
         )
-        p99_before = _p99(before)
+        sla_before, sla_during, sla_after = (
+            None if window is None else window.sla_attainment(sla_s)
+            for window in (before, during, after)
+        )
+        p99_before = None if before is None else before.percentile(99.0)
         measured.append(
-            replace(
-                incident,
-                sla_before=_attainment(before, sla_s),
-                sla_during=_attainment(during, sla_s),
-                sla_after=_attainment(after, sla_s),
+            Incident(
+                **fact,
+                sla_before=sla_before,
+                sla_during=sla_during,
+                sla_after=sla_after,
                 p99_before_s=p99_before,
                 time_to_recover_s=_time_to_recover(
-                    times,
-                    latencies,
-                    incident.start_s,
-                    p99_before,
-                    window_s,
-                    horizon_s,
+                    times_s, latencies_s, start_s, p99_before, window_s, horizon_s
                 ),
             )
         )

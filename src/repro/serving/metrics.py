@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from itertools import chain, repeat
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -38,12 +37,13 @@ class LatencyDistribution:
     (p50/p95/p99) are computed together in a single vectorized pass.
 
     Distributions are non-empty by default (a serving run that completed
-    nothing is a bug, not a statistic).  Pass ``allow_empty=True`` for
-    windowed views — e.g. one bucket of an autoscaling attainment timeline
-    in which no request happened to complete.  An empty distribution answers
-    :meth:`sla_attainment` vacuously (1.0) and raises a clear
-    :class:`~repro.errors.SimulationError` from every statistic that needs
-    at least one sample.
+    nothing is a bug, not a statistic).  ``allow_empty=True`` admits the one
+    report that may hold no samples: a fleet whose every request a total
+    outage shed.  An empty distribution raises a clear
+    :class:`~repro.errors.SimulationError` from every statistic, attainment
+    included: no completed request means no attainment to report.  Windowed
+    views ask :func:`window_latency` instead, which answers ``None`` for a
+    window in which nothing completed.
     """
 
     _COMMON_PERCENTILES = (50.0, 95.0, 99.0)
@@ -119,15 +119,12 @@ class LatencyDistribution:
     def sla_attainment(self, sla_s: float) -> float:
         """Fraction of requests finishing within an SLA budget.
 
-        An empty distribution attains any SLA vacuously (1.0): zero of zero
-        requests missed the budget.  This guard is what keeps windowed
-        attainment views (timeline buckets with no completions) from dividing
-        by zero.
+        Attainment is a fraction of completed requests, so an empty
+        distribution has none and raises like every other statistic.
         """
         if sla_s <= 0:
             raise SimulationError(f"sla_s must be positive, got {sla_s}")
-        if len(self) == 0:
-            return 1.0
+        self._require_samples("sla_attainment")
         # The array is sorted, so attainment is one binary search.
         return float(np.searchsorted(self._latencies, sla_s, side="right")) / len(self)
 
@@ -145,25 +142,15 @@ class ServingReport:
     energy_joules: float
     executed_batches: Tuple[ExecutedBatch, ...] = ()
     #: Per-request latencies in completion order: the report's one
-    #: per-request record.  ``latency`` sorts it; zipping it against
-    #: ``executed_batches`` sizes recovers each request's completion time,
-    #: which timeline renderers bucket by.
+    #: per-request record.  ``latency`` sorts it; repeating each executed
+    #: batch's finish time by its size recovers each request's completion
+    #: time, which :func:`pooled_completions` does for a whole fleet.
     ordered_latency_s: np.ndarray = field(default_factory=lambda: np.empty(0))
 
     @functools.cached_property
     def latency(self) -> LatencyDistribution:
         """The per-request latencies, sorted for percentile queries."""
         return LatencyDistribution(self.ordered_latency_s)
-
-    def completion_samples(self) -> List[Tuple[float, float]]:
-        """``(completion_time_s, latency_s)`` pairs in completion order."""
-        # Each batch's own finish-time float, repeated by reference: a
-        # float64 np.repeat would box a new float per request.
-        finishes = chain.from_iterable(
-            repeat(batch.finish_time_s, batch.batch_size)
-            for batch in self.executed_batches
-        )
-        return list(zip(finishes, self.ordered_latency_s.tolist()))
 
     @property
     def device_utilization(self) -> float:
@@ -176,3 +163,39 @@ class ServingReport:
         if self.completed_requests == 0:
             return 0.0
         return self.energy_joules / self.completed_requests
+
+
+def pooled_completions(
+    reports: Sequence[ServingReport],
+) -> Tuple["np.ndarray", "np.ndarray"]:
+    """Every completion of a fleet as ``(times_s, latencies_s)`` arrays.
+
+    A request completes when its batch finishes, so a replica's completion
+    times are its batch finish times repeated by batch size, aligned with
+    its ``ordered_latency_s``.  The replicas' records are concatenated and
+    stably sorted by time, so ties keep replica order.  Every windowed view
+    (the autoscale timeline, the incident windows) slices this one timeline.
+    """
+    batches = [batch for report in reports for batch in report.executed_batches]
+    times = np.repeat(
+        [batch.finish_time_s for batch in batches], [batch.batch_size for batch in batches]
+    )
+    latencies = np.concatenate([np.empty(0)] + [report.ordered_latency_s for report in reports])
+    if times.size != latencies.size:
+        raise SimulationError(
+            f"completion record out of step: {times.size} batched requests, "
+            f"{latencies.size} latencies"
+        )
+    order = np.argsort(times, kind="stable")
+    return times[order], latencies[order]
+
+
+def window_latency(latencies_s: "np.ndarray") -> Optional[LatencyDistribution]:
+    """The latencies of one window's completions; ``None`` if none completed.
+
+    A window in which nothing completed has no attainment and no tail: tail
+    latency only means something over requests that finished (Dean and
+    Barroso, "The Tail at Scale", CACM 2013).  Windowed views render
+    ``None`` as ``-`` instead of inventing a vacuous 100%.
+    """
+    return LatencyDistribution(latencies_s) if len(latencies_s) else None

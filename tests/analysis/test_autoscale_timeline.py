@@ -1,27 +1,34 @@
 """``render_autoscale_timeline`` buckets by bisection exactly as by filtering.
 
-The renderer sorts the completion samples once and bisects each bucket
-edge.  The reference below is the per-bucket filter it replaced, kept
-verbatim as the oracle: the rendered tables must agree byte for byte,
-including samples that tie on a bucket edge or sit at time 0.
+The renderer slices the fleet's pooled completion timeline with
+``np.searchsorted`` at each bucket edge.  The reference below is the
+per-bucket filter it replaced, its filter rule kept verbatim as the oracle:
+the rendered tables must agree byte for byte, including samples that tie on
+a bucket edge or sit at time 0, and buckets in which nothing completed.
 """
 
 from types import SimpleNamespace
 from typing import List
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.report import render_autoscale_timeline
 from repro.serving import AutoscaleReport
-from repro.serving.metrics import LatencyDistribution
+from repro.serving.metrics import ExecutedBatch, LatencyDistribution
 from repro.utils.tables import TextTable
 
 
 def reference_timeline(report, sla_s, buckets=12, bar_width=24, title="Autoscale timeline"):
     samples: List[tuple] = []
     for replica in report.per_replica:
-        samples.extend(replica.completion_samples())
+        finishes = [
+            batch.finish_time_s
+            for batch in replica.executed_batches
+            for _ in range(batch.batch_size)
+        ]
+        samples.extend(zip(finishes, replica.ordered_latency_s.tolist()))
     horizon = max(time for time, _ in samples)
     autoscale = getattr(report, "autoscale", None)
     if autoscale is not None:
@@ -60,7 +67,7 @@ def reference_timeline(report, sla_s, buckets=12, bar_width=24, title="Autoscale
                 replicas,
                 bar,
                 len(inside),
-                100.0 * distribution.sla_attainment(sla_s),
+                100.0 * distribution.sla_attainment(sla_s) if inside else "-",
             ]
         )
     return table.render()
@@ -92,8 +99,12 @@ def runs(draw):
 
 
 def fake_report(per_replica, elastic):
+    # One single-request batch per sample, each finishing at its time.
     replicas = [
-        SimpleNamespace(completion_samples=lambda samples=samples: list(samples))
+        SimpleNamespace(
+            executed_batches=[ExecutedBatch(time, time, time, 1) for time, _ in samples],
+            ordered_latency_s=np.array([latency for _, latency in samples], dtype=np.float64),
+        )
         for samples in per_replica
     ]
     autoscale = None
@@ -135,3 +146,15 @@ def test_edge_and_zero_samples_land_where_the_filter_put_them():
     rows = rendered.splitlines()[4:-1]
     counts = [int(row.split("|")[4]) for row in rows]
     assert counts == [2, 2, 0, 1]
+
+
+def test_a_gap_in_the_load_renders_an_empty_middle_bucket():
+    # Nothing completes in the middle third: no completions, no attainment.
+    report = fake_report([[(0.1, 1e-3), (1.0, 9e-3)]], elastic=False)
+    rendered = render_autoscale_timeline(report, 5e-3, buckets=3)
+    assert rendered == reference_timeline(report, 5e-3, buckets=3)
+    rows = [
+        [cell.strip() for cell in row.strip("|").split("|")]
+        for row in rendered.splitlines()[4:-1]
+    ]
+    assert [row[3:] for row in rows] == [["1", "100.00"], ["0", "-"], ["1", "0"]]

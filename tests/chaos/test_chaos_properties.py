@@ -158,7 +158,8 @@ class TestConservation:
         for incident in incidents.incidents:
             assert incident.start_s >= 0.0
             assert incident.end_s >= incident.start_s
-            assert 0.0 <= incident.sla_during <= 1.0
+            # None when nothing completed during the incident.
+            assert incident.sla_during is None or 0.0 <= incident.sla_during <= 1.0
             assert incident.recovery_replica_seconds >= 0.0
 
     @given(

@@ -4,6 +4,7 @@ import hashlib
 
 import pytest
 
+from repro.analysis import render_incident_timeline
 from repro.backends import get_backend
 from repro.chaos import (
     Brownout,
@@ -121,6 +122,12 @@ class TestCrashIncidents:
         assert len(report.latency.samples_s) == 0
         assert len(report.per_replica) == 0
         assert report.incidents.total_shed == NUM_REQUESTS
+        # Nothing completed in any window, so nothing was attained.
+        for incident in report.incidents.incidents:
+            assert incident.sla_before is incident.sla_during is incident.sla_after is None
+            assert incident.p99_before_s is None
+            assert incident.time_to_recover_s is None
+        assert report.incidents.worst_sla_during is None
 
     def test_crashing_a_stopped_slot_is_a_noop_incident(self):
         _, report = serve(
@@ -131,6 +138,21 @@ class TestCrashIncidents:
         (incident,) = report.incidents.incidents
         assert "no-op" in incident.note
         assert report.autoscale.crashes == 0
+        # It opens and closes at once: nothing completes during its empty
+        # window, so it reads "-" during while its neighbours are measured.
+        assert incident.start_s == incident.end_s
+        assert incident.sla_during is None
+        assert 0.0 <= incident.sla_before <= 1.0
+        assert 0.0 <= incident.sla_after <= 1.0
+        assert report.incidents.worst_sla_during is None
+        row = next(
+            line
+            for line in render_incident_timeline(report).splitlines()
+            if line.startswith("| crash")
+        )
+        cells = [cell.strip() for cell in row.strip("|").split("|")]
+        assert cells[6] != "-" and cells[8] != "-"
+        assert cells[7] == "-"
 
     def test_two_simultaneous_crashes_take_distinct_replicas(self):
         _, report = serve(
@@ -268,7 +290,7 @@ class TestFleetValidation:
     @pytest.mark.parametrize(
         "replicas, digest",
         [
-            (1, "d7b73d956add7fb4e2c5dc20be75ad7280ee67a576b256206c175f609c3de208"),
+            (1, "0866278d0d01c1060bc09a08065daa54422846d8ac2a24922312fc09c212d412"),
             (2, "f6c16d748b3be51dbf9111792c97fb5e3da45ee777e4e3100ef2819684aaf022"),
         ],
     )
@@ -289,6 +311,9 @@ class TestFleetValidation:
         )
         assert report.num_replicas == replicas
         assert hashlib.sha256(repr(report.incidents).encode()).hexdigest() == digest
+        # A lone replica's crash leaves nothing to complete during it.
+        (incident,) = report.incidents.incidents
+        assert (incident.sla_during is None) == (replicas == 1)
 
 
 def incidents_total(report):

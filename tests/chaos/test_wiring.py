@@ -96,11 +96,6 @@ class TestRenderIncidentTimeline:
         assert "totals:" in rendered
         assert "worst time-to-recover" in rendered
 
-    def test_accepts_a_bare_incident_report(self):
-        result = faulted_grid("crash:at=0.01", num_requests=300)
-        ((_, report),) = list(result)
-        assert "crash" in render_incident_timeline(report.incidents)
-
     def test_faultless_report_raises(self):
         with pytest.raises(ValueError):
             render_incident_timeline(None)

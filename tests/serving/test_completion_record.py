@@ -11,6 +11,7 @@ from repro.backends import get_backend
 from repro.chaos import Brownout, FaultSchedule, ReplicaCrash
 from repro.config import DLRM1, DLRM2, HARPV2_SYSTEM
 from repro.serving import Fleet, FleetSpec, TimeoutBatching
+from repro.serving.metrics import pooled_completions
 from repro.workloads import PoissonArrivals, TrafficMix, Workload
 
 BATCHING = TimeoutBatching(window_s=1e-3, max_batch_size=32)
@@ -32,7 +33,8 @@ def assert_record_aligned(report):
     for replica in report.per_replica:
         executed = sum(batch.batch_size for batch in replica.executed_batches)
         assert len(replica.ordered_latency_s) == executed == replica.completed_requests
-        assert len(replica.completion_samples()) == executed
+        times_s, _ = pooled_completions([replica])
+        assert times_s.size == executed
     assert len(report.latency) == report.completed_requests
 
 

@@ -189,10 +189,17 @@ class TestServe:
         assert cells == ["CPU-only x1 (chaos)", "0", "-", "-", "-", "-", "0", "0"]
         assert "Incident timeline" in out
         assert "shed=200" in out
+        # Nothing completed before, during or after the crash: no window
+        # attained anything, so none reads a vacuous 100%.
+        incident = next(line for line in out.splitlines() if line.startswith("| crash"))
+        cells = [cell.strip() for cell in incident.strip("|").split("|")]
+        assert cells[6:9] == ["-", "-", "-"]
+        assert "worst SLA during=-," in out
 
     def test_total_outage_renders_an_empty_autoscale_timeline(self, capsys):
         # The same outage on an elastic fleet: every timeline window shows
-        # zero completions and no attainment instead of a traceback.
+        # zero replicas with an empty bar, zero completions and no
+        # attainment instead of a traceback.
         assert main(
             [
                 "serve",
@@ -210,7 +217,7 @@ class TestServe:
         assert len(rows) == 12
         for row in rows:
             cells = [cell.strip() for cell in row.strip("|").split("|")]
-            assert cells[3:] == ["0", "-"]
+            assert cells[1:] == ["0", "", "0", "-"]
         assert "shed=200" in out
 
     def test_sharded_serving_report(self, capsys):
