@@ -32,7 +32,7 @@ from repro.chaos import FaultSchedule, ShardLoss
 from repro.config import DLRM2, HARPV2_SYSTEM
 from repro.serving import Fleet, FleetSpec, TimeoutBatching
 from repro.sharding import parse_cache_spec
-from repro.workloads import SCENARIO_CATALOG, PoissonArrivals, Workload
+from repro.workloads import SCENARIO_CATALOG, PoissonArrivals, Workload, resolve_fault_spec
 
 SLA_S = 5e-3
 RATE_QPS = 20_000.0
@@ -45,14 +45,14 @@ def fleet_drill() -> None:
     """Healthy fleet vs the same fleet through a region failover."""
     scenario = SCENARIO_CATALOG["region-failover"]
     print(f"scenario '{scenario.name}': {scenario.summary}")
-    print(f"fault spec: {scenario.fault_spec}\n")
+    print(f"fault spec: {scenario.spec}\n")
 
     backend = get_backend("centaur", HARPV2_SYSTEM)
     workload = Workload(arrivals=PoissonArrivals(rate_qps=RATE_QPS), name="steady")
     reports = {}
     for label, faults in (
         ("healthy x3", None),
-        ("region failover x3", scenario.schedule()),
+        ("region failover x3", resolve_fault_spec(scenario.name)),
     ):
         fleet = Fleet(
             backend,
@@ -75,7 +75,7 @@ def fleet_drill() -> None:
         )
     )
     print()
-    print(render_incident_timeline(reports["region failover x3"]))
+    print(render_incident_timeline(reports["region failover x3"], sla_s=SLA_S))
 
 
 def shard_drill() -> None:
@@ -88,9 +88,7 @@ def shard_drill() -> None:
         HARPV2_SYSTEM,
     )
     faults = FaultSchedule(
-        [ShardLoss(at_s=0.04, shard=0, restore_after_s=0.03, failover="rehash")],
-        sla_s=SLA_S,
-        window_s=10e-3,
+        [ShardLoss(at_s=0.04, shard=0, restore_after_s=0.03, failover="rehash")]
     )
     report = group.serve_workload(
         Workload(arrivals=PoissonArrivals(rate_qps=RATE_QPS), name="steady"),
@@ -99,7 +97,11 @@ def shard_drill() -> None:
         faults=faults,
     )
     incidents = report.incidents
-    print(render_incident_timeline(report, title="Shard-loss drill (rehash failover)"))
+    print(
+        render_incident_timeline(
+            report, sla_s=SLA_S, title="Shard-loss drill (rehash failover)"
+        )
+    )
     lookups = report.sharding.total_lookups
     print(
         f"\ncorrectness loss: {incidents.total_degraded_lookups:,} of "

@@ -630,6 +630,7 @@ def _percent(fraction: Optional[float]) -> object:
 
 def render_incident_timeline(
     report,
+    sla_s: float,
     title: str = "Incident timeline",
 ) -> str:
     """Render the chaos incidents of one serving run, one row per incident.
@@ -637,20 +638,23 @@ def render_incident_timeline(
     Takes a :class:`~repro.serving.cluster.ClusterReport` whose
     ``incidents`` field is populated (a run served with a fault schedule).
     Each row shows the incident's window, how much traffic it shed or
-    re-dispatched, SLA attainment before/during/after (``-`` for a window in
-    which nothing completed), and the time-to-recover back to the
-    pre-incident p99.
+    re-dispatched, SLA attainment against ``sla_s`` before/during/after
+    (``-`` for a window in which nothing completed), and the time-to-recover
+    back to the pre-incident p99.
     """
+    from repro.chaos.report import measure_incidents
+
     incidents = getattr(report, "incidents", None)
     if incidents is None:
         raise ValueError(
             "report carries no incident data; serve with a fault schedule "
             "(faults=...) to populate ClusterReport.incidents"
         )
+    measures = measure_incidents(report, sla_s)
     header = (
         f"{title}: schedule [{incidents.schedule}], "
-        f"sla={incidents.sla_s * 1e3:.1f}ms, "
-        f"window={incidents.window_s * 1e3:.1f}ms, "
+        f"sla={sla_s * 1e3:.1f}ms, "
+        f"window={measures.window_s * 1e3:.1f}ms, "
         f"horizon={incidents.horizon_s * 1e3:.1f}ms"
     )
     table = TextTable(
@@ -671,7 +675,8 @@ def render_incident_timeline(
         ],
         title=header,
     )
-    for incident in incidents.incidents:
+    for windows in measures.windows:
+        incident = windows.incident
         label = incident.kind if not incident.target else f"{incident.kind} {incident.target}"
         table.add_row(
             [
@@ -681,12 +686,12 @@ def render_incident_timeline(
                 incident.shed_requests,
                 incident.redispatched_requests,
                 incident.degraded_lookups,
-                _percent(incident.sla_before),
-                _percent(incident.sla_during),
-                _percent(incident.sla_after),
+                _percent(windows.sla_before),
+                _percent(windows.sla_during),
+                _percent(windows.sla_after),
                 (
-                    f"{incident.time_to_recover_s * 1e3:.1f}"
-                    if incident.time_to_recover_s is not None
+                    f"{windows.time_to_recover_s * 1e3:.1f}"
+                    if windows.time_to_recover_s is not None
                     else "-"
                 ),
                 incident.recovery_replica_seconds,
@@ -695,8 +700,8 @@ def render_incident_timeline(
             ]
         )
     rendered = table.render()
-    worst_sla = incidents.worst_sla_during
-    worst_ttr = incidents.worst_time_to_recover_s
+    worst_sla = measures.worst_sla_during
+    worst_ttr = measures.worst_time_to_recover_s
     summary = (
         f"\ntotals: shed={incidents.total_shed}, "
         f"redispatched={incidents.total_redispatched}, "

@@ -18,6 +18,9 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "ReplicaCrash", "ShardLoss", "parse_fault_schedule",
         ),
         ".injector": ("FaultInjector",),
-        ".report": ("Incident", "IncidentReport", "build_incident_report"),
+        ".report": (
+            "Incident", "IncidentMeasures", "IncidentReport", "IncidentWindows",
+            "measure_incidents",
+        ),
     },
 )

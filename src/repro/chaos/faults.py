@@ -85,8 +85,6 @@ _FIELD_KEYS = {
     "rate_hz": "rate",
     "end_s": "until",
     "start_s": "start",
-    "sla_s": "sla",
-    "window_s": "window",
 }
 
 
@@ -363,23 +361,15 @@ class FaultSchedule:
 
     Args:
         faults: :class:`FaultSpec` and/or :class:`PoissonFaults` entries.
-        sla_s: Latency budget the incident report measures attainment
-            against.
-        window_s: Bucket width for before/during/after attainment and the
-            time-to-recover scan; ``None`` derives it per run (the longest
-            incident duration, floored at 5 ms).
 
-    The schedule itself is immutable state + configuration; serving paths
-    materialize it fresh for every stream, so one schedule can drive many
-    grid points deterministically.
+    The schedule holds only faults: what an incident cost is measured
+    against the run's latency budget where it is rendered
+    (:func:`~repro.chaos.report.measure_incidents`).  Serving paths
+    materialize the schedule fresh for every stream, so one schedule can
+    drive many grid points deterministically.
     """
 
-    def __init__(
-        self,
-        faults: Sequence[Union[FaultSpec, PoissonFaults]] = (),
-        sla_s: float = 10e-3,
-        window_s: Optional[float] = None,
-    ):
+    def __init__(self, faults: Sequence[Union[FaultSpec, PoissonFaults]] = ()):
         entries: List[Union[FaultSpec, PoissonFaults]] = []
         for entry in faults:
             if not isinstance(entry, (FaultSpec, PoissonFaults)):
@@ -388,15 +378,7 @@ class FaultSchedule:
                     f"got {entry!r}"
                 )
             entries.append(entry)
-        if sla_s <= 0:
-            raise ConfigurationError(f"sla_s must be positive, got {sla_s}")
-        if window_s is not None and window_s <= 0:
-            raise ConfigurationError(
-                f"window_s must be positive, got {window_s}"
-            )
         self.faults: Tuple[Union[FaultSpec, PoissonFaults], ...] = tuple(entries)
-        self.sla_s = sla_s
-        self.window_s = window_s
 
     @property
     def empty(self) -> bool:
@@ -423,22 +405,12 @@ class FaultSchedule:
         return ";".join(entry.describe() for entry in self.faults)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"FaultSchedule({self.describe()!r}, sla_s={self.sla_s})"
+        return f"FaultSchedule({self.describe()!r})"
 
 
 # ----------------------------------------------------------------------
 # Compact text specs (CLI)
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class _Report:
-    """The ``report`` segment: the schedule's incident-report knobs."""
-
-    sla_s: float = 10e-3
-    window_s: Optional[float] = None
-
-    kind = "report"
-
-
 #: Timed fault kinds, with their aliases as extra keys.
 _FAULT_KINDS = {
     "crash": ReplicaCrash,
@@ -450,7 +422,7 @@ _FAULT_KINDS = {
     "brownout": Brownout,
 }
 #: Every segment kind of a ``--faults`` spec.
-_SEGMENTS = {**_FAULT_KINDS, "poisson": PoissonFaults, "report": _Report}
+_SEGMENTS = {**_FAULT_KINDS, "poisson": PoissonFaults}
 
 
 def _parse_poisson(values: Dict[str, str]) -> PoissonFaults:
@@ -475,7 +447,6 @@ def parse_fault_schedule(spec: Optional[str]) -> Optional[FaultSchedule]:
         link:at=0.05,for=0.02,bw=0.5,lat=2
         brownout:at=0.05,for=0.02,replica=0,slow=3
         poisson:kind=crash,rate=20,until=0.5[,start=0,seed=0,restart=...]
-        report:sla=0.01,window=0.005       (incident-report knobs)
 
     Each kind's keys are its dataclass fields through :data:`_FIELD_KEYS`,
     the spellings :meth:`FaultSchedule.describe` prints.  ``None``, ``""``,
@@ -485,16 +456,11 @@ def parse_fault_schedule(spec: Optional[str]) -> Optional[FaultSchedule]:
     if text.lower() in OFF:
         return None
     faults: List[Union[FaultSpec, PoissonFaults]] = []
-    report = _Report()
     for segment in filter(str.strip, text.split(";")):
         cls, body = split_spec(segment, _SEGMENTS, "fault kind")
         values = parse_kv(body, cls.kind)
-        if cls is _Report:
-            report = replace(report, **_spec_kwargs(cls, values))
-        elif cls is PoissonFaults:
+        if cls is PoissonFaults:
             faults.append(_parse_poisson(values))
         else:
             faults.append(cls(**_spec_kwargs(cls, values)))
-    if not faults:
-        return None
-    return FaultSchedule(faults, sla_s=report.sla_s, window_s=report.window_s)
+    return FaultSchedule(faults) if faults else None

@@ -35,9 +35,8 @@ from repro.chaos.faults import (
     ReplicaCrash,
     ShardLoss,
 )
-from repro.chaos.report import IncidentReport, build_incident_report
+from repro.chaos.report import Incident, IncidentReport
 from repro.errors import ConfigurationError
-from repro.serving.metrics import pooled_completions
 from repro.serving.replica import Controller
 
 
@@ -85,8 +84,7 @@ class FaultInjector(Controller):
         self._cache_config = cache_config
         self._model = model
         self.shed = 0
-        #: Raw incident records, in injection order.  Each holds the
-        #: recorded facts; the SLA view is measured at finalize time.
+        #: Raw incident records, in injection (onset) order.
         self._records: List[Dict[str, Any]] = []
         #: The latest crash that stopped a replica; outage sheds that no
         #: open incident covers are charged to it.
@@ -385,18 +383,18 @@ class FaultInjector(Controller):
     # ------------------------------------------------------------------
     def finish(self, report, horizon_s: float):
         """Attach the incident report to the run's cluster report."""
-        return replace(
-            report, incidents=self.finalize(report.per_replica, horizon_s=horizon_s)
-        )
+        return replace(report, incidents=self.finalize(horizon_s))
 
-    def finalize(self, per_replica_reports, horizon_s: float) -> IncidentReport:
-        """Close open incidents at the horizon and measure the SLA view."""
-        facts: List[Dict[str, Any]] = []
+    def finalize(self, horizon_s: float) -> IncidentReport:
+        """Close open incidents at the horizon and report what was recorded."""
         for record in self._records:
             if record["end_s"] is None:
                 self._close(record, cleared=False)
-            facts.append(
-                dict(
+        return IncidentReport(
+            schedule=self.schedule.describe(),
+            horizon_s=horizon_s,
+            incidents=tuple(
+                Incident(
                     kind=record["kind"],
                     target=record["target"],
                     start_s=record["start_s"],
@@ -413,14 +411,6 @@ class FaultInjector(Controller):
                     refill_energy_joules=record["refill_joules"],
                     note=record["note"],
                 )
-            )
-        times_s, latencies_s = pooled_completions(per_replica_reports)
-        return build_incident_report(
-            times_s,
-            latencies_s,
-            facts,
-            schedule=self.schedule.describe(),
-            sla_s=self.schedule.sla_s,
-            window_s=self.schedule.window_s,
-            horizon_s=horizon_s,
+                for record in self._records
+            ),
         )

@@ -2,12 +2,13 @@
 
 The :class:`~repro.chaos.injector.FaultInjector` records raw per-incident
 facts while the simulation runs (onset/clear times, shed and re-dispatched
-counts, energy and replica-second snapshots); :func:`build_incident_report`
-then slices the fleet's pooled completion timeline at those windows to
-produce the SLA view — attainment before/during/after each incident and
-the time-to-recover back to the pre-incident p99.  A window in which
-nothing completed has no attainment and no p99: it reads ``None``, never
-a vacuous 100%.
+counts, energy and replica-second snapshots) into an
+:class:`IncidentReport`.  :func:`measure_incidents` then slices the fleet's
+pooled completion timeline at those windows, against the caller's latency
+budget, to produce the SLA view — attainment before/during/after each
+incident and the time-to-recover back to the pre-incident p99.  A window
+in which nothing completed has no attainment and no p99: it reads
+``None``, never a vacuous 100%.
 
 Everything here is pure arithmetic over deterministic inputs, so equal
 seeds produce byte-identical :class:`IncidentReport` objects.
@@ -16,12 +17,12 @@ seeds produce byte-identical :class:`IncidentReport` objects.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Mapping, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.serving.metrics import window_latency
+from repro.serving.metrics import pooled_completions, window_latency
 
 #: A recovered window may sit this fraction above the pre-incident p99
 #: before it counts as recovered (tail estimates over small windows are
@@ -34,7 +35,7 @@ _MIN_WINDOW_S = 5e-3
 
 @dataclass(frozen=True)
 class Incident:
-    """One injected fault, measured.
+    """One injected fault, as the injector recorded it.
 
     Attributes:
         kind: Fault kind tag (``"crash"``, ``"shard-loss"``, ``"link"``,
@@ -43,7 +44,7 @@ class Incident:
         start_s: Fault onset (simulated seconds).
         end_s: Service restoration — restart fully warmed, shard restored,
             degradation window closed; the run horizon when the fault was
-            never cleared (``recovered`` distinguishes the two).
+            never cleared (``cleared`` distinguishes the two).
         cleared: False when the fault was still open at end of run.
         shed_requests: In-flight/arriving requests dropped by this fault.
         redispatched_requests: In-flight requests re-routed to survivors.
@@ -59,15 +60,6 @@ class Incident:
         refill_s: Gather seconds the refill costs, priced through the
             backend's EMB cost model.
         refill_energy_joules: Device energy the refill costs.
-        sla_before: Attainment in the window before onset.
-        sla_during: Attainment between onset and restoration.
-        sla_after: Attainment in the window after restoration.  Each of
-            the three is ``None`` when nothing completed in its window.
-        p99_before_s: Pre-incident p99 the recovery scan targets (``None``
-            when nothing completed before onset).
-        time_to_recover_s: Time from onset until a full window's p99 first
-            returns to within 10% of ``p99_before_s``; ``None`` when the
-            run ends first (censored) or there is no pre-incident baseline.
         note: Free-form detail (no-op crashes, total-outage sheds, ...).
     """
 
@@ -84,25 +76,19 @@ class Incident:
     refill_rows: int
     refill_s: float
     refill_energy_joules: float
-    sla_before: Optional[float]
-    sla_during: Optional[float]
-    sla_after: Optional[float]
-    p99_before_s: Optional[float]
-    time_to_recover_s: Optional[float]
     note: str
 
 
 @dataclass(frozen=True)
 class IncidentReport:
-    """Resilience summary of one chaos-injected serving run.
+    """Resilience ledger of one chaos-injected serving run.
 
     Attached to :class:`~repro.serving.cluster.ClusterReport` as
-    ``incidents`` when the run carried a non-empty fault schedule.
+    ``incidents`` when the run carried a non-empty fault schedule.  The
+    incidents are in onset order.
     """
 
     schedule: str
-    sla_s: float
-    window_s: float
     horizon_s: float
     incidents: Tuple[Incident, ...]
 
@@ -136,16 +122,55 @@ class IncidentReport:
             return 0.0
         return self.total_degraded_lookups / total_lookups
 
+
+@dataclass(frozen=True)
+class IncidentWindows:
+    """The SLA view of one incident.
+
+    Attributes:
+        incident: The recorded incident.
+        sla_before: Attainment in the window before onset.
+        sla_during: Attainment between onset and restoration.
+        sla_after: Attainment in the window after restoration.  Each of
+            the three is ``None`` when nothing completed in its window.
+        p99_before_s: Pre-incident p99 the recovery scan targets (``None``
+            when nothing completed before onset).
+        time_to_recover_s: Time from onset until a full window's p99 first
+            returns to within 10% of ``p99_before_s``; ``None`` when the
+            run ends first (censored) or there is no pre-incident baseline.
+    """
+
+    incident: Incident
+    sla_before: Optional[float]
+    sla_during: Optional[float]
+    sla_after: Optional[float]
+    p99_before_s: Optional[float]
+    time_to_recover_s: Optional[float]
+
+
+@dataclass(frozen=True)
+class IncidentMeasures:
+    """Every incident of one run, measured against one latency budget.
+
+    Attributes:
+        window_s: Width of the before/after windows and of the
+            time-to-recover buckets.
+        windows: One entry per incident, in onset order.
+    """
+
+    window_s: float
+    windows: Tuple[IncidentWindows, ...]
+
     @property
     def worst_time_to_recover_s(self) -> Optional[float]:
         """Largest measured time-to-recover; ``None`` if none was measurable."""
-        recovered = (incident.time_to_recover_s for incident in self.incidents)
+        recovered = (windows.time_to_recover_s for windows in self.windows)
         return max((value for value in recovered if value is not None), default=None)
 
     @property
     def worst_sla_during(self) -> Optional[float]:
         """Lowest attainment during an incident; ``None`` if none was measurable."""
-        during = (incident.sla_during for incident in self.incidents)
+        during = (windows.sla_during for windows in self.windows)
         return min((value for value in during if value is not None), default=None)
 
 
@@ -179,38 +204,29 @@ def _time_to_recover(
     return None
 
 
-def build_incident_report(
-    times_s: np.ndarray,
-    latencies_s: np.ndarray,
-    facts: Sequence[Mapping[str, Any]],
-    schedule: str,
-    sla_s: float,
-    window_s: Optional[float],
-    horizon_s: float,
-) -> IncidentReport:
-    """Measure each incident's windows over the fleet's completion timeline.
+def measure_incidents(report, sla_s: float) -> IncidentMeasures:
+    """Measure each incident's windows over the run's completion timeline.
+
+    Takes a :class:`~repro.serving.cluster.ClusterReport` whose
+    ``incidents`` field is populated and slices its pooled completions
+    (:func:`~repro.serving.metrics.pooled_completions`) around every
+    incident.  The window width is the longest incident, floored at 5 ms.
 
     Args:
-        times_s: Completion times pooled over the fleet, ascending
-            (:func:`~repro.serving.metrics.pooled_completions`).
-        latencies_s: The latency of each completion in ``times_s``.
-        facts: One mapping per incident holding every :class:`Incident`
-            field the injector recorded — all but the SLA view, which this
-            function measures.
-        schedule: ``FaultSchedule.describe()`` of the run.
-        sla_s: Latency budget for attainment.
-        window_s: Attainment/recovery bucket width; ``None`` derives it
-            from the longest incident (floored at 5 ms).
-        horizon_s: End of the simulated run.
+        report: The chaos-injected run.
+        sla_s: Latency budget for attainment — the run's one SLA.
     """
     if sla_s <= 0:
         raise SimulationError(f"sla_s must be positive, got {sla_s}")
-    if window_s is None:
-        longest = max((fact["end_s"] - fact["start_s"] for fact in facts), default=0.0)
-        window_s = max(longest, _MIN_WINDOW_S)
-    measured: List[Incident] = []
-    for fact in sorted(facts, key=lambda fact: fact["start_s"]):
-        start_s, end_s = fact["start_s"], fact["end_s"]
+    incidents = report.incidents.incidents
+    window_s = max(
+        max((incident.end_s - incident.start_s for incident in incidents), default=0.0),
+        _MIN_WINDOW_S,
+    )
+    times_s, latencies_s = pooled_completions(report.per_replica)
+    measured = []
+    for incident in incidents:
+        start_s, end_s = incident.start_s, incident.end_s
         # Before, during and after: each window holds the completions with
         # window start <= time < window end.
         edges = np.searchsorted(
@@ -224,22 +240,10 @@ def build_incident_report(
             for window in (before, during, after)
         )
         p99_before = None if before is None else before.percentile(99.0)
-        measured.append(
-            Incident(
-                **fact,
-                sla_before=sla_before,
-                sla_during=sla_during,
-                sla_after=sla_after,
-                p99_before_s=p99_before,
-                time_to_recover_s=_time_to_recover(
-                    times_s, latencies_s, start_s, p99_before, window_s, horizon_s
-                ),
-            )
+        recover = _time_to_recover(
+            times_s, latencies_s, start_s, p99_before, window_s, report.incidents.horizon_s
         )
-    return IncidentReport(
-        schedule=schedule,
-        sla_s=sla_s,
-        window_s=window_s,
-        horizon_s=horizon_s,
-        incidents=tuple(measured),
-    )
+        measured.append(
+            IncidentWindows(incident, sla_before, sla_during, sla_after, p99_before, recover)
+        )
+    return IncidentMeasures(window_s=window_s, windows=tuple(measured))

@@ -149,7 +149,7 @@ def _cmd_list_workloads(args: argparse.Namespace) -> int:
         title="Workload catalog: chaos scenarios",
     )
     for entry in SCENARIO_CATALOG.values():
-        scenarios.add_row([entry.name, entry.summary, entry.fault_spec])
+        scenarios.add_row([entry.name, entry.summary, entry.spec])
     print()
     print(scenarios.render())
     pushes = TextTable(
@@ -157,7 +157,7 @@ def _cmd_list_workloads(args: argparse.Namespace) -> int:
         title="Workload catalog: update scenarios",
     )
     for entry in UPDATE_SCENARIO_CATALOG.values():
-        pushes.add_row([entry.name, entry.summary, entry.update_spec])
+        pushes.add_row([entry.name, entry.summary, entry.spec])
     print()
     print(pushes.render())
     print(
@@ -333,7 +333,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             print(render_autoscale_timeline(report, sla_s=args.sla))
     if getattr(report, "incidents", None) is not None:
         print()
-        print(render_incident_timeline(report))
+        print(render_incident_timeline(report, sla_s=args.sla))
     if simulator.last_profile is not None:
         print()
         print(render_profile(simulator.last_profile))
@@ -510,7 +510,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-batch", type=int, default=64, help="batching size cap"
     )
     serve_parser.add_argument(
-        "--sla", type=float, default=5e-3, help="SLA budget in seconds for attainment"
+        "--sla",
+        type=float,
+        default=5e-3,
+        help="SLA budget in seconds for attainment; the incident table uses it too",
     )
     serve_parser.add_argument("--seed", type=int, default=0, help="workload stream seed")
     serve_parser.add_argument(
@@ -554,8 +557,8 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "deterministic fault schedule: a named scenario from "
             "list-workloads (e.g. region-failover) or a ;-separated spec, "
-            "e.g. 'crash:at=0.05,restart=0.02;report:sla=0.005' "
-            "(kinds: crash, shard-loss, link, brownout, poisson, report)"
+            "e.g. 'crash:at=0.05,restart=0.02;brownout:at=0.1,for=0.02' "
+            "(kinds: crash, shard-loss, link, brownout, poisson)"
         ),
     )
     serve_parser.add_argument(

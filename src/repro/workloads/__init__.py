@@ -34,7 +34,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
         ".workload": ("Workload", "poisson_workload"),
         ".catalog": (
             "ARRIVAL_CATALOG", "SCENARIO_CATALOG", "TRACE_CATALOG", "UPDATE_SCENARIO_CATALOG",
-            "CatalogEntry", "ChaosScenario", "UpdateScenario", "parse_arrival_spec",
+            "CatalogEntry", "Scenario", "parse_arrival_spec",
             "parse_trace_spec", "parse_update_spec", "parse_workload_spec", "resolve_fault_spec",
             "resolve_update_spec",
         ),

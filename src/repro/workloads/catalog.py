@@ -11,7 +11,7 @@ prints them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict
+from typing import Callable, Dict, Optional
 
 from repro.errors import ConfigurationError
 from repro.utils.specs import parse_kv, parse_kv_numbers, pop_number, split_spec
@@ -163,57 +163,48 @@ def parse_workload_spec(spec: str, trace_spec: str = "uniform") -> Workload:
 
 
 @dataclass(frozen=True)
-class ChaosScenario:
-    """A named fault drill: a fault schedule plus the traffic it assumes.
+class Scenario:
+    """A named drill: a fault or update spec plus the traffic it assumes.
 
-    Scenarios store *spec strings*, not built objects: the fault grammar
-    lives in :mod:`repro.chaos` and is parsed lazily, so the workload
-    catalog stays import-light and the scenario text doubles as the exact
-    ``--faults`` spec a user could have typed by hand.
+    Scenarios store *spec strings*, not built objects: the fault and update
+    grammars are parsed lazily (:func:`resolve_fault_spec`,
+    :func:`resolve_update_spec`), so the workload catalog stays
+    import-light and the scenario text doubles as the exact ``--faults`` or
+    ``--updates`` spec a user could have typed by hand.
     """
 
     name: str
     summary: str
-    fault_spec: str
+    spec: str
     arrival_spec: str
     trace_spec: str = "uniform"
-
-    def schedule(self):
-        """Parse :attr:`fault_spec` into a ``FaultSchedule``."""
-        from repro.chaos.faults import parse_fault_schedule
-
-        return parse_fault_schedule(self.fault_spec)
 
     def workload(self) -> Workload:
         """Build the scenario's assumed traffic."""
         return parse_workload_spec(self.arrival_spec, self.trace_spec)
 
 
-SCENARIO_CATALOG: Dict[str, ChaosScenario] = {
-    "region-failover": ChaosScenario(
+#: Chaos scenarios: each ``spec`` is a ``--faults`` spec.
+SCENARIO_CATALOG: Dict[str, Scenario] = {
+    "region-failover": Scenario(
         name="region-failover",
         summary=(
             "two replicas die at once (a rack/region partition) and restart "
             "after a cold outage window; survivors absorb the re-dispatch"
         ),
-        fault_spec=(
-            "crash:at=0.06,restart=0.05;"
-            "crash:at=0.06,restart=0.05;"
-            "report:sla=0.005"
-        ),
+        spec="crash:at=0.06,restart=0.05;crash:at=0.06,restart=0.05",
         arrival_spec="poisson:20000",
     ),
-    "cascading-brownout": ChaosScenario(
+    "cascading-brownout": Scenario(
         name="cascading-brownout",
         summary=(
             "thermal throttling marches across the fleet as overlapping "
             "brownouts, then the hottest replica crashes outright"
         ),
-        fault_spec=(
+        spec=(
             "brownout:at=0.03,for=0.06,replica=0,slow=3;"
             "brownout:at=0.06,for=0.06,replica=1,slow=3;"
-            "crash:at=0.1,restart=0.04;"
-            "report:sla=0.005"
+            "crash:at=0.1,restart=0.04"
         ),
         arrival_spec="bursty:on=30000,off=5000,mean_on=0.05,mean_off=0.05",
     ),
@@ -255,40 +246,22 @@ def parse_update_spec(spec) -> "UpdateProcess | None":
     )
 
 
-@dataclass(frozen=True)
-class UpdateScenario:
-    """A named embedding-push drill: an update spec plus assumed traffic."""
-
-    name: str
-    summary: str
-    update_spec: str
-    arrival_spec: str
-    trace_spec: str = "uniform"
-
-    def updates(self) -> "UpdateProcess | None":
-        """Parse :attr:`update_spec` into an :class:`UpdateProcess`."""
-        return parse_update_spec(self.update_spec)
-
-    def workload(self) -> Workload:
-        """Build the scenario's assumed traffic."""
-        return parse_workload_spec(self.arrival_spec, self.trace_spec)
-
-
-UPDATE_SCENARIO_CATALOG: Dict[str, UpdateScenario] = {
-    "model-push-storm": UpdateScenario(
+#: Embedding-push scenarios: each ``spec`` is an ``--updates`` spec.
+UPDATE_SCENARIO_CATALOG: Dict[str, Scenario] = {
+    "model-push-storm": Scenario(
         name="model-push-storm",
         summary=(
             "a full model push streams retrained rows into serving at high "
             "rate; invalidations strip the hot set while zipf reads hammer it"
         ),
-        update_spec="invalidate:rate=4000,rows=32",
+        spec="invalidate:rate=4000,rows=32",
         arrival_spec="poisson:30000",
         trace_spec="zipf:1.05",
     ),
 }
 
 
-def find_scenario(catalog: Dict[str, object], spec):
+def find_scenario(catalog: Dict[str, Scenario], spec) -> Optional[Scenario]:
     """The scenario of ``catalog`` that ``spec`` names, or ``None``."""
     return None if spec is None else catalog.get(str(spec).strip().lower())
 
@@ -296,7 +269,7 @@ def find_scenario(catalog: Dict[str, object], spec):
 def resolve_update_spec(spec) -> "UpdateProcess | None":
     """Resolve ``--updates`` text: a scenario name or a raw update spec."""
     scenario = find_scenario(UPDATE_SCENARIO_CATALOG, spec)
-    return parse_update_spec(spec) if scenario is None else scenario.updates()
+    return parse_update_spec(spec if scenario is None else scenario.spec)
 
 
 def resolve_fault_spec(spec: str):
@@ -306,9 +279,7 @@ def resolve_fault_spec(spec: str):
     """
     if spec is None:
         return None
-    scenario = find_scenario(SCENARIO_CATALOG, spec)
-    if scenario is not None:
-        return scenario.schedule()
     from repro.chaos.faults import parse_fault_schedule
 
-    return parse_fault_schedule(spec)
+    scenario = find_scenario(SCENARIO_CATALOG, spec)
+    return parse_fault_schedule(spec if scenario is None else scenario.spec)

@@ -157,8 +157,7 @@ class TestByteIdenticalIncidentReports:
                     [
                         ReplicaCrash(at_s=0.01, restart_after_s=0.01),
                         ReplicaCrash(at_s=0.03, on_inflight="shed"),
-                    ],
-                    sla_s=5e-3,
+                    ]
                 ),
             )
 
@@ -186,8 +185,7 @@ class TestByteIdenticalIncidentReports:
                 num_requests=NUM_REQUESTS,
                 seed=SEED,
                 faults=FaultSchedule(
-                    [ShardLoss(at_s=0.005, shard=0, restore_after_s=0.01, failover="rehash")],
-                    window_s=5e-3,
+                    [ShardLoss(at_s=0.005, shard=0, restore_after_s=0.01, failover="rehash")]
                 ),
             )
 

@@ -15,7 +15,7 @@ from collections import Counter
 from hypothesis import example, given, settings, strategies as st
 
 from repro.backends import get_backend
-from repro.chaos import Brownout, FaultSchedule, PoissonFaults, ReplicaCrash
+from repro.chaos import Brownout, FaultSchedule, PoissonFaults, ReplicaCrash, measure_incidents
 from repro.config import DLRM1, HARPV2_SYSTEM
 from repro.serving import (
     Fleet,
@@ -71,7 +71,7 @@ SCHEDULES = st.lists(
     st.one_of(crash_specs(), brownout_specs(), poisson_storms()),
     min_size=1,
     max_size=3,
-).map(lambda faults: FaultSchedule(faults, sla_s=5e-3))
+).map(FaultSchedule)
 
 
 def run(schedule, seed, elastic, dispatcher=None):
@@ -112,7 +112,7 @@ class TestConservation:
     # A drained slot reaped before the crash: its billing stop is back-dated,
     # so replica-seconds must come from the final intervals (never negative).
     @example(
-        schedule=FaultSchedule([ReplicaCrash(at_s=0.02734375)], sla_s=5e-3),
+        schedule=FaultSchedule([ReplicaCrash(at_s=0.02734375)]),
         seed=0,
         elastic=True,
     )
@@ -129,8 +129,7 @@ class TestConservation:
                     end_s=0.03125,
                     seed=0,
                 )
-            ],
-            sla_s=5e-3,
+            ]
         ),
         seed=2222,
         elastic=True,
@@ -155,11 +154,12 @@ class TestConservation:
         # Latency samples exist for exactly the completed requests.
         assert len(report.latency.samples_s) == outcome.completed
         # Every incident window is well-formed.
-        for incident in incidents.incidents:
+        for windows in measure_incidents(report, sla_s=5e-3).windows:
+            incident = windows.incident
             assert incident.start_s >= 0.0
             assert incident.end_s >= incident.start_s
             # None when nothing completed during the incident.
-            assert incident.sla_during is None or 0.0 <= incident.sla_during <= 1.0
+            assert windows.sla_during is None or 0.0 <= windows.sla_during <= 1.0
             assert incident.recovery_replica_seconds >= 0.0
 
     @given(
@@ -256,8 +256,7 @@ class TestActiveReplicaList:
             [
                 ReplicaCrash(at_s=0.016),
                 ReplicaCrash(at_s=0.0301, replica=1, restart_after_s=0.002, warmup_s=0.001),
-            ],
-            sla_s=5e-3,
+            ]
         )
         with checked_routing(tally):
             report = cluster.serve_workload(

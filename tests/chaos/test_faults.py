@@ -67,10 +67,6 @@ class TestSpecValidation:
     def test_schedule_rejects_non_fault_entries(self):
         with pytest.raises(ConfigurationError):
             FaultSchedule(["crash"])
-        with pytest.raises(ConfigurationError):
-            FaultSchedule([], sla_s=0.0)
-        with pytest.raises(ConfigurationError):
-            FaultSchedule([], window_s=0.0)
 
 
 class TestScheduleMaterialization:
@@ -150,8 +146,7 @@ class TestSpecParsing:
             "crash:at=0.05,replica=1,restart=0.02,warmup=0.01,inflight=shed;"
             "shard-loss:at=0.06,shard=2,restore=0.03,failover=rehash;"
             "link:at=0.07,for=0.02,bw=0.5,lat=2;"
-            "brownout:at=0.08,for=0.02,replica=0,slow=3;"
-            "report:sla=0.004,window=0.002"
+            "brownout:at=0.08,for=0.02,replica=0,slow=3"
         )
         crash, shard_loss, link, brownout = schedule.faults
         assert crash == ReplicaCrash(
@@ -166,8 +161,6 @@ class TestSpecParsing:
         assert brownout == Brownout(
             at_s=0.08, duration_s=0.02, replica=0, latency_factor=3.0
         )
-        assert schedule.sla_s == pytest.approx(0.004)
-        assert schedule.window_s == pytest.approx(0.002)
 
     def test_parse_poisson_segment(self):
         schedule = parse_fault_schedule(
@@ -204,7 +197,8 @@ class TestSpecParsing:
             "brownout:at=0.1",  # missing for=
             "poisson:rate=10,until=0.5",  # missing kind=
             "poisson:kind=crash,until=0.5",  # missing rate=
-            "report:sla=0.01,shape=tail",  # unknown report key
+            "report:sla=0.01,shape=tail",  # not a fault kind
+            "crash:at=0.1;report:sla=0.01",  # the SLA is the run's, not the schedule's
             "crash:at=0.1,replica=1.5",  # non-whole replica index
             "shard-loss:at=0.1,shard=0.7",  # non-whole shard index
             "poisson:kind=crash,rate=10,until=0.5,seed=2.5",  # non-whole seed
@@ -245,6 +239,3 @@ class TestSpecParsing:
         assert crash.replica == 1 and type(crash.replica) is int
         assert shard_loss.shard == 2 and type(shard_loss.shard) is int
         assert generator.seed == 7 and type(generator.seed) is int
-
-    def test_only_report_segment_means_no_schedule(self):
-        assert parse_fault_schedule("report:sla=0.01") is None

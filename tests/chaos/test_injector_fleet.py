@@ -13,6 +13,7 @@ from repro.chaos import (
     PoissonFaults,
     ReplicaCrash,
     ShardLoss,
+    measure_incidents,
 )
 from repro.config import DLRM1, HARPV2_SYSTEM
 from repro.errors import ConfigurationError
@@ -23,6 +24,7 @@ BATCHING = TimeoutBatching(window_s=1e-3, max_batch_size=32)
 WORKLOAD = Workload(arrivals=PoissonArrivals(rate_qps=20_000.0), name="steady")
 NUM_REQUESTS = 1_000
 SEED = 4
+SLA_S = 10e-3
 
 
 def serve(faults, *, replicas=3, policy=None, max_replicas=None, **kwargs):
@@ -49,7 +51,7 @@ def serve(faults, *, replicas=3, policy=None, max_replicas=None, **kwargs):
 class TestCrashIncidents:
     def test_crash_with_restart_clears_and_redispatches(self):
         cluster, report = serve(
-            FaultSchedule([ReplicaCrash(at_s=0.01, restart_after_s=0.005)], sla_s=5e-3)
+            FaultSchedule([ReplicaCrash(at_s=0.01, restart_after_s=0.005)])
         )
         incidents = report.incidents
         assert incidents is not None
@@ -123,11 +125,12 @@ class TestCrashIncidents:
         assert len(report.per_replica) == 0
         assert report.incidents.total_shed == NUM_REQUESTS
         # Nothing completed in any window, so nothing was attained.
-        for incident in report.incidents.incidents:
-            assert incident.sla_before is incident.sla_during is incident.sla_after is None
-            assert incident.p99_before_s is None
-            assert incident.time_to_recover_s is None
-        assert report.incidents.worst_sla_during is None
+        measures = measure_incidents(report, SLA_S)
+        for windows in measures.windows:
+            assert windows.sla_before is windows.sla_during is windows.sla_after is None
+            assert windows.p99_before_s is None
+            assert windows.time_to_recover_s is None
+        assert measures.worst_sla_during is None
 
     def test_crashing_a_stopped_slot_is_a_noop_incident(self):
         _, report = serve(
@@ -141,13 +144,15 @@ class TestCrashIncidents:
         # It opens and closes at once: nothing completes during its empty
         # window, so it reads "-" during while its neighbours are measured.
         assert incident.start_s == incident.end_s
-        assert incident.sla_during is None
-        assert 0.0 <= incident.sla_before <= 1.0
-        assert 0.0 <= incident.sla_after <= 1.0
-        assert report.incidents.worst_sla_during is None
+        measures = measure_incidents(report, SLA_S)
+        (windows,) = measures.windows
+        assert windows.sla_during is None
+        assert 0.0 <= windows.sla_before <= 1.0
+        assert 0.0 <= windows.sla_after <= 1.0
+        assert measures.worst_sla_during is None
         row = next(
             line
-            for line in render_incident_timeline(report).splitlines()
+            for line in render_incident_timeline(report, SLA_S).splitlines()
             if line.startswith("| crash")
         )
         cells = [cell.strip() for cell in row.strip("|").split("|")]
@@ -179,9 +184,9 @@ class TestBrownoutIncidents:
         assert degraded.latency.percentiles((99.0,))[0] > (
             healthy.latency.percentiles((99.0,))[0]
         )
-        (incident,) = degraded.incidents.incidents
-        assert incident.kind == "brownout"
-        assert incident.sla_during < 1.0
+        (windows,) = measure_incidents(degraded, SLA_S).windows
+        assert windows.incident.kind == "brownout"
+        assert windows.sla_during < 1.0
 
     def test_brownout_window_clears(self):
         _, report = serve(
@@ -290,8 +295,8 @@ class TestFleetValidation:
     @pytest.mark.parametrize(
         "replicas, digest",
         [
-            (1, "0866278d0d01c1060bc09a08065daa54422846d8ac2a24922312fc09c212d412"),
-            (2, "f6c16d748b3be51dbf9111792c97fb5e3da45ee777e4e3100ef2819684aaf022"),
+            (1, "07b35be257b9f852498881720d9658b782bbd3eebbaa33bfc7478b0207420b5d"),
+            (2, "d1740bdf8b9d5fbd7769d12cfb9cb2a8e3be67b178a417cc824e0ae91cbfc787"),
         ],
     )
     def test_plain_fleet_under_a_crash_schedule_reports_its_incidents(self, replicas, digest):
@@ -312,8 +317,8 @@ class TestFleetValidation:
         assert report.num_replicas == replicas
         assert hashlib.sha256(repr(report.incidents).encode()).hexdigest() == digest
         # A lone replica's crash leaves nothing to complete during it.
-        (incident,) = report.incidents.incidents
-        assert (incident.sla_during is None) == (replicas == 1)
+        (windows,) = measure_incidents(report, SLA_S).windows
+        assert (windows.sla_during is None) == (replicas == 1)
 
 
 def incidents_total(report):

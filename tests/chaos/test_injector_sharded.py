@@ -43,8 +43,7 @@ class TestShardLoss:
     def test_promote_failover_concentrates_without_correctness_loss(self):
         _, report = serve(
             FaultSchedule(
-                [ShardLoss(at_s=0.005, shard=1, restore_after_s=0.01)],
-                window_s=5e-3,
+                [ShardLoss(at_s=0.005, shard=1, restore_after_s=0.01)]
             )
         )
         (incident,) = report.incidents.incidents
@@ -58,8 +57,7 @@ class TestShardLoss:
     def test_rehash_failover_counts_correctness_loss(self):
         _, report = serve(
             FaultSchedule(
-                [ShardLoss(at_s=0.005, shard=0, restore_after_s=0.01, failover="rehash")],
-                window_s=5e-3,
+                [ShardLoss(at_s=0.005, shard=0, restore_after_s=0.01, failover="rehash")]
             )
         )
         (incident,) = report.incidents.incidents

@@ -31,7 +31,7 @@ class TestScenarioCatalog:
     @pytest.mark.parametrize("name", sorted(SCENARIO_CATALOG))
     def test_every_scenario_parses_and_builds(self, name):
         scenario = SCENARIO_CATALOG[name]
-        schedule = scenario.schedule()
+        schedule = resolve_fault_spec(scenario.spec)
         assert isinstance(schedule, FaultSchedule)
         assert not schedule.empty
         workload = scenario.workload()
@@ -89,7 +89,7 @@ class TestRenderIncidentTimeline:
             num_requests=600,
         )
         ((_, report),) = list(result)
-        rendered = render_incident_timeline(report)
+        rendered = render_incident_timeline(report, sla_s=5e-3)
         assert "Incident timeline" in rendered
         assert "crash replica:" in rendered
         assert "brownout replica:" in rendered
@@ -98,7 +98,7 @@ class TestRenderIncidentTimeline:
 
     def test_faultless_report_raises(self):
         with pytest.raises(ValueError):
-            render_incident_timeline(None)
+            render_incident_timeline(None, sla_s=5e-3)
 
 
 class TestServeFaultsCLI:
@@ -196,6 +196,25 @@ class TestServeFaultsCLI:
         out = capsys.readouterr().out
         assert "Incident timeline" in out
         assert "shard-loss shard:0" in out
+
+    def test_the_incident_table_uses_the_run_sla(self, capsys):
+        # One run, one budget: --sla governs the serving table and the
+        # incident header alike.
+        argv = [
+            "serve",
+            "--backend", "cpu",
+            "--model", "DLRM2",
+            "--workload", "poisson:40000",
+            "--requests", "4000",
+            "--replicas", "3",
+            "--faults", "crash:at=0.02,restart=0.01",
+            "--sla", "0.002",
+        ]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "SLA<2ms %" in out
+        header = next(line for line in out.splitlines() if line.startswith("Incident timeline"))
+        assert "sla=2.0ms," in header
 
     def test_faults_off_keeps_the_plain_path(self, capsys):
         assert (

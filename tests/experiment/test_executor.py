@@ -45,9 +45,7 @@ ZIPF = Workload(
     name="zipf",
 )
 LRU = CacheConfig(policy="lru", capacity_rows=2_048)
-CRASH = FaultSchedule(
-    [ReplicaCrash(at_s=0.003, restart_after_s=0.003)], sla_s=5e-3
-)
+CRASH = FaultSchedule([ReplicaCrash(at_s=0.003, restart_after_s=0.003)])
 
 
 def signature(result):

@@ -39,7 +39,7 @@ ZIPF = Workload(
     name="zipf",
 )
 LRU = CacheConfig(policy="lru", capacity_rows=2_048)
-CRASH = FaultSchedule([ReplicaCrash(at_s=0.003, restart_after_s=0.003)], sla_s=5e-3)
+CRASH = FaultSchedule([ReplicaCrash(at_s=0.003, restart_after_s=0.003)])
 
 
 def experiment(jobs):
@@ -143,7 +143,7 @@ CLI_CALLS = {
         (*_SERVE, "--backend", "cpu", "--workload", "poisson:40000",
          "--requests", "4000", "--replicas", "3",
          "--faults", "crash:at=0.02,restart=0.01"),
-        "bb9b9e12d86e84390a8b7fbe2346886743d71f12dba52b2c22a90bd6a96aa4b3",
+        "03a89810644d01ed4e90763835f095b38a519d0d8657b284fe4fa44b02cd5253",
     ),
     "autoscale": (
         (*_SERVE, "--backend", "cpu", "--workload", "poisson:20000",
@@ -161,7 +161,7 @@ CLI_CALLS = {
         (*_SERVE, *_ZIPF, "--requests", "1500", "--shards", "4:row",
          "--cache", "lru:rows=4096",
          "--faults", "shard-loss:at=0.01,shard=1,restore=0.01"),
-        "9728da52996b3ad6317d6fa3f79a3834ee9fc6ca0285953eeedb7259486b4adf",
+        "a95d076a306e78ec0d025d07340e1b09dda7480364262b9e737e6b52693c0bbb",
     ),
     # LRU shapes no bench digest covers: a capacity far above one call's
     # rows, and both push modes that touch the resident set between calls.

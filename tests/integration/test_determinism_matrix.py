@@ -66,15 +66,10 @@ AUTOSCALERS = {
 
 
 FAULTS = {
-    "crash-restart": lambda: FaultSchedule(
-        [ReplicaCrash(at_s=0.01, restart_after_s=0.008)], sla_s=5e-3
-    ),
-    "crash-shed": lambda: FaultSchedule(
-        [ReplicaCrash(at_s=0.012, on_inflight="shed")], sla_s=5e-3
-    ),
+    "crash-restart": lambda: FaultSchedule([ReplicaCrash(at_s=0.01, restart_after_s=0.008)]),
+    "crash-shed": lambda: FaultSchedule([ReplicaCrash(at_s=0.012, on_inflight="shed")]),
     "brownout": lambda: FaultSchedule(
-        [Brownout(at_s=0.01, duration_s=0.015, replica=0, latency_factor=3.0)],
-        sla_s=5e-3,
+        [Brownout(at_s=0.01, duration_s=0.015, replica=0, latency_factor=3.0)]
     ),
     "poisson-storm": lambda: FaultSchedule(
         [
@@ -84,8 +79,7 @@ FAULTS = {
                 end_s=0.04,
                 seed=3,
             )
-        ],
-        sla_s=5e-3,
+        ]
     ),
 }
 

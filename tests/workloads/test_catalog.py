@@ -115,14 +115,14 @@ class TestCatalogCoverage:
 
     def test_every_scenario_spec_parses(self):
         for scenario in SCENARIO_CATALOG.values():
-            schedule = scenario.schedule()
+            schedule = resolve_fault_spec(scenario.name)
             assert schedule is not None and not schedule.empty
-            assert resolve_fault_spec(scenario.name).faults == schedule.faults
+            assert resolve_fault_spec(scenario.spec).faults == schedule.faults
             assert parse_workload_spec(scenario.arrival_spec, scenario.trace_spec)
         for scenario in UPDATE_SCENARIO_CATALOG.values():
-            updates = scenario.updates()
+            updates = resolve_update_spec(scenario.name)
             assert updates is not None
-            assert resolve_update_spec(scenario.name) == updates
+            assert resolve_update_spec(scenario.spec) == updates
             assert parse_workload_spec(scenario.arrival_spec, scenario.trace_spec)
 
     def test_scenario_names_resolve_in_any_case(self):

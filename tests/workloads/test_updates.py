@@ -199,4 +199,4 @@ class TestScenarioCatalog:
         for scenario in UPDATE_SCENARIO_CATALOG.values():
             workload = scenario.workload()
             assert workload.arrivals.mean_rate_qps > 0
-            assert scenario.updates() is not None
+            assert resolve_update_spec(scenario.name) is not None
