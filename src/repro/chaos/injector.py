@@ -15,11 +15,12 @@ stream starts, and finalized after it drains.  It drives exactly one host:
   :class:`~repro.chaos.faults.LinkDegradation`, and brownouts on the
   group's single logical replica.
 
-The injector also owns the run's shed accounting: requests dropped when a
-crashed replica's in-flight work is shed, and arrivals during a total
-outage (every replica down), both of which
-:func:`~repro.serving.replica.drive_stream` checks via the relaxed
-conservation identity ``arrivals == completed + shed``.
+The injector also counts the run's sheds, crediting each to the stream
+driver (its ``stream``) where it happens: requests dropped when a crashed
+replica's in-flight work is shed, and arrivals during a total outage
+(every replica down).  The driver checks the relaxed conservation identity
+``arrivals == completed + shed`` and keeps its per-arrival peak of
+resident requests net of them.
 """
 
 from __future__ import annotations
@@ -44,23 +45,23 @@ class _ShedSink:
     """Stand-in replica for arrivals during a total outage.
 
     When every replica is down, the controller's router returns this sink
-    instead of raising; each submitted request is counted as shed (never
+    instead of raising; each submitted arrival is counted as shed (never
     completed), which the relaxed conservation identity accounts for.
     """
 
     def __init__(self, injector: "FaultInjector"):
         self._injector = injector
 
-    def submit(self, request) -> None:
+    def submit(self, arrival_s: float, model_name=None) -> None:
         self._injector._note_outage_shed()
 
 
 class FaultInjector(Controller):
     """Schedules one materialized fault schedule onto a running simulation.
 
-    A fleet controller: the fleet arms it after the host it drives, takes
-    its :meth:`shed_count` as the stream's ``lost`` hook, and lets it attach
-    the run's :class:`~repro.chaos.report.IncidentReport` in :meth:`finish`.
+    A fleet controller: the fleet arms it after the host it drives, hands
+    it the stream driver whose ``shed`` it credits, and lets it attach the
+    run's :class:`~repro.chaos.report.IncidentReport` in :meth:`finish`.
     """
 
     def __init__(
@@ -83,17 +84,11 @@ class FaultInjector(Controller):
         self.sharded = sharded
         self._cache_config = cache_config
         self._model = model
-        self.shed = 0
         #: Raw incident records, in injection (onset) order.
         self._records: List[Dict[str, Any]] = []
         #: The latest crash that stopped a replica; outage sheds that no
         #: open incident covers are charged to it.
         self._last_crash: Optional[Dict[str, Any]] = None
-
-    # ------------------------------------------------------------------
-    def shed_count(self) -> int:
-        """Callable handed to :func:`drive_stream` as its ``lost`` hook."""
-        return self.shed
 
     # ------------------------------------------------------------------
     def arm(self) -> None:
@@ -219,7 +214,7 @@ class FaultInjector(Controller):
         return 0
 
     def _note_outage_shed(self) -> None:
-        self.shed += 1
+        self.stream.shed += 1
         for record in reversed(self._records):
             if record["end_s"] is None:
                 record["shed"] += 1
@@ -256,7 +251,7 @@ class FaultInjector(Controller):
         self._last_crash = record
         record["shed"] += shed
         record["redispatched"] += redispatched
-        self.shed += shed
+        self.stream.shed += shed
         if spec.restart_after_s is None:
             return
         self.sim.schedule_at(

@@ -56,7 +56,6 @@ from repro.errors import ConfigurationError, SimulationError
 from repro.serving.replica import Controller, ReplicaServer
 from repro.sim.engine import Simulator
 from repro.utils.specs import parse_kv, parse_kv_numbers, read_number, split_spec
-from repro.workloads.arrivals import InferenceRequest
 
 
 # ----------------------------------------------------------------------
@@ -499,9 +498,9 @@ class _AutoscaleController(Controller):
             )
 
     # -- routing -------------------------------------------------------
-    def route(self, request: InferenceRequest) -> ReplicaServer:
+    def route(self, arrival_s: float) -> ReplicaServer:
         if self.active:
-            return self._route_active(request)
+            return self._route_active(arrival_s)
         if self._shed_sink is not None:
             # Total outage under fault injection: arrivals are shed
             # (counted, never completed) instead of crashing the run.
@@ -545,16 +544,15 @@ class _AutoscaleController(Controller):
             return None, 0, 0
         # A warming slot's replica was emptied before it stopped (drained or
         # crashed), so it salvages nothing.
-        queued, executing = self.replicas[index].crash()
+        salvaged = self.replicas[index].crash()
         self._stop(index, now)
         self.crash_events += 1
-        salvaged = executing + queued
         redispatched = shed = 0
         if salvaged and on_inflight == "redispatch" and self.active:
-            # Original arrival times are preserved, so the crash delay
-            # shows up in the re-dispatched requests' latencies.
-            for request in salvaged:
-                self.route(request).submit(request)
+            # Original arrival times (and model tags) are preserved, so the
+            # crash delay shows up in the re-dispatched requests' latencies.
+            for arrival_s, model_name in salvaged:
+                self.route(arrival_s).submit(arrival_s, model_name)
             redispatched = len(salvaged)
         else:
             shed = len(salvaged)

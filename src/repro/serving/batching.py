@@ -13,7 +13,9 @@ complementary interfaces:
   is driven by the event-driven serving core (:mod:`repro.serving.replica`).
   The policy reacts to queue events as they happen — which is what makes
   *queue-reactive* policies (close when the device idles, shrink the window
-  as the queue deepens) expressible at all.
+  as the queue deepens) expressible at all.  Its pending batch is the list
+  of the queued arrival times, oldest first: ``pending[0]`` is the first
+  arrival's time.
 
 Provided policies:
 
@@ -35,10 +37,12 @@ Provided policies:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from repro.errors import SimulationError
-from repro.workloads.arrivals import InferenceRequest
+
+if TYPE_CHECKING:  # pragma: no cover - annotation only
+    from repro.workloads.arrivals import InferenceRequest
 
 
 @dataclass(frozen=True)
@@ -95,17 +99,17 @@ class BatchingPolicy:
     # -- online interface ----------------------------------------------
     def on_enqueue(
         self,
-        pending: Sequence[InferenceRequest],
+        pending: Sequence[float],
         now: float,
         device_idle: bool,
     ) -> BatchSignal:
-        """React to a request joining the pending batch (it is already in
-        ``pending``)."""
+        """React to an arrival joining the pending batch (its time is
+        already in ``pending``)."""
         return NO_ACTION
 
     def on_timer(
         self,
-        pending: Sequence[InferenceRequest],
+        pending: Sequence[float],
         now: float,
         device_idle: bool,
     ) -> BatchSignal:
@@ -115,7 +119,7 @@ class BatchingPolicy:
 
     def on_device_idle(
         self,
-        pending: Sequence[InferenceRequest],
+        pending: Sequence[float],
         now: float,
     ) -> BatchSignal:
         """React to the device going idle with requests still pending."""
@@ -187,7 +191,7 @@ class FixedSizeBatching(BatchingPolicy):
         if len(pending) >= self.batch_size:
             return BatchSignal(close=True)
         if len(pending) == 1 and self.max_wait_s != float("inf"):
-            return BatchSignal(timer_at=pending[0].arrival_time_s + self.max_wait_s)
+            return BatchSignal(timer_at=pending[0] + self.max_wait_s)
         return NO_ACTION
 
 
@@ -238,7 +242,7 @@ class TimeoutBatching(BatchingPolicy):
         if len(pending) >= self.max_batch_size:
             return BatchSignal(close=True)
         if len(pending) == 1:
-            return BatchSignal(timer_at=pending[0].arrival_time_s + self.window_s)
+            return BatchSignal(timer_at=pending[0] + self.window_s)
         return NO_ACTION
 
 
@@ -273,7 +277,7 @@ class CloseOnFullBatching(BatchingPolicy):
         if device_idle or len(pending) >= self.batch_size:
             return BatchSignal(close=True)
         if len(pending) == 1 and self.max_wait_s != float("inf"):
-            return BatchSignal(timer_at=pending[0].arrival_time_s + self.max_wait_s)
+            return BatchSignal(timer_at=pending[0] + self.max_wait_s)
         return NO_ACTION
 
     def on_device_idle(self, pending, now):
@@ -323,7 +327,7 @@ class AdaptiveWindowBatching(BatchingPolicy):
 
     def _deadline(self, pending) -> float:
         window = self.base_window_s / (1.0 + self.depth_sensitivity * (len(pending) - 1))
-        return pending[0].arrival_time_s + max(self.min_window_s, window)
+        return pending[0] + max(self.min_window_s, window)
 
     def on_enqueue(self, pending, now, device_idle):
         if len(pending) >= self.max_batch_size:
@@ -364,7 +368,7 @@ class SizeBucketedBatching(BatchingPolicy):
         if len(pending) >= self.buckets[-1]:
             return BatchSignal(close=True)
         if len(pending) == 1:
-            return BatchSignal(timer_at=pending[0].arrival_time_s + self.window_s)
+            return BatchSignal(timer_at=pending[0] + self.window_s)
         return NO_ACTION
 
     def execution_batch_size(self, formed_size: int) -> int:

@@ -286,7 +286,7 @@ class ReplicaPool:
             (replica,) = replicas
             return (
                 replicas,
-                lambda request: replica,
+                lambda arrival_s: replica,
                 [],
                 lambda label, allow_empty: replica.build_report(label),
             )

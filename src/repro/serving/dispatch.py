@@ -1,8 +1,9 @@
 """Pluggable request dispatchers for multi-replica serving.
 
-A dispatcher picks the replica each request joins, *at arrival time*, with
+A dispatcher picks the replica each arrival joins, *at arrival time*, with
 full visibility into live replica state (queue depths, device speed,
-predicted backlog).  All dispatchers are deterministic given their
+predicted backlog).  It is handed the arrival's time; no built-in
+dispatcher reads it.  All dispatchers are deterministic given their
 constructor arguments: :class:`PowerOfTwoChoicesDispatcher` derives its
 randomness from a seed and is reset before every stream.
 """
@@ -27,9 +28,9 @@ class Dispatcher:
         """Clear per-stream state; called once before each request stream."""
 
     def select(
-        self, replicas: Sequence[ReplicaServer], request, now: float
+        self, replicas: Sequence[ReplicaServer], arrival_s: float, now: float
     ) -> int:
-        """Index of the replica the request should join."""
+        """Index of the replica the arrival (at ``arrival_s``) should join."""
         raise NotImplementedError
 
     def snapshot(self) -> None:
@@ -42,8 +43,8 @@ class Dispatcher:
         its owner calls :meth:`snapshot` before each edit."""
         select = self.select
 
-        def route(request) -> ReplicaServer:
-            index = select(replicas, request, sim.now)
+        def route(arrival_s: float) -> ReplicaServer:
+            index = select(replicas, arrival_s, sim.now)
             if 0 <= index < len(replicas):
                 return replicas[index]
             raise SimulationError(
@@ -103,7 +104,7 @@ class RoundRobinDispatcher(Dispatcher):
         # the anchor's old slot if it still exists, else wrap.
         return self._last_index if self._last_index < len(replicas) else 0
 
-    def select(self, replicas, request, now):
+    def select(self, replicas, arrival_s, now):
         last = self._last
         index = self._last_index
         size = len(replicas)
@@ -131,7 +132,7 @@ class JoinShortestQueueDispatcher(Dispatcher):
 
     name = "join-shortest-queue"
 
-    def select(self, replicas, request, now):
+    def select(self, replicas, arrival_s, now):
         return min(range(len(replicas)), key=lambda i: (replicas[i].outstanding, i))
 
 
@@ -145,7 +146,7 @@ class LeastLoadedDispatcher(Dispatcher):
 
     name = "least-loaded"
 
-    def select(self, replicas, request, now):
+    def select(self, replicas, arrival_s, now):
         return min(
             range(len(replicas)),
             key=lambda i: (replicas[i].estimated_backlog_s(now), i),
@@ -183,7 +184,7 @@ class PowerOfTwoChoicesDispatcher(Dispatcher):
     def reset(self) -> None:
         self._rng = np.random.default_rng(self._seed)
 
-    def select(self, replicas, request, now):
+    def select(self, replicas, arrival_s, now):
         count = len(replicas)
         if count == 1:
             # The choice is forced but the stream must still advance: a

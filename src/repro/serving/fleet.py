@@ -15,11 +15,15 @@ and holds one **replica part**, chosen once from its :class:`FleetSpec`:
 For each stream the part builds the replicas, their route and the
 controllers (:class:`~repro.serving.replica.Controller`) to arm: the autoscaler's
 lifecycle controller, the sharded update driver and the chaos
-:class:`~repro.chaos.injector.FaultInjector`.  :meth:`Fleet.serve` hands
-every controller the stream driver (whose live ``count`` and
-``exhausted`` follow the simulated clock), arms them, drives the stream
-once (see :func:`~repro.serving.replica.drive_stream`) and lets each
-controller attach its accounting to the part's report.
+:class:`~repro.chaos.injector.FaultInjector`.  A serve hands every
+controller the stream driver (whose live ``count`` and ``exhausted``
+follow the simulated clock, and whose ``shed`` the injector credits), arms
+them, drives the stream once and lets each controller attach its
+accounting to the part's report.  The stream is arrival times:
+:meth:`Fleet.serve_workload` drives the workload's times straight from its
+arrival process, tagged with model names only for a traffic mix, while
+:meth:`Fleet.serve` converts request objects to times once, at its edge
+(see :func:`~repro.serving.replica.drive_stream`).
 
 :meth:`FleetSpec.build` resolves a backend name and its warm-up hint into
 the fleet that ``repro serve`` and every serving grid run.
@@ -37,6 +41,7 @@ if TYPE_CHECKING:  # pragma: no cover - annotation only
     from repro.serving.batching import BatchingPolicy
     from repro.sharding.cache import CacheConfig
     from repro.sharding.plan import ShardingStrategy
+    from repro.workloads.arrivals import InferenceRequest
     from repro.workloads.updates import UpdateProcess
 
 from repro.backends.registry import backend_registration, get_backend
@@ -45,10 +50,10 @@ from repro.config.system import SystemConfig
 from repro.errors import SimulationError
 from repro.serving.cluster import ReplicaPool
 from repro.serving.dispatch import Dispatcher
-from repro.serving.replica import _StreamDriver
+from repro.serving.replica import _StreamDriver, arrivals_of, tags_needed
 from repro.sim.engine import Simulator
 from repro.sim.profile import SimProfile
-from repro.workloads.arrivals import InferenceRequest, PoissonArrivals
+from repro.workloads.arrivals import PoissonArrivals
 from repro.workloads.workload import Workload
 
 
@@ -173,35 +178,49 @@ class Fleet:
 
     def serve(
         self,
-        requests: Union[Sequence[InferenceRequest], Iterable[InferenceRequest]],
+        requests: Union[Sequence["InferenceRequest"], Iterable["InferenceRequest"]],
         report_label: Optional[str] = None,
         faults: Optional["FaultSchedule"] = None,
         **options,
     ):
-        """Serve a request stream and report latency statistics.
+        """Serve a stream of request objects and report latency statistics.
 
         ``requests`` may be an eager sequence (sorted internally) or a lazy
-        time-ordered iterator — e.g. ``Workload.requests(...)`` — pulled
-        in constant-size chunks, so stream length does not bound memory.
-        ``faults`` injects a :class:`~repro.chaos.faults.FaultSchedule` (an
-        empty or ``None`` schedule arms nothing).  ``options`` go to the
-        replica part: a pool takes ``extra_models`` (traffic-mix models
-        priced beside the default one); a shard group takes ``trace`` (the
-        row-ID model, uniform by default), ``trace_seed`` and
-        ``update_seed``.  Prefer :meth:`serve_workload`, which wires them
-        from the workload.
+        time-ordered iterator — e.g. ``Workload.requests(...)``.  The
+        objects are converted to arrival times once, at this edge (see
+        :func:`~repro.serving.replica.arrivals_of`), so stream length does
+        not bound memory.  ``faults`` injects a
+        :class:`~repro.chaos.faults.FaultSchedule` (an empty or ``None``
+        schedule arms nothing).  ``options`` go to the replica part: a pool
+        takes ``extra_models`` (traffic-mix models priced beside the default
+        one); a shard group takes ``trace`` (the row-ID model, uniform by
+        default), ``trace_seed`` and ``update_seed``.  Prefer
+        :meth:`serve_workload`, which wires them from the workload and
+        drives its arrival times without building request objects.
         """
         if isinstance(requests, Sequence) and not requests:
             raise SimulationError("cannot serve an empty request stream")
+        return self._serve(
+            lambda tagged: arrivals_of(requests, tagged), report_label, faults, options
+        )
+
+    def _serve(self, arrivals, report_label, faults, options):
+        """Drive ``arrivals(tagged)`` once through the replica part.
+
+        ``tagged`` is True when the replicas price a traffic mix; the
+        stream's items are then ``(time, model name)`` pairs, else times.
+        Every controller gets the stream driver before it arms; the fault
+        injector credits its sheds there, and an armed injector lets the
+        report cover a total outage.
+        """
         if faults is not None and faults.empty:
             faults = None
         sim = Simulator(profile=self.spec.profile)
         replicas, route, controllers, report = self.part.start(sim, faults, **options)
-        lost = None
         for controller in controllers:
             route = controller.route or route
-            lost = controller.shed_count or lost
-        driver = _StreamDriver(sim, requests, route, lost=lost)
+        tagged = tags_needed(replicas)
+        driver = _StreamDriver(sim, arrivals(tagged), route, tagged)
         for controller in controllers:
             controller.stream = driver
             controller.arm()
@@ -210,7 +229,7 @@ class Fleet:
             raise SimulationError("cannot serve an empty request stream")
         self.last_profile = sim.profile
         self.last_outcome = outcome
-        result = report(report_label or self.model.name, lost is not None)
+        result = report(report_label or self.model.name, faults is not None)
         for controller in controllers:
             result = controller.finish(result, sim.now)
         return result
@@ -225,17 +244,23 @@ class Fleet:
     ):
         """Serve a :class:`~repro.workloads.Workload` stream end to end.
 
-        The arrival process streams lazily; a multi-model traffic mix
-        prices every mix model on every replica, and batches execute one
+        The arrival process streams its times lazily, and no request object
+        is built.  A multi-model traffic mix prices every mix model on every
+        replica: its name stream tags the times, and batches execute one
         per-model segment at a time.  A shard group draws every batch's
         rows from the workload's trace model.
         """
         options = self.part.workload_options(workload, seed)
         label = workload.mix.label if workload.mix is not None else None
-        requests = workload.requests(
-            duration_s=duration_s, num_requests=num_requests, seed=seed
+        seeds = workload.seeds(seed)
+        times = workload.arrivals.arrivals(
+            duration_s=duration_s, num_requests=num_requests, seed=seeds.arrivals
         )
-        return self.serve(requests, label, faults, **options)
+
+        def arrivals(tagged: bool):
+            return zip(times, workload.mix.name_stream(seeds.mix)) if tagged else times
+
+        return self._serve(arrivals, label, faults, options)
 
     def serve_poisson(self, rate_qps: float, duration_s: float, seed: int = 0):
         """Serve a Poisson arrival stream of the given rate and duration."""
@@ -248,4 +273,5 @@ class Fleet:
                 f"no requests arrived in {duration_s}s at {rate_qps} QPS; "
                 "increase the duration or the rate"
             )
-        return self.serve(itertools.chain([first], stream))
+        times = itertools.chain([first], stream)
+        return self._serve(lambda tagged: times, None, None, {})

@@ -14,12 +14,15 @@ device serves batches in close order starting each at
 free)`` recurrence the legacy simulator iterated, now emerging from event
 order.
 
-Memory discipline: replicas hold request objects only while they are in
-flight (pending batch, closed-batch queue, executing batch), so a
-multi-million-request streaming run (see :func:`drive_stream`) stays
-O(max in-flight) in resident requests.  What a report needs about the past
-is one completion record: an :class:`ExecutedBatch` per executed segment
-and, per completed request, its arrival time as an 8-byte double.
+Memory discipline: an arrival is its time.  A replica holds the arrival
+times of the requests in flight (pending batch, closed-batch queue,
+executing batch), plus a parallel list of model tags only when its service
+prices a multi-model traffic mix; no per-request object exists on the
+serve path, so a multi-million-request streaming run (see
+:func:`drive_stream`) stays O(max in-flight) in resident floats.  What a
+report needs about the past is one completion record: an
+:class:`ExecutedBatch` per executed segment and, per completed request, its
+arrival time as an 8-byte double.
 """
 
 from __future__ import annotations
@@ -27,13 +30,16 @@ from __future__ import annotations
 from array import array
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import repeat
+from operator import attrgetter
 from time import perf_counter
 from typing import (
+    TYPE_CHECKING,
     Callable,
     Deque,
     Dict,
     Iterable,
+    Iterator,
     List,
     Optional,
     Protocol,
@@ -50,7 +56,13 @@ from repro.results import InferenceResult
 from repro.serving.batching import BatchingPolicy, BatchSignal
 from repro.serving.metrics import ExecutedBatch, ServingReport
 from repro.sim.engine import Event, Simulator
-from repro.workloads.arrivals import InferenceRequest
+
+if TYPE_CHECKING:  # pragma: no cover - annotation only
+    from repro.workloads.arrivals import InferenceRequest
+
+#: The model tags of a batch's arrivals, in step with its times; ``None``
+#: for a single-model service, which never reads them.
+Tags = Optional[List[Optional[str]]]
 
 
 class DesignPointRunner(Protocol):
@@ -156,16 +168,14 @@ class ReplicaServer:
         # Event labels, formatted once per replica rather than per batch.
         self._close_label = f"{name}:batch-close"
         self._complete_label = f"{name}:complete"
-        # Open batch accumulating arrivals (+ arrival times, kept in step so
-        # batch completion can record them without re-touching the request
-        # objects).
-        self._pending: List[InferenceRequest] = []
-        self._pending_times: List[float] = []
+        # Open batch: the arrival times of the queued requests, oldest first
+        # (what the batching hooks read), and their model tags in step when
+        # the service prices a traffic mix.
+        self._pending: List[float] = []
+        self._pending_tags: Tags = [] if service.multi_model else None
         self._close_timer: Optional[Event] = None
-        # Closed batches waiting for the device, FIFO.
-        self._batch_queue: Deque[
-            Tuple[float, List[InferenceRequest], List[float]]
-        ] = deque()
+        # Closed batches waiting for the device, FIFO: (close time, times, tags).
+        self._batch_queue: Deque[Tuple[float, List[float], Tags]] = deque()
         self._busy = False
         self._outstanding = 0
         self.device_free_at = 0.0
@@ -187,10 +197,11 @@ class ReplicaServer:
         self.latency_multiplier = 1.0
         # In-flight execution state a chaos crash() needs to roll back:
         # the scheduled completion event and one tuple of (start, finish,
-        # previous last_finish_s, busy/energy deltas, segment count, batch).
+        # previous last_finish_s, busy/energy deltas, segment count, batch
+        # times, batch tags).
         self._completion_event: Optional[Event] = None
         self._executing: Optional[
-            Tuple[float, float, float, float, float, int, List[InferenceRequest]]
+            Tuple[float, float, float, float, float, int, List[float], Tags]
         ] = None
 
     # -- live state inspected by dispatchers ---------------------------
@@ -226,31 +237,37 @@ class ReplicaServer:
         dispatch.
         """
         backlog = max(self.device_free_at - now, 0.0) if self._busy else 0.0
-        for _, batch, _ in self._batch_queue:
-            backlog += self._batch_cost_s(batch)
+        for _, times, tags in self._batch_queue:
+            backlog += self._batch_cost_s(times, tags)
         if self._pending:
-            backlog += self._batch_cost_s(self._pending)
+            backlog += self._batch_cost_s(self._pending, self._pending_tags)
         return backlog
 
-    def _batch_cost_s(self, batch: Sequence[InferenceRequest]) -> float:
+    def _batch_cost_s(self, times: List[float], tags: Tags) -> float:
         """Predicted execution time of one batch, segment-accurate for mixes."""
-        if not self.service.multi_model:
-            size = self.batching.execution_batch_size(len(batch))
+        if tags is None:
+            size = self.batching.execution_batch_size(len(times))
             return self.service.result(size).latency_seconds
         return sum(
             self.service.result(
                 self.batching.execution_batch_size(len(group)), model_name
             ).latency_seconds
-            for group, model_name in self._segment_batch(list(batch))
+            for group, model_name in self._segment_batch(times, tags)
         )
 
     # -- event handlers ------------------------------------------------
-    def submit(self, request: InferenceRequest) -> None:
-        """Accept a request at the current simulated time."""
+    def submit(self, arrival_s: float, model_name: Optional[str] = None) -> None:
+        """Accept an arrival at the current simulated time.
+
+        ``arrival_s`` is its arrival time, which a chaos re-dispatch keeps
+        from before the crash; ``model_name`` tags it for a multi-model
+        service and is ignored by a single-model one.
+        """
         now = self.sim.now
         self.arrival_count += 1
-        self._pending.append(request)
-        self._pending_times.append(request.arrival_time_s)
+        self._pending.append(arrival_s)
+        if self._pending_tags is not None:
+            self._pending_tags.append(model_name)
         self._outstanding += 1
         signal = self.batching.on_enqueue(
             self._pending, now, not self._busy and not self._batch_queue
@@ -292,34 +309,32 @@ class ReplicaServer:
         if self._close_timer is not None:
             self._close_timer.cancel()
             self._close_timer = None
-        batch = self._pending
-        times = self._pending_times
+        times = self._pending
+        tags = self._pending_tags
         self._pending = []
-        self._pending_times = []
-        self._batch_queue.append((now, batch, times))
+        if tags is not None:
+            self._pending_tags = []
+        self._batch_queue.append((now, times, tags))
         self._maybe_start()
 
     def _segment_batch(
-        self, batch: List[InferenceRequest]
-    ) -> List[Tuple[List[InferenceRequest], Optional[str]]]:
-        """Split a closed batch into per-model execution segments.
+        self, times: List[float], tags: Tags
+    ) -> List[Tuple[List[float], Optional[str]]]:
+        """Split a closed batch's arrival times into per-model segments.
 
-        Single-model services (the common case) execute the batch as one
-        segment; mixed-traffic batches execute one segment per target model,
-        back to back, in first-appearance order.
+        Single-model services (the common case, ``tags is None``) execute
+        the batch as one segment; mixed-traffic batches execute one segment
+        per target model, back to back, in first-appearance order.
         """
-        if not self.service.multi_model:
-            return [(batch, None)]
-        groups: Dict[Optional[str], List[InferenceRequest]] = {}
-        order: List[Optional[str]] = []
-        for request in batch:
-            key = request.model_name
+        if tags is None:
+            return [(times, None)]
+        groups: Dict[Optional[str], List[float]] = {}
+        for time, key in zip(times, tags):
             bucket = groups.get(key)
             if bucket is None:
                 groups[key] = bucket = []
-                order.append(key)
-            bucket.append(request)
-        return [(groups[key], key) for key in order]
+            bucket.append(time)
+        return [(group, key) for key, group in groups.items()]
 
     def _execute_result(
         self, batch_size: int, model_name: Optional[str]
@@ -330,19 +345,18 @@ class ReplicaServer:
     def _maybe_start(self) -> None:
         if self._busy or not self._batch_queue:
             return
-        ready, batch, times = self._batch_queue.popleft()
+        ready, batch, tags = self._batch_queue.popleft()
         start = self.sim.now
         clock = start
         previous_finish = self.last_finish_s
         busy_delta = 0.0
         energy_delta = 0.0
-        segmented = self._segment_batch(batch)
+        segmented = self._segment_batch(batch, tags)
+        times = batch
         if len(segmented) > 1:
             # Segments complete back to back, so completion order is
             # segment order.
-            times = [
-                request.arrival_time_s for group, _ in segmented for request in group
-            ]
+            times = [time for group, _ in segmented for time in group]
         for group, model_name in segmented:
             result = self._execute_result(
                 self.batching.execution_batch_size(len(group)), model_name
@@ -380,6 +394,7 @@ class ReplicaServer:
             energy_delta,
             len(segmented),
             batch,
+            tags,
         )
         self._completion_event = self.sim.schedule_at(
             finish,
@@ -387,36 +402,36 @@ class ReplicaServer:
             label=self._complete_label,
         )
 
-    def crash(self) -> Tuple[List[InferenceRequest], List[InferenceRequest]]:
+    def crash(self) -> List[Tuple[float, Optional[str]]]:
         """Chaos hook: kill the device mid-flight at the current sim time.
 
         Cancels any batch-close timer and the in-flight completion event,
         rolls the executing batch's accounting back to the crash instant
         (the device is charged the busy time and energy it actually burned
         before dying, but completes nothing), removes every in-flight
-        request from this replica's counters, and returns them as
-        ``(queued, executing)`` lists for the caller to re-dispatch or
-        shed.  Afterwards the replica is clean: idle, empty queues, and
+        request from this replica's counters, and returns them for the
+        caller to re-dispatch or shed: ``(arrival time, model tag)`` pairs,
+        the executing batch first, then the pending batch, then the closed
+        batches in queue order (the tag is ``None`` for a single-model
+        service).  Afterwards the replica is clean: idle, empty queues, and
         per-replica conservation (``completed == arrivals``) still holds.
         """
         now = self.sim.now
-        queued: List[InferenceRequest] = []
         if self._close_timer is not None:
             self._close_timer.cancel()
             self._close_timer = None
-        if self._pending:
-            queued.extend(self._pending)
-            self._pending = []
-            self._pending_times = []
-        for _, batch, _ in self._batch_queue:
-            queued.extend(batch)
+        queued = [(self._pending, self._pending_tags)]
+        queued.extend((times, tags) for _, times, tags in self._batch_queue)
+        self._pending = []
+        if self._pending_tags is not None:
+            self._pending_tags = []
         self._batch_queue.clear()
-        executing: List[InferenceRequest] = []
         if self._busy:
-            start, finish, previous_finish, busy_delta, energy_delta, seg_count, batch = (
-                self._executing
-            )
-            executing.extend(batch)
+            (
+                start, finish, previous_finish, busy_delta, energy_delta, seg_count,
+                times, tags,
+            ) = self._executing
+            queued.insert(0, (times, tags))
             self._completion_event.cancel()
             span = finish - start
             burned = min(max(now - start, 0.0), span) / span if span > 0.0 else 1.0
@@ -428,10 +443,14 @@ class ReplicaServer:
             self.device_free_at = now
         self._completion_event = None
         self._executing = None
-        removed = len(queued) + len(executing)
-        self.arrival_count -= removed
-        self._outstanding -= removed
-        return queued, executing
+        salvaged = [
+            arrival
+            for times, tags in queued
+            for arrival in zip(times, tags if tags is not None else repeat(None))
+        ]
+        self.arrival_count -= len(salvaged)
+        self._outstanding -= len(salvaged)
+        return salvaged
 
     def _on_complete(self, times: List[float]) -> None:
         self._completion_event = None
@@ -505,9 +524,9 @@ class StreamOutcome:
     shed: int = 0
 
 
-#: Arrivals pulled from the stream per refill: amortizes the generator
-#: round-trip over a constant-size block without changing event order.
-_STREAM_CHUNK = 1024
+#: One arrival as the stream driver carries it: its time, or a
+#: ``(time, model name)`` pair on a tagged (multi-model) stream.
+Arrival = Union[float, Tuple[float, Optional[str]]]
 
 
 class _StreamDriver:
@@ -520,39 +539,42 @@ class _StreamDriver:
     precedes the heap top — an *arrival run*.  Nothing on the heap can fire
     before such an arrival, so no heap pass is needed between them (the
     "safe time" of conservative simulation).  Each delivery first ranks the
-    successor, drawing its sequence number before the request is routed, as
+    successor, drawing its sequence number before the arrival is routed, as
     if it were pushed as an event then — so simultaneous arrivals keep their
-    stream order ahead of any timers the submission arms.  The iterator is
-    drained in :data:`_STREAM_CHUNK` blocks, so memory is constant in stream
-    length; controllers read :attr:`count` and :attr:`exhausted`, which
-    follow the simulated clock.
+    stream order ahead of any timers the submission arms.
+
+    The stream is pulled lazily, so memory is constant in stream length.
+    Its items are arrival times, or ``(time, model name)`` pairs when
+    ``tagged`` (a multi-model service); a delivery is
+    ``route(time).submit(time[, model name])``.  Controllers read
+    :attr:`count` and :attr:`exhausted`, which follow the simulated clock,
+    and the fault injector credits :attr:`shed`.
     """
 
     def __init__(
         self,
         sim: Simulator,
-        requests: Union[Sequence[InferenceRequest], Iterable[InferenceRequest]],
-        route: Callable[[InferenceRequest], "ReplicaServer"],
-        lost: Optional[Callable[[], int]] = None,
+        arrivals: Iterable[Arrival],
+        route: Callable[[float], "ReplicaServer"],
+        tagged: bool = False,
     ):
-        if isinstance(requests, Sequence):
-            requests = sorted(requests, key=lambda request: request.arrival_time_s)
-        iterator = iter(requests)
         self.sim = sim
         self.route = route
-        self.lost = lost
+        self.tagged = tagged
         #: Arrivals ranked so far (the one ahead of the clock included).
         self.count = 0
         self.completed = 0
+        #: Arrivals dropped by chaos fault injection so far: the injector
+        #: adds each shed it counts, so conservation reads
+        #: ``count == completed + shed``.
+        self.shed = 0
         self.peak_resident = 0
         #: True once a delivered arrival finds no successor.
         self.exhausted = False
         #: ``(time, sequence)`` of the arrival ranked ahead of the clock.
         self.key: Optional[Tuple[float, int]] = None
-        self._current: Optional[InferenceRequest] = None
-        self._requests = chain.from_iterable(
-            iter(lambda: list(islice(iterator, _STREAM_CHUNK)), [])
-        )
+        self._current: Optional[Arrival] = None
+        self._arrivals: Iterator[Arrival] = iter(arrivals)
         self._reserve = sim.queue.reserve
 
     def note_completion(self, count: int) -> None:
@@ -562,13 +584,13 @@ class _StreamDriver:
         """Become the simulator's source and rank the first arrival,
         drawing its sequence number now."""
         self.sim.source = self
-        first = next(self._requests, None)
+        first = next(self._arrivals, None)
         if first is None:
             self.exhausted = True
             return
         self.count = 1
         self._current = first
-        self.key = (first.arrival_time_s, self._reserve())
+        self.key = (first[0] if self.tagged else first, self._reserve())
 
     def admit(self, budget: int) -> int:
         """Deliver the ranked arrival and the rest of its run; return how
@@ -585,12 +607,12 @@ class _StreamDriver:
         queue = sim.queue
         top = queue.top
         profile = sim.profile
-        requests = self._requests
+        arrivals = self._arrivals
         reserve = self._reserve
         route = self.route
-        lost = self.lost
+        tagged = self.tagged
         peak = self.peak_resident
-        successor = request = self._current
+        successor = arrival = self._current
         key = self.key
         delivered = 0
         try:
@@ -601,9 +623,9 @@ class _StreamDriver:
                 sim.now = time
                 if profile is not None:
                     started = perf_counter()
-                successor = next(requests, None)
+                successor = next(arrivals, None)
                 if successor is not None:
-                    successor_time = successor.arrival_time_s
+                    successor_time = successor[0] if tagged else successor
                     if successor_time < time:
                         raise SimulationError(
                             "streaming arrivals must be time-ordered: got "
@@ -615,10 +637,11 @@ class _StreamDriver:
                     count = self.count
                     key = None
                     self.exhausted = True
-                route(request).submit(request)
-                resident = count - self.completed
-                if lost is not None:
-                    resident -= lost()
+                if tagged:
+                    route(time).submit(time, arrival[1])
+                else:
+                    route(time).submit(time)
+                resident = count - self.completed - self.shed
                 if resident > peak:
                     peak = resident
                 if profile is not None:
@@ -629,7 +652,7 @@ class _StreamDriver:
                 entry = top()
                 if entry is not None and entry < key:
                     break
-                request = successor
+                arrival = successor
         finally:
             self.key = key
             self._current = successor
@@ -663,18 +686,36 @@ class _StreamDriver:
             sim.source = None
             for replica, listener in zip(replicas, previous_listeners):
                 replica.completion_listener = listener
-        shed = self.lost() if self.lost is not None else 0
-        if self.completed + shed != self.count:
+        if self.completed + self.shed != self.count:
             raise SimulationError(
                 f"request conservation violated: {self.count} arrived, "
-                f"{self.completed} served, {shed} shed"
+                f"{self.completed} served, {self.shed} shed"
             )
         return StreamOutcome(
             scheduled=self.count,
             completed=self.completed,
             peak_resident=self.peak_resident,
-            shed=shed,
+            shed=self.shed,
         )
+
+
+def tags_needed(replicas: Sequence[ReplicaServer]) -> bool:
+    """True when a replica prices a traffic mix, so arrivals carry tags."""
+    return any(replica.service.multi_model for replica in replicas)
+
+
+def arrivals_of(
+    requests: Union[Sequence["InferenceRequest"], Iterable["InferenceRequest"]],
+    tagged: bool,
+) -> Iterator[Arrival]:
+    """Request objects as the stream driver's arrivals, converted once at
+    the edge: their times, or ``(time, model name)`` pairs when ``tagged``.
+    A sequence is sorted by arrival time first (the legacy contract)."""
+    if isinstance(requests, Sequence):
+        requests = sorted(requests, key=attrgetter("arrival_time_s"))
+    if tagged:
+        return map(attrgetter("arrival_time_s", "model_name"), requests)
+    return map(attrgetter("arrival_time_s"), requests)
 
 
 class Controller:
@@ -686,12 +727,12 @@ class Controller:
     """
 
     #: The stream's driver, set before :meth:`arm`: its live ``count`` and
-    #: ``exhausted`` follow the simulated clock.
+    #: ``exhausted`` follow the simulated clock, and a fault injector
+    #: credits its ``shed``.
     stream: Optional[_StreamDriver] = None
-    #: Takes over routing from the fleet's dispatcher when set.
-    route: Optional[Callable[[InferenceRequest], ReplicaServer]] = None
-    #: Requests shed so far; relaxes the stream's conservation check.
-    shed_count: Optional[Callable[[], int]] = None
+    #: Takes over routing from the fleet's dispatcher when set; it is
+    #: called with each arrival's time.
+    route: Optional[Callable[[float], ReplicaServer]] = None
 
     def arm(self) -> None:
         """Schedule the first events (controllers arm in list order)."""
@@ -704,28 +745,27 @@ class Controller:
 def drive_stream(
     sim: Simulator,
     replicas: Sequence[ReplicaServer],
-    requests: Union[Sequence[InferenceRequest], Iterable[InferenceRequest]],
-    route: Callable[[InferenceRequest], ReplicaServer],
-    lost: Optional[Callable[[], int]] = None,
+    requests: Union[Sequence["InferenceRequest"], Iterable["InferenceRequest"]],
+    route: Callable[[float], ReplicaServer],
 ) -> StreamOutcome:
     """Drive a request stream through the fleet and run to completion.
 
-    Arrivals are pulled lazily and merged into the simulator beside its
-    event heap (see :class:`_StreamDriver`), so an arbitrarily long stream
-    holds just the in-flight requests in memory.  Sequences are sorted
+    The request objects are converted to arrival times once, here (tagged
+    with their model names when a replica prices a traffic mix); the
+    times are pulled lazily and merged into the simulator beside its event
+    heap (see :class:`_StreamDriver`), so an arbitrarily long stream holds
+    just the in-flight arrival times in memory.  Sequences are sorted
     first (the legacy contract); bare iterators must already be
-    time-ordered.
+    time-ordered.  The strict conservation identity
+    ``scheduled == completed`` holds: nothing here sheds.
 
     Args:
         sim: The shared simulator all replicas live on.
         replicas: The replica fleet.
-        requests: The arrival stream — a sequence (any order) or a lazy,
+        requests: The request stream — a sequence (any order) or a lazy,
             time-ordered iterator (e.g. ``Workload.requests(...)``).
-        route: Callable ``(request) -> ReplicaServer`` evaluated *at arrival
-            time*, so routing sees live queue state.
-        lost: Optional zero-argument callable returning the number of
-            requests chaos fault injection has shed so far.  When given,
-            conservation relaxes to ``scheduled == completed + lost()``;
-            without it (every fault-free run) the strict identity holds.
+        route: Callable ``(arrival time) -> ReplicaServer`` evaluated *at
+            arrival time*, so routing sees live queue state.
     """
-    return _StreamDriver(sim, requests, route, lost=lost).drive(replicas)
+    tagged = tags_needed(replicas)
+    return _StreamDriver(sim, arrivals_of(requests, tagged), route, tagged).drive(replicas)

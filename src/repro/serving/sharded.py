@@ -758,7 +758,7 @@ class ShardGroup:
                 )
             )
         report = functools.partial(self._report, replica)
-        return [replica], lambda request: replica, controllers, report
+        return [replica], lambda arrival_s: replica, controllers, report
 
     def _report(self, replica, label: str, allow_empty: bool) -> ClusterReport:
         report = replica.build_report(label)

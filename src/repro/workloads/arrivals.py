@@ -3,9 +3,11 @@
 An :class:`ArrivalProcess` describes *when* requests reach the serving
 system.  Every process is a stateless description — all randomness enters
 through an explicit seed at iteration time, so the same process object can
-drive many independent streams — and every stream is a lazy iterator, so a
-multi-million-request serving run never materializes more than the requests
-currently in flight.
+drive many independent streams — and every stream is a lazy iterator of
+arrival times.  An arrival is its time, a bare float: the serving path
+(``Fleet.serve_workload``) drives these times straight into the replicas,
+so a multi-million-request run allocates no per-request object and holds
+only the times of the requests in flight.
 
 Provided processes:
 
@@ -23,8 +25,10 @@ Provided processes:
   (production traces, hand-built worst cases).
 
 Serving code composes an :class:`ArrivalProcess` into a
-:class:`repro.workloads.Workload`; :meth:`ArrivalProcess.generate` returns
-an eager list where one is wanted.
+:class:`repro.workloads.Workload`.  Callers that want request objects get
+them at the edge: :meth:`ArrivalProcess.generate` returns an eager list of
+numbered :class:`InferenceRequest` objects and :func:`requests_from_times`
+numbers any time stream lazily.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain, count, islice, repeat
-from typing import Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -77,14 +81,37 @@ def _make_rng(seed: SeedLike) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def requests_from_times(
+    times: Iterable[float], model_names: Optional[Iterable[Optional[str]]] = None
+) -> Iterator[InferenceRequest]:
+    """Number a stream of checked arrival times into request objects.
+
+    ``model_names``, when given, tags each request in step (a traffic
+    mix's :meth:`~repro.workloads.mix.TrafficMix.name_stream`).  The frozen
+    dataclass's ``__init__`` (three ``object.__setattr__`` calls and a
+    ``__post_init__`` frame) would dominate a long stream, so each
+    request's fields are set as ``__init__`` would; :meth:`ArrivalProcess.arrivals`
+    has already checked every time.
+    """
+    names = model_names if model_names is not None else repeat(None)
+    new = object.__new__
+    for request_id, time, name in zip(count(), times, names):
+        request = new(InferenceRequest)
+        fields = request.__dict__
+        fields["request_id"] = request_id
+        fields["arrival_time_s"] = time
+        fields["model_name"] = name
+        yield request
+
+
 class ArrivalProcess:
     """Base class: a stateless description of an arrival-time distribution.
 
     Subclasses implement :meth:`_time_chunks` — a lazy iterator of
     columns (lists) of non-decreasing arrival timestamps for a given seed,
     unbounded except for a replay.  The base class flattens them into
-    :meth:`times` and builds bounded :class:`InferenceRequest` streams from
-    them one column at a time.
+    :meth:`times` and cuts them into bounded :meth:`arrivals` streams one
+    column at a time.
     """
 
     #: Short machine-readable kind, used in derived workload names and the CLI.
@@ -109,18 +136,17 @@ class ArrivalProcess:
         duration_s: Optional[float] = None,
         num_requests: Optional[int] = None,
         seed: SeedLike = 0,
-        model_names: Optional[Iterator[Optional[str]]] = None,
-    ) -> Iterator[InferenceRequest]:
-        """Lazily generate arrivals for a time window or a request count.
+    ) -> Iterator[float]:
+        """Lazily generate arrival times for a time window or a request count.
 
         Exactly one of ``duration_s`` / ``num_requests`` must be provided.
+        Each arrival is its time, a bare float: the serving path carries
+        no per-request object (see :func:`requests_from_times` for one).
 
         Args:
             duration_s: Generate every arrival with ``time <= duration_s``.
             num_requests: Generate exactly this many arrivals.
             seed: Stream seed; identical seeds give identical streams.
-            model_names: Optional iterator of per-request model tags (used
-                by :class:`~repro.workloads.mix.TrafficMix`).
         """
         if (duration_s is None) == (num_requests is None):
             raise SimulationError("provide exactly one of duration_s or num_requests")
@@ -128,35 +154,30 @@ class ArrivalProcess:
             raise SimulationError(f"duration_s must be positive, got {duration_s}")
         if num_requests is not None and num_requests <= 0:
             raise SimulationError(f"num_requests must be positive, got {num_requests}")
+        return chain.from_iterable(self._bounded_columns(duration_s, num_requests, seed))
 
-        names = model_names if model_names is not None else repeat(None)
-        new = object.__new__
-        next_id = 0
+    def _bounded_columns(
+        self, duration_s: Optional[float], num_requests: Optional[int], seed: SeedLike
+    ) -> Iterator[List[float]]:
+        """The columns of :meth:`_time_chunks`, cut at the window or count."""
+        remaining = num_requests
         for column in self._time_chunks(seed):
             last = False
             if duration_s is not None and column and column[-1] > duration_s:
                 column = column[: bisect_right(column, duration_s)]
                 last = True
-            if num_requests is not None and next_id + len(column) >= num_requests:
-                column = column[: num_requests - next_id]
+            if remaining is not None and len(column) >= remaining:
+                column = column[:remaining]
                 last = True
             if column and min(column) < 0:
                 raise SimulationError(
                     f"arrival_time_s must be non-negative, got {min(column)}"
                 )
-            # The frozen dataclass's __init__ (three object.__setattr__ calls
-            # and a __post_init__ frame) would dominate: the column is checked
-            # once above and each request's fields are set as __init__ would.
-            for request_id, time, name in zip(count(next_id), column, names):
-                request = new(InferenceRequest)
-                fields = request.__dict__
-                fields["request_id"] = request_id
-                fields["arrival_time_s"] = time
-                fields["model_name"] = name
-                yield request
+            yield column
             if last:
                 return
-            next_id += len(column)
+            if remaining is not None:
+                remaining -= len(column)
 
     def generate(
         self,
@@ -164,8 +185,13 @@ class ArrivalProcess:
         num_requests: Optional[int] = None,
         seed: SeedLike = 0,
     ) -> List[InferenceRequest]:
-        """Eagerly materialize :meth:`arrivals` (small streams only)."""
-        return list(self.arrivals(duration_s=duration_s, num_requests=num_requests, seed=seed))
+        """Eagerly materialize :meth:`arrivals` as numbered requests (small
+        streams only)."""
+        return list(
+            requests_from_times(
+                self.arrivals(duration_s=duration_s, num_requests=num_requests, seed=seed)
+            )
+        )
 
     def describe(self) -> str:
         """One-line human-readable summary for tables and reports."""

@@ -26,7 +26,12 @@ import numpy as np
 
 from repro.config.models import DLRMConfig
 from repro.errors import SimulationError
-from repro.workloads.arrivals import ArrivalProcess, InferenceRequest, as_arrival_process
+from repro.workloads.arrivals import (
+    ArrivalProcess,
+    InferenceRequest,
+    as_arrival_process,
+    requests_from_times,
+)
 from repro.workloads.mix import TrafficMix
 from repro.workloads.traces import DLRMBatch, TraceModel, UniformTrace, model_batch
 
@@ -98,18 +103,16 @@ class Workload:
         """A lazy, deterministic stream of (optionally model-tagged) requests.
 
         Exactly one of ``duration_s`` / ``num_requests`` must be provided.
-        The stream is time-ordered and holds O(1) memory: serving drivers
-        pull arrivals on demand, so a 5M-request run materializes only the
-        requests currently in flight.
+        The stream is time-ordered and holds O(1) memory.  It numbers the
+        arrival times ``Fleet.serve_workload`` drives directly, tagged
+        from the mix's name stream, for callers that want request objects.
         """
         seeds = self.seeds(seed)
-        names = self.mix.name_stream(seeds.mix) if self.mix is not None else None
-        return self.arrivals.arrivals(
-            duration_s=duration_s,
-            num_requests=num_requests,
-            seed=seeds.arrivals,
-            model_names=names,
+        times = self.arrivals.arrivals(
+            duration_s=duration_s, num_requests=num_requests, seed=seeds.arrivals
         )
+        names = self.mix.name_stream(seeds.mix) if self.mix is not None else None
+        return requests_from_times(times, names)
 
     def request_list(
         self,

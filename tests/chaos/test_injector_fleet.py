@@ -14,11 +14,13 @@ from repro.chaos import (
     ReplicaCrash,
     ShardLoss,
     measure_incidents,
+    parse_fault_schedule,
 )
-from repro.config import DLRM1, HARPV2_SYSTEM
+from repro.config import DLRM1, DLRM6, HARPV2_SYSTEM
 from repro.errors import ConfigurationError
 from repro.serving import Fleet, FleetSpec, QueueDepthPolicy, ScheduledPolicy, TimeoutBatching
-from repro.workloads import PoissonArrivals, Workload
+from repro.serving.replica import ReplicaServer
+from repro.workloads import PoissonArrivals, TrafficMix, Workload
 
 BATCHING = TimeoutBatching(window_s=1e-3, max_batch_size=32)
 WORKLOAD = Workload(arrivals=PoissonArrivals(rate_qps=20_000.0), name="steady")
@@ -172,6 +174,71 @@ class TestCrashIncidents:
         assert targets == {"replica:2", "replica:1"}
         assert report.autoscale.crashes == 2
         assert report.autoscale.restarts == 2
+
+
+class TestMixUnderCrash:
+    """A two-model mix through a crash: arrivals carry a model tag only on
+    a mix, so a crash must salvage the tags with the times."""
+
+    @pytest.mark.parametrize("inflight", ["redispatch", "shed"])
+    def test_salvaged_arrivals_are_repriced_as_their_own_model(self, monkeypatch, inflight):
+        tag_of, resubmitted, priced_as = {}, [], {}
+        submit = ReplicaServer.submit
+        segment_batch = ReplicaServer._segment_batch
+
+        def recording_submit(self, arrival_s, model_name=None):
+            if arrival_s in tag_of:
+                resubmitted.append((arrival_s, model_name))
+            else:
+                tag_of[arrival_s] = model_name
+            return submit(self, arrival_s, model_name)
+
+        def recording_segment_batch(self, times, tags):
+            segments = segment_batch(self, times, tags)
+            for group, model_name in segments:
+                priced_as.update(dict.fromkeys(group, model_name))
+            return segments
+
+        monkeypatch.setattr(ReplicaServer, "submit", recording_submit)
+        monkeypatch.setattr(ReplicaServer, "_segment_batch", recording_segment_batch)
+        # DLRM(6) executes a 32-batch twice as slow as DLRM(1): an arrival
+        # priced as the wrong model would finish at the wrong time.
+        mix = Workload(
+            arrivals=PoissonArrivals(rate_qps=20_000.0),
+            mix=TrafficMix.of((DLRM1, 1.0), (DLRM6, 1.0)),
+            name="mix",
+        )
+        cluster = Fleet(
+            get_backend("cpu", HARPV2_SYSTEM),
+            DLRM1,
+            FleetSpec(replicas=2, max_replicas=2, batching=BATCHING),
+        )
+        report = cluster.serve_workload(
+            mix,
+            num_requests=NUM_REQUESTS,
+            seed=SEED,
+            faults=parse_fault_schedule(
+                f"crash:at=0.01,replica=0,restart=0.005,inflight={inflight}"
+            ),
+        )
+
+        outcome = cluster.last_outcome
+        assert outcome.scheduled == outcome.completed + outcome.shed == NUM_REQUESTS
+        assert len(tag_of) == NUM_REQUESTS
+        assert set(tag_of.values()) == {"DLRM(1)", "DLRM(6)"}
+        (incident,) = report.incidents.incidents
+        # Every priced arrival was priced as its own model; a salvaged one
+        # is priced again after its re-dispatch, and that pricing is last.
+        assert all(priced_as[time] == tag_of[time] for time in priced_as)
+        if inflight == "redispatch":
+            assert outcome.shed == 0
+            assert len(resubmitted) == incident.redispatched_requests > 0
+            assert {model_name for _, model_name in resubmitted} == {"DLRM(1)", "DLRM(6)"}
+            assert all(model_name == tag_of[time] for time, model_name in resubmitted)
+            assert priced_as == tag_of
+        else:
+            assert resubmitted == []
+            assert outcome.shed == incident.shed_requests > 0
 
 
 class TestBrownoutIncidents:

@@ -20,8 +20,6 @@ import bisect
 import hashlib
 import pickle
 from itertools import islice
-from typing import Sequence
-
 import numpy as np
 import pytest
 
@@ -110,8 +108,10 @@ class _ReferenceQueue:
 
 # ---------------------------------------------------------------------------
 # The arrival driver as it was before arrivals left the heap: the driver
-# class and the fleet's counting wrapper are kept verbatim, and
-# _ReferenceDriver.drive is the old drive_stream body.
+# class and the fleet's counting wrapper keep their logic verbatim, and
+# _ReferenceDriver.drive is the old drive_stream body.  Only the interface
+# follows the shipped driver: items are arrival times, or (time, model
+# name) pairs when tagged, and the fault injector credits ``shed``.
 # ---------------------------------------------------------------------------
 _STREAM_CHUNK = 1024
 
@@ -122,24 +122,25 @@ class _HeapStreamDriver:
     Exactly one arrival *event* is outstanding at any moment: when it
     fires, the driver first schedules its successor (so simultaneous
     arrivals keep their stream order ahead of any timers the submission
-    arms) and then routes the request.  The iterator itself is drained in
+    arms) and then routes the arrival.  The iterator itself is drained in
     :data:`_STREAM_CHUNK` blocks, so memory is O(chunk) — constant in
     stream length.
 
     Streams that expose live arrival accounting (an ``exhausted``
     attribute, e.g. the fleet's counting wrapper) are pulled one
-    request per event instead: controllers observe their counters between
+    arrival per event instead: controllers observe their counters between
     events, so draining them a chunk ahead of simulated time would make
     exhaustion and arrival-rate observations run ahead of the clock.
     """
 
-    def __init__(self, sim, iterator, route, lost=None):
+    def __init__(self, sim, iterator, route, tagged=False):
         self.sim = sim
         self.iterator = iterator
         self.route = route
-        self.lost = lost
+        self.tagged = tagged
         self.scheduled = 0
         self.completed = 0
+        self.shed = 0
         self.peak_resident = 0
         self._current = None
         self._last_time = 0.0
@@ -164,13 +165,13 @@ class _HeapStreamDriver:
                     return
                 self._buffer = buffer
                 index = 0
-            request = buffer[index]
+            arrival = buffer[index]
             self._next = index + 1
         else:
-            request = next(self.iterator, None)
-            if request is None:
+            arrival = next(self.iterator, None)
+            if arrival is None:
                 return
-        arrival_time = request.arrival_time_s
+        arrival_time = arrival[0] if self.tagged else arrival
         if arrival_time < self._last_time:
             raise SimulationError(
                 "streaming arrivals must be time-ordered: got "
@@ -178,24 +179,25 @@ class _HeapStreamDriver:
             )
         self._last_time = arrival_time
         self.scheduled += 1
-        self._current = request
+        self._current = arrival
         self._push(arrival_time, self._fire, "arrival")
 
     def _fire(self) -> None:
-        request = self._current
+        arrival = self._current
         self.pump()
-        self.route(request).submit(request)
-        resident = self.scheduled - self.completed
-        if self.lost is not None:
-            resident -= self.lost()
+        if self.tagged:
+            self.route(arrival[0]).submit(*arrival)
+        else:
+            self.route(arrival).submit(arrival)
+        resident = self.scheduled - self.completed - self.shed
         if resident > self.peak_resident:
             self.peak_resident = resident
 
 
 class _CountingStream:
-    """A request iterator that counts its arrivals and notes its end.
+    """An arrival iterator that counts its arrivals and notes its end.
 
-    Exposing ``exhausted`` flips :func:`drive_stream` into its unbuffered
+    Exposing ``exhausted`` flips the heap driver into its unbuffered
     one-pull-per-event mode, so ``count`` and ``exhausted`` follow the
     simulated clock: ``exhausted`` turns True when the last arrival fires,
     which is when controllers reading it between events expect it.
@@ -211,24 +213,21 @@ class _CountingStream:
 
     def __next__(self):
         try:
-            request = next(self._iterator)
+            arrival = next(self._iterator)
         except StopIteration:
             self.exhausted = True
             raise
         self.count += 1
-        return request
+        return arrival
 
 
 class _ReferenceDriver:
     """The fleet's stream driver interface, one heap event per arrival."""
 
-    def __init__(self, sim, requests, route, lost=None):
-        if isinstance(requests, Sequence):
-            requests = sorted(requests, key=lambda request: request.arrival_time_s)
+    def __init__(self, sim, arrivals, route, tagged=False):
         self.sim = sim
-        self.stream = _CountingStream(iter(requests))
-        self.driver = _HeapStreamDriver(sim, self.stream, route, lost=lost)
-        self.lost = lost
+        self.stream = _CountingStream(iter(arrivals))
+        self.driver = _HeapStreamDriver(sim, self.stream, route, tagged)
 
     @property
     def count(self):
@@ -238,8 +237,16 @@ class _ReferenceDriver:
     def exhausted(self):
         return self.stream.exhausted
 
+    @property
+    def shed(self):
+        return self.driver.shed
+
+    @shed.setter
+    def shed(self, value):
+        self.driver.shed = value
+
     def drive(self, replicas):
-        sim, driver, lost = self.sim, self.driver, self.lost
+        sim, driver = self.sim, self.driver
         assert sim.source is None
         previous_listeners = [replica.completion_listener for replica in replicas]
         for replica in replicas:
@@ -260,7 +267,7 @@ class _ReferenceDriver:
         finally:
             for replica, listener in zip(replicas, previous_listeners):
                 replica.completion_listener = listener
-        shed = lost() if lost is not None else 0
+        shed = driver.shed
         if driver.completed + shed != driver.scheduled:
             raise SimulationError(
                 f"request conservation violated: {driver.scheduled} arrived, "

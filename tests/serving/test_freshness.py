@@ -230,6 +230,7 @@ class TestPriceRefillRegression:
             gathers_per_table=2,
         )
         service = SimpleNamespace(
+            multi_model=False,
             model_for=lambda name: dense_model,
             result=lambda batch_size, name: SimpleNamespace(
                 breakdown={}, power_watts=10.0

@@ -11,6 +11,7 @@ by the in-flight work — not the stream length.  These tests pin:
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 
 import pytest
@@ -29,6 +30,7 @@ from repro.workloads import (
     TrafficMix,
     Workload,
 )
+from repro.workloads.arrivals import requests_from_times
 
 
 @dataclass
@@ -63,7 +65,7 @@ class TestStreamingEquivalence:
             process.generate(num_requests=2_000, seed=5)
         )
         lazy = Fleet(runner, DLRM2, FleetSpec(batching=batching)).serve(
-            process.arrivals(num_requests=2_000, seed=5)
+            requests_from_times(process.arrivals(num_requests=2_000, seed=5))
         )
         assert eager.completed_requests == lazy.completed_requests
         assert eager.latency.p99_s == lazy.latency.p99_s
@@ -78,7 +80,9 @@ class TestStreamingEquivalence:
         eager_cluster = Fleet(runner, DLRM2, FleetSpec(replicas=3))
         lazy_cluster = Fleet(runner, DLRM2, FleetSpec(replicas=3))
         eager = eager_cluster.serve(process.generate(num_requests=1_500, seed=2))
-        lazy = lazy_cluster.serve(process.arrivals(num_requests=1_500, seed=2))
+        lazy = lazy_cluster.serve(
+            requests_from_times(process.arrivals(num_requests=1_500, seed=2))
+        )
         assert eager.completed_requests == lazy.completed_requests
         assert eager.latency.p99_s == lazy.latency.p99_s
 
@@ -98,8 +102,8 @@ class TestBoundedMemory:
         )
         # Offered load at ~20% of device capacity (1024 / 2e-5 = 51.2M QPS)
         # so the queue stays shallow and the peak reflects in-flight work.
-        stream = ConstantRateArrivals(rate_qps=10_000_000.0).arrivals(
-            num_requests=total
+        stream = requests_from_times(
+            ConstantRateArrivals(rate_qps=10_000_000.0).arrivals(num_requests=total)
         )
         outcome = drive_stream(sim, [replica], stream, lambda request: replica)
         assert outcome.scheduled == total
@@ -162,6 +166,68 @@ class TestMultiModelServing:
         requests = [InferenceRequest(i, 0.001) for i in range(4)]
         drive_stream(sim, [replica], requests, lambda request: replica)
         assert [batch.batch_size for batch in replica.executed] == [4]
+
+
+class TestArrivalTimes:
+    """The serve path carries arrival times, not request objects."""
+
+    @staticmethod
+    def _record_submits(monkeypatch):
+        """Record every submit's arguments, and the live request objects on
+        every 200th call."""
+        calls, live = [], []
+        submit = ReplicaServer.submit
+
+        def recording(self, *args):
+            if len(calls) % 200 == 0:
+                live.append(sum(isinstance(o, InferenceRequest) for o in gc.get_objects()))
+            calls.append(args)
+            return submit(self, *args)
+
+        monkeypatch.setattr(ReplicaServer, "submit", recording)
+        return calls, live
+
+    def test_single_model_serve_builds_no_request_objects(self, monkeypatch):
+        gc.collect()
+        before = sum(isinstance(o, InferenceRequest) for o in gc.get_objects())
+        calls, live = self._record_submits(monkeypatch)
+        report = Fleet(FlatRunner(), DLRM2, FleetSpec(replicas=2)).serve_workload(
+            Workload(arrivals=PoissonArrivals(20_000.0)), num_requests=1_000, seed=3
+        )
+        assert report.completed_requests == len(calls) == 1_000
+        assert all(len(args) == 1 and type(args[0]) is float for args in calls)
+        assert len(live) == 5 and set(live) == {before}
+
+    def test_a_mix_tags_each_arrival_time_with_its_model(self, monkeypatch):
+        calls, _ = self._record_submits(monkeypatch)
+        workload = Workload(
+            arrivals=PoissonArrivals(20_000.0), mix=TrafficMix.of((DLRM2, 0.5), (DLRM4, 0.5))
+        )
+        Fleet(FlatRunner(), DLRM2).serve_workload(workload, num_requests=300, seed=3)
+        expected = workload.request_list(num_requests=300, seed=3)
+        assert calls == [(r.arrival_time_s, r.model_name) for r in expected]
+
+
+    @pytest.mark.parametrize("mix", [None, TrafficMix.of((DLRM2, 0.5), (DLRM4, 0.5))])
+    def test_request_objects_serve_like_their_times(self, mix):
+        """``Fleet.serve`` converts objects at its edge: the same stream
+        served as objects and as times gives the same report."""
+        from repro import get_backend
+
+        runner = get_backend("cpu", HARPV2_SYSTEM)
+        workload = Workload(arrivals=PoissonArrivals(30_000.0), mix=mix)
+        spec = FleetSpec(replicas=2)
+        by_times = Fleet(runner, DLRM2, spec).serve_workload(
+            workload, num_requests=600, seed=3
+        )
+        by_objects = Fleet(runner, DLRM2, spec).serve(
+            workload.request_list(num_requests=600, seed=3)[::-1],
+            mix.label if mix is not None else None,
+            extra_models=workload.models,
+        )
+        assert by_objects.model_name == by_times.model_name
+        assert (by_objects.latency.samples_s == by_times.latency.samples_s).all()
+        assert by_objects.total_energy_joules == by_times.total_energy_joules
 
 
 class TestStreamValidation:

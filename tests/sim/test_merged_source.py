@@ -8,8 +8,13 @@ is built on a coarse time grid so arrivals tie with each other and with
 heap events exactly.  The fired order, the clock after each firing, the
 stream's live ``count`` and ``exhausted`` at each firing, the clock after
 the run and ``events_fired`` must equal a run in which every arrival is a
-heap event pushed by the pre-merge driver.
+heap event pushed by the pre-merge driver.  Arrivals are bare times, so
+each run also drives a tagged stream whose tags are the stream positions:
+the sink records them, which pins that the i-th delivery is the i-th
+arrival of the stream, ties included.
 """
+
+from itertools import count
 
 import pytest
 from hypothesis import given
@@ -23,7 +28,6 @@ from repro.serving import Fleet, FleetSpec, TimeoutBatching
 from repro.serving.replica import _StreamDriver
 from repro.sim.engine import Simulator
 from repro.workloads import PoissonArrivals, Workload
-from repro.workloads.arrivals import InferenceRequest
 
 from tests.integration.test_queue_equivalence import (  # noqa: F401 (fixture)
     _CountingStream,
@@ -42,9 +46,10 @@ _ACTION = st.tuples(
 )
 
 
-def _simulate(arrival_ticks, actions, merged):
+def _simulate(arrival_ticks, actions, merged, tagged):
     """Run one script; return the trace, the clock after the run and
-    ``events_fired``."""
+    ``events_fired``.  A tagged stream tags each arrival with its stream
+    position; an untagged one is numbered in delivery order."""
     sim = Simulator()
     trace = []
     pending = {}  # heap event id -> Event, dropped when it fires
@@ -70,22 +75,23 @@ def _simulate(arrival_ticks, actions, merged):
         del pending[event_id]
         on_fire(("event", event_id))
 
+    delivered = count()
+
     class _Sink:
         @staticmethod
-        def submit(request):
-            on_fire(("arrival", request.request_id))
+        def submit(arrival_s, position=None):
+            assert arrival_s == sim.now
+            on_fire(("arrival", position if tagged else next(delivered)))
 
-    requests = [
-        InferenceRequest(request_id=index, arrival_time_s=tick * TICK)
-        for index, tick in enumerate(sorted(arrival_ticks))
-    ]
-    route = lambda request: _Sink  # noqa: E731
+    times = [tick * TICK for tick in sorted(arrival_ticks)]
+    arrivals = list(zip(times, count())) if tagged else times
+    route = lambda arrival_s: _Sink  # noqa: E731
     if merged:
-        stream = _StreamDriver(sim, requests, route)
+        stream = _StreamDriver(sim, arrivals, route, tagged)
         stream.attach()
     else:
-        stream = _CountingStream(iter(requests))
-        _HeapStreamDriver(sim, stream, route).pump()
+        stream = _CountingStream(iter(arrivals))
+        _HeapStreamDriver(sim, stream, route, tagged).pump()
 
     clock = sim.run()
     return trace, clock, sim.events_fired
@@ -94,14 +100,17 @@ def _simulate(arrival_ticks, actions, merged):
 @given(
     arrival_ticks=st.lists(st.integers(0, 12), min_size=1, max_size=30),
     actions=st.lists(_ACTION, min_size=1, max_size=12),
+    tagged=st.booleans(),
 )
-def test_merged_source_matches_all_on_heap_reference(arrival_ticks, actions):
-    merged = _simulate(arrival_ticks, actions, merged=True)
-    reference = _simulate(arrival_ticks, actions, merged=False)
+def test_merged_source_matches_all_on_heap_reference(arrival_ticks, actions, tagged):
+    merged = _simulate(arrival_ticks, actions, merged=True, tagged=tagged)
+    reference = _simulate(arrival_ticks, actions, merged=False, tagged=tagged)
     assert merged == reference
     trace, _, fired = merged
     assert fired == len(trace)
-    assert sum(tag[0] == "arrival" for tag, *_ in trace) == len(arrival_ticks)
+    positions = [tag[1] for tag, *_ in trace if tag[0] == "arrival"]
+    # Arrivals are delivered in stream order, each exactly once.
+    assert positions == list(range(len(arrival_ticks)))
 
 
 def test_arrivals_tie_with_heap_events_in_ranking_order():
@@ -111,16 +120,18 @@ def test_arrivals_tie_with_heap_events_in_ranking_order():
     sim = Simulator()
     fired = []
 
+    delivered = count()
+
     class _Sink:
         @staticmethod
-        def submit(request):
-            fired.append(("arrival", request.request_id))
-            if request.request_id == 0:
+        def submit(arrival_s):
+            position = next(delivered)
+            fired.append(("arrival", position))
+            if position == 0:
                 sim.schedule_at(TICK, lambda: fired.append(("timer", 0)))
 
     sim.schedule_at(TICK, lambda: fired.append(("early", 0)))
-    requests = [InferenceRequest(0, 0.0), InferenceRequest(1, TICK)]
-    driver = _StreamDriver(sim, requests, lambda request: _Sink)
+    driver = _StreamDriver(sim, [0.0, TICK], lambda arrival_s: _Sink)
     driver.attach()
     sim.run()
     assert fired == [("arrival", 0), ("early", 0), ("arrival", 1), ("timer", 0)]
@@ -128,11 +139,14 @@ def test_arrivals_tie_with_heap_events_in_ranking_order():
     assert driver.exhausted and driver.count == 2
 
 
-def _attach(sim, times, submit=lambda request: None):
-    """Merge a stream of requests at ``times`` into ``sim``."""
-    sink = type("_Sink", (), {"submit": staticmethod(submit)})
-    requests = [InferenceRequest(index, time) for index, time in enumerate(times)]
-    driver = _StreamDriver(sim, requests, lambda request: sink)
+def _attach(sim, times, submit=lambda position: None):
+    """Merge a stream of arrivals at ``times`` into ``sim``; ``submit`` is
+    called with each arrival's position in delivery order."""
+    delivered = count()
+    sink = type(
+        "_Sink", (), {"submit": staticmethod(lambda arrival_s: submit(next(delivered)))}
+    )
+    driver = _StreamDriver(sim, times, lambda arrival_s: sink)
     driver.attach()
     return driver
 
@@ -141,7 +155,7 @@ class TestMergedSourceChecks:
     def test_an_arrival_advances_the_causality_floor(self):
         sim = Simulator()
         sim.schedule_at(TICK, lambda: None)
-        _attach(sim, [2 * TICK], lambda request: sim.queue.push(1.5 * TICK, lambda: None))
+        _attach(sim, [2 * TICK], lambda position: sim.queue.push(1.5 * TICK, lambda: None))
         with pytest.raises(SimulationError, match="causality"):
             sim.run()
 
@@ -224,9 +238,9 @@ class TestArrivalRuns:
         sim = Simulator()
         fired = []
 
-        def submit(request):
-            fired.append(f"a{request.request_id}")
-            if request.request_id == 0:
+        def submit(position):
+            fired.append(f"a{position}")
+            if position == 0:
                 sim.schedule_at(timer_at, lambda: fired.append("timer"))
 
         driver = _attach(sim, [0.0, TICK, 2 * TICK, 2 * TICK], submit)
@@ -253,8 +267,8 @@ def test_peak_resident_is_the_per_arrival_maximum_through_a_total_outage(
     on_reference, outage_at
 ):
     """Both replicas crash for good, so every later arrival is shed, the
-    last one included: it ranks no successor and raises ``lost``, so the
-    resident count falls at the end of its run.  The peak must still be the
+    last one included: it ranks no successor and the injector credits its
+    shed to the driver, so the resident count falls at the end of its run.  The peak must still be the
     maximum over arrivals, as the one-event-per-arrival reference takes it."""
 
     def serve():

@@ -64,7 +64,9 @@ class TestLaziness:
         stream = process.arrivals(num_requests=10_000_000, seed=0)
         head = list(itertools.islice(stream, 5))
         assert len(head) == 5
-        assert all(isinstance(r, InferenceRequest) for r in head)
+        # An arrival is its time: a bare float, no request object.
+        assert all(type(time) is float for time in head)
+        assert head == [r.arrival_time_s for r in process.generate(num_requests=5, seed=0)]
 
     def test_duration_mode_respects_window(self):
         requests = PoissonArrivals(2_000.0).generate(duration_s=0.05, seed=1)

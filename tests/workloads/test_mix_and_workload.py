@@ -100,7 +100,7 @@ class TestWorkload:
         seeds = Workload.seeds(8)
         times = [r.arrival_time_s for r in workload.request_list(num_requests=20, seed=8)]
         direct = PoissonArrivals(5_000.0).arrivals(num_requests=20, seed=seeds.arrivals)
-        assert times == [r.arrival_time_s for r in direct]
+        assert times == list(direct)
         batch = workload.batch(DLRM2, batch_size=4, seed=8)
         rng = np.random.default_rng(seeds.trace)
         again = model_batch(workload.trace, rng, DLRM2, 4)
